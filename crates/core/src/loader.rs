@@ -48,7 +48,7 @@ use minato_exec::{
 };
 use minato_metrics::{Counter, Reservoir, UtilizationMeter};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -65,8 +65,12 @@ const ADMISSION_WAIT: Duration = Duration::from_secs(2);
 pub enum ExecutorConfig {
     /// One dedicated thread slice per stage — `max_workers` fast
     /// threads gated by the adaptive scheduler, plus dedicated slow and
-    /// batch workers. Behavior-equivalent to the pre-executor runtime
-    /// (the default).
+    /// batch workers (the default). A thread stays in its stage while
+    /// that stage is live; once the sampler has drained and the fast
+    /// stage is exhausted, its threads join the slow stage through the
+    /// elastic bidding loop (the batch lanes are already staffed), so
+    /// the deferred backlog at the end of a run is not left to the slow
+    /// slice alone.
     #[default]
     Fixed,
     /// A single role-fluid pool: `threads` workers (0 = `max_workers`)
@@ -1054,6 +1058,8 @@ impl<D: Dataset> MinatoLoader<D> {
             checkpoint_pause: AtomicBool::new(false),
             injector,
             shutdown: AtomicBool::new(false),
+            monitor_lock: Mutex::new(()),
+            monitor_cv: Condvar::new(),
             started_at,
             transfer_hook,
             stage_obs: tracer
@@ -1519,8 +1525,7 @@ fn monitor_loop<D: Dataset>(
     let mut prev_pool_hits = 0u64;
     let mut prev_pool_lookups = 0u64;
     loop {
-        std::thread::sleep(interval);
-        if rt.shutdown.load(Ordering::Acquire) {
+        if !rt.monitor_wait(interval) {
             break;
         }
         let all_closed = rt.batch_qs.iter().all(|q| q.is_closed());

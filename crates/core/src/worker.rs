@@ -37,7 +37,7 @@ use crate::transform::{Pipeline, PipelineRun, ScratchLedger, StageObserver, Tran
 use minato_exec::{ExecHandle, RoleId, RoleStep, StepOutcome, TenantId, TenantRegistry};
 use minato_metrics::{Counter, Reservoir, UtilizationMeter};
 use minato_trace::{EventKind, Tracer};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -261,6 +261,10 @@ pub(crate) struct Runtime<D: Dataset> {
     /// production default) costs one branch per sample.
     pub injector: Option<Arc<dyn FaultInjector>>,
     pub shutdown: AtomicBool,
+    /// The monitor thread waits out its refresh interval on this pair,
+    /// so `initiate_shutdown` can end the wait at once.
+    pub(crate) monitor_lock: Mutex<()>,
+    pub(crate) monitor_cv: Condvar,
     pub started_at: Instant,
     /// Optional device-transfer prefetch hook (§4.3's CUDA stream).
     pub transfer_hook: Option<Arc<dyn TransferHook<D::Sample>>>,
@@ -366,6 +370,10 @@ impl<D: Dataset> Runtime<D> {
     /// tenants keep running).
     pub(crate) fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        // Taking the lock orders this wake after a monitor that has
+        // checked `shutdown` but not yet started waiting.
+        drop(self.monitor_lock.lock());
+        self.monitor_cv.notify_all();
         self.fast_q.close();
         self.slow_q.close();
         self.temp_q.close();
@@ -388,6 +396,16 @@ impl<D: Dataset> Runtime<D> {
 
     pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Waits out one monitor refresh interval (a full one: the monitor
+    /// computes its rates over it). Returns false as soon as shutdown is
+    /// requested.
+    pub(crate) fn monitor_wait(&self, interval: Duration) -> bool {
+        let deadline = Instant::now() + interval;
+        let mut g = self.monitor_lock.lock();
+        while !self.is_shutdown() && !self.monitor_cv.wait_until(&mut g, deadline).timed_out() {}
+        !self.is_shutdown()
     }
 
     /// Builds the per-run transform context — optional deadline, plus
@@ -971,7 +989,15 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        let chunk = rt.cfg.ticket_chunk.max(1);
+        // Once the source has drained, the rest of the pool shares this
+        // role (fixed workers re-bid at drain): a burst claimed by one
+        // worker would serialise the tail while the others find the temp
+        // queue empty, so claim a single sample per step from then on.
+        let chunk = if rt.source_drained.load(Ordering::SeqCst) {
+            1
+        } else {
+            rt.cfg.ticket_chunk.max(1)
+        };
         let deferred = match rt.temp_q.pop_many_timeout(chunk, self.claim_wait) {
             Ok(v) if v.is_empty() => return StepOutcome::Idle,
             Ok(v) => v,
@@ -1431,6 +1457,8 @@ mod tests {
             checkpoint_pause: AtomicBool::new(false),
             injector: None,
             shutdown: AtomicBool::new(false),
+            monitor_lock: Mutex::new(()),
+            monitor_cv: Condvar::new(),
             started_at: Instant::now(),
             transfer_hook: None,
             tracer: None,

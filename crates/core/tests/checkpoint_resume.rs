@@ -10,21 +10,51 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Defers every third sample on its deadline-bearing first run, so a
+/// kill or a source drain finds a backlog in the slow path — which a
+/// fixed pool's drained fast workers then adopt.
+struct DeferThirds;
+
+impl Transform<u32> for DeferThirds {
+    fn name(&self) -> &str {
+        "defer-thirds"
+    }
+
+    fn apply(&self, x: u32, ctx: &TransformCtx) -> minato_core::error::Result<Outcome<u32>> {
+        if ctx.deadline().is_some() && x.is_multiple_of(3) {
+            while !ctx.expired() {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            return Ok(Outcome::Interrupted(x));
+        }
+        Ok(Outcome::Done(x))
+    }
+}
+
 fn build_loader(
     n: usize,
     epochs: usize,
     seed: u64,
     elastic: bool,
+    defer: bool,
     resume: Option<LoaderCheckpoint>,
 ) -> MinatoLoader<VecDataset<u32>> {
     let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-    let mut b = MinatoLoader::builder(ds, Pipeline::identity())
+    let pipeline = if defer {
+        Pipeline::new(vec![Arc::new(DeferThirds) as Arc<dyn Transform<u32>>])
+    } else {
+        Pipeline::identity()
+    };
+    let mut b = MinatoLoader::builder(ds, pipeline)
         .batch_size(3)
         .epochs(epochs)
         .seed(seed)
         .initial_workers(2)
         .max_workers(4)
         .checkpoint(true);
+    if defer {
+        b = b.timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(500)));
+    }
     if elastic {
         b = b.executor(ExecutorConfig::Elastic { threads: 4 });
     }
@@ -43,12 +73,13 @@ proptest! {
         kill_batches in 0usize..12,
         seed in 0u64..1000,
         elastic in any::<bool>(),
+        defer in any::<bool>(),
     ) {
         let total = (n * epochs) as u64;
 
         // Phase 1: deliver a prefix, checkpoint, "crash". Batches that
         // were queued but never popped die with the loader.
-        let first = build_loader(n, epochs, seed, elastic, None);
+        let first = build_loader(n, epochs, seed, elastic, defer, None);
         let mut pre = Vec::new();
         for _ in 0..kill_batches {
             match first.next_batch(0) {
@@ -64,7 +95,7 @@ proptest! {
         prop_assert_eq!(ckpt.delivered_count(), pre.len() as u64);
 
         // Phase 2: resume and drain.
-        let second = build_loader(n, epochs, seed, elastic, Some(ckpt));
+        let second = build_loader(n, epochs, seed, elastic, defer, Some(ckpt));
         let mut post = Vec::new();
         while let Some(b) = second.next_batch(0) {
             post.extend(b.meta.iter().map(|m| m.seq));
@@ -99,7 +130,7 @@ fn checkpoint_requires_the_builder_knob() {
 
 #[test]
 fn resume_rejects_a_foreign_dataset() {
-    let first = build_loader(20, 1, 9, false, None);
+    let first = build_loader(20, 1, 9, false, false, None);
     let _ = first.next_batch(0);
     let ckpt = first.checkpoint().expect("checkpointing enabled");
     drop(first);
@@ -119,7 +150,7 @@ fn resume_rejects_a_foreign_dataset() {
 
 #[test]
 fn resume_rejects_an_unknown_version() {
-    let first = build_loader(10, 1, 0, false, None);
+    let first = build_loader(10, 1, 0, false, false, None);
     let ckpt = first.checkpoint().expect("checkpointing enabled");
     drop(first);
     let stale = LoaderCheckpoint {

@@ -7,6 +7,7 @@ use minato_core::loader::ExecutorConfig;
 use minato_core::prelude::*;
 use minato_core::transform::{Outcome, Transform, TransformCtx};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,6 +86,87 @@ fn fixed_and_elastic_deliver_identical_sample_sets() {
     let (fixed, _) = run_and_count(ExecutorConfig::Fixed, 60);
     let (elastic, _) = run_and_count(ExecutorConfig::Elastic { threads: 6 }, 60);
     assert_eq!(fixed, elastic);
+}
+
+/// Defers every fourth sample on its deadline-bearing first run. The
+/// background resume holds its sample until two threads are resuming at
+/// once — with one slow worker and a temp queue too deep to fill (no
+/// backpressure helping), the second can only be a fast worker that
+/// joined the slow role after the source drained. Bounded, so a pool
+/// that never sends one fails the assertions instead of hanging.
+struct DeferUntilHelped {
+    resuming: AtomicUsize,
+    max_resuming: AtomicUsize,
+}
+
+impl Transform<u32> for DeferUntilHelped {
+    fn name(&self) -> &str {
+        "defer-until-helped"
+    }
+
+    fn apply(&self, x: u32, ctx: &TransformCtx) -> minato_core::error::Result<Outcome<u32>> {
+        if ctx.deadline().is_some() {
+            if !x.is_multiple_of(4) {
+                return Ok(Outcome::Done(x));
+            }
+            while !ctx.expired() {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            return Ok(Outcome::Interrupted(x));
+        }
+        let now = self.resuming.fetch_add(1, Ordering::AcqRel) + 1;
+        self.max_resuming.fetch_max(now, Ordering::AcqRel);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.max_resuming.load(Ordering::Acquire) < 2 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        self.resuming.fetch_sub(1, Ordering::AcqRel);
+        Ok(Outcome::Done(x))
+    }
+}
+
+/// The loader-level effect of the work-conserving drain, by counters
+/// only: the deferred backlog a fixed pool holds at source drain is
+/// adopted by its fast workers, and delivery stays exactly-once.
+#[test]
+fn fixed_pool_adopts_the_slow_backlog_at_drain() {
+    let (n, epochs) = (64u32, 2usize);
+    let gate = Arc::new(DeferUntilHelped {
+        resuming: AtomicUsize::new(0),
+        max_resuming: AtomicUsize::new(0),
+    });
+    let ds = VecDataset::new((0..n).collect::<Vec<_>>());
+    let p = Pipeline::new(vec![Arc::clone(&gate) as Arc<dyn Transform<u32>>]);
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(8)
+        .epochs(epochs)
+        .initial_workers(3)
+        .max_workers(3)
+        .slow_workers(1)
+        .queue_capacity(n as usize * epochs)
+        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
+        .executor(ExecutorConfig::Fixed)
+        .build()
+        .expect("valid configuration");
+    let mut counts: HashMap<(usize, usize), usize> = HashMap::new();
+    for b in loader.iter() {
+        for m in &b.meta {
+            *counts.entry((m.epoch, m.index)).or_default() += 1;
+        }
+    }
+    assert_eq!(counts.len(), n as usize * epochs, "missing samples");
+    assert!(counts.values().all(|&c| c == 1), "duplicated samples");
+    assert!(
+        gate.max_resuming.load(Ordering::Relaxed) >= 2,
+        "the slow worker finished the backlog alone"
+    );
+    let exec = loader.stats().exec.expect("executor stats present");
+    assert!(!exec.elastic);
+    assert!(
+        exec.role("slow").unwrap().switches_in >= 1,
+        "no fast worker switched into the slow role at drain: {exec:?}"
+    );
+    assert_eq!(exec.role("fast").unwrap().switches_in, 0);
 }
 
 #[test]
@@ -247,6 +329,35 @@ fn drop_mid_iteration_after_shutdown_is_clean() {
     drop(it);
     loader.shutdown();
     drop(loader); // Must not hang or panic.
+}
+
+/// The monitor thread waits out its refresh interval interruptibly:
+/// dropping a consumed loader must not sit out the rest of it. The
+/// interval is raised to 2 s so an uninterrupted sleep cannot meet the
+/// bound by luck.
+#[test]
+fn drop_does_not_wait_out_the_monitor_interval() {
+    let interval = Duration::from_secs(2);
+    let ds = VecDataset::new((0..40u32).collect::<Vec<_>>());
+    let loader = MinatoLoader::builder(ds, Pipeline::identity())
+        .batch_size(5)
+        .initial_workers(2)
+        .max_workers(2)
+        .scheduler(SchedulerConfig {
+            interval,
+            ..SchedulerConfig::paper_default(2)
+        })
+        .build()
+        .unwrap();
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    assert_eq!(delivered, 40);
+    let t0 = Instant::now();
+    drop(loader);
+    let took = t0.elapsed();
+    assert!(
+        took <= interval / 2,
+        "drop took {took:?} with a {interval:?} monitor interval"
+    );
 }
 
 #[test]

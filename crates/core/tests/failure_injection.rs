@@ -322,8 +322,11 @@ fn chaos_poison_counts_match_injection() {
 }
 
 /// Transform that always defers to the background on its first
-/// (deadline-bearing) run and completes instantly when resumed.
-struct AlwaysDefer;
+/// (deadline-bearing) run and completes after `resume_cost` when
+/// resumed.
+struct AlwaysDefer {
+    resume_cost: Duration,
+}
 
 impl Transform<u32> for AlwaysDefer {
     fn name(&self) -> &str {
@@ -337,40 +340,49 @@ impl Transform<u32> for AlwaysDefer {
             }
             return Ok(Outcome::Interrupted(x));
         }
+        std::thread::sleep(self.resume_cost);
         Ok(Outcome::Done(x))
     }
 }
 
 /// Faults injected at the slow site (background completion) are
-/// contained by the same quarantine path, with exact counts.
+/// contained by the same quarantine path, with exact counts — also when
+/// resuming costs more than deferring, so the slow workers fall behind
+/// and the backlog left at source drain is finished by whichever
+/// workers the executor sends (a fixed pool's drained fast workers
+/// included).
 #[test]
 fn chaos_slow_site_panic_counts_match_injection() {
-    for (mode, exec) in exec_modes() {
-        let n = 16usize;
-        let targets = derive_targets(3, n, 4);
-        let k = targets.len() as u64;
-        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-        let p: Pipeline<u32> =
-            Pipeline::new(vec![Arc::new(AlwaysDefer) as Arc<dyn Transform<u32>>]);
-        let loader = MinatoLoader::builder(ds, p)
-            .batch_size(4)
-            .initial_workers(2)
-            .max_workers(2)
-            .slow_workers(2)
-            .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
-            .fault_injector(Arc::new(TargetInjector {
-                site: FaultSite::Slow,
-                action: FaultAction::Panic,
-                targets: targets.clone(),
-            }))
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert_eq!(delivered, n - targets.len(), "[{mode}]");
-        let f = loader.stats().faults;
-        assert_eq!(f.panics, k, "[{mode}] background panic count exact");
-        assert_eq!(f.quarantined, k, "[{mode}]");
+    for resume_cost in [Duration::ZERO, Duration::from_millis(3)] {
+        for (mode, exec) in exec_modes() {
+            let n = 16usize;
+            let targets = derive_targets(3, n, 4);
+            let k = targets.len() as u64;
+            let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+            let p: Pipeline<u32> = Pipeline::new(vec![
+                Arc::new(AlwaysDefer { resume_cost }) as Arc<dyn Transform<u32>>
+            ]);
+            let loader = MinatoLoader::builder(ds, p)
+                .batch_size(4)
+                .initial_workers(2)
+                .max_workers(2)
+                .slow_workers(2)
+                .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
+                .fault_injector(Arc::new(TargetInjector {
+                    site: FaultSite::Slow,
+                    action: FaultAction::Panic,
+                    targets: targets.clone(),
+                }))
+                .executor(exec)
+                .build()
+                .expect("valid configuration");
+            let delivered: usize = loader.iter().map(|b| b.len()).sum();
+            let tag = format!("{mode}, resume {resume_cost:?}");
+            assert_eq!(delivered, n - targets.len(), "[{tag}]");
+            let f = loader.stats().faults;
+            assert_eq!(f.panics, k, "[{tag}] background panic count exact");
+            assert_eq!(f.quarantined, k, "[{tag}]");
+        }
     }
 }
 

@@ -11,11 +11,14 @@
 //! Two execution modes:
 //!
 //! * **Fixed** ([`ExecConfig::fixed`]) — every role owns a static slice
-//!   of the pool (`RoleSpec::threads`); a worker never leaves its role
-//!   and parks when its rank exceeds the role's budget. This reproduces
-//!   a classic dedicated-thread runtime (loader workers gated by an
-//!   active limit, dedicated slow/batch workers) exactly, and is the
-//!   baseline arm of the `exec_elastic` ablation.
+//!   of the pool (`RoleSpec::threads`); while its home role is live a
+//!   worker never leaves it, and parks when its rank exceeds the role's
+//!   budget — a classic dedicated-thread runtime (loader workers gated
+//!   by an active limit, dedicated slow/batch workers). The pool is
+//!   *work-conserving at drain*: once a worker's home role is exhausted
+//!   it joins the elastic bidding below for the roles still live
+//!   instead of exiting, so a backlog left in a later stage is finished
+//!   by the whole pool rather than by that stage's own slice.
 //! * **Elastic** ([`ExecConfig::elastic`]) — workers re-bid after every
 //!   lease, preferring roles with a budget deficit and *stealing* into
 //!   roles at/over budget when nothing else has work. Per-role
@@ -102,9 +105,8 @@ pub struct RoleSpec {
     pub budget: usize,
     /// Dedicated thread count in fixed mode (ignored in elastic mode).
     pub threads: usize,
-    /// Hard cap on concurrent occupants (elastic mode), independent of
-    /// budget — e.g. a batch role with N assembly lanes caps at N.
-    /// `None` = unlimited.
+    /// Hard cap on concurrent occupants, independent of budget — e.g. a
+    /// batch role with N assembly lanes caps at N. `None` = unlimited.
     pub max_concurrency: Option<usize>,
 }
 
@@ -113,7 +115,8 @@ pub struct RoleSpec {
 pub struct ExecConfig {
     /// Pool size.
     pub threads: usize,
-    /// Elastic (role-fluid, work-stealing) vs fixed (static binding).
+    /// Elastic (role-fluid, work-stealing) vs fixed (static binding
+    /// while a worker's home role is live).
     pub elastic: bool,
     /// Bounded park when a worker finds no runnable work. Budget
     /// changes, new registrations, and shutdown wake parked workers
@@ -281,6 +284,21 @@ impl Shared {
         self.idle_cv.notify_all();
     }
 
+    /// Takes an occupant slot in `role` and returns the occupancy found,
+    /// or `None` when the role is at its concurrency cap.
+    fn try_enter(&self, role: &RoleState) -> Option<usize> {
+        let prev_occ = role.occupancy.fetch_add(1, Ordering::AcqRel);
+        if prev_occ >= role.max_concurrency {
+            // Back off through `leave_role`, not a bare decrement: the
+            // real occupant may have marked the role exhausted and
+            // already left, which makes this claimer the last occupant
+            // — and thus responsible for `finish`.
+            self.leave_role(role);
+            return None;
+        }
+        Some(prev_occ)
+    }
+
     /// Decrement `role`'s occupancy; the last occupant of an exhausted
     /// role runs `finish` exactly once.
     fn leave_role(&self, role: &RoleState) {
@@ -429,9 +447,9 @@ impl ExecHandle {
 
     /// Installs a callback invoked each time a worker switches into a
     /// role it was not previously running (elastic mode's cross-role
-    /// moves). Called from worker threads outside any executor lock, so
-    /// it must be cheap and non-blocking. First setter wins; later
-    /// calls are ignored.
+    /// moves, and a fixed pool's moves at drain). Called from worker
+    /// threads outside any executor lock, so it must be cheap and
+    /// non-blocking. First setter wins; later calls are ignored.
     pub fn set_switch_observer(&self, f: Arc<dyn Fn(RoleId) + Send + Sync>) {
         let _ = self.shared.switch_observer.set(f);
     }
@@ -573,16 +591,19 @@ fn worker_loop(shared: &Shared, id: usize) {
         init(id);
     }
     if shared.cfg.elastic {
-        elastic_loop(shared, id);
+        elastic_loop(shared);
     } else {
         fixed_loop(shared, id);
     }
 }
 
 /// Fixed mode: thread `id` is bound to the role owning its slot (spec
-/// order, `RoleSpec::threads` wide) and never migrates. A thread whose
-/// rank within the role exceeds the budget parks until the budget rises
-/// — the classic scaling gate that parks the highest ranks first.
+/// order, `RoleSpec::threads` wide) and stays there while that role is
+/// live. A thread whose rank within the role exceeds the budget parks
+/// until the budget rises — the classic scaling gate that parks the
+/// highest ranks first. Once the home role is exhausted the thread
+/// drains the roles still live through [`elastic_loop`] (parked ranks
+/// included), so the tail of a run is finished by the whole pool.
 fn fixed_loop(shared: &Shared, id: usize) {
     let snapshot: Vec<Arc<RoleState>> = shared.roles.lock().clone();
     let mut base = 0usize;
@@ -606,7 +627,11 @@ fn fixed_loop(shared: &Shared, id: usize) {
             shared.park(Duration::from_millis(50));
             continue;
         }
-        role.occupancy.fetch_add(1, Ordering::AcqRel);
+        if shared.try_enter(&role).is_none() {
+            // Workers drained from other roles hold every slot.
+            shared.park(shared.cfg.idle_wait);
+            continue;
+        }
         let out = role.step.step();
         match out {
             StepOutcome::Progress => {
@@ -622,12 +647,13 @@ fn fixed_loop(shared: &Shared, id: usize) {
             break;
         }
     }
+    elastic_loop(shared);
 }
 
-/// Elastic mode: between leases a worker re-bids, preferring the role
-/// with the largest budget deficit and stealing into at-budget roles
-/// when nothing else has work.
-fn elastic_loop(shared: &Shared, _id: usize) {
+/// Elastic mode, and the drain phase of fixed mode: between leases a
+/// worker re-bids, preferring the role with the largest budget deficit
+/// and stealing into at-budget roles when nothing else has work.
+fn elastic_loop(shared: &Shared) {
     let mut snapshot: Vec<Arc<RoleState>> = Vec::new();
     let mut snap_gen = u64::MAX;
     let mut current: Option<RoleId> = None;
@@ -637,9 +663,13 @@ fn elastic_loop(shared: &Shared, _id: usize) {
             snapshot = shared.roles.lock().clone();
             snap_gen = gen;
         }
+        // A fixed pool's drained worker leaves alone the capped roles
+        // whose own threads already fill the cap (the batch lanes): it
+        // could add no capacity there, only take a lane from its owner.
+        let staffed = |r: &RoleState| !shared.cfg.elastic && r.fixed_threads >= r.max_concurrency;
         let mut live: Vec<&Arc<RoleState>> = snapshot
             .iter()
-            .filter(|r| !r.exhausted.load(Ordering::Acquire) && !r.is_finished())
+            .filter(|r| !r.exhausted.load(Ordering::Acquire) && !r.is_finished() && !staffed(r))
             .collect();
         if live.is_empty() {
             if shared.cfg.exit_when_drained
@@ -667,15 +697,9 @@ fn elastic_loop(shared: &Shared, _id: usize) {
                 break;
             }
             let budget = role.budget.load(Ordering::Acquire);
-            let prev_occ = role.occupancy.fetch_add(1, Ordering::AcqRel);
-            if prev_occ >= role.max_concurrency {
-                // Back off through `leave_role`, not a bare decrement:
-                // the real occupant may have marked the role exhausted
-                // and already left, which makes this claimer the last
-                // occupant — and thus responsible for `finish`.
-                shared.leave_role(role);
+            let Some(prev_occ) = shared.try_enter(role) else {
                 continue;
-            }
+            };
             let stealing = prev_occ >= budget;
             let mut lease_progress = false;
             for _ in 0..shared.cfg.steps_per_lease.max(1) {
@@ -890,6 +914,81 @@ mod tests {
         }
     }
 
+    /// A countdown whose steps take their unit, then hold it until two
+    /// threads are inside `step` together — so a second worker joining
+    /// the role is both proven and guaranteed a unit of its own. The
+    /// wait is bounded, so a pool that never sends one fails the
+    /// caller's `max_inside` assertion instead of hanging.
+    struct RendezvousRole {
+        work: Arc<CountdownRole>,
+        inside: AtomicUsize,
+        max_inside: AtomicUsize,
+    }
+
+    impl RendezvousRole {
+        fn new(work: usize) -> Arc<RendezvousRole> {
+            Arc::new(RendezvousRole {
+                work: CountdownRole::new(work),
+                inside: AtomicUsize::new(0),
+                max_inside: AtomicUsize::new(0),
+            })
+        }
+    }
+
+    impl RoleStep for RendezvousRole {
+        fn step(&self) -> StepOutcome {
+            let now = self.inside.fetch_add(1, Ordering::AcqRel) + 1;
+            self.max_inside.fetch_max(now, Ordering::AcqRel);
+            let out = self.work.step();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while self.max_inside.load(Ordering::Acquire) < 2
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            self.inside.fetch_sub(1, Ordering::AcqRel);
+            out
+        }
+
+        fn finish(&self) {
+            self.work.finish();
+        }
+    }
+
+    /// Records the most threads ever inside `step` at once.
+    struct ExclusiveRole {
+        inside: AtomicUsize,
+        max_seen: AtomicUsize,
+        left: AtomicUsize,
+    }
+
+    impl ExclusiveRole {
+        fn new(work: usize) -> Arc<ExclusiveRole> {
+            Arc::new(ExclusiveRole {
+                inside: AtomicUsize::new(0),
+                max_seen: AtomicUsize::new(0),
+                left: AtomicUsize::new(work),
+            })
+        }
+    }
+
+    impl RoleStep for ExclusiveRole {
+        fn step(&self) -> StepOutcome {
+            let now = self.inside.fetch_add(1, Ordering::AcqRel) + 1;
+            self.max_seen.fetch_max(now, Ordering::AcqRel);
+            std::thread::sleep(Duration::from_micros(200));
+            self.inside.fetch_sub(1, Ordering::AcqRel);
+            if self
+                .left
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
+                == Err(0)
+            {
+                return StepOutcome::Exhausted;
+            }
+            StepOutcome::Progress
+        }
+    }
+
     fn spec(name: &str, step: Arc<dyn RoleStep>, budget: usize, threads: usize) -> RoleSpec {
         RoleSpec {
             name: name.into(),
@@ -912,9 +1011,89 @@ mod tests {
         assert_eq!(b.done.load(Ordering::Relaxed), 50);
         assert_eq!(a.finishes.load(Ordering::Relaxed), 1, "finish runs once");
         assert_eq!(b.finishes.load(Ordering::Relaxed), 1);
+        assert!(h.stats().role("a").unwrap().exhausted);
+    }
+
+    #[test]
+    fn fixed_worker_joins_live_role_once_its_home_role_is_exhausted() {
+        // "a" is exhausted at its first step; "b"'s steps complete only
+        // with a second thread inside, which can only be "a"'s worker.
+        let a = CountdownRole::new(0);
+        let b = RendezvousRole::new(50);
+        let h = ExecHandle::new(ExecConfig::fixed(2));
+        h.register(vec![spec("a", a.clone(), 1, 1), spec("b", b.clone(), 1, 1)]);
+        let mut pool = h.spawn().unwrap();
+        pool.join();
+        assert_eq!(b.max_inside.load(Ordering::Relaxed), 2, "nobody helped");
+        assert_eq!(b.work.done.load(Ordering::Relaxed), 50);
+        assert_eq!(a.finishes.load(Ordering::Relaxed), 1, "finish runs once");
+        assert_eq!(b.work.finishes.load(Ordering::Relaxed), 1);
         let stats = h.stats();
-        assert!(stats.role("a").unwrap().exhausted);
-        assert_eq!(stats.steals, 0, "fixed mode never steals");
+        assert!(stats.role("b").unwrap().switches_in >= 1, "{stats:?}");
+        assert_eq!(stats.role("a").unwrap().switches_in, 0);
+    }
+
+    #[test]
+    fn fixed_drain_respects_max_concurrency() {
+        // Three drained workers bid for a single-lane role that has no
+        // thread of its own; the cap keeps `step` single-occupant
+        // throughout.
+        let a = CountdownRole::new(0);
+        let x = ExclusiveRole::new(200);
+        let h = ExecHandle::new(ExecConfig::fixed(3));
+        h.register(vec![
+            spec("a", a.clone(), 3, 3),
+            RoleSpec {
+                max_concurrency: Some(1),
+                ..spec("exclusive", x.clone(), 1, 0)
+            },
+        ]);
+        let mut pool = h.spawn().unwrap();
+        pool.join();
+        assert_eq!(x.left.load(Ordering::Relaxed), 0, "nobody ran the role");
+        assert_eq!(x.max_seen.load(Ordering::Relaxed), 1, "cap was breached");
+    }
+
+    #[test]
+    fn fixed_drain_cannot_displace_the_owner_of_a_capped_role() {
+        // The single-lane role is staffed to its cap by its own worker,
+        // so the drained worker never bids there.
+        let a = CountdownRole::new(0);
+        let x = ExclusiveRole::new(50);
+        let h = ExecHandle::new(ExecConfig::fixed(2));
+        h.register(vec![
+            spec("a", a.clone(), 1, 1),
+            RoleSpec {
+                max_concurrency: Some(1),
+                ..spec("exclusive", x.clone(), 1, 1)
+            },
+        ]);
+        let mut pool = h.spawn().unwrap();
+        pool.join();
+        assert_eq!(x.left.load(Ordering::Relaxed), 0);
+        assert_eq!(x.max_seen.load(Ordering::Relaxed), 1, "cap was breached");
+        assert_eq!(h.stats().role_switches, 0, "{:?}", h.stats());
+    }
+
+    #[test]
+    fn fixed_worker_parked_by_budget_joins_the_drain() {
+        // Budget 1 parks "a"'s rank 1 from the start. "b" has no home
+        // thread and needs two threads inside at once, so it completes
+        // only if the parked worker joins the drain as well.
+        let a = CountdownRole::new(10);
+        let b = RendezvousRole::new(50);
+        let h = ExecHandle::new(ExecConfig::fixed(2));
+        h.register(vec![spec("a", a.clone(), 1, 2), spec("b", b.clone(), 1, 0)]);
+        let mut pool = h.spawn().unwrap();
+        pool.join();
+        assert_eq!(a.done.load(Ordering::Relaxed), 10);
+        assert_eq!(
+            b.max_inside.load(Ordering::Relaxed),
+            2,
+            "parked rank never left"
+        );
+        assert_eq!(b.work.done.load(Ordering::Relaxed), 50);
+        assert_eq!(b.work.finishes.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -959,32 +1138,7 @@ mod tests {
     fn max_concurrency_caps_occupancy() {
         // A role capped at 1 occupant: concurrent steps would double-
         // count; the cap makes `step` effectively single-threaded.
-        struct ExclusiveRole {
-            inside: AtomicUsize,
-            max_seen: AtomicUsize,
-            left: AtomicUsize,
-        }
-        impl RoleStep for ExclusiveRole {
-            fn step(&self) -> StepOutcome {
-                let now = self.inside.fetch_add(1, Ordering::AcqRel) + 1;
-                self.max_seen.fetch_max(now, Ordering::AcqRel);
-                std::thread::sleep(Duration::from_micros(200));
-                self.inside.fetch_sub(1, Ordering::AcqRel);
-                if self
-                    .left
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
-                    == Err(0)
-                {
-                    return StepOutcome::Exhausted;
-                }
-                StepOutcome::Progress
-            }
-        }
-        let role = Arc::new(ExclusiveRole {
-            inside: AtomicUsize::new(0),
-            max_seen: AtomicUsize::new(0),
-            left: AtomicUsize::new(200),
-        });
+        let role = ExclusiveRole::new(200);
         let h = ExecHandle::new(ExecConfig::elastic(4));
         h.register(vec![RoleSpec {
             name: "exclusive".into(),
