@@ -13,9 +13,22 @@
 //!    90th percentile.
 //! 4. **Continuous adjustment.** Profiling keeps running during training;
 //!    the timeout is recomputed every `refresh_every` completions.
+//!
+//! # Cost model
+//!
+//! A completion costs one profiler-lock acquisition (one per ticket
+//! chunk through [`LoadBalancer::on_fast_complete_many`]), two counter
+//! increments and one boundary check. Every `refresh_every` completions
+//! the worker that claims the boundary pays one refresh: one copy of the
+//! profile window into a buffer the balancer keeps, then the primary
+//! percentile, the would-flag fraction and, under skew, the fallback
+//! percentile, each one O(window) pass over that copy — selection, not a
+//! sort — with the per-sample profiler lock already released. No
+//! allocation once the window has filled.
 
-use crate::profiler::{Profiler, SampleRecord};
+use crate::profiler::{Profiler, SampleRecord, Window};
 use minato_metrics::Counter;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -118,6 +131,10 @@ pub struct LoadBalancer {
     /// boundary values would then never fire, leaving the timeout stale
     /// until the monitor's backstop.
     refreshed_through: AtomicU64,
+    /// The refresh's private copy of the profile window, reused so a
+    /// refresh allocates nothing. Uncontended: one worker claims each
+    /// boundary, and the monitor's backstop refresh is rare.
+    scratch: Mutex<Window>,
 }
 
 impl LoadBalancer {
@@ -135,6 +152,7 @@ impl LoadBalancer {
             completions: Counter::new(),
             flagged_slow: Counter::new(),
             refreshed_through: AtomicU64::new(0),
+            scratch: Mutex::new(Window::default()),
         }
     }
 
@@ -161,9 +179,23 @@ impl LoadBalancer {
     /// balancer at all, because feeding ~0 ms "completions" into the
     /// profiler would drag the adaptive P75 cutoff toward zero and
     /// misclassify every real execution as slow.
+    // minato-verify: hot-path
     pub fn on_fast_complete(&self, rec: &SampleRecord) {
         self.profiler.record(rec);
         self.completions.incr();
+        self.maybe_refresh();
+    }
+
+    /// [`LoadBalancer::on_fast_complete`] for the total times of a whole
+    /// ticket chunk: one profiler-lock acquisition and one boundary
+    /// check for all of them.
+    // minato-verify: hot-path
+    pub fn on_fast_complete_many(&self, totals: &[Duration]) {
+        if totals.is_empty() {
+            return;
+        }
+        self.profiler.record_many(totals);
+        self.completions.add(totals.len() as u64);
         self.maybe_refresh();
     }
 
@@ -267,14 +299,17 @@ impl LoadBalancer {
         else {
             return;
         };
-        let primary = self.profiler.timeout_at_percentile(percentile);
-        let Some(primary) = primary else { return };
+        let mut window = self.scratch.lock();
+        self.profiler.copy_window_into(&mut window);
+        let Some(primary) = window.timeout_at_percentile(percentile) else {
+            return;
+        };
         // If the primary cutoff would flag far more than (1 - percentile)
         // of recent samples — skewed distribution or drift — fall back to
         // the higher percentile (paper §4.2).
-        let would_flag = self.profiler.fraction_slower_than(primary);
+        let would_flag = window.fraction_slower_than(primary);
         let chosen = if would_flag > misclassification_threshold {
-            self.profiler
+            window
                 .timeout_at_percentile(fallback_percentile)
                 .unwrap_or(primary)
         } else {

@@ -151,7 +151,16 @@ pub struct LoaderConfig {
     /// hosts but hurts oversubscribed ones; group membership (and with
     /// it fast-queue shard ownership) is tracked either way.
     pub affinity: bool,
-    /// How long a starved batch worker waits before re-checking queues.
+    /// Upper bound on the pipeline's internal waits: a starved batch
+    /// worker waiting for samples, a producer waiting for space in a
+    /// full fast/slow/temp queue, batch delivery waiting for a
+    /// batch-queue slot, an idle pool worker. Each is a condvar wait
+    /// that ends as soon as the awaited state changes (under
+    /// [`WakeupPolicy::SleepPoll`] the queue waits poll instead); when
+    /// it expires the waiter re-checks what else it could do, e.g.
+    /// helping the next stage. One wait is still a plain sleep of this
+    /// length: a producer facing a full queue in `order_preserving`
+    /// mode, whose lane frees one slot per pop.
     pub starvation_wait: Duration,
     /// Strict sampler-order mode (§6); disables fast/slow classification.
     pub order_preserving: bool,
@@ -402,7 +411,9 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Starved batch-worker re-check interval (paper: 10 ms).
+    /// Upper bound on a starved worker's or blocked producer's condvar
+    /// wait before it re-checks (see [`LoaderConfig::starvation_wait`];
+    /// the paper polls every 10 ms).
     pub fn starvation_wait(mut self, d: Duration) -> Self {
         self.cfg.starvation_wait = d;
         self

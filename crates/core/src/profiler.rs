@@ -6,8 +6,20 @@
 //! fast/slow cutoff from the 75th percentile of total times. Profiling then
 //! continues in the background over a sliding window so the timeout tracks
 //! workload drift.
+//!
+//! # Cost model
+//!
+//! Recording is the per-sample path: one acquisition of the profiler
+//! lock per [`Profiler::record`], or per ticket chunk with
+//! [`Profiler::record_many`], and one ring store per observation. The
+//! percentile queries are the per-refresh path: each copies the window
+//! under the lock and selects on the copy (O(window), no sort). The
+//! balancer, which refreshes every `refresh_every` completions, takes
+//! one copy per refresh into a buffer it keeps
+//! ([`Profiler::copy_window_into`]) and runs all of its queries on that
+//! ([`Window`]), outside the lock.
 
-use minato_metrics::{Reservoir, Summary};
+use minato_metrics::{fraction_above, quantile_select, Reservoir, Summary};
 use parking_lot::Mutex;
 use std::time::Duration;
 
@@ -18,7 +30,8 @@ pub struct SampleRecord {
     pub total: Duration,
     /// Wall time per transform (empty if not collected).
     pub per_transform: Vec<Duration>,
-    /// Raw sample size in bytes, when known.
+    /// Raw sample size in bytes, when known (carried for callers; the
+    /// profiler keeps no size statistics).
     pub bytes: Option<u64>,
     /// Number of transforms applied.
     pub transforms_applied: usize,
@@ -40,8 +53,37 @@ impl SampleRecord {
 struct ProfilerInner {
     totals_ms: Reservoir,
     per_transform_ms: Vec<Reservoir>,
-    bytes: Reservoir,
     warmup_target: u64,
+}
+
+fn to_ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+fn timeout_from_ms(ms: f64) -> Duration {
+    Duration::from_secs_f64((ms / 1e3).max(0.0))
+}
+
+/// A copy of the profiler's window of total times, on which the
+/// percentile queries run without the profiler lock (see
+/// [`Profiler::copy_window_into`]). Each query gives exactly what the
+/// [`Profiler`] method of the same name gives on the same observations.
+#[derive(Debug, Default)]
+pub struct Window {
+    totals_ms: Vec<f64>,
+}
+
+impl Window {
+    /// [`Profiler::timeout_at_percentile`] over the copied window.
+    /// Reorders the copy (selection), which no query depends on.
+    pub fn timeout_at_percentile(&mut self, p: f64) -> Option<Duration> {
+        quantile_select(&mut self.totals_ms, p).map(timeout_from_ms)
+    }
+
+    /// [`Profiler::fraction_slower_than`] over the copied window.
+    pub fn fraction_slower_than(&self, timeout: Duration) -> f64 {
+        fraction_above(&self.totals_ms, to_ms(timeout))
+    }
 }
 
 /// Thread-safe profiling statistics store.
@@ -72,19 +114,16 @@ impl Profiler {
             inner: Mutex::new(ProfilerInner {
                 totals_ms: Reservoir::new(window.max(1)),
                 per_transform_ms: Vec::new(),
-                bytes: Reservoir::new(window.max(1)),
                 warmup_target: warmup_samples,
             }),
         }
     }
 
     /// Records one preprocessing execution.
+    // minato-verify: hot-path
     pub fn record(&self, rec: &SampleRecord) {
         let mut g = self.inner.lock();
-        g.totals_ms.record(rec.total.as_secs_f64() * 1e3);
-        if let Some(b) = rec.bytes {
-            g.bytes.record(b as f64);
-        }
+        g.totals_ms.record(to_ms(rec.total));
         if !rec.per_transform.is_empty() {
             if g.per_transform_ms.len() < rec.per_transform.len() {
                 let window = g.totals_ms.capacity();
@@ -92,8 +131,18 @@ impl Profiler {
                     .resize_with(rec.per_transform.len(), || Reservoir::new(window));
             }
             for (i, d) in rec.per_transform.iter().enumerate() {
-                g.per_transform_ms[i].record(d.as_secs_f64() * 1e3);
+                g.per_transform_ms[i].record(to_ms(*d));
             }
+        }
+    }
+
+    /// Records the total times of several executions under one lock
+    /// acquisition (a fast worker's ticket chunk).
+    // minato-verify: hot-path
+    pub fn record_many(&self, totals: &[Duration]) {
+        let mut g = self.inner.lock();
+        for &total in totals {
+            g.totals_ms.record(to_ms(total));
         }
     }
 
@@ -111,18 +160,22 @@ impl Profiler {
     /// The timeout implied by the `p`-percentile of observed total times,
     /// or `None` before any data.
     pub fn timeout_at_percentile(&self, p: f64) -> Option<Duration> {
-        let g = self.inner.lock();
-        g.totals_ms
-            .quantile(p)
-            .map(|ms| Duration::from_secs_f64((ms / 1e3).max(0.0)))
+        self.inner.lock().totals_ms.quantile(p).map(timeout_from_ms)
     }
 
     /// Fraction of observed totals exceeding `timeout`.
     pub fn fraction_slower_than(&self, timeout: Duration) -> f64 {
-        self.inner
-            .lock()
-            .totals_ms
-            .fraction_above(timeout.as_secs_f64() * 1e3)
+        self.inner.lock().totals_ms.fraction_above(to_ms(timeout))
+    }
+
+    /// Replaces `out` with a copy of the current window of total times:
+    /// one lock acquisition and one copy, after which any number of
+    /// percentile queries run on `out` without blocking recorders. `out`
+    /// keeps its allocation, so a caller that reuses it allocates once.
+    pub fn copy_window_into(&self, out: &mut Window) {
+        out.totals_ms.clear();
+        out.totals_ms
+            .extend_from_slice(self.inner.lock().totals_ms.values());
     }
 
     /// Distribution summary of total preprocessing times, in milliseconds

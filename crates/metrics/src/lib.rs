@@ -71,6 +71,45 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     }
 }
 
+/// [`quantile_sorted`] of `values` without sorting them: one
+/// `select_nth_unstable` pass finds the lower order statistic, and the
+/// minimum of the partition to its right is the next one up, so the
+/// result is bit-identical to sorting first. O(n) time, no allocation;
+/// `values` is left partitioned around the quantile, not sorted.
+///
+/// # Examples
+///
+/// ```
+/// let mut xs = [4.0, 1.0, 3.0, 2.0];
+/// assert_eq!(minato_metrics::quantile_select(&mut xs, 0.5), Some(2.5));
+/// ```
+pub fn quantile_select(values: &mut [f64], q: f64) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    let pos = q.clamp(0.0, 1.0) * (values.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let (_, &mut at_lo, right) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    let frac = pos - lo as f64;
+    if frac == 0.0 {
+        return Some(at_lo);
+    }
+    // A fractional `pos` lies below the last index, so `right` holds
+    // at least the next order statistic.
+    let at_hi = right.iter().copied().min_by(f64::total_cmp)?;
+    Some(at_lo * (1.0 - frac) + at_hi * frac)
+}
+
+/// Fraction of `values` strictly greater than `threshold` (0 when
+/// empty).
+pub fn fraction_above(values: &[f64], threshold: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let above = values.iter().filter(|&&v| v > threshold).count();
+    above as f64 / values.len() as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::quantile_sorted;

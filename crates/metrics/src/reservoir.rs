@@ -6,9 +6,11 @@
 //! without bound for long runs, so observations are kept in a fixed-size
 //! ring: quantiles are exact over the most recent `capacity` observations,
 //! which also gives the profiler the windowed behaviour the paper relies on
-//! to track workload drift.
+//! to track workload drift. A quantile is taken by selection on a copy of
+//! the window — O(capacity), no sort — and equals
+//! [`quantile_sorted`](crate::quantile_sorted) of the sorted window.
 
-use crate::{quantile_sorted, Summary};
+use crate::{fraction_above, quantile_select, Summary};
 
 /// Sliding-window observation store.
 ///
@@ -89,10 +91,18 @@ impl Reservoir {
     }
 
     /// Exact `q`-quantile over the retained window, or `None` if empty.
+    ///
+    /// Selects on a copy of the window ([`quantile_select`]): O(window)
+    /// time, equal to [`crate::quantile_sorted`] of the sorted window.
+    /// A caller that refreshes often should copy [`Reservoir::values`]
+    /// into a buffer it keeps and select on that instead.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let mut sorted = self.ring.clone();
-        sorted.sort_by(f64::total_cmp);
-        quantile_sorted(&sorted, q)
+        quantile_select(&mut self.ring.clone(), q)
+    }
+
+    /// The retained observations, in ring (not arrival) order.
+    pub fn values(&self) -> &[f64] {
+        &self.ring
     }
 
     /// Full distribution summary over the retained window.
@@ -106,11 +116,7 @@ impl Reservoir {
     /// (too many samples classified slow → fall back to a higher
     /// percentile, §4.2).
     pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.ring.is_empty() {
-            return 0.0;
-        }
-        let above = self.ring.iter().filter(|&&v| v > threshold).count();
-        above as f64 / self.ring.len() as f64
+        fraction_above(&self.ring, threshold)
     }
 
     /// Clears the window (e.g., at the end of the warm-up phase).

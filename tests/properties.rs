@@ -56,6 +56,30 @@ proptest! {
         prop_assert_eq!(r.quantile(1.0).unwrap(), expect);
     }
 
+    /// Selection-based quantiles equal the sort-based reference bit for
+    /// bit: ties, a one-element window, the end points, and a window
+    /// that has wrapped.
+    #[test]
+    fn selection_quantile_equals_sorted_quantile(
+        xs in proptest::collection::vec(-1e3f64..1e3, 1..300),
+        cap in 1usize..64,
+        tied in any::<bool>(),
+        q in 0.0f64..1.0,
+    ) {
+        // Folding onto a handful of integers makes most values repeat.
+        let xs: Vec<f64> = xs.iter().map(|&x| if tied { (x % 4.0).round() } else { x }).collect();
+        let mut r = Reservoir::new(cap);
+        for &x in &xs {
+            r.record(x);
+        }
+        let mut window = xs[xs.len().saturating_sub(cap)..].to_vec();
+        window.sort_by(f64::total_cmp);
+        for q in [q, 0.0, 1.0] {
+            let want = quantile_sorted(&window, q).map(f64::to_bits);
+            prop_assert_eq!(r.quantile(q).map(f64::to_bits), want);
+        }
+    }
+
     /// Reorder buffers emit every pushed item exactly once, in sequence
     /// order, for any permutation of arrivals.
     #[test]
