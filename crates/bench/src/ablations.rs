@@ -2,8 +2,8 @@
 //!
 //! Not figures from the paper — these quantify the *design decisions* the
 //! paper argues for: the timeout percentile (why P75, §4.2), adaptive
-//! worker scaling (§4.3), batch-queue depth, and the condvar-vs-sleep
-//! wakeup policy (the paper polls at 10 ms; Algorithm 1 lines 28/37).
+//! worker scaling (§4.3), batch-queue depth, and batched queue
+//! operations.
 
 use crate::Scale;
 use minato_core::prelude::*;
@@ -11,7 +11,6 @@ use minato_core::transform::InPlace;
 use minato_data::{synthetic_dataset, work_pipeline_with_mode, WorkMode, WorkloadSpec};
 use minato_metrics::table::{fnum, Table};
 use minato_sim::{simulate_minato, ClassifyMode, SimConfig};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -84,48 +83,6 @@ pub fn ablation_queue_depth(scale: Scale) -> String {
     )
 }
 
-/// Condvar vs paper-faithful sleep-poll wakeups on the real loader.
-pub fn ablation_wakeup_policy() -> String {
-    let run = |wakeup: WakeupPolicy, label: &str| -> (String, f64) {
-        let mut wl = WorkloadSpec::speech(3.0);
-        wl.n_samples = 60;
-        let ds = synthetic_dataset(&wl, 0.001);
-        let loader = MinatoLoader::builder(ds, work_pipeline_with_mode(&wl, WorkMode::Sleep))
-            .batch_size(6)
-            .epochs(2)
-            .initial_workers(3)
-            .max_workers(4)
-            .wakeup(wakeup)
-            .starvation_wait(Duration::from_millis(10)) // Paper's sleep(t).
-            .build()
-            .expect("valid configuration");
-        let t0 = Instant::now();
-        let n: usize = loader.iter().map(|b| b.len()).sum();
-        assert_eq!(n, 120);
-        (label.to_string(), t0.elapsed().as_secs_f64() * 1e3)
-    };
-    let (a, ta) = run(WakeupPolicy::Condvar, "condvar");
-    let (b, tb) = run(
-        WakeupPolicy::SleepPoll(Duration::from_millis(10)),
-        "sleep-poll 10ms (paper)",
-    );
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Ablation — queue wakeup policy (real threaded loader, 120 samples)"
-    );
-    let mut t = Table::new(&["policy", "wall (ms)"]);
-    t.row_owned(vec![a, fnum(ta, 0)]);
-    t.row_owned(vec![b, fnum(tb, 0)]);
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "condvar wakeups avoid the paper's fixed 10 ms polling latency on\n\
-         every starved check; both deliver identical batches."
-    );
-    out
-}
-
 /// Batched vs item-at-a-time queue operations on the real threaded
 /// loader: lock acquisitions per delivered sample, measured by the
 /// runtime queues' own counters.
@@ -160,10 +117,6 @@ pub fn queue_batching_run(ticket_chunk: usize) -> (f64, f64) {
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(16)
         .ticket_chunk(ticket_chunk)
-        // Lock amortization only exists on the locked core; the
-        // lock-free default would report ~0 for every chunk size (its
-        // locked-vs-lockfree comparison is the `queue_core` ablation).
-        .queue_core(QueueCore::Locked)
         // Queues big enough that producers never block: the measurement
         // isolates per-operation cost from capacity back-pressure.
         .queue_capacity(n)
@@ -687,11 +640,10 @@ pub fn ablation_pool_reuse() -> String {
 /// All ablations, concatenated.
 pub fn all_ablations(scale: Scale) -> String {
     format!(
-        "{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}",
+        "{}\n{}\n{}\n{}\n{}\n{}\n{}",
         ablation_timeout_percentile(scale),
         ablation_adaptive_workers(scale),
         ablation_queue_depth(scale),
-        ablation_wakeup_policy(),
         ablation_queue_batching(),
         ablation_cache_reuse(),
         ablation_pool_reuse(),
@@ -723,13 +675,6 @@ mod tests {
         let a = simulate_minato("a", &cfg, ClassifyMode::Timeout);
         let f = simulate_minato("f", &fixed, ClassifyMode::Timeout);
         assert!(a.train_time_s <= f.train_time_s * 1.1);
-    }
-
-    #[test]
-    fn wakeup_ablation_runs() {
-        let s = ablation_wakeup_policy();
-        assert!(s.contains("condvar"));
-        assert!(s.contains("sleep-poll"));
     }
 
     /// PR 3's acceptance criterion: with the cache enabled and an

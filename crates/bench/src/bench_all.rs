@@ -9,7 +9,7 @@
 //! folded from the trace — enough to spot a regression in any one
 //! subsystem from the JSON alone.
 //!
-//! The seven workloads cover the runtime's distinct regimes:
+//! The six workloads cover the runtime's distinct regimes:
 //!
 //! | workload             | exercises                                     |
 //! |----------------------|-----------------------------------------------|
@@ -19,7 +19,6 @@
 //! | `multi_epoch_cache`  | cross-epoch cache hits on later epochs        |
 //! | `multi_tenant`       | two loaders sharing one executor pool         |
 //! | `multi_tenant_churn` | admission queueing + promotion on a capacity-limited pool, per-tenant fairness |
-//! | `queue_core`         | locked vs lock-free `MinatoQueue` cores under raw MPMC contention |
 //!
 //! Allocation counts come from the process-global
 //! [`crate::alloc_counter`]; binaries that do not register
@@ -29,44 +28,20 @@
 use crate::ablations::ShapedCost;
 use crate::alloc_counter;
 use minato_core::prelude::*;
-use minato_core::queue::{MinatoQueue, WakeupPolicy};
 use minato_core::transform::Transform;
 use minato_data::{synthetic_dataset, work_pipeline_with_mode, WorkMode, WorkloadSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Every workload `bench_all` knows how to run, in emission order.
-pub const WORKLOADS: [&str; 7] = [
+pub const WORKLOADS: [&str; 6] = [
     "balanced",
     "slow_heavy",
     "phase_shift",
     "multi_epoch_cache",
     "multi_tenant",
     "multi_tenant_churn",
-    "queue_core",
 ];
-
-/// One cell of the `queue_core` ablation grid: one queue core at one
-/// thread count, distilled from a raw MPMC stress (no loader, no
-/// pipeline — queue synchronization cost only).
-#[derive(Debug, Clone)]
-pub struct QueueAblationRow {
-    /// `"locked"` or `"lockfree"`.
-    pub core: String,
-    /// Total threads driving the queue (half producers, half consumers).
-    pub threads: usize,
-    /// Items delivered end to end.
-    pub ops: u64,
-    /// Wall time of the stress, milliseconds.
-    pub wall_ms: f64,
-    /// Delivered items per second (the scaling curve's y-axis).
-    pub ops_per_s: f64,
-    /// Mutex acquisitions per delivered item (every put/pop on the
-    /// locked core; parking only on the lock-free core).
-    pub locks_per_op: f64,
-    /// Failed CAS attempts per delivered item (0 on the locked core).
-    pub cas_retries_per_op: f64,
-}
 
 /// One workload's distilled measurement — everything that lands in its
 /// `BENCH_<workload>.json`.
@@ -114,9 +89,6 @@ pub struct BenchReport {
     /// Per-stage latency rows folded from the trace (pipeline steps,
     /// queue waits, slow resume).
     pub stages: Vec<StageLatency>,
-    /// Locked-vs-lock-free queue-core grid; empty for every workload
-    /// except `queue_core`.
-    pub queue_ablation: Vec<QueueAblationRow>,
 }
 
 fn json_escape(s: &str) -> String {
@@ -205,24 +177,6 @@ impl BenchReport {
                 jnum(s.p99_ms)
             ));
         }
-        out.push(']');
-        out.push_str(",\"queue_ablation\":[");
-        for (i, r) in self.queue_ablation.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"core\":\"{}\",\"threads\":{},\"ops\":{},\"wall_ms\":{},\
-                 \"ops_per_s\":{},\"locks_per_op\":{},\"cas_retries_per_op\":{}}}",
-                json_escape(&r.core),
-                r.threads,
-                r.ops,
-                jnum(r.wall_ms),
-                jnum(r.ops_per_s),
-                jnum(r.locks_per_op),
-                jnum(r.cas_retries_per_op)
-            ));
-        }
         out.push_str("]}");
         out
     }
@@ -298,121 +252,7 @@ fn report_from_stats(
         trace_recorded: stats.trace.as_ref().map(|t| t.recorded).unwrap_or(0),
         trace_dropped: stats.trace.as_ref().map(|t| t.total_dropped()).unwrap_or(0),
         stages: breakdown.stages,
-        queue_ablation: Vec::new(),
     }
-}
-
-/// Drives one raw MPMC stress — `threads / 2` producers and consumers
-/// each, no pipeline — through a [`MinatoQueue`] on the given core and
-/// distills it into one ablation row. Public so the release-mode
-/// scaling gate (`crates/bench/tests/queue_core.rs`) can reuse it.
-pub fn queue_stress(core: QueueCore, threads: usize, total_ops: u64) -> QueueAblationRow {
-    use std::sync::Barrier;
-    let producers = (threads / 2).max(1);
-    let consumers = (threads / 2).max(1);
-    let per_producer = total_ops / producers as u64;
-    let q: Arc<MinatoQueue<u64>> = Arc::new(MinatoQueue::with_shards(
-        "ablate",
-        1024,
-        WakeupPolicy::Condvar,
-        core,
-        producers,
-    ));
-    let start = Arc::new(Barrier::new(producers + consumers + 1));
-    let mut put_handles = Vec::new();
-    for p in 0..producers {
-        let q = Arc::clone(&q);
-        let start = Arc::clone(&start);
-        put_handles.push(std::thread::spawn(move || {
-            start.wait();
-            let base = p as u64 * per_producer;
-            for chunk_start in (0..per_producer).step_by(8) {
-                let end = (chunk_start + 8).min(per_producer);
-                let batch: Vec<u64> = (chunk_start..end).map(|i| base + i).collect();
-                q.put_many(batch).expect("queue open while producing");
-            }
-        }));
-    }
-    let mut pop_handles = Vec::new();
-    for _ in 0..consumers {
-        let q = Arc::clone(&q);
-        let start = Arc::clone(&start);
-        pop_handles.push(std::thread::spawn(move || {
-            start.wait();
-            let mut got = 0u64;
-            loop {
-                let burst = q.pop_many(8);
-                if burst.is_empty() {
-                    return got;
-                }
-                got += burst.len() as u64;
-            }
-        }));
-    }
-    start.wait();
-    let t0 = Instant::now();
-    for h in put_handles {
-        h.join().expect("producer must not panic");
-    }
-    q.close();
-    let ops: u64 = pop_handles
-        .into_iter()
-        .map(|h| h.join().expect("consumer must not panic"))
-        .sum();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let per_op = |v: u64| {
-        if ops == 0 {
-            0.0
-        } else {
-            v as f64 / ops as f64
-        }
-    };
-    QueueAblationRow {
-        core: match core {
-            QueueCore::Locked => "locked".to_string(),
-            QueueCore::LockFree => "lockfree".to_string(),
-        },
-        threads,
-        ops,
-        wall_ms,
-        ops_per_s: ops as f64 / (wall_ms / 1e3).max(f64::MIN_POSITIVE),
-        locks_per_op: per_op(q.lock_acquisitions()),
-        cas_retries_per_op: per_op(q.cas_retries()),
-    }
-}
-
-/// The queue-core ablation: the locked and lock-free cores side by side
-/// on a raw MPMC stress across a thread sweep, plus one traced loader
-/// run on the default (lock-free) core to fill the standard trajectory
-/// metrics. The grid lands in `queue_ablation`; the scaling gate in
-/// `crates/bench/tests/queue_core.rs` asserts on the same stress in
-/// release mode.
-fn run_queue_core(smoke: bool) -> BenchReport {
-    let sweep: &[usize] = if smoke { &[2, 4] } else { &[2, 8, 16, 32] };
-    let total_ops: u64 = if smoke { 8_000 } else { 100_000 };
-    let mut grid = Vec::new();
-    for &threads in sweep {
-        for core in [QueueCore::Locked, QueueCore::LockFree] {
-            grid.push(queue_stress(core, threads, total_ops));
-        }
-    }
-    // Standard trajectory metrics from a traced loader on the default
-    // lock-free core (same shape as `balanced`).
-    let mut wl = WorkloadSpec::image_segmentation();
-    wl.n_samples = if smoke { 48 } else { 240 };
-    let ds = synthetic_dataset(&wl, 0.002);
-    let loader = MinatoLoader::builder(ds, work_pipeline_with_mode(&wl, WorkMode::Sleep))
-        .batch_size(8)
-        .epochs(1)
-        .initial_workers(3)
-        .max_workers(4)
-        .queue_core(QueueCore::LockFree)
-        .trace(TraceConfig::histograms_only())
-        .build()
-        .expect("valid configuration");
-    let mut r = measure("queue_core", smoke, &loader);
-    r.queue_ablation = grid;
-    r
 }
 
 /// Steady fast-path delivery on the image-segmentation profile with
@@ -697,7 +537,6 @@ pub fn run_workload(name: &str, smoke: bool) -> Option<BenchReport> {
         "multi_epoch_cache" => Some(run_multi_epoch_cache(smoke)),
         "multi_tenant" => Some(run_multi_tenant(smoke)),
         "multi_tenant_churn" => Some(run_multi_tenant_churn(smoke)),
-        "queue_core" => Some(run_queue_core(smoke)),
         _ => None,
     }
 }
@@ -734,15 +573,6 @@ mod tests {
                 p95_ms: 2.0,
                 p99_ms: 3.0,
             }],
-            queue_ablation: vec![QueueAblationRow {
-                core: "lockfree".to_string(),
-                threads: 8,
-                ops: 1000,
-                wall_ms: 4.0,
-                ops_per_s: 250_000.0,
-                locks_per_op: 0.01,
-                cas_retries_per_op: 0.2,
-            }],
         };
         let v = json::parse(&r.to_json()).expect("report must be valid JSON");
         assert_eq!(
@@ -766,20 +596,6 @@ mod tests {
             Some("decode")
         );
         assert_eq!(stages[0].get("p95_ms").and_then(|p| p.as_f64()), Some(2.0));
-        let rows = v
-            .get("queue_ablation")
-            .and_then(|a| a.as_array())
-            .expect("queue_ablation array");
-        assert_eq!(rows.len(), 1);
-        assert_eq!(
-            rows[0].get("core").and_then(|c| c.as_str()),
-            Some("lockfree")
-        );
-        assert_eq!(rows[0].get("threads").and_then(|t| t.as_f64()), Some(8.0));
-        assert_eq!(
-            rows[0].get("cas_retries_per_op").and_then(|c| c.as_f64()),
-            Some(0.2)
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Runs the design-choice ablations (timeout percentile, adaptive
-//! scheduler, queue depth, wakeup policy).
+//! scheduler, queue depth, queue batching, cache, pool, executor).
 fn main() {
     println!(
         "{}",

@@ -14,11 +14,8 @@
 //!   timeout interruption (Algorithm 1).
 //! * [`balancer`] — the dynamic sample-aware load balancer: optimistic
 //!   start, warm-up profiling, P75 timeout with P90 fallback (§4.2).
-//! * [`queue`] — bounded instrumented MPMC queues (fast/slow/temp/batch)
-//!   with selectable cores: mutex+condvar or lock-free segmented rings
-//!   ([`queue::QueueCore`]).
-//! * [`affinity`] — worker-group placement: group-sharded fast queues
-//!   and best-effort CPU pinning with a portable no-op fallback.
+//! * [`queue`] — bounded instrumented MPMC queues (fast/slow/temp/batch):
+//!   one mutex+condvar implementation with batched operations.
 //! * [`scheduler`] — the adaptive worker scheduler, Formulas 1–2 (§4.3),
 //!   extended with the role-budget split driving the elastic executor.
 //! * [`cache`] — cross-epoch sample cache: memoized preprocessed outputs
@@ -57,7 +54,6 @@
 //! assert_eq!(samples, 128);
 //! ```
 
-pub mod affinity;
 pub mod balancer;
 pub mod batch;
 pub mod cache;
@@ -94,7 +90,7 @@ pub mod prelude {
         BufferPool, PoolConfig, PoolRecycler, PoolSet, PoolSetStats, PoolStats, Reclaim,
         SampleRecycler,
     };
-    pub use crate::queue::{MinatoQueue, QueueCore, WakeupPolicy};
+    pub use crate::queue::MinatoQueue;
     pub use crate::scheduler::{RoleBudgets, SchedulerConfig, WorkerScheduler};
     pub use crate::stats::{LoaderStats, MonitorTrace};
     pub use crate::transform::{

@@ -23,7 +23,6 @@
 //! assert_eq!(total, 64);
 //! ```
 
-use crate::affinity;
 use crate::balancer::{BalancerConfig, LoadBalancer, TimeoutPolicy};
 use crate::batch::{Batch, TransferHook};
 use crate::cache::{CacheConfig, ClonedSampleCache, EvictionPolicy, SampleCache, SampleWeigher};
@@ -36,7 +35,7 @@ use crate::error::{LoaderError, Result};
 use crate::fault::FaultInjector;
 use crate::pool::AcquireObserver;
 use crate::pool::{PoolRecycler, PoolSet, Reclaim, SampleRecycler};
-use crate::queue::{MinatoQueue, QueueCore, WakeupPolicy};
+use crate::queue::MinatoQueue;
 use crate::scheduler::{RoleBudgets, SchedulerConfig, WorkerScheduler};
 use crate::stats::{LoaderStats, MonitorTrace};
 use crate::transform::{Pipeline, StageObserver};
@@ -138,27 +137,13 @@ pub struct LoaderConfig {
     /// flush size for batched queue operations on the hot path (1 =
     /// item-at-a-time, the pre-batching behaviour).
     pub ticket_chunk: usize,
-    /// How blocked queue operations wait.
-    pub wakeup: WakeupPolicy,
-    /// Which internal core backs the loader's queues (lock-free
-    /// segmented rings by default). Resolved through
-    /// [`QueueCore::from_env_or`] at build time, so setting
-    /// `MINATO_QUEUE_CORE=locked|lockfree` forces a core fleet-wide
-    /// (CI's chaos and lock-graph sweeps rely on this).
-    pub queue_core: QueueCore,
-    /// Pin each worker group to its CPU core set (best-effort; a no-op
-    /// where unsupported). Off by default — pinning helps dedicated
-    /// hosts but hurts oversubscribed ones; group membership (and with
-    /// it fast-queue shard ownership) is tracked either way.
-    pub affinity: bool,
     /// Upper bound on the pipeline's internal waits: a starved batch
     /// worker waiting for samples, a producer waiting for space in a
     /// full fast/slow/temp queue, batch delivery waiting for a
     /// batch-queue slot, an idle pool worker. Each is a condvar wait
-    /// that ends as soon as the awaited state changes (under
-    /// [`WakeupPolicy::SleepPoll`] the queue waits poll instead); when
-    /// it expires the waiter re-checks what else it could do, e.g.
-    /// helping the next stage. One wait is still a plain sleep of this
+    /// that ends as soon as the awaited state changes; when it expires
+    /// the waiter re-checks what else it could do, e.g. helping the
+    /// next stage. One wait is still a plain sleep of this
     /// length: a producer facing a full queue in `order_preserving`
     /// mode, whose lane frees one slot per pop.
     pub starvation_wait: Duration,
@@ -266,9 +251,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 adaptive_workers: true,
                 scheduler: SchedulerConfig::paper_default(max_workers),
                 ticket_chunk: 8,
-                wakeup: WakeupPolicy::Condvar,
-                queue_core: QueueCore::LockFree,
-                affinity: false,
                 starvation_wait: Duration::from_millis(1),
                 order_preserving: false,
                 error_policy: ErrorPolicy::Skip,
@@ -387,27 +369,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// more samples; 1 restores item-at-a-time behaviour.
     pub fn ticket_chunk(mut self, n: usize) -> Self {
         self.cfg.ticket_chunk = n;
-        self
-    }
-
-    /// Queue wakeup policy (condvar vs paper-faithful sleep-poll).
-    pub fn wakeup(mut self, w: WakeupPolicy) -> Self {
-        self.cfg.wakeup = w;
-        self
-    }
-
-    /// Queue core: [`QueueCore::LockFree`] (default) or the
-    /// mutex+condvar [`QueueCore::Locked`] baseline. The
-    /// `MINATO_QUEUE_CORE` environment variable overrides this knob at
-    /// build time.
-    pub fn queue_core(mut self, core: QueueCore) -> Self {
-        self.cfg.queue_core = core;
-        self
-    }
-
-    /// Pin worker groups to CPU core sets (see [`crate::affinity`]).
-    pub fn affinity(mut self, yes: bool) -> Self {
-        self.cfg.affinity = yes;
         self
     }
 
@@ -980,26 +941,8 @@ impl<D: Dataset> MinatoLoader<D> {
                 .min_workers
                 .clamp(1, cfg.scheduler.max_workers);
         }
-        // The env override wins over the builder knob so CI's chaos and
-        // lock-graph sweeps can force a core without touching call sites.
-        let qcore = cfg.queue_core.from_env_or();
-        // Shard the fast queue per worker group (owner-first pop, steal
-        // second). Strict-order mode keeps one shard: it needs the
-        // global FIFO a single ring provides.
-        let fast_shards = if cfg.order_preserving || qcore != QueueCore::LockFree {
-            1
-        } else {
-            affinity::group_count(cfg.max_workers)
-        };
         let batch_qs: Vec<MinatoQueue<Batch<D::Sample>>> = (0..cfg.num_gpus)
-            .map(|g| {
-                MinatoQueue::with_core(
-                    &format!("batch[{g}]"),
-                    cfg.prefetch_factor,
-                    cfg.wakeup,
-                    qcore,
-                )
-            })
+            .map(|g| MinatoQueue::new(&format!("batch[{g}]"), cfg.prefetch_factor))
             .collect();
         // One monotonic clock for the whole run: `issued_ns` stamps,
         // the delivery-latency reservoir, and (when enabled) every
@@ -1037,15 +980,9 @@ impl<D: Dataset> MinatoLoader<D> {
             p.set_observer(Arc::new(TracerPoolObserver(Arc::clone(t))));
         }
         let rt = Arc::new(Runtime {
-            fast_q: MinatoQueue::with_shards(
-                "fast",
-                cfg.queue_capacity,
-                cfg.wakeup,
-                qcore,
-                fast_shards,
-            ),
-            slow_q: MinatoQueue::with_core("slow", cfg.queue_capacity, cfg.wakeup, qcore),
-            temp_q: MinatoQueue::with_core("temp", cfg.queue_capacity, cfg.wakeup, qcore),
+            fast_q: MinatoQueue::new("fast", cfg.queue_capacity),
+            slow_q: MinatoQueue::new("slow", cfg.queue_capacity),
+            temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
             batch_qs,
             exec: exec.clone(),
             exec_roles: OnceLock::new(),
@@ -1181,20 +1118,6 @@ impl<D: Dataset> MinatoLoader<D> {
                     3
                 };
                 t2.record(EventKind::RoleSwitch, 0, 0, arg, 0);
-            }));
-        }
-        if exec_owned {
-            // Join every pool worker to its affinity group before its
-            // first lease, so owner-first shard discipline holds from
-            // the first pop; pinning stays opt-in. Shared pools are not
-            // ours to place.
-            let pin = rt.cfg.affinity;
-            exec.set_worker_init(Arc::new(move |wid| {
-                let g = affinity::group_of(wid);
-                affinity::join_group(g);
-                if pin {
-                    let _ = affinity::pin_current_to_group(g);
-                }
             }));
         }
         let executor = if exec_owned {
@@ -1412,10 +1335,7 @@ impl<D: Dataset> MinatoLoader<D> {
                     .iter()
                     .map(|q| q.lock_acquisitions())
                     .sum::<u64>(),
-            queue_cas_retries: rt.fast_q.cas_retries()
-                + rt.slow_q.cas_retries()
-                + rt.temp_q.cas_retries()
-                + rt.batch_qs.iter().map(|q| q.cas_retries()).sum::<u64>(),
+            queue_cas_retries: 0,
             cache: rt.cache.as_ref().map(|c| c.stats()),
             pool: rt.pools.as_ref().map(|p| p.stats()),
             exec: rt

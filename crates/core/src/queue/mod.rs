@@ -3,86 +3,41 @@
 //! The paper's runtime is built from four queue roles (fast, slow, temp,
 //! batch; §4.1). All of them share the same semantics: bounded capacity
 //! (the paper caps every queue at 100), multi-producer/multi-consumer,
-//! occupancy statistics for the worker scheduler, and a close signal for
-//! clean drain at end of training.
+//! strict FIFO, occupancy statistics for the worker scheduler, and a
+//! close signal for clean drain at end of training.
 //!
-//! Two wakeup policies are provided. [`WakeupPolicy::Condvar`] blocks
-//! consumers on a condition variable (the efficient default);
-//! [`WakeupPolicy::SleepPoll`] re-checks on a fixed sleep, reproducing the
-//! paper's 10 ms polling loops (Algorithm 1 lines 28/37) for the ablation
-//! benchmark.
-//!
-//! # Queue cores
-//!
-//! Two interchangeable cores implement the same semantics, selected by
-//! [`QueueCore`]:
-//!
-//! * [`QueueCore::Locked`] — the original mutex+condvar core: one
-//!   `Mutex<VecDeque>` per queue, batched operations amortizing
-//!   acquisitions. Simple, strictly FIFO, and the baseline the
-//!   `queue_core` ablation measures against.
-//! * [`QueueCore::LockFree`] (default) — a segmented Vyukov-style MPMC
-//!   ring per shard: per-slot sequence numbers, atomic head/tail CAS
-//!   ticket claims, credit-counter capacity enforcement, and futex-style
-//!   parking where the condvar is only the empty/full slow path. See
-//!   the `lockfree` module docs for the memory-ordering and close/drain
-//!   protocols. With [`MinatoQueue::with_shards`] the ring is sharded
-//!   per worker group with an owner-first/steal-second discipline.
-//!
-//! Every API below behaves identically on both cores (the equivalence
-//! proptests in `tests/queue_core.rs` check this), with one documented
-//! exception: [`MinatoQueue::lock_acquisitions`] counts state-mutex
-//! acquisitions on the locked core but parking-mutex acquisitions on
-//! the lock-free core, whose fast path takes no lock at all —
-//! [`MinatoQueue::cas_retries`] is the contention signal there.
+//! There is one implementation: a mutex guards a `VecDeque` plus the
+//! closed flag and the reservation count, and two condition variables
+//! wake blocked producers (`not_full`) and consumers (`not_empty`)
+//! exactly when the state they wait for changes. The batched operations
+//! (`put_many`, `pop_many`, ...) move a whole burst under one
+//! acquisition, which is where the per-sample synchronization cost goes
+//! down; [`MinatoQueue::lock_acquisitions`] counts every acquisition so
+//! that cost can be read off a running loader.
 
-mod locked;
-mod lockfree;
+use minato_metrics::Counter;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-use std::time::Duration;
-
-/// How blocked producers/consumers wait for queue state changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WakeupPolicy {
-    /// Block on a condition variable; woken exactly when state changes.
-    #[default]
-    Condvar,
-    /// Poll with a fixed sleep between checks (paper-faithful mode).
-    SleepPoll(Duration),
-}
-
-/// Which internal implementation a [`MinatoQueue`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Compatibility remnant of the removed queue-core selection: the
+/// frozen `benchmark/` package prints
+/// `QueueCore::default().from_env_or()` in its environment fingerprint.
+/// There is one queue implementation and nothing reads this type; it
+/// goes once the benchmark drops `fingerprint.queue_core`.
+#[derive(Debug, Default)]
 pub enum QueueCore {
-    /// Mutex+condvar core (the pre-lock-free baseline).
-    Locked,
-    /// Lock-free segmented MPMC ring with eventcount parking.
+    /// The mutex+condvar queue — the only one.
     #[default]
-    LockFree,
+    Locked,
 }
 
 impl QueueCore {
-    /// Resolves the core from the `MINATO_QUEUE_CORE` environment
-    /// variable (`locked` / `lockfree`, case-insensitive), falling back
-    /// to `self`. Lets CI and the chaos suites force a core without
-    /// touching call sites.
+    /// Compatibility remnant (see [`QueueCore`]): returns `self` and
+    /// reads no environment variable.
     pub fn from_env_or(self) -> QueueCore {
-        std::env::var("MINATO_QUEUE_CORE")
-            .ok()
-            .and_then(|v| QueueCore::parse(&v))
-            .unwrap_or(self)
-    }
-
-    /// Parses a core name (`locked` / `lockfree`, case-insensitive);
-    /// `None` for anything else.
-    pub fn parse(name: &str) -> Option<QueueCore> {
-        if name.eq_ignore_ascii_case("locked") {
-            Some(QueueCore::Locked)
-        } else if name.eq_ignore_ascii_case("lockfree") {
-            Some(QueueCore::LockFree)
-        } else {
-            None
-        }
+        self
     }
 }
 
@@ -121,9 +76,18 @@ pub enum PopResult<T> {
 }
 
 #[derive(Debug)]
-enum CoreImpl<T> {
-    Locked(locked::LockedQueue<T>),
-    Free(lockfree::LockFreeQueue<T>),
+struct Inner<T> {
+    items: VecDeque<T>,
+    closed: bool,
+    /// Slots claimed by outstanding reservations: counted against
+    /// capacity but not yet holding an item.
+    reserved: usize,
+}
+
+impl<T> Inner<T> {
+    fn space(&self, capacity: usize) -> usize {
+        capacity - self.items.len() - self.reserved
+    }
 }
 
 /// A bounded MPMC queue with occupancy instrumentation and close-to-drain
@@ -151,61 +115,46 @@ enum CoreImpl<T> {
 pub struct MinatoQueue<T> {
     name: String,
     capacity: usize,
-    core: CoreImpl<T>,
+    inner: Mutex<Inner<T>>,
+    not_full: Condvar,
+    not_empty: Condvar,
+    puts: Counter,
+    pops: Counter,
+    // State-mutex acquisitions made by put/pop operations, including
+    // the re-acquisition every condvar wait ends with. Monitoring-only
+    // accessors (`len`, `is_closed`, ...) are not counted: the counter
+    // measures the synchronization cost of moving items, the quantity
+    // the `queue_batching` ablation divides by delivered samples.
+    lock_ops: Counter,
+    // Occupancy accumulator for the scheduler's moving average: sum of
+    // queue lengths observed at each operation.
+    occupancy_sum: AtomicU64,
+    occupancy_obs: AtomicU64,
 }
 
 impl<T> MinatoQueue<T> {
-    /// Creates a queue with the given display `name` and `capacity` on
-    /// the default (lock-free) core.
+    /// Creates a queue with the given display `name` and `capacity`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(name: &str, capacity: usize) -> MinatoQueue<T> {
-        Self::with_policy(name, capacity, WakeupPolicy::Condvar)
-    }
-
-    /// Creates a queue with an explicit [`WakeupPolicy`].
-    pub fn with_policy(name: &str, capacity: usize, policy: WakeupPolicy) -> MinatoQueue<T> {
-        Self::with_core(name, capacity, policy, QueueCore::default())
-    }
-
-    /// Creates a queue on an explicit [`QueueCore`].
-    pub fn with_core(
-        name: &str,
-        capacity: usize,
-        policy: WakeupPolicy,
-        core: QueueCore,
-    ) -> MinatoQueue<T> {
-        Self::with_shards(name, capacity, policy, core, 1)
-    }
-
-    /// Creates a queue on an explicit core with `shards` lock-free
-    /// shards (the capacity is split across them; strict global FIFO
-    /// holds only with one shard, per-shard FIFO otherwise). The locked
-    /// core ignores `shards`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_shards(
-        name: &str,
-        capacity: usize,
-        policy: WakeupPolicy,
-        core: QueueCore,
-        shards: usize,
-    ) -> MinatoQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
-        let core = match core {
-            QueueCore::Locked => CoreImpl::Locked(locked::LockedQueue::new(capacity, policy)),
-            QueueCore::LockFree => {
-                CoreImpl::Free(lockfree::LockFreeQueue::new(capacity, policy, shards))
-            }
-        };
         MinatoQueue {
             name: name.to_string(),
             capacity,
-            core,
+            inner: Mutex::new(Inner {
+                items: VecDeque::with_capacity(capacity.min(1024)),
+                closed: false,
+                reserved: 0,
+            }),
+            not_full: Condvar::new(),
+            not_empty: Condvar::new(),
+            puts: Counter::new(),
+            pops: Counter::new(),
+            lock_ops: Counter::new(),
+            occupancy_sum: AtomicU64::new(0),
+            occupancy_obs: AtomicU64::new(0),
         }
     }
 
@@ -219,39 +168,93 @@ impl<T> MinatoQueue<T> {
         self.capacity
     }
 
-    /// Which core this queue runs on.
-    pub fn core(&self) -> QueueCore {
-        match &self.core {
-            CoreImpl::Locked(_) => QueueCore::Locked,
-            CoreImpl::Free(_) => QueueCore::LockFree,
-        }
+    fn observe_len(&self, len: usize) {
+        // ORDERING: Relaxed — monitoring counters; no data is published
+        // through them and the reader tolerates any interleaving.
+        self.occupancy_sum.fetch_add(len as u64, Ordering::Relaxed);
+        self.occupancy_obs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of internal shards (always 1 on the locked core).
-    pub fn shard_count(&self) -> usize {
-        match &self.core {
-            CoreImpl::Locked(_) => 1,
-            CoreImpl::Free(q) => q.shard_count(),
-        }
+    /// Acquires the state mutex for a put/pop operation, counting the
+    /// acquisition.
+    fn lock_op(&self) -> MutexGuard<'_, Inner<T>> {
+        self.lock_ops.incr();
+        self.inner.lock()
+    }
+
+    /// Parks on `cv` until notified. The re-acquisition the wake-up
+    /// makes is counted on entry, while `g` is still held: whoever reads
+    /// the count and then takes the state mutex finds this thread
+    /// already parked — the rendezvous the blocking tests are built on.
+    fn wait(&self, cv: &Condvar, g: &mut MutexGuard<'_, Inner<T>>) {
+        self.lock_ops.incr();
+        cv.wait(g);
+    }
+
+    /// [`MinatoQueue::wait`] bounded by `deadline`; `true` when the
+    /// wait timed out.
+    fn wait_until(
+        &self,
+        cv: &Condvar,
+        g: &mut MutexGuard<'_, Inner<T>>,
+        deadline: Instant,
+    ) -> bool {
+        self.lock_ops.incr();
+        cv.wait_until(g, deadline).timed_out()
+    }
+
+    /// Enqueues one item into space the caller has checked for, then
+    /// releases the state mutex before counting and waking a consumer.
+    // minato-verify: hot-path
+    fn push_one(&self, mut g: MutexGuard<'_, Inner<T>>, item: T) {
+        g.items.push_back(item);
+        let len = g.items.len();
+        drop(g);
+        self.observe_len(len);
+        self.puts.incr();
+        self.not_empty.notify_one();
+    }
+
+    /// The other half: the caller has just dequeued one item under `g`;
+    /// releases the state mutex before counting and waking a producer.
+    // minato-verify: hot-path
+    fn popped_one(&self, g: MutexGuard<'_, Inner<T>>) {
+        let len = g.items.len();
+        drop(g);
+        self.observe_len(len);
+        self.pops.incr();
+        self.not_full.notify_one();
     }
 
     /// Blocking put. Fails with [`Closed`] if the queue was closed (before
     /// or while waiting for space).
     // minato-verify: hot-path
     pub fn put(&self, item: T) -> Result<(), Closed> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.put(item),
-            CoreImpl::Free(q) => q.put(item),
+        let mut g = self.lock_op();
+        loop {
+            if g.closed {
+                return Err(Closed);
+            }
+            if g.space(self.capacity) > 0 {
+                self.push_one(g, item);
+                return Ok(());
+            }
+            self.wait(&self.not_full, &mut g);
         }
     }
 
     /// Non-blocking put.
     // minato-verify: hot-path
     pub fn try_put(&self, item: T) -> Result<(), TryPutError<T>> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.try_put(item),
-            CoreImpl::Free(q) => q.try_put(item),
+        let g = self.lock_op();
+        if g.closed {
+            return Err(TryPutError::Closed(item));
         }
+        if g.space(self.capacity) == 0 {
+            return Err(TryPutError::Full(item));
+        }
+        self.push_one(g, item);
+        Ok(())
     }
 
     /// Non-blocking reservation of one slot, for reserve-then-publish
@@ -266,14 +269,19 @@ impl<T> MinatoQueue<T> {
     /// this: the caller only learns which queue accepted the item after
     /// it is already poppable.
     pub fn try_reserve(&self) -> Result<PutReservation<'_, T>, TryReserveError> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.try_reserve().map(|r| PutReservation {
-                inner: ResvImpl::Locked(r),
-            }),
-            CoreImpl::Free(q) => q.try_reserve().map(|r| PutReservation {
-                inner: ResvImpl::Free(r),
-            }),
+        let mut g = self.lock_op();
+        if g.closed {
+            return Err(TryReserveError::Closed);
         }
+        if g.space(self.capacity) == 0 {
+            return Err(TryReserveError::Full);
+        }
+        g.reserved += 1;
+        drop(g);
+        Ok(PutReservation {
+            queue: self,
+            active: true,
+        })
     }
 
     /// [`MinatoQueue::try_reserve`] with a bounded wait for space.
@@ -282,13 +290,23 @@ impl<T> MinatoQueue<T> {
         &self,
         timeout: Duration,
     ) -> Result<PutReservation<'_, T>, TryReserveError> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.reserve_timeout(timeout).map(|r| PutReservation {
-                inner: ResvImpl::Locked(r),
-            }),
-            CoreImpl::Free(q) => q.reserve_timeout(timeout).map(|r| PutReservation {
-                inner: ResvImpl::Free(r),
-            }),
+        let deadline = Instant::now() + timeout;
+        let mut g = self.lock_op();
+        loop {
+            if g.closed {
+                return Err(TryReserveError::Closed);
+            }
+            if g.space(self.capacity) > 0 {
+                g.reserved += 1;
+                drop(g);
+                return Ok(PutReservation {
+                    queue: self,
+                    active: true,
+                });
+            }
+            if self.wait_until(&self.not_full, &mut g, deadline) {
+                return Err(TryReserveError::Full);
+            }
         }
     }
 
@@ -304,9 +322,33 @@ impl<T> MinatoQueue<T> {
     /// dropped — exactly the items a failing single-item `put` loop
     /// would have dropped.
     pub fn put_many(&self, items: Vec<T>) -> Result<(), Closed> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.put_many(items),
-            CoreImpl::Free(q) => q.put_many(items),
+        if items.is_empty() {
+            return Ok(());
+        }
+        let total = items.len();
+        let mut it = items.into_iter();
+        let mut done = 0usize;
+        let mut g = self.lock_op();
+        loop {
+            if g.closed {
+                return Err(Closed);
+            }
+            let space = g.space(self.capacity);
+            if space > 0 {
+                let take = space.min(total - done);
+                g.items.extend(it.by_ref().take(take));
+                done += take;
+                let len = g.items.len();
+                self.observe_len(len);
+                self.puts.add(take as u64);
+                if done == total {
+                    drop(g);
+                    self.not_empty.notify_all();
+                    return Ok(());
+                }
+                self.not_empty.notify_all();
+            }
+            self.wait(&self.not_full, &mut g);
         }
     }
 
@@ -315,10 +357,29 @@ impl<T> MinatoQueue<T> {
     /// items that did not fit (possibly all of them) and
     /// `Err(Closed(items))` when the queue is closed — callers retry or
     /// hand the leftover to a blocking [`MinatoQueue::put_many`].
-    pub fn try_put_many(&self, items: Vec<T>) -> Result<(), TryPutError<Vec<T>>> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.try_put_many(items),
-            CoreImpl::Free(q) => q.try_put_many(items),
+    pub fn try_put_many(&self, mut items: Vec<T>) -> Result<(), TryPutError<Vec<T>>> {
+        if items.is_empty() {
+            return Ok(());
+        }
+        let mut g = self.lock_op();
+        if g.closed {
+            return Err(TryPutError::Closed(items));
+        }
+        let take = g.space(self.capacity).min(items.len());
+        if take == 0 {
+            return Err(TryPutError::Full(items));
+        }
+        let rest = items.split_off(take);
+        g.items.extend(items);
+        let len = g.items.len();
+        drop(g);
+        self.observe_len(len);
+        self.puts.add(take as u64);
+        self.not_empty.notify_all();
+        if rest.is_empty() {
+            Ok(())
+        } else {
+            Err(TryPutError::Full(rest))
         }
     }
 
@@ -326,28 +387,63 @@ impl<T> MinatoQueue<T> {
     /// empty.
     // minato-verify: hot-path
     pub fn pop(&self) -> Option<T> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.pop(),
-            CoreImpl::Free(q) => q.pop(),
+        let mut g = self.lock_op();
+        loop {
+            if let Some(item) = g.items.pop_front() {
+                self.popped_one(g);
+                return Some(item);
+            }
+            if g.closed {
+                return None;
+            }
+            self.wait(&self.not_empty, &mut g);
         }
     }
 
     /// Pop with a bounded wait. Returns `Ok(None)` on timeout and
     /// `Err(Closed)` when closed and drained.
     pub fn pop_timeout(&self, timeout: Duration) -> Result<Option<T>, Closed> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.pop_timeout(timeout),
-            CoreImpl::Free(q) => q.pop_timeout(timeout),
+        let deadline = Instant::now() + timeout;
+        let mut g = self.lock_op();
+        loop {
+            if let Some(item) = g.items.pop_front() {
+                self.popped_one(g);
+                return Ok(Some(item));
+            }
+            if g.closed {
+                return Err(Closed);
+            }
+            if self.wait_until(&self.not_empty, &mut g, deadline) {
+                return Ok(None);
+            }
         }
     }
 
     /// Non-blocking pop.
     // minato-verify: hot-path
     pub fn try_pop(&self) -> PopResult<T> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.try_pop(),
-            CoreImpl::Free(q) => q.try_pop(),
+        let mut g = self.lock_op();
+        if let Some(item) = g.items.pop_front() {
+            self.popped_one(g);
+            PopResult::Item(item)
+        } else if g.closed {
+            PopResult::ClosedAndDrained
+        } else {
+            PopResult::Empty
         }
+    }
+
+    /// Dequeues up to `max` already-available items under one lock
+    /// acquisition, releasing blocked producers with one `notify_all`.
+    fn drain_burst(&self, g: &mut MutexGuard<'_, Inner<T>>, max: usize) -> Vec<T> {
+        let take = max.min(g.items.len());
+        let out: Vec<T> = g.items.drain(..take).collect();
+        if !out.is_empty() {
+            self.observe_len(g.items.len());
+            self.pops.add(out.len() as u64);
+            self.not_full.notify_all();
+        }
+        out
     }
 
     /// Blocking bulk pop: waits until at least one item is available and
@@ -355,9 +451,19 @@ impl<T> MinatoQueue<T> {
     /// empty vector only when the queue is closed and drained (or
     /// `max == 0`).
     pub fn pop_many(&self, max: usize) -> Vec<T> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.pop_many(max),
-            CoreImpl::Free(q) => q.pop_many(max),
+        if max == 0 {
+            return Vec::new();
+        }
+        let mut g = self.lock_op();
+        loop {
+            let out = self.drain_burst(&mut g, max);
+            if !out.is_empty() {
+                return out;
+            }
+            if g.closed {
+                return Vec::new();
+            }
+            self.wait(&self.not_empty, &mut g);
         }
     }
 
@@ -365,45 +471,55 @@ impl<T> MinatoQueue<T> {
     /// with an empty vector means the queue is open but currently empty;
     /// `Err(Closed)` means closed and fully drained.
     pub fn try_pop_many(&self, max: usize) -> Result<Vec<T>, Closed> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.try_pop_many(max),
-            CoreImpl::Free(q) => q.try_pop_many(max),
+        let mut g = self.lock_op();
+        let out = self.drain_burst(&mut g, max);
+        if out.is_empty() && g.closed {
+            return Err(Closed);
         }
+        Ok(out)
     }
 
     /// Bulk pop with a bounded wait for the first item. `Ok` with an
     /// empty vector means the wait timed out; `Err(Closed)` means closed
     /// and drained.
     pub fn pop_many_timeout(&self, max: usize, timeout: Duration) -> Result<Vec<T>, Closed> {
-        match &self.core {
-            CoreImpl::Locked(q) => q.pop_many_timeout(max, timeout),
-            CoreImpl::Free(q) => q.pop_many_timeout(max, timeout),
+        if max == 0 {
+            return Ok(Vec::new());
+        }
+        let deadline = Instant::now() + timeout;
+        let mut g = self.lock_op();
+        loop {
+            let out = self.drain_burst(&mut g, max);
+            if !out.is_empty() {
+                return Ok(out);
+            }
+            if g.closed {
+                return Err(Closed);
+            }
+            if self.wait_until(&self.not_empty, &mut g, deadline) {
+                return Ok(Vec::new());
+            }
         }
     }
 
     /// Closes the queue: pending and future `put`s fail, `pop` drains the
     /// remaining items then returns `None`. Idempotent.
     pub fn close(&self) {
-        match &self.core {
-            CoreImpl::Locked(q) => q.close(),
-            CoreImpl::Free(q) => q.close(),
-        }
+        let mut g = self.inner.lock();
+        g.closed = true;
+        drop(g);
+        self.not_full.notify_all();
+        self.not_empty.notify_all();
     }
 
     /// Whether [`MinatoQueue::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        match &self.core {
-            CoreImpl::Locked(q) => q.is_closed(),
-            CoreImpl::Free(q) => q.is_closed(),
-        }
+        self.inner.lock().closed
     }
 
     /// Current number of items.
     pub fn len(&self) -> usize {
-        match &self.core {
-            CoreImpl::Locked(q) => q.len(),
-            CoreImpl::Free(q) => q.len(),
-        }
+        self.inner.lock().items.len()
     }
 
     /// Whether the queue currently holds no items.
@@ -413,61 +529,38 @@ impl<T> MinatoQueue<T> {
 
     /// Total successful puts.
     pub fn total_puts(&self) -> u64 {
-        match &self.core {
-            CoreImpl::Locked(q) => q.total_puts(),
-            CoreImpl::Free(q) => q.total_puts(),
-        }
+        self.puts.get()
     }
 
     /// Total successful pops.
     pub fn total_pops(&self) -> u64 {
-        match &self.core {
-            CoreImpl::Locked(q) => q.total_pops(),
-            CoreImpl::Free(q) => q.total_pops(),
-        }
+        self.pops.get()
     }
 
-    /// Mutex acquisitions made by put/pop operations so far.
-    ///
-    /// On the locked core this counts state-mutex acquisitions (condvar
-    /// wakeups count: each one re-acquires the lock); divided by
+    /// State-mutex acquisitions made by put/pop operations so far: one
+    /// per call, plus one per condvar wait (a wait ends by re-acquiring
+    /// the mutex; it is counted when the wait begins, so a thread that
+    /// blocks is visible here before it is woken). Divided by
     /// [`MinatoQueue::total_pops`] it is the per-item synchronization
-    /// cost the `queue_batching` ablation reports. On the lock-free
-    /// core the fast path takes no lock, so this counts parking-mutex
-    /// acquisitions (park entries and contended wakes) — the residual
-    /// slow-path traffic; see [`MinatoQueue::cas_retries`] for the
-    /// fast-path contention signal.
+    /// cost the `queue_batching` ablation reports.
     pub fn lock_acquisitions(&self) -> u64 {
-        match &self.core {
-            CoreImpl::Locked(q) => q.lock_acquisitions(),
-            CoreImpl::Free(q) => q.lock_acquisitions(),
-        }
-    }
-
-    /// Failed CAS attempts (ticket and credit claims) on the lock-free
-    /// core — its contention signal, analogous to lock contention on
-    /// the locked core. Always 0 on [`QueueCore::Locked`].
-    pub fn cas_retries(&self) -> u64 {
-        match &self.core {
-            CoreImpl::Locked(_) => 0,
-            CoreImpl::Free(q) => q.cas_retries(),
-        }
+        self.lock_ops.get()
     }
 
     /// Average occupancy observed across all put/pop operations — the
     /// `Qsize` input to the scheduler's Formula 2.
     pub fn mean_occupancy(&self) -> f64 {
-        match &self.core {
-            CoreImpl::Locked(q) => q.mean_occupancy(),
-            CoreImpl::Free(q) => q.mean_occupancy(),
+        // ORDERING: Relaxed — the two monitoring counters are read
+        // independently; a torn pair only skews the average by one
+        // observation.
+        let obs = self.occupancy_obs.load(Ordering::Relaxed);
+        if obs == 0 {
+            0.0
+        } else {
+            // ORDERING: Relaxed — same monitoring pair as above.
+            self.occupancy_sum.load(Ordering::Relaxed) as f64 / obs as f64
         }
     }
-}
-
-#[derive(Debug)]
-enum ResvImpl<'a, T> {
-    Locked(locked::LockedResv<'a, T>),
-    Free(lockfree::FreeResv<'a, T>),
 }
 
 /// A claimed slot awaiting its item (see [`MinatoQueue::try_reserve`]).
@@ -479,7 +572,8 @@ enum ResvImpl<'a, T> {
 #[derive(Debug)]
 #[must_use = "an unpublished reservation holds a capacity slot until dropped"]
 pub struct PutReservation<'a, T> {
-    inner: ResvImpl<'a, T>,
+    queue: &'a MinatoQueue<T>,
+    active: bool,
 }
 
 impl<T> PutReservation<'_, T> {
@@ -487,10 +581,27 @@ impl<T> PutReservation<'_, T> {
     ///
     /// Fails with [`Closed`] (dropping the item, like a lost `put` race)
     /// if the queue was closed after the reservation was taken.
-    pub fn publish(self, item: T) -> Result<(), Closed> {
-        match self.inner {
-            ResvImpl::Locked(r) => r.publish(item),
-            ResvImpl::Free(r) => r.publish(item),
+    pub fn publish(mut self, item: T) -> Result<(), Closed> {
+        self.active = false;
+        let mut g = self.queue.lock_op();
+        g.reserved -= 1;
+        if g.closed {
+            drop(g);
+            self.queue.not_full.notify_one();
+            return Err(Closed);
+        }
+        self.queue.push_one(g, item);
+        Ok(())
+    }
+}
+
+impl<T> Drop for PutReservation<'_, T> {
+    fn drop(&mut self) {
+        if self.active {
+            let mut g = self.queue.lock_op();
+            g.reserved -= 1;
+            drop(g);
+            self.queue.not_full.notify_one();
         }
     }
 }
@@ -501,6 +612,23 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// Yields until `calls` blocking operations started after `base` was
+    /// read have parked: each counts its call and, under the state
+    /// mutex, its wait. Whatever the caller does next to the queue takes
+    /// that mutex, which a waiter releases only by parking — so the
+    /// blocked path is what runs, with no sleep to guess its timing.
+    fn wait_until_parked<T>(q: &MinatoQueue<T>, base: u64, calls: u64) {
+        let t0 = Instant::now();
+        while q.lock_acquisitions() < base + 2 * calls {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "nobody blocked on `{}`",
+                q.name()
+            );
+            thread::yield_now();
+        }
+    }
+
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
@@ -508,352 +636,255 @@ mod tests {
     }
 
     #[test]
-    fn default_core_is_lock_free() {
-        let q: MinatoQueue<u8> = MinatoQueue::new("q", 4);
-        assert_eq!(q.core(), QueueCore::LockFree);
-        assert_eq!(q.shard_count(), 1);
-        let l: MinatoQueue<u8> =
-            MinatoQueue::with_core("q", 4, WakeupPolicy::Condvar, QueueCore::Locked);
-        assert_eq!(l.core(), QueueCore::Locked);
-    }
-
-    #[test]
-    fn core_env_override_parses() {
-        assert_eq!(QueueCore::parse("locked"), Some(QueueCore::Locked));
-        assert_eq!(QueueCore::parse("LockFree"), Some(QueueCore::LockFree));
-        assert_eq!(QueueCore::parse("nope"), None);
-        // `from_env_or` must agree with whatever the environment holds
-        // right now (CI forces MINATO_QUEUE_CORE for whole sweeps, so
-        // this test cannot assume the variable is unset).
-        let want = std::env::var("MINATO_QUEUE_CORE")
-            .ok()
-            .and_then(|v| QueueCore::parse(&v));
-        assert_eq!(
-            QueueCore::Locked.from_env_or(),
-            want.unwrap_or(QueueCore::Locked)
-        );
-        assert_eq!(
-            QueueCore::LockFree.from_env_or(),
-            want.unwrap_or(QueueCore::LockFree)
-        );
-    }
-
-    fn both_cores<T: Send>(capacity: usize) -> Vec<MinatoQueue<T>> {
-        vec![
-            MinatoQueue::with_core("locked", capacity, WakeupPolicy::Condvar, QueueCore::Locked),
-            MinatoQueue::with_core(
-                "lockfree",
-                capacity,
-                WakeupPolicy::Condvar,
-                QueueCore::LockFree,
-            ),
-        ]
-    }
-
-    #[test]
     fn fifo_order() {
-        for q in both_cores(8) {
-            for i in 0..5 {
-                q.put(i).unwrap();
-            }
-            for i in 0..5 {
-                assert_eq!(q.pop(), Some(i));
-            }
+        let q = MinatoQueue::new("q", 8);
+        for i in 0..5 {
+            q.put(i).unwrap();
+        }
+        for i in 0..5 {
+            assert_eq!(q.pop(), Some(i));
         }
     }
 
     #[test]
     fn try_put_full_returns_item() {
-        for q in both_cores(1) {
-            q.put(1).unwrap();
-            match q.try_put(2) {
-                Err(TryPutError::Full(2)) => {}
-                other => panic!("expected Full(2), got {other:?}"),
-            }
+        let q = MinatoQueue::new("q", 1);
+        q.put(1).unwrap();
+        match q.try_put(2) {
+            Err(TryPutError::Full(2)) => {}
+            other => panic!("expected Full(2), got {other:?}"),
         }
     }
 
     #[test]
     fn put_blocks_until_space() {
-        for q in both_cores(1) {
-            let q = Arc::new(q);
-            q.put(1).unwrap();
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.put(2));
-            thread::sleep(Duration::from_millis(20));
-            assert_eq!(q.pop(), Some(1));
-            h.join().unwrap().unwrap();
-            assert_eq!(q.pop(), Some(2));
-        }
+        let q = Arc::new(MinatoQueue::new("q", 1));
+        q.put(1).unwrap();
+        let base = q.lock_acquisitions();
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.put(2));
+        wait_until_parked(&q, base, 1);
+        assert_eq!(q.len(), 1, "the blocked put must not have landed");
+        assert_eq!(q.pop(), Some(1));
+        h.join().unwrap().unwrap();
+        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]
     fn pop_blocks_until_item() {
-        for q in both_cores::<u32>(4) {
-            let q = Arc::new(q);
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.pop());
-            thread::sleep(Duration::from_millis(20));
-            q.put(9).unwrap();
-            assert_eq!(h.join().unwrap(), Some(9));
-        }
+        let q: Arc<MinatoQueue<u32>> = Arc::new(MinatoQueue::new("q", 4));
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.pop());
+        wait_until_parked(&q, 0, 1);
+        q.put(9).unwrap();
+        assert_eq!(h.join().unwrap(), Some(9));
     }
 
     #[test]
     fn close_unblocks_consumers_with_none() {
-        for q in both_cores::<u32>(4) {
-            let q = Arc::new(q);
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.pop());
-            thread::sleep(Duration::from_millis(20));
-            q.close();
-            assert_eq!(h.join().unwrap(), None);
-        }
+        let q: Arc<MinatoQueue<u32>> = Arc::new(MinatoQueue::new("q", 4));
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.pop());
+        wait_until_parked(&q, 0, 1);
+        q.close();
+        assert_eq!(h.join().unwrap(), None);
     }
 
     #[test]
     fn close_unblocks_blocked_producers_with_err() {
-        for q in both_cores(1) {
-            let q = Arc::new(q);
-            q.put(1).unwrap();
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.put(2));
-            thread::sleep(Duration::from_millis(20));
-            q.close();
-            assert_eq!(h.join().unwrap(), Err(Closed));
-        }
+        let q = Arc::new(MinatoQueue::new("q", 1));
+        q.put(1).unwrap();
+        let base = q.lock_acquisitions();
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.put(2));
+        wait_until_parked(&q, base, 1);
+        q.close();
+        assert_eq!(h.join().unwrap(), Err(Closed));
     }
 
     #[test]
     fn closed_queue_drains_then_none() {
-        for q in both_cores(4) {
-            q.put(1).unwrap();
-            q.close();
-            assert!(q.put(2).is_err());
-            assert_eq!(q.pop(), Some(1));
-            assert_eq!(q.pop(), None);
-        }
+        let q = MinatoQueue::new("q", 4);
+        q.put(1).unwrap();
+        q.close();
+        assert!(q.put(2).is_err());
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn pop_timeout_times_out() {
-        for q in both_cores::<u32>(4) {
-            let r = q.pop_timeout(Duration::from_millis(10));
-            assert_eq!(r, Ok(None));
-            q.close();
-            assert_eq!(q.pop_timeout(Duration::from_millis(10)), Err(Closed));
-        }
-    }
-
-    #[test]
-    fn sleep_poll_policy_works_end_to_end() {
-        for core in [QueueCore::Locked, QueueCore::LockFree] {
-            let q = Arc::new(MinatoQueue::with_core(
-                "q",
-                1,
-                WakeupPolicy::SleepPoll(Duration::from_millis(1)),
-                core,
-            ));
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(v) = q2.pop() {
-                    got.push(v);
-                }
-                got
-            });
-            for i in 0..10 {
-                q.put(i).unwrap();
-            }
-            q.close();
-            assert_eq!(h.join().unwrap(), (0..10).collect::<Vec<_>>());
-        }
+        let q: MinatoQueue<u32> = MinatoQueue::new("q", 4);
+        let r = q.pop_timeout(Duration::from_millis(10));
+        assert_eq!(r, Ok(None));
+        q.close();
+        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Err(Closed));
     }
 
     #[test]
     fn stats_count_operations() {
-        for q in both_cores(4) {
-            q.put(1).unwrap();
-            q.put(2).unwrap();
-            let _ = q.pop();
-            assert_eq!(q.total_puts(), 2);
-            assert_eq!(q.total_pops(), 1);
-            assert!(q.mean_occupancy() > 0.0);
-            assert_eq!(q.len(), 1);
-        }
+        let q = MinatoQueue::new("q", 4);
+        q.put(1).unwrap();
+        q.put(2).unwrap();
+        let _ = q.pop();
+        assert_eq!(q.total_puts(), 2);
+        assert_eq!(q.total_pops(), 1);
+        assert!(q.mean_occupancy() > 0.0);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn put_many_pop_many_preserve_fifo() {
-        for q in both_cores(64) {
-            q.put_many((0..10).collect()).unwrap();
-            assert_eq!(q.pop_many(4), vec![0, 1, 2, 3]);
-            assert_eq!(q.pop_many(100), (4..10).collect::<Vec<_>>());
-        }
+        let q = MinatoQueue::new("q", 64);
+        q.put_many((0..10).collect()).unwrap();
+        assert_eq!(q.pop_many(4), vec![0, 1, 2, 3]);
+        assert_eq!(q.pop_many(100), (4..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn put_many_larger_than_capacity_blocks_in_bursts() {
-        for q in both_cores(3) {
-            let q = Arc::new(q);
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.put_many((0..10).collect()));
-            let mut got = Vec::new();
-            while got.len() < 10 {
-                got.extend(q.pop_many(2));
-            }
-            h.join().unwrap().unwrap();
-            assert_eq!(got, (0..10).collect::<Vec<_>>());
+        let q = Arc::new(MinatoQueue::new("q", 3));
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.put_many((0..10).collect()));
+        let mut got = Vec::new();
+        while got.len() < 10 {
+            got.extend(q.pop_many(2));
         }
+        h.join().unwrap().unwrap();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn put_many_on_closed_fails_and_keeps_enqueued_burst() {
-        for q in both_cores(2) {
-            let q = Arc::new(q);
-            let q2 = Arc::clone(&q);
-            // First burst (0, 1) fits; the producer then blocks for space.
-            let h = thread::spawn(move || q2.put_many(vec![0, 1, 2, 3]));
-            thread::sleep(Duration::from_millis(20));
-            q.close();
-            assert_eq!(h.join().unwrap(), Err(Closed));
-            // The completed burst drains; the unfinished tail is dropped.
-            assert_eq!(q.pop_many(10), vec![0, 1]);
-            assert!(q.pop_many(10).is_empty());
-        }
+        let q = Arc::new(MinatoQueue::new("q", 2));
+        let q2 = Arc::clone(&q);
+        // First burst (0, 1) fits; the producer then blocks for space.
+        let h = thread::spawn(move || q2.put_many(vec![0, 1, 2, 3]));
+        wait_until_parked(&q, 0, 1);
+        q.close();
+        assert_eq!(h.join().unwrap(), Err(Closed));
+        // The completed burst drains; the unfinished tail is dropped.
+        assert_eq!(q.pop_many(10), vec![0, 1]);
+        assert!(q.pop_many(10).is_empty());
     }
 
     #[test]
     fn pop_many_blocks_until_first_item() {
-        for q in both_cores::<u32>(8) {
-            let q = Arc::new(q);
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.pop_many(8));
-            thread::sleep(Duration::from_millis(20));
-            q.put_many(vec![7]).unwrap();
-            assert_eq!(h.join().unwrap(), vec![7]);
-        }
+        let q: Arc<MinatoQueue<u32>> = Arc::new(MinatoQueue::new("q", 8));
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.pop_many(8));
+        wait_until_parked(&q, 0, 1);
+        q.put_many(vec![7]).unwrap();
+        assert_eq!(h.join().unwrap(), vec![7]);
     }
 
     #[test]
     fn pop_many_empty_only_when_closed_and_drained() {
-        for q in both_cores(8) {
-            q.put_many(vec![1, 2]).unwrap();
-            q.close();
-            assert_eq!(q.pop_many(8), vec![1, 2]);
-            assert!(q.pop_many(8).is_empty());
-            assert!(q.pop_many(0).is_empty());
-        }
+        let q = MinatoQueue::new("q", 8);
+        q.put_many(vec![1, 2]).unwrap();
+        q.close();
+        assert_eq!(q.pop_many(8), vec![1, 2]);
+        assert!(q.pop_many(8).is_empty());
+        assert!(q.pop_many(0).is_empty());
     }
 
     #[test]
     fn try_pop_many_reports_closed() {
-        for q in both_cores(8) {
-            assert_eq!(q.try_pop_many(4), Ok(Vec::new()));
-            q.put(1).unwrap();
-            assert_eq!(q.try_pop_many(4), Ok(vec![1]));
-            q.close();
-            assert_eq!(q.try_pop_many(4), Err(Closed));
-        }
+        let q = MinatoQueue::new("q", 8);
+        assert_eq!(q.try_pop_many(4), Ok(Vec::new()));
+        q.put(1).unwrap();
+        assert_eq!(q.try_pop_many(4), Ok(vec![1]));
+        q.close();
+        assert_eq!(q.try_pop_many(4), Err(Closed));
     }
 
     #[test]
     fn pop_many_timeout_times_out_then_closes() {
-        for q in both_cores::<u32>(8) {
-            assert_eq!(q.pop_many_timeout(4, Duration::from_millis(5)), Ok(vec![]));
-            q.put(9).unwrap();
-            assert_eq!(q.pop_many_timeout(4, Duration::from_millis(5)), Ok(vec![9]));
-            q.close();
-            assert_eq!(q.pop_many_timeout(4, Duration::from_millis(5)), Err(Closed));
-        }
+        let q: MinatoQueue<u32> = MinatoQueue::new("q", 8);
+        assert_eq!(q.pop_many_timeout(4, Duration::from_millis(5)), Ok(vec![]));
+        q.put(9).unwrap();
+        assert_eq!(q.pop_many_timeout(4, Duration::from_millis(5)), Ok(vec![9]));
+        q.close();
+        assert_eq!(q.pop_many_timeout(4, Duration::from_millis(5)), Err(Closed));
     }
 
     #[test]
     fn reservation_holds_capacity_until_published() {
-        for q in both_cores(2) {
-            let r = q.try_reserve().unwrap();
-            q.put(1).unwrap();
-            // Reservation + item fill both slots.
-            assert!(matches!(q.try_put(2), Err(TryPutError::Full(2))));
-            assert_eq!(q.try_reserve().unwrap_err(), TryReserveError::Full);
-            assert_eq!(q.len(), 1, "reserved slot holds no item yet");
-            r.publish(0).unwrap();
-            // FIFO reflects publication order, not reservation order.
-            assert_eq!(q.pop(), Some(1));
-            assert_eq!(q.pop(), Some(0));
-        }
+        let q = MinatoQueue::new("q", 2);
+        let r = q.try_reserve().unwrap();
+        q.put(1).unwrap();
+        // Reservation + item fill both slots.
+        assert!(matches!(q.try_put(2), Err(TryPutError::Full(2))));
+        assert_eq!(q.try_reserve().unwrap_err(), TryReserveError::Full);
+        assert_eq!(q.len(), 1, "reserved slot holds no item yet");
+        r.publish(0).unwrap();
+        // FIFO reflects publication order, not reservation order.
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(0));
     }
 
     #[test]
     fn dropped_reservation_releases_the_slot() {
-        for q in both_cores(1) {
-            drop(q.try_reserve().unwrap());
-            q.put(7).unwrap();
-            assert_eq!(q.pop(), Some(7));
-        }
+        let q = MinatoQueue::new("q", 1);
+        drop(q.try_reserve().unwrap());
+        q.put(7).unwrap();
+        assert_eq!(q.pop(), Some(7));
     }
 
     #[test]
     fn reserve_timeout_times_out_and_publish_fails_after_close() {
-        for q in both_cores(1) {
-            q.put(1).unwrap();
-            assert_eq!(
-                q.reserve_timeout(Duration::from_millis(5)).unwrap_err(),
-                TryReserveError::Full
-            );
-            let _ = q.pop();
-            let r = q.reserve_timeout(Duration::from_millis(5)).unwrap();
-            q.close();
-            assert_eq!(r.publish(2), Err(Closed));
-            assert_eq!(q.try_reserve().unwrap_err(), TryReserveError::Closed);
-        }
+        let q = MinatoQueue::new("q", 1);
+        q.put(1).unwrap();
+        assert_eq!(
+            q.reserve_timeout(Duration::from_millis(5)).unwrap_err(),
+            TryReserveError::Full
+        );
+        let _ = q.pop();
+        let r = q.reserve_timeout(Duration::from_millis(5)).unwrap();
+        q.close();
+        assert_eq!(r.publish(2), Err(Closed));
+        assert_eq!(q.try_reserve().unwrap_err(), TryReserveError::Closed);
     }
 
     #[test]
     fn dropped_reservation_wakes_blocked_producer() {
-        for q in both_cores(1) {
-            let q = Arc::new(q);
-            let r = q.try_reserve().unwrap();
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.put(5));
-            thread::sleep(Duration::from_millis(20));
-            drop(r);
-            h.join().unwrap().unwrap();
-            assert_eq!(q.pop(), Some(5));
-        }
+        let q = Arc::new(MinatoQueue::new("q", 1));
+        let r = q.try_reserve().unwrap();
+        let base = q.lock_acquisitions();
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.put(5));
+        wait_until_parked(&q, base, 1);
+        drop(r);
+        h.join().unwrap().unwrap();
+        assert_eq!(q.pop(), Some(5));
     }
 
     #[test]
     fn try_put_many_enqueues_prefix_and_returns_rest() {
-        for q in both_cores(3) {
-            q.put(0).unwrap();
-            match q.try_put_many(vec![1, 2, 3, 4]) {
-                Err(TryPutError::Full(rest)) => assert_eq!(rest, vec![3, 4]),
-                other => panic!("expected Full([3, 4]), got {other:?}"),
-            }
-            assert_eq!(q.pop_many(10), vec![0, 1, 2]);
-            q.try_put_many(vec![5]).unwrap();
-            assert_eq!(q.pop(), Some(5));
-            q.close();
-            assert!(matches!(
-                q.try_put_many(vec![6]),
-                Err(TryPutError::Closed(_))
-            ));
+        let q = MinatoQueue::new("q", 3);
+        q.put(0).unwrap();
+        match q.try_put_many(vec![1, 2, 3, 4]) {
+            Err(TryPutError::Full(rest)) => assert_eq!(rest, vec![3, 4]),
+            other => panic!("expected Full([3, 4]), got {other:?}"),
         }
+        assert_eq!(q.pop_many(10), vec![0, 1, 2]);
+        q.try_put_many(vec![5]).unwrap();
+        assert_eq!(q.pop(), Some(5));
+        q.close();
+        assert!(matches!(
+            q.try_put_many(vec![6]),
+            Err(TryPutError::Closed(_))
+        ));
     }
 
     #[test]
     fn batched_ops_take_fewer_locks_than_single_ops() {
-        // Lock-count semantics only hold on the locked core; the
-        // lock-free core's fast path takes no lock at all.
-        let single =
-            MinatoQueue::with_core("single", 256, WakeupPolicy::Condvar, QueueCore::Locked);
+        let single = MinatoQueue::new("single", 256);
         for i in 0..64 {
             single.put(i).unwrap();
         }
         while single.try_pop() != PopResult::Empty {}
-        let batched =
-            MinatoQueue::with_core("batched", 256, WakeupPolicy::Condvar, QueueCore::Locked);
+        let batched = MinatoQueue::new("batched", 256);
         batched.put_many((0..64).collect()).unwrap();
         assert_eq!(batched.pop_many(64).len(), 64);
         assert!(
@@ -869,44 +900,13 @@ mod tests {
     }
 
     #[test]
-    fn lock_free_uncontended_ops_take_no_locks() {
-        let q = MinatoQueue::new("q", 16);
-        for i in 0..8 {
-            q.put(i).unwrap();
-        }
-        for _ in 0..8 {
-            let _ = q.pop();
-        }
-        assert_eq!(
-            q.lock_acquisitions(),
-            0,
-            "uncontended lock-free ops must not park"
-        );
-        assert_eq!(q.cas_retries(), 0, "single-threaded ops cannot lose a CAS");
-    }
-
-    #[test]
-    fn locked_core_reports_zero_cas_retries() {
-        let q = MinatoQueue::with_core("q", 4, WakeupPolicy::Condvar, QueueCore::Locked);
-        q.put(1).unwrap();
-        assert_eq!(q.cas_retries(), 0);
-    }
-
-    #[test]
-    fn sharded_queue_delivers_everything() {
-        let q = Arc::new(MinatoQueue::with_shards(
-            "q",
-            64,
-            WakeupPolicy::Condvar,
-            QueueCore::LockFree,
-            4,
-        ));
-        assert_eq!(q.shard_count(), 4);
+    fn mpmc_no_loss_no_duplication() {
+        let q = Arc::new(MinatoQueue::new("q", 16));
         let producers: Vec<_> = (0..4u64)
             .map(|p| {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
-                    for i in 0..200u64 {
+                    for i in 0..250u64 {
                         q.put(p * 1000 + i).unwrap();
                     }
                 })
@@ -933,113 +933,8 @@ mod tests {
             .flat_map(|c| c.join().unwrap())
             .collect();
         all.sort_unstable();
-        assert_eq!(all.len(), 800);
+        assert_eq!(all.len(), 1000);
         all.dedup();
-        assert_eq!(all.len(), 800, "duplicated items");
-        assert_eq!(q.total_puts(), 800);
-        assert_eq!(q.total_pops(), 800);
-    }
-
-    #[test]
-    fn sharded_capacity_is_exact() {
-        // 5 across 2 shards: 3 + 2. All 5 single puts must land without
-        // blocking, the 6th must report Full.
-        let q = MinatoQueue::with_shards("q", 5, WakeupPolicy::Condvar, QueueCore::LockFree, 2);
-        for i in 0..5 {
-            q.try_put(i)
-                .unwrap_or_else(|_| panic!("put {i} should fit"));
-        }
-        assert!(matches!(q.try_put(9), Err(TryPutError::Full(9))));
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn put_many_pop_many_under_sleep_poll_policy() {
-        for core in [QueueCore::Locked, QueueCore::LockFree] {
-            let q = Arc::new(MinatoQueue::with_core(
-                "q",
-                4,
-                WakeupPolicy::SleepPoll(Duration::from_millis(1)),
-                core,
-            ));
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || {
-                let mut got = Vec::new();
-                loop {
-                    let burst = q2.pop_many(3);
-                    if burst.is_empty() {
-                        return got;
-                    }
-                    got.extend(burst);
-                }
-            });
-            q.put_many((0..20).collect()).unwrap();
-            q.close();
-            assert_eq!(h.join().unwrap(), (0..20).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn mpmc_no_loss_no_duplication() {
-        for q in both_cores(16) {
-            let q = Arc::new(q);
-            let producers: Vec<_> = (0..4u64)
-                .map(|p| {
-                    let q = Arc::clone(&q);
-                    thread::spawn(move || {
-                        for i in 0..250u64 {
-                            q.put(p * 1000 + i).unwrap();
-                        }
-                    })
-                })
-                .collect();
-            let consumers: Vec<_> = (0..4)
-                .map(|_| {
-                    let q = Arc::clone(&q);
-                    thread::spawn(move || {
-                        let mut got = Vec::new();
-                        while let Some(v) = q.pop() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            for p in producers {
-                p.join().unwrap();
-            }
-            q.close();
-            let mut all: Vec<u64> = consumers
-                .into_iter()
-                .flat_map(|c| c.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            assert_eq!(all.len(), 1000);
-            all.dedup();
-            assert_eq!(all.len(), 1000, "duplicated items");
-        }
-    }
-
-    #[test]
-    fn ring_drop_releases_unconsumed_items() {
-        // Leak detection relies on Drop running for queued items; use a
-        // type with a drop counter.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Probe;
-        impl Drop for Probe {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        DROPS.store(0, Ordering::SeqCst);
-        let q = MinatoQueue::new("q", 8);
-        for _ in 0..5 {
-            q.put(Probe).unwrap();
-        }
-        let _ = q.pop();
-        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
-        drop(q);
-        assert_eq!(DROPS.load(Ordering::SeqCst), 5, "ring drop must drain");
+        assert_eq!(all.len(), 1000, "duplicated items");
     }
 }

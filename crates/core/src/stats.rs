@@ -35,19 +35,16 @@ pub struct LoaderStats {
     pub temp_queue_len: usize,
     /// Summed occupancy of all per-GPU batch queues.
     pub batch_queue_len: usize,
-    /// Mutex acquisitions by put/pop operations across all runtime
-    /// queues (fast, slow, temp, batch). On the locked queue core this
-    /// is every state-mutex acquisition; divided by `samples_done` it
-    /// is the per-sample synchronization cost the `queue_batching`
-    /// ablation reports. On the lock-free core (the default) the fast
-    /// path takes no lock, so this counts only parking-mutex
-    /// acquisitions — park entries and contended wakes; fast-path
-    /// contention shows up in `queue_cas_retries` instead.
+    /// State-mutex acquisitions by put/pop operations across all
+    /// runtime queues (fast, slow, temp, batch): one per call plus one
+    /// per condvar wait (see `MinatoQueue::lock_acquisitions`). Divided
+    /// by `samples_done` it is the per-sample synchronization cost the
+    /// `queue_batching` ablation reports.
     pub queue_lock_acquisitions: u64,
-    /// Failed CAS attempts (ticket and credit claims) across all
-    /// runtime queues — the lock-free core's contention signal, the
-    /// sibling of `queue_lock_acquisitions`. Always 0 on the locked
-    /// core.
+    /// Compatibility remnant, always 0: the frozen `benchmark/` package
+    /// reads it for its `queue.cas_retries_per_sample` row. The queue
+    /// has no compare-and-swap path; the field goes once the benchmark
+    /// drops the row.
     pub queue_cas_retries: u64,
     /// Cross-epoch sample-cache counters; `None` when the cache is
     /// disabled (the default). With the cache enabled, `samples_done`

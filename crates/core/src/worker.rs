@@ -1405,7 +1405,6 @@ mod tests {
     use super::*;
     use crate::balancer::{BalancerConfig, TimeoutPolicy};
     use crate::dataset::{EpochSampler, VecDataset};
-    use crate::queue::{QueueCore, WakeupPolicy};
     use crate::scheduler::SchedulerConfig;
     use minato_exec::ExecConfig;
     use std::thread;
@@ -1429,9 +1428,6 @@ mod tests {
             adaptive_workers: false,
             scheduler: SchedulerConfig::paper_default(1),
             ticket_chunk: 4,
-            wakeup: WakeupPolicy::Condvar,
-            queue_core: crate::queue::QueueCore::LockFree,
-            affinity: false,
             starvation_wait: Duration::from_millis(1),
             order_preserving: false,
             error_policy: ErrorPolicy::Skip,
@@ -1464,9 +1460,9 @@ mod tests {
             cache: None,
             pools: None,
             recycler: None,
-            fast_q: MinatoQueue::with_core("fast", cfg.queue_capacity, cfg.wakeup, cfg.queue_core),
-            slow_q: MinatoQueue::with_core("slow", cfg.queue_capacity, cfg.wakeup, cfg.queue_core),
-            temp_q: MinatoQueue::with_core("temp", cfg.queue_capacity, cfg.wakeup, cfg.queue_core),
+            fast_q: MinatoQueue::new("fast", cfg.queue_capacity),
+            slow_q: MinatoQueue::new("slow", cfg.queue_capacity),
+            temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
             batch_qs: vec![MinatoQueue::new("batch[0]", cfg.prefetch_factor)],
             exec: ExecHandle::new(ExecConfig::fixed(0)),
             exec_roles: OnceLock::new(),
@@ -1524,16 +1520,12 @@ mod tests {
         }
     }
 
-    /// A runtime for the back-pressure tests: small internal queues on
-    /// `core`, a batch role wired up for helping, and a `starvation_wait`
-    /// of 2 s — so long that a producer which sleeps it out, instead of
-    /// being woken by the freed slot, cannot meet the tests' bound.
-    fn backpressure_runtime(
-        core: QueueCore,
-        capacity: usize,
-    ) -> (Arc<Runtime<Ds>>, Arc<BatchStep<Ds>>) {
+    /// A runtime for the back-pressure tests: small internal queues, a
+    /// batch role wired up for helping, and a `starvation_wait` of 2 s —
+    /// so long that a producer which sleeps it out, instead of being
+    /// woken by the freed slot, cannot meet the tests' bound.
+    fn backpressure_runtime(capacity: usize) -> (Arc<Runtime<Ds>>, Arc<BatchStep<Ds>>) {
         let mut cfg = mini_cfg();
-        cfg.queue_core = core;
         cfg.queue_capacity = capacity;
         cfg.starvation_wait = Duration::from_secs(2);
         let rt = mini_runtime(cfg);
@@ -1542,10 +1534,9 @@ mod tests {
         (rt, step)
     }
 
-    /// Yields until `q` has taken its synchronisation path since `base`
-    /// was read: on the locked core the producer's first (failing) put,
-    /// on the lock-free core its park on the not-full signal. From then
-    /// on only a wake-up (or the full `starvation_wait`) lets it return.
+    /// Yields until `q` has been locked since `base` was read: the
+    /// producer's first (failing) put. From then on only a wake-up (or
+    /// the full `starvation_wait`) lets it return.
     fn wait_until_blocked_on<T>(q: &MinatoQueue<T>, base: u64) {
         let t0 = Instant::now();
         while q.lock_acquisitions() == base {
@@ -1563,30 +1554,28 @@ mod tests {
     /// the batch side pops, not after `starvation_wait`.
     #[test]
     fn blocked_publisher_wakes_when_a_slot_is_popped() {
-        for core in [QueueCore::Locked, QueueCore::LockFree] {
-            let (rt, step) = backpressure_runtime(core, 4);
-            let lane = step.lanes[0].lock();
-            rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
-            let base = rt.fast_q.lock_acquisitions();
-            let rt2 = Arc::clone(&rt);
-            let producer = thread::spawn(move || {
-                rt2.publish_helping(&rt2.fast_q, (10..13).map(prepared).collect())
-            });
-            wait_until_blocked_on(&rt.fast_q, base);
-            let t0 = Instant::now();
-            assert_eq!(rt.fast_q.pop_many(3).len(), 3);
-            producer.join().unwrap().expect("queue stayed open");
-            let took = t0.elapsed();
-            assert!(
-                took <= rt.cfg.starvation_wait / 2,
-                "{core:?}: publish took {took:?} after the pop"
-            );
-            // One item through the woken reservation, the rest in bulk,
-            // chunk order kept.
-            let left: Vec<u32> = rt.fast_q.pop_many(4).iter().map(|p| p.sample).collect();
-            assert_eq!(left, [3, 10, 11, 12], "{core:?}");
-            drop(lane);
-        }
+        let (rt, step) = backpressure_runtime(4);
+        let lane = step.lanes[0].lock();
+        rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
+        let base = rt.fast_q.lock_acquisitions();
+        let rt2 = Arc::clone(&rt);
+        let producer = thread::spawn(move || {
+            rt2.publish_helping(&rt2.fast_q, (10..13).map(prepared).collect())
+        });
+        wait_until_blocked_on(&rt.fast_q, base);
+        let t0 = Instant::now();
+        assert_eq!(rt.fast_q.pop_many(3).len(), 3);
+        producer.join().unwrap().expect("queue stayed open");
+        let took = t0.elapsed();
+        assert!(
+            took <= rt.cfg.starvation_wait / 2,
+            "publish took {took:?} after the pop"
+        );
+        // One item through the woken reservation, the rest in bulk,
+        // chunk order kept.
+        let left: Vec<u32> = rt.fast_q.pop_many(4).iter().map(|p| p.sample).collect();
+        assert_eq!(left, [3, 10, 11, 12]);
+        drop(lane);
     }
 
     /// `route_deferred` on a temp queue whose slots a concurrent
@@ -1594,26 +1583,24 @@ mod tests {
     /// help with) must return as soon as one slot is released.
     #[test]
     fn blocked_deferral_wakes_when_a_slot_is_released() {
-        for core in [QueueCore::Locked, QueueCore::LockFree] {
-            let (rt, _step) = backpressure_runtime(core, 2);
-            let mut held = vec![
-                rt.temp_q.try_reserve().unwrap(),
-                rt.temp_q.try_reserve().unwrap(),
-            ];
-            let base = rt.temp_q.lock_acquisitions();
-            let rt2 = Arc::clone(&rt);
-            let producer = thread::spawn(move || rt2.route_deferred(deferred(7)));
-            wait_until_blocked_on(&rt.temp_q, base);
-            let t0 = Instant::now();
-            held.pop();
-            assert!(producer.join().unwrap(), "{core:?}: deferral routed");
-            let took = t0.elapsed();
-            assert!(
-                took <= rt.cfg.starvation_wait / 2,
-                "{core:?}: routing took {took:?} after the release"
-            );
-            assert_eq!(rt.temp_q.len(), 1);
-        }
+        let (rt, _step) = backpressure_runtime(2);
+        let mut held = vec![
+            rt.temp_q.try_reserve().unwrap(),
+            rt.temp_q.try_reserve().unwrap(),
+        ];
+        let base = rt.temp_q.lock_acquisitions();
+        let rt2 = Arc::clone(&rt);
+        let producer = thread::spawn(move || rt2.route_deferred(deferred(7)));
+        wait_until_blocked_on(&rt.temp_q, base);
+        let t0 = Instant::now();
+        held.pop();
+        assert!(producer.join().unwrap(), "deferral routed");
+        let took = t0.elapsed();
+        assert!(
+            took <= rt.cfg.starvation_wait / 2,
+            "routing took {took:?} after the release"
+        );
+        assert_eq!(rt.temp_q.len(), 1);
     }
 
     /// The role-fluid guarantee: with no thread on the batch role at
@@ -1621,31 +1608,29 @@ mod tests {
     /// and so never waits.
     #[test]
     fn blocked_publisher_helps_when_nobody_holds_the_batch_role() {
-        for core in [QueueCore::Locked, QueueCore::LockFree] {
-            let (rt, _step) = backpressure_runtime(core, 4);
-            rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
-            let (tx, rx) = std::sync::mpsc::channel();
-            let rt2 = Arc::clone(&rt);
-            let t0 = Instant::now();
-            let producer = thread::spawn(move || {
-                let sent = rt2.publish_helping(&rt2.fast_q, (4..16).map(prepared).collect());
-                tx.send(sent).unwrap();
-            });
-            rx.recv_timeout(Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("{core:?}: producer made no progress by helping"))
-                .expect("queue stayed open");
-            let took = t0.elapsed();
-            producer.join().unwrap();
-            assert!(
-                took <= rt.cfg.starvation_wait / 2,
-                "{core:?}: publish took {took:?} with helping available"
-            );
-            // 16 samples: whatever is not still queued left as batches
-            // of 4, assembled by the producer.
-            let queued = rt.fast_q.len() as u64;
-            assert_eq!(rt.samples_out.get() + queued, 16, "{core:?}");
-            assert!(rt.batches_out.get() >= 3, "{core:?}");
-        }
+        let (rt, _step) = backpressure_runtime(4);
+        rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rt2 = Arc::clone(&rt);
+        let t0 = Instant::now();
+        let producer = thread::spawn(move || {
+            let sent = rt2.publish_helping(&rt2.fast_q, (4..16).map(prepared).collect());
+            tx.send(sent).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("producer made no progress by helping")
+            .expect("queue stayed open");
+        let took = t0.elapsed();
+        producer.join().unwrap();
+        assert!(
+            took <= rt.cfg.starvation_wait / 2,
+            "publish took {took:?} with helping available"
+        );
+        // 16 samples: whatever is not still queued left as batches
+        // of 4, assembled by the producer.
+        let queued = rt.fast_q.len() as u64;
+        assert_eq!(rt.samples_out.get() + queued, 16);
+        assert!(rt.batches_out.get() >= 3);
     }
 
     /// Regression test for the batch-worker busy-spin: with `fast_q`

@@ -255,9 +255,6 @@ struct Shared {
     /// Invoked (outside any lock) each time a worker switches into a
     /// role it was not running; set once, first setter wins.
     switch_observer: OnceLock<Arc<dyn Fn(RoleId) + Send + Sync>>,
-    /// Invoked once per pool thread, on that thread, before its first
-    /// lease (affinity/TLS setup); set once, first setter wins.
-    worker_init: OnceLock<Arc<dyn Fn(usize) + Send + Sync>>,
 }
 
 impl Shared {
@@ -368,7 +365,6 @@ impl ExecHandle {
                 total_switches: AtomicU64::new(0),
                 total_steals: AtomicU64::new(0),
                 switch_observer: OnceLock::new(),
-                worker_init: OnceLock::new(),
             }),
         }
     }
@@ -452,15 +448,6 @@ impl ExecHandle {
     /// non-blocking. First setter wins; later calls are ignored.
     pub fn set_switch_observer(&self, f: Arc<dyn Fn(RoleId) + Send + Sync>) {
         let _ = self.shared.switch_observer.set(f);
-    }
-
-    /// Installs a per-thread initialization hook, invoked once on each
-    /// pool thread (with its worker id) before it takes its first
-    /// lease. The loader uses this to join each worker to its affinity
-    /// group and optionally pin it; threads spawned before the hook is
-    /// set skip it. First setter wins; later calls are ignored.
-    pub fn set_worker_init(&self, f: Arc<dyn Fn(usize) + Send + Sync>) {
-        let _ = self.shared.worker_init.set(f);
     }
 
     /// `role`'s current budget (0 if unknown/pruned).
@@ -587,9 +574,6 @@ impl Drop for Executor {
 }
 
 fn worker_loop(shared: &Shared, id: usize) {
-    if let Some(init) = shared.worker_init.get() {
-        init(id);
-    }
     if shared.cfg.elastic {
         elastic_loop(shared);
     } else {

@@ -21,7 +21,7 @@
 //! * **V4** — every public item in `crates/{core,exec,pool,cache}` has
 //!   a doc comment.
 //! * **V5** — every `unsafe` token carries a nearby `// SAFETY:` line.
-//! * **V6** — every `Ordering::` use in the queue core
+//! * **V6** — every `Ordering::` use in the queue module
 //!   (`crates/core/src/queue/`) carries a nearby `// ORDERING:` comment
 //!   justifying the chosen memory ordering, the way V5 guards `unsafe`.
 //!

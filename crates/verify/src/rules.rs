@@ -25,8 +25,9 @@ pub struct FileClass {
     /// Doc-comment coverage (V4) applies: the core/exec/pool/cache
     /// public surface.
     pub docs_required: bool,
-    /// Queue-core memory-ordering discipline (V6) applies: the
-    /// lock-free queue implementation under `crates/core/src/queue/`.
+    /// Memory-ordering discipline (V6) applies: the queue module under
+    /// `crates/core/src/queue/`, whose occupancy counters are atomics
+    /// read outside the state mutex.
     pub queue_core: bool,
 }
 
