@@ -7,39 +7,13 @@
 use minato_bench::*;
 use std::time::Instant;
 
-type Experiment = (&'static str, Box<dyn Fn() -> String>);
-
 fn main() {
     let scale = Scale::from_env();
-    let experiments: Vec<Experiment> = vec![
-        ("Table 2", Box::new(tab02_preprocessing_stats)),
-        ("Figure 2", Box::new(fig02_variability)),
-        ("Figure 1b", Box::new(move || fig01_pytorch_usage(scale))),
-        ("Figure 3", Box::new(move || fig03_heuristics(scale))),
-        ("Figure 4", Box::new(move || fig04_prefetch(scale))),
-        ("Figure 7", Box::new(move || fig07_throughput(scale))),
-        ("Figure 8", Box::new(move || fig08_usage(scale))),
-        ("Figure 9", Box::new(move || fig09_scalability(scale))),
-        ("Figure 10", Box::new(move || fig10_memory(scale))),
-        (
-            "Figure 11b/c",
-            Box::new(move || fig11_batch_composition(scale)),
-        ),
-        (
-            "Figure 11a",
-            Box::new(|| fig11_accuracy::fig11_accuracy(true)),
-        ),
-        ("Figure 12", Box::new(move || fig12_slow_fraction(scale))),
-        ("Artifact E1/E2", Box::new(move || artifact_e1_e2(scale))),
-        (
-            "Ablations",
-            Box::new(move || ablations::all_ablations(scale)),
-        ),
-    ];
-    for (name, run) in experiments {
+    let ablations: Experiment = ("ablations", "Ablations", ablations::all_ablations);
+    for (_, title, run) in EXPERIMENTS.iter().chain([&ablations]) {
         let t0 = Instant::now();
-        let out = run();
-        println!("==== {name} (regenerated in {:.2?}) ====", t0.elapsed());
+        let out = run(scale);
+        println!("==== {title} (regenerated in {:.2?}) ====", t0.elapsed());
         println!("{out}");
     }
 }

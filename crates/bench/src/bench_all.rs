@@ -9,7 +9,7 @@
 //! folded from the trace — enough to spot a regression in any one
 //! subsystem from the JSON alone.
 //!
-//! The six workloads cover the runtime's distinct regimes:
+//! The five workloads cover the runtime's distinct regimes:
 //!
 //! | workload             | exercises                                     |
 //! |----------------------|-----------------------------------------------|
@@ -17,8 +17,7 @@
 //! | `slow_heavy`         | timeout classification + background resume    |
 //! | `phase_shift`        | elastic role migration under a moving bottleneck |
 //! | `multi_epoch_cache`  | cross-epoch cache hits on later epochs        |
-//! | `multi_tenant`       | two loaders sharing one executor pool         |
-//! | `multi_tenant_churn` | admission queueing + promotion on a capacity-limited pool, per-tenant fairness |
+//! | `multi_tenant`       | two loaders sharing one executor pool, per-loader fairness |
 //!
 //! Allocation counts come from the process-global
 //! [`crate::alloc_counter`]; binaries that do not register
@@ -34,13 +33,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Every workload `bench_all` knows how to run, in emission order.
-pub const WORKLOADS: [&str; 6] = [
+pub const WORKLOADS: [&str; 5] = [
     "balanced",
     "slow_heavy",
     "phase_shift",
     "multi_epoch_cache",
     "multi_tenant",
-    "multi_tenant_churn",
 ];
 
 /// One workload's distilled measurement — everything that lands in its
@@ -51,7 +49,7 @@ pub struct BenchReport {
     pub workload: String,
     /// Whether this was a capped smoke run (CI) or a full run.
     pub smoke: bool,
-    /// Samples delivered across all tenants/epochs.
+    /// Samples delivered across all loaders/epochs.
     pub samples: u64,
     /// Batches delivered.
     pub batches: u64,
@@ -78,9 +76,9 @@ pub struct BenchReport {
     pub cache_hit_rate: Option<f64>,
     /// Buffer-pool hit rate; `None` when pooling is off.
     pub pool_hit_rate: Option<f64>,
-    /// Min/max per-tenant throughput ratio over the concurrently
-    /// admitted tenants (1.0 = perfectly fair); `None` for workloads
-    /// that do not run multiple tenants side by side.
+    /// Min/max per-loader throughput ratio over the loaders sharing
+    /// one pool (1.0 = perfectly fair); `None` for workloads that run
+    /// a single loader.
     pub fairness_ratio: Option<f64>,
     /// Trace events recorded across all rings.
     pub trace_recorded: u64,
@@ -342,11 +340,21 @@ fn run_multi_epoch_cache(smoke: bool) -> BenchReport {
     measure("multi_epoch_cache", smoke, &loader)
 }
 
-/// Two loaders as tenants of one shared executor pool. Latency and
-/// trace metrics come from tenant 0; sample/batch counts and
-/// throughput aggregate both tenants.
+/// Two identically shaped loaders on one shared executor pool.
+/// `fairness_ratio` is min/max of their throughputs. Latency and trace
+/// metrics come from loader 0; sample counts and throughput aggregate
+/// both.
 fn run_multi_tenant(smoke: bool) -> BenchReport {
-    let per_tenant: u32 = if smoke { 48 } else { 160 };
+    fn drain(l: &MinatoLoader<VecDataset<u32>>) -> (u64, u64, f64) {
+        let t = Instant::now();
+        let (mut samples, mut batches) = (0u64, 0u64);
+        for batch in l.iter() {
+            samples += batch.len() as u64;
+            batches += 1;
+        }
+        (samples, batches, t.elapsed().as_secs_f64())
+    }
+    let per_loader: u32 = if smoke { 48 } else { 160 };
     let pool = SharedExecutor::new(5);
     let mk = |traced: bool| {
         let cost_of = |i: u32| {
@@ -356,7 +364,7 @@ fn run_multi_tenant(smoke: bool) -> BenchReport {
                 Duration::from_micros(400)
             }
         };
-        let ds = VecDataset::new((0..per_tenant).collect::<Vec<_>>());
+        let ds = VecDataset::new((0..per_loader).collect::<Vec<_>>());
         let pipeline = Pipeline::new(vec![
             Arc::new(ShapedCost::new(cost_of)) as Arc<dyn Transform<u32>>
         ]);
@@ -365,7 +373,7 @@ fn run_multi_tenant(smoke: bool) -> BenchReport {
             .shuffle(false)
             .initial_workers(2)
             .max_workers(2)
-            .queue_capacity(per_tenant as usize * 2)
+            .queue_capacity(per_loader as usize * 2)
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
             .executor(ExecutorConfig::Shared(pool.clone()))
             .trace(if traced {
@@ -380,146 +388,29 @@ fn run_multi_tenant(smoke: bool) -> BenchReport {
     let b = mk(false);
     let allocs0 = alloc_counter::allocations();
     let t0 = Instant::now();
-    let tb = std::thread::spawn(move || {
-        let n: u64 = b.iter().map(|batch| batch.len() as u64).sum();
-        n
-    });
-    let mut samples = 0u64;
-    let mut batches = 0u64;
-    for batch in a.iter() {
-        samples += batch.len() as u64;
-        batches += 1;
-    }
-    let other = tb.join().expect("tenant thread must not panic");
+    let tb = std::thread::spawn(move || drain(&b));
+    let (samples, batches, secs_a) = drain(&a);
+    let (samples_b, _, secs_b) = tb.join().expect("loader thread must not panic");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let allocs = alloc_counter::allocations().saturating_sub(allocs0);
     let mut r = report_from_stats(
         "multi_tenant",
         smoke,
-        samples + other,
+        samples + samples_b,
         batches,
         wall_ms,
         allocs,
         &a.stats(),
     );
-    // locks/sample from tenant 0's counters over tenant 0's samples.
-    r.locks_per_sample = if samples == 0 {
-        0.0
+    let thr_a = samples as f64 / secs_a.max(f64::MIN_POSITIVE);
+    let thr_b = samples_b as f64 / secs_b.max(f64::MIN_POSITIVE);
+    let max = thr_a.max(thr_b);
+    r.fairness_ratio = Some(if max > 0.0 {
+        thr_a.min(thr_b) / max
     } else {
-        a.stats().queue_lock_acquisitions as f64 / samples as f64
-    };
-    r
-}
-
-/// One identically shaped tenant loader on a shared pool, used by the
-/// churn workload so per-tenant throughputs are directly comparable.
-fn churn_tenant_loader(
-    pool: &SharedExecutor,
-    per_tenant: u32,
-    traced: bool,
-) -> MinatoLoader<VecDataset<u32>> {
-    let cost_of = |i: u32| {
-        if i.is_multiple_of(10) {
-            Duration::from_millis(2)
-        } else {
-            Duration::from_micros(400)
-        }
-    };
-    let ds = VecDataset::new((0..per_tenant).collect::<Vec<_>>());
-    let pipeline = Pipeline::new(vec![
-        Arc::new(ShapedCost::new(cost_of)) as Arc<dyn Transform<u32>>
-    ]);
-    MinatoLoader::builder(ds, pipeline)
-        .batch_size(8)
-        .shuffle(false)
-        .initial_workers(2)
-        .max_workers(2)
-        .queue_capacity(per_tenant as usize * 2)
-        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
-        .executor(ExecutorConfig::Shared(pool.clone()))
-        .trace(if traced {
-            TraceConfig::histograms_only()
-        } else {
-            TraceConfig::default()
-        })
-        .build()
-        .expect("valid configuration")
-}
-
-/// Tenant churn on a capacity-limited shared pool: three identical
-/// tenants admit immediately and saturate the declared worker capacity,
-/// and a fourth attaches while they run — it queues behind them and is
-/// promoted when the first departing tenant's budget is reclaimed.
-///
-/// `fairness_ratio` is min/max per-tenant throughput over the three
-/// concurrently admitted tenants; the late tenant is excluded because
-/// it mostly runs after the wave drains. Latency and trace metrics come
-/// from tenant 0; sample counts aggregate all four tenants.
-fn run_multi_tenant_churn(smoke: bool) -> BenchReport {
-    fn drain(l: &MinatoLoader<VecDataset<u32>>) -> (u64, f64) {
-        let t = Instant::now();
-        let n: u64 = l.iter().map(|batch| batch.len() as u64).sum();
-        (n, t.elapsed().as_secs_f64())
-    }
-    let per_tenant: u32 = if smoke { 48 } else { 160 };
-    let pool = SharedExecutor::with_capacity(
-        6,
-        TenantCapacity {
-            max_tenants: 4,
-            max_workers: 6,
-            max_bytes: u64::MAX,
-            lease: Duration::ZERO,
-        },
-    );
-    // The wave: built (and therefore admitted) before any iteration
-    // starts, so the pool's declared worker capacity is already full
-    // when the late tenant asks.
-    let a = churn_tenant_loader(&pool, per_tenant, true);
-    let b = churn_tenant_loader(&pool, per_tenant, false);
-    let c = churn_tenant_loader(&pool, per_tenant, false);
-    let allocs0 = alloc_counter::allocations();
-    let t0 = Instant::now();
-    let tb = std::thread::spawn(move || drain(&b));
-    let tc = std::thread::spawn(move || drain(&c));
-    let pool_late = pool.clone();
-    let td = std::thread::spawn(move || {
-        // Attaches against a saturated pool: queues, then is promoted
-        // when a wave tenant detaches and its budget is reclaimed.
-        let d = churn_tenant_loader(&pool_late, per_tenant, false);
-        drain(&d).0
+        0.0
     });
-    let mut samples = 0u64;
-    let mut batches = 0u64;
-    let ta = Instant::now();
-    for batch in a.iter() {
-        samples += batch.len() as u64;
-        batches += 1;
-    }
-    let secs_a = ta.elapsed().as_secs_f64();
-    let (samples_b, secs_b) = tb.join().expect("tenant thread must not panic");
-    let (samples_c, secs_c) = tc.join().expect("tenant thread must not panic");
-    let samples_d = td.join().expect("tenant thread must not panic");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let allocs = alloc_counter::allocations().saturating_sub(allocs0);
-    let thr = |n: u64, secs: f64| n as f64 / secs.max(f64::MIN_POSITIVE);
-    let wave = [
-        thr(samples, secs_a),
-        thr(samples_b, secs_b),
-        thr(samples_c, secs_c),
-    ];
-    let min = wave.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = wave.iter().cloned().fold(0.0f64, f64::max);
-    let mut r = report_from_stats(
-        "multi_tenant_churn",
-        smoke,
-        samples + samples_b + samples_c + samples_d,
-        batches,
-        wall_ms,
-        allocs,
-        &a.stats(),
-    );
-    r.fairness_ratio = Some(if max > 0.0 { min / max } else { 0.0 });
-    // locks/sample from tenant 0's counters over tenant 0's samples.
+    // locks/sample from loader 0's counters over loader 0's samples.
     r.locks_per_sample = if samples == 0 {
         0.0
     } else {
@@ -536,7 +427,6 @@ pub fn run_workload(name: &str, smoke: bool) -> Option<BenchReport> {
         "phase_shift" => Some(run_phase_shift(smoke)),
         "multi_epoch_cache" => Some(run_multi_epoch_cache(smoke)),
         "multi_tenant" => Some(run_multi_tenant(smoke)),
-        "multi_tenant_churn" => Some(run_multi_tenant_churn(smoke)),
         _ => None,
     }
 }

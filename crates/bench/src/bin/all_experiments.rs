@@ -1,20 +1,33 @@
-//! Runs the full experiment battery (every table and figure) and prints
-//! the results; set MINATO_FULL=1 for paper-length runs.
-use minato_bench::*;
+//! Runs the experiment battery (every table and figure) and prints the
+//! results; set MINATO_FULL=1 for paper-length runs.
+//!
+//! ```text
+//! all_experiments [NAME ...]
+//! ```
+//!
+//! With no arguments every experiment runs, in paper order; with names
+//! (`all_experiments fig07 fig12`) only those, in the order given. An
+//! unknown name prints the list and exits 2.
+use minato_bench::{Scale, EXPERIMENTS};
 
 fn main() {
-    let s = Scale::from_env();
-    println!("{}", tab02_preprocessing_stats());
-    println!("{}", fig02_variability());
-    println!("{}", fig01_pytorch_usage(s));
-    println!("{}", fig03_heuristics(s));
-    println!("{}", fig04_prefetch(s));
-    println!("{}", fig07_throughput(s));
-    println!("{}", fig08_usage(s));
-    println!("{}", fig09_scalability(s));
-    println!("{}", fig10_memory(s));
-    println!("{}", fig11_batch_composition(s));
-    println!("{}", fig11_accuracy::fig11_accuracy(true));
-    println!("{}", fig12_slow_fraction(s));
-    println!("{}", artifact_e1_e2(s));
+    let scale = Scale::from_env();
+    let picked: Vec<String> = std::env::args().skip(1).collect();
+    let mut runs: Vec<fn(Scale) -> String> = Vec::new();
+    for name in &picked {
+        match EXPERIMENTS.iter().find(|(n, _, _)| n == name) {
+            Some((_, _, run)) => runs.push(*run),
+            None => {
+                let known: Vec<&str> = EXPERIMENTS.iter().map(|(n, _, _)| *n).collect();
+                eprintln!("unknown experiment {name:?} (known: {})", known.join(", "));
+                std::process::exit(2);
+            }
+        }
+    }
+    if picked.is_empty() {
+        runs.extend(EXPERIMENTS.iter().map(|(_, _, run)| *run));
+    }
+    for run in runs {
+        println!("{}", run(scale));
+    }
 }

@@ -7,7 +7,10 @@
 //! With no workload arguments every canonical workload runs. `--smoke`
 //! caps run lengths for CI; `--out` picks the output directory
 //! (default: current directory). Registers the counting global
-//! allocator so `allocs_per_sample` is real.
+//! allocator so `allocs_per_sample` is real. Exits 1 when a workload
+//! is unknown, a report cannot be written, or *any* thread panicked —
+//! a loader contains worker panics, so without the count a broken run
+//! would still exit 0.
 
 #[global_allocator]
 static ALLOC: minato_bench::alloc_counter::CountingAlloc =
@@ -15,8 +18,16 @@ static ALLOC: minato_bench::alloc_counter::CountingAlloc =
 
 use minato_bench::bench_all::{run_workload, WORKLOADS};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+static PANICS: AtomicUsize = AtomicUsize::new(0);
 
 fn main() {
+    let report_panic = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        PANICS.fetch_add(1, Ordering::Relaxed);
+        report_panic(info);
+    }));
     let mut smoke = false;
     let mut out_dir = PathBuf::from(".");
     let mut picked: Vec<String> = Vec::new();
@@ -77,7 +88,11 @@ fn main() {
             path.display()
         );
     }
-    if failed {
+    let panics = PANICS.load(Ordering::Relaxed);
+    if panics > 0 {
+        eprintln!("{panics} thread panic(s) during the run");
+    }
+    if failed || panics > 0 {
         std::process::exit(1);
     }
 }

@@ -51,11 +51,11 @@ fn every_workload_emits_a_parsable_report() {
 }
 
 #[test]
-fn churn_workload_reports_fairness() {
-    let r = run_workload("multi_tenant_churn", true).expect("known workload");
+fn shared_pool_workload_reports_fairness() {
+    let r = run_workload("multi_tenant", true).expect("known workload");
     let f = r
         .fairness_ratio
-        .expect("churn workload computes per-tenant fairness");
+        .expect("two loaders on one pool compute per-loader fairness");
     assert!(f > 0.0 && f <= 1.0, "fairness ratio must be in (0, 1]: {f}");
 }
 

@@ -54,8 +54,10 @@ fn role_fluid_matches_fixed_on_phase_shifting_workload() {
 /// fixed arm's workers move only once their home role is exhausted.
 #[test]
 fn both_arms_deliver_and_elastic_migrates() {
-    const THREADS: u64 = 5;
-    const ROLES: u64 = 3;
+    // Of the 3 fast + 1 slow + 1 batch threads only the fast ones have
+    // a live role left to join once their own is exhausted (the slow
+    // role; the batch lane is staffed), and each joins it once.
+    const FAST_THREADS: u64 = 3;
     let fixed = exec_elastic_run(false, true);
     let elastic = exec_elastic_run(true, true);
     assert_eq!(fixed.delivered, elastic.delivered);
@@ -63,9 +65,8 @@ fn both_arms_deliver_and_elastic_migrates() {
         fixed.switches_before_drain, 0,
         "a fixed worker left a live home role: {fixed:?}"
     );
-    // After the drain each worker normally enters each other role once.
     assert!(
-        fixed.role_switches <= THREADS * (ROLES - 1),
+        fixed.role_switches <= FAST_THREADS,
         "fixed workers kept migrating after the drain: {fixed:?}"
     );
     assert!(

@@ -97,10 +97,6 @@ pub mod prelude {
         fn_transform, fn_transform_classed, CostClass, InPlace, Outcome, Pipeline, PipelineRun,
         Transform, TransformCtx,
     };
-    pub use minato_exec::{
-        Admission, ExecStats, PlacementPolicy, PoolPlacer, RoleStatsSnapshot, SharedExecutor,
-        TenantCapacity, TenantCounters, TenantEvent, TenantId, TenantRegistry, TenantSnapshot,
-        TenantSpec,
-    };
+    pub use minato_exec::{ExecStats, RoleStatsSnapshot, SharedExecutor};
     pub use minato_trace::{LatencyBreakdown, StageLatency, TraceConfig, TraceStats};
 }

@@ -42,9 +42,7 @@ use crate::transform::{Pipeline, StageObserver};
 use crate::worker::{
     BatchStep, ExecRoles, FastStep, FaultCounters, Runtime, SlowStep, TracerStageObserver, Q_BATCH0,
 };
-use minato_exec::{
-    Admission, ExecConfig, ExecHandle, Executor, RoleSpec, SharedExecutor, TenantSpec,
-};
+use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec, SharedExecutor};
 use minato_metrics::{Counter, Reservoir, UtilizationMeter};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer};
 use parking_lot::{Condvar, Mutex};
@@ -53,10 +51,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long a queued tenant waits for shared-pool admission at build
-/// time before the loader gives up and fails the build.
-const ADMISSION_WAIT: Duration = Duration::from_secs(2);
 
 /// How the loader's three pipeline stages (fast preprocessing, slow
 /// background completion, batch assembly) map onto worker threads.
@@ -80,10 +74,10 @@ pub enum ExecutorConfig {
         /// Pool size; 0 resolves to `max_workers` at build time.
         threads: usize,
     },
-    /// Run as a tenant of an external [`SharedExecutor`] pool (multi-
-    /// loader training): this loader registers its roles on the shared
-    /// pool instead of spawning threads, and budgets arbitrate capacity
-    /// across tenants.
+    /// Run on an external [`SharedExecutor`] pool (multi-loader
+    /// training): this loader registers its roles on the shared pool
+    /// instead of spawning threads, and budgets arbitrate capacity
+    /// across the loaders registered on it.
     Shared(SharedExecutor),
 }
 
@@ -183,13 +177,6 @@ pub struct LoaderConfig {
     /// (`retry_backoff · 2^(attempt−1)`, capped at 50 ms); zero
     /// retries immediately.
     pub retry_backoff: Duration,
-    /// Tenancy declaration for [`ExecutorConfig::Shared`] pools: the
-    /// loader attaches to the pool's [`TenantRegistry`] under this spec
-    /// at start and detaches at shutdown. `None` derives a default spec
-    /// (weight 1, worker/byte asks from this config).
-    ///
-    /// [`TenantRegistry`]: minato_exec::TenantRegistry
-    pub tenant: Option<TenantSpec>,
 }
 
 /// Builder for [`MinatoLoader`]. All knobs default to the paper's
@@ -263,7 +250,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 trace: TraceConfig::default(),
                 retry_budget: 2,
                 retry_backoff: Duration::from_micros(200),
-                tenant: None,
             },
         }
     }
@@ -407,7 +393,7 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// [`ExecutorConfig::Fixed`], behavior-equivalent to dedicated
     /// per-stage threads). [`ExecutorConfig::Elastic`] runs every stage
     /// on one role-fluid work-stealing pool; [`ExecutorConfig::Shared`]
-    /// joins an external multi-loader pool as a tenant.
+    /// registers the stages on an external multi-loader pool.
     pub fn executor(mut self, exec: ExecutorConfig) -> Self {
         self.cfg.executor = exec;
         self
@@ -474,17 +460,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// retries immediately.
     pub fn retry_backoff(mut self, base: Duration) -> Self {
         self.cfg.retry_backoff = base;
-        self
-    }
-
-    /// Declares this loader's tenancy for [`ExecutorConfig::Shared`]
-    /// pools: name, fair-share weight, and worker/byte resource asks
-    /// presented to the pool's admission control at start. Ignored by
-    /// the Fixed and Elastic executors. Without a declaration a Shared
-    /// loader attaches under a derived spec (weight 1, asks taken from
-    /// this config).
-    pub fn tenant(mut self, spec: TenantSpec) -> Self {
-        self.cfg.tenant = Some(spec);
         self
     }
 
@@ -745,8 +720,8 @@ struct LoaderParts<D: Dataset> {
 /// the pipeline down and joins every worker thread.
 pub struct MinatoLoader<D: Dataset> {
     rt: Arc<Runtime<D>>,
-    /// The loader-owned worker pool; `None` when running as a tenant of
-    /// a shared pool (whose threads outlive this loader).
+    /// The loader-owned worker pool; `None` when running on a shared
+    /// pool (whose threads outlive this loader).
     executor: Option<Executor>,
     handles: Vec<JoinHandle<()>>,
     trace: Arc<Mutex<MonitorTrace>>,
@@ -888,50 +863,6 @@ impl<D: Dataset> MinatoLoader<D> {
             }
             ExecutorConfig::Shared(pool) => (pool.handle().clone(), false, true),
         };
-        // Shared pools admit the loader as a tenant before any role
-        // registration: a rejected ask must fail the build with nothing
-        // to unwind. Undeclared tenants get a derived spec — weight 1,
-        // asks taken from this config.
-        let tenant = match &cfg.executor {
-            ExecutorConfig::Shared(pool) => {
-                let registry = Arc::clone(pool.registry());
-                let spec = cfg.tenant.clone().unwrap_or_else(|| {
-                    TenantSpec::new("loader")
-                        .with_workers(cfg.max_workers)
-                        .with_bytes(cfg.cache_budget_bytes + cfg.pool_budget_bytes)
-                });
-                let id = match registry.attach(spec) {
-                    Admission::Admitted(id) => id,
-                    Admission::Queued(id) => {
-                        // Bounded wait for promotion; past the deadline
-                        // the ask is withdrawn and the build fails.
-                        let deadline = Instant::now() + ADMISSION_WAIT;
-                        loop {
-                            if registry.is_admitted(id) {
-                                break id;
-                            }
-                            if Instant::now() >= deadline {
-                                registry.detach(id);
-                                return Err(LoaderError::Config(format!(
-                                    "tenant {id} queued by shared-pool admission control \
-                                     and no capacity freed within {ADMISSION_WAIT:?}"
-                                )));
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    }
-                    Admission::Rejected => {
-                        return Err(LoaderError::Config(
-                            "shared-pool admission control rejected this loader's \
-                             resource ask (exceeds pool capacity)"
-                                .into(),
-                        ))
-                    }
-                };
-                Some((registry, id))
-            }
-            _ => None,
-        };
         if elastic {
             // Formula 1 now bounds the whole pool, not just the fast
             // slice.
@@ -1022,7 +953,6 @@ impl<D: Dataset> MinatoLoader<D> {
             cache,
             pools,
             recycler,
-            tenant: tenant.clone(),
             cfg: cfg.clone(),
         });
 
@@ -1047,21 +977,6 @@ impl<D: Dataset> MinatoLoader<D> {
         let mut budgets = initial_budgets(&cfg, slow_workers, elastic, exec.config().threads);
         if let Some(ck) = &resume {
             budgets = restore_budgets(ck.budgets, budgets, elastic, exec.config().threads, &cfg);
-        }
-        // The isolation invariant applies from the very first tick: on a
-        // shared pool the initial budgets are clamped to this tenant's
-        // weighted share (batch first, then slow, fast takes the rest),
-        // so a newly attached tenant never oversubscribes co-tenant
-        // slots while the adaptive loop warms up.
-        if let Some((registry, id)) = &tenant {
-            let share = registry.share(*id);
-            if share > 0 && budgets.total() > share {
-                let batch = budgets.batch.min(share).max(1);
-                let avail = share.saturating_sub(batch);
-                let slow = budgets.slow.min(avail);
-                let fast = budgets.fast.min(avail.saturating_sub(slow));
-                budgets = RoleBudgets { fast, slow, batch };
-            }
         }
         let ids = exec.register(vec![
             RoleSpec {
@@ -1091,11 +1006,6 @@ impl<D: Dataset> MinatoLoader<D> {
             slow: ids[1],
             batch: ids[2],
         };
-        // Bind the roles to the tenant record so watchdog eviction can
-        // reclaim exactly this loader's roles.
-        if let Some((registry, id)) = &tenant {
-            registry.bind_roles(*id, ids.clone());
-        }
         if rt.exec_roles.set(roles).is_err() {
             return Err(LoaderError::Config(
                 "executor roles registered twice for one runtime".into(),
@@ -1103,8 +1013,8 @@ impl<D: Dataset> MinatoLoader<D> {
         }
         // Role re-bids become RoleSwitch events (arg: 0 fast / 1 slow /
         // 2 batch / 3 other). Owned pools only: on a shared pool the
-        // observer slot belongs to whichever tenant claims it first,
-        // which would mix foreign tenants' switches into this trace.
+        // observer slot belongs to whichever loader claims it first,
+        // which would mix foreign loaders' switches into this trace.
         if let (Some(t), true) = (&tracer, exec_owned) {
             let t2 = Arc::clone(t);
             exec.set_switch_observer(Arc::new(move |role| {
@@ -1358,7 +1268,6 @@ impl<D: Dataset> MinatoLoader<D> {
                 }
                 c.breakdown()
             }),
-            tenants: rt.tenant.as_ref().map(|(registry, _)| registry.counters()),
         }
     }
 
@@ -1463,37 +1372,6 @@ fn monitor_loop<D: Dataset>(
         let now = rt.started_at.elapsed().as_secs_f64();
         let active = rt.exec.budget(roles.fast).max(1);
 
-        // Tenant lease upkeep + isolation observation: the monitor tick
-        // is this loader's heartbeat (a stalled monitor means a stalled
-        // loader, exactly what the watchdog should evict), and the
-        // fast-role occupancy is checked against the weighted floor so
-        // cross-tenant starvation is counted, not silent.
-        if let Some((registry, id)) = &rt.tenant {
-            registry.heartbeat(*id);
-            let occupancy = rt
-                .exec
-                .stats_for(&[roles.fast])
-                .roles
-                .first()
-                .map(|r| r.occupancy)
-                .unwrap_or(0);
-            registry.observe_fast_occupancy(*id, occupancy, budgets.fast);
-            // Registry lifecycle events become trace events (arg =
-            // tenant id) so Perfetto exports segment spans by tenant.
-            if let Some(t) = &rt.tracer {
-                for ev in registry.take_events() {
-                    let (kind, tid) = match ev {
-                        minato_exec::TenantEvent::Admit(tid) => (EventKind::TenantAdmit, tid),
-                        minato_exec::TenantEvent::Evict(tid) => (EventKind::TenantEvict, tid),
-                        minato_exec::TenantEvent::BudgetReclaim(tid) => {
-                            (EventKind::BudgetReclaim, tid)
-                        }
-                    };
-                    t.record(kind, 0, 0, tid.index() as u32, 0);
-                }
-            }
-        }
-
         // CPU utilization of *active loader* workers over the last
         // interval. Slow workers meter their busy time separately: they
         // are not gated by the scheduler, so folding their time into this
@@ -1591,12 +1469,6 @@ fn monitor_loop<D: Dataset>(
             t.fault_counts[1].push(now, f.poisoned as f64);
             t.fault_counts[2].push(now, f.quarantined as f64);
             t.fault_counts[3].push(now, f.rerouted as f64);
-            if let Some((registry, _)) = &rt.tenant {
-                let c = registry.counters();
-                t.tenant_counts[0].push(now, c.active as f64);
-                t.tenant_counts[1].push(now, c.evicted as f64);
-                t.tenant_counts[2].push(now, c.floor_violations as f64);
-            }
         }
 
         if rt.cfg.adaptive_workers {
@@ -1604,15 +1476,6 @@ fn monitor_loop<D: Dataset>(
                 // Formula 1 sizes the whole pool; the role split follows
                 // the temp-queue backlog with bounded churn.
                 let limit = scheduler.decide(budgets.total(), q_len, q_cap, cpu_norm);
-                // The isolation invariant on shared pools: each tenant's
-                // Formula-1 limit is clamped to its weighted share, so
-                // the sum of all tenants' role budgets never exceeds the
-                // pool and no tenant's slow-heavy phase can push a
-                // co-tenant's fast occupancy below its weighted floor.
-                let limit = match &rt.tenant {
-                    Some((registry, id)) => registry.clamp_limit(*id, limit),
-                    None => limit,
-                };
                 // Backlog per slow worker per claim burst — capacity-
                 // independent, unlike the raw temp-queue fill fraction.
                 let backlog = rt.temp_q.len() as f64

@@ -3,7 +3,7 @@
 use crate::cache::CacheStats;
 use crate::fault::FaultStats;
 use crate::pool::PoolSetStats;
-use minato_exec::{ExecStats, TenantCounters};
+use minato_exec::ExecStats;
 use minato_metrics::{Summary, TimeSeries};
 use minato_trace::{LatencyBreakdown, TraceStats};
 use std::time::Duration;
@@ -77,14 +77,6 @@ pub struct LoaderStats {
     /// queue wait, plus end-to-end) folded from trace events; `None`
     /// when tracing is disabled.
     pub latency: Option<LatencyBreakdown>,
-    /// Pool-wide tenancy counters of the [`TenantRegistry`]
-    /// (admitted / rejected / queued / evicted / budget reclamations /
-    /// fairness-floor violations, plus active and waiting tenant
-    /// counts) when this loader runs as a tenant of a shared pool;
-    /// `None` on owned (Fixed / Elastic) executors.
-    ///
-    /// [`TenantRegistry`]: minato_exec::TenantRegistry
-    pub tenants: Option<TenantCounters>,
 }
 
 /// Time series recorded by the monitor thread while the loader runs —
@@ -127,12 +119,6 @@ pub struct MonitorTrace {
     /// when every event fit its ring — a step timestamps when overload
     /// began.
     pub trace_dropped: TimeSeries,
-    /// Cumulative tenancy counters over time (`[active, evicted,
-    /// floor_violations]`) sampled from the shared pool's
-    /// `TenantRegistry`; empty on owned executors. A step in the
-    /// eviction series timestamps a watchdog reap; any motion in the
-    /// floor series flags a fairness-isolation breach.
-    pub tenant_counts: [TimeSeries; 3],
 }
 
 impl MonitorTrace {
@@ -159,11 +145,6 @@ impl MonitorTrace {
                 TimeSeries::new("fault_rerouted"),
             ],
             trace_dropped: TimeSeries::new("trace_dropped"),
-            tenant_counts: [
-                TimeSeries::new("tenant_active"),
-                TimeSeries::new("tenant_evicted"),
-                TimeSeries::new("tenant_floor_violations"),
-            ],
         }
     }
 }
@@ -192,6 +173,5 @@ mod tests {
         assert!(t.role_mix.iter().all(|s| s.is_empty()));
         assert!(t.fault_counts.iter().all(|s| s.is_empty()));
         assert!(t.trace_dropped.is_empty());
-        assert!(t.tenant_counts.iter().all(|s| s.is_empty()));
     }
 }

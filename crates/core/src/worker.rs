@@ -34,7 +34,7 @@ use crate::pool::{PoolSet, SampleRecycler};
 use crate::profiler::SampleRecord;
 use crate::queue::{Closed, MinatoQueue, PopResult, TryPutError, TryReserveError};
 use crate::transform::{Pipeline, PipelineRun, ScratchLedger, StageObserver, TransformCtx};
-use minato_exec::{ExecHandle, RoleId, RoleStep, StepOutcome, TenantId, TenantRegistry};
+use minato_exec::{ExecHandle, RoleId, RoleStep, StepOutcome};
 use minato_metrics::{Counter, Reservoir, UtilizationMeter};
 use minato_trace::{EventKind, Tracer};
 use parking_lot::{Condvar, Mutex};
@@ -216,7 +216,7 @@ pub(crate) struct Runtime<D: Dataset> {
     /// that drive steps directly).
     pub(crate) exec_roles: OnceLock<ExecRoles>,
     /// Whether the pool is owned by this loader (full shutdown allowed)
-    /// or shared with other tenants (only this loader's roles retire).
+    /// or shared with other loaders (only this loader's roles retire).
     pub exec_owned: bool,
     /// Back-reference to the batch role so producers blocked on a full
     /// internal queue can *help* assemble batches instead of waiting —
@@ -280,11 +280,6 @@ pub(crate) struct Runtime<D: Dataset> {
     /// issue → consumer pop), recorded by `next_batch` under one lock
     /// acquisition per popped batch.
     pub delivery_ms: Mutex<Reservoir>,
-    /// Tenancy binding on a shared pool — the registry this loader is
-    /// admitted to and its tenant id, so shutdown detaches (releasing
-    /// the admission slot) and the monitor heartbeats the lease.
-    /// `None` on owned pools.
-    pub tenant: Option<(Arc<TenantRegistry>, TenantId)>,
 }
 
 impl<D: Dataset> Runtime<D> {
@@ -367,7 +362,7 @@ impl<D: Dataset> Runtime<D> {
 
     /// Requests a full stop: queues close, pool workers wake and exit
     /// (owned pool) or this loader's roles retire (shared pool — other
-    /// tenants keep running).
+    /// loaders keep running).
     pub(crate) fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         // Taking the lock orders this wake after a monitor that has
@@ -383,14 +378,10 @@ impl<D: Dataset> Runtime<D> {
         if self.exec_owned {
             self.exec.shutdown();
         } else if let Some(roles) = self.exec_roles.get() {
-            // Shared pool: reclaim (retire + prune + re-bid) instead of
-            // plain retire, so this tenant's lane state and budgets are
-            // gone before co-tenants' next scheduler refresh, then
-            // release the admission slot.
+            // Shared pool: retire and prune at once, so this loader's
+            // lane state and budgets are gone before the other loaders'
+            // next scheduler refresh.
             self.exec.reclaim(&roles.all());
-            if let Some((registry, id)) = &self.tenant {
-                registry.detach(*id);
-            }
         }
     }
 
@@ -1440,7 +1431,6 @@ mod tests {
             trace: minato_trace::TraceConfig::default(),
             retry_budget: 0,
             retry_backoff: Duration::ZERO,
-            tenant: None,
         }
     }
 
@@ -1490,7 +1480,6 @@ mod tests {
             tracer: None,
             stage_obs: None,
             delivery_ms: Mutex::new(Reservoir::new(64)),
-            tenant: None,
             cfg,
         })
     }

@@ -379,22 +379,22 @@ fn two_loaders_share_one_executor_pool() {
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(2)))
             .executor(ExecutorConfig::Shared(pool))
             .build()
-            .expect("tenant builds");
+            .expect("loader builds");
         let delivered: usize = loader.iter().map(|b| b.len()).sum();
         let stats = loader.stats();
         (delivered, stats)
     };
-    // Two tenants run concurrently on the same six threads.
+    // Two loaders run concurrently on the same six threads.
     let p2 = pool.clone();
     let t = std::thread::spawn(move || run(p2, 64, 1));
     let (d1, s1) = run(pool.clone(), 96, 2);
     let (d2, s2) = t.join().unwrap();
     assert_eq!(d1, 96);
     assert_eq!(d2, 64);
-    // Each tenant's stats are scoped to its own roles.
+    // Each loader's stats are scoped to its own roles.
     assert_eq!(s1.exec.as_ref().unwrap().roles.len(), 3);
     assert_eq!(s2.exec.as_ref().unwrap().roles.len(), 3);
-    // A third tenant after both finished: the pool is still alive and
+    // A third loader after both finished: the pool is still alive and
     // prunes the finished roles on registration.
     let (d3, s3) = run(pool.clone(), 32, 3);
     assert_eq!(d3, 32);

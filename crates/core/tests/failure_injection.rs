@@ -9,7 +9,6 @@
 use minato_core::balancer::TimeoutPolicy;
 use minato_core::pool::PoolConfig;
 use minato_core::prelude::*;
-use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -700,8 +699,8 @@ fn transient_fault_recovers_within_retry_budget() {
     }
 }
 
-/// Collects every delivered sample value of one tenant, sorted — the
-/// byte-level delivery fingerprint the churn tests compare.
+/// Collects every delivered sample value of one loader, sorted — the
+/// byte-level delivery fingerprint the kill test compares.
 fn drain_values(loader: &MinatoLoader<VecDataset<u32>>) -> Vec<u32> {
     let mut vals = Vec::new();
     let mut it = loader.iter();
@@ -712,148 +711,47 @@ fn drain_values(loader: &MinatoLoader<VecDataset<u32>>) -> Vec<u32> {
     vals
 }
 
-/// Tenant churn: killing one tenant mid-epoch at a seed-derived point
-/// must leave the co-tenant's delivery byte-identical to a run where no
-/// tenant was killed, and the registry must account the departure
-/// (detach-reclaim) without evicting anyone.
+/// Killing one loader of a shared pool mid-epoch at a seed-derived
+/// point must leave the other loader's delivery byte-identical to a run
+/// where nobody was killed.
 #[test]
 fn chaos_tenant_kill_mid_epoch_leaves_cotenant_delivery_identical() {
     let n = 64usize;
     // Seed-derived kill point: how many batches the victim pops first.
     let kill_after = *derive_targets(8, 6, 1).iter().next().unwrap();
-    let build = |pool: &SharedExecutor, name: &str| {
+    let build = |pool: &SharedExecutor| {
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
         MinatoLoader::builder(ds, Pipeline::identity())
             .batch_size(4)
             .initial_workers(2)
             .max_workers(4)
-            .tenant(TenantSpec::new(name))
             .executor(ExecutorConfig::Shared(pool.clone()))
             .build()
             .expect("valid configuration")
     };
-    // Baseline: two tenants, no kill, survivor drains fully.
+    // Baseline: two loaders, no kill, survivor drains fully.
     let baseline = {
         let pool = SharedExecutor::new(4);
-        let peer = build(&pool, "peer");
-        let survivor = build(&pool, "survivor");
+        let peer = build(&pool);
+        let survivor = build(&pool);
         let _ = drain_values(&peer);
         drain_values(&survivor)
     };
     // Chaos run: the victim dies mid-epoch at the derived point.
     let pool = SharedExecutor::new(4);
-    let victim = build(&pool, "victim");
-    let survivor = build(&pool, "survivor");
+    let victim = build(&pool);
+    let survivor = build(&pool);
     let mut popped = 0usize;
     for _ in 0..kill_after {
         if let Some(b) = victim.next_batch(0) {
             popped += b.len();
         }
     }
-    drop(victim); // Mid-epoch shutdown: reclaim + detach.
+    drop(victim); // Mid-epoch shutdown: its roles are reclaimed.
     let delivered = drain_values(&survivor);
     assert!(popped <= n, "victim popped at most its own epoch");
     assert_eq!(
         delivered, baseline,
-        "co-tenant delivery must be byte-identical to the no-kill run"
+        "co-loader delivery must be byte-identical to the no-kill run"
     );
-    let tenants = survivor
-        .stats()
-        .tenants
-        .expect("shared-pool loaders report tenancy counters");
-    assert_eq!(tenants.admitted, 2, "both tenants were admitted");
-    assert_eq!(tenants.evicted, 0, "a voluntary detach is not an eviction");
-    assert!(
-        tenants.reclaimed >= 1,
-        "the victim's budgets were reclaimed at detach"
-    );
-    assert_eq!(tenants.active, 1, "only the survivor remains");
-}
-
-/// Admission control at the loader API: a tenant asking for more
-/// workers than the pool's declared capacity fails the build instead of
-/// silently oversubscribing, and a tenant that fits is admitted.
-#[test]
-fn oversized_tenant_ask_fails_the_build() {
-    let pool = SharedExecutor::with_capacity(
-        4,
-        TenantCapacity {
-            max_tenants: 4,
-            max_workers: 4,
-            max_bytes: u64::MAX,
-            lease: Duration::ZERO,
-        },
-    );
-    let ds = VecDataset::new((0..16u32).collect::<Vec<_>>());
-    let err = MinatoLoader::builder(ds, Pipeline::identity())
-        .batch_size(4)
-        .max_workers(4)
-        .tenant(TenantSpec::new("greedy").with_workers(64))
-        .executor(ExecutorConfig::Shared(pool.clone()))
-        .build()
-        .err()
-        .expect("oversized ask must be rejected");
-    assert!(
-        err.to_string().contains("admission"),
-        "rejection names admission control, got: {err}"
-    );
-    // A right-sized tenant on the same pool is admitted and runs.
-    let ds = VecDataset::new((0..16u32).collect::<Vec<_>>());
-    let loader = MinatoLoader::builder(ds, Pipeline::identity())
-        .batch_size(4)
-        .max_workers(4)
-        .tenant(TenantSpec::new("modest").with_workers(4))
-        .executor(ExecutorConfig::Shared(pool))
-        .build()
-        .expect("fitting ask admitted");
-    let delivered: usize = loader.iter().map(|b| b.len()).sum();
-    assert_eq!(delivered, 16);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Satellite: under arbitrary attach/detach churn the registry
-    /// never admits past its declared capacity — the sum of admitted
-    /// worker asks, the sum of admitted byte asks, and the active
-    /// tenant count all stay within bounds after every operation.
-    #[test]
-    fn admission_never_exceeds_declared_capacity(
-        seed in 0u64..u64::MAX,
-        max_tenants in 1usize..6,
-        max_workers in 2usize..24,
-        max_bytes in 64u64..4096,
-        ops in 1usize..60,
-    ) {
-        let registry = TenantRegistry::new(
-            16,
-            TenantCapacity {
-                max_tenants,
-                max_workers,
-                max_bytes,
-                lease: Duration::ZERO,
-            },
-        );
-        let mut state = seed;
-        let mut ids: Vec<TenantId> = Vec::new();
-        for op in 0..ops {
-            if splitmix64(&mut state) % 3 < 2 || ids.is_empty() {
-                let spec = TenantSpec::new(format!("t{op}"))
-                    .with_weight((splitmix64(&mut state) % 4 + 1) as u32)
-                    .with_workers((splitmix64(&mut state) % 8 + 1) as usize)
-                    .with_bytes(splitmix64(&mut state) % 512);
-                if let Some(id) = registry.attach(spec).id() {
-                    ids.push(id);
-                }
-            } else {
-                let victim = splitmix64(&mut state) as usize % ids.len();
-                registry.detach(ids.swap_remove(victim));
-            }
-            let tenants = registry.tenants();
-            let workers: usize = tenants.iter().map(|t| t.workers).sum();
-            let bytes: u64 = tenants.iter().map(|t| t.bytes).sum();
-            prop_assert!(tenants.len() <= max_tenants, "tenant count over capacity");
-            prop_assert!(workers <= max_workers, "{workers} worker asks > {max_workers}");
-            prop_assert!(bytes <= max_bytes, "{bytes} byte asks > {max_bytes}");
-        }
-    }
 }

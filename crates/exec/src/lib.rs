@@ -26,9 +26,9 @@
 //!   observable ([`ExecStats`]).
 //!
 //! Roles can be registered dynamically, so one pool can serve several
-//! loaders as tenants ([`SharedExecutor`]): each tenant registers its
-//! roles, budgets are set per role, and a finished tenant's roles are
-//! pruned while the pool keeps running for the others.
+//! loaders ([`SharedExecutor`]): each loader registers its roles,
+//! budgets are set per role, and a finished loader's roles are pruned
+//! while the pool keeps running for the others.
 //!
 //! ## Lifecycle of a role
 //!
@@ -54,13 +54,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-pub mod tenant;
-
-pub use tenant::{
-    Admission, PlacementPolicy, PoolPlacer, TenantCapacity, TenantCounters, TenantEvent, TenantId,
-    TenantRegistry, TenantSnapshot, TenantSpec,
-};
 
 /// What one call to [`RoleStep::step`] accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +122,7 @@ pub struct ExecConfig {
     pub steps_per_lease: usize,
     /// Workers exit when every registered role has finished (true for
     /// a loader-owned pool; false for a long-lived shared pool that
-    /// parks between tenants).
+    /// parks between loaders).
     pub exit_when_drained: bool,
     /// Thread-name prefix (`"{prefix}-{id}"`).
     pub name_prefix: String,
@@ -311,22 +304,6 @@ impl Shared {
             self.wake_all();
         }
     }
-
-    /// Marks a role exhausted from outside (tenant retirement). If no
-    /// worker currently occupies it, `finish` runs inline.
-    fn retire_role(&self, role: &RoleState) {
-        role.exhausted.store(true, Ordering::Release);
-        if role.occupancy.load(Ordering::Acquire) == 0
-            && role
-                .finished
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            role.step.finish();
-            self.bump_generation();
-        }
-        self.wake_all();
-    }
 }
 
 /// Cloneable control handle: register roles, adjust budgets, read
@@ -457,42 +434,34 @@ impl ExecHandle {
             .unwrap_or(0)
     }
 
-    /// Marks the given roles exhausted (tenant retirement / hard stop):
-    /// no new leases; `finish` runs once each drains its occupants.
-    pub fn retire(&self, ids: &[RoleId]) {
-        let roles: Vec<Arc<RoleState>> = self.shared.roles.lock().clone();
-        for r in roles.iter().filter(|r| ids.contains(&r.id)) {
-            self.shared.retire_role(r);
-        }
-    }
-
-    /// Retires `ids` and removes them from the role table *immediately*
-    /// (tenant detach/eviction), instead of leaving them to be pruned
-    /// lazily at the next registration. Workers still holding a
-    /// snapshot Arc observe the bumped generation and drop their
-    /// references at the next bid; an occupied role's `finish` still
-    /// runs exactly once when its last occupant leaves (the snapshot
-    /// Arc keeps the state alive until then).
+    /// Marks `ids` exhausted — no new leases — and removes them from
+    /// the role table *immediately* (a loader leaving a shared pool),
+    /// instead of leaving them to be pruned lazily at the next
+    /// registration. A role nobody occupies finishes inline; an
+    /// occupied one still runs `finish` exactly once when its last
+    /// occupant leaves (workers holding a snapshot Arc observe the
+    /// bumped generation and drop their references at the next bid).
     pub fn reclaim(&self, ids: &[RoleId]) {
-        self.retire(ids);
-        let mut roles = self.shared.roles.lock();
-        roles.retain(|r| !ids.contains(&r.id));
-        drop(roles);
+        let mut gone: Vec<Arc<RoleState>> = Vec::new();
+        self.shared.roles.lock().retain(|r| {
+            let leaving = ids.contains(&r.id);
+            if leaving {
+                gone.push(Arc::clone(r));
+            }
+            !leaving
+        });
+        for r in &gone {
+            r.exhausted.store(true, Ordering::Release);
+            if r.occupancy.load(Ordering::Acquire) == 0
+                && r.finished
+                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                r.step.finish();
+            }
+        }
         self.shared.bump_generation();
         self.shared.wake_all();
-    }
-
-    /// Whether every role in `ids` has finished (pruned roles count as
-    /// finished).
-    pub fn roles_finished(&self, ids: &[RoleId]) -> bool {
-        let roles = self.shared.roles.lock();
-        ids.iter().all(|id| {
-            roles
-                .iter()
-                .find(|r| r.id == *id)
-                .map(|r| r.is_finished())
-                .unwrap_or(true)
-        })
     }
 
     /// Signals full pool shutdown: workers exit at their next safe
@@ -500,11 +469,6 @@ impl ExecHandle {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.wake_all();
-    }
-
-    /// Whether shutdown was signalled.
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.is_shutdown()
     }
 
     /// Snapshot of every registered role.
@@ -519,7 +483,7 @@ impl ExecHandle {
         }
     }
 
-    /// Snapshot filtered to `ids` (a tenant's view of a shared pool).
+    /// Snapshot filtered to `ids` (one loader's view of a shared pool).
     pub fn stats_for(&self, ids: &[RoleId]) -> ExecStats {
         let mut s = self.stats();
         s.roles.retain(|r| ids.contains(&r.id));
@@ -555,9 +519,17 @@ impl Executor {
     /// Joins every pool thread (idempotent). Worker panics are
     /// contained: a panicked worker's damage is already recorded by its
     /// role; joining must not propagate into the caller's drop path.
+    ///
+    /// The owner may be dropped *by a pool thread* — a role step that
+    /// held the last clone of a [`SharedExecutor`] is released by the
+    /// worker that finished it. That thread cannot join itself; its
+    /// handle is dropped instead and it exits on the shutdown flag.
     pub fn join(&mut self) {
+        let me = std::thread::current().id();
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -662,7 +634,6 @@ fn elastic_loop(shared: &Shared) {
             {
                 break;
             }
-            current = None;
             shared.park(shared.cfg.idle_wait);
             continue;
         }
@@ -721,49 +692,23 @@ fn elastic_loop(shared: &Shared) {
             }
         }
         if !progressed {
-            current = None;
             shared.park(shared.cfg.idle_wait);
         }
     }
 }
 
-/// A long-lived elastic pool shared by several loaders (tenants).
+/// A long-lived elastic pool shared by several loaders.
 ///
 /// Cloning shares the same pool; the last clone dropped shuts the pool
-/// down and joins its threads. Tenants register roles through
+/// down and joins its threads. Loaders register roles through
 /// [`SharedExecutor::handle`] (loader builders do this automatically)
 /// and set per-role budgets independently — the pool arbitrates by
-/// budget deficit, so a tenant whose stage falls behind pulls workers
-/// from tenants with idle budget.
-///
-/// Every shared pool carries a [`TenantRegistry`]: loaders attach with
-/// a declared [`TenantSpec`] (admission-controlled against the pool's
-/// [`TenantCapacity`]), own a weighted-fair worker share, and heartbeat
-/// a lease the watchdog enforces. [`SharedExecutor::new`] admits
-/// everything ([`TenantCapacity::unlimited`]);
-/// [`SharedExecutor::with_capacity`] turns the limits on.
+/// budget deficit, so a loader whose stage falls behind pulls workers
+/// from loaders with idle budget.
 #[derive(Clone)]
 pub struct SharedExecutor {
     handle: ExecHandle,
-    registry: Arc<TenantRegistry>,
-    _pool: Arc<Mutex<Option<Executor>>>,
-    _watchdog: Arc<WatchdogGuard>,
-}
-
-/// Joins the lease-watchdog thread when the last pool clone drops.
-struct WatchdogGuard {
-    handle: ExecHandle,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Drop for WatchdogGuard {
-    fn drop(&mut self) {
-        self.handle.shutdown();
-        // Drop has exclusive access: no lock needed to take the handle.
-        if let Some(t) = self.thread.get_mut().take() {
-            let _ = t.join();
-        }
-    }
+    _pool: Arc<Executor>,
 }
 
 impl std::fmt::Debug for SharedExecutor {
@@ -781,18 +726,6 @@ impl SharedExecutor {
     ///
     /// Panics if `threads == 0` or a worker thread cannot be spawned.
     pub fn new(threads: usize) -> SharedExecutor {
-        SharedExecutor::with_capacity(threads, TenantCapacity::unlimited())
-    }
-
-    /// Spawns a shared pool whose [`TenantRegistry`] admits tenants
-    /// against `capacity`. With a non-zero [`TenantCapacity::lease`], a
-    /// watchdog thread reaps tenants that stop heartbeating, reclaiming
-    /// their roles and budgets for the co-tenants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker thread cannot be spawned.
-    pub fn with_capacity(threads: usize, capacity: TenantCapacity) -> SharedExecutor {
         assert!(threads > 0, "shared pool needs at least one thread");
         let mut cfg = ExecConfig::elastic(threads);
         cfg.exit_when_drained = false;
@@ -800,40 +733,15 @@ impl SharedExecutor {
         let handle = ExecHandle::new(cfg);
         // minato-verify: allow(V1) documented panic contract (`# Panics` above); spawn failure here has no caller to report to
         let pool = handle.spawn().expect("spawn shared pool");
-        let registry = Arc::new(TenantRegistry::new(threads, capacity));
-        let watchdog = (!capacity.lease.is_zero()).then(|| {
-            let wd_handle = handle.clone();
-            let wd_registry = Arc::clone(&registry);
-            let tick = (capacity.lease / 4).max(Duration::from_millis(1));
-            std::thread::Builder::new()
-                .name("minato-tenant-watchdog".into())
-                .spawn(move || {
-                    while !wd_handle.is_shutdown() {
-                        std::thread::sleep(tick);
-                        wd_registry.reap_expired(&wd_handle);
-                    }
-                })
-                .ok()
-        });
         SharedExecutor {
-            _watchdog: Arc::new(WatchdogGuard {
-                handle: handle.clone(),
-                thread: Mutex::new(watchdog.flatten()),
-            }),
             handle,
-            registry,
-            _pool: Arc::new(Mutex::new(Some(pool))),
+            _pool: Arc::new(pool),
         }
     }
 
     /// The pool's control handle.
     pub fn handle(&self) -> &ExecHandle {
         &self.handle
-    }
-
-    /// The pool's tenant registry (admission, shares, lease watchdog).
-    pub fn registry(&self) -> &Arc<TenantRegistry> {
-        &self.registry
     }
 
     /// Pool size.
@@ -1152,99 +1060,93 @@ mod tests {
         assert!(a.done.load(Ordering::Relaxed) < usize::MAX);
     }
 
+    /// Spins until `cond` holds; fails after 10 s instead of hanging.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn shared_pool_serves_tenants_registered_after_spawn() {
         let shared = SharedExecutor::new(3);
-        // No roles yet: workers park. Register a tenant and it drains.
+        // No roles yet: workers park. Register a loader and it drains.
         let a = CountdownRole::new(500);
-        let ids = shared
+        shared
             .handle()
-            .register(vec![spec("tenant-a", a.clone(), 3, 0)]);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !shared.handle().roles_finished(&ids) {
-            assert!(std::time::Instant::now() < deadline, "tenant never drained");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+            .register(vec![spec("loader-a", a.clone(), 3, 0)]);
+        wait_until("loader a never drained", || {
+            a.finishes.load(Ordering::Relaxed) == 1
+        });
         assert_eq!(a.done.load(Ordering::Relaxed), 500);
-        assert_eq!(a.finishes.load(Ordering::Relaxed), 1);
-        // A second tenant reuses the same (still live) pool; the first
-        // tenant's finished roles are pruned at registration.
+        // A second loader reuses the same (still live) pool; the first
+        // loader's finished roles are pruned at registration.
         let b = CountdownRole::new(300);
-        let ids_b = shared
+        shared
             .handle()
-            .register(vec![spec("tenant-b", b.clone(), 3, 0)]);
-        while !shared.handle().roles_finished(&ids_b) {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "tenant b never drained"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+            .register(vec![spec("loader-b", b.clone(), 3, 0)]);
+        wait_until("loader b never drained", || {
+            b.finishes.load(Ordering::Relaxed) == 1
+        });
         assert_eq!(b.done.load(Ordering::Relaxed), 300);
         let stats = shared.handle().stats();
         assert!(
-            stats.role("tenant-a").is_none(),
-            "finished tenant roles are pruned on the next registration"
+            stats.role("loader-a").is_none(),
+            "finished roles are pruned on the next registration"
         );
         drop(shared); // Joins the pool without hanging.
     }
 
-    /// Drop-mid-epoch reclamation regression: a detached tenant's roles
+    /// Drop-mid-epoch reclamation regression: a departed loader's roles
     /// must leave the role table immediately, not linger until the next
     /// registration prunes them.
     #[test]
     fn reclaim_removes_roles_immediately_without_new_registration() {
         let shared = SharedExecutor::new(2);
-        let a = CountdownRole::new(usize::MAX); // Tenant wedged mid-epoch.
+        let a = CountdownRole::new(usize::MAX); // Loader wedged mid-epoch.
         let b = CountdownRole::with_cost(2_000, Duration::from_micros(50));
         let ids_a = shared
             .handle()
-            .register(vec![spec("tenant-a", a.clone(), 1, 0)]);
-        let ids_b = shared
+            .register(vec![spec("loader-a", a.clone(), 1, 0)]);
+        shared
             .handle()
-            .register(vec![spec("tenant-b", b.clone(), 1, 0)]);
-        std::thread::sleep(Duration::from_millis(5));
+            .register(vec![spec("loader-b", b.clone(), 1, 0)]);
+        wait_until("nobody ran the wedged role", || {
+            a.done.load(Ordering::Relaxed) > 0
+        });
         shared.handle().reclaim(&ids_a);
         // Gone from the table at once — no register() needed first.
         assert!(
-            shared.handle().stats().role("tenant-a").is_none(),
+            shared.handle().stats().role("loader-a").is_none(),
             "reclaimed roles must not linger in the role table"
         );
-        assert!(shared.handle().roles_finished(&ids_a));
         assert_eq!(shared.handle().budget(ids_a[0]), 0, "budget reclaimed");
         // The finish hook runs when the wedged leaseholder reaches its
         // next safe point — asynchronous, so bounded-wait rather than
         // assert instantly.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while a.finishes.load(Ordering::Relaxed) == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "finish never ran for the reclaimed role"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_until("finish never ran for the reclaimed role", || {
+            a.finishes.load(Ordering::Relaxed) > 0
+        });
+        // The other loader keeps draining on the freed capacity.
+        wait_until("co-loader stalled", || {
+            b.finishes.load(Ordering::Relaxed) == 1
+        });
         assert_eq!(a.finishes.load(Ordering::Relaxed), 1, "finish ran once");
-        // The co-tenant keeps draining on the freed capacity.
-        while !shared.handle().roles_finished(&ids_b) {
-            assert!(std::time::Instant::now() < deadline, "co-tenant stalled");
-            std::thread::sleep(Duration::from_millis(1));
-        }
         assert_eq!(b.done.load(Ordering::Relaxed), 2_000);
     }
 
     #[test]
     fn retire_finishes_an_idle_role_inline() {
+        // Never spawned: nobody can occupy the role, so `reclaim` itself
+        // must run `finish`.
         let a = CountdownRole::new(0);
         let h = ExecHandle::new(ExecConfig::elastic(1));
-        let mut cfg_pool = {
-            let ids = h.register(vec![spec("a", a.clone(), 0, 0)]);
-            // Budget 0 and no deficit: the role may never be stepped.
-            h.retire(&ids);
-            assert!(h.roles_finished(&ids));
-            assert_eq!(a.finishes.load(Ordering::Relaxed), 1);
-            h.spawn().unwrap()
-        };
-        cfg_pool.join();
+        let ids = h.register(vec![spec("a", a.clone(), 0, 0)]);
+        h.reclaim(&ids);
+        assert_eq!(a.finishes.load(Ordering::Relaxed), 1);
+        assert!(h.stats().roles.is_empty());
     }
 
     #[test]
@@ -1255,9 +1157,120 @@ mod tests {
         h.set_budget(ids[0], 9);
         assert_eq!(h.budget(ids[0]), 9);
         assert_eq!(h.budget(RoleId(999)), 0);
+    }
+
+    /// Work arrives in bursts the test releases; between bursts every
+    /// step is `Idle`, so the pool's workers park.
+    struct BurstRole {
+        avail: AtomicUsize,
+        done: AtomicUsize,
+        closed: AtomicBool,
+        /// Threads that have returned `Idle` since the test last cleared
+        /// the set — the proof that a worker parked between bursts.
+        idled: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl RoleStep for BurstRole {
+        fn step(&self) -> StepOutcome {
+            if self
+                .avail
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
+                .is_ok()
+            {
+                self.done.fetch_add(1, Ordering::AcqRel);
+                return StepOutcome::Progress;
+            }
+            if self.closed.load(Ordering::Acquire) {
+                return StepOutcome::Exhausted;
+            }
+            let me = std::thread::current().id();
+            let mut idled = self.idled.lock();
+            if !idled.contains(&me) {
+                idled.push(me);
+            }
+            StepOutcome::Idle
+        }
+    }
+
+    /// A switch is a move to a *different* role: a worker that parks
+    /// idle and comes back to the role it was running has not switched.
+    #[test]
+    fn reentering_the_same_role_after_an_idle_park_is_not_a_switch() {
+        const THREADS: usize = 2;
+        const BURSTS: usize = 4;
+        let role = Arc::new(BurstRole {
+            avail: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
+            idled: Mutex::new(Vec::new()),
+        });
+        let h = ExecHandle::new(ExecConfig::elastic(THREADS));
+        h.register(vec![spec("only", role.clone(), THREADS, 0)]);
+        let mut pool = h.spawn().unwrap();
+        for burst in 1..=BURSTS {
+            role.avail.store(50, Ordering::Release);
+            wait_until("burst never drained", || {
+                role.done.load(Ordering::Acquire) == 50 * burst
+            });
+            role.idled.lock().clear();
+            wait_until("a worker never idled between bursts", || {
+                role.idled.lock().len() == THREADS
+            });
+        }
+        role.closed.store(true, Ordering::Release);
+        pool.join();
+        let switches = h.stats().role_switches;
         assert!(
-            h.roles_finished(&[RoleId(999)]),
-            "unknown roles count finished"
+            (1..=THREADS as u64).contains(&switches),
+            "each worker enters the only role once, however often it parks: {switches}"
         );
+    }
+
+    /// Holds a clone of the pool it runs on and releases it in `finish`
+    /// — on a pool thread.
+    struct OwnerRole {
+        pool: Mutex<Option<SharedExecutor>>,
+        /// Set once the test has dropped its own clone, so the one in
+        /// `pool` is the last.
+        sole_owner: AtomicBool,
+        released: AtomicUsize,
+    }
+
+    impl RoleStep for OwnerRole {
+        fn step(&self) -> StepOutcome {
+            if self.sole_owner.load(Ordering::Acquire) {
+                StepOutcome::Exhausted
+            } else {
+                StepOutcome::Idle
+            }
+        }
+
+        fn finish(&self) {
+            let last = self.pool.lock().take();
+            drop(last); // Shuts the pool down and joins it, from inside it.
+            self.released.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Regression: a pool thread that drops the last `SharedExecutor`
+    /// clone used to join its own `JoinHandle` and panic with "Resource
+    /// deadlock avoided" (a loader's `BatchStep` owns such a clone
+    /// through its runtime's config).
+    #[test]
+    fn pool_thread_dropping_the_last_clone_does_not_join_itself() {
+        let shared = SharedExecutor::new(2);
+        let role = Arc::new(OwnerRole {
+            pool: Mutex::new(Some(shared.clone())),
+            sole_owner: AtomicBool::new(false),
+            released: AtomicUsize::new(0),
+        });
+        shared
+            .handle()
+            .register(vec![spec("owner", role.clone(), 1, 0)]);
+        drop(shared);
+        role.sole_owner.store(true, Ordering::Release);
+        wait_until("finish panicked or never ran", || {
+            role.released.load(Ordering::Acquire) == 1
+        });
     }
 }

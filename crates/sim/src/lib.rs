@@ -13,14 +13,12 @@
 //! calibrated to the paper's Table 2.
 
 pub mod busy;
-pub mod churn;
 pub mod config;
 pub mod policy;
 pub mod report;
 pub mod resources;
 pub mod time;
 
-pub use churn::{simulate_churn, ChurnConfig, ChurnReport};
 pub use config::{DaliSimCfg, MinatoSimCfg, SimConfig};
 pub use policy::{simulate_inorder, simulate_minato, ClassifyMode};
 pub use report::SimReport;

@@ -17,7 +17,7 @@
 //! `RoleSwitch`.
 
 /// Number of distinct [`EventKind`] discriminants.
-pub const KIND_COUNT: usize = 18;
+pub const KIND_COUNT: usize = 15;
 
 /// What happened to a sample (or worker) at one instant of its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,15 +58,6 @@ pub enum EventKind {
     PoolHit = 13,
     /// A buffer-pool acquire fell through to a fresh allocation.
     PoolMiss = 14,
-    /// A tenant was admitted to a shared executor pool
-    /// (`arg` = tenant id).
-    TenantAdmit = 15,
-    /// A wedged or expired tenant was evicted by the lease watchdog
-    /// (`arg` = tenant id).
-    TenantEvict = 16,
-    /// A departed tenant's role budgets and queue slots were reclaimed
-    /// (`arg` = tenant id).
-    BudgetReclaim = 17,
 }
 
 impl EventKind {
@@ -87,9 +78,6 @@ impl EventKind {
         EventKind::FaultHit,
         EventKind::PoolHit,
         EventKind::PoolMiss,
-        EventKind::TenantAdmit,
-        EventKind::TenantEvict,
-        EventKind::BudgetReclaim,
     ];
 
     /// Decodes a discriminant byte; `None` for out-of-range values
@@ -116,9 +104,6 @@ impl EventKind {
             EventKind::FaultHit => "fault_hit",
             EventKind::PoolHit => "pool_hit",
             EventKind::PoolMiss => "pool_miss",
-            EventKind::TenantAdmit => "tenant_admit",
-            EventKind::TenantEvict => "tenant_evict",
-            EventKind::BudgetReclaim => "budget_reclaim",
         }
     }
 }

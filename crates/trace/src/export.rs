@@ -59,14 +59,6 @@ fn label(ev: &Event, stage_names: &[String], queue_names: &[String], out: &mut S
                 }
             }
         }
-        EventKind::TenantAdmit | EventKind::TenantEvict | EventKind::BudgetReclaim => {
-            // Tenant lifecycle spans: `arg` is the tenant id, so
-            // Perfetto groups each tenant's admit/evict/reclaim
-            // markers under one searchable label.
-            escape_into(out, base);
-            out.push_str(":t");
-            out.push_str(&ev.arg.to_string());
-        }
         _ => escape_into(out, base),
     }
 }

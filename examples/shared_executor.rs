@@ -1,11 +1,11 @@
-//! Multi-tenant training: two loaders sharing one elastic executor pool.
+//! Multi-job training: two loaders sharing one elastic executor pool.
 //!
 //! Instead of each loader spawning its own fixed thread complement, a
 //! [`SharedExecutor`] owns one role-fluid worker pool and every loader
-//! registers its fast/slow/batch roles as a *tenant*. Workers bid for
-//! roles by budget deficit across tenants, so a job whose slow stage
-//! falls behind pulls capacity from a job with idle budget — the
-//! multi-job training scenario with one right-sized pool instead of two
+//! registers its fast/slow/batch roles on it. Workers bid for roles by
+//! budget deficit across both loaders, so a job whose slow stage falls
+//! behind pulls capacity from a job with idle budget — the multi-job
+//! training scenario with one right-sized pool instead of two
 //! over-provisioned ones.
 //!
 //! Run with: `cargo run --release --example shared_executor`
@@ -29,7 +29,7 @@ fn pipeline(slow_every: u32, slow_ms: u64) -> Pipeline<u32> {
     })])
 }
 
-fn tenant(
+fn job(
     pool: &SharedExecutor,
     name: &'static str,
     n: u32,
@@ -47,7 +47,7 @@ fn tenant(
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(2)))
             .executor(ExecutorConfig::Shared(pool))
             .build()
-            .expect("tenant builds");
+            .expect("loader builds");
         let mut delivered = 0usize;
         for batch in loader.iter() {
             delivered += batch.len();
@@ -69,10 +69,10 @@ fn main() {
     );
     let t0 = Instant::now();
     // Job A is slow-heavy (every 4th sample defers); job B is light.
-    let a = tenant(&pool, "job-a (slow-heavy)", 192, 4, 6);
-    let b = tenant(&pool, "job-b (light)", 256, 64, 6);
+    let a = job(&pool, "job-a (slow-heavy)", 192, 4, 6);
+    let b = job(&pool, "job-b (light)", 256, 64, 6);
     for h in [a, b] {
-        let (name, delivered, steals) = h.join().expect("tenant finishes");
+        let (name, delivered, steals) = h.join().expect("job finishes");
         println!("{name}: delivered {delivered} samples (steals into its roles: {steals})");
     }
     println!(

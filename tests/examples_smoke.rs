@@ -243,9 +243,9 @@ fn pooled_hot_path_flow() {
     assert!(ps.hits > 0, "steady state must reuse buffers: {ps:?}");
 }
 
-/// `examples/shared_executor.rs`: two loaders as tenants of one shared
-/// role-fluid pool; both must deliver fully and the pool must survive
-/// tenant churn.
+/// `examples/shared_executor.rs`: two loaders on one shared role-fluid
+/// pool; both must deliver fully and the pool must outlive them for a
+/// third.
 #[test]
 fn shared_executor_flow() {
     use minato::core::loader::ExecutorConfig;
@@ -268,14 +268,14 @@ fn shared_executor_flow() {
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
             .executor(ExecutorConfig::Shared(pool))
             .build()
-            .expect("tenant builds");
+            .expect("loader builds");
         loader.iter().map(|b| b.len()).sum::<usize>()
     };
     let p2 = pool.clone();
     let handle = std::thread::spawn(move || run(p2, 48, 4));
     assert_eq!(run(pool.clone(), 64, 8), 64);
-    assert_eq!(handle.join().expect("tenant thread"), 48);
-    // A follow-up tenant reuses the still-live pool.
+    assert_eq!(handle.join().expect("loader thread"), 48);
+    // A follow-up loader reuses the still-live pool.
     assert_eq!(run(pool, 32, 8), 32);
 }
 
