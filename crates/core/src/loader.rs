@@ -128,8 +128,12 @@ pub struct LoaderConfig {
     /// Scheduler tuning (gains, clip, monitor interval).
     pub scheduler: SchedulerConfig,
     /// Tickets a loader worker claims from the sampler per chunk, and the
-    /// flush size for batched queue operations on the hot path (1 =
-    /// item-at-a-time, the pre-batching behaviour).
+    /// most fast samples it publishes in one queue operation (1 =
+    /// item-at-a-time, the pre-batching behaviour). It amortizes locks
+    /// only: how long a finished sample may sit in a worker's chunk
+    /// buffer is bounded by `starvation_wait`, not by the chunk. Times
+    /// `slow_workers` it is also the temp-queue backlog above which one
+    /// fast worker at a time completes deferred samples.
     pub ticket_chunk: usize,
     /// Upper bound on the pipeline's internal waits: a starved batch
     /// worker waiting for samples, a producer waiting for space in a
@@ -140,6 +144,11 @@ pub struct LoaderConfig {
     /// next stage. One wait is still a plain sleep of this
     /// length: a producer facing a full queue in `order_preserving`
     /// mode, whose lane frees one slot per pop.
+    ///
+    /// It is also the longest a fast worker withholds a finished sample
+    /// from the batch stage: once it has spent this long since taking up
+    /// the oldest sample in its chunk buffer, it publishes the buffer at
+    /// the next sample boundary instead of at the end of the chunk.
     pub starvation_wait: Duration,
     /// Strict sampler-order mode (§6); disables fast/slow classification.
     pub order_preserving: bool,
@@ -350,17 +359,19 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Sampler tickets claimed (and fast-queue samples flushed) per
-    /// chunk. Larger chunks amortize queue/sampler lock acquisitions over
-    /// more samples; 1 restores item-at-a-time behaviour.
+    /// Sampler tickets claimed per chunk, and the most fast samples
+    /// published in one queue operation. Larger chunks amortize
+    /// queue/sampler lock acquisitions over more samples; 1 restores
+    /// item-at-a-time behaviour (see [`LoaderConfig::ticket_chunk`]).
     pub fn ticket_chunk(mut self, n: usize) -> Self {
         self.cfg.ticket_chunk = n;
         self
     }
 
     /// Upper bound on a starved worker's or blocked producer's condvar
-    /// wait before it re-checks (see [`LoaderConfig::starvation_wait`];
-    /// the paper polls every 10 ms).
+    /// wait before it re-checks, and on how long a fast worker holds a
+    /// finished sample back to publish it with its chunk (see
+    /// [`LoaderConfig::starvation_wait`]; the paper polls every 10 ms).
     pub fn starvation_wait(mut self, d: Duration) -> Self {
         self.cfg.starvation_wait = d;
         self
@@ -921,6 +932,7 @@ impl<D: Dataset> MinatoLoader<D> {
             batch_help: OnceLock::new(),
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
+            slow_helper: AtomicBool::new(false),
             cpu_meter: UtilizationMeter::new(cfg.max_workers),
             slow_meter: UtilizationMeter::new(slow_threads),
             samples_out: Counter::new(),
@@ -1325,10 +1337,6 @@ impl<D: Dataset> Iterator for BatchIter<'_, D> {
     }
 }
 
-/// Monitor loop: samples utilization/occupancy, drives the adaptive worker
-/// scheduler — as a single fast-gate limit on a fixed executor, as a
-/// role-budget vector on an elastic one — and keeps the balancer's
-/// timeout fresh (§4.3).
 /// Bridges buffer-pool acquire outcomes into trace events. Pool
 /// acquisitions have no sample identity (scratch is shared), so events
 /// carry zero epoch/seq.
@@ -1346,6 +1354,10 @@ impl AcquireObserver for TracerPoolObserver {
     }
 }
 
+/// Monitor loop: samples utilization/occupancy, drives the adaptive worker
+/// scheduler — as a single fast-gate limit on a fixed executor, as a
+/// role-budget vector on an elastic one — and keeps the balancer's
+/// timeout fresh (§4.3).
 fn monitor_loop<D: Dataset>(
     rt: Arc<Runtime<D>>,
     trace: Arc<Mutex<MonitorTrace>>,
@@ -1476,10 +1488,9 @@ fn monitor_loop<D: Dataset>(
                 // Formula 1 sizes the whole pool; the role split follows
                 // the temp-queue backlog with bounded churn.
                 let limit = scheduler.decide(budgets.total(), q_len, q_cap, cpu_norm);
-                // Backlog per slow worker per claim burst — capacity-
+                // Backlog per slow worker in ticket chunks — capacity-
                 // independent, unlike the raw temp-queue fill fraction.
-                let backlog = rt.temp_q.len() as f64
-                    / (rt.cfg.ticket_chunk.max(1) * budgets.slow.max(1)) as f64;
+                let backlog = rt.temp_q.len() as f64 / rt.slow_backlog_unit(budgets.slow) as f64;
                 let fast_active = !rt.source_drained.load(Ordering::SeqCst);
                 let next =
                     scheduler.decide_roles(limit, budgets, backlog, slow_enabled, fast_active);
@@ -1946,6 +1957,14 @@ mod transfer_hook_tests {
             }
             n
         });
+        // GPU 0's consumer starts only once a batch has gone to GPU 1:
+        // with queue 0 left alone, least-occupied-first has to send the
+        // second batch there, however quick either consumer is.
+        let t0 = Instant::now();
+        while !gpus_seen.lock().contains(&1) {
+            assert!(t0.elapsed() < Duration::from_secs(10), "GPU 1 never fed");
+            std::thread::yield_now();
+        }
         let mut n = 0;
         while let Some(b) = loader.next_batch(0) {
             n += b.len();

@@ -188,9 +188,9 @@ impl WorkerScheduler {
     ///
     /// * `limit` — total workers to distribute (from [`WorkerScheduler::decide`]),
     /// * `prev` — the budgets currently in force,
-    /// * `slow_backlog` — deferred samples queued *per slow-role worker
-    ///   per claim burst* (`temp_len / (ticket_chunk · slow_budget)`):
-    ///   1.0 means every slow worker already has a full burst waiting,
+    /// * `slow_backlog` — deferred samples queued *per slow-role worker,
+    ///   in ticket chunks* (`temp_len / (ticket_chunk · slow_budget)`):
+    ///   1.0 means every slow worker has a full chunk's worth waiting,
     ///   so the signal is independent of the temp queue's capacity,
     /// * `slow_enabled` — whether timeout classification is on (off in
     ///   order-preserving mode: the slow role then gets no budget),
@@ -206,7 +206,7 @@ impl WorkerScheduler {
     /// * the slow role keeps at least one worker while enabled and
     ///   `limit` permits, and is only grown/shrunk when the smoothed
     ///   backlog crosses the hysteresis band (grow above one queued
-    ///   burst per slow worker, shrink below a quarter burst).
+    ///   chunk per slow worker, shrink below a quarter chunk).
     pub fn decide_roles(
         &mut self,
         limit: usize,

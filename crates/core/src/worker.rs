@@ -231,6 +231,10 @@ pub(crate) struct Runtime<D: Dataset> {
     pub in_flight: AtomicUsize,
     /// Set once any worker observes the sampler exhausted.
     pub source_drained: AtomicBool,
+    /// The single moonlighting token: the fast worker that holds it is
+    /// completing deferred samples between two of its chunks (see
+    /// [`Runtime::moonlight`]); the others keep producing fast samples.
+    pub slow_helper: AtomicBool,
     /// Busy time of fast-role work only; the monitor normalizes it by
     /// the fast-role budget, so mixing in slow-role busy time (see
     /// `slow_meter`) would inflate `cpu_norm` and bias the Formula 1–2
@@ -596,21 +600,68 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
+    /// Completes one deferred sample just popped from the temp queue and
+    /// publishes it to the slow queue: one unit of slow-role work,
+    /// whoever runs it. Fails only when the slow queue closed.
+    fn resume_and_publish(&self, d: Deferred<D::Sample>) -> Result<(), Closed> {
+        self.trace(EventKind::QueuePop, d.meta.epoch, d.meta.seq, Q_TEMP, 0);
+        match self.complete_one(d) {
+            Some(p) => {
+                // Record-once-before-retry: backpressure re-puts inside
+                // `publish_helping` must not duplicate the event.
+                self.trace(EventKind::QueuePut, p.meta.epoch, p.meta.seq, Q_SLOW, 0);
+                self.publish_helping(&self.slow_q, vec![p])
+            }
+            None => Ok(()), // Errored: already recorded.
+        }
+    }
+
     /// Pops one deferred sample from the temp queue and completes it
-    /// inline (a fast-role worker moonlighting as a slow worker under
-    /// backpressure). Returns whether anything was there to help with.
+    /// inline (a fast-role worker moonlighting as a slow worker).
+    /// Returns whether anything was there to help with.
     fn help_slow_once(&self) -> bool {
         match self.temp_q.try_pop() {
             PopResult::Item(d) => {
-                self.trace(EventKind::QueuePop, d.meta.epoch, d.meta.seq, Q_TEMP, 0);
-                if let Some(p) = self.complete_one(d) {
-                    self.trace(EventKind::QueuePut, p.meta.epoch, p.meta.seq, Q_SLOW, 0);
-                    let _ = self.push_slow_completed(vec![p]);
-                }
+                let _ = self.resume_and_publish(d);
                 true
             }
             _ => false,
         }
+    }
+
+    /// One ticket chunk's worth of deferred samples per slow worker: the
+    /// unit the elastic role split measures temp-queue backlog in, and
+    /// the mark above which a fast worker moonlights.
+    pub(crate) fn slow_backlog_unit(&self, slow_workers: usize) -> usize {
+        self.cfg.ticket_chunk.max(1) * slow_workers.max(1)
+    }
+
+    /// Early slow-path help, run by a fast worker between two chunks:
+    /// when the temp-queue backlog exceeds
+    /// [`Runtime::slow_backlog_unit`], the one worker that wins the
+    /// `slow_helper` token completes deferred samples until the backlog
+    /// is back under that mark. The other fast workers keep producing,
+    /// so the temp queue stays short without the fast path ever
+    /// stopping as a whole (which is what happens when it fills up and
+    /// every worker helps inline from [`Runtime::route_deferred`], still
+    /// the progress backstop).
+    ///
+    /// The caller must hold an `in_flight` claim taken while
+    /// `source_drained` was unset: that is what keeps the close cascade
+    /// from closing the slow queue under a sample being completed here.
+    // minato-verify: hot-path
+    fn moonlight(&self) {
+        let mark = self.slow_backlog_unit(self.cfg.slow_workers);
+        if self.temp_q.len() <= mark
+            || self
+                .slow_helper
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        while !self.is_shutdown() && self.temp_q.len() > mark && self.help_slow_once() {}
+        self.slow_helper.store(false, Ordering::Release);
     }
 
     /// Runs one batch-assembly pass inline. Returns whether it made
@@ -667,18 +718,6 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
-    /// Publishes completed slow samples ([`Runtime::publish_helping`]
-    /// on the slow queue).
-    fn push_slow_completed(&self, done: Vec<Prepared<D::Sample>>) -> Result<(), Closed> {
-        self.publish_helping(&self.slow_q, done)
-    }
-
-    /// Publishes a chunk of fast samples ([`Runtime::publish_helping`]
-    /// on the fast queue).
-    fn publish_fast(&self, buf: Vec<Prepared<D::Sample>>) -> Result<(), Closed> {
-        self.publish_helping(&self.fast_q, buf)
-    }
-
     /// Routes a deferral into the temp queue, completing other deferred
     /// samples inline while it is full (which also frees the slot this
     /// routing needs). Returns false when the queue closed.
@@ -710,12 +749,21 @@ impl<D: Dataset> Runtime<D> {
 /// temp queue (Algorithm 1 lines 6–12). One step = one chunk, so a
 /// worker re-bids for a role exactly at ticket-chunk boundaries.
 ///
-/// Completed fast samples accumulate in a chunk-local buffer and enter
-/// the fast queue through one [`MinatoQueue::put_many`], so the dominant
-/// per-sample cost (a queue mutex acquisition plus condvar signalling)
-/// is paid once per chunk. Timed-out samples still go to the temp queue
-/// immediately: deferring a deferral would delay its background
-/// completion for no benefit.
+/// Completed fast samples accumulate in a chunk-local buffer so that
+/// the dominant per-sample cost (a queue mutex acquisition plus condvar
+/// signalling) is paid once per [`MinatoQueue::put_many`], not once per
+/// sample — but a finished sample is withheld from the batch stage for
+/// at most `starvation_wait`: once the worker has spent that long since
+/// it took up the oldest buffered sample, it publishes the buffer at
+/// that sample boundary. Samples that take microseconds therefore still
+/// publish once per chunk, samples that take milliseconds one by one,
+/// and the chunk never re-creates the head-of-line wait the fast path
+/// exists to remove. Timed-out samples go to the temp queue at once:
+/// deferring a deferral would delay its background completion for no
+/// benefit.
+///
+/// Between two chunks, one fast worker at a time moonlights on slow
+/// overflow ([`Runtime::moonlight`]).
 pub(crate) struct FastStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
 }
@@ -745,6 +793,13 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         // a concurrent worker observing the drained sampler cannot close
         // the queues while these samples are between claim and routing.
         rt.in_flight.fetch_add(chunk, Ordering::SeqCst);
+        // Between two chunks, under the claim just raised: with the
+        // source not yet seen drained, no worker can start the close
+        // cascade until this one has routed (or handed back) its claim,
+        // so a deferred sample completed here still finds `slow_q` open.
+        if !rt.source_drained.load(Ordering::SeqCst) {
+            rt.moonlight();
+        }
         let tickets = rt.sampler.next_many(chunk);
         let drained = tickets.len() < chunk;
         if drained {
@@ -770,13 +825,14 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             }
             let n = buf.len();
             // Record-once-before-retry: the put event fires here, not
-            // inside `publish_fast`'s backpressure loop, so retries
+            // inside `publish_helping`'s backpressure loop, so retries
             // never inflate event counts.
             rt.trace_queue(EventKind::QueuePut, Q_FAST, buf);
-            let ok = rt.publish_fast(std::mem::take(buf)).is_ok();
+            let ok = rt.publish_helping(&rt.fast_q, std::mem::take(buf)).is_ok();
             rt.in_flight.fetch_sub(n, Ordering::SeqCst);
             ok
         };
+        let hold_ns = rt.cfg.starvation_wait.as_nanos() as u64;
         let mut routed = true;
         for ticket in tickets {
             if rt.is_shutdown() {
@@ -860,7 +916,8 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 rt.faults.gave_up.incr();
             }
             let bytes = rt.dataset.size_hint_bytes(ticket.index).unwrap_or(0);
-            rt.cpu_meter.add_busy(t0.elapsed());
+            let busy = t0.elapsed();
+            rt.cpu_meter.add_busy(busy);
             match run {
                 Ok(PipelineRun::Completed { value, elapsed }) => {
                     guard.disarm();
@@ -949,6 +1006,18 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                     rt.in_flight.fetch_sub(1, Ordering::SeqCst);
                 }
             }
+            // Bounded hold: once this worker has spent `starvation_wait`
+            // since it took up the oldest buffered sample, the buffer
+            // goes out now instead of at the end of the chunk. "Now" is
+            // this sample's issue time plus the time just measured, so
+            // the check costs no clock read.
+            let held_ns = fast_buf.first().map_or(0, |oldest| {
+                (issued_ns + busy.as_nanos() as u64).saturating_sub(oldest.meta.issued_ns)
+            });
+            if held_ns >= hold_ns && !flush_fast(&mut fast_buf) {
+                routed = false;
+                break; // Queue closed under us: shutting down.
+            }
         }
         // Claims never processed (shutdown or routing failure mid-chunk).
         if processed < total {
@@ -978,16 +1047,15 @@ impl<D: Dataset> RoleStep for FastStep<D> {
 
 /// Slow role: resumes deferred samples from their recorded transform
 /// index, without any timeout (Algorithm 1 lines 14–18). One step = one
-/// burst, so a worker re-bids after each slow-resume flush.
+/// deferred sample, claimed and published on its own, so a worker
+/// re-bids after each and a finished sample is never withheld behind
+/// another's unbounded background work.
 ///
-/// Deferred samples are claimed from the temp queue in bursts (one lock
-/// acquisition per burst) and completed results are flushed to the slow
-/// queue in groups — but never *withheld* to form a group: each
-/// completion attempts a non-blocking flush immediately, because sitting
-/// on a finished sample while the rest of the burst resumes (unbounded
-/// background work) would reintroduce exactly the head-of-line blocking
-/// this runtime exists to remove. Groups form only under back-pressure,
-/// when a full slow queue makes completions accumulate.
+/// Claiming one at a time also keeps the whole backlog visible in the
+/// temp queue: a burst of eight 6 ms samples claimed by one worker would
+/// be 45 ms of work serialised on that thread and hidden from the
+/// moonlighting fast worker's backlog test ([`Runtime::moonlight`]) and
+/// from the workers that share this role once the source has drained.
 pub(crate) struct SlowStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
     /// Bounded wait for deferred work before reporting idle: short on a
@@ -1008,50 +1076,14 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        // Once the source has drained, the rest of the pool shares this
-        // role (fixed workers re-bid at drain): a burst claimed by one
-        // worker would serialise the tail while the others find the temp
-        // queue empty, so claim a single sample per step from then on.
-        let chunk = if rt.source_drained.load(Ordering::SeqCst) {
-            1
-        } else {
-            rt.cfg.ticket_chunk.max(1)
-        };
-        let deferred = match rt.temp_q.pop_many_timeout(chunk, self.claim_wait) {
-            Ok(v) if v.is_empty() => return StepOutcome::Idle,
-            Ok(v) => v,
-            Err(Closed) => return StepOutcome::Exhausted, // Closed and drained.
-        };
-        if rt.tracer.is_some() {
-            for d in &deferred {
-                rt.trace(EventKind::QueuePop, d.meta.epoch, d.meta.seq, Q_TEMP, 0);
-            }
+        match rt.temp_q.pop_timeout(self.claim_wait) {
+            Ok(Some(d)) => match rt.resume_and_publish(d) {
+                Ok(()) => StepOutcome::Progress,
+                Err(Closed) => StepOutcome::Exhausted, // Queue closed under us.
+            },
+            Ok(None) => StepOutcome::Idle,
+            Err(Closed) => StepOutcome::Exhausted, // Closed and drained.
         }
-        let mut done: Vec<Prepared<D::Sample>> = Vec::with_capacity(deferred.len());
-        for d in deferred {
-            if rt.is_shutdown() {
-                return StepOutcome::Exhausted;
-            }
-            if let Some(p) = rt.complete_one(d) {
-                // Record-once-before-retry: backpressure re-puts below
-                // must not duplicate the event.
-                rt.trace(EventKind::QueuePut, p.meta.epoch, p.meta.seq, Q_SLOW, 0);
-                done.push(p);
-                // Publish immediately if the slow queue has room;
-                // on back-pressure keep accumulating (bounded by the
-                // burst size) and let the next attempt or the final
-                // flush move the group at once.
-                match rt.slow_q.try_put_many(std::mem::take(&mut done)) {
-                    Ok(()) => {}
-                    Err(TryPutError::Full(rest)) => done = rest,
-                    Err(TryPutError::Closed(_)) => return StepOutcome::Exhausted,
-                }
-            }
-        }
-        if !done.is_empty() && rt.push_slow_completed(done).is_err() {
-            return StepOutcome::Exhausted; // Queue closed under us.
-        }
-        StepOutcome::Progress
     }
 
     fn finish(&self) {
@@ -1460,6 +1492,7 @@ mod tests {
             batch_help: OnceLock::new(),
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
+            slow_helper: AtomicBool::new(false),
             cpu_meter: UtilizationMeter::new(1),
             slow_meter: UtilizationMeter::new(1),
             samples_out: Counter::new(),
@@ -1523,19 +1556,205 @@ mod tests {
         (rt, step)
     }
 
+    /// Yields until `cond` holds; the tests' only way of waiting. Fails
+    /// with `what` after 10 s, so a lost wake-up is a failure, not a
+    /// hang.
+    fn spin_until(what: &str, cond: impl Fn() -> bool) {
+        let t0 = Instant::now();
+        while !cond() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "{what}");
+            thread::yield_now();
+        }
+    }
+
     /// Yields until `q` has been locked since `base` was read: the
     /// producer's first (failing) put. From then on only a wake-up (or
     /// the full `starvation_wait`) lets it return.
     fn wait_until_blocked_on<T>(q: &MinatoQueue<T>, base: u64) {
-        let t0 = Instant::now();
-        while q.lock_acquisitions() == base {
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "producer never blocked on the full `{}` queue",
-                q.name()
-            );
-            thread::yield_now();
+        let what = format!("producer never blocked on the full `{}` queue", q.name());
+        spin_until(&what, || q.lock_acquisitions() != base);
+    }
+
+    /// A runtime whose sampler issues the tickets `0..n` once, in order,
+    /// over a dataset holding those same values.
+    fn runtime_over(cfg: LoaderConfig, n: u32, pipeline: Pipeline<u32>) -> Arc<Runtime<Ds>> {
+        let mut rt = mini_runtime(cfg);
+        let r = Arc::get_mut(&mut rt).expect("sole owner");
+        r.dataset = VecDataset::new((0..n).collect());
+        r.sampler = Arc::new(EpochSampler::new(n as usize, 1, false, 0));
+        r.pipeline = pipeline;
+        rt
+    }
+
+    /// Numbered gates a transform blocks on until the test opens them.
+    struct Gates {
+        open: Mutex<u32>,
+        cv: Condvar,
+    }
+
+    impl Gates {
+        fn closed() -> Arc<Gates> {
+            Arc::new(Gates {
+                open: Mutex::new(0),
+                cv: Condvar::new(),
+            })
         }
+
+        /// Opens every gate below `n`.
+        fn open_below(&self, n: u32) {
+            *self.open.lock() = n;
+            self.cv.notify_all();
+        }
+
+        /// Blocks until gate `k` is open (10 s fail-safe).
+        fn pass(&self, k: u32) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut open = self.open.lock();
+            while *open <= k {
+                assert!(
+                    !self.cv.wait_until(&mut open, deadline).timed_out(),
+                    "gate {k} never opened"
+                );
+            }
+        }
+    }
+
+    /// Everything `q` holds, as sample values.
+    fn drain_values(q: &MinatoQueue<Prepared<u32>>) -> Vec<u32> {
+        q.pop_many(usize::MAX).iter().map(|p| p.sample).collect()
+    }
+
+    /// Bounded hold: a sample that took longer than `starvation_wait`
+    /// is in the fast queue before its worker has finished the next one
+    /// of the same chunk.
+    #[test]
+    fn slow_fast_sample_is_published_before_its_chunk_ends() {
+        let gates = Gates::closed();
+        let entered = Arc::new(AtomicUsize::new(0));
+        let (g, e) = (Arc::clone(&gates), Arc::clone(&entered));
+        let pipeline = Pipeline::new(vec![crate::transform::fn_transform("gated", move |x| {
+            e.fetch_add(1, Ordering::SeqCst);
+            g.pass(x);
+            Ok(x)
+        })]);
+        let rt = runtime_over(mini_cfg(), 4, pipeline);
+        let rt2 = Arc::clone(&rt);
+        let worker = thread::spawn(move || RoleStep::step(&FastStep::new(rt2)));
+        // Hold sample 0 inside its transform for `starvation_wait` by
+        // this thread's clock; the worker's own measurement spans it.
+        spin_until("sample 0 never started", || {
+            entered.load(Ordering::SeqCst) == 1
+        });
+        let t0 = Instant::now();
+        spin_until("clock stopped", || t0.elapsed() >= rt.cfg.starvation_wait);
+        gates.open_below(1);
+        spin_until("sample 1 never started", || {
+            entered.load(Ordering::SeqCst) == 2
+        });
+        // The worker is inside sample 1 of 4 (gate 1 is shut).
+        match rt.fast_q.try_pop() {
+            PopResult::Item(p) => assert_eq!(p.sample, 0),
+            _ => panic!("sample 0 withheld until the end of its chunk"),
+        }
+        gates.open_below(u32::MAX);
+        assert_eq!(worker.join().unwrap(), StepOutcome::Progress);
+        // The other three took no time: they left together.
+        assert_eq!(rt.fast_q.lock_acquisitions(), 3, "two puts and the pop");
+        assert_eq!(drain_values(&rt.fast_q), [1, 2, 3]);
+        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
+    }
+
+    /// The other half of the hold rule: samples far quicker than
+    /// `starvation_wait` still enter the fast queue once per chunk.
+    #[test]
+    fn quick_samples_are_published_once_per_chunk() {
+        let mut cfg = mini_cfg();
+        // Out of reach of any scheduling hiccup inside a chunk.
+        cfg.starvation_wait = Duration::from_secs(10);
+        let rt = runtime_over(cfg, 16, Pipeline::identity());
+        let step = FastStep::new(Arc::clone(&rt));
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        assert_eq!(rt.fast_q.total_puts(), 16);
+        assert_eq!(rt.fast_q.lock_acquisitions(), 4, "one put per chunk of 4");
+        assert!(rt.fast_q.is_closed(), "drained source closed the queue");
+    }
+
+    /// Moonlighting: with a temp-queue backlog over the mark, exactly
+    /// one of three fast workers completes deferred samples while the
+    /// other two drain the sampler; its `in_flight` claim keeps the
+    /// close cascade off until it is done, so nothing is lost.
+    #[test]
+    fn one_fast_worker_moonlights_and_its_claim_holds_the_cascade() {
+        const DEFERRED: u32 = 1000;
+        let gates = Gates::closed();
+        // Deferred samples being completed right now, and the most seen
+        // at once. Only the first of them is gated.
+        let inside = Arc::new(AtomicUsize::new(0));
+        let most = Arc::new(AtomicUsize::new(0));
+        let first = Arc::new(AtomicBool::new(true));
+        let (g, i, m) = (Arc::clone(&gates), Arc::clone(&inside), Arc::clone(&most));
+        let pipeline = Pipeline::new(vec![crate::transform::fn_transform("gated", move |x| {
+            if x >= DEFERRED {
+                m.fetch_max(i.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                if first.swap(false, Ordering::SeqCst) {
+                    g.pass(0);
+                }
+                i.fetch_sub(1, Ordering::SeqCst);
+            }
+            Ok(x)
+        })]);
+        // Mark = ticket_chunk 4 × 1 slow worker; the backlog is twice it.
+        let rt = runtime_over(mini_cfg(), 12, pipeline);
+        for k in 0..8 {
+            rt.temp_q.put(deferred(DEFERRED + k)).unwrap();
+        }
+        let returned = Arc::new(AtomicUsize::new(0));
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let (rt, returned) = (Arc::clone(&rt), Arc::clone(&returned));
+                thread::spawn(move || {
+                    let step = FastStep::new(rt);
+                    while RoleStep::step(&step) != StepOutcome::Exhausted {}
+                    returned.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+            .collect();
+        // Whichever worker stepped first holds the token and sits in the
+        // gated sample; the other two saw the same backlog at every one
+        // of their steps, were refused, and drained the sampler.
+        spin_until(
+            "the other two fast workers never drained the source",
+            || returned.load(Ordering::SeqCst) == 2 && inside.load(Ordering::SeqCst) == 1,
+        );
+        assert_eq!(most.load(Ordering::SeqCst), 1, "two helpers at once");
+        assert!(rt.source_drained.load(Ordering::SeqCst));
+        // The slow role meanwhile works the queue down and then finds it
+        // empty but *open*: had the helper given up its claim, the drain
+        // would have closed it, this role would finish and close `slow_q`
+        // under the sample the helper still holds.
+        let slow = SlowStep::new(Arc::clone(&rt), Duration::from_millis(1));
+        let mut outcome = RoleStep::step(&slow);
+        while outcome == StepOutcome::Progress {
+            outcome = RoleStep::step(&slow);
+        }
+        assert_eq!(
+            outcome,
+            StepOutcome::Idle,
+            "temp queue closed under the helper"
+        );
+        gates.open_below(1);
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert!(rt.temp_q.is_closed(), "the helper's last step closes");
+        assert_eq!(RoleStep::step(&slow), StepOutcome::Exhausted);
+        slow.finish();
+        let mut got = drain_values(&rt.fast_q);
+        got.extend(drain_values(&rt.slow_q));
+        got.sort_unstable();
+        let want: Vec<u32> = (0..12).chain(DEFERRED..DEFERRED + 8).collect();
+        assert_eq!(got, want, "every sample exactly once");
+        assert!(!rt.slow_helper.load(Ordering::SeqCst), "token handed back");
     }
 
     /// A producer blocked in `publish_helping` (fast queue full, every

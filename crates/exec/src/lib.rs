@@ -3,7 +3,7 @@
 //! One pool of worker threads serves every stage of a loader pipeline.
 //! Each stage is a **role** — an implementation of [`RoleStep`] that
 //! performs one bounded unit of work per call (a ticket chunk, one
-//! slow-resume burst, one batch-assembly pass). Workers *bid* for a role
+//! slow resume, one batch-assembly pass). Workers *bid* for a role
 //! at safe points (step boundaries), guided by a per-role **budget**
 //! vector that a scheduler updates at runtime, so capacity migrates to
 //! whichever stage is the bottleneck within one refresh interval.
