@@ -1,18 +1,15 @@
-//! Ablations of MinatoLoader's design choices (DESIGN.md §5).
+//! Ablations of MinatoLoader's design choices (DESIGN.md §5), on the
+//! simulator.
 //!
 //! Not figures from the paper — these quantify the *design decisions* the
 //! paper argues for: the timeout percentile (why P75, §4.2), adaptive
-//! worker scaling (§4.3), batch-queue depth, and batched queue
-//! operations.
+//! worker scaling (§4.3) and batch-queue depth. Anything measured on the
+//! real threaded loader lives in `benchmark/`.
 
 use crate::Scale;
-use minato_core::prelude::*;
-use minato_core::transform::InPlace;
-use minato_data::{synthetic_dataset, work_pipeline_with_mode, WorkMode, WorkloadSpec};
+use minato_data::WorkloadSpec;
 use minato_metrics::table::{fnum, Table};
 use minato_sim::{simulate_minato, ClassifyMode, SimConfig};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Timeout-percentile sweep on the speech workload (simulator).
 pub fn ablation_timeout_percentile(scale: Scale) -> String {
@@ -83,571 +80,14 @@ pub fn ablation_queue_depth(scale: Scale) -> String {
     )
 }
 
-/// Batched vs item-at-a-time queue operations on the real threaded
-/// loader: lock acquisitions per delivered sample, measured by the
-/// runtime queues' own counters.
-///
-/// `ticket_chunk = 1` is the pre-batching hot path — one fast-queue
-/// mutex acquisition (plus condvar signal) per sample on the producer
-/// side alone. Larger chunks move whole groups per acquisition
-/// (`put_many`/`pop_many`), which is where the per-item overhead the
-/// paper's §4.1 queue topology pays four times over actually goes.
-pub fn ablation_queue_batching() -> String {
-    let mut t = Table::new(&["ticket_chunk", "locks/sample", "wall (ms)"]);
-    let mut per_sample = Vec::new();
-    for chunk in [1usize, 8, 32] {
-        let (locks, wall) = queue_batching_run(chunk);
-        per_sample.push(locks);
-        t.row_owned(vec![format!("{chunk}"), fnum(locks, 2), fnum(wall, 1)]);
-    }
-    format!(
-        "Ablation — batched queue operations (real threaded loader, 1024\n\
-         samples; chunk 1 = item-at-a-time). Chunk 8 cuts queue lock\n\
-         acquisitions per delivered sample by {:.1}x.\n{}",
-        per_sample[0] / per_sample[1].max(1e-9),
-        t.render()
-    )
-}
-
-/// One `ablation_queue_batching` measurement: returns (queue lock
-/// acquisitions per delivered sample, wall ms).
-pub fn queue_batching_run(ticket_chunk: usize) -> (f64, f64) {
-    let n = 1024usize;
-    let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-    let loader = MinatoLoader::builder(ds, Pipeline::identity())
-        .batch_size(16)
-        .ticket_chunk(ticket_chunk)
-        // Queues big enough that producers never block: the measurement
-        // isolates per-operation cost from capacity back-pressure.
-        .queue_capacity(n)
-        .timeout_policy(TimeoutPolicy::Disabled)
-        .initial_workers(4)
-        .max_workers(4)
-        .adaptive_workers(false)
-        .build()
-        .expect("valid configuration");
-    let t0 = Instant::now();
-    let delivered: usize = loader.iter().map(|b| b.len()).sum();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(delivered, n, "ablation must deliver every sample");
-    let stats = loader.stats();
-    (
-        stats.queue_lock_acquisitions as f64 / delivered as f64,
-        wall_ms,
-    )
-}
-
-/// One `cache_reuse` measurement over the slow-heavy speech workload.
-#[derive(Debug, Clone)]
-pub struct CacheReuseReport {
-    /// Wall time (ms) at which each epoch's final sample was delivered,
-    /// relative to iteration start.
-    pub epoch_done_ms: Vec<f64>,
-    /// Cache hit rate over epoch-2+ lookups (0.0 with the cache off).
-    pub late_hit_rate: f64,
-    /// Pipeline executions (balancer completions).
-    pub pipeline_execs: u64,
-    /// Samples delivered across all epochs.
-    pub delivered: u64,
-}
-
-/// Runs the multi-epoch speech workload with the cross-epoch cache on
-/// or off and reports per-epoch completion times plus reuse counters.
-///
-/// Deterministic-sampler setup (fixed seed), slow-heavy data (every 5th
-/// sample ~6x the cost), and a budget sized by a payload-counting
-/// weigher so the byte accounting reflects real sample memory.
-pub fn cache_reuse_run(cache_on: bool) -> CacheReuseReport {
-    const EPOCHS: usize = 3;
-    let mut wl = WorkloadSpec::speech(3.0);
-    wl.n_samples = 96;
-    let n = wl.n_samples;
-    let ds = synthetic_dataset(&wl, 0.002);
-    let pipeline = work_pipeline_with_mode(&wl, WorkMode::Sleep);
-    let mut builder = MinatoLoader::builder(ds, pipeline)
-        .batch_size(8)
-        .epochs(EPOCHS)
-        .seed(17)
-        .initial_workers(3)
-        .max_workers(4)
-        .slow_workers(2)
-        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(3)))
-        // Bound look-ahead so one epoch's admissions land before the
-        // next epoch's requests.
-        .queue_capacity(16)
-        .ticket_chunk(4);
-    if cache_on {
-        builder = builder
-            .cache_budget_bytes(64 << 20)
-            .cache_shards(4)
-            .cache_policy(EvictionPolicy::CostAware)
-            .cache_weigher(|s| (s.payload.len() * std::mem::size_of::<f32>() + 128) as u64);
-    }
-    let loader = builder.build().expect("valid configuration");
-    let t0 = Instant::now();
-    let mut per_epoch_left = [n; EPOCHS];
-    let mut epoch_done_ms = vec![0.0f64; EPOCHS];
-    let mut delivered = 0u64;
-    for b in loader.iter() {
-        for m in &b.meta {
-            delivered += 1;
-            per_epoch_left[m.epoch] -= 1;
-            if per_epoch_left[m.epoch] == 0 {
-                epoch_done_ms[m.epoch] = t0.elapsed().as_secs_f64() * 1e3;
-            }
-        }
-    }
-    assert_eq!(delivered, (n * EPOCHS) as u64, "must deliver every sample");
-    let stats = loader.stats();
-    let late_hit_rate = stats
-        .cache
-        .map(|c| c.hits as f64 / (n * (EPOCHS - 1)) as f64)
-        .unwrap_or(0.0);
-    CacheReuseReport {
-        epoch_done_ms,
-        late_hit_rate,
-        pipeline_execs: stats.samples_done,
-        delivered,
-    }
-}
-
-/// Cross-epoch cache reuse on the real threaded loader: with the cache
-/// on, epoch 2+ stop re-paying preprocessing (≥90% of their samples
-/// come from the cache) and total pipeline executions drop below the
-/// delivered-sample count.
-pub fn ablation_cache_reuse() -> String {
-    let off = cache_reuse_run(false);
-    let on = cache_reuse_run(true);
-    let mut t = Table::new(&["epoch", "off: done at (ms)", "on: done at (ms)"]);
-    for e in 0..off.epoch_done_ms.len() {
-        t.row_owned(vec![
-            format!("{}", e + 1),
-            fnum(off.epoch_done_ms[e], 0),
-            fnum(on.epoch_done_ms[e], 0),
-        ]);
-    }
-    format!(
-        "Ablation — cross-epoch sample cache (speech-3s, 96 samples x 3\n\
-         epochs, cost-aware eviction). Cache on: {:.1}% epoch-2+ hit rate,\n\
-         {} pipeline executions for {} delivered samples (off: {}).\n{}",
-        on.late_hit_rate * 100.0,
-        on.pipeline_execs,
-        on.delivered,
-        off.pipeline_execs,
-        t.render()
-    )
-}
-
-/// A cooperative sleeping stage whose per-sample cost is a function of
-/// the sample value — the knob the `exec_elastic` ablation turns to
-/// build balanced vs phase-shifting slow fractions. Sleeping (rather
-/// than spinning) keeps the measurement about scheduling, not about how
-/// many physical cores the CI machine has.
-pub struct ShapedCost {
-    cost_of: Box<dyn Fn(u32) -> Duration + Send + Sync>,
-}
-
-impl ShapedCost {
-    /// Stage whose cost for sample `i` is `cost_of(i)`.
-    pub fn new(cost_of: impl Fn(u32) -> Duration + Send + Sync + 'static) -> ShapedCost {
-        ShapedCost {
-            cost_of: Box::new(cost_of),
-        }
-    }
-}
-
-impl Transform<u32> for ShapedCost {
-    fn name(&self) -> &str {
-        "shaped-cost"
-    }
-
-    fn apply(&self, input: u32, ctx: &TransformCtx) -> minato_core::error::Result<Outcome<u32>> {
-        let cost = (self.cost_of)(input);
-        let start = Instant::now();
-        while start.elapsed() < cost {
-            if ctx.expired() {
-                return Ok(Outcome::Interrupted(input));
-            }
-            std::thread::sleep(Duration::from_micros(200).min(cost));
-        }
-        Ok(Outcome::Done(input))
-    }
-}
-
-/// One `exec_elastic` measurement.
-#[derive(Debug, Clone)]
-pub struct ExecElasticReport {
-    /// Samples delivered.
-    pub delivered: u64,
-    /// Wall time of the iteration in milliseconds.
-    pub wall_ms: f64,
-    /// Cross-role worker moves recorded by the executor (on the
-    /// fixed-role arm: drained workers joining the roles still live).
-    pub role_switches: u64,
-    /// The largest `role_switches` read while the fast role was still
-    /// live (always 0 on the fixed-role arm: a fixed worker leaves only
-    /// an exhausted home role).
-    pub switches_before_drain: u64,
-    /// Progressing leases claimed at/over budget (work stolen into a
-    /// role).
-    pub steals: u64,
-    /// Largest slow-role budget the scheduler reached during the run.
-    pub peak_slow_budget: usize,
-}
-
-/// Runs one arm of the fixed-role vs role-fluid comparison at *equal
-/// thread count*: the fixed arm spawns 3 fast + 1 slow + 1 batch
-/// dedicated workers; the elastic arm runs the same three roles on one
-/// role-fluid pool of 5 threads.
-///
-/// `phase_shift = false` is the balanced workload (an even 5% of
-/// samples are slow, light enough for one slow worker); `true` is the
-/// fig12-style shift — the second half of the run turns 80% slow, so
-/// the single background worker falls behind. The elastic arm moves
-/// capacity into the slow role as the backlog builds; the fixed arm
-/// does so once its fast role has drained (its workers then re-bid for
-/// the roles still live), which is what keeps the two within a parity
-/// band.
-pub fn exec_elastic_run(elastic: bool, phase_shift: bool) -> ExecElasticReport {
-    const N: u32 = 160;
-    const THREADS: usize = 5; // = 3 fast + 1 slow + 1 batch (fixed arm).
-    let fast_cost = Duration::from_micros(500);
-    let slow_cost = if phase_shift {
-        Duration::from_millis(10)
-    } else {
-        Duration::from_millis(3)
-    };
-    let cost_of = move |i: u32| {
-        let slow = if phase_shift {
-            i >= N / 2 && !i.is_multiple_of(5) // 80% of the second half.
-        } else {
-            // An even 5% throughout: light enough that one dedicated
-            // slow worker absorbs the background work in the shadow of
-            // the foreground — the fixed split is right-sized here.
-            i.is_multiple_of(20)
-        };
-        if slow {
-            slow_cost
-        } else {
-            fast_cost
-        }
-    };
-    let ds = VecDataset::new((0..N).collect::<Vec<_>>());
-    let pipeline = Pipeline::new(vec![
-        Arc::new(ShapedCost::new(cost_of)) as Arc<dyn Transform<u32>>
-    ]);
-    let loader = MinatoLoader::builder(ds, pipeline)
-        .batch_size(8)
-        .shuffle(false)
-        .initial_workers(3)
-        .max_workers(3)
-        .slow_workers(1)
-        .batch_workers(1)
-        // Large enough that the temp queue never fills: the fixed arm
-        // must bottleneck on its dedicated slow worker, not dissolve
-        // into backpressure helping.
-        .queue_capacity(N as usize * 2)
-        .ticket_chunk(4)
-        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
-        .scheduler(SchedulerConfig {
-            interval: Duration::from_millis(20),
-            ..SchedulerConfig::paper_default(THREADS)
-        })
-        .executor(if elastic {
-            ExecutorConfig::Elastic { threads: THREADS }
-        } else {
-            ExecutorConfig::Fixed
-        })
-        .build()
-        .expect("valid configuration");
-    let t0 = Instant::now();
-    let mut delivered = 0u64;
-    let mut peak_slow_budget = 0usize;
-    let mut switches_before_drain = 0u64;
-    for b in loader.iter() {
-        delivered += b.len() as u64;
-        // Switch total first, fast-role liveness second: a total read
-        // before the role was seen live was reached before the drain.
-        let switches = loader.stats().exec.map_or(0, |e| e.role_switches);
-        if let Some(exec) = loader.stats().exec {
-            if let Some(slow) = exec.role("slow") {
-                peak_slow_budget = peak_slow_budget.max(slow.budget);
-            }
-            if exec.role("fast").is_some_and(|fast| !fast.exhausted) {
-                switches_before_drain = switches_before_drain.max(switches);
-            }
-        }
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(delivered, N as u64, "ablation must deliver every sample");
-    let exec = loader.stats().exec.expect("executor stats");
-    ExecElasticReport {
-        delivered,
-        wall_ms,
-        role_switches: exec.role_switches,
-        switches_before_drain,
-        steals: exec.steals,
-        peak_slow_budget,
-    }
-}
-
-/// The band the `fixed wall / elastic wall` ratio must stay inside on
-/// both `exec_elastic` workloads (ROADMAP item 3's exit criterion). The lower
-/// edge is the ±10% parity bound; the upper edge leaves room for the
-/// elastic arm's head start on the phase shift (it migrates while the
-/// backlog builds, the fixed arm at drain: ~1.15x measured) and fails
-/// if the fixed pool leaves that backlog to its one slow worker (3.7x
-/// or more on this workload).
-pub const EXEC_ELASTIC_PARITY: std::ops::RangeInclusive<f64> = 0.9..=1.3;
-
-/// Fixed-role vs role-fluid executor at equal thread count, on a
-/// balanced and a phase-shifting workload: the two must stay within
-/// [`EXEC_ELASTIC_PARITY`] of each other on both — when the static split
-/// is right-sized, and when the bottleneck moves to the slow stage
-/// mid-run and the fixed pool catches up at drain.
-pub fn ablation_exec_elastic() -> String {
-    let mut t = Table::new(&[
-        "workload",
-        "fixed (ms)",
-        "elastic (ms)",
-        "fixed/elastic",
-        "switches (fixed)",
-        "switches (elastic)",
-        "peak slow budget",
-    ]);
-    let mut shift_ratio = 0.0;
-    for (label, shift) in [("balanced 5% slow", false), ("phase shift 80% slow", true)] {
-        let fixed = exec_elastic_run(false, shift);
-        let elastic = exec_elastic_run(true, shift);
-        let ratio = fixed.wall_ms / elastic.wall_ms.max(f64::MIN_POSITIVE);
-        // Acceptance gate (release smoke in CI). Debug builds skip it:
-        // wall ratios are a release-mode criterion, asserted best-of-3
-        // in crates/bench/tests.
-        assert!(
-            cfg!(debug_assertions) || EXEC_ELASTIC_PARITY.contains(&ratio),
-            "fixed/elastic wall ratio left the parity band {EXEC_ELASTIC_PARITY:?} \
-             on {label}: {ratio:.2}x"
-        );
-        shift_ratio = ratio;
-        t.row_owned(vec![
-            label.into(),
-            fnum(fixed.wall_ms, 0),
-            fnum(elastic.wall_ms, 0),
-            format!("{ratio:.2}x"),
-            format!("{}", fixed.role_switches),
-            format!("{}", elastic.role_switches),
-            format!("{}", elastic.peak_slow_budget),
-        ]);
-    }
-    format!(
-        "Ablation — elastic role-fluid executor (equal thread count: 3+1+1\n\
-         dedicated vs one 5-thread work-stealing pool; fig12-style slow\n\
-         fraction ramp). Parity band {:.1}x..{:.1}x; the fixed pool's switches\n\
-         are its drained workers joining the slow role. Phase shift: {:.2}x.\n{}",
-        EXEC_ELASTIC_PARITY.start(),
-        EXEC_ELASTIC_PARITY.end(),
-        shift_ratio,
-        t.render()
-    )
-}
-
-/// A volume-neutral gain stage over a raw `f32` payload. The by-value
-/// path materializes a fresh output buffer per stage — the functional
-/// style mainstream loader ops use, and exactly the O(k)-buffers-per-
-/// sample allocator churn the pool removes. The in-place path mutates
-/// the sample where it sits.
-pub struct GainStage {
-    /// Multiplicative gain.
-    pub factor: f32,
-}
-
-impl Transform<Vec<f32>> for GainStage {
-    fn name(&self) -> &str {
-        "gain"
-    }
-
-    fn apply(
-        &self,
-        v: Vec<f32>,
-        _ctx: &TransformCtx,
-    ) -> minato_core::error::Result<Outcome<Vec<f32>>> {
-        let out = v.iter().map(|x| x * self.factor).collect();
-        Ok(Outcome::Done(out))
-    }
-
-    fn apply_mut(
-        &self,
-        v: &mut Vec<f32>,
-        _ctx: &TransformCtx,
-    ) -> minato_core::error::Result<InPlace> {
-        for x in v.iter_mut() {
-            *x *= self.factor;
-        }
-        Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
-    }
-}
-
-/// A pipeline of `stages` volume-neutral gain stages.
-pub fn gain_pipeline(stages: usize) -> Pipeline<Vec<f32>> {
-    Pipeline::new(
-        (0..stages)
-            .map(|i| {
-                Arc::new(GainStage {
-                    factor: 1.0 + 0.01 * i as f32,
-                }) as Arc<dyn Transform<Vec<f32>>>
-            })
-            .collect(),
-    )
-}
-
-/// One `pool_reuse` measurement.
-#[derive(Debug, Clone)]
-pub struct PoolReuseReport {
-    /// Samples delivered.
-    pub delivered: u64,
-    /// Heap allocations during iteration (0 unless the binary registers
-    /// [`crate::alloc_counter::CountingAlloc`]).
-    pub allocations: u64,
-    /// `allocations / delivered`.
-    pub allocs_per_sample: f64,
-    /// Wall time of the iteration in milliseconds.
-    pub wall_ms: f64,
-    /// Pool hit rate over all buffer acquires (0.0 with the pool off).
-    pub pool_hit_rate: f64,
-    /// Bytes resident in the pool after the run (the steady-state
-    /// working set; 0 with the pool off).
-    pub pool_resident_bytes: u64,
-}
-
-/// Runs the cheap-transform workload — 192 × 256 KiB `f32` samples
-/// through six volume-neutral gain stages — with buffer pooling on or
-/// off, and reports allocator traffic plus wall time.
-///
-/// The dataset draws raw sample buffers from the (shared) pool, the
-/// pipeline executes in place, and dropped batches recycle delivered
-/// buffers: the full loop the zero-allocation hot path closes. With the
-/// pool off the very same code paths degrade to plain allocation, so
-/// the comparison isolates pooling.
-pub fn pool_reuse_run(pooled: bool) -> PoolReuseReport {
-    const N: usize = 192;
-    const LEN: usize = 64 * 1024; // 256 KiB of f32 per sample.
-    let pools = Arc::new(PoolSet::new(if pooled { 512 << 20 } else { 0 }));
-    let ds_pool = Arc::clone(&pools);
-    let ds = FnDataset::new(N, move |i| {
-        // Loader-side acquisition: raw sample memory comes from the pool
-        // (a disabled pool falls through to a plain allocation).
-        let mut v = ds_pool.f32s().acquire(LEN);
-        v.extend((0..LEN).map(|j| ((i * 31 + j) % 97) as f32 / 97.0));
-        Ok(v)
-    });
-    let mut builder = MinatoLoader::builder(ds, gain_pipeline(6))
-        .batch_size(8)
-        .shuffle(false)
-        .queue_capacity(32)
-        .ticket_chunk(4)
-        .timeout_policy(TimeoutPolicy::Disabled)
-        .initial_workers(3)
-        .max_workers(3)
-        .adaptive_workers(false);
-    if pooled {
-        builder = builder.pool(Arc::clone(&pools));
-    }
-    let loader = builder.build().expect("valid configuration");
-    let a0 = crate::alloc_counter::allocations();
-    let t0 = Instant::now();
-    let mut delivered = 0u64;
-    for b in loader.iter() {
-        delivered += b.len() as u64;
-        // Batch dropped here: with the pool on, every sample's buffer
-        // flows back for the next acquires.
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let allocations = crate::alloc_counter::allocations() - a0;
-    assert_eq!(delivered, N as u64, "ablation must deliver every sample");
-    let ps = pools.stats().combined();
-    PoolReuseReport {
-        delivered,
-        allocations,
-        allocs_per_sample: allocations as f64 / delivered as f64,
-        wall_ms,
-        pool_hit_rate: if pooled { ps.hit_rate() } else { 0.0 },
-        pool_resident_bytes: ps.bytes,
-    }
-}
-
-/// Buffer pooling on vs off on the real threaded loader: heap
-/// allocations per delivered sample and end-to-end wall time over a
-/// pipeline of six volume-neutral stages.
-pub fn ablation_pool_reuse() -> String {
-    let off = pool_reuse_run(false);
-    let on = pool_reuse_run(true);
-    let mut t = Table::new(&["pool", "allocs/sample", "wall (ms)", "hit rate %"]);
-    t.row_owned(vec![
-        "off".into(),
-        fnum(off.allocs_per_sample, 1),
-        fnum(off.wall_ms, 0),
-        "-".into(),
-    ]);
-    t.row_owned(vec![
-        "on".into(),
-        fnum(on.allocs_per_sample, 1),
-        fnum(on.wall_ms, 0),
-        fnum(on.pool_hit_rate * 100.0, 1),
-    ]);
-    let alloc_line = if crate::alloc_counter::instrumented() {
-        // Acceptance gate (release smoke in CI): pooling must at least
-        // halve allocator traffic per delivered sample.
-        assert!(
-            on.allocs_per_sample <= 0.5 * off.allocs_per_sample,
-            "expected >=50% fewer allocations per sample: off {:.1}, on {:.1}",
-            off.allocs_per_sample,
-            on.allocs_per_sample
-        );
-        format!(
-            "{:.0}% fewer heap allocations per delivered sample",
-            (1.0 - on.allocs_per_sample / off.allocs_per_sample.max(f64::MIN_POSITIVE)) * 100.0,
-        )
-    } else {
-        "allocation counting inactive (CountingAlloc not registered)".into()
-    };
-    // Throughput half of the gate, release builds only (debug-mode
-    // arithmetic dominates and the allocator is a rounding error there).
-    if !cfg!(debug_assertions) {
-        let best_on = (0..2)
-            .map(|_| pool_reuse_run(true).wall_ms)
-            .fold(on.wall_ms, f64::min);
-        assert!(
-            off.wall_ms >= 1.3 * best_on,
-            "expected >=1.3x throughput with pooling: off {:.0} ms, on {best_on:.0} ms",
-            off.wall_ms
-        );
-    }
-    format!(
-        "Ablation — buffer pooling (192 x 256 KiB f32 samples, 6\n\
-         volume-neutral gain stages, in-place execution + recycle loop).\n\
-         Pool on: {alloc_line}, {:.2}x end-to-end throughput,\n\
-         {:.1} MiB steady-state pool residency.\n{}",
-        off.wall_ms / on.wall_ms.max(f64::MIN_POSITIVE),
-        on.pool_resident_bytes as f64 / (1 << 20) as f64,
-        t.render()
-    )
-}
-
-/// All ablations, concatenated.
+/// All three ablations, concatenated (the `ablations` row of
+/// [`EXPERIMENTS`](crate::EXPERIMENTS)).
 pub fn all_ablations(scale: Scale) -> String {
     format!(
-        "{}\n{}\n{}\n{}\n{}\n{}\n{}",
+        "{}\n{}\n{}",
         ablation_timeout_percentile(scale),
         ablation_adaptive_workers(scale),
         ablation_queue_depth(scale),
-        ablation_queue_batching(),
-        ablation_cache_reuse(),
-        ablation_pool_reuse(),
-        ablation_exec_elastic()
     )
 }
 
@@ -675,53 +115,5 @@ mod tests {
         let a = simulate_minato("a", &cfg, ClassifyMode::Timeout);
         let f = simulate_minato("f", &fixed, ClassifyMode::Timeout);
         assert!(a.train_time_s <= f.train_time_s * 1.1);
-    }
-
-    /// PR 3's acceptance criterion: with the cache enabled and an
-    /// adequate budget, a deterministic-sampler 3-epoch run serves
-    /// epoch-2+ deliveries at a ≥90% hit rate and executes the pipeline
-    /// strictly fewer times than it delivers samples.
-    #[test]
-    fn cache_reuse_hits_90_percent_and_saves_executions() {
-        let r = cache_reuse_run(true);
-        assert!(
-            r.late_hit_rate >= 0.9,
-            "epoch-2+ hit rate too low: {:.3}",
-            r.late_hit_rate
-        );
-        assert!(
-            r.pipeline_execs < r.delivered,
-            "caching must save executions: {} !< {}",
-            r.pipeline_execs,
-            r.delivered
-        );
-    }
-
-    #[test]
-    fn cache_off_reexecutes_every_epoch() {
-        let r = cache_reuse_run(false);
-        assert_eq!(r.late_hit_rate, 0.0);
-        assert_eq!(r.pipeline_execs, r.delivered);
-    }
-
-    /// PR 2's acceptance criterion: `ticket_chunk >= 8` must cut queue
-    /// lock acquisitions per delivered sample by at least 4x vs the
-    /// item-at-a-time path. Lock counts include condvar wakeups and
-    /// starvation polls, which scale with wall time when the OS preempts
-    /// workers — so take the best of three runs to keep the criterion
-    /// about the code, not a loaded CI machine.
-    #[test]
-    fn batching_cuts_lock_acquisitions_at_least_4x() {
-        let mut seen = Vec::new();
-        for _ in 0..3 {
-            let (single, _) = queue_batching_run(1);
-            let (batched, _) = queue_batching_run(8);
-            let ratio = single / batched.max(1e-9);
-            seen.push(ratio);
-            if ratio >= 4.0 {
-                return;
-            }
-        }
-        panic!("expected >= 4x lock reduction in one of three runs, got {seen:?}");
     }
 }

@@ -1,6 +1,7 @@
-//! A counting global allocator for the `pool_reuse` ablation.
+//! A counting global allocator for the allocation-count tests
+//! (`tests/pool_reuse.rs`, `tests/balancer_cost.rs`).
 //!
-//! Binaries that want real heap-allocation counts register it:
+//! Test binaries that want real heap-allocation counts register it:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -16,11 +17,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Pass-through wrapper over the system allocator that counts every
-/// allocation, reallocation, and deallocation.
+/// allocation and reallocation.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
@@ -29,7 +28,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: inherits `System::alloc`'s contract verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's layout is forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -37,7 +35,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: inherits `System::alloc_zeroed`'s contract verbatim.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's layout is forwarded unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -46,7 +43,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow/shrink pays the allocator once; count it once.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: ptr/layout/new_size come straight from the caller,
         // who upholds `GlobalAlloc::realloc`'s preconditions.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -54,7 +50,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: inherits `System::dealloc`'s contract verbatim.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: ptr was produced by this allocator with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -64,16 +59,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// [`CountingAlloc`] is not the registered global allocator.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Total heap deallocations since process start.
-pub fn deallocations() -> u64 {
-    DEALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested from the allocator since process start.
-pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 /// Whether the counting allocator is live in this process (a heap probe

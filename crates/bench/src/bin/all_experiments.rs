@@ -1,5 +1,6 @@
-//! Runs the experiment battery (every table and figure) and prints the
-//! results; set MINATO_FULL=1 for paper-length runs.
+//! Runs the experiment battery (every table and figure, then the
+//! design-choice ablations) and prints the results; set MINATO_FULL=1
+//! for paper-length runs.
 //!
 //! ```text
 //! all_experiments [NAME ...]

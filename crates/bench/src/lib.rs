@@ -1,17 +1,18 @@
-//! Experiment harnesses reproducing every table and figure of the paper's
-//! evaluation.
+//! Simulator-backed experiment harnesses reproducing every table and
+//! figure of the paper's evaluation, plus the design-choice ablations.
 //!
 //! Each `fig*`/`tab*` function regenerates one artifact and returns the
 //! rendered result (aligned table plus sparkline traces). [`EXPERIMENTS`]
-//! lists them; the `all_experiments` binary prints all or a named
-//! subset, the `experiments` bench target runs the full battery. `Scale::Full` reproduces paper-length runs
-//! (Table 3 training lengths); `Scale::Quick` caps batch counts so the
-//! whole battery finishes in seconds (shapes are preserved — the
-//! simulator is deterministic).
+//! lists them; the `all_experiments` binary, the crate's one entry
+//! point, prints all or a named subset. `Scale::Full` reproduces
+//! paper-length runs (Table 3 training lengths); `Scale::Quick` caps
+//! batch counts so the whole battery finishes in seconds (shapes are
+//! preserved — the simulator is deterministic). Only Figure 11a runs
+//! the real threaded loaders, to compare accuracy under reordering;
+//! measuring the real loader's performance is `benchmark/`'s job.
 
 pub mod ablations;
 pub mod alloc_counter;
-pub mod bench_all;
 pub mod experiments;
 pub mod fig11_accuracy;
 
@@ -21,8 +22,8 @@ pub use experiments::*;
 /// argument), title, generator.
 pub type Experiment = (&'static str, &'static str, fn(Scale) -> String);
 
-/// Every table/figure generator, in paper order.
-pub const EXPERIMENTS: [Experiment; 13] = [
+/// Every table/figure generator, in paper order, then the ablations.
+pub const EXPERIMENTS: [Experiment; 14] = [
     ("tab02", "Table 2", |_| tab02_preprocessing_stats()),
     ("fig02", "Figure 2", |_| fig02_variability()),
     ("fig01", "Figure 1b", fig01_pytorch_usage),
@@ -38,6 +39,11 @@ pub const EXPERIMENTS: [Experiment; 13] = [
     }),
     ("fig12", "Figure 12", fig12_slow_fraction),
     ("artifact_e1", "Artifact E1/E2", artifact_e1_e2),
+    (
+        "ablations",
+        "Design-choice ablations",
+        ablations::all_ablations,
+    ),
 ];
 
 /// Run length for the simulation harnesses.
@@ -45,7 +51,7 @@ pub const EXPERIMENTS: [Experiment; 13] = [
 pub enum Scale {
     /// Paper-length runs (Table 3: 50 epochs / 1000 iterations).
     Full,
-    /// Capped runs for CI and `cargo bench`.
+    /// Capped runs for CI.
     Quick,
 }
 

@@ -444,6 +444,82 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
+    /// Runs `body` — one attempt at a sample: load and/or pipeline run —
+    /// under the panic containment both the fast and the slow path need:
+    /// the close cascade depends on every step reaching its exit
+    /// accounting, so a panicking dataset or transform degrades to a
+    /// recorded error for this sample instead of unwinding the worker.
+    /// The fault injector is consulted once per attempt; a failed attempt
+    /// is re-run up to `retry_budget` times with exponential backoff
+    /// before the failure stands (and the caller quarantines the sample).
+    /// `ledger` goes to the first attempt only. Returns the last
+    /// attempt's result, whether that attempt panicked, and its scratch
+    /// guard, which repays pool scratch the run never recycled unless
+    /// the caller disarms it.
+    fn run_contained(
+        &self,
+        site: FaultSite,
+        timeout: Option<Duration>,
+        mut ledger: Option<Arc<ScratchLedger>>,
+        (index, epoch, seq): (usize, usize, u64),
+        mut body: impl FnMut(TransformCtx) -> crate::error::Result<PipelineRun<D::Sample>>,
+    ) -> (
+        crate::error::Result<PipelineRun<D::Sample>>,
+        bool,
+        ScratchGuard,
+    ) {
+        let mut attempt = 0u32;
+        loop {
+            let (ctx, guard) = self.guarded_ctx(timeout, ledger.take(), epoch, seq);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Some(inj) = &self.injector {
+                    match inj.decide(site, index, seq) {
+                        FaultAction::Panic => panic!("injected {site:?}-path fault at seq {seq}"),
+                        FaultAction::Poison => {
+                            return Err(LoaderError::Transform {
+                                name: "poisoned".into(),
+                                msg: format!("injected poison at seq {seq}"),
+                            })
+                        }
+                        FaultAction::None => {}
+                    }
+                }
+                body(ctx)
+            }));
+            let panicked = caught.is_err();
+            let run = caught.unwrap_or_else(|p| {
+                Err(LoaderError::Transform {
+                    name: "panicked".into(),
+                    msg: panic_payload_msg(p),
+                })
+            });
+            if run.is_err() && (attempt as usize) < self.cfg.retry_budget && !self.is_shutdown() {
+                // The failed attempt's guard drops here, repaying its
+                // un-recycled pool scratch before the re-run.
+                drop(guard);
+                attempt += 1;
+                self.faults.retried.incr();
+                self.retry_backoff(attempt);
+                continue;
+            }
+            if run.is_err() && attempt > 0 {
+                self.faults.gave_up.incr();
+            }
+            return (run, panicked, guard);
+        }
+    }
+
+    /// Quarantines a sample whose last contained attempt failed: the
+    /// `FaultHit` event, then the panic or clean-error accounting.
+    fn quarantine(&self, epoch: usize, seq: u64, panicked: bool, err: LoaderError) {
+        self.trace(EventKind::FaultHit, epoch, seq, u32::from(panicked), 0);
+        if panicked {
+            self.record_panic(err);
+        } else {
+            self.record_error(err);
+        }
+    }
+
     /// An empty batch carrying the delivery-side recycle hook (a no-op
     /// plain batch when pooling is off).
     fn new_batch(&self) -> Batch<D::Sample> {
@@ -487,61 +563,26 @@ impl<D: Dataset> Runtime<D> {
     /// the sample errored (already recorded).
     fn complete_one(&self, d: Deferred<D::Sample>) -> Option<Prepared<D::Sample>> {
         let t0 = Instant::now();
-        // Same panic containment as the foreground path: the close
-        // cascade depends on every step reaching its exit accounting.
         let resume_at = d.resume_at;
         let (index, seq) = (d.meta.index, d.meta.seq);
         let epoch = d.meta.epoch;
-        // Bounded retry: the first attempt resumes the deferred partial
-        // in place; the partial is consumed by a failed run, so each
-        // re-attempt re-executes the whole pipeline from the source.
-        let mut attempt = 0u32;
-        let mut scratch = d.scratch;
+        // The first attempt resumes the deferred partial in place; the
+        // partial is consumed by a failed run, so each re-attempt
+        // re-executes the whole pipeline from the source.
         let mut partial = Some(d.partial);
-        let (run, panicked, mut guard) = loop {
-            let (ctx, guard) = self.guarded_ctx(None, scratch.take(), epoch, seq);
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(inj) = &self.injector {
-                    match inj.decide(FaultSite::Slow, index, seq) {
-                        FaultAction::Panic => panic!("injected background fault at seq {seq}"),
-                        FaultAction::Poison => {
-                            return Err(LoaderError::Transform {
-                                name: "poisoned".into(),
-                                msg: format!("injected poison at seq {seq}"),
-                            })
-                        }
-                        FaultAction::None => {}
-                    }
+        let (run, panicked, mut guard) = self.run_contained(
+            FaultSite::Slow,
+            None,
+            d.scratch,
+            (index, epoch, seq),
+            |ctx| match partial.take() {
+                Some(p) => self.pipeline.run_ctx(resume_at, p, ctx),
+                None => {
+                    let raw = self.dataset.load(index)?;
+                    self.pipeline.run_ctx(0, raw, ctx)
                 }
-                match partial.take() {
-                    Some(p) => self.pipeline.run_ctx(resume_at, p, ctx),
-                    None => {
-                        let raw = self.dataset.load(index)?;
-                        self.pipeline.run_ctx(0, raw, ctx)
-                    }
-                }
-            }));
-            let panicked = caught.is_err();
-            let run = caught.unwrap_or_else(|p| {
-                Err(LoaderError::Transform {
-                    name: "panicked".into(),
-                    msg: panic_payload_msg(p),
-                })
-            });
-            if run.is_err() && (attempt as usize) < self.cfg.retry_budget && !self.is_shutdown() {
-                // The failed attempt's guard drops here, repaying its
-                // un-recycled pool scratch before the re-run.
-                drop(guard);
-                attempt += 1;
-                self.faults.retried.incr();
-                self.retry_backoff(attempt);
-                continue;
-            }
-            break (run, panicked, guard);
-        };
-        if run.is_err() && attempt > 0 {
-            self.faults.gave_up.incr();
-        }
+            },
+        );
         self.slow_meter.add_busy(t0.elapsed());
         match run {
             Ok(PipelineRun::Completed { value, elapsed }) => {
@@ -589,12 +630,7 @@ impl<D: Dataset> Runtime<D> {
             Err(e) => {
                 // The guard's drop repays pool scratch the unwinding
                 // (or error-propagating) run never recycled.
-                self.trace(EventKind::FaultHit, epoch, seq, u32::from(panicked), 0);
-                if panicked {
-                    self.record_panic(e);
-                } else {
-                    self.record_error(e);
-                }
+                self.quarantine(epoch, seq, panicked, e);
                 None
             }
         }
@@ -865,56 +901,18 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 rt.trace(EventKind::CacheMiss, ticket.epoch, ticket.seq, 0, 0);
             }
             let t0 = Instant::now();
-            // A panicking dataset or transform must not wedge the
-            // pipeline: the in-flight claim has to be released either
-            // way, so the whole per-sample step runs under
-            // `catch_unwind` and a panic degrades to a recorded error
-            // for this sample. The guard repays pool scratch the
-            // unwinding run never recycled.
-            let timeout = rt.balancer.current_timeout();
-            // Bounded retry: a transiently failing sample gets up to
-            // `retry_budget` re-attempts with exponential backoff before
-            // the failure is recorded (and the sample quarantined).
-            let mut attempt = 0u32;
-            let (run, panicked, mut guard) = loop {
-                let (ctx, guard) = rt.guarded_ctx(timeout, None, ticket.epoch, ticket.seq);
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(inj) = &rt.injector {
-                        match inj.decide(FaultSite::Fast, ticket.index, ticket.seq) {
-                            FaultAction::Panic => panic!("injected fault at seq {}", ticket.seq),
-                            FaultAction::Poison => {
-                                return Err(LoaderError::Transform {
-                                    name: "poisoned".into(),
-                                    msg: format!("injected poison at seq {}", ticket.seq),
-                                })
-                            }
-                            FaultAction::None => {}
-                        }
-                    }
+            // Contained: the in-flight claim has to be released whether
+            // or not the dataset or a transform panics.
+            let (run, panicked, mut guard) = rt.run_contained(
+                FaultSite::Fast,
+                rt.balancer.current_timeout(),
+                None,
+                (ticket.index, ticket.epoch, ticket.seq),
+                |ctx| {
                     let raw = rt.dataset.load(ticket.index)?;
                     rt.pipeline.run_ctx(0, raw, ctx)
-                }));
-                let panicked = caught.is_err();
-                let run = caught.unwrap_or_else(|p| {
-                    Err(LoaderError::Transform {
-                        name: "panicked".into(),
-                        msg: panic_payload_msg(p),
-                    })
-                });
-                if run.is_err() && (attempt as usize) < rt.cfg.retry_budget && !rt.is_shutdown() {
-                    // The failed attempt's guard drops here, repaying its
-                    // un-recycled pool scratch before the re-run.
-                    drop(guard);
-                    attempt += 1;
-                    rt.faults.retried.incr();
-                    rt.retry_backoff(attempt);
-                    continue;
-                }
-                break (run, panicked, guard);
-            };
-            if run.is_err() && attempt > 0 {
-                rt.faults.gave_up.incr();
-            }
+                },
+            );
             let bytes = rt.dataset.size_hint_bytes(ticket.index).unwrap_or(0);
             let busy = t0.elapsed();
             rt.cpu_meter.add_busy(busy);
@@ -991,18 +989,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                     }
                 }
                 Err(e) => {
-                    rt.trace(
-                        EventKind::FaultHit,
-                        ticket.epoch,
-                        ticket.seq,
-                        u32::from(panicked),
-                        0,
-                    );
-                    if panicked {
-                        rt.record_panic(e);
-                    } else {
-                        rt.record_error(e);
-                    }
+                    rt.quarantine(ticket.epoch, ticket.seq, panicked, e);
                     rt.in_flight.fetch_sub(1, Ordering::SeqCst);
                 }
             }

@@ -149,9 +149,17 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
         .build()
         .expect("valid configuration");
     let mut counts: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut switches_before_drain = 0u64;
     for b in loader.iter() {
         for m in &b.meta {
             *counts.entry((m.epoch, m.index)).or_default() += 1;
+        }
+        // Switch total first, fast-role liveness second: a total read
+        // before the role was seen live was reached before the drain.
+        let exec_stats = || loader.stats().exec.expect("executor stats present");
+        let switches = exec_stats().role_switches;
+        if !exec_stats().role("fast").unwrap().exhausted {
+            switches_before_drain = switches_before_drain.max(switches);
         }
     }
     assert_eq!(counts.len(), n as usize * epochs, "missing samples");
@@ -167,6 +175,17 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
         "no fast worker switched into the slow role at drain: {exec:?}"
     );
     assert_eq!(exec.role("fast").unwrap().switches_in, 0);
+    assert_eq!(
+        switches_before_drain, 0,
+        "a fixed worker left a live home role: {exec:?}"
+    );
+    // Only the three fast threads have a live role left to join once
+    // their own is exhausted (the slow role; the batch lane is staffed),
+    // and each joins it once.
+    assert!(
+        exec.role_switches <= 3,
+        "fixed workers kept migrating after the drain: {exec:?}"
+    );
 }
 
 #[test]

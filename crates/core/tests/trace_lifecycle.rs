@@ -6,6 +6,7 @@
 
 use minato_core::prelude::*;
 use minato_trace::json::{self, JsonValue};
+use std::time::Duration;
 
 /// A deterministic single-worker loader: fixed ticket order, no
 /// timeouts, no adaptive scaling — delivery (and therefore the traced
@@ -157,6 +158,40 @@ fn chrome_trace_export_round_trips() {
             "span {i} must be a complete event"
         );
     }
+}
+
+/// A deferred sample's background completion is a stage of its own:
+/// every sample that crossed the cutoff folds into the `slow_resume` row.
+#[test]
+fn deferred_samples_fold_a_slow_resume_row() {
+    let ds = VecDataset::new((0..32u32).collect::<Vec<_>>());
+    let pipeline = Pipeline::new(vec![
+        fn_transform("augment", |x: u32| {
+            if x.is_multiple_of(8) {
+                std::thread::sleep(Duration::from_millis(4));
+            }
+            Ok(x)
+        }),
+        fn_transform("to-tensor", Ok),
+    ]);
+    let loader = MinatoLoader::builder(ds, pipeline)
+        .batch_size(8)
+        .initial_workers(2)
+        .max_workers(2)
+        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
+        .trace(TraceConfig::on())
+        .build()
+        .expect("valid configuration");
+    let slow: usize = loader.iter().map(|b| b.slow_count()).sum();
+    assert!(slow >= 4, "every 8th sample sleeps past the fixed cutoff");
+    let stats = loader.stats();
+    assert_eq!(stats.trace.expect("tracing on").total_dropped(), 0);
+    let latency = stats.latency.expect("tracing on folds a breakdown");
+    assert_eq!(
+        latency.stage("slow_resume").map(|s| s.count),
+        Some(slow as u64),
+        "one resume per deferred sample"
+    );
 }
 
 /// Tracing composes with the cache and pool observers: a multi-epoch

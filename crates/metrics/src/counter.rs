@@ -61,45 +61,6 @@ pub fn mb_per_sec(bytes: u64, elapsed: Duration) -> f64 {
     bytes as f64 / 1e6 / secs
 }
 
-/// Windowed rate meter: converts counter deltas into per-second rates.
-///
-/// The worker scheduler samples queue/throughput rates on a fixed monitor
-/// interval; this type owns the previous snapshot so each `tick` yields the
-/// rate over the window just ended.
-#[derive(Debug)]
-pub struct RateMeter {
-    last_value: u64,
-}
-
-impl Default for RateMeter {
-    fn default() -> Self {
-        RateMeter::new()
-    }
-}
-
-impl RateMeter {
-    /// Creates a meter with an empty previous snapshot.
-    pub fn new() -> RateMeter {
-        RateMeter { last_value: 0 }
-    }
-
-    /// Records a new cumulative `value` observed `window` after the previous
-    /// tick and returns the average rate (units/second) over that window.
-    ///
-    /// A counter reset (value going backwards) is treated as a restart and
-    /// yields the rate of the new value alone.
-    pub fn tick(&mut self, value: u64, window: Duration) -> f64 {
-        let delta = value.saturating_sub(self.last_value);
-        self.last_value = value;
-        let secs = window.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            delta as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,21 +97,5 @@ mod tests {
     fn mb_per_sec_basic() {
         assert_eq!(mb_per_sec(10_000_000, Duration::from_secs(2)), 5.0);
         assert_eq!(mb_per_sec(1, Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_computes_window_delta() {
-        let mut m = RateMeter::new();
-        assert_eq!(m.tick(100, Duration::from_secs(1)), 100.0);
-        assert_eq!(m.tick(300, Duration::from_secs(2)), 100.0);
-    }
-
-    #[test]
-    fn rate_meter_handles_reset() {
-        let mut m = RateMeter::new();
-        m.tick(100, Duration::from_secs(1));
-        // Counter restarted at 10: delta saturates to 0... then new base.
-        assert_eq!(m.tick(10, Duration::from_secs(1)), 0.0);
-        assert_eq!(m.tick(20, Duration::from_secs(1)), 10.0);
     }
 }

@@ -11,8 +11,6 @@
 //!   `nvidia-smi`/`dstat`,
 //! * [`Ewma`] / [`MovingAverage`] — the moving queue-occupancy average used
 //!   by the worker scheduler (paper Formula 2),
-//! * [`Histogram`] — fixed-bucket distribution used for batch-composition
-//!   analysis (Figure 11b),
 //! * [`LogHistogram`] — power-of-two-bucketed latency distribution the
 //!   `minato-trace` collector folds lifecycle events into,
 //! * [`table`] — plain-text table/CSV rendering for the experiment
@@ -24,7 +22,6 @@
 
 pub mod counter;
 pub mod ewma;
-pub mod histogram;
 pub mod loghist;
 pub mod meter;
 pub mod reservoir;
@@ -32,9 +29,8 @@ pub mod summary;
 pub mod table;
 pub mod timeseries;
 
-pub use counter::{Counter, RateMeter};
+pub use counter::Counter;
 pub use ewma::{Ewma, MovingAverage};
-pub use histogram::Histogram;
 pub use loghist::LogHistogram;
 pub use meter::UtilizationMeter;
 pub use reservoir::Reservoir;

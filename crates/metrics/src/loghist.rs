@@ -1,8 +1,8 @@
 //! Log-bucketed latency histogram for the tracing collector.
 //!
 //! Latencies span six orders of magnitude (sub-microsecond queue hops to
-//! multi-second slow samples), so a fixed-width [`Histogram`](crate::Histogram)
-//! either loses the tail or the head. [`LogHistogram`] buckets by
+//! multi-second slow samples), so a fixed-width histogram either loses the
+//! tail or the head. [`LogHistogram`] buckets by
 //! `floor(log2(ns))`: 64 power-of-two buckets cover the whole `u64`
 //! nanosecond range with bounded (~2x) relative error, in constant memory,
 //! with allocation-free recording — the properties the per-stage latency

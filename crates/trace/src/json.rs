@@ -1,8 +1,8 @@
 //! A minimal dependency-free JSON parser.
 //!
-//! The build environment is offline (no `serde`), but the exporter and
-//! the `BENCH_*.json` harness need to *validate* what they emit — a
-//! trace that Perfetto rejects is worse than no trace. This module
+//! The build environment is offline (no `serde`), but the exporter
+//! needs to *validate* what it emits — a trace that Perfetto rejects is
+//! worse than no trace. This module
 //! parses standard JSON into a [`JsonValue`] tree; it favors clarity
 //! over speed and is meant for tests and tooling, not hot paths.
 

@@ -245,10 +245,21 @@ fn pooled_hot_path_flow() {
 
 /// `examples/shared_executor.rs`: two loaders on one shared role-fluid
 /// pool; both must deliver fully and the pool must outlive them for a
-/// third.
+/// third — with no panic on *any* thread. A loader contains worker
+/// panics (and a pool thread that dies while tearing the pool down takes
+/// nothing with it), so delivery counts alone would pass a broken run.
 #[test]
 fn shared_executor_flow() {
     use minato::core::loader::ExecutorConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    // The hook is process-wide: no test in this file panics on purpose,
+    // so a count above zero is a bug wherever it was raised.
+    static PANICS: AtomicUsize = AtomicUsize::new(0);
+    let report_panic = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        PANICS.fetch_add(1, Ordering::Relaxed);
+        report_panic(info);
+    }));
     let pool = SharedExecutor::new(4);
     let run = |pool: SharedExecutor, n: u32, slow_every: u32| {
         let dataset = VecDataset::new((0..n).collect::<Vec<_>>());
@@ -275,8 +286,10 @@ fn shared_executor_flow() {
     let handle = std::thread::spawn(move || run(p2, 48, 4));
     assert_eq!(run(pool.clone(), 64, 8), 64);
     assert_eq!(handle.join().expect("loader thread"), 48);
-    // A follow-up loader reuses the still-live pool.
+    // A follow-up loader reuses the still-live pool; it holds the last
+    // handle, so the pool is torn down when it returns.
     assert_eq!(run(pool, 32, 8), 32);
+    assert_eq!(PANICS.load(Ordering::Relaxed), 0, "a thread panicked");
 }
 
 /// `examples/resume_after_crash.rs`: checkpoint mid-run, drop the
