@@ -16,19 +16,17 @@
 //!   start, warm-up profiling, P75 timeout with P90 fallback (§4.2).
 //! * [`queue`] — bounded instrumented MPMC queues (fast/slow/temp/batch):
 //!   one mutex+condvar implementation with batched operations.
-//! * [`scheduler`] — the adaptive worker scheduler, Formulas 1–2 (§4.3),
-//!   extended with the role-budget split driving the elastic executor.
+//! * [`scheduler`] — the adaptive worker scheduler, Formulas 1–2 (§4.3).
 //! * [`cache`] — cross-epoch sample cache: memoized preprocessed outputs
 //!   served on the fast path in later epochs (sharded, byte-budgeted,
 //!   cost-aware eviction; off by default).
 //! * [`loader`] — the public `MinatoLoader` builder/iterator API.
 //!
 //! The worker runtime itself lives on the `minato-exec` executor: the
-//! fast/slow/batch stages are role handlers a shared thread pool runs
-//! under per-role budgets — fixed dedicated slices by default
-//! ([`loader::ExecutorConfig::Fixed`]), one role-fluid work-stealing
-//! pool with [`loader::ExecutorConfig::Elastic`], or a multi-loader
-//! shared pool with [`loader::ExecutorConfig::Shared`].
+//! fast/slow/batch stages are role handlers one thread pool runs, each
+//! on its own slice of threads (the fast slice gated by the scheduler's
+//! budget); a thread whose stage is exhausted joins the stages still
+//! live, so the tail of a run is finished by the whole pool.
 //!
 //! ## Quick start
 //!
@@ -83,9 +81,7 @@ pub mod prelude {
     pub use crate::dataset::{Dataset, EpochSampler, FnDataset, Sampler, VecDataset};
     pub use crate::error::{LoaderError, Result};
     pub use crate::fault::{FaultAction, FaultInjector, FaultSite, FaultStats};
-    pub use crate::loader::{
-        ErrorPolicy, ExecutorConfig, LoaderConfig, MinatoLoader, MinatoLoaderBuilder,
-    };
+    pub use crate::loader::{ErrorPolicy, LoaderConfig, MinatoLoader, MinatoLoaderBuilder};
     pub use crate::pool::{
         BufferPool, PoolConfig, PoolRecycler, PoolSet, PoolSetStats, PoolStats, Reclaim,
         SampleRecycler,
@@ -97,6 +93,6 @@ pub mod prelude {
         fn_transform, fn_transform_classed, CostClass, InPlace, Outcome, Pipeline, PipelineRun,
         Transform, TransformCtx,
     };
-    pub use minato_exec::{ExecStats, RoleStatsSnapshot, SharedExecutor};
+    pub use minato_exec::{ExecStats, RoleStatsSnapshot};
     pub use minato_trace::{LatencyBreakdown, StageLatency, TraceConfig, TraceStats};
 }

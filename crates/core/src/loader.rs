@@ -42,7 +42,7 @@ use crate::transform::{Pipeline, StageObserver};
 use crate::worker::{
     BatchStep, ExecRoles, FastStep, FaultCounters, Runtime, SlowStep, TracerStageObserver, Q_BATCH0,
 };
-use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec, SharedExecutor};
+use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec};
 use minato_metrics::{Counter, Reservoir, UtilizationMeter};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer};
 use parking_lot::{Condvar, Mutex};
@@ -51,35 +51,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How the loader's three pipeline stages (fast preprocessing, slow
-/// background completion, batch assembly) map onto worker threads.
-#[derive(Debug, Clone, Default)]
-pub enum ExecutorConfig {
-    /// One dedicated thread slice per stage — `max_workers` fast
-    /// threads gated by the adaptive scheduler, plus dedicated slow and
-    /// batch workers (the default). A thread stays in its stage while
-    /// that stage is live; once the sampler has drained and the fast
-    /// stage is exhausted, its threads join the slow stage through the
-    /// elastic bidding loop (the batch lanes are already staffed), so
-    /// the deferred backlog at the end of a run is not left to the slow
-    /// slice alone.
-    #[default]
-    Fixed,
-    /// A single role-fluid pool: `threads` workers (0 = `max_workers`)
-    /// re-bid for the fast/slow/batch roles at safe points under the
-    /// scheduler's [`RoleBudgets`], stealing into whichever stage is
-    /// the bottleneck. Capacity migrates within one refresh interval.
-    Elastic {
-        /// Pool size; 0 resolves to `max_workers` at build time.
-        threads: usize,
-    },
-    /// Run on an external [`SharedExecutor`] pool (multi-loader
-    /// training): this loader registers its roles on the shared pool
-    /// instead of spawning threads, and budgets arbitrate capacity
-    /// across the loaders registered on it.
-    Shared(SharedExecutor),
-}
 
 /// What to do when a dataset or transform errors on one sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,10 +138,6 @@ pub struct LoaderConfig {
     /// default — behavior is then byte-identical to a pool-less build:
     /// by-value transform execution, no recycle hook on batches).
     pub pool_budget_bytes: u64,
-    /// How pipeline stages map onto worker threads (fixed dedicated
-    /// slices, one elastic role-fluid pool, or a shared multi-loader
-    /// pool).
-    pub executor: ExecutorConfig,
     /// Track delivered sequence numbers so [`MinatoLoader::checkpoint`]
     /// can snapshot progress (off by default — the delivery log costs
     /// one short lock acquisition per popped batch).
@@ -254,7 +221,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 cache_policy: EvictionPolicy::CostAware,
                 cache_shards: 8,
                 pool_budget_bytes: 0,
-                executor: ExecutorConfig::Fixed,
                 checkpointing: false,
                 trace: TraceConfig::default(),
                 retry_budget: 2,
@@ -397,16 +363,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// (the paper's CUDA-stream prefetch, §4.3).
     pub fn transfer_hook(mut self, hook: Arc<dyn TransferHook<D::Sample>>) -> Self {
         self.transfer_hook = Some(hook);
-        self
-    }
-
-    /// Selects the executor backing the loader (default:
-    /// [`ExecutorConfig::Fixed`], behavior-equivalent to dedicated
-    /// per-stage threads). [`ExecutorConfig::Elastic`] runs every stage
-    /// on one role-fluid work-stealing pool; [`ExecutorConfig::Shared`]
-    /// registers the stages on an external multi-loader pool.
-    pub fn executor(mut self, exec: ExecutorConfig) -> Self {
-        self.cfg.executor = exec;
         self
     }
 
@@ -632,30 +588,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         if cfg.ticket_chunk == 0 {
             return Err(LoaderError::Config("ticket_chunk must be positive".into()));
         }
-        match &cfg.executor {
-            ExecutorConfig::Fixed => {}
-            ExecutorConfig::Elastic { threads } => {
-                let resolved = if *threads == 0 {
-                    cfg.max_workers
-                } else {
-                    *threads
-                };
-                if resolved < 2 {
-                    return Err(LoaderError::Config(
-                        "elastic executor needs at least 2 threads (batch assembly \
-                         plus one producing role)"
-                            .into(),
-                    ));
-                }
-            }
-            ExecutorConfig::Shared(pool) => {
-                if pool.threads() < 2 {
-                    return Err(LoaderError::Config(
-                        "shared executor pool needs at least 2 threads".into(),
-                    ));
-                }
-            }
-        }
         if cfg.cache_budget_bytes > 0 {
             if cfg.cache_shards == 0 {
                 return Err(LoaderError::Config("cache_shards must be positive".into()));
@@ -731,9 +663,7 @@ struct LoaderParts<D: Dataset> {
 /// the pipeline down and joins every worker thread.
 pub struct MinatoLoader<D: Dataset> {
     rt: Arc<Runtime<D>>,
-    /// The loader-owned worker pool; `None` when running on a shared
-    /// pool (whose threads outlive this loader).
-    executor: Option<Executor>,
+    executor: Executor,
     handles: Vec<JoinHandle<()>>,
     trace: Arc<Mutex<MonitorTrace>>,
     /// Event collector of the lifecycle tracer; `Some` iff tracing is
@@ -742,59 +672,6 @@ pub struct MinatoLoader<D: Dataset> {
     /// calls.
     trace_collect: Option<Arc<Mutex<Collector>>>,
     joined: AtomicBool,
-}
-
-/// Initial role budgets: the fixed topology's worker counts, clamped to
-/// fit an elastic pool (batch first, then slow, fast takes the rest).
-fn initial_budgets(
-    cfg: &LoaderConfig,
-    slow_workers: usize,
-    elastic: bool,
-    threads: usize,
-) -> RoleBudgets {
-    if !elastic {
-        return RoleBudgets {
-            fast: cfg.initial_workers,
-            slow: slow_workers.max(1),
-            batch: cfg.batch_workers,
-        };
-    }
-    let batch = cfg.batch_workers.min(threads).max(1);
-    let avail = threads.saturating_sub(batch);
-    let slow = if slow_workers == 0 {
-        0
-    } else {
-        slow_workers.clamp(1.min(avail), avail)
-    };
-    // A zero fast budget on a tiny pool is fine: elastic workers steal
-    // into the fast role whenever nothing else has work.
-    let fast = cfg.initial_workers.min(avail.saturating_sub(slow));
-    RoleBudgets { fast, slow, batch }
-}
-
-/// Clamps checkpointed role budgets into the resumed topology — the
-/// restart may run on fewer threads than the run that took the
-/// checkpoint, and a stale budget must not oversubscribe the pool.
-fn restore_budgets(
-    saved: RoleBudgets,
-    fresh: RoleBudgets,
-    elastic: bool,
-    threads: usize,
-    cfg: &LoaderConfig,
-) -> RoleBudgets {
-    if !elastic {
-        // Fixed topology: only the fast gate is scheduler-driven; slow
-        // and batch slices are sized by the config, not the budget.
-        return RoleBudgets {
-            fast: saved.fast.clamp(1, cfg.max_workers),
-            ..fresh
-        };
-    }
-    let batch = saved.batch.clamp(1, threads);
-    let avail = threads.saturating_sub(batch);
-    let slow = saved.slow.min(avail);
-    let fast = saved.fast.min(avail.saturating_sub(slow));
-    RoleBudgets { fast, slow, batch }
 }
 
 impl<D: Dataset> MinatoLoader<D> {
@@ -850,39 +727,14 @@ impl<D: Dataset> MinatoLoader<D> {
         } else {
             cfg.slow_workers
         };
-        // Fixed mode keeps one slow thread even with slow_workers == 0:
-        // its only job is the close cascade (closing the slow queue once
-        // the never-used temp queue closes).
+        // One slow thread stays even with slow_workers == 0: its only
+        // job is the close cascade (closing the slow queue once the
+        // never-used temp queue closes).
         let slow_threads = slow_workers.max(1);
         let batch_threads = cfg.batch_workers;
-        let (exec, exec_owned, elastic) = match &cfg.executor {
-            ExecutorConfig::Fixed => {
-                let threads = cfg.max_workers + slow_threads + batch_threads;
-                let mut ecfg = ExecConfig::fixed(threads);
-                ecfg.idle_wait = cfg.starvation_wait;
-                (ExecHandle::new(ecfg), true, false)
-            }
-            ExecutorConfig::Elastic { threads } => {
-                let threads = if *threads == 0 {
-                    cfg.max_workers
-                } else {
-                    *threads
-                };
-                let mut ecfg = ExecConfig::elastic(threads);
-                ecfg.idle_wait = cfg.starvation_wait;
-                (ExecHandle::new(ecfg), true, true)
-            }
-            ExecutorConfig::Shared(pool) => (pool.handle().clone(), false, true),
-        };
-        if elastic {
-            // Formula 1 now bounds the whole pool, not just the fast
-            // slice.
-            cfg.scheduler.max_workers = exec.config().threads;
-            cfg.scheduler.min_workers = cfg
-                .scheduler
-                .min_workers
-                .clamp(1, cfg.scheduler.max_workers);
-        }
+        let mut ecfg = ExecConfig::fixed(cfg.max_workers + slow_threads + batch_threads);
+        ecfg.idle_wait = cfg.starvation_wait;
+        let exec = ExecHandle::new(ecfg);
         let batch_qs: Vec<MinatoQueue<Batch<D::Sample>>> = (0..cfg.num_gpus)
             .map(|g| MinatoQueue::new(&format!("batch[{g}]"), cfg.prefetch_factor))
             .collect();
@@ -928,7 +780,6 @@ impl<D: Dataset> MinatoLoader<D> {
             batch_qs,
             exec: exec.clone(),
             exec_roles: OnceLock::new(),
-            exec_owned,
             batch_help: OnceLock::new(),
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
@@ -968,47 +819,40 @@ impl<D: Dataset> MinatoLoader<D> {
             cfg: cfg.clone(),
         });
 
-        // The three pipeline stages as executor roles. Initial budgets
-        // reproduce the fixed topology; on an elastic pool they are
-        // clamped to the pool size and re-balanced every refresh.
+        // The three pipeline stages as executor roles. Only the fast
+        // budget is scheduler-driven; the slow and batch slices are sized
+        // by the config, so a checkpoint restores the fast gate alone
+        // (clamped: the restart may run with fewer workers).
         let batch_step = Arc::new(BatchStep::new(Arc::clone(&rt)));
         let lanes = batch_step.lane_count();
-        // Producers blocked on full internal queues help this step
-        // along instead of waiting (the role-fluid progress guarantee).
+        // In order-preserving mode a producer facing a full fast queue
+        // runs this step's lane instead of sleeping.
         rt.batch_help
             .set(Arc::downgrade(&batch_step))
             .unwrap_or_else(|_| unreachable!("batch_help set once"));
-        // On a role-fluid pool a slow worker should re-bid quickly when
-        // the temp queue is empty; a dedicated fixed slow worker has
-        // nowhere else to go, so it sleeps longer between probes.
-        let slow_wait = if elastic {
-            cfg.starvation_wait
-        } else {
-            Duration::from_millis(25)
+        let fast_budget = match &resume {
+            Some(ck) => ck.budgets.fast.clamp(1, cfg.max_workers),
+            None => cfg.initial_workers,
         };
-        let mut budgets = initial_budgets(&cfg, slow_workers, elastic, exec.config().threads);
-        if let Some(ck) = &resume {
-            budgets = restore_budgets(ck.budgets, budgets, elastic, exec.config().threads, &cfg);
-        }
         let ids = exec.register(vec![
             RoleSpec {
                 name: "fast".into(),
                 step: Arc::new(FastStep::new(Arc::clone(&rt))),
-                budget: budgets.fast,
+                budget: fast_budget,
                 threads: cfg.max_workers,
                 max_concurrency: None,
             },
             RoleSpec {
                 name: "slow".into(),
-                step: Arc::new(SlowStep::new(Arc::clone(&rt), slow_wait)),
-                budget: budgets.slow,
+                step: Arc::new(SlowStep::new(Arc::clone(&rt))),
+                budget: slow_threads,
                 threads: slow_threads,
                 max_concurrency: None,
             },
             RoleSpec {
                 name: "batch".into(),
                 step: batch_step,
-                budget: budgets.batch,
+                budget: batch_threads,
                 threads: batch_threads,
                 max_concurrency: Some(lanes),
             },
@@ -1023,11 +867,9 @@ impl<D: Dataset> MinatoLoader<D> {
                 "executor roles registered twice for one runtime".into(),
             ));
         }
-        // Role re-bids become RoleSwitch events (arg: 0 fast / 1 slow /
-        // 2 batch / 3 other). Owned pools only: on a shared pool the
-        // observer slot belongs to whichever loader claims it first,
-        // which would mix foreign loaders' switches into this trace.
-        if let (Some(t), true) = (&tracer, exec_owned) {
+        // Role switches at drain become RoleSwitch events (arg: 0 fast /
+        // 1 slow / 2 batch / 3 other).
+        if let Some(t) = &tracer {
             let t2 = Arc::clone(t);
             exec.set_switch_observer(Arc::new(move |role| {
                 let arg = if role == roles.fast {
@@ -1042,14 +884,9 @@ impl<D: Dataset> MinatoLoader<D> {
                 t2.record(EventKind::RoleSwitch, 0, 0, arg, 0);
             }));
         }
-        let executor = if exec_owned {
-            Some(
-                exec.spawn()
-                    .map_err(|e| LoaderError::Config(format!("spawn failed: {e}")))?,
-            )
-        } else {
-            None
-        };
+        let executor = exec
+            .spawn()
+            .map_err(|e| LoaderError::Config(format!("spawn failed: {e}")))?;
 
         let trace = Arc::new(Mutex::new(MonitorTrace::new()));
         let mut handles = Vec::new();
@@ -1060,7 +897,7 @@ impl<D: Dataset> MinatoLoader<D> {
             handles.push(
                 std::thread::Builder::new()
                     .name("minato-monitor".into())
-                    .spawn(move || monitor_loop(rt2, trace2, collect2, budgets, roles))
+                    .spawn(move || monitor_loop(rt2, trace2, collect2, roles))
                     .map_err(|e| LoaderError::Config(format!("spawn failed: {e}")))?,
             );
         }
@@ -1152,8 +989,7 @@ impl<D: Dataset> MinatoLoader<D> {
     /// Captures a crash-safe snapshot of loader progress at a quiescent
     /// point, for [`MinatoLoaderBuilder::resume_from`].
     ///
-    /// The call parks the fast role at its step boundary (the same
-    /// safe-point rendezvous elastic workers use to re-bid roles), waits
+    /// The call parks the fast role at its step boundary, waits
     /// briefly for in-flight samples to drain into queues, snapshots the
     /// delivery log plus balancer/budget/cache state, and resumes the
     /// pipeline. Requires [`MinatoLoaderBuilder::checkpoint`].
@@ -1260,10 +1096,7 @@ impl<D: Dataset> MinatoLoader<D> {
             queue_cas_retries: 0,
             cache: rt.cache.as_ref().map(|c| c.stats()),
             pool: rt.pools.as_ref().map(|p| p.stats()),
-            exec: rt
-                .exec_roles
-                .get()
-                .map(|roles| rt.exec.stats_for(&roles.all())),
+            exec: Some(rt.exec.stats()),
             active_workers: rt
                 .exec_roles
                 .get()
@@ -1305,9 +1138,7 @@ impl<D: Dataset> MinatoLoader<D> {
         if self.joined.swap(true, Ordering::AcqRel) {
             return;
         }
-        if let Some(pool) = self.executor.as_mut() {
-            pool.join();
-        }
+        self.executor.join();
         for h in self.handles.drain(..) {
             // A panicked worker already recorded its damage; joining must
             // not propagate the panic into the caller's drop path.
@@ -1355,20 +1186,16 @@ impl AcquireObserver for TracerPoolObserver {
 }
 
 /// Monitor loop: samples utilization/occupancy, drives the adaptive worker
-/// scheduler — as a single fast-gate limit on a fixed executor, as a
-/// role-budget vector on an elastic one — and keeps the balancer's
-/// timeout fresh (§4.3).
+/// scheduler (the fast role's budget is its gate limit), and keeps the
+/// balancer's timeout fresh (§4.3).
 fn monitor_loop<D: Dataset>(
     rt: Arc<Runtime<D>>,
     trace: Arc<Mutex<MonitorTrace>>,
     collector: Option<Arc<Mutex<Collector>>>,
-    mut budgets: RoleBudgets,
     roles: ExecRoles,
 ) {
     let mut scheduler = WorkerScheduler::new(rt.cfg.scheduler.clone());
     let interval = rt.cfg.scheduler.interval;
-    let elastic = rt.exec.config().elastic;
-    let slow_enabled = !matches!(rt.cfg.timeout_policy, TimeoutPolicy::Disabled);
     let mut prev_busy = 0u64;
     let mut prev_slow_busy = 0u64;
     let mut prev_bytes = 0u64;
@@ -1470,9 +1297,6 @@ fn monitor_loop<D: Dataset>(
                 t.pool_hit_pct.push(now, pct);
                 t.pool_bytes.push(now, bytes);
             }
-            t.role_mix[0].push(now, budgets.fast as f64);
-            t.role_mix[1].push(now, budgets.slow as f64);
-            t.role_mix[2].push(now, budgets.batch as f64);
             if let Some(dropped) = trace_drop_total {
                 t.trace_dropped.push(now, dropped);
             }
@@ -1484,28 +1308,9 @@ fn monitor_loop<D: Dataset>(
         }
 
         if rt.cfg.adaptive_workers {
-            if elastic {
-                // Formula 1 sizes the whole pool; the role split follows
-                // the temp-queue backlog with bounded churn.
-                let limit = scheduler.decide(budgets.total(), q_len, q_cap, cpu_norm);
-                // Backlog per slow worker in ticket chunks — capacity-
-                // independent, unlike the raw temp-queue fill fraction.
-                let backlog = rt.temp_q.len() as f64 / rt.slow_backlog_unit(budgets.slow) as f64;
-                let fast_active = !rt.source_drained.load(Ordering::SeqCst);
-                let next =
-                    scheduler.decide_roles(limit, budgets, backlog, slow_enabled, fast_active);
-                if next != budgets {
-                    budgets = next;
-                    rt.exec.set_budget(roles.fast, budgets.fast);
-                    rt.exec.set_budget(roles.slow, budgets.slow);
-                    rt.exec.set_budget(roles.batch, budgets.batch);
-                }
-            } else {
-                let target = scheduler.decide(active, q_len, q_cap, cpu_norm);
-                if target != active {
-                    rt.exec.set_budget(roles.fast, target);
-                    budgets.fast = target;
-                }
+            let target = scheduler.decide(active, q_len, q_cap, cpu_norm);
+            if target != active {
+                rt.exec.set_budget(roles.fast, target);
             }
         }
         rt.balancer.refresh_now();

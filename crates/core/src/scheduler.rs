@@ -1,5 +1,4 @@
-//! Adaptive CPU worker scheduler (paper §4.3, Formulas 1–2) and the
-//! role-budget split driving the elastic executor.
+//! Adaptive CPU worker scheduler (paper §4.3, Formulas 1–2).
 //!
 //! The scheduler keeps the GPUs busy by matching the number of active
 //! preprocessing workers to the training demand. Every monitor interval it
@@ -18,22 +17,12 @@
 //! cold window would otherwise over-weight the startup transient for a
 //! full window length and bias the first refreshes toward scale-up.
 //!
-//! On the role-fluid executor the Formula-1 worker count is no longer
-//! applied as a single gate limit but split into a **role-budget
-//! vector** ([`RoleBudgets`]) by [`WorkerScheduler::decide_roles`]:
-//! every refresh, the active limit is partitioned between the fast,
-//! slow, and batch roles, steering the slow share by the temp-queue
-//! backlog (smoothed, with a hysteresis band) so that at most one
-//! worker migrates per refresh — capacity follows the bottleneck while
-//! role churn stays bounded.
-//!
-//! The decision functions are pure ([`WorkerScheduler::decide`],
-//! [`WorkerScheduler::decide_roles`]) so they can be unit-tested and
-//! swept in ablation benches; the executor applies them to real
-//! threads — the fixed mode parks workers whose rank exceeds the fast
-//! budget (the classic gate), the elastic mode re-bids whole roles.
+//! The decision function is pure ([`WorkerScheduler::decide`]) so it can
+//! be unit-tested and swept in ablations; the executor applies it to
+//! real threads by parking the fast workers whose rank exceeds the fast
+//! role's budget (the classic gate).
 
-use minato_metrics::{Ewma, MovingAverage};
+use minato_metrics::MovingAverage;
 use std::time::Duration;
 
 /// Tuning parameters for the adaptive scheduler.
@@ -73,10 +62,9 @@ impl SchedulerConfig {
     }
 }
 
-/// Target worker counts per executor role — the scheduler's output on
-/// the role-fluid executor (one number per stage instead of a single
-/// gate limit). Budgets always sum to the active limit passed to
-/// [`WorkerScheduler::decide_roles`].
+/// Worker counts per executor role, as registered at start and saved in
+/// a checkpoint. Only `fast` moves at runtime (the scheduler's gate
+/// limit); `slow` and `batch` are sized by the configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoleBudgets {
     /// Foreground preprocessing workers (ticket claim + pipeline).
@@ -87,13 +75,6 @@ pub struct RoleBudgets {
     pub batch: usize,
 }
 
-impl RoleBudgets {
-    /// Total workers across all roles.
-    pub fn total(&self) -> usize {
-        self.fast + self.slow + self.batch
-    }
-}
-
 /// Pure scaling-decision engine.
 #[derive(Debug)]
 pub struct WorkerScheduler {
@@ -101,8 +82,6 @@ pub struct WorkerScheduler {
     queue_avg: MovingAverage,
     /// Whether `queue_avg` was seeded with the first observation.
     primed: bool,
-    /// Smoothed temp-queue backlog driving the slow-role share.
-    slow_pressure: Ewma,
 }
 
 impl WorkerScheduler {
@@ -127,7 +106,6 @@ impl WorkerScheduler {
             cfg,
             queue_avg: MovingAverage::new(window),
             primed: false,
-            slow_pressure: Ewma::new(0.5),
         }
     }
 
@@ -181,70 +159,6 @@ impl WorkerScheduler {
         let d = self.delta(self.queue_avg.value(), q_max as f64, cpu_usage);
         let next = current as i64 + d;
         (next.max(self.cfg.min_workers as i64) as usize).min(self.cfg.max_workers)
-    }
-
-    /// Splits an active limit (the Formula-1 output) into per-role
-    /// budgets for the elastic executor.
-    ///
-    /// * `limit` — total workers to distribute (from [`WorkerScheduler::decide`]),
-    /// * `prev` — the budgets currently in force,
-    /// * `slow_backlog` — deferred samples queued *per slow-role worker,
-    ///   in ticket chunks* (`temp_len / (ticket_chunk · slow_budget)`):
-    ///   1.0 means every slow worker has a full chunk's worth waiting,
-    ///   so the signal is independent of the temp queue's capacity,
-    /// * `slow_enabled` — whether timeout classification is on (off in
-    ///   order-preserving mode: the slow role then gets no budget),
-    /// * `fast_active` — whether the sampler can still produce tickets
-    ///   (once drained, the fast share is released to the slow role).
-    ///
-    /// Invariants (see the crate's property tests):
-    ///
-    /// * the returned budgets sum to `limit` exactly;
-    /// * at most one worker migrates between roles per call
-    ///   (hysteresis), except when `limit` itself changed;
-    /// * the batch role keeps at least one worker whenever `limit > 0`;
-    /// * the slow role keeps at least one worker while enabled and
-    ///   `limit` permits, and is only grown/shrunk when the smoothed
-    ///   backlog crosses the hysteresis band (grow above one queued
-    ///   chunk per slow worker, shrink below a quarter chunk).
-    pub fn decide_roles(
-        &mut self,
-        limit: usize,
-        prev: RoleBudgets,
-        slow_backlog: f64,
-        slow_enabled: bool,
-        fast_active: bool,
-    ) -> RoleBudgets {
-        let limit = limit.max(1);
-        self.slow_pressure.record(slow_backlog.clamp(0.0, 16.0));
-        let pressure = self.slow_pressure.value();
-        // Batch assembly is cheap and capped by its lane count; keep its
-        // share stable at the configured size, shrunk only when the
-        // limit itself cannot accommodate it.
-        let batch = prev.batch.max(1).min(limit);
-        let avail = limit.saturating_sub(batch);
-        let fast_min = usize::from(fast_active && avail >= 2);
-        let (slow_min, slow_max) = if slow_enabled {
-            (usize::from(avail >= 1), avail.saturating_sub(fast_min))
-        } else {
-            (0, 0)
-        };
-        // Hysteresis: the slow share moves by at most one worker per
-        // refresh, and only when the smoothed backlog leaves the
-        // [0.25, 1.0] dead band — bounded role churn by construction.
-        let mut slow = prev.slow;
-        if !fast_active {
-            // Nothing left to claim: background completion is the only
-            // producing stage, hand it everything at once.
-            slow = slow_max;
-        } else if pressure > 1.0 {
-            slow += 1;
-        } else if pressure < 0.25 {
-            slow = slow.saturating_sub(1);
-        }
-        let slow = slow.clamp(slow_min, slow_max);
-        let fast = limit.saturating_sub(batch + slow);
-        RoleBudgets { fast, slow, batch }
     }
 }
 
@@ -360,71 +274,6 @@ mod tests {
             "one post-warm-up dip must not trigger scale-up"
         );
     }
-
-    fn budgets(fast: usize, slow: usize, batch: usize) -> RoleBudgets {
-        RoleBudgets { fast, slow, batch }
-    }
-
-    #[test]
-    fn role_budgets_sum_to_limit_and_move_slowly() {
-        let mut s = WorkerScheduler::new(SchedulerConfig::paper_default(8));
-        let mut prev = budgets(6, 1, 1);
-        // A deep slow backlog: slow grows by exactly one per refresh.
-        for expect_slow in [2usize, 3, 4] {
-            let next = s.decide_roles(8, prev, 4.0, true, true);
-            assert_eq!(next.total(), 8, "budgets must sum to the limit");
-            assert_eq!(next.slow, expect_slow, "one migration per refresh");
-            assert_eq!(next.batch, 1);
-            prev = next;
-        }
-        // Backlog gone: the EWMA decays below the shrink threshold after
-        // a few empty observations, then the slow share returns one
-        // worker per refresh (never below the enabled minimum of 1).
-        for _ in 0..16 {
-            prev = s.decide_roles(8, prev, 0.0, true, true);
-            assert_eq!(prev.total(), 8);
-        }
-        assert_eq!(prev.slow, 1, "slow share released back to fast");
-        assert_eq!(prev.fast, 6);
-    }
-
-    #[test]
-    fn role_budgets_hold_inside_hysteresis_band() {
-        let mut s = WorkerScheduler::new(SchedulerConfig::paper_default(8));
-        let prev = budgets(5, 2, 1);
-        // A backlog inside the [0.25, 1.0] dead band must not churn roles.
-        for _ in 0..10 {
-            assert_eq!(s.decide_roles(8, prev, 0.5, true, true), prev);
-        }
-    }
-
-    #[test]
-    fn role_budgets_without_slow_path() {
-        let mut s = WorkerScheduler::new(SchedulerConfig::paper_default(8));
-        // Order-preserving mode: classification off, slow share stays 0
-        // no matter the (impossible) backlog signal.
-        let next = s.decide_roles(8, budgets(7, 0, 1), 4.0, false, true);
-        assert_eq!(next, budgets(7, 0, 1));
-    }
-
-    #[test]
-    fn role_budgets_release_fast_share_when_source_drained() {
-        let mut s = WorkerScheduler::new(SchedulerConfig::paper_default(8));
-        let next = s.decide_roles(8, budgets(6, 1, 1), 0.4, true, false);
-        assert_eq!(next.fast, 0, "no tickets left: fast share released");
-        assert_eq!(next.slow, 7, "background completion takes the pool");
-        assert_eq!(next.total(), 8);
-    }
-
-    #[test]
-    fn role_budgets_tiny_limits_keep_batch_alive() {
-        let mut s = WorkerScheduler::new(SchedulerConfig::paper_default(8));
-        for limit in 1..=3usize {
-            let next = s.decide_roles(limit, budgets(1, 1, 1), 4.0, true, true);
-            assert_eq!(next.total(), limit);
-            assert!(next.batch >= 1, "batch role must survive limit {limit}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -482,35 +331,6 @@ mod properties {
                     (min..=max).contains(&w),
                     "decide left [{min}, {max}]: {w}"
                 );
-            }
-        }
-
-        /// Role budgets always sum to the active limit, keep the batch
-        /// role alive, and respect the slow role's enablement — for
-        /// arbitrary starting budgets, limits, and backlog streams.
-        #[test]
-        fn role_budgets_always_sum_to_limit(
-            limit in 1usize..64,
-            pf in 0usize..64,
-            ps in 0usize..64,
-            pb in 1usize..4,
-            backlog in proptest::collection::vec(0.0f64..1.0, 1..16),
-            slow_enabled in any::<bool>(),
-            fast_active in any::<bool>(),
-        ) {
-            let mut s = WorkerScheduler::new(SchedulerConfig::paper_default(64));
-            let mut prev = RoleBudgets { fast: pf, slow: ps, batch: pb };
-            for frac in backlog {
-                let next = s.decide_roles(limit, prev, frac, slow_enabled, fast_active);
-                prop_assert_eq!(
-                    next.total(), limit,
-                    "budgets {:?} do not sum to limit {}", next, limit
-                );
-                prop_assert!(next.batch >= 1, "batch role starved: {next:?}");
-                if !slow_enabled {
-                    prop_assert_eq!(next.slow, 0);
-                }
-                prev = next;
             }
         }
     }

@@ -55,10 +55,10 @@ pub struct LoaderStats {
     /// resident bytes) per element type; `None` when pooling is
     /// disabled (the default).
     pub pool: Option<PoolSetStats>,
-    /// Executor counters for this loader's roles: per-role budget,
-    /// occupancy, progressing steps, steals (work run at/over budget),
-    /// and role switches. `None` only for runtimes driven without an
-    /// executor (handler unit tests).
+    /// Executor counters for the loader's roles: per-role budget,
+    /// occupancy, progressing steps, and the drain phase's steals (work
+    /// run at/over budget) and role switches. Always `Some`; optional
+    /// because the frozen `benchmark/` package reads it as such.
     pub exec: Option<ExecStats>,
     /// Fast-role workers currently budgeted by the scheduler.
     pub active_workers: usize,
@@ -90,7 +90,7 @@ pub struct MonitorTrace {
     /// interval — metered separately so loader `cpu_pct` feeds the
     /// scheduler unbiased.
     pub slow_cpu_pct: TimeSeries,
-    /// Active worker count, per interval.
+    /// Active worker count (the fast role's budget), per interval.
     pub workers: TimeSeries,
     /// Batch-queue occupancy (fraction of capacity), per interval.
     pub batch_occupancy: TimeSeries,
@@ -106,10 +106,6 @@ pub struct MonitorTrace {
     /// Bytes resident in the pool's shared free-lists at each interval
     /// — the steady-state working set the recycle loop retains.
     pub pool_bytes: TimeSeries,
-    /// Per-role worker budgets over time (`[fast, slow, batch]`): how
-    /// the scheduler's role-budget vector migrated capacity between
-    /// stages. Constant series on a fixed executor.
-    pub role_mix: [TimeSeries; 3],
     /// Cumulative fault counters over time (`[panics, poisoned,
     /// quarantined, rerouted]`) — flat at zero on a healthy run, so a
     /// step in any series timestamps when a fault burst hit.
@@ -133,11 +129,6 @@ impl MonitorTrace {
             cache_hit_pct: TimeSeries::new("cache_hit_pct"),
             pool_hit_pct: TimeSeries::new("pool_hit_pct"),
             pool_bytes: TimeSeries::new("pool_bytes"),
-            role_mix: [
-                TimeSeries::new("role_fast"),
-                TimeSeries::new("role_slow"),
-                TimeSeries::new("role_batch"),
-            ],
             fault_counts: [
                 TimeSeries::new("fault_panics"),
                 TimeSeries::new("fault_poisoned"),
@@ -170,7 +161,6 @@ mod tests {
         assert!(t.cache_hit_pct.is_empty());
         assert!(t.pool_hit_pct.is_empty());
         assert!(t.pool_bytes.is_empty());
-        assert!(t.role_mix.iter().all(|s| s.is_empty()));
         assert!(t.fault_counts.iter().all(|s| s.is_empty()));
         assert!(t.trace_dropped.is_empty());
     }

@@ -8,13 +8,12 @@
 //!              └→ temp_q → [slow role] → slow_q ─┘
 //! ```
 //!
-//! Since the elastic-executor refactor the three stages are no longer
-//! dedicated thread bodies but [`minato_exec::RoleStep`] implementations
-//! ([`FastStep`], [`SlowStep`], [`BatchStep`]): any worker of the shared
-//! pool can run any stage, one bounded step at a time, under the
-//! scheduler's role-budget vector. Each step keeps the pre-refactor
-//! semantics — chunked ticket claims, reserve-then-publish batch
-//! delivery, cache admission, pooled in-place execution — byte for byte.
+//! The three stages are [`minato_exec::RoleStep`] implementations
+//! ([`FastStep`], [`SlowStep`], [`BatchStep`]) run one bounded step at a
+//! time by the loader's executor pool: each stage has its own threads
+//! (the fast ones gated by the scheduler's budget), and a thread whose
+//! stage is exhausted joins the stages still live, so the deferred
+//! backlog at the end of a run is finished by the whole pool.
 //!
 //! Shutdown is a close cascade, never a hard stop: the fast role's
 //! `finish` closes `fast_q`/`temp_q` (normally `maybe_close_sources`
@@ -42,6 +41,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
+
+/// How long a slow-role step waits for a deferred sample before it
+/// reports idle. A slow worker has nowhere else to go while its role is
+/// live, and a put or the close of the temp queue ends the wait at once,
+/// so the bound only sets how often an idle worker returns to the
+/// executor.
+const SLOW_CLAIM_WAIT: Duration = Duration::from_millis(25);
 
 /// Bound on the `recent_errors` ring: enough to see a fault *burst*,
 /// small enough that a pathological run cannot grow memory unboundedly.
@@ -181,12 +187,6 @@ pub(crate) struct ExecRoles {
     pub batch: RoleId,
 }
 
-impl ExecRoles {
-    pub(crate) fn all(&self) -> [RoleId; 3] {
-        [self.fast, self.slow, self.batch]
-    }
-}
-
 /// State shared by every pool worker and the monitor thread.
 pub(crate) struct Runtime<D: Dataset> {
     pub dataset: D,
@@ -215,13 +215,10 @@ pub(crate) struct Runtime<D: Dataset> {
     /// The loader's role ids on that pool (empty in handler unit tests
     /// that drive steps directly).
     pub(crate) exec_roles: OnceLock<ExecRoles>,
-    /// Whether the pool is owned by this loader (full shutdown allowed)
-    /// or shared with other loaders (only this loader's roles retire).
-    pub exec_owned: bool,
-    /// Back-reference to the batch role so producers blocked on a full
-    /// internal queue can *help* assemble batches instead of waiting —
-    /// the keystone of the role-fluid progress guarantee (see
-    /// [`Runtime::help_batch_once`]). Weak: the executor owns the step.
+    /// Back-reference to the batch role so that, in order-preserving
+    /// mode, a producer facing a full fast queue can run the assembly
+    /// lane instead of sleeping (see [`Runtime::help_batch_once`]).
+    /// Weak: the executor owns the step.
     pub(crate) batch_help: OnceLock<Weak<BatchStep<D>>>,
     pub cfg: LoaderConfig,
     /// Tickets claimed from the sampler but not yet routed to a queue (or
@@ -257,9 +254,8 @@ pub(crate) struct Runtime<D: Dataset> {
     /// `cfg.checkpointing` is on (recorded by `next_batch`).
     pub delivered: Mutex<DeliveryLog>,
     /// Safe-point rendezvous for `MinatoLoader::checkpoint()`: while
-    /// set, fast-role steps idle at their step boundary (the same
-    /// boundary elastic workers re-bid roles at) instead of claiming
-    /// new tickets, quiescing the claim pipeline.
+    /// set, fast-role steps idle at their step boundary instead of
+    /// claiming new tickets, quiescing the claim pipeline.
     pub checkpoint_pause: AtomicBool,
     /// Deterministic fault oracle for the chaos suite; `None` (the
     /// production default) costs one branch per sample.
@@ -364,9 +360,7 @@ impl<D: Dataset> Runtime<D> {
         self.note_error(err);
     }
 
-    /// Requests a full stop: queues close, pool workers wake and exit
-    /// (owned pool) or this loader's roles retire (shared pool — other
-    /// loaders keep running).
+    /// Requests a full stop: queues close, pool workers wake and exit.
     pub(crate) fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         // Taking the lock orders this wake after a monitor that has
@@ -379,14 +373,7 @@ impl<D: Dataset> Runtime<D> {
         for q in &self.batch_qs {
             q.close();
         }
-        if self.exec_owned {
-            self.exec.shutdown();
-        } else if let Some(roles) = self.exec_roles.get() {
-            // Shared pool: retire and prune at once, so this loader's
-            // lane state and budgets are gone before the other loaders'
-            // next scheduler refresh.
-            self.exec.reclaim(&roles.all());
-        }
+        self.exec.shutdown();
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
@@ -539,22 +526,20 @@ impl<D: Dataset> Runtime<D> {
     // ------------------------------------------------------------------
     // Backpressure helping.
     //
-    // On a role-fluid pool any worker may hold any role, so a stage
-    // blocked *unboundedly* on a full internal queue could deadlock the
-    // pipeline (e.g. every worker in the fast role, waiting on a full
-    // temp queue that only a slow-role worker would drain). Instead of
-    // waiting, a blocked producer advances its downstream stage inline:
-    // fast blocked on temp → complete one deferred sample; anyone
-    // blocked on fast/slow output → run one batch-assembly pass. The
-    // chain bottoms out at the per-GPU batch queues, which only the
-    // external consumer drains — exactly the one place where waiting is
-    // correct backpressure, not a deadlock. With nothing to help with,
-    // the producer waits for space on the full queue itself, woken by
-    // the pop that frees a slot and for at most `starvation_wait` before
-    // it tries to help again. Order-preserving mode is the exception:
-    // its lane pops one sample at a time, so every pop would wake every
-    // blocked producer for a single slot; there the producer still sleeps
-    // `starvation_wait` out (see `publish_helping`).
+    // A fast worker facing a full temp queue does not wait for the slow
+    // workers to drain it: it completes one deferred sample inline
+    // (`route_deferred`), which also frees the slot it needs. A producer
+    // facing a full fast or slow queue has nothing to help with — batch
+    // assembly always has its own threads — so it waits for space on the
+    // queue itself, woken by the pop that frees a slot and for at most
+    // `starvation_wait` at a time. The chain bottoms out at the per-GPU
+    // batch queues, which only the external consumer drains — the one
+    // place where waiting is correct backpressure. Order-preserving mode
+    // is the exception: its lane pops one sample at a time, so every pop
+    // would wake every blocked producer for a single slot; there the
+    // producer runs an assembly pass itself when the lane is free and
+    // sleeps `starvation_wait` out when it is not (see
+    // `publish_helping`).
     // ------------------------------------------------------------------
 
     /// Completes one deferred sample on the (timeout-free) slow path:
@@ -666,8 +651,7 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// One ticket chunk's worth of deferred samples per slow worker: the
-    /// unit the elastic role split measures temp-queue backlog in, and
-    /// the mark above which a fast worker moonlights.
+    /// temp-queue backlog above which a fast worker moonlights.
     pub(crate) fn slow_backlog_unit(&self, slow_workers: usize) -> usize {
         self.cfg.ticket_chunk.max(1) * slow_workers.max(1)
     }
@@ -712,19 +696,20 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Publishes prepared samples into `q` (the fast or slow queue),
-    /// helping the batch stage along while it is full. Fails only when
-    /// the queue closed.
+    /// waiting for space while it is full. Fails only when the queue
+    /// closed.
     ///
-    /// With nothing to help with (another worker holds every assembly
-    /// lane, as the batch thread of a fixed pool always does), the
-    /// producer parks on the queue's not-full signal for at most
-    /// `starvation_wait`, then tries helping again.
+    /// The producer parks on the queue's not-full signal for at most
+    /// `starvation_wait` at a time.
     ///
-    /// Order-preserving mode keeps the plain `starvation_wait` sleep: the
-    /// ordered lane pops one sample per step, so parked producers would
-    /// all be woken once per sample to contend for one slot (measured on
-    /// `noop_ordered`: 0.94 parking-lock acquisitions and 2.05 µs of CPU
-    /// per sample against 0.15 and 1.25 µs with the sleep).
+    /// Order-preserving mode cannot park: the ordered lane pops one
+    /// sample per step, so parked producers would all be woken once per
+    /// sample to contend for one slot (measured on `noop_ordered`: 0.94
+    /// parking-lock acquisitions and 2.05 µs of CPU per sample against
+    /// 0.15 and 1.25 µs with a plain `starvation_wait` sleep). There the
+    /// producer runs the lane itself whenever the batch worker is
+    /// between two steps, and sleeps only when it is not: with the sleep
+    /// alone `noop_ordered` delivers 143 k samples/s instead of 237 k.
     fn publish_helping(
         &self,
         q: &MinatoQueue<Prepared<D::Sample>>,
@@ -737,11 +722,10 @@ impl<D: Dataset> Runtime<D> {
                 Err(TryPutError::Closed(_)) => return Err(Closed),
                 Err(TryPutError::Full(r)) => rest = r,
             }
-            if self.help_batch_once() {
-                continue;
-            }
             if self.cfg.order_preserving {
-                std::thread::sleep(self.cfg.starvation_wait);
+                if !self.help_batch_once() {
+                    std::thread::sleep(self.cfg.starvation_wait);
+                }
                 continue;
             }
             match q.reserve_timeout(self.cfg.starvation_wait) {
@@ -782,8 +766,7 @@ impl<D: Dataset> Runtime<D> {
 
 /// Fast role: claims tickets in `ticket_chunk`-sized chunks, loads,
 /// preprocesses against the balancer's timeout, and routes to fast or
-/// temp queue (Algorithm 1 lines 6–12). One step = one chunk, so a
-/// worker re-bids for a role exactly at ticket-chunk boundaries.
+/// temp queue (Algorithm 1 lines 6–12). One step = one chunk.
 ///
 /// Completed fast samples accumulate in a chunk-local buffer so that
 /// the dominant per-sample cost (a queue mutex acquisition plus condvar
@@ -816,8 +799,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        // Checkpoint rendezvous: idle at the step boundary (where an
-        // elastic worker would re-bid its role anyway) instead of
+        // Checkpoint rendezvous: idle at the step boundary instead of
         // claiming tickets, so `MinatoLoader::checkpoint()` can observe
         // a quiescent claim pipeline. Samples already claimed keep
         // flowing; only new claims stop.
@@ -1034,9 +1016,8 @@ impl<D: Dataset> RoleStep for FastStep<D> {
 
 /// Slow role: resumes deferred samples from their recorded transform
 /// index, without any timeout (Algorithm 1 lines 14–18). One step = one
-/// deferred sample, claimed and published on its own, so a worker
-/// re-bids after each and a finished sample is never withheld behind
-/// another's unbounded background work.
+/// deferred sample, claimed and published on its own, so a finished
+/// sample is never withheld behind another's unbounded background work.
 ///
 /// Claiming one at a time also keeps the whole backlog visible in the
 /// temp queue: a burst of eight 6 ms samples claimed by one worker would
@@ -1045,15 +1026,11 @@ impl<D: Dataset> RoleStep for FastStep<D> {
 /// from the workers that share this role once the source has drained.
 pub(crate) struct SlowStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
-    /// Bounded wait for deferred work before reporting idle: short on a
-    /// role-fluid pool (the worker should re-bid), longer on a fixed
-    /// pool whose slow workers have nowhere else to go.
-    claim_wait: Duration,
 }
 
 impl<D: Dataset> SlowStep<D> {
-    pub(crate) fn new(rt: Arc<Runtime<D>>, claim_wait: Duration) -> SlowStep<D> {
-        SlowStep { rt, claim_wait }
+    pub(crate) fn new(rt: Arc<Runtime<D>>) -> SlowStep<D> {
+        SlowStep { rt }
     }
 }
 
@@ -1063,7 +1040,7 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        match rt.temp_q.pop_timeout(self.claim_wait) {
+        match rt.temp_q.pop_timeout(SLOW_CLAIM_WAIT) {
             Ok(Some(d)) => match rt.resume_and_publish(d) {
                 Ok(()) => StepOutcome::Progress,
                 Err(Closed) => StepOutcome::Exhausted, // Queue closed under us.
@@ -1178,20 +1155,19 @@ enum Lane<D: Dataset> {
 
 /// Batch role: assembles batches preferring fast samples, falling back
 /// to completed slow samples (Algorithm 1 lines 20–30), and feeds the
-/// least-occupied per-GPU batch queue. One step = one assembly pass, so
-/// a worker re-bids after each batch emit (at the latest).
+/// least-occupied per-GPU batch queue. One step = one assembly pass.
 ///
 /// Assembly state lives in *lanes* (one per configured batch worker;
 /// exactly one in order-preserving mode, whose reorder buffer cannot be
 /// split): a stepping worker locks a free lane, runs one pass, and
-/// releases it, so partial batches survive workers migrating between
-/// roles. The executor caps the role's concurrency at the lane count.
+/// releases it. The executor caps the role's concurrency at the lane
+/// count.
 pub(crate) struct BatchStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
     lanes: Vec<Mutex<Lane<D>>>,
     /// Rotates the lane each step starts from, so a lane holding a
     /// partial batch cannot be starved behind an always-free earlier
-    /// lane once its worker migrated away.
+    /// lane.
     cursor: AtomicUsize,
 }
 
@@ -1445,7 +1421,6 @@ mod tests {
             cache_policy: crate::cache::EvictionPolicy::CostAware,
             cache_shards: 8,
             pool_budget_bytes: 0,
-            executor: crate::loader::ExecutorConfig::Fixed,
             checkpointing: false,
             trace: minato_trace::TraceConfig::default(),
             retry_budget: 0,
@@ -1475,7 +1450,6 @@ mod tests {
             batch_qs: vec![MinatoQueue::new("batch[0]", cfg.prefetch_factor)],
             exec: ExecHandle::new(ExecConfig::fixed(0)),
             exec_roles: OnceLock::new(),
-            exec_owned: true,
             batch_help: OnceLock::new(),
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
@@ -1529,18 +1503,15 @@ mod tests {
         }
     }
 
-    /// A runtime for the back-pressure tests: small internal queues, a
-    /// batch role wired up for helping, and a `starvation_wait` of 2 s —
-    /// so long that a producer which sleeps it out, instead of being
-    /// woken by the freed slot, cannot meet the tests' bound.
-    fn backpressure_runtime(capacity: usize) -> (Arc<Runtime<Ds>>, Arc<BatchStep<Ds>>) {
+    /// A runtime for the back-pressure tests: small internal queues and
+    /// a `starvation_wait` of 2 s — so long that a producer which sleeps
+    /// it out, instead of being woken by the freed slot, cannot meet the
+    /// tests' bound.
+    fn backpressure_runtime(capacity: usize) -> Arc<Runtime<Ds>> {
         let mut cfg = mini_cfg();
         cfg.queue_capacity = capacity;
         cfg.starvation_wait = Duration::from_secs(2);
-        let rt = mini_runtime(cfg);
-        let step = Arc::new(BatchStep::new(Arc::clone(&rt)));
-        assert!(rt.batch_help.set(Arc::downgrade(&step)).is_ok());
-        (rt, step)
+        mini_runtime(cfg)
     }
 
     /// Yields until `cond` holds; the tests' only way of waiting. Fails
@@ -1719,7 +1690,7 @@ mod tests {
         // empty but *open*: had the helper given up its claim, the drain
         // would have closed it, this role would finish and close `slow_q`
         // under the sample the helper still holds.
-        let slow = SlowStep::new(Arc::clone(&rt), Duration::from_millis(1));
+        let slow = SlowStep::new(Arc::clone(&rt));
         let mut outcome = RoleStep::step(&slow);
         while outcome == StepOutcome::Progress {
             outcome = RoleStep::step(&slow);
@@ -1744,13 +1715,12 @@ mod tests {
         assert!(!rt.slow_helper.load(Ordering::SeqCst), "token handed back");
     }
 
-    /// A producer blocked in `publish_helping` (fast queue full, every
-    /// assembly lane held, as on a fixed pool) must return as soon as
-    /// the batch side pops, not after `starvation_wait`.
+    /// A producer blocked in `publish_helping` (fast queue full) must
+    /// return as soon as the batch side pops, not after
+    /// `starvation_wait`.
     #[test]
     fn blocked_publisher_wakes_when_a_slot_is_popped() {
-        let (rt, step) = backpressure_runtime(4);
-        let lane = step.lanes[0].lock();
+        let rt = backpressure_runtime(4);
         rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
         let base = rt.fast_q.lock_acquisitions();
         let rt2 = Arc::clone(&rt);
@@ -1770,7 +1740,6 @@ mod tests {
         // chunk order kept.
         let left: Vec<u32> = rt.fast_q.pop_many(4).iter().map(|p| p.sample).collect();
         assert_eq!(left, [3, 10, 11, 12]);
-        drop(lane);
     }
 
     /// `route_deferred` on a temp queue whose slots a concurrent
@@ -1778,7 +1747,7 @@ mod tests {
     /// help with) must return as soon as one slot is released.
     #[test]
     fn blocked_deferral_wakes_when_a_slot_is_released() {
-        let (rt, _step) = backpressure_runtime(2);
+        let rt = backpressure_runtime(2);
         let mut held = vec![
             rt.temp_q.try_reserve().unwrap(),
             rt.temp_q.try_reserve().unwrap(),
@@ -1798,12 +1767,18 @@ mod tests {
         assert_eq!(rt.temp_q.len(), 1);
     }
 
-    /// The role-fluid guarantee: with no thread on the batch role at
-    /// all, a producer facing a full fast queue assembles batches itself
-    /// and so never waits.
+    /// Order-preserving mode: with the assembly lane free, a producer
+    /// facing a full fast queue assembles batches itself and so never
+    /// sleeps.
     #[test]
     fn blocked_publisher_helps_when_nobody_holds_the_batch_role() {
-        let (rt, _step) = backpressure_runtime(4);
+        let mut cfg = mini_cfg();
+        cfg.queue_capacity = 4;
+        cfg.starvation_wait = Duration::from_secs(2);
+        cfg.order_preserving = true;
+        let rt = mini_runtime(cfg);
+        let step = Arc::new(BatchStep::new(Arc::clone(&rt)));
+        assert!(rt.batch_help.set(Arc::downgrade(&step)).is_ok());
         rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         let rt2 = Arc::clone(&rt);
@@ -1895,12 +1870,12 @@ mod tests {
         assert_eq!(rt.batch_qs[0].len(), 1, "stalled queue untouched");
     }
 
-    /// A slow step with an empty-but-open temp queue reports idle (so an
-    /// elastic worker re-bids) and exhausted once it closes.
+    /// A slow step with an empty-but-open temp queue reports idle (so a
+    /// draining worker bids elsewhere) and exhausted once it closes.
     #[test]
     fn slow_step_reports_idle_then_exhausted() {
         let rt = mini_runtime(mini_cfg());
-        let step = SlowStep::new(Arc::clone(&rt), Duration::from_millis(1));
+        let step = SlowStep::new(Arc::clone(&rt));
         assert_eq!(RoleStep::step(&step), StepOutcome::Idle);
         rt.temp_q.close();
         assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);

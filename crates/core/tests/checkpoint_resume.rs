@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Defers every third sample on its deadline-bearing first run, so a
-/// kill or a source drain finds a backlog in the slow path — which a
-/// fixed pool's drained fast workers then adopt.
+/// kill or a source drain finds a backlog in the slow path — which the
+/// pool's drained fast workers then adopt.
 struct DeferThirds;
 
 impl Transform<u32> for DeferThirds {
@@ -35,7 +35,6 @@ fn build_loader(
     n: usize,
     epochs: usize,
     seed: u64,
-    elastic: bool,
     defer: bool,
     resume: Option<LoaderCheckpoint>,
 ) -> MinatoLoader<VecDataset<u32>> {
@@ -55,9 +54,6 @@ fn build_loader(
     if defer {
         b = b.timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(500)));
     }
-    if elastic {
-        b = b.executor(ExecutorConfig::Elastic { threads: 4 });
-    }
     if let Some(ck) = resume {
         b = b.resume_from(ck);
     }
@@ -72,14 +68,13 @@ proptest! {
         epochs in 1usize..4,
         kill_batches in 0usize..12,
         seed in 0u64..1000,
-        elastic in any::<bool>(),
         defer in any::<bool>(),
     ) {
         let total = (n * epochs) as u64;
 
         // Phase 1: deliver a prefix, checkpoint, "crash". Batches that
         // were queued but never popped die with the loader.
-        let first = build_loader(n, epochs, seed, elastic, defer, None);
+        let first = build_loader(n, epochs, seed, defer, None);
         let mut pre = Vec::new();
         for _ in 0..kill_batches {
             match first.next_batch(0) {
@@ -95,7 +90,7 @@ proptest! {
         prop_assert_eq!(ckpt.delivered_count(), pre.len() as u64);
 
         // Phase 2: resume and drain.
-        let second = build_loader(n, epochs, seed, elastic, defer, Some(ckpt));
+        let second = build_loader(n, epochs, seed, defer, Some(ckpt));
         let mut post = Vec::new();
         while let Some(b) = second.next_batch(0) {
             post.extend(b.meta.iter().map(|m| m.seq));
@@ -130,7 +125,7 @@ fn checkpoint_requires_the_builder_knob() {
 
 #[test]
 fn resume_rejects_a_foreign_dataset() {
-    let first = build_loader(20, 1, 9, false, false, None);
+    let first = build_loader(20, 1, 9, false, None);
     let _ = first.next_batch(0);
     let ckpt = first.checkpoint().expect("checkpointing enabled");
     drop(first);
@@ -150,7 +145,7 @@ fn resume_rejects_a_foreign_dataset() {
 
 #[test]
 fn resume_rejects_an_unknown_version() {
-    let first = build_loader(10, 1, 0, false, false, None);
+    let first = build_loader(10, 1, 0, false, None);
     let ckpt = first.checkpoint().expect("checkpointing enabled");
     drop(first);
     let stale = LoaderCheckpoint {
@@ -221,4 +216,62 @@ fn resume_restores_the_learned_timeout() {
     assert_eq!(delivered, 64);
     // Restored estimator counters fold into the run's totals.
     assert_eq!(loader.stats().samples_done, 500 + 64);
+}
+
+/// A checkpoint file can outlive the build that wrote it and carry
+/// budgets in a shape this pool never produces (a fast share of 0 or
+/// wider than the pool, a slow share above `slow_workers` — what a
+/// role-fluid pool used to save). Resume takes only the fast
+/// gate from it, clamped into `1..=max_workers`; the slow and batch
+/// slices come from the configuration; every ticket is delivered once.
+#[test]
+fn resume_clamps_budgets_saved_by_another_topology() {
+    for (saved_fast, want_fast) in [(0usize, 1usize), (1, 1), (9, 4)] {
+        let (n, epochs) = (30usize, 2usize);
+        let first = build_loader(n, epochs, 3, true, None);
+        let mut pre = BTreeSet::new();
+        for _ in 0..4 {
+            let b = first.next_batch(0).expect("early batches exist");
+            pre.extend(b.meta.iter().map(|m| m.seq));
+        }
+        let mut ckpt = first.checkpoint().expect("checkpointing enabled");
+        drop(first);
+        ckpt.budgets = RoleBudgets {
+            fast: saved_fast,
+            slow: 4,
+            batch: 1,
+        };
+        let ckpt = LoaderCheckpoint::decode(&ckpt.encode()).expect("round-trip");
+
+        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+        let second = MinatoLoader::builder(ds, Pipeline::new(vec![Arc::new(DeferThirds) as _]))
+            .batch_size(3)
+            .initial_workers(2)
+            .max_workers(4)
+            .slow_workers(2)
+            .adaptive_workers(false)
+            .timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(500)))
+            .resume_from(ckpt)
+            .build()
+            .expect("valid configuration");
+        let exec = second.stats().exec.expect("executor stats present");
+        let budget = |role: &str| exec.role(role).expect("role registered").budget;
+        assert_eq!(budget("fast"), want_fast, "saved fast share {saved_fast}");
+        assert_eq!(budget("slow"), 2, "slow slice is sized by the config");
+        assert_eq!(budget("batch"), 1, "batch slice is sized by the config");
+
+        let mut post = BTreeSet::new();
+        let mut popped = 0usize;
+        while let Some(b) = second.next_batch(0) {
+            popped += b.len();
+            post.extend(b.meta.iter().map(|m| m.seq));
+        }
+        assert_eq!(post.len(), popped, "resume delivered a ticket twice");
+        assert!(
+            pre.is_disjoint(&post),
+            "resume re-delivered checkpointed seqs"
+        );
+        let union: BTreeSet<u64> = pre.union(&post).copied().collect();
+        assert_eq!(union, (0..(n * epochs) as u64).collect::<BTreeSet<u64>>());
+    }
 }

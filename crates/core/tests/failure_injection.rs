@@ -58,15 +58,6 @@ impl FaultInjector for TargetInjector {
     }
 }
 
-/// The executor topologies every scenario must survive identically.
-fn exec_modes() -> Vec<(&'static str, ExecutorConfig)> {
-    vec![
-        ("fixed", ExecutorConfig::Fixed),
-        ("elastic", ExecutorConfig::Elastic { threads: 4 }),
-        ("shared", ExecutorConfig::Shared(SharedExecutor::new(4))),
-    ]
-}
-
 /// Transform that panics on specific inputs.
 struct PanicOn {
     modulus: u32,
@@ -85,54 +76,48 @@ impl Transform<u32> for PanicOn {
 
 #[test]
 fn panicking_transform_skips_sample_and_completes() {
-    for (mode, exec) in exec_modes() {
-        let ds = VecDataset::new((1..=50u32).collect::<Vec<_>>());
-        let p: Pipeline<u32> = Pipeline::new(vec![
-            Arc::new(PanicOn { modulus: 10 }) as Arc<dyn Transform<u32>>
-        ]);
-        let loader = MinatoLoader::builder(ds, p)
-            .batch_size(8)
-            .initial_workers(2)
-            .max_workers(3)
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        // 5 of 50 samples (10, 20, 30, 40, 50) panic and are skipped.
-        assert_eq!(delivered, 45, "[{mode}] panicking samples skipped");
-        let stats = loader.stats();
-        assert_eq!(stats.errors, 5, "[{mode}]");
-        assert_eq!(stats.faults.panics, 5, "[{mode}] panics counted");
-        assert_eq!(stats.faults.quarantined, 5, "[{mode}]");
-        let err = loader.first_error().expect("panic recorded as error");
-        assert!(err.to_string().contains("panic"), "[{mode}] got: {err}");
-    }
+    let ds = VecDataset::new((1..=50u32).collect::<Vec<_>>());
+    let p: Pipeline<u32> = Pipeline::new(vec![
+        Arc::new(PanicOn { modulus: 10 }) as Arc<dyn Transform<u32>>
+    ]);
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(8)
+        .initial_workers(2)
+        .max_workers(3)
+        .build()
+        .expect("valid configuration");
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    // 5 of 50 samples (10, 20, 30, 40, 50) panic and are skipped.
+    assert_eq!(delivered, 45, "panicking samples skipped");
+    let stats = loader.stats();
+    assert_eq!(stats.errors, 5);
+    assert_eq!(stats.faults.panics, 5, "panics counted");
+    assert_eq!(stats.faults.quarantined, 5);
+    let err = loader.first_error().expect("panic recorded as error");
+    assert!(err.to_string().contains("panic"), "got: {err}");
 }
 
 #[test]
 fn panic_in_every_sample_still_terminates() {
-    for (mode, exec) in exec_modes() {
-        let ds = VecDataset::new((0..20u32).collect::<Vec<_>>());
-        let p: Pipeline<u32> = Pipeline::new(vec![
-            Arc::new(PanicOn { modulus: 1 }) as Arc<dyn Transform<u32>>
-        ]);
-        let loader = MinatoLoader::builder(ds, p)
-            .batch_size(4)
-            .initial_workers(2)
-            .max_workers(2)
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let t0 = Instant::now();
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert_eq!(delivered, 0, "[{mode}]");
-        assert_eq!(loader.stats().errors, 20, "[{mode}]");
-        assert!(
-            t0.elapsed() < Duration::from_secs(20),
-            "[{mode}] must terminate promptly, took {:?}",
-            t0.elapsed()
-        );
-    }
+    let ds = VecDataset::new((0..20u32).collect::<Vec<_>>());
+    let p: Pipeline<u32> = Pipeline::new(vec![
+        Arc::new(PanicOn { modulus: 1 }) as Arc<dyn Transform<u32>>
+    ]);
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(4)
+        .initial_workers(2)
+        .max_workers(2)
+        .build()
+        .expect("valid configuration");
+    let t0 = Instant::now();
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    assert_eq!(delivered, 0);
+    assert_eq!(loader.stats().errors, 20);
+    assert!(
+        t0.elapsed() < Duration::from_secs(20),
+        "must terminate promptly, took {:?}",
+        t0.elapsed()
+    );
 }
 
 /// Transform that panics only on its background (resumed) execution,
@@ -163,161 +148,146 @@ impl Transform<u32> for PanicInBackground {
 
 #[test]
 fn background_panic_does_not_wedge_shutdown() {
-    for (mode, exec) in exec_modes() {
-        let ds = VecDataset::new((0..12u32).collect::<Vec<_>>());
-        let p: Pipeline<u32> = Pipeline::new(vec![Arc::new(PanicInBackground {
-            calls: AtomicUsize::new(0),
-        }) as Arc<dyn Transform<u32>>]);
-        let loader = MinatoLoader::builder(ds, p)
-            .batch_size(4)
-            .initial_workers(2)
-            .max_workers(2)
-            .slow_workers(1)
-            .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let t0 = Instant::now();
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        // Every sample defers, every background run panics: nothing
-        // delivered, but the pipeline drains and the iterator ends.
-        assert_eq!(delivered, 0, "[{mode}]");
-        assert_eq!(loader.stats().errors, 12, "[{mode}]");
-        assert_eq!(loader.stats().faults.panics, 12, "[{mode}]");
-        assert!(t0.elapsed() < Duration::from_secs(20), "[{mode}]");
-    }
+    let ds = VecDataset::new((0..12u32).collect::<Vec<_>>());
+    let p: Pipeline<u32> = Pipeline::new(vec![Arc::new(PanicInBackground {
+        calls: AtomicUsize::new(0),
+    }) as Arc<dyn Transform<u32>>]);
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(4)
+        .initial_workers(2)
+        .max_workers(2)
+        .slow_workers(1)
+        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
+        .build()
+        .expect("valid configuration");
+    let t0 = Instant::now();
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    // Every sample defers, every background run panics: nothing
+    // delivered, but the pipeline drains and the iterator ends.
+    assert_eq!(delivered, 0);
+    assert_eq!(loader.stats().errors, 12);
+    assert_eq!(loader.stats().faults.panics, 12);
+    assert!(t0.elapsed() < Duration::from_secs(20));
 }
 
 #[test]
 fn dataset_errors_with_fail_policy_stop_quickly() {
-    for (mode, exec) in exec_modes() {
-        let ds = FnDataset::new(10_000, |i| {
-            if i >= 50 {
-                Err(LoaderError::Dataset {
-                    index: i,
-                    msg: "storage gone".into(),
-                })
-            } else {
-                Ok(i as u32)
-            }
-        });
-        let p: Pipeline<u32> = Pipeline::identity();
-        let loader = MinatoLoader::builder(ds, p)
-            .batch_size(10)
-            .shuffle(false)
-            .initial_workers(2)
-            .max_workers(2)
-            .error_policy(ErrorPolicy::Fail)
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert!(delivered <= 60, "[{mode}] must stop near the failure");
-        assert!(loader.first_error().is_some(), "[{mode}]");
-    }
+    let ds = FnDataset::new(10_000, |i| {
+        if i >= 50 {
+            Err(LoaderError::Dataset {
+                index: i,
+                msg: "storage gone".into(),
+            })
+        } else {
+            Ok(i as u32)
+        }
+    });
+    let p: Pipeline<u32> = Pipeline::identity();
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(10)
+        .shuffle(false)
+        .initial_workers(2)
+        .max_workers(2)
+        .error_policy(ErrorPolicy::Fail)
+        .build()
+        .expect("valid configuration");
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    assert!(delivered <= 60, "must stop near the failure");
+    assert!(loader.first_error().is_some());
 }
 
 #[test]
 #[allow(clippy::drop_non_drop)] // The drops ARE the behavior under test.
 fn shutdown_under_backpressure_is_clean() {
-    for (mode, exec) in exec_modes() {
-        // Tiny queues + an iterator that abandons mid-stream: blocked
-        // producers must unblock on drop.
-        let ds = VecDataset::new((0..500u32).collect::<Vec<_>>());
-        let p = Pipeline::new(vec![fn_transform("slow-ish", |x: u32| {
-            std::thread::sleep(Duration::from_micros(500));
-            Ok(x)
-        })]);
-        let loader = MinatoLoader::builder(ds, p)
-            .batch_size(2)
-            .queue_capacity(2)
-            .prefetch_factor(1)
-            .initial_workers(3)
-            .max_workers(3)
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let mut it = loader.iter();
-        let _ = it.next();
-        drop(it);
-        let t0 = Instant::now();
-        drop(loader);
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "[{mode}] drop must not hang: {:?}",
-            t0.elapsed()
-        );
-    }
+    // Tiny queues + an iterator that abandons mid-stream: blocked
+    // producers must unblock on drop.
+    let ds = VecDataset::new((0..500u32).collect::<Vec<_>>());
+    let p = Pipeline::new(vec![fn_transform("slow-ish", |x: u32| {
+        std::thread::sleep(Duration::from_micros(500));
+        Ok(x)
+    })]);
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(2)
+        .queue_capacity(2)
+        .prefetch_factor(1)
+        .initial_workers(3)
+        .max_workers(3)
+        .build()
+        .expect("valid configuration");
+    let mut it = loader.iter();
+    let _ = it.next();
+    drop(it);
+    let t0 = Instant::now();
+    drop(loader);
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "drop must not hang: {:?}",
+        t0.elapsed()
+    );
 }
 
 /// Injected fast-path panics: the quarantine count must equal the
 /// injection count exactly, and everything else must be delivered.
 #[test]
 fn chaos_fast_panic_counts_match_injection() {
-    for (mode, exec) in exec_modes() {
-        let n = 60usize;
-        let targets = derive_targets(1, n, 6);
-        let k = targets.len() as u64;
-        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-        let loader = MinatoLoader::builder(ds, Pipeline::identity())
-            .batch_size(8)
-            .initial_workers(2)
-            .max_workers(4)
-            .fault_injector(Arc::new(TargetInjector {
-                site: FaultSite::Fast,
-                action: FaultAction::Panic,
-                targets: targets.clone(),
-            }))
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert_eq!(delivered, n - targets.len(), "[{mode}]");
-        let f = loader.stats().faults;
-        assert_eq!(f.panics, k, "[{mode}] panic count exact");
-        assert_eq!(f.poisoned, 0, "[{mode}]");
-        assert_eq!(f.quarantined, k, "[{mode}] quarantine count exact");
-        assert_eq!(f.rerouted, 0, "[{mode}] one GPU: nothing to reroute");
-        assert_eq!(loader.stats().errors, k, "[{mode}]");
-        let recent = loader.recent_errors();
-        assert_eq!(recent.len(), targets.len().min(16), "[{mode}]");
-        assert!(
-            recent.iter().all(|e| e.to_string().contains("injected")),
-            "[{mode}] ring holds the injected faults"
-        );
-    }
+    let n = 60usize;
+    let targets = derive_targets(1, n, 6);
+    let k = targets.len() as u64;
+    let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+    let loader = MinatoLoader::builder(ds, Pipeline::identity())
+        .batch_size(8)
+        .initial_workers(2)
+        .max_workers(4)
+        .fault_injector(Arc::new(TargetInjector {
+            site: FaultSite::Fast,
+            action: FaultAction::Panic,
+            targets: targets.clone(),
+        }))
+        .build()
+        .expect("valid configuration");
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    assert_eq!(delivered, n - targets.len());
+    let f = loader.stats().faults;
+    assert_eq!(f.panics, k, "panic count exact");
+    assert_eq!(f.poisoned, 0);
+    assert_eq!(f.quarantined, k, "quarantine count exact");
+    assert_eq!(f.rerouted, 0, "one GPU: nothing to reroute");
+    assert_eq!(loader.stats().errors, k);
+    let recent = loader.recent_errors();
+    assert_eq!(recent.len(), targets.len().min(16));
+    assert!(
+        recent.iter().all(|e| e.to_string().contains("injected")),
+        "ring holds the injected faults"
+    );
 }
 
 /// Injected poison (clean per-sample errors): counted as poisoned, not
 /// panics, with the same exact-count guarantee.
 #[test]
 fn chaos_poison_counts_match_injection() {
-    for (mode, exec) in exec_modes() {
-        let n = 60usize;
-        let targets = derive_targets(2, n, 7);
-        let k = targets.len() as u64;
-        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-        let loader = MinatoLoader::builder(ds, Pipeline::identity())
-            .batch_size(8)
-            .initial_workers(2)
-            .max_workers(4)
-            .fault_injector(Arc::new(TargetInjector {
-                site: FaultSite::Fast,
-                action: FaultAction::Poison,
-                targets: targets.clone(),
-            }))
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert_eq!(delivered, n - targets.len(), "[{mode}]");
-        let f = loader.stats().faults;
-        assert_eq!(f.poisoned, k, "[{mode}] poison count exact");
-        assert_eq!(f.panics, 0, "[{mode}]");
-        assert_eq!(f.quarantined, k, "[{mode}]");
-        let err = loader.first_error().expect("poison surfaces as error");
-        assert!(err.to_string().contains("poison"), "[{mode}] got: {err}");
-    }
+    let n = 60usize;
+    let targets = derive_targets(2, n, 7);
+    let k = targets.len() as u64;
+    let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+    let loader = MinatoLoader::builder(ds, Pipeline::identity())
+        .batch_size(8)
+        .initial_workers(2)
+        .max_workers(4)
+        .fault_injector(Arc::new(TargetInjector {
+            site: FaultSite::Fast,
+            action: FaultAction::Poison,
+            targets: targets.clone(),
+        }))
+        .build()
+        .expect("valid configuration");
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    assert_eq!(delivered, n - targets.len());
+    let f = loader.stats().faults;
+    assert_eq!(f.poisoned, k, "poison count exact");
+    assert_eq!(f.panics, 0);
+    assert_eq!(f.quarantined, k);
+    let err = loader.first_error().expect("poison surfaces as error");
+    assert!(err.to_string().contains("poison"), "got: {err}");
 }
 
 /// Transform that always defers to the background on its first
@@ -348,40 +318,36 @@ impl Transform<u32> for AlwaysDefer {
 /// contained by the same quarantine path, with exact counts — also when
 /// resuming costs more than deferring, so the slow workers fall behind
 /// and the backlog left at source drain is finished by whichever
-/// workers the executor sends (a fixed pool's drained fast workers
-/// included).
+/// workers the executor sends (drained fast workers included).
 #[test]
 fn chaos_slow_site_panic_counts_match_injection() {
     for resume_cost in [Duration::ZERO, Duration::from_millis(3)] {
-        for (mode, exec) in exec_modes() {
-            let n = 16usize;
-            let targets = derive_targets(3, n, 4);
-            let k = targets.len() as u64;
-            let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-            let p: Pipeline<u32> = Pipeline::new(vec![
-                Arc::new(AlwaysDefer { resume_cost }) as Arc<dyn Transform<u32>>
-            ]);
-            let loader = MinatoLoader::builder(ds, p)
-                .batch_size(4)
-                .initial_workers(2)
-                .max_workers(2)
-                .slow_workers(2)
-                .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
-                .fault_injector(Arc::new(TargetInjector {
-                    site: FaultSite::Slow,
-                    action: FaultAction::Panic,
-                    targets: targets.clone(),
-                }))
-                .executor(exec)
-                .build()
-                .expect("valid configuration");
-            let delivered: usize = loader.iter().map(|b| b.len()).sum();
-            let tag = format!("{mode}, resume {resume_cost:?}");
-            assert_eq!(delivered, n - targets.len(), "[{tag}]");
-            let f = loader.stats().faults;
-            assert_eq!(f.panics, k, "[{tag}] background panic count exact");
-            assert_eq!(f.quarantined, k, "[{tag}]");
-        }
+        let n = 16usize;
+        let targets = derive_targets(3, n, 4);
+        let k = targets.len() as u64;
+        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+        let p: Pipeline<u32> = Pipeline::new(vec![
+            Arc::new(AlwaysDefer { resume_cost }) as Arc<dyn Transform<u32>>
+        ]);
+        let loader = MinatoLoader::builder(ds, p)
+            .batch_size(4)
+            .initial_workers(2)
+            .max_workers(2)
+            .slow_workers(2)
+            .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
+            .fault_injector(Arc::new(TargetInjector {
+                site: FaultSite::Slow,
+                action: FaultAction::Panic,
+                targets: targets.clone(),
+            }))
+            .build()
+            .expect("valid configuration");
+        let delivered: usize = loader.iter().map(|b| b.len()).sum();
+        let tag = format!("resume {resume_cost:?}");
+        assert_eq!(delivered, n - targets.len(), "[{tag}]");
+        let f = loader.stats().faults;
+        assert_eq!(f.panics, k, "[{tag}] background panic count exact");
+        assert_eq!(f.quarantined, k, "[{tag}]");
     }
 }
 
@@ -390,70 +356,30 @@ fn chaos_slow_site_panic_counts_match_injection() {
 /// the live consumer still receives nearly everything.
 #[test]
 fn chaos_wedged_consumer_reroutes() {
-    for (mode, exec) in exec_modes() {
-        let n = 64usize;
-        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-        let loader = MinatoLoader::builder(ds, Pipeline::identity())
-            .batch_size(4)
-            .num_gpus(2)
-            .prefetch_factor(1)
-            .initial_workers(2)
-            .max_workers(2)
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        // GPU 0's consumer is wedged: nothing ever pops queue 0.
-        let mut live = 0usize;
-        while let Some(b) = loader.next_batch(1) {
-            live += b.len();
-        }
-        // Queue 0 absorbs at most prefetch_factor batches.
-        assert!(
-            live >= n - 2 * 4,
-            "[{mode}] live GPU starved: got {live} of {n}"
-        );
-        let f = loader.stats().faults;
-        assert!(
-            f.rerouted >= 1,
-            "[{mode}] deliveries past the wedged queue must count as \
-             reroutes, got {}",
-            f.rerouted
-        );
+    let n = 64usize;
+    let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+    let loader = MinatoLoader::builder(ds, Pipeline::identity())
+        .batch_size(4)
+        .num_gpus(2)
+        .prefetch_factor(1)
+        .initial_workers(2)
+        .max_workers(2)
+        .build()
+        .expect("valid configuration");
+    // GPU 0's consumer is wedged: nothing ever pops queue 0.
+    let mut live = 0usize;
+    while let Some(b) = loader.next_batch(1) {
+        live += b.len();
     }
-}
-
-/// Dropping one tenant (and the caller's pool handle) mid-epoch must
-/// not take down other tenants of the same shared pool.
-#[test]
-fn chaos_dropped_tenant_clone_mid_epoch() {
-    let pool = SharedExecutor::new(4);
-    let build = |pool: &SharedExecutor| {
-        let ds = VecDataset::new((0..64u32).collect::<Vec<_>>());
-        MinatoLoader::builder(ds, Pipeline::identity())
-            .batch_size(4)
-            .initial_workers(2)
-            .max_workers(4)
-            .executor(ExecutorConfig::Shared(pool.clone()))
-            .build()
-            .expect("valid configuration")
-    };
-    let doomed = build(&pool);
-    let survivor = build(&pool);
-    // Pop a few batches of the doomed tenant, then drop it mid-epoch —
-    // along with the caller's own clone of the pool.
-    let mut popped = 0usize;
-    for _ in 0..3 {
-        if let Some(b) = doomed.next_batch(0) {
-            popped += b.len();
-        }
-    }
-    assert!(popped > 0, "doomed tenant made progress before the drop");
-    drop(doomed);
-    drop(pool);
-    // The survivor holds its own clone via the builder; its roles keep
-    // running and the epoch completes in full.
-    let total: usize = survivor.iter().map(|b| b.len()).sum();
-    assert_eq!(total, 64, "surviving tenant must deliver its full epoch");
+    // Queue 0 absorbs at most prefetch_factor batches.
+    assert!(live >= n - 2 * 4, "live GPU starved: got {live} of {n}");
+    let f = loader.stats().faults;
+    assert!(
+        f.rerouted >= 1,
+        "deliveries past the wedged queue must count as \
+         reroutes, got {}",
+        f.rerouted
+    );
 }
 
 /// Transform that panics the first time it sees the target value and
@@ -615,34 +541,31 @@ fn pool_bytes_return_to_baseline_after_panics() {
 /// behavior.
 #[test]
 fn chaos_retry_counters_match_injection() {
-    for (mode, exec) in exec_modes() {
-        let n = 40usize;
-        let targets = derive_targets(6, n, 5);
-        let k = targets.len() as u64;
-        let budget = 2u64;
-        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-        let loader = MinatoLoader::builder(ds, Pipeline::identity())
-            .batch_size(8)
-            .initial_workers(2)
-            .max_workers(4)
-            .retry_budget(budget as usize)
-            .retry_backoff(Duration::from_micros(50))
-            .fault_injector(Arc::new(TargetInjector {
-                site: FaultSite::Fast,
-                action: FaultAction::Panic,
-                targets: targets.clone(),
-            }))
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert_eq!(delivered, n - targets.len(), "[{mode}]");
-        let f = loader.stats().faults;
-        assert_eq!(f.retried, budget * k, "[{mode}] retry count exact");
-        assert_eq!(f.gave_up, k, "[{mode}] give-up count exact");
-        assert_eq!(f.panics, k, "[{mode}] one quarantine per target");
-        assert_eq!(f.quarantined, k, "[{mode}]");
-    }
+    let n = 40usize;
+    let targets = derive_targets(6, n, 5);
+    let k = targets.len() as u64;
+    let budget = 2u64;
+    let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+    let loader = MinatoLoader::builder(ds, Pipeline::identity())
+        .batch_size(8)
+        .initial_workers(2)
+        .max_workers(4)
+        .retry_budget(budget as usize)
+        .retry_backoff(Duration::from_micros(50))
+        .fault_injector(Arc::new(TargetInjector {
+            site: FaultSite::Fast,
+            action: FaultAction::Panic,
+            targets: targets.clone(),
+        }))
+        .build()
+        .expect("valid configuration");
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    assert_eq!(delivered, n - targets.len());
+    let f = loader.stats().faults;
+    assert_eq!(f.retried, budget * k, "retry count exact");
+    assert_eq!(f.gave_up, k, "give-up count exact");
+    assert_eq!(f.panics, k, "one quarantine per target");
+    assert_eq!(f.quarantined, k);
 }
 
 /// Transform that panics the *first* time it sees each armed value and
@@ -672,86 +595,26 @@ impl Transform<u32> for TransientPanicOn {
 /// visible only in the `retried` counter.
 #[test]
 fn transient_fault_recovers_within_retry_budget() {
-    for (mode, exec) in exec_modes() {
-        let n = 40usize;
-        let targets = derive_targets(7, n, 5);
-        let k = targets.len() as u64;
-        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-        let p: Pipeline<u32> = Pipeline::new(vec![Arc::new(TransientPanicOn {
-            armed: std::sync::Mutex::new(targets.iter().map(|&i| i as u32).collect()),
-        }) as Arc<dyn Transform<u32>>]);
-        let loader = MinatoLoader::builder(ds, p)
-            .batch_size(8)
-            .initial_workers(2)
-            .max_workers(4)
-            .retry_backoff(Duration::from_micros(50))
-            .executor(exec)
-            .build()
-            .expect("valid configuration");
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert_eq!(delivered, n, "[{mode}] every sample recovered");
-        let f = loader.stats().faults;
-        assert_eq!(f.retried, k, "[{mode}] one extra attempt per target");
-        assert_eq!(f.gave_up, 0, "[{mode}] nothing exhausted its budget");
-        assert_eq!(f.panics, 0, "[{mode}] recovered panics are not recorded");
-        assert_eq!(f.quarantined, 0, "[{mode}] nothing quarantined");
-        assert_eq!(loader.stats().errors, 0, "[{mode}]");
-    }
-}
-
-/// Collects every delivered sample value of one loader, sorted — the
-/// byte-level delivery fingerprint the kill test compares.
-fn drain_values(loader: &MinatoLoader<VecDataset<u32>>) -> Vec<u32> {
-    let mut vals = Vec::new();
-    let mut it = loader.iter();
-    for b in &mut it {
-        vals.extend(b.samples.iter().copied());
-    }
-    vals.sort_unstable();
-    vals
-}
-
-/// Killing one loader of a shared pool mid-epoch at a seed-derived
-/// point must leave the other loader's delivery byte-identical to a run
-/// where nobody was killed.
-#[test]
-fn chaos_tenant_kill_mid_epoch_leaves_cotenant_delivery_identical() {
-    let n = 64usize;
-    // Seed-derived kill point: how many batches the victim pops first.
-    let kill_after = *derive_targets(8, 6, 1).iter().next().unwrap();
-    let build = |pool: &SharedExecutor| {
-        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-        MinatoLoader::builder(ds, Pipeline::identity())
-            .batch_size(4)
-            .initial_workers(2)
-            .max_workers(4)
-            .executor(ExecutorConfig::Shared(pool.clone()))
-            .build()
-            .expect("valid configuration")
-    };
-    // Baseline: two loaders, no kill, survivor drains fully.
-    let baseline = {
-        let pool = SharedExecutor::new(4);
-        let peer = build(&pool);
-        let survivor = build(&pool);
-        let _ = drain_values(&peer);
-        drain_values(&survivor)
-    };
-    // Chaos run: the victim dies mid-epoch at the derived point.
-    let pool = SharedExecutor::new(4);
-    let victim = build(&pool);
-    let survivor = build(&pool);
-    let mut popped = 0usize;
-    for _ in 0..kill_after {
-        if let Some(b) = victim.next_batch(0) {
-            popped += b.len();
-        }
-    }
-    drop(victim); // Mid-epoch shutdown: its roles are reclaimed.
-    let delivered = drain_values(&survivor);
-    assert!(popped <= n, "victim popped at most its own epoch");
-    assert_eq!(
-        delivered, baseline,
-        "co-loader delivery must be byte-identical to the no-kill run"
-    );
+    let n = 40usize;
+    let targets = derive_targets(7, n, 5);
+    let k = targets.len() as u64;
+    let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+    let p: Pipeline<u32> = Pipeline::new(vec![Arc::new(TransientPanicOn {
+        armed: std::sync::Mutex::new(targets.iter().map(|&i| i as u32).collect()),
+    }) as Arc<dyn Transform<u32>>]);
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(8)
+        .initial_workers(2)
+        .max_workers(4)
+        .retry_backoff(Duration::from_micros(50))
+        .build()
+        .expect("valid configuration");
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    assert_eq!(delivered, n, "every sample recovered");
+    let f = loader.stats().faults;
+    assert_eq!(f.retried, k, "one extra attempt per target");
+    assert_eq!(f.gave_up, 0, "nothing exhausted its budget");
+    assert_eq!(f.panics, 0, "recovered panics are not recorded");
+    assert_eq!(f.quarantined, 0, "nothing quarantined");
+    assert_eq!(loader.stats().errors, 0);
 }

@@ -1,34 +1,26 @@
-//! # minato-exec — the elastic role-fluid executor
+//! # minato-exec — one worker pool for the loader's pipeline stages
 //!
 //! One pool of worker threads serves every stage of a loader pipeline.
 //! Each stage is a **role** — an implementation of [`RoleStep`] that
 //! performs one bounded unit of work per call (a ticket chunk, one
-//! slow resume, one batch-assembly pass). Workers *bid* for a role
-//! at safe points (step boundaries), guided by a per-role **budget**
-//! vector that a scheduler updates at runtime, so capacity migrates to
-//! whichever stage is the bottleneck within one refresh interval.
+//! slow resume, one batch-assembly pass).
 //!
-//! Two execution modes:
+//! Every role owns a static slice of the pool (`RoleSpec::threads`, in
+//! registration order). A worker runs in two phases:
 //!
-//! * **Fixed** ([`ExecConfig::fixed`]) — every role owns a static slice
-//!   of the pool (`RoleSpec::threads`); while its home role is live a
-//!   worker never leaves it, and parks when its rank exceeds the role's
-//!   budget — a classic dedicated-thread runtime (loader workers gated
-//!   by an active limit, dedicated slow/batch workers). The pool is
-//!   *work-conserving at drain*: once a worker's home role is exhausted
-//!   it joins the elastic bidding below for the roles still live
-//!   instead of exiting, so a backlog left in a later stage is finished
-//!   by the whole pool rather than by that stage's own slice.
-//! * **Elastic** ([`ExecConfig::elastic`]) — workers re-bid after every
-//!   lease, preferring roles with a budget deficit and *stealing* into
-//!   roles at/over budget when nothing else has work. Per-role
-//!   occupancy, steal, and role-switch counters make the migration
-//!   observable ([`ExecStats`]).
+//! 1. **Home role.** While its home role is live the worker never leaves
+//!    it, and parks when its rank within the role exceeds the role's
+//!    **budget** — the gate a scheduler moves at runtime (loader workers
+//!    under an active limit, dedicated slow/batch workers).
+//! 2. **Drain.** Once the home role is exhausted the worker *bids* for
+//!    the roles still live instead of exiting, preferring the role with
+//!    the largest budget deficit and *stealing* into roles at/over budget
+//!    when nothing else has work — so a backlog left in a later stage is
+//!    finished by the whole pool rather than by that stage's own slice.
+//!    A thread no role's slice covers starts here.
 //!
-//! Roles can be registered dynamically, so one pool can serve several
-//! loaders ([`SharedExecutor`]): each loader registers its roles,
-//! budgets are set per role, and a finished loader's roles are pruned
-//! while the pool keeps running for the others.
+//! Per-role occupancy, steal, and role-switch counters make the drain
+//! observable ([`ExecStats`]).
 //!
 //! ## Lifecycle of a role
 //!
@@ -58,10 +50,10 @@ use std::time::Duration;
 /// What one call to [`RoleStep::step`] accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
-    /// Work was done; the worker keeps the role until its lease ends.
+    /// Work was done.
     Progress,
     /// No work is available right now (the role's source is open but
-    /// empty). The worker releases the role and bids elsewhere.
+    /// empty). A draining worker bids for the next live role.
     Idle,
     /// The role can never produce work again (source closed and
     /// drained, or shutdown observed). The executor marks the role
@@ -74,8 +66,8 @@ pub enum StepOutcome {
 ///
 /// A step must be *bounded*: claim one chunk of work, process it, and
 /// return. Long blocking waits belong inside the step only when bounded
-/// (e.g. a 1 ms starvation wait); unbounded blocking would pin a worker
-/// to a role and defeat re-bidding.
+/// (e.g. a 1 ms starvation wait): between steps a worker observes
+/// shutdown and budget changes, and a draining worker re-bids.
 pub trait RoleStep: Send + Sync {
     /// Perform one bounded unit of work.
     fn step(&self) -> StepOutcome;
@@ -96,7 +88,8 @@ pub struct RoleSpec {
     /// Initial budget: how many workers the scheduler wants in this
     /// role. Updated at runtime via [`ExecHandle::set_budget`].
     pub budget: usize,
-    /// Dedicated thread count in fixed mode (ignored in elastic mode).
+    /// Width of the role's home slice: the pool threads that serve
+    /// this role, and only it, while it is live.
     pub threads: usize,
     /// Hard cap on concurrent occupants, independent of budget — e.g. a
     /// batch role with N assembly lanes caps at N. `None` = unlimited.
@@ -108,44 +101,22 @@ pub struct RoleSpec {
 pub struct ExecConfig {
     /// Pool size.
     pub threads: usize,
-    /// Elastic (role-fluid, work-stealing) vs fixed (static binding
-    /// while a worker's home role is live).
-    pub elastic: bool,
     /// Bounded park when a worker finds no runnable work. Budget
-    /// changes, new registrations, and shutdown wake parked workers
+    /// changes, a finishing role, and shutdown wake parked workers
     /// immediately; the timeout only bounds the latency of work
     /// arriving through a queue.
     pub idle_wait: Duration,
-    /// Steps a worker runs in one lease before re-bidding (the
-    /// safe-point cadence). Larger leases amortize bidding overhead;
-    /// smaller leases migrate capacity faster.
-    pub steps_per_lease: usize,
-    /// Workers exit when every registered role has finished (true for
-    /// a loader-owned pool; false for a long-lived shared pool that
-    /// parks between loaders).
-    pub exit_when_drained: bool,
     /// Thread-name prefix (`"{prefix}-{id}"`).
     pub name_prefix: String,
 }
 
 impl ExecConfig {
-    /// Fixed-mode pool: roles own static thread slices.
+    /// A pool of `threads` workers whose roles own fixed home slices.
     pub fn fixed(threads: usize) -> ExecConfig {
         ExecConfig {
             threads,
-            elastic: false,
             idle_wait: Duration::from_millis(1),
-            steps_per_lease: 1,
-            exit_when_drained: true,
             name_prefix: "minato-exec".into(),
-        }
-    }
-
-    /// Elastic-mode pool: workers re-bid for roles between leases.
-    pub fn elastic(threads: usize) -> ExecConfig {
-        ExecConfig {
-            elastic: true,
-            ..ExecConfig::fixed(threads)
         }
     }
 }
@@ -176,7 +147,6 @@ impl RoleState {
 
     fn snapshot(&self) -> RoleStatsSnapshot {
         RoleStatsSnapshot {
-            id: self.id,
             name: self.name.clone(),
             budget: self.budget.load(Ordering::Relaxed),
             occupancy: self.occupancy.load(Ordering::Relaxed),
@@ -191,8 +161,6 @@ impl RoleState {
 /// Point-in-time view of one role's scheduling state.
 #[derive(Debug, Clone)]
 pub struct RoleStatsSnapshot {
-    /// The role's id.
-    pub id: RoleId,
     /// The role's display name.
     pub name: String,
     /// Current budget (scheduler target).
@@ -215,8 +183,6 @@ pub struct RoleStatsSnapshot {
 pub struct ExecStats {
     /// Pool size.
     pub threads: usize,
-    /// Whether the pool is role-fluid.
-    pub elastic: bool,
     /// Per-role counters.
     pub roles: Vec<RoleStatsSnapshot>,
     /// Total cross-role moves by any worker.
@@ -235,9 +201,6 @@ impl ExecStats {
 struct Shared {
     cfg: ExecConfig,
     roles: Mutex<Vec<Arc<RoleState>>>,
-    /// Bumped on register/prune/finish so workers refresh their role
-    /// snapshot.
-    generation: AtomicU64,
     next_role_id: AtomicU64,
     shutdown: AtomicBool,
     spawned: AtomicBool,
@@ -253,10 +216,6 @@ struct Shared {
 impl Shared {
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
-    }
-
-    fn bump_generation(&self) {
-        self.generation.fetch_add(1, Ordering::Release);
     }
 
     fn park(&self, wait: Duration) {
@@ -300,7 +259,6 @@ impl Shared {
                 .is_ok()
         {
             role.step.finish();
-            self.bump_generation();
             self.wake_all();
         }
     }
@@ -311,7 +269,7 @@ impl Shared {
 ///
 /// Create the handle first, hand clones to whatever needs control
 /// (runtime state, monitors), then [`ExecHandle::spawn`] the pool once
-/// the initial roles are registered.
+/// the roles are registered.
 #[derive(Clone)]
 pub struct ExecHandle {
     shared: Arc<Shared>,
@@ -321,7 +279,6 @@ impl std::fmt::Debug for ExecHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecHandle")
             .field("threads", &self.shared.cfg.threads)
-            .field("elastic", &self.shared.cfg.elastic)
             .finish()
     }
 }
@@ -333,7 +290,6 @@ impl ExecHandle {
             shared: Arc::new(Shared {
                 cfg,
                 roles: Mutex::new(Vec::new()),
-                generation: AtomicU64::new(0),
                 next_role_id: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 spawned: AtomicBool::new(false),
@@ -351,12 +307,19 @@ impl ExecHandle {
         &self.shared.cfg
     }
 
-    /// Registers roles (before or after spawn), pruning roles that
-    /// already finished. Returns the new roles' ids in spec order.
+    /// Registers roles and returns their ids in spec order. Workers
+    /// bind to the registered roles' slices when they start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool has already been spawned.
     pub fn register(&self, specs: Vec<RoleSpec>) -> Vec<RoleId> {
+        assert!(
+            !self.shared.spawned.load(Ordering::Acquire),
+            "roles must be registered before the pool is spawned"
+        );
         let mut roles = self.shared.roles.lock();
-        roles.retain(|r| !r.is_finished());
-        let ids: Vec<RoleId> = specs
+        specs
             .into_iter()
             .map(|s| {
                 let id = RoleId(self.shared.next_role_id.fetch_add(1, Ordering::Relaxed));
@@ -376,15 +339,10 @@ impl ExecHandle {
                 }));
                 id
             })
-            .collect();
-        drop(roles);
-        self.shared.bump_generation();
-        self.shared.wake_all();
-        ids
+            .collect()
     }
 
-    /// Spawns the pool threads. Call once, after registering the
-    /// initial roles (fixed mode binds threads to roles at spawn).
+    /// Spawns the pool threads. Call once, after registering the roles.
     ///
     /// # Panics
     ///
@@ -403,14 +361,11 @@ impl ExecHandle {
                     .spawn(move || worker_loop(&shared, id))?,
             );
         }
-        Ok(Executor {
-            shared: Arc::clone(&self.shared),
-            handles,
-        })
+        Ok(Executor { handles })
     }
 
     /// Sets `role`'s budget and wakes parked workers so the change
-    /// takes effect within one bid.
+    /// takes effect at once.
     pub fn set_budget(&self, role: RoleId, n: usize) {
         if let Some(r) = self.find(role) {
             r.budget.store(n, Ordering::Release);
@@ -419,49 +374,19 @@ impl ExecHandle {
     }
 
     /// Installs a callback invoked each time a worker switches into a
-    /// role it was not previously running (elastic mode's cross-role
-    /// moves, and a fixed pool's moves at drain). Called from worker
+    /// role it was not previously running (the moves of the drain
+    /// phase). Called from worker
     /// threads outside any executor lock, so it must be cheap and
     /// non-blocking. First setter wins; later calls are ignored.
     pub fn set_switch_observer(&self, f: Arc<dyn Fn(RoleId) + Send + Sync>) {
         let _ = self.shared.switch_observer.set(f);
     }
 
-    /// `role`'s current budget (0 if unknown/pruned).
+    /// `role`'s current budget (0 if unknown).
     pub fn budget(&self, role: RoleId) -> usize {
         self.find(role)
             .map(|r| r.budget.load(Ordering::Acquire))
             .unwrap_or(0)
-    }
-
-    /// Marks `ids` exhausted — no new leases — and removes them from
-    /// the role table *immediately* (a loader leaving a shared pool),
-    /// instead of leaving them to be pruned lazily at the next
-    /// registration. A role nobody occupies finishes inline; an
-    /// occupied one still runs `finish` exactly once when its last
-    /// occupant leaves (workers holding a snapshot Arc observe the
-    /// bumped generation and drop their references at the next bid).
-    pub fn reclaim(&self, ids: &[RoleId]) {
-        let mut gone: Vec<Arc<RoleState>> = Vec::new();
-        self.shared.roles.lock().retain(|r| {
-            let leaving = ids.contains(&r.id);
-            if leaving {
-                gone.push(Arc::clone(r));
-            }
-            !leaving
-        });
-        for r in &gone {
-            r.exhausted.store(true, Ordering::Release);
-            if r.occupancy.load(Ordering::Acquire) == 0
-                && r.finished
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                r.step.finish();
-            }
-        }
-        self.shared.bump_generation();
-        self.shared.wake_all();
     }
 
     /// Signals full pool shutdown: workers exit at their next safe
@@ -476,18 +401,10 @@ impl ExecHandle {
         let roles = self.shared.roles.lock();
         ExecStats {
             threads: self.shared.cfg.threads,
-            elastic: self.shared.cfg.elastic,
             roles: roles.iter().map(|r| r.snapshot()).collect(),
             role_switches: self.shared.total_switches.load(Ordering::Relaxed),
             steals: self.shared.total_steals.load(Ordering::Relaxed),
         }
-    }
-
-    /// Snapshot filtered to `ids` (one loader's view of a shared pool).
-    pub fn stats_for(&self, ids: &[RoleId]) -> ExecStats {
-        let mut s = self.stats();
-        s.roles.retain(|r| ids.contains(&r.id));
-        s
     }
 
     fn find(&self, id: RoleId) -> Option<Arc<RoleState>> {
@@ -501,137 +418,99 @@ impl ExecHandle {
 }
 
 /// Owns the pool threads. [`Executor::join`] (or drop) joins them;
-/// workers exit on [`ExecHandle::shutdown`] or, with
-/// [`ExecConfig::exit_when_drained`], when every role has finished.
+/// workers exit on [`ExecHandle::shutdown`] or when every role has
+/// finished.
 pub struct Executor {
-    shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl Executor {
-    /// A control handle to this pool.
-    pub fn handle(&self) -> ExecHandle {
-        ExecHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
     /// Joins every pool thread (idempotent). Worker panics are
     /// contained: a panicked worker's damage is already recorded by its
     /// role; joining must not propagate into the caller's drop path.
-    ///
-    /// The owner may be dropped *by a pool thread* — a role step that
-    /// held the last clone of a [`SharedExecutor`] is released by the
-    /// worker that finished it. That thread cannot join itself; its
-    /// handle is dropped instead and it exits on the shutdown flag.
     pub fn join(&mut self) {
-        let me = std::thread::current().id();
         for h in self.handles.drain(..) {
-            if h.thread().id() != me {
-                let _ = h.join();
-            }
+            let _ = h.join();
         }
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        // Without an explicit shutdown the workers of a non-draining
-        // pool would park forever; dropping the owner is that signal.
-        if !self.shared.cfg.exit_when_drained {
-            self.handle().shutdown();
-        }
         self.join();
     }
 }
 
-fn worker_loop(shared: &Shared, id: usize) {
-    if shared.cfg.elastic {
-        elastic_loop(shared);
-    } else {
-        fixed_loop(shared, id);
-    }
-}
-
-/// Fixed mode: thread `id` is bound to the role owning its slot (spec
+/// Body of pool thread `id`.
+///
+/// **Home phase.** The thread is bound to the role owning its slot (spec
 /// order, `RoleSpec::threads` wide) and stays there while that role is
 /// live. A thread whose rank within the role exceeds the budget parks
 /// until the budget rises — the classic scaling gate that parks the
-/// highest ranks first. Once the home role is exhausted the thread
-/// drains the roles still live through [`elastic_loop`] (parked ranks
-/// included), so the tail of a run is finished by the whole pool.
-fn fixed_loop(shared: &Shared, id: usize) {
-    let snapshot: Vec<Arc<RoleState>> = shared.roles.lock().clone();
+/// highest ranks first.
+///
+/// **Drain phase.** Once the home role is exhausted the thread (parked
+/// ranks included) bids for the roles still live, so the tail of a run is
+/// finished by the whole pool: between steps it prefers the role with the
+/// largest budget deficit and steals into at-budget roles when nothing
+/// else has work. It exits when every role has finished.
+fn worker_loop(shared: &Shared, id: usize) {
+    let roles: Vec<Arc<RoleState>> = shared.roles.lock().clone();
     let mut base = 0usize;
-    let mut mine = None;
-    for r in &snapshot {
+    let mut home = None;
+    for r in &roles {
         if id < base + r.fixed_threads {
-            mine = Some((Arc::clone(r), id - base));
+            home = Some((r, id - base));
             break;
         }
         base += r.fixed_threads;
     }
-    let Some((role, rank)) = mine else {
-        return; // Pool larger than the roles' slices: spare thread.
-    };
-    while !shared.is_shutdown() {
-        if role.exhausted.load(Ordering::Acquire) || role.is_finished() {
-            break;
-        }
-        if rank >= role.budget.load(Ordering::Acquire) {
-            // Parked by the scheduler; budget raises wake us.
-            shared.park(Duration::from_millis(50));
-            continue;
-        }
-        if shared.try_enter(&role).is_none() {
-            // Workers drained from other roles hold every slot.
-            shared.park(shared.cfg.idle_wait);
-            continue;
-        }
-        let out = role.step.step();
-        match out {
-            StepOutcome::Progress => {
-                role.steps.fetch_add(1, Ordering::Relaxed);
+    if let Some((role, rank)) = home {
+        while !shared.is_shutdown() {
+            if role.exhausted.load(Ordering::Acquire) || role.is_finished() {
+                break;
             }
-            StepOutcome::Idle => {} // The step waited internally.
-            StepOutcome::Exhausted => {
-                role.exhausted.store(true, Ordering::Release);
+            if rank >= role.budget.load(Ordering::Acquire) {
+                // Parked by the scheduler; budget raises wake us.
+                shared.park(Duration::from_millis(50));
+                continue;
             }
-        }
-        shared.leave_role(&role);
-        if out == StepOutcome::Exhausted {
-            break;
+            if shared.try_enter(role).is_none() {
+                // Workers drained from other roles hold every slot.
+                shared.park(shared.cfg.idle_wait);
+                continue;
+            }
+            let out = role.step.step();
+            match out {
+                StepOutcome::Progress => {
+                    role.steps.fetch_add(1, Ordering::Relaxed);
+                }
+                StepOutcome::Idle => {} // The step waited internally.
+                StepOutcome::Exhausted => {
+                    role.exhausted.store(true, Ordering::Release);
+                }
+            }
+            shared.leave_role(role);
+            if out == StepOutcome::Exhausted {
+                break;
+            }
         }
     }
-    elastic_loop(shared);
-}
-
-/// Elastic mode, and the drain phase of fixed mode: between leases a
-/// worker re-bids, preferring the role with the largest budget deficit
-/// and stealing into at-budget roles when nothing else has work.
-fn elastic_loop(shared: &Shared) {
-    let mut snapshot: Vec<Arc<RoleState>> = Vec::new();
-    let mut snap_gen = u64::MAX;
     let mut current: Option<RoleId> = None;
     while !shared.is_shutdown() {
-        let gen = shared.generation.load(Ordering::Acquire);
-        if gen != snap_gen {
-            snapshot = shared.roles.lock().clone();
-            snap_gen = gen;
-        }
-        // A fixed pool's drained worker leaves alone the capped roles
-        // whose own threads already fill the cap (the batch lanes): it
-        // could add no capacity there, only take a lane from its owner.
-        let staffed = |r: &RoleState| !shared.cfg.elastic && r.fixed_threads >= r.max_concurrency;
-        let mut live: Vec<&Arc<RoleState>> = snapshot
+        // A drained worker leaves alone the capped roles whose own
+        // threads already fill the cap (the batch lanes): it could add
+        // no capacity there, only take a lane from its owner.
+        let mut live: Vec<&Arc<RoleState>> = roles
             .iter()
-            .filter(|r| !r.exhausted.load(Ordering::Acquire) && !r.is_finished() && !staffed(r))
+            .filter(|r| {
+                !r.exhausted.load(Ordering::Acquire)
+                    && !r.is_finished()
+                    && r.fixed_threads < r.max_concurrency
+            })
             .collect();
         if live.is_empty() {
-            if shared.cfg.exit_when_drained
-                && !snapshot.is_empty()
-                && snapshot.iter().all(|r| r.is_finished())
-            {
+            if roles.iter().all(|r| r.is_finished()) {
                 break;
             }
             shared.park(shared.cfg.idle_wait);
@@ -655,26 +534,13 @@ fn elastic_loop(shared: &Shared) {
             let Some(prev_occ) = shared.try_enter(role) else {
                 continue;
             };
-            let stealing = prev_occ >= budget;
-            let mut lease_progress = false;
-            for _ in 0..shared.cfg.steps_per_lease.max(1) {
-                if shared.is_shutdown() {
-                    break;
-                }
-                match role.step.step() {
-                    StepOutcome::Progress => {
-                        lease_progress = true;
-                        role.steps.fetch_add(1, Ordering::Relaxed);
-                    }
-                    StepOutcome::Idle => break,
-                    StepOutcome::Exhausted => {
-                        role.exhausted.store(true, Ordering::Release);
-                        break;
-                    }
-                }
+            let out = role.step.step();
+            if out == StepOutcome::Exhausted {
+                role.exhausted.store(true, Ordering::Release);
             }
             shared.leave_role(role);
-            if lease_progress {
+            if out == StepOutcome::Progress {
+                role.steps.fetch_add(1, Ordering::Relaxed);
                 if current != Some(role.id) {
                     role.switches_in.fetch_add(1, Ordering::Relaxed);
                     shared.total_switches.fetch_add(1, Ordering::Relaxed);
@@ -682,7 +548,7 @@ fn elastic_loop(shared: &Shared) {
                         obs(role.id);
                     }
                 }
-                if stealing {
+                if prev_occ >= budget {
                     role.steals.fetch_add(1, Ordering::Relaxed);
                     shared.total_steals.fetch_add(1, Ordering::Relaxed);
                 }
@@ -694,59 +560,6 @@ fn elastic_loop(shared: &Shared) {
         if !progressed {
             shared.park(shared.cfg.idle_wait);
         }
-    }
-}
-
-/// A long-lived elastic pool shared by several loaders.
-///
-/// Cloning shares the same pool; the last clone dropped shuts the pool
-/// down and joins its threads. Loaders register roles through
-/// [`SharedExecutor::handle`] (loader builders do this automatically)
-/// and set per-role budgets independently — the pool arbitrates by
-/// budget deficit, so a loader whose stage falls behind pulls workers
-/// from loaders with idle budget.
-#[derive(Clone)]
-pub struct SharedExecutor {
-    handle: ExecHandle,
-    _pool: Arc<Executor>,
-}
-
-impl std::fmt::Debug for SharedExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedExecutor")
-            .field("threads", &self.handle.config().threads)
-            .finish()
-    }
-}
-
-impl SharedExecutor {
-    /// Spawns a shared elastic pool of `threads` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker thread cannot be spawned.
-    pub fn new(threads: usize) -> SharedExecutor {
-        assert!(threads > 0, "shared pool needs at least one thread");
-        let mut cfg = ExecConfig::elastic(threads);
-        cfg.exit_when_drained = false;
-        cfg.name_prefix = "minato-shared".into();
-        let handle = ExecHandle::new(cfg);
-        // minato-verify: allow(V1) documented panic contract (`# Panics` above); spawn failure here has no caller to report to
-        let pool = handle.spawn().expect("spawn shared pool");
-        SharedExecutor {
-            handle,
-            _pool: Arc::new(pool),
-        }
-    }
-
-    /// The pool's control handle.
-    pub fn handle(&self) -> &ExecHandle {
-        &self.handle
-    }
-
-    /// Pool size.
-    pub fn threads(&self) -> usize {
-        self.handle.config().threads
     }
 }
 
@@ -1004,15 +817,15 @@ mod tests {
     }
 
     #[test]
-    fn elastic_pool_steals_into_busy_role() {
+    fn drained_workers_steal_into_busy_role() {
         // Role "big" has far more work than its budget of 1 warrants;
-        // the other workers' role drains instantly, so they must steal.
+        // the other workers' home role drains instantly, so they steal.
         let big = CountdownRole::with_cost(400, Duration::from_micros(200));
         let small = CountdownRole::new(1);
-        let h = ExecHandle::new(ExecConfig::elastic(4));
+        let h = ExecHandle::new(ExecConfig::fixed(4));
         h.register(vec![
-            spec("small", small.clone(), 3, 0),
-            spec("big", big.clone(), 1, 0),
+            spec("small", small.clone(), 3, 3),
+            spec("big", big.clone(), 1, 1),
         ]);
         let mut pool = h.spawn().unwrap();
         pool.join();
@@ -1028,19 +841,21 @@ mod tests {
 
     #[test]
     fn max_concurrency_caps_occupancy() {
-        // A role capped at 1 occupant: concurrent steps would double-
-        // count; the cap makes `step` effectively single-threaded.
+        // A role capped at 1 occupant though its home slice is 4 wide:
+        // concurrent steps would double-count; the cap makes `step`
+        // effectively single-threaded.
         let role = ExclusiveRole::new(200);
-        let h = ExecHandle::new(ExecConfig::elastic(4));
+        let h = ExecHandle::new(ExecConfig::fixed(4));
         h.register(vec![RoleSpec {
             name: "exclusive".into(),
             step: role.clone(),
             budget: 4,
-            threads: 0,
+            threads: 4,
             max_concurrency: Some(1),
         }]);
         let mut pool = h.spawn().unwrap();
         pool.join();
+        assert_eq!(role.left.load(Ordering::Relaxed), 0, "nobody ran the role");
         assert_eq!(
             role.max_seen.load(Ordering::Relaxed),
             1,
@@ -1051,8 +866,8 @@ mod tests {
     #[test]
     fn shutdown_stops_workers_without_draining() {
         let a = CountdownRole::new(usize::MAX); // Endless work.
-        let h = ExecHandle::new(ExecConfig::elastic(2));
-        h.register(vec![spec("a", a.clone(), 2, 0)]);
+        let h = ExecHandle::new(ExecConfig::fixed(2));
+        h.register(vec![spec("a", a.clone(), 2, 2)]);
         let mut pool = h.spawn().unwrap();
         std::thread::sleep(Duration::from_millis(10));
         h.shutdown();
@@ -1070,88 +885,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_pool_serves_tenants_registered_after_spawn() {
-        let shared = SharedExecutor::new(3);
-        // No roles yet: workers park. Register a loader and it drains.
-        let a = CountdownRole::new(500);
-        shared
-            .handle()
-            .register(vec![spec("loader-a", a.clone(), 3, 0)]);
-        wait_until("loader a never drained", || {
-            a.finishes.load(Ordering::Relaxed) == 1
-        });
-        assert_eq!(a.done.load(Ordering::Relaxed), 500);
-        // A second loader reuses the same (still live) pool; the first
-        // loader's finished roles are pruned at registration.
-        let b = CountdownRole::new(300);
-        shared
-            .handle()
-            .register(vec![spec("loader-b", b.clone(), 3, 0)]);
-        wait_until("loader b never drained", || {
-            b.finishes.load(Ordering::Relaxed) == 1
-        });
-        assert_eq!(b.done.load(Ordering::Relaxed), 300);
-        let stats = shared.handle().stats();
-        assert!(
-            stats.role("loader-a").is_none(),
-            "finished roles are pruned on the next registration"
-        );
-        drop(shared); // Joins the pool without hanging.
-    }
-
-    /// Drop-mid-epoch reclamation regression: a departed loader's roles
-    /// must leave the role table immediately, not linger until the next
-    /// registration prunes them.
-    #[test]
-    fn reclaim_removes_roles_immediately_without_new_registration() {
-        let shared = SharedExecutor::new(2);
-        let a = CountdownRole::new(usize::MAX); // Loader wedged mid-epoch.
-        let b = CountdownRole::with_cost(2_000, Duration::from_micros(50));
-        let ids_a = shared
-            .handle()
-            .register(vec![spec("loader-a", a.clone(), 1, 0)]);
-        shared
-            .handle()
-            .register(vec![spec("loader-b", b.clone(), 1, 0)]);
-        wait_until("nobody ran the wedged role", || {
-            a.done.load(Ordering::Relaxed) > 0
-        });
-        shared.handle().reclaim(&ids_a);
-        // Gone from the table at once — no register() needed first.
-        assert!(
-            shared.handle().stats().role("loader-a").is_none(),
-            "reclaimed roles must not linger in the role table"
-        );
-        assert_eq!(shared.handle().budget(ids_a[0]), 0, "budget reclaimed");
-        // The finish hook runs when the wedged leaseholder reaches its
-        // next safe point — asynchronous, so bounded-wait rather than
-        // assert instantly.
-        wait_until("finish never ran for the reclaimed role", || {
-            a.finishes.load(Ordering::Relaxed) > 0
-        });
-        // The other loader keeps draining on the freed capacity.
-        wait_until("co-loader stalled", || {
-            b.finishes.load(Ordering::Relaxed) == 1
-        });
-        assert_eq!(a.finishes.load(Ordering::Relaxed), 1, "finish ran once");
-        assert_eq!(b.done.load(Ordering::Relaxed), 2_000);
-    }
-
-    #[test]
-    fn retire_finishes_an_idle_role_inline() {
-        // Never spawned: nobody can occupy the role, so `reclaim` itself
-        // must run `finish`.
-        let a = CountdownRole::new(0);
-        let h = ExecHandle::new(ExecConfig::elastic(1));
-        let ids = h.register(vec![spec("a", a.clone(), 0, 0)]);
-        h.reclaim(&ids);
-        assert_eq!(a.finishes.load(Ordering::Relaxed), 1);
-        assert!(h.stats().roles.is_empty());
-    }
-
-    #[test]
     fn budget_readback_and_unknown_roles() {
-        let h = ExecHandle::new(ExecConfig::elastic(1));
+        let h = ExecHandle::new(ExecConfig::fixed(1));
         let ids = h.register(vec![spec("a", CountdownRole::new(0), 5, 0)]);
         assert_eq!(h.budget(ids[0]), 5);
         h.set_budget(ids[0], 9);
@@ -1192,8 +927,9 @@ mod tests {
         }
     }
 
-    /// A switch is a move to a *different* role: a worker that parks
-    /// idle and comes back to the role it was running has not switched.
+    /// A switch is a move to a *different* role: a draining worker that
+    /// parks idle and comes back to the role it was running has not
+    /// switched.
     #[test]
     fn reentering_the_same_role_after_an_idle_park_is_not_a_switch() {
         const THREADS: usize = 2;
@@ -1204,8 +940,14 @@ mod tests {
             closed: AtomicBool::new(false),
             idled: Mutex::new(Vec::new()),
         });
-        let h = ExecHandle::new(ExecConfig::elastic(THREADS));
-        h.register(vec![spec("only", role.clone(), THREADS, 0)]);
+        // Both workers' home role is exhausted at its first step, which
+        // leaves "only" as the one role their drain can bid for.
+        let home = CountdownRole::new(0);
+        let h = ExecHandle::new(ExecConfig::fixed(THREADS));
+        h.register(vec![
+            spec("home", home, THREADS, THREADS),
+            spec("only", role.clone(), THREADS, 0),
+        ]);
         let mut pool = h.spawn().unwrap();
         for burst in 1..=BURSTS {
             role.avail.store(50, Ordering::Release);
@@ -1222,55 +964,7 @@ mod tests {
         let switches = h.stats().role_switches;
         assert!(
             (1..=THREADS as u64).contains(&switches),
-            "each worker enters the only role once, however often it parks: {switches}"
+            "each worker enters the only live role once, however often it parks: {switches}"
         );
-    }
-
-    /// Holds a clone of the pool it runs on and releases it in `finish`
-    /// — on a pool thread.
-    struct OwnerRole {
-        pool: Mutex<Option<SharedExecutor>>,
-        /// Set once the test has dropped its own clone, so the one in
-        /// `pool` is the last.
-        sole_owner: AtomicBool,
-        released: AtomicUsize,
-    }
-
-    impl RoleStep for OwnerRole {
-        fn step(&self) -> StepOutcome {
-            if self.sole_owner.load(Ordering::Acquire) {
-                StepOutcome::Exhausted
-            } else {
-                StepOutcome::Idle
-            }
-        }
-
-        fn finish(&self) {
-            let last = self.pool.lock().take();
-            drop(last); // Shuts the pool down and joins it, from inside it.
-            self.released.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    /// Regression: a pool thread that drops the last `SharedExecutor`
-    /// clone used to join its own `JoinHandle` and panic with "Resource
-    /// deadlock avoided" (a loader's `BatchStep` owns such a clone
-    /// through its runtime's config).
-    #[test]
-    fn pool_thread_dropping_the_last_clone_does_not_join_itself() {
-        let shared = SharedExecutor::new(2);
-        let role = Arc::new(OwnerRole {
-            pool: Mutex::new(Some(shared.clone())),
-            sole_owner: AtomicBool::new(false),
-            released: AtomicUsize::new(0),
-        });
-        shared
-            .handle()
-            .register(vec![spec("owner", role.clone(), 1, 0)]);
-        drop(shared);
-        role.sole_owner.store(true, Ordering::Release);
-        wait_until("finish panicked or never ran", || {
-            role.released.load(Ordering::Acquire) == 1
-        });
     }
 }

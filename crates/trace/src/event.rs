@@ -49,8 +49,8 @@ pub enum EventKind {
     /// The consumer popped the sample inside a batch
     /// (`dur_ns` = ticket-issue → delivery latency, `arg` = GPU index).
     Delivered = 10,
-    /// An elastic executor worker re-bid onto a different role
-    /// (`arg` = role id).
+    /// A pool worker whose home role was exhausted moved onto a
+    /// different role (`arg` = role id).
     RoleSwitch = 11,
     /// An injected or organic fault fired while processing the sample.
     FaultHit = 12,

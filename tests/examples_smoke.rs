@@ -243,14 +243,14 @@ fn pooled_hot_path_flow() {
     assert!(ps.hits > 0, "steady state must reuse buffers: {ps:?}");
 }
 
-/// `examples/shared_executor.rs`: two loaders on one shared role-fluid
-/// pool; both must deliver fully and the pool must outlive them for a
-/// third — with no panic on *any* thread. A loader contains worker
-/// panics (and a pool thread that dies while tearing the pool down takes
-/// nothing with it), so delivery counts alone would pass a broken run.
+/// No example behind this one: it carries the whole-process panic census.
+/// A loader contains worker panics (and joins swallow a pool thread that
+/// died), so delivery counts alone would pass a broken run. The workload
+/// leaves the one slow worker a backlog when the source drains, so the
+/// fast workers finish it from the executor's drain phase, and the
+/// loader is dropped before the count is read.
 #[test]
-fn shared_executor_flow() {
-    use minato::core::loader::ExecutorConfig;
+fn drained_pool_raises_no_panic_on_any_thread() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     // The hook is process-wide: no test in this file panics on purpose,
     // so a count above zero is a bug wherever it was raised.
@@ -260,35 +260,33 @@ fn shared_executor_flow() {
         PANICS.fetch_add(1, Ordering::Relaxed);
         report_panic(info);
     }));
-    let pool = SharedExecutor::new(4);
-    let run = |pool: SharedExecutor, n: u32, slow_every: u32| {
-        let dataset = VecDataset::new((0..n).collect::<Vec<_>>());
-        let pipeline = Pipeline::new(vec![fn_transform("augment", move |x: u32| {
-            if x.is_multiple_of(slow_every) {
-                std::thread::sleep(Duration::from_millis(4));
-            } else {
-                std::thread::sleep(Duration::from_micros(200));
+    let n = 96u32;
+    let dataset = VecDataset::new((0..n).collect::<Vec<_>>());
+    // The cutoff is checked between steps: "augment" overruns it on
+    // every third sample, which leaves "settle" to the slow path.
+    let nap = |d: Duration| {
+        move |x: u32| {
+            if x.is_multiple_of(3) {
+                std::thread::sleep(d);
             }
             Ok(x)
-        })]);
-        let loader = MinatoLoader::builder(dataset, pipeline)
-            .batch_size(8)
-            .initial_workers(2)
-            .max_workers(2)
-            .slow_workers(1)
-            .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
-            .executor(ExecutorConfig::Shared(pool))
-            .build()
-            .expect("loader builds");
-        loader.iter().map(|b| b.len()).sum::<usize>()
+        }
     };
-    let p2 = pool.clone();
-    let handle = std::thread::spawn(move || run(p2, 48, 4));
-    assert_eq!(run(pool.clone(), 64, 8), 64);
-    assert_eq!(handle.join().expect("loader thread"), 48);
-    // A follow-up loader reuses the still-live pool; it holds the last
-    // handle, so the pool is torn down when it returns.
-    assert_eq!(run(pool, 32, 8), 32);
+    let pipeline = Pipeline::new(vec![
+        fn_transform("augment", nap(Duration::from_millis(2))),
+        fn_transform("settle", nap(Duration::from_millis(4))),
+    ]);
+    let loader = MinatoLoader::builder(dataset, pipeline)
+        .batch_size(8)
+        .initial_workers(2)
+        .max_workers(2)
+        .slow_workers(1)
+        .queue_capacity(n as usize)
+        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
+        .build()
+        .expect("loader builds");
+    assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), n as usize);
+    drop(loader);
     assert_eq!(PANICS.load(Ordering::Relaxed), 0, "a thread panicked");
 }
 
