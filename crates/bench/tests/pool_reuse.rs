@@ -67,7 +67,6 @@ fn pool_reuse_run(pooled: bool) -> (f64, f64) {
         .batch_size(8)
         .shuffle(false)
         .queue_capacity(32)
-        .ticket_chunk(4)
         .timeout_policy(TimeoutPolicy::Disabled)
         .initial_workers(3)
         .max_workers(3)

@@ -179,9 +179,9 @@ pub trait Sampler: Send + Sync + 'static {
     /// fewer (possibly zero) only when the sampler runs out.
     ///
     /// Loader workers use this to amortize the sampler's synchronization
-    /// over a whole chunk (the builder's `ticket_chunk` knob); the
-    /// default implementation just loops [`Sampler::next`], so custom
-    /// samplers stay correct without overriding it.
+    /// over a whole chunk of eight tickets; the default implementation
+    /// just loops [`Sampler::next`], so custom samplers stay correct
+    /// without overriding it.
     fn next_many(&self, max: usize) -> Vec<SampleTicket> {
         let mut out = Vec::with_capacity(max);
         while out.len() < max {

@@ -23,7 +23,7 @@
 //! assert_eq!(total, 64);
 //! ```
 
-use crate::balancer::{BalancerConfig, LoadBalancer, TimeoutPolicy};
+use crate::balancer::TimeoutPolicy;
 use crate::batch::{Batch, TransferHook};
 use crate::cache::{CacheConfig, ClonedSampleCache, EvictionPolicy, SampleCache, SampleWeigher};
 use crate::checkpoint::{
@@ -35,20 +35,17 @@ use crate::error::{LoaderError, Result};
 use crate::fault::FaultInjector;
 use crate::pool::AcquireObserver;
 use crate::pool::{PoolRecycler, PoolSet, Reclaim, SampleRecycler};
-use crate::queue::MinatoQueue;
 use crate::scheduler::{RoleBudgets, SchedulerConfig, WorkerScheduler};
 use crate::stats::{LoaderStats, MonitorTrace};
-use crate::transform::{Pipeline, StageObserver};
+use crate::transform::Pipeline;
 use crate::worker::{
-    BatchStep, ExecRoles, FastStep, FaultCounters, Runtime, SlowStep, TracerStageObserver, Q_BATCH0,
+    BatchStep, ExecRoles, FastStep, Runtime, SlowStep, TracerStageObserver, Q_BATCH0,
 };
 use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec};
-use minato_metrics::{Counter, Reservoir, UtilizationMeter};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,23 +95,16 @@ pub struct LoaderConfig {
     pub adaptive_workers: bool,
     /// Scheduler tuning (gains, clip, monitor interval).
     pub scheduler: SchedulerConfig,
-    /// Tickets a loader worker claims from the sampler per chunk, and the
-    /// most fast samples it publishes in one queue operation (1 =
-    /// item-at-a-time, the pre-batching behaviour). It amortizes locks
-    /// only: how long a finished sample may sit in a worker's chunk
-    /// buffer is bounded by `starvation_wait`, not by the chunk. Times
-    /// `slow_workers` it is also the temp-queue backlog above which one
-    /// fast worker at a time completes deferred samples.
-    pub ticket_chunk: usize,
     /// Upper bound on the pipeline's internal waits: a starved batch
     /// worker waiting for samples, a producer waiting for space in a
     /// full fast/slow/temp queue, batch delivery waiting for a
     /// batch-queue slot, an idle pool worker. Each is a condvar wait
     /// that ends as soon as the awaited state changes; when it expires
     /// the waiter re-checks what else it could do, e.g. helping the
-    /// next stage. One wait is still a plain sleep of this
-    /// length: a producer facing a full queue in `order_preserving`
-    /// mode, whose lane frees one slot per pop.
+    /// next stage. One wait is still a plain sleep of this length: a
+    /// producer facing a full queue in `order_preserving` mode, whose
+    /// lane frees one slot per pop. Fixed at 1 ms (the paper polls
+    /// every 10 ms); no builder method sets it.
     ///
     /// It is also the longest a fast worker withholds a finished sample
     /// from the batch stage: once it has spent this long since taking up
@@ -153,6 +143,21 @@ pub struct LoaderConfig {
     /// (`retry_backoff · 2^(attempt−1)`, capped at 50 ms); zero
     /// retries immediately.
     pub retry_backoff: Duration,
+}
+
+impl LoaderConfig {
+    /// Threads on the slow role. With the timeout disabled (always so in
+    /// order-preserving mode) every sample is fast and no slow worker is
+    /// budgeted, but one thread stays: its only job then is the close
+    /// cascade (closing the slow queue once the never-used temp queue
+    /// closes).
+    pub(crate) fn slow_threads(&self) -> usize {
+        if matches!(self.timeout_policy, TimeoutPolicy::Disabled) {
+            1
+        } else {
+            self.slow_workers.max(1)
+        }
+    }
 }
 
 /// Builder for [`MinatoLoader`]. All knobs default to the paper's
@@ -213,7 +218,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 warmup_samples: 32,
                 adaptive_workers: true,
                 scheduler: SchedulerConfig::paper_default(max_workers),
-                ticket_chunk: 8,
                 starvation_wait: Duration::from_millis(1),
                 order_preserving: false,
                 error_policy: ErrorPolicy::Skip,
@@ -325,26 +329,11 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Sampler tickets claimed per chunk, and the most fast samples
-    /// published in one queue operation. Larger chunks amortize
-    /// queue/sampler lock acquisitions over more samples; 1 restores
-    /// item-at-a-time behaviour (see [`LoaderConfig::ticket_chunk`]).
-    pub fn ticket_chunk(mut self, n: usize) -> Self {
-        self.cfg.ticket_chunk = n;
-        self
-    }
-
-    /// Upper bound on a starved worker's or blocked producer's condvar
-    /// wait before it re-checks, and on how long a fast worker holds a
-    /// finished sample back to publish it with its chunk (see
-    /// [`LoaderConfig::starvation_wait`]; the paper polls every 10 ms).
-    pub fn starvation_wait(mut self, d: Duration) -> Self {
-        self.cfg.starvation_wait = d;
-        self
-    }
-
     /// Strict-order mode (§6): disables classification, restores sampler
-    /// order.
+    /// order. A quarantined sample's seq is skipped as soon as it is
+    /// reported, and a run resumed with
+    /// [`resume_from`](Self::resume_from) continues at the checkpoint's
+    /// first undelivered seq.
     pub fn order_preserving(mut self, yes: bool) -> Self {
         self.cfg.order_preserving = yes;
         if yes {
@@ -585,9 +574,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 "queue capacities must be positive".into(),
             ));
         }
-        if cfg.ticket_chunk == 0 {
-            return Err(LoaderError::Config("ticket_chunk must be positive".into()));
-        }
         if cfg.cache_budget_bytes > 0 {
             if cfg.cache_shards == 0 {
                 return Err(LoaderError::Config("cache_shards must be positive".into()));
@@ -706,43 +692,31 @@ impl<D: Dataset> MinatoLoader<D> {
             Some(ck) => Arc::new(ResumeSampler::new(base_sampler, ck)),
             None => Arc::new(base_sampler),
         };
-        let balancer = LoadBalancer::new(BalancerConfig {
-            policy: cfg.timeout_policy,
-            warmup_samples: cfg.warmup_samples,
-            ..BalancerConfig::default()
-        });
-        if let Some(ck) = &resume {
-            // Reinstate the learned timeout and estimator counters so
-            // the resumed run skips the optimistic warm-up phase.
-            balancer.restore(
-                ck.balancer.timeout_ns,
-                ck.balancer.completions,
-                ck.balancer.flagged_slow,
-            );
-        }
-        // In order-preserving mode every sample is fast; avoid budgeting
-        // slow workers that would idle forever.
-        let slow_workers = if matches!(cfg.timeout_policy, TimeoutPolicy::Disabled) {
-            0
-        } else {
-            cfg.slow_workers
-        };
-        // One slow thread stays even with slow_workers == 0: its only
-        // job is the close cascade (closing the slow queue once the
-        // never-used temp queue closes).
-        let slow_threads = slow_workers.max(1);
+        let slow_threads = cfg.slow_threads();
         let batch_threads = cfg.batch_workers;
         let mut ecfg = ExecConfig::fixed(cfg.max_workers + slow_threads + batch_threads);
         ecfg.idle_wait = cfg.starvation_wait;
         let exec = ExecHandle::new(ecfg);
-        let batch_qs: Vec<MinatoQueue<Batch<D::Sample>>> = (0..cfg.num_gpus)
-            .map(|g| MinatoQueue::new(&format!("batch[{g}]"), cfg.prefetch_factor))
-            .collect();
-        // One monotonic clock for the whole run: `issued_ns` stamps,
-        // the delivery-latency reservoir, and (when enabled) every
-        // trace event measure against this instant.
-        let started_at = Instant::now();
-        let (tracer, trace_collect) = if cfg.trace.enabled {
+        let mut rt = Runtime::new(cfg.clone(), dataset, pipeline, sampler, exec.clone());
+        rt.cache = cache;
+        rt.recycler = recycler;
+        rt.injector = injector;
+        rt.transfer_hook = transfer_hook;
+        if let Some(ck) = &resume {
+            // Reinstate the learned timeout and estimator counters so
+            // the resumed run skips the optimistic warm-up phase.
+            rt.balancer.restore(
+                ck.balancer.timeout_ns,
+                ck.balancer.completions,
+                ck.balancer.flagged_slow,
+            );
+            rt.delivered = Mutex::new(DeliveryLog::seeded(
+                ck.watermark,
+                ck.delivered_above.iter().copied(),
+            ));
+        }
+        rt.pools = pools;
+        let trace_collect = if cfg.trace.enabled {
             let workers = if cfg.trace.max_workers > 0 {
                 cfg.trace.max_workers
             } else {
@@ -750,8 +724,17 @@ impl<D: Dataset> MinatoLoader<D> {
                 // and slack for helper threads stepping in.
                 exec.config().threads + cfg.num_gpus + 4
             };
-            let t = Arc::new(Tracer::new(started_at, workers, cfg.trace.ring_capacity));
-            let stage_names: Vec<String> = pipeline
+            let t = Arc::new(Tracer::new(rt.started_at, workers, cfg.trace.ring_capacity));
+            // Pool acquisitions report hit/miss through the first
+            // observer installed on the set (first-setter-wins on shared
+            // pools).
+            if let Some(p) = &rt.pools {
+                p.set_observer(Arc::new(TracerPoolObserver(Arc::clone(&t))));
+            }
+            rt.stage_obs = Some(Arc::new(TracerStageObserver(Arc::clone(&t))));
+            rt.tracer = Some(t);
+            let stage_names: Vec<String> = rt
+                .pipeline
                 .steps()
                 .iter()
                 .map(|s| s.name().to_string())
@@ -759,65 +742,16 @@ impl<D: Dataset> MinatoLoader<D> {
             let mut queue_names: Vec<String> =
                 vec!["fast_q".into(), "slow_q".into(), "temp_q".into()];
             queue_names.extend((0..cfg.num_gpus).map(|g| format!("batch_q[{g}]")));
-            let c = Arc::new(Mutex::new(Collector::new(
+            Some(Arc::new(Mutex::new(Collector::new(
                 stage_names,
                 queue_names,
                 cfg.trace.export_events,
-            )));
-            (Some(t), Some(c))
+            ))))
         } else {
-            (None, None)
+            None
         };
-        // Pool acquisitions report hit/miss through the first observer
-        // installed on the set (first-setter-wins on shared pools).
-        if let (Some(t), Some(p)) = (&tracer, &pools) {
-            p.set_observer(Arc::new(TracerPoolObserver(Arc::clone(t))));
-        }
-        let rt = Arc::new(Runtime {
-            fast_q: MinatoQueue::new("fast", cfg.queue_capacity),
-            slow_q: MinatoQueue::new("slow", cfg.queue_capacity),
-            temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
-            batch_qs,
-            exec: exec.clone(),
-            exec_roles: OnceLock::new(),
-            batch_help: OnceLock::new(),
-            in_flight: AtomicUsize::new(0),
-            source_drained: AtomicBool::new(false),
-            slow_helper: AtomicBool::new(false),
-            cpu_meter: UtilizationMeter::new(cfg.max_workers),
-            slow_meter: UtilizationMeter::new(slow_threads),
-            samples_out: Counter::new(),
-            bytes_out: Counter::new(),
-            batches_out: Counter::new(),
-            errors: Counter::new(),
-            first_error: Mutex::new(None),
-            recent_errors: Mutex::new(VecDeque::new()),
-            faults: FaultCounters::new(),
-            delivered: Mutex::new(match &resume {
-                Some(ck) => DeliveryLog::seeded(ck.watermark, ck.delivered_above.iter().copied()),
-                None => DeliveryLog::new(),
-            }),
-            checkpoint_pause: AtomicBool::new(false),
-            injector,
-            shutdown: AtomicBool::new(false),
-            monitor_lock: Mutex::new(()),
-            monitor_cv: Condvar::new(),
-            started_at,
-            transfer_hook,
-            stage_obs: tracer
-                .as_ref()
-                .map(|t| Arc::new(TracerStageObserver(Arc::clone(t))) as Arc<dyn StageObserver>),
-            delivery_ms: Mutex::new(Reservoir::new(4096)),
-            tracer: tracer.clone(),
-            dataset,
-            pipeline,
-            sampler,
-            balancer,
-            cache,
-            pools,
-            recycler,
-            cfg: cfg.clone(),
-        });
+        let tracer = rt.tracer.clone();
+        let rt = Arc::new(rt);
 
         // The three pipeline stages as executor roles. Only the fast
         // budget is scheduler-driven; the slow and batch slices are sized
@@ -1616,40 +1550,6 @@ mod tests {
             "live GPU starved: got {gpu1_samples} of 64 samples"
         );
         assert_eq!(loader.stats().batches_done, 16, "emission stalled");
-    }
-
-    #[test]
-    fn chunked_and_single_ticket_paths_deliver_identically() {
-        let run = |chunk: usize| -> Vec<u32> {
-            let ds = VecDataset::new((0..100u32).collect::<Vec<_>>());
-            let p: Pipeline<u32> = Pipeline::identity();
-            let loader = MinatoLoader::builder(ds, p)
-                .batch_size(7)
-                .epochs(2)
-                .seed(3)
-                .ticket_chunk(chunk)
-                .initial_workers(2)
-                .max_workers(4)
-                .build()
-                .unwrap();
-            let mut all: Vec<u32> = loader.iter().flat_map(|b| b.into_samples()).collect();
-            all.sort_unstable();
-            all
-        };
-        let single = run(1);
-        let chunked = run(8);
-        assert_eq!(single, chunked, "delivery set must not depend on chunking");
-        assert_eq!(single.len(), 200);
-    }
-
-    #[test]
-    fn builder_rejects_zero_ticket_chunk() {
-        let ds = VecDataset::new(vec![1u32]);
-        let p: Pipeline<u32> = Pipeline::identity();
-        assert!(matches!(
-            MinatoLoader::builder(ds, p).ticket_chunk(0).build(),
-            Err(LoaderError::Config(_))
-        ));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Lightweight preprocessing profiler (paper §4.2).
 //!
-//! During the warm-up phase the profiler collects, per sample: total
-//! preprocessing time, per-transform time, sample size, and the number of
-//! transforms applied. At the end of warm-up the load balancer derives the
+//! During the warm-up phase the profiler collects each sample's total
+//! preprocessing time. At the end of warm-up the load balancer derives the
 //! fast/slow cutoff from the 75th percentile of total times. Profiling then
 //! continues in the background over a sliding window so the timeout tracks
 //! workload drift.
@@ -28,31 +27,18 @@ use std::time::Duration;
 pub struct SampleRecord {
     /// Total wall time spent preprocessing the sample.
     pub total: Duration,
-    /// Wall time per transform (empty if not collected).
-    pub per_transform: Vec<Duration>,
-    /// Raw sample size in bytes, when known (carried for callers; the
-    /// profiler keeps no size statistics).
-    pub bytes: Option<u64>,
-    /// Number of transforms applied.
-    pub transforms_applied: usize,
 }
 
 impl SampleRecord {
-    /// Record with only a total time (the common fast path).
+    /// Record of an execution that took `total`.
     pub fn total_only(total: Duration) -> SampleRecord {
-        SampleRecord {
-            total,
-            per_transform: Vec::new(),
-            bytes: None,
-            transforms_applied: 0,
-        }
+        SampleRecord { total }
     }
 }
 
 #[derive(Debug)]
 struct ProfilerInner {
     totals_ms: Reservoir,
-    per_transform_ms: Vec<Reservoir>,
     warmup_target: u64,
 }
 
@@ -113,7 +99,6 @@ impl Profiler {
         Profiler {
             inner: Mutex::new(ProfilerInner {
                 totals_ms: Reservoir::new(window.max(1)),
-                per_transform_ms: Vec::new(),
                 warmup_target: warmup_samples,
             }),
         }
@@ -122,18 +107,7 @@ impl Profiler {
     /// Records one preprocessing execution.
     // minato-verify: hot-path
     pub fn record(&self, rec: &SampleRecord) {
-        let mut g = self.inner.lock();
-        g.totals_ms.record(to_ms(rec.total));
-        if !rec.per_transform.is_empty() {
-            if g.per_transform_ms.len() < rec.per_transform.len() {
-                let window = g.totals_ms.capacity();
-                g.per_transform_ms
-                    .resize_with(rec.per_transform.len(), || Reservoir::new(window));
-            }
-            for (i, d) in rec.per_transform.iter().enumerate() {
-                g.per_transform_ms[i].record(to_ms(*d));
-            }
-        }
+        self.inner.lock().totals_ms.record(to_ms(rec.total));
     }
 
     /// Records the total times of several executions under one lock
@@ -183,17 +157,6 @@ impl Profiler {
     pub fn summary_ms(&self) -> Summary {
         self.inner.lock().totals_ms.summary()
     }
-
-    /// Per-transform time summaries, in milliseconds, indexed by pipeline
-    /// position (e.g., showing RandomCrop dominating at 338 ms, §3.1).
-    pub fn per_transform_summaries_ms(&self) -> Vec<Summary> {
-        self.inner
-            .lock()
-            .per_transform_ms
-            .iter()
-            .map(|r| r.summary())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -233,21 +196,6 @@ mod tests {
         let p = Profiler::new(8, 1);
         assert!(p.timeout_at_percentile(0.75).is_none());
         assert_eq!(p.fraction_slower_than(Duration::from_millis(1)), 0.0);
-    }
-
-    #[test]
-    fn per_transform_summaries_collected() {
-        let p = Profiler::new(16, 1);
-        p.record(&SampleRecord {
-            total: Duration::from_millis(30),
-            per_transform: vec![Duration::from_millis(20), Duration::from_millis(10)],
-            bytes: Some(100),
-            transforms_applied: 2,
-        });
-        let sums = p.per_transform_summaries_ms();
-        assert_eq!(sums.len(), 2);
-        assert!((sums[0].avg - 20.0).abs() < 1e-9);
-        assert!((sums[1].avg - 10.0).abs() < 1e-9);
     }
 
     #[test]

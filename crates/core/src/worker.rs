@@ -15,13 +15,19 @@
 //! stage is exhausted joins the stages still live, so the deferred
 //! backlog at the end of a run is finished by the whole pool.
 //!
+//! Order-preserving mode (§6) is this same topology with classification
+//! off (nothing is ever deferred) and a reorder buffer in the batch
+//! role's single lane. The lane, its push/emit loop and its `finish` are
+//! shared with the shuffled mode; what stays its own is the pull (one
+//! sample per pass) and the producers' back-pressure (help or sleep).
+//!
 //! Shutdown is a close cascade, never a hard stop: the fast role's
 //! `finish` closes `fast_q`/`temp_q` (normally `maybe_close_sources`
 //! already did), the slow role's `finish` closes `slow_q`, the batch
 //! role's `finish` flushes partial batches and closes every batch queue.
 //! Queues drain after close, so no prepared sample is lost.
 
-use crate::balancer::LoadBalancer;
+use crate::balancer::{BalancerConfig, LoadBalancer};
 use crate::batch::{Batch, Prepared, ReorderBuffer, SampleMeta, TransferHook};
 use crate::cache::SampleCache;
 use crate::checkpoint::DeliveryLog;
@@ -48,6 +54,14 @@ use std::time::{Duration, Instant};
 /// so the bound only sets how often an idle worker returns to the
 /// executor.
 const SLOW_CLAIM_WAIT: Duration = Duration::from_millis(25);
+
+/// Tickets a fast worker claims from the sampler per step, and the most
+/// fast samples it publishes in one queue operation. It amortizes locks
+/// only: how long a finished sample may sit in a worker's chunk buffer
+/// is bounded by `starvation_wait`, not by the chunk. Times
+/// `slow_workers` it is also the temp-queue backlog above which one fast
+/// worker at a time completes deferred samples ([`Runtime::moonlight`]).
+const TICKET_CHUNK: usize = 8;
 
 /// Bound on the `recent_errors` ring: enough to see a fault *burst*,
 /// small enough that a pathological run cannot grow memory unboundedly.
@@ -253,6 +267,11 @@ pub(crate) struct Runtime<D: Dataset> {
     /// Seqs delivered to consumers; only populated when
     /// `cfg.checkpointing` is on (recorded by `next_batch`).
     pub delivered: Mutex<DeliveryLog>,
+    /// Seqs quarantined in order-preserving mode and not yet reported to
+    /// the assembly lane, which drains this every pass and marks them
+    /// resolved in its reorder buffer, so delivery continues past the
+    /// gap. Never touched on the shuffled path.
+    pub(crate) ordered_gaps: Mutex<Vec<u64>>,
     /// Safe-point rendezvous for `MinatoLoader::checkpoint()`: while
     /// set, fast-role steps idle at their step boundary instead of
     /// claiming new tickets, quiescing the claim pipeline.
@@ -283,6 +302,70 @@ pub(crate) struct Runtime<D: Dataset> {
 }
 
 impl<D: Dataset> Runtime<D> {
+    /// A runtime over `cfg` with every opt-in subsystem absent (cache,
+    /// pools, recycler, fault injector, transfer hook, tracer) and
+    /// nothing delivered yet. `MinatoLoader::start` sets what the builder
+    /// configured before it shares the runtime; unit tests drive the
+    /// role steps against it directly.
+    pub(crate) fn new(
+        cfg: LoaderConfig,
+        dataset: D,
+        pipeline: Pipeline<D::Sample>,
+        sampler: Arc<dyn Sampler>,
+        exec: ExecHandle,
+    ) -> Runtime<D> {
+        Runtime {
+            dataset,
+            pipeline,
+            sampler,
+            balancer: LoadBalancer::new(BalancerConfig {
+                policy: cfg.timeout_policy,
+                warmup_samples: cfg.warmup_samples,
+                ..BalancerConfig::default()
+            }),
+            cache: None,
+            pools: None,
+            recycler: None,
+            fast_q: MinatoQueue::new("fast", cfg.queue_capacity),
+            slow_q: MinatoQueue::new("slow", cfg.queue_capacity),
+            temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
+            batch_qs: (0..cfg.num_gpus)
+                .map(|g| MinatoQueue::new(&format!("batch[{g}]"), cfg.prefetch_factor))
+                .collect(),
+            exec,
+            exec_roles: OnceLock::new(),
+            batch_help: OnceLock::new(),
+            in_flight: AtomicUsize::new(0),
+            source_drained: AtomicBool::new(false),
+            slow_helper: AtomicBool::new(false),
+            cpu_meter: UtilizationMeter::new(cfg.max_workers),
+            slow_meter: UtilizationMeter::new(cfg.slow_threads()),
+            samples_out: Counter::new(),
+            bytes_out: Counter::new(),
+            batches_out: Counter::new(),
+            errors: Counter::new(),
+            first_error: Mutex::new(None),
+            recent_errors: Mutex::new(VecDeque::new()),
+            faults: FaultCounters::new(),
+            delivered: Mutex::new(DeliveryLog::new()),
+            ordered_gaps: Mutex::new(Vec::new()),
+            checkpoint_pause: AtomicBool::new(false),
+            injector: None,
+            shutdown: AtomicBool::new(false),
+            monitor_lock: Mutex::new(()),
+            monitor_cv: Condvar::new(),
+            // One monotonic clock for the whole run: `issued_ns` stamps,
+            // the delivery-latency reservoir, and (when enabled) every
+            // trace event measure against this instant.
+            started_at: Instant::now(),
+            transfer_hook: None,
+            tracer: None,
+            stage_obs: None,
+            delivery_ms: Mutex::new(Reservoir::new(4096)),
+            cfg,
+        }
+    }
+
     /// Records one trace event when tracing is enabled; a single branch
     /// otherwise. Epochs beyond `u16::MAX` saturate (the event word
     /// packs the epoch into 16 bits).
@@ -497,9 +580,15 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Quarantines a sample whose last contained attempt failed: the
-    /// `FaultHit` event, then the panic or clean-error accounting.
+    /// `FaultHit` event, then the panic or clean-error accounting. In
+    /// order-preserving mode the seq is also reported to the assembly
+    /// lane, which would otherwise hold every later sample behind it
+    /// until the run drains.
     fn quarantine(&self, epoch: usize, seq: u64, panicked: bool, err: LoaderError) {
         self.trace(EventKind::FaultHit, epoch, seq, u32::from(panicked), 0);
+        if self.cfg.order_preserving {
+            self.ordered_gaps.lock().push(seq);
+        }
         if panicked {
             self.record_panic(err);
         } else {
@@ -584,12 +673,8 @@ impl<D: Dataset> Runtime<D> {
                     resume_at as u32,
                     elapsed.as_nanos() as u64,
                 );
-                self.balancer.on_slow_complete(&SampleRecord {
-                    total,
-                    per_transform: Vec::new(),
-                    bytes: Some(meta.bytes),
-                    transforms_applied: self.pipeline.len(),
-                });
+                self.balancer
+                    .on_slow_complete(&SampleRecord::total_only(total));
                 // Admit with the *full* measured cost: under cost-aware
                 // eviction this is what keeps slow samples resident
                 // longest.
@@ -606,10 +691,11 @@ impl<D: Dataset> Runtime<D> {
             // builds.
             Ok(PipelineRun::TimedOut { .. }) => {
                 debug_assert!(false, "background run cannot time out");
-                self.record_error(LoaderError::Transform {
+                let err = LoaderError::Transform {
                     name: "background".into(),
                     msg: "unexpected timeout without deadline".into(),
-                });
+                };
+                self.quarantine(epoch, seq, false, err);
                 None
             }
             Err(e) => {
@@ -650,17 +736,11 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
-    /// One ticket chunk's worth of deferred samples per slow worker: the
-    /// temp-queue backlog above which a fast worker moonlights.
-    pub(crate) fn slow_backlog_unit(&self, slow_workers: usize) -> usize {
-        self.cfg.ticket_chunk.max(1) * slow_workers.max(1)
-    }
-
     /// Early slow-path help, run by a fast worker between two chunks:
-    /// when the temp-queue backlog exceeds
-    /// [`Runtime::slow_backlog_unit`], the one worker that wins the
-    /// `slow_helper` token completes deferred samples until the backlog
-    /// is back under that mark. The other fast workers keep producing,
+    /// when the temp-queue backlog exceeds one ticket chunk per slow
+    /// worker, the one worker that wins the `slow_helper` token
+    /// completes deferred samples until the backlog is back under that
+    /// mark. The other fast workers keep producing,
     /// so the temp queue stays short without the fast path ever
     /// stopping as a whole (which is what happens when it fills up and
     /// every worker helps inline from [`Runtime::route_deferred`], still
@@ -671,7 +751,7 @@ impl<D: Dataset> Runtime<D> {
     /// from closing the slow queue under a sample being completed here.
     // minato-verify: hot-path
     fn moonlight(&self) {
-        let mark = self.slow_backlog_unit(self.cfg.slow_workers);
+        let mark = TICKET_CHUNK * self.cfg.slow_workers.max(1);
         if self.temp_q.len() <= mark
             || self
                 .slow_helper
@@ -703,13 +783,11 @@ impl<D: Dataset> Runtime<D> {
     /// `starvation_wait` at a time.
     ///
     /// Order-preserving mode cannot park: the ordered lane pops one
-    /// sample per step, so parked producers would all be woken once per
-    /// sample to contend for one slot (measured on `noop_ordered`: 0.94
-    /// parking-lock acquisitions and 2.05 µs of CPU per sample against
-    /// 0.15 and 1.25 µs with a plain `starvation_wait` sleep). There the
-    /// producer runs the lane itself whenever the batch worker is
-    /// between two steps, and sleeps only when it is not: with the sleep
-    /// alone `noop_ordered` delivers 143 k samples/s instead of 237 k.
+    /// sample per pass, so parked producers would all be woken once per
+    /// sample to contend for one slot. There the producer runs the lane
+    /// itself whenever the batch worker is between two passes, and
+    /// sleeps only when it is not: with the sleep alone `noop_ordered`
+    /// delivers 143 k samples/s instead of 237 k.
     fn publish_helping(
         &self,
         q: &MinatoQueue<Prepared<D::Sample>>,
@@ -764,7 +842,7 @@ impl<D: Dataset> Runtime<D> {
     }
 }
 
-/// Fast role: claims tickets in `ticket_chunk`-sized chunks, loads,
+/// Fast role: claims tickets in [`TICKET_CHUNK`]-sized chunks, loads,
 /// preprocesses against the balancer's timeout, and routes to fast or
 /// temp queue (Algorithm 1 lines 6–12). One step = one chunk.
 ///
@@ -806,7 +884,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         if rt.checkpoint_pause.load(Ordering::Acquire) {
             return StepOutcome::Idle;
         }
-        let chunk = rt.cfg.ticket_chunk.max(1);
+        let chunk = TICKET_CHUNK;
         // Claim accounting: raise `in_flight` *before* taking tickets so
         // a concurrent worker observing the drained sampler cannot close
         // the queues while these samples are between claim and routing.
@@ -1126,31 +1204,23 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool
     true
 }
 
-/// Per-lane assembly state of the default (Minato) batch mode.
-///
-/// Sticky per-queue completion flags: once a queue reports closed and
-/// drained it can never produce again, so the lane stops touching it —
-/// popping a closed queue returns instantly, and a step doing that
-/// while the *other* queue trickles stragglers would spin a full core.
-struct MinatoLane<D: Dataset> {
+/// Assembly state of one batch lane.
+struct Lane<D: Dataset> {
     batch: Batch<D::Sample>,
+    /// Sticky per-queue completion flags: once a queue reports closed
+    /// and drained it can never produce again, so the lane stops
+    /// touching it — popping a closed queue returns instantly, and a
+    /// step doing that while the *other* queue trickles stragglers
+    /// would spin a full core.
     fast_done: bool,
     slow_done: bool,
-}
-
-/// Per-lane state of the order-preserving mode (§6): strict sampler
-/// order restored with a [`ReorderBuffer`] before batching.
-struct OrderedLane<D: Dataset> {
-    reorder: ReorderBuffer<Prepared<D::Sample>>,
-    batch: Batch<D::Sample>,
-    /// Reusable drain buffer: one allocation serves every
-    /// `drain_ready` call instead of a fresh `Vec` per arriving sample.
+    /// Order-preserving mode (§6) only: restores strict sampler order
+    /// before batching — intentionally reintroducing head-of-line
+    /// blocking in exchange for ordering guarantees.
+    reorder: Option<ReorderBuffer<Prepared<D::Sample>>>,
+    /// Reusable drain buffer of `reorder`: one allocation serves every
+    /// pass.
     ready: Vec<Prepared<D::Sample>>,
-}
-
-enum Lane<D: Dataset> {
-    Minato(MinatoLane<D>),
-    Ordered(OrderedLane<D>),
 }
 
 /// Batch role: assembles batches preferring fast samples, falling back
@@ -1173,21 +1243,28 @@ pub(crate) struct BatchStep<D: Dataset> {
 
 impl<D: Dataset> BatchStep<D> {
     pub(crate) fn new(rt: Arc<Runtime<D>>) -> BatchStep<D> {
-        let lanes = if rt.cfg.order_preserving {
-            vec![Mutex::new(Lane::Ordered(OrderedLane {
-                reorder: ReorderBuffer::new(0),
+        let lane = |reorder| {
+            Mutex::new(Lane {
                 batch: rt.new_batch(),
+                fast_done: false,
+                slow_done: false,
+                reorder,
                 ready: Vec::new(),
-            }))]
+            })
+        };
+        let lanes = if rt.cfg.order_preserving {
+            // The ordered stream starts where the delivery log does: on
+            // a resumed run at the checkpoint's watermark, with the seqs
+            // delivered above it already resolved.
+            let log = rt.delivered.lock();
+            let mut reorder = ReorderBuffer::new(log.watermark());
+            for seq in log.above() {
+                reorder.skip(seq);
+            }
+            vec![lane(Some(reorder))]
         } else {
             (0..rt.cfg.batch_workers.max(1))
-                .map(|_| {
-                    Mutex::new(Lane::Minato(MinatoLane {
-                        batch: rt.new_batch(),
-                        fast_done: false,
-                        slow_done: false,
-                    }))
-                })
+                .map(|_| lane(None))
                 .collect()
         };
         BatchStep {
@@ -1202,48 +1279,40 @@ impl<D: Dataset> BatchStep<D> {
         self.lanes.len()
     }
 
-    /// One assembly pass of the default mode (one iteration of the
-    /// pre-refactor batch-worker loop, semantics unchanged).
+    /// The shuffled pull: drains in bulk up to the remaining batch
+    /// budget — fast queue first; completed slow samples are mixed in as
+    /// soon as they are ready, never deferred to the end of training
+    /// (§4.1) — and waits briefly when neither side has anything.
     // minato-verify: hot-path
-    fn step_minato(&self, lane: &mut MinatoLane<D>) -> StepOutcome {
-        let rt = &*self.rt;
-        // Drain in bulk up to the remaining batch budget: fast queue
-        // first; completed slow samples are mixed in as soon as they are
-        // ready — never deferred to the end of training (§4.1).
-        // `ticket_chunk = 1` caps the drain at one item so it restores
-        // the full pre-batching hot path (the `queue_batching` ablation
-        // baseline), not just single-ticket claims.
-        let need = if rt.cfg.ticket_chunk <= 1 {
-            1
-        } else {
-            rt.cfg.batch_size - lane.batch.len()
-        };
+    fn pull_burst(
+        rt: &Runtime<D>,
+        need: usize,
+        fast_done: &mut bool,
+        slow_done: &mut bool,
+    ) -> Vec<Prepared<D::Sample>> {
         // minato-verify: allow(V2) zero-capacity constructor never touches the heap; the backing allocation happens inside try_pop_many
         let mut pulled = Vec::new();
         let mut pulled_q = Q_FAST;
-        if !lane.fast_done {
+        if !*fast_done {
             match rt.fast_q.try_pop_many(need) {
                 Ok(items) => pulled = items,
-                Err(Closed) => lane.fast_done = true,
+                Err(Closed) => *fast_done = true,
             }
         }
-        if pulled.is_empty() && !lane.slow_done {
+        if pulled.is_empty() && !*slow_done {
             match rt.slow_q.try_pop_many(need) {
                 Ok(items) => {
                     pulled = items;
                     pulled_q = Q_SLOW;
                 }
-                Err(Closed) => lane.slow_done = true,
+                Err(Closed) => *slow_done = true,
             }
         }
-        if pulled.is_empty() {
-            if lane.fast_done && lane.slow_done {
-                return StepOutcome::Exhausted;
-            }
+        if pulled.is_empty() && !(*fast_done && *slow_done) {
             // Not enough samples yet: wait briefly on whichever side can
             // still produce (Algorithm 1 line 28; the paper sleeps 10 ms,
-            // the wait is configurable and condvar-backed by default).
-            let (waited, waited_q) = if !lane.fast_done {
+            // this is a condvar wait that a put ends at once).
+            let (waited, waited_q) = if !*fast_done {
                 (
                     rt.fast_q.pop_many_timeout(need, rt.cfg.starvation_wait),
                     Q_FAST,
@@ -1260,54 +1329,97 @@ impl<D: Dataset> BatchStep<D> {
                     pulled_q = waited_q;
                 }
                 Err(Closed) => {
-                    if !lane.fast_done {
-                        lane.fast_done = true;
+                    if !*fast_done {
+                        *fast_done = true;
                     } else {
-                        lane.slow_done = true;
+                        *slow_done = true;
                     }
                 }
             }
         }
         rt.trace_queue(EventKind::QueuePop, pulled_q, &pulled);
-        let progressed = !pulled.is_empty();
-        for p in pulled {
-            lane.batch.push(p);
+        pulled
+    }
+
+    /// The ordered pull: one sample per pass through one bounded
+    /// blocking pop of the fast queue (classification is off, so nothing
+    /// ever reaches the slow queue), offered to `reorder`; what the
+    /// buffer releases — possibly a run, possibly nothing — lands in
+    /// `lane.ready`. Quarantined seqs are resolved first, so a run
+    /// parked behind one is released by this very pass. Returns whether
+    /// a sample was popped.
+    ///
+    /// One sample, not a burst: [`BatchStep::pull_burst`] with parking
+    /// producers runs this mode about five times faster on
+    /// `noop_ordered`, with a run-to-run spread the benchmark's gate
+    /// cannot resolve against today's baseline. Until that workload is
+    /// re-frozen, this pull and the producers' help-or-sleep in
+    /// [`Runtime::publish_helping`] stay, as a pair (ROADMAP item 3).
+    // minato-verify: hot-path
+    fn pull_in_order(
+        rt: &Runtime<D>,
+        reorder: &mut ReorderBuffer<Prepared<D::Sample>>,
+        ready: &mut Vec<Prepared<D::Sample>>,
+        fast_done: &mut bool,
+        slow_done: &mut bool,
+    ) -> bool {
+        for seq in rt.ordered_gaps.lock().drain(..) {
+            reorder.skip(seq);
         }
-        if lane.batch.len() >= rt.cfg.batch_size && !emit_batch(rt, &mut lane.batch) {
-            return StepOutcome::Exhausted;
+        let popped = match rt.fast_q.pop_timeout(rt.cfg.starvation_wait) {
+            Ok(Some(p)) => {
+                rt.trace(EventKind::QueuePop, p.meta.epoch, p.meta.seq, Q_FAST, 0);
+                reorder.offer(p.meta.seq, p);
+                true
+            }
+            Ok(None) => false,
+            Err(Closed) => {
+                *fast_done = true;
+                *slow_done = true;
+                false
+            }
+        };
+        reorder.drain_ready(ready);
+        popped
+    }
+
+    /// One assembly pass: pull (a burst, or in order-preserving mode one
+    /// sample through the reorder buffer), push, emit on every full
+    /// batch.
+    // minato-verify: hot-path
+    fn assemble(&self, lane: &mut Lane<D>) -> StepOutcome {
+        let rt = &*self.rt;
+        let Lane {
+            batch,
+            fast_done,
+            slow_done,
+            reorder,
+            ready,
+        } = lane;
+        let mut pulled;
+        let (progressed, ready) = match reorder {
+            Some(reorder) => {
+                let popped = Self::pull_in_order(rt, reorder, ready, fast_done, slow_done);
+                (popped || !ready.is_empty(), ready)
+            }
+            None => {
+                let need = rt.cfg.batch_size - batch.len();
+                pulled = Self::pull_burst(rt, need, fast_done, slow_done);
+                (!pulled.is_empty(), &mut pulled)
+            }
+        };
+        for p in ready.drain(..) {
+            batch.push(p);
+            if batch.len() >= rt.cfg.batch_size && !emit_batch(rt, batch) {
+                return StepOutcome::Exhausted;
+            }
         }
         if progressed {
             StepOutcome::Progress
-        } else if lane.fast_done && lane.slow_done {
+        } else if *fast_done && *slow_done {
             StepOutcome::Exhausted
         } else {
             StepOutcome::Idle
-        }
-    }
-
-    /// One pass of the order-preserving mode. Classification is disabled
-    /// by the builder here, so every sample arrives on the fast queue;
-    /// strict sampler order is restored before batching — intentionally
-    /// reintroducing head-of-line blocking in exchange for ordering
-    /// guarantees.
-    // minato-verify: hot-path
-    fn step_ordered(&self, lane: &mut OrderedLane<D>) -> StepOutcome {
-        let rt = &*self.rt;
-        match rt.fast_q.pop_timeout(rt.cfg.starvation_wait) {
-            Ok(Some(p)) => {
-                rt.trace(EventKind::QueuePop, p.meta.epoch, p.meta.seq, Q_FAST, 0);
-                lane.reorder.offer(p.meta.seq, p);
-                lane.reorder.drain_ready(&mut lane.ready);
-                for p in lane.ready.drain(..) {
-                    lane.batch.push(p);
-                    if lane.batch.len() >= rt.cfg.batch_size && !emit_batch(rt, &mut lane.batch) {
-                        return StepOutcome::Exhausted;
-                    }
-                }
-                StepOutcome::Progress
-            }
-            Ok(None) => StepOutcome::Idle,
-            Err(_) => StepOutcome::Exhausted, // Closed and drained.
         }
     }
 }
@@ -1322,45 +1434,33 @@ impl<D: Dataset> RoleStep for BatchStep<D> {
         for i in 0..n {
             let lane = &self.lanes[(start + i) % n];
             if let Some(mut g) = lane.try_lock() {
-                return match &mut *g {
-                    Lane::Minato(l) => self.step_minato(l),
-                    Lane::Ordered(l) => self.step_ordered(l),
-                };
+                return self.assemble(&mut g);
             }
         }
         // Every lane is held by another worker already assembling.
         StepOutcome::Idle
     }
 
-    /// Flushes each lane's leftovers (partial batch; in ordered mode
-    /// also samples parked behind permanent error gaps) and closes the
-    /// batch queues. On the shutdown path the queues are already closed
-    /// and the flush emits fail harmlessly — matching the pre-refactor
-    /// workers, which skipped the flush entirely on shutdown.
+    /// Flushes each lane's leftovers (in ordered mode first the samples
+    /// still parked behind a gap nobody reported, then the partial
+    /// batch) and closes the batch queues. On the shutdown path the
+    /// queues are already closed and the flush emits fail harmlessly.
     fn finish(&self) {
         let rt = &*self.rt;
         for lane in &self.lanes {
             let mut g = lane.lock();
-            match &mut *g {
-                Lane::Minato(l) => {
-                    if !rt.cfg.drop_last && !l.batch.is_empty() {
-                        let _ = emit_batch(rt, &mut l.batch);
-                    }
+            let lane = &mut *g;
+            let parked = lane.reorder.as_mut().map(ReorderBuffer::drain_remaining);
+            let mut open = true;
+            for p in parked.into_iter().flatten() {
+                lane.batch.push(p);
+                if lane.batch.len() >= rt.cfg.batch_size && !emit_batch(rt, &mut lane.batch) {
+                    open = false;
+                    break;
                 }
-                Lane::Ordered(l) => {
-                    let mut remaining = l.reorder.drain_remaining();
-                    let mut closed = false;
-                    for p in remaining.drain(..) {
-                        l.batch.push(p);
-                        if l.batch.len() >= rt.cfg.batch_size && !emit_batch(rt, &mut l.batch) {
-                            closed = true;
-                            break;
-                        }
-                    }
-                    if !closed && !rt.cfg.drop_last && !l.batch.is_empty() {
-                        let _ = emit_batch(rt, &mut l.batch);
-                    }
-                }
+            }
+            if open && !rt.cfg.drop_last {
+                let _ = emit_batch(rt, &mut lane.batch);
             }
         }
         for q in &rt.batch_qs {
@@ -1389,7 +1489,7 @@ mod tests {
     // in `loader.rs` tests and the crate's integration tests; unit tests
     // here cover the pieces with no loader dependency.
     use super::*;
-    use crate::balancer::{BalancerConfig, TimeoutPolicy};
+    use crate::balancer::TimeoutPolicy;
     use crate::dataset::{EpochSampler, VecDataset};
     use crate::scheduler::SchedulerConfig;
     use minato_exec::ExecConfig;
@@ -1413,7 +1513,6 @@ mod tests {
             warmup_samples: 8,
             adaptive_workers: false,
             scheduler: SchedulerConfig::paper_default(1),
-            ticket_chunk: 4,
             starvation_wait: Duration::from_millis(1),
             order_preserving: false,
             error_policy: ErrorPolicy::Skip,
@@ -1433,49 +1532,13 @@ mod tests {
     /// A runtime with no spawned threads: tests drive the role handlers
     /// directly against hand-fed queues.
     fn mini_runtime(cfg: LoaderConfig) -> Arc<Runtime<Ds>> {
-        Arc::new(Runtime {
-            dataset: VecDataset::new(Vec::new()),
-            pipeline: Pipeline::identity(),
-            sampler: Arc::new(EpochSampler::new(0, 1, false, 0)),
-            balancer: crate::balancer::LoadBalancer::new(BalancerConfig {
-                policy: cfg.timeout_policy,
-                ..BalancerConfig::default()
-            }),
-            cache: None,
-            pools: None,
-            recycler: None,
-            fast_q: MinatoQueue::new("fast", cfg.queue_capacity),
-            slow_q: MinatoQueue::new("slow", cfg.queue_capacity),
-            temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
-            batch_qs: vec![MinatoQueue::new("batch[0]", cfg.prefetch_factor)],
-            exec: ExecHandle::new(ExecConfig::fixed(0)),
-            exec_roles: OnceLock::new(),
-            batch_help: OnceLock::new(),
-            in_flight: AtomicUsize::new(0),
-            source_drained: AtomicBool::new(false),
-            slow_helper: AtomicBool::new(false),
-            cpu_meter: UtilizationMeter::new(1),
-            slow_meter: UtilizationMeter::new(1),
-            samples_out: Counter::new(),
-            bytes_out: Counter::new(),
-            batches_out: Counter::new(),
-            errors: Counter::new(),
-            first_error: Mutex::new(None),
-            recent_errors: Mutex::new(VecDeque::new()),
-            faults: FaultCounters::new(),
-            delivered: Mutex::new(DeliveryLog::new()),
-            checkpoint_pause: AtomicBool::new(false),
-            injector: None,
-            shutdown: AtomicBool::new(false),
-            monitor_lock: Mutex::new(()),
-            monitor_cv: Condvar::new(),
-            started_at: Instant::now(),
-            transfer_hook: None,
-            tracer: None,
-            stage_obs: None,
-            delivery_ms: Mutex::new(Reservoir::new(64)),
+        Arc::new(Runtime::new(
             cfg,
-        })
+            VecDataset::new(Vec::new()),
+            Pipeline::identity(),
+            Arc::new(EpochSampler::new(0, 1, false, 0)),
+            ExecHandle::new(ExecConfig::fixed(0)),
+        ))
     }
 
     fn prepared(i: u32) -> Prepared<u32> {
@@ -1595,7 +1658,7 @@ mod tests {
             g.pass(x);
             Ok(x)
         })]);
-        let rt = runtime_over(mini_cfg(), 4, pipeline);
+        let rt = runtime_over(mini_cfg(), TICKET_CHUNK as u32, pipeline);
         let rt2 = Arc::clone(&rt);
         let worker = thread::spawn(move || RoleStep::step(&FastStep::new(rt2)));
         // Hold sample 0 inside its transform for `starvation_wait` by
@@ -1609,16 +1672,16 @@ mod tests {
         spin_until("sample 1 never started", || {
             entered.load(Ordering::SeqCst) == 2
         });
-        // The worker is inside sample 1 of 4 (gate 1 is shut).
+        // The worker is inside sample 1 of its chunk (gate 1 is shut).
         match rt.fast_q.try_pop() {
             PopResult::Item(p) => assert_eq!(p.sample, 0),
             _ => panic!("sample 0 withheld until the end of its chunk"),
         }
         gates.open_below(u32::MAX);
         assert_eq!(worker.join().unwrap(), StepOutcome::Progress);
-        // The other three took no time: they left together.
+        // The others took no time: they left together.
         assert_eq!(rt.fast_q.lock_acquisitions(), 3, "two puts and the pop");
-        assert_eq!(drain_values(&rt.fast_q), [1, 2, 3]);
+        assert_eq!(drain_values(&rt.fast_q), [1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
     }
 
@@ -1633,7 +1696,7 @@ mod tests {
         let step = FastStep::new(Arc::clone(&rt));
         while RoleStep::step(&step) != StepOutcome::Exhausted {}
         assert_eq!(rt.fast_q.total_puts(), 16);
-        assert_eq!(rt.fast_q.lock_acquisitions(), 4, "one put per chunk of 4");
+        assert_eq!(rt.fast_q.lock_acquisitions(), 2, "one put per chunk of 8");
         assert!(rt.fast_q.is_closed(), "drained source closed the queue");
     }
 
@@ -1661,9 +1724,10 @@ mod tests {
             }
             Ok(x)
         })]);
-        // Mark = ticket_chunk 4 × 1 slow worker; the backlog is twice it.
+        // Mark = `TICKET_CHUNK` × 1 slow worker; the backlog is twice it.
+        const BACKLOG: u32 = 2 * TICKET_CHUNK as u32;
         let rt = runtime_over(mini_cfg(), 12, pipeline);
-        for k in 0..8 {
+        for k in 0..BACKLOG {
             rt.temp_q.put(deferred(DEFERRED + k)).unwrap();
         }
         let returned = Arc::new(AtomicUsize::new(0));
@@ -1710,7 +1774,7 @@ mod tests {
         let mut got = drain_values(&rt.fast_q);
         got.extend(drain_values(&rt.slow_q));
         got.sort_unstable();
-        let want: Vec<u32> = (0..12).chain(DEFERRED..DEFERRED + 8).collect();
+        let want: Vec<u32> = (0..12).chain(DEFERRED..DEFERRED + BACKLOG).collect();
         assert_eq!(got, want, "every sample exactly once");
         assert!(!rt.slow_helper.load(Ordering::SeqCst), "token handed back");
     }
@@ -1846,11 +1910,7 @@ mod tests {
         cfg.num_gpus = 2;
         cfg.prefetch_factor = 1;
         cfg.batch_size = 2;
-        let mut rt = mini_runtime(cfg);
-        Arc::get_mut(&mut rt)
-            .expect("sole owner")
-            .batch_qs
-            .push(MinatoQueue::new("batch[1]", 1));
+        let rt = mini_runtime(cfg);
         // Wedge GPU 0: park a batch its (absent) consumer never drains,
         // filling the capacity-1 queue.
         let mut parked = Batch::with_capacity(2);
@@ -1926,11 +1986,7 @@ mod tests {
         cfg.num_gpus = 2;
         cfg.prefetch_factor = 1;
         cfg.batch_size = 2;
-        let mut rt = mini_runtime(cfg);
-        Arc::get_mut(&mut rt)
-            .expect("sole owner")
-            .batch_qs
-            .push(MinatoQueue::new("batch[1]", 1));
+        let rt = mini_runtime(cfg);
         let mut b = Batch::with_capacity(2);
         b.push(prepared(0));
         assert!(emit_batch(&*rt, &mut b), "plain delivery");

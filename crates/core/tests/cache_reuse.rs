@@ -65,7 +65,6 @@ fn multi_epoch_run_hits_cache_after_first_epoch() {
         // Bound the pipeline's look-ahead so an epoch-2 request cannot
         // overtake its own epoch-1 admission.
         .queue_capacity(16)
-        .ticket_chunk(4)
         .cache_budget_bytes(1 << 20)
         .cache_shards(4)
         .cache_policy(EvictionPolicy::CostAware)
@@ -130,7 +129,6 @@ fn order_preserving_multi_epoch_with_cache_keeps_per_epoch_order() {
         .initial_workers(2)
         .max_workers(2)
         .queue_capacity(8)
-        .ticket_chunk(4)
         .cache_budget_bytes(1 << 20)
         .build()
         .expect("valid configuration");

@@ -5,8 +5,9 @@
 use minato_core::prelude::*;
 use minato_core::transform::{Outcome, Transform, TransformCtx};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Burns ~`cost` per sample, cooperating with the deadline. Samples with
@@ -188,25 +189,170 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
 }
 
 /// Strict mode against the sampler's ground truth: shuffled, across an
-/// epoch boundary, with one fast worker parked by the initial budget.
+/// epoch boundary, with one fast worker parked by the initial budget —
+/// once with room everywhere, once under back-pressure all the way up:
+/// two-slot sample queues, one batch of prefetch, and a consumer that
+/// takes a batch only when the producers are blocked on the full fast
+/// queue (or have nothing left to produce).
 #[test]
 fn order_preserving_keeps_sampler_order() {
     let (n, epochs, seed) = (48usize, 2usize, 5u64);
-    let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-    let loader = MinatoLoader::builder(ds, Pipeline::identity())
+    for backpressure in [false, true] {
+        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+        let mut b = MinatoLoader::builder(ds, Pipeline::identity())
+            .batch_size(4)
+            .epochs(epochs)
+            .seed(seed)
+            .order_preserving(true)
+            .initial_workers(3)
+            .max_workers(4);
+        if backpressure {
+            b = b.queue_capacity(2).prefetch_factor(1);
+        }
+        let loader = b.build().unwrap();
+        let mut got = Vec::new();
+        loop {
+            if backpressure {
+                let t0 = Instant::now();
+                loop {
+                    let s = loader.stats();
+                    if s.fast_queue_len == 2 || s.samples_done == (n * epochs) as u64 {
+                        break;
+                    }
+                    assert!(t0.elapsed() < FAIL_SAFE, "producers stalled: {s:?}");
+                    std::thread::yield_now();
+                }
+            }
+            let Some(b) = loader.next_batch(0) else { break };
+            got.extend(b.meta.iter().map(|m| (m.epoch, m.index, m.seq)));
+        }
+        assert_eq!(got, sampler_tickets(n, epochs, true, seed));
+    }
+}
+
+/// How long a test waits for something a working loader does at once: a
+/// loader that can never do it fails the test instead of hanging it.
+const FAIL_SAFE: Duration = Duration::from_secs(10);
+
+/// An identity pipeline that holds the sample `held` until the test
+/// sends on `gate`'s channel; `expired` is set if that never happened.
+fn gated_pipeline(held: u32, gate: Receiver<()>, expired: Arc<AtomicBool>) -> Pipeline<u32> {
+    let gate = Mutex::new(gate);
+    Pipeline::new(vec![fn_transform("gate", move |x: u32| {
+        if x == held && gate.lock().unwrap().recv_timeout(FAIL_SAFE).is_err() {
+            expired.store(true, Ordering::SeqCst);
+        }
+        Ok(x)
+    })])
+}
+
+/// A quarantined sample must not stall ordered delivery: the run cannot
+/// drain while its last ticket is held, and the last ticket is released
+/// only by the consumer receiving the batch that follows the failed
+/// seq.
+#[test]
+fn ordered_delivery_continues_past_a_quarantined_sample() {
+    const N: u32 = 64;
+    const FAILED: u32 = 5;
+    let ds = minato_core::dataset::FnDataset::new(N as usize, |i| {
+        if i == FAILED as usize {
+            Err(LoaderError::Dataset {
+                index: i,
+                msg: "unreadable".into(),
+            })
+        } else {
+            Ok(i as u32)
+        }
+    });
+    let (open, gate) = channel();
+    let expired = Arc::new(AtomicBool::new(false));
+    let loader = MinatoLoader::builder(ds, gated_pipeline(N - 1, gate, Arc::clone(&expired)))
         .batch_size(4)
-        .epochs(epochs)
-        .seed(seed)
+        .shuffle(false)
         .order_preserving(true)
-        .initial_workers(3)
-        .max_workers(4)
+        .retry_budget(0)
+        .initial_workers(2)
+        .max_workers(2)
         .build()
         .unwrap();
-    let mut got = Vec::new();
+    let mut got: Vec<u64> = Vec::new();
     for b in loader.iter() {
-        got.extend(b.meta.iter().map(|m| (m.epoch, m.index, m.seq)));
+        got.extend(b.meta.iter().map(|m| m.seq));
+        if got.last().is_some_and(|&seq| seq > FAILED as u64) {
+            let _ = open.send(());
+        }
     }
-    assert_eq!(got, sampler_tickets(n, epochs, true, seed));
+    assert!(
+        !expired.load(Ordering::SeqCst),
+        "nothing past the failed seq was delivered before the run drained"
+    );
+    let want: Vec<u64> = (0..N as u64).filter(|&s| s != FAILED as u64).collect();
+    assert_eq!(got, want);
+    assert_eq!(loader.stats().errors, 1);
+}
+
+/// An ordered run resumed from a checkpoint awaits the checkpoint's
+/// watermark, not seq 0, and walks over the seqs delivered above it: the
+/// first resumed batch arrives while the run's last ticket is still
+/// held, and the two runs together deliver the sampler's sequence, each
+/// seq once. (The first run loses seq 2 to a transient fault, so its
+/// deliveries are not a prefix.)
+#[test]
+fn ordered_resume_starts_at_the_checkpoint() {
+    let (n, seed) = (64usize, 11u64);
+    let tickets = sampler_tickets(n, 1, true, seed);
+    let (transient, last) = (tickets[2].1, tickets[n - 1].1);
+    let build = |faulty: bool, pipeline: Pipeline<u32>, resume: Option<LoaderCheckpoint>| {
+        let ds = minato_core::dataset::FnDataset::new(n, move |i| {
+            if faulty && i == transient {
+                Err(LoaderError::Dataset {
+                    index: i,
+                    msg: "transient".into(),
+                })
+            } else {
+                Ok(i as u32)
+            }
+        });
+        let mut b = MinatoLoader::builder(ds, pipeline)
+            .batch_size(4)
+            .seed(seed)
+            .order_preserving(true)
+            .checkpoint(true)
+            .retry_budget(0)
+            .initial_workers(2)
+            .max_workers(2);
+        if let Some(ck) = resume {
+            b = b.resume_from(ck);
+        }
+        b.build().unwrap()
+    };
+
+    let first = build(true, Pipeline::identity(), None);
+    let mut pre: Vec<u64> = Vec::new();
+    for _ in 0..5 {
+        let b = first.next_batch(0).expect("five batches before the kill");
+        pre.extend(b.meta.iter().map(|m| m.seq));
+    }
+    let ckpt = first.checkpoint().expect("checkpointing enabled");
+    drop(first);
+    assert_eq!(pre, [0, 1].into_iter().chain(3..=20).collect::<Vec<u64>>());
+    assert_eq!(ckpt.watermark, 2);
+    assert_eq!(ckpt.delivered_above, (3..=20).collect::<Vec<u64>>());
+
+    let (open, gate) = channel();
+    let expired = Arc::new(AtomicBool::new(false));
+    let pipeline = gated_pipeline(last as u32, gate, Arc::clone(&expired));
+    let second = build(false, pipeline, Some(ckpt));
+    let mut post: Vec<u64> = Vec::new();
+    for b in second.iter() {
+        post.extend(b.meta.iter().map(|m| m.seq));
+        let _ = open.send(());
+    }
+    assert!(
+        !expired.load(Ordering::SeqCst),
+        "the resumed run delivered nothing before it drained"
+    );
+    assert_eq!(post, [2].into_iter().chain(21..64).collect::<Vec<u64>>());
 }
 
 #[test]

@@ -10,14 +10,14 @@
 //!   deterministic in `(workload, index)`. Consumed by the simulator and
 //!   by [`synth`], which turns them into real CPU-burning pipelines for
 //!   the threaded loader.
-//! * **Real kernels** ([`volume`], [`image`], [`audio`]): genuine
+//! * **Real kernels** ([`volume`], [`audio`]): genuine
 //!   crop/resize/filterbank/noise implementations over synthetic 3D
-//!   volumes, images, and waveforms, exercising the loader with actual
-//!   data-dependent compute.
+//!   volumes and waveforms, exercising the loader with actual
+//!   data-dependent compute. (Object detection is reproduced through
+//!   its cost model, [`WorkloadSpec::object_detection`].)
 
 pub mod audio;
 pub mod dist;
-pub mod image;
 pub mod spec;
 pub mod synth;
 pub mod volume;

@@ -1,59 +1,9 @@
-//! Moving averages used by the adaptive worker scheduler.
+//! The moving average used by the adaptive worker scheduler.
 //!
 //! Paper Formula 2 drives worker scaling from "the moving average of the
-//! queue size" and "the average CPU utilization". [`MovingAverage`] is the
-//! fixed-window variant; [`Ewma`] is the exponentially weighted variant used
-//! where a window length is awkward (e.g., irregular monitor intervals).
+//! queue size"; [`MovingAverage`] is that average over a fixed window.
 
 use std::collections::VecDeque;
-
-/// Exponentially weighted moving average.
-///
-/// # Examples
-///
-/// ```
-/// use minato_metrics::Ewma;
-///
-/// let mut e = Ewma::new(0.5);
-/// e.record(10.0);
-/// e.record(0.0);
-/// assert_eq!(e.value(), 5.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not in `(0, 1]`.
-    pub fn new(alpha: f64) -> Ewma {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Folds one observation into the average.
-    pub fn record(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-        });
-    }
-
-    /// Current average; 0.0 before any observation.
-    pub fn value(&self) -> f64 {
-        self.value.unwrap_or(0.0)
-    }
-
-    /// Whether at least one observation was recorded.
-    pub fn is_primed(&self) -> bool {
-        self.value.is_some()
-    }
-}
 
 /// Fixed-window moving average over the last `window` observations.
 #[derive(Debug, Clone)]
@@ -112,30 +62,6 @@ impl MovingAverage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn ewma_first_value_unsmoothed() {
-        let mut e = Ewma::new(0.1);
-        assert!(!e.is_primed());
-        e.record(42.0);
-        assert_eq!(e.value(), 42.0);
-        assert!(e.is_primed());
-    }
-
-    #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut e = Ewma::new(0.3);
-        for _ in 0..200 {
-            e.record(7.0);
-        }
-        assert!((e.value() - 7.0).abs() < 1e-9);
-    }
 
     #[test]
     #[should_panic(expected = "window must be positive")]

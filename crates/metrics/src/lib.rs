@@ -9,8 +9,8 @@
 //!   8, 10),
 //! * [`UtilizationMeter`] — busy-time accounting standing in for
 //!   `nvidia-smi`/`dstat`,
-//! * [`Ewma`] / [`MovingAverage`] — the moving queue-occupancy average used
-//!   by the worker scheduler (paper Formula 2),
+//! * [`MovingAverage`] — the moving queue-occupancy average used by the
+//!   worker scheduler (paper Formula 2),
 //! * [`LogHistogram`] — power-of-two-bucketed latency distribution the
 //!   `minato-trace` collector folds lifecycle events into,
 //! * [`table`] — plain-text table/CSV rendering for the experiment
@@ -30,7 +30,7 @@ pub mod table;
 pub mod timeseries;
 
 pub use counter::Counter;
-pub use ewma::{Ewma, MovingAverage};
+pub use ewma::MovingAverage;
 pub use loghist::LogHistogram;
 pub use meter::UtilizationMeter;
 pub use reservoir::Reservoir;

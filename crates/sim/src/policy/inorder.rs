@@ -13,13 +13,12 @@
 //!   (Takeaway 5's contention), window bounded by
 //!   `prefetch_queue_depth`.
 
-use crate::busy::CounterSeries;
+use super::{shuffled_tickets, BatchStats, Trainer};
 use crate::config::{DaliSimCfg, SimConfig};
 use crate::report::SimReport;
 use crate::resources::{Gpu, ServerPool, Storage};
 use crate::time::{SimDuration, SimTime};
 use minato_core::batch::ReorderBuffer;
-use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -29,13 +28,6 @@ enum Ev {
     SampleDone { worker: usize },
     /// GPU `g` finished a training step.
     StepDone { gpu: usize },
-}
-
-#[derive(Debug, Clone)]
-struct BatchStats {
-    bytes: u64,
-    slow: usize,
-    len: usize,
 }
 
 struct CurBatch {
@@ -64,9 +56,6 @@ struct GpuState {
 /// `cfg.pecan_gain`); `Some` offloads transforms to the consuming GPU.
 pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -> SimReport {
     let wl = &cfg.workload;
-    let dataset_len = cfg.dataset_len();
-    let total_samples = cfg.total_samples();
-    let step = SimDuration::from_ms_f64(wl.gpu_step_ms(cfg.arch));
 
     // Worker count: the paper tunes PyTorch/Pecan to 12 total workers
     // (§5.1) and gives DALI a loading worker per core.
@@ -85,22 +74,16 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
     // --- Plan: shuffled multi-epoch ticket stream chunked into batches,
     // batches sharded round-robin over GPUs (DDP-style) and assigned
     // round-robin to workers. ---
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut tickets: Vec<usize> = Vec::with_capacity(total_samples);
-    while tickets.len() < total_samples {
-        let mut epoch: Vec<usize> = (0..dataset_len).collect();
-        epoch.shuffle(&mut rng);
-        tickets.extend(epoch);
-    }
-    tickets.truncate(total_samples);
-    let plan: Vec<Vec<usize>> = tickets.chunks(wl.batch_size).map(|c| c.to_vec()).collect();
+    let plan: Vec<Vec<usize>> = shuffled_tickets(cfg)
+        .chunks(wl.batch_size)
+        .map(|c| c.to_vec())
+        .collect();
     let slow_threshold = crate::slow_threshold_ms(wl);
 
     // --- Resources. ---
     let mut cpu = ServerPool::new(cfg.cpu_cores, cfg.bucket);
     let mut storage = Storage::new(cfg.storage_bandwidth_bps, cfg.memory_bytes, cfg.bucket);
-    let mut gpus: Vec<Gpu> = (0..cfg.n_gpus).map(|_| Gpu::new(cfg.bucket)).collect();
-    let mut trained = CounterSeries::new(cfg.bucket);
+    let mut trainer = Trainer::new(cfg);
 
     // --- Pipeline state. ---
     let mut workers: Vec<Worker> = (0..n_workers)
@@ -123,11 +106,6 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
 
     let mut heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut batch_slow_counts = Vec::new();
-    let mut batch_end_times = Vec::new();
-    let mut batches_trained = 0usize;
-    let mut samples_trained = 0usize;
-    let mut last_step_end = SimTime::ZERO;
 
     macro_rules! push_ev {
         ($t:expr, $e:expr) => {{
@@ -197,15 +175,16 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
                     gpu: b % cfg.n_gpus,
                     local_idx: b / cfg.n_gpus,
                     next_sample: 0,
-                    stats: BatchStats {
-                        bytes: 0,
-                        slow: 0,
-                        len: 0,
-                    },
+                    stats: BatchStats::default(),
                 });
-                if let Some((t, ev)) =
-                    start_sample($now, $w, &mut workers, &mut storage, &mut cpu, &mut gpus)
-                {
+                if let Some((t, ev)) = start_sample(
+                    $now,
+                    $w,
+                    &mut workers,
+                    &mut storage,
+                    &mut cpu,
+                    &mut trainer.gpus,
+                ) {
                     push_ev!(t, ev);
                 }
             }
@@ -222,15 +201,8 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
                     for w in 0..n_workers {
                         try_start_worker!($now, w);
                     }
-                    let begin = ready_at.max($now);
-                    let (_s, e) = gpus[$g].train(begin, step);
-                    batch_slow_counts.push(stats.slow);
-                    samples_trained += stats.len;
-                    trained.add(e, stats.bytes as f64);
-                    batch_end_times.push(e.as_secs_f64());
-                    batches_trained += 1;
-                    last_step_end = last_step_end.max(e);
-                    push_ev!(e, Ev::StepDone { gpu: $g });
+                    let end = trainer.train($g, $now, ready_at, &stats);
+                    push_ev!(end, Ev::StepDone { gpu: $g });
                 }
             }
         }};
@@ -258,9 +230,14 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
                     }
                     try_step!(now, g);
                     try_start_worker!(now, w);
-                } else if let Some((t, ev)) =
-                    start_sample(now, w, &mut workers, &mut storage, &mut cpu, &mut gpus)
-                {
+                } else if let Some((t, ev)) = start_sample(
+                    now,
+                    w,
+                    &mut workers,
+                    &mut storage,
+                    &mut cpu,
+                    &mut trainer.gpus,
+                ) {
                     push_ev!(t, ev);
                 }
             }
@@ -284,56 +261,11 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
         .map(|d| (d.queue_depth * wl.batch_size) as f64 * avg_pre)
         .unwrap_or(0.0);
 
-    let elapsed = last_step_end;
-    let train_busy: f64 = gpus.iter().map(|g| g.train_busy().total()).sum();
-    let pre_busy: f64 = gpus.iter().map(|g| g.preproc_busy().total()).sum();
-    let gpu_cap = elapsed.as_secs_f64().max(1e-9) * cfg.n_gpus as f64;
-    let cpu_cap = elapsed.as_secs_f64().max(1e-9) * cfg.cpu_cores as f64;
-
-    // Merge per-GPU busy series into one averaged utilization trace.
-    let mut gpu_total = crate::busy::IntervalAccumulator::new(cfg.bucket);
-    for g in &gpus {
-        for acc in [g.train_busy(), g.preproc_busy()] {
-            let t = acc.to_utilization_series("x", 1);
-            for (i, &v) in t.values().iter().enumerate() {
-                let start = SimTime::from_secs_f64(t.times()[i]);
-                gpu_total.add_weighted(
-                    start,
-                    start + cfg.bucket,
-                    v / 100.0 * cfg.bucket.as_secs_f64(),
-                );
-            }
-        }
-    }
-
-    let throughput_series = {
-        let ts = trained.to_rate_series("bps");
-        let mut out = minato_metrics::TimeSeries::new("throughput_mbps");
-        for (i, &v) in ts.values().iter().enumerate() {
-            out.push(ts.times()[i], v / 1e6);
-        }
-        out
-    };
-
+    let cpu_series = cpu.busy().to_utilization_series("cpu_pct", cfg.cpu_cores);
     SimReport {
-        name: name.to_string(),
-        train_time_s: elapsed.as_secs_f64(),
-        gpu_util_pct: ((train_busy + pre_busy) / gpu_cap * 100.0).min(100.0),
-        gpu_train_pct: (train_busy / gpu_cap * 100.0).min(100.0),
-        cpu_util_pct: (cpu.busy().total() / cpu_cap * 100.0).min(100.0),
-        gpu_series: gpu_total.to_utilization_series("gpu_pct", cfg.n_gpus),
-        cpu_series: cpu.busy().to_utilization_series("cpu_pct", cfg.cpu_cores),
-        disk_series: storage.disk_read().to_rate_series("disk_bps"),
-        throughput_series,
-        batches: batches_trained,
-        samples: samples_trained,
-        slow_flagged: 0,
-        batch_slow_counts,
-        batch_end_times,
         host_oom: host_buffer > cfg.ram_bytes as f64,
         gpu_oom: gpu_buffer > cfg.gpu_memory_bytes as f64,
-        bytes_from_disk: storage.bytes_from_disk(),
-        bytes_from_cache: storage.bytes_from_cache(),
+        ..trainer.report(name, cfg, &storage, cpu.busy().total(), cpu_series)
     }
 }
 

@@ -19,13 +19,14 @@
 //! there is no timeout rescue, so a mispredicted slow sample occupies a
 //! foreground worker for its entire cost — the failure mode of Figure 3a.
 
-use crate::busy::{CounterSeries, IntervalAccumulator};
+use super::{merge_utilization, shuffled_tickets, BatchStats, Trainer};
+use crate::busy::IntervalAccumulator;
 use crate::config::SimConfig;
 use crate::report::SimReport;
-use crate::resources::{Gpu, ServerPool, SimQueue, Storage};
+use crate::resources::{ServerPool, SimQueue, Storage};
 use crate::time::{SimDuration, SimTime};
+use minato_core::scheduler::{SchedulerConfig, WorkerScheduler};
 use minato_metrics::Reservoir;
-use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -56,31 +57,13 @@ enum Ev {
     Monitor,
 }
 
-#[derive(Debug, Clone, Default)]
-struct PendingBatch {
-    len: usize,
-    slow: usize,
-    bytes: u64,
-}
-
 /// Runs one simulated training with MinatoLoader semantics.
 pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimReport {
     let wl = &cfg.workload;
-    let dataset_len = cfg.dataset_len();
     let total_samples = cfg.total_samples();
     let total_batches = cfg.total_batches();
-    let step = SimDuration::from_ms_f64(wl.gpu_step_ms(cfg.arch));
     let slow_threshold = crate::slow_threshold_ms(wl);
-
-    // Ticket stream: shuffled per epoch, like the loaders request data.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut tickets: Vec<usize> = Vec::with_capacity(total_samples);
-    while tickets.len() < total_samples {
-        let mut epoch: Vec<usize> = (0..dataset_len).collect();
-        epoch.shuffle(&mut rng);
-        tickets.extend(epoch);
-    }
-    tickets.truncate(total_samples);
+    let tickets = shuffled_tickets(cfg);
 
     // Size-heuristic threshold: P75 of the first 512 sample sizes.
     let size_threshold = {
@@ -105,28 +88,25 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     let mut bg_pool = ServerPool::new(bg_capacity, cfg.bucket);
     let _ = bg_capacity; // Tracked through `bg_pool.capacity()` below.
     let mut storage = Storage::new(cfg.storage_bandwidth_bps, cfg.memory_bytes, cfg.bucket);
-    let mut gpus: Vec<Gpu> = (0..cfg.n_gpus).map(|_| Gpu::new(cfg.bucket)).collect();
-    let mut queues: Vec<SimQueue<PendingBatch>> = (0..cfg.n_gpus)
+    let mut trainer = Trainer::new(cfg);
+    let mut queues: Vec<SimQueue<BatchStats>> = (0..cfg.n_gpus)
         .map(|_| SimQueue::new(cfg.prefetch))
         .collect();
-    let mut overflow: VecDeque<(SimTime, PendingBatch)> = VecDeque::new();
+    let mut overflow: VecDeque<(SimTime, BatchStats)> = VecDeque::new();
     let mut gpu_busy_flag = vec![false; cfg.n_gpus];
-    let mut trained = CounterSeries::new(cfg.bucket);
 
-    // Profiler + timeout.
+    // Profiler + timeout, and the foreground pool's scheduler (only its
+    // Formula 2 is used: the pool bounds here move with the background
+    // pool).
     let mut profiler = Reservoir::new(4096);
     let mut tout_ms: Option<f64> = None;
+    let scheduler = WorkerScheduler::new(SchedulerConfig::paper_default(cfg.cpu_cores));
 
     // Progress.
     let mut next_ticket = 0usize;
-    let mut pending = PendingBatch::default();
+    let mut pending = BatchStats::default();
     let mut in_flight_bg = 0usize;
-    let mut batches_trained = 0usize;
-    let mut samples_trained = 0usize;
     let mut slow_flagged = 0usize;
-    let mut batch_slow_counts = Vec::new();
-    let mut batch_end_times = Vec::new();
-    let mut last_step_end = SimTime::ZERO;
     let mut samples_ready = 0usize;
 
     let mut heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>> = BinaryHeap::new();
@@ -223,15 +203,8 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                     if let Some((t, b)) = overflow.pop_front() {
                         queues[$g].push(t, b);
                     }
-                    let begin = ready_at.max($now);
-                    let (_s, e) = gpus[$g].train(begin, step);
-                    batch_slow_counts.push(stats.slow);
-                    samples_trained += stats.len;
-                    trained.add(e, stats.bytes as f64);
-                    batch_end_times.push(e.as_secs_f64());
-                    batches_trained += 1;
-                    last_step_end = last_step_end.max(e);
-                    push_ev!(e, Ev::StepDone { gpu: $g });
+                    let end = trainer.train($g, $now, ready_at, &stats);
+                    push_ev!(end, Ev::StepDone { gpu: $g });
                 }
             }
         }};
@@ -331,7 +304,7 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                 try_claim!(now);
             }
             Ev::Monitor => {
-                if batches_trained >= total_batches {
+                if trainer.batches >= total_batches {
                     continue; // Training done; stop rescheduling.
                 }
                 if matches!(mode, ClassifyMode::Timeout) {
@@ -368,9 +341,7 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                     let cpu_usage = (busy / cap.max(1e-9)).clamp(0.0, 1.0);
                     let q_len: usize = queues.iter().map(|q| q.len()).sum();
                     let q_cap: usize = queues.iter().map(|q| q.capacity()).sum();
-                    let q_term = 1.0 - (q_len as f64 / q_cap.max(1) as f64).clamp(0.0, 1.0);
-                    let delta = (2.0 * q_term + 2.0 * (cpu_usage - 0.7)).round() as i64;
-                    let delta = delta.clamp(-2, 2);
+                    let delta = scheduler.delta(q_len as f64, q_cap as f64, cpu_usage);
                     let next = (fg_capacity as i64 + delta).max(1) as usize;
                     fg_capacity = next.min(max_fg);
                     try_claim!(now);
@@ -380,64 +351,13 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
         }
     }
 
-    let elapsed = last_step_end;
-    let train_busy: f64 = gpus.iter().map(|g| g.train_busy().total()).sum();
-    let gpu_cap = elapsed.as_secs_f64().max(1e-9) * cfg.n_gpus as f64;
-    let cpu_cap = elapsed.as_secs_f64().max(1e-9) * cfg.cpu_cores as f64;
     let cpu_busy_total = fg_busy.total() + bg_pool.busy().total();
-
-    // Build the averaged GPU utilization trace.
-    let mut gpu_total = IntervalAccumulator::new(cfg.bucket);
-    for g in &gpus {
-        let t = g.train_busy().to_utilization_series("t", 1);
-        for (i, &v) in t.values().iter().enumerate() {
-            let start = SimTime::from_secs_f64(t.times()[i]);
-            gpu_total.add_weighted(
-                start,
-                start + cfg.bucket,
-                v / 100.0 * cfg.bucket.as_secs_f64(),
-            );
-        }
-    }
-    let mut cpu_total = fg_busy.clone();
-    let bg_series = bg_pool.busy().to_utilization_series("b", 1);
-    for (i, &v) in bg_series.values().iter().enumerate() {
-        let start = SimTime::from_secs_f64(bg_series.times()[i]);
-        cpu_total.add_weighted(
-            start,
-            start + cfg.bucket,
-            v / 100.0 * cfg.bucket.as_secs_f64(),
-        );
-    }
-
-    let throughput_series = {
-        let ts = trained.to_rate_series("bps");
-        let mut out = minato_metrics::TimeSeries::new("throughput_mbps");
-        for (i, &v) in ts.values().iter().enumerate() {
-            out.push(ts.times()[i], v / 1e6);
-        }
-        out
-    };
-
+    let mut cpu_total = fg_busy;
+    merge_utilization(&mut cpu_total, bg_pool.busy(), cfg.bucket);
+    let cpu_series = cpu_total.to_utilization_series("cpu_pct", cfg.cpu_cores);
     SimReport {
-        name: name.to_string(),
-        train_time_s: elapsed.as_secs_f64(),
-        gpu_util_pct: (train_busy / gpu_cap * 100.0).min(100.0),
-        gpu_train_pct: (train_busy / gpu_cap * 100.0).min(100.0),
-        cpu_util_pct: (cpu_busy_total / cpu_cap * 100.0).min(100.0),
-        gpu_series: gpu_total.to_utilization_series("gpu_pct", cfg.n_gpus),
-        cpu_series: cpu_total.to_utilization_series("cpu_pct", cfg.cpu_cores),
-        disk_series: storage.disk_read().to_rate_series("disk_bps"),
-        throughput_series,
-        batches: batches_trained,
-        samples: samples_trained,
         slow_flagged,
-        batch_slow_counts,
-        batch_end_times,
-        host_oom: false,
-        gpu_oom: false,
-        bytes_from_disk: storage.bytes_from_disk(),
-        bytes_from_cache: storage.bytes_from_cache(),
+        ..trainer.report(name, cfg, &storage, cpu_busy_total, cpu_series)
     }
 }
 

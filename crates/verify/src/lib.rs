@@ -6,7 +6,7 @@
 //! exceed budget even on unwind, role re-bids happen only at safe
 //! points, and the checkpoint codec stays dependency-free. This crate
 //! machine-checks the lintable fragment of those invariants with a
-//! line-aware scanner (no `syn`/`quote` — the build is offline) and six
+//! line-aware scanner (no `syn`/`quote` — the build is offline) and five
 //! repo-specific rules:
 //!
 //! * **V1** — no `.unwrap()` / `.expect(` in non-test, non-example
@@ -21,9 +21,6 @@
 //! * **V4** — every public item in `crates/{core,exec,pool,cache}` has
 //!   a doc comment.
 //! * **V5** — every `unsafe` token carries a nearby `// SAFETY:` line.
-//! * **V6** — every `Ordering::` use in the queue module
-//!   (`crates/core/src/queue/`) carries a nearby `// ORDERING:` comment
-//!   justifying the chosen memory ordering, the way V5 guards `unsafe`.
 //!
 //! Violations are suppressed either by an inline
 //! `// minato-verify: allow(Vn) reason` comment or by an entry in
@@ -44,7 +41,7 @@ pub use rules::{lint_source, FileClass};
 /// plus `verify/allow.toml` rows) the workspace may carry.
 pub const ALLOW_BUDGET: usize = 10;
 
-/// The six workspace invariant rules.
+/// The five workspace invariant rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// No `.unwrap()` / `.expect(` in library code.
@@ -58,9 +55,6 @@ pub enum Rule {
     V4,
     /// `unsafe` requires a `// SAFETY:` line.
     V5,
-    /// Atomic `Ordering::` uses in the queue core require a
-    /// `// ORDERING:` justification.
-    V6,
 }
 
 impl Rule {
@@ -72,11 +66,10 @@ impl Rule {
             Rule::V3 => "V3",
             Rule::V4 => "V4",
             Rule::V5 => "V5",
-            Rule::V6 => "V6",
         }
     }
 
-    /// Parses a rule identifier (`"V1"`..`"V6"`).
+    /// Parses a rule identifier (`"V1"`..`"V5"`).
     pub fn parse(s: &str) -> Option<Rule> {
         match s.trim() {
             "V1" => Some(Rule::V1),
@@ -84,7 +77,6 @@ impl Rule {
             "V3" => Some(Rule::V3),
             "V4" => Some(Rule::V4),
             "V5" => Some(Rule::V5),
-            "V6" => Some(Rule::V6),
             _ => None,
         }
     }

@@ -1,4 +1,4 @@
-//! The six invariant rules, applied over scanned lines.
+//! The five invariant rules, applied over scanned lines.
 //!
 //! The engine walks a file once, tracking brace depth, `#[cfg(test)]`
 //! scopes, `// minato-verify: hot-path` scopes, and live lock-guard
@@ -25,10 +25,6 @@ pub struct FileClass {
     /// Doc-comment coverage (V4) applies: the core/exec/pool/cache
     /// public surface.
     pub docs_required: bool,
-    /// Memory-ordering discipline (V6) applies: the queue module under
-    /// `crates/core/src/queue/`, whose occupancy counters are atomics
-    /// read outside the state mutex.
-    pub queue_core: bool,
 }
 
 impl FileClass {
@@ -41,12 +37,10 @@ impl FileClass {
         let docs_required = ["core", "exec", "pool", "cache"]
             .iter()
             .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
-        let queue_core = rel.starts_with("crates/core/src/queue");
         FileClass {
             library,
             panic_free,
             docs_required,
-            queue_core,
         }
     }
 }
@@ -200,9 +194,6 @@ pub fn lint_source(rel: &str, text: &str, lock: &LockOrder) -> LintOutcome {
             check_v4(rel, lineno, trimmed, prev_doc, &allows, &mut out);
         }
         check_v5(rel, lineno, idx, code, &lines, &allows, &mut out);
-        if class.queue_core && !test_active {
-            check_v6(rel, lineno, idx, code, &lines, &allows, &mut out);
-        }
 
         if code.contains(';') || code.contains('{') || code.contains('}') {
             let cut = code
@@ -486,37 +477,6 @@ fn check_v5(
             lineno,
             Rule::V5,
             "`unsafe` without a nearby `// SAFETY:` comment".to_string(),
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_v6(
-    rel: &str,
-    lineno: usize,
-    idx: usize,
-    code: &str,
-    lines: &[Line],
-    allows: &AllowMap,
-    out: &mut LintOutcome,
-) {
-    if !code.contains("Ordering::") {
-        return;
-    }
-    let lo = idx.saturating_sub(3);
-    let hi = (idx + 2).min(lines.len());
-    let documented = lines[lo..hi]
-        .iter()
-        .any(|l| l.comment.contains("ORDERING:"));
-    if !documented {
-        push(
-            out,
-            allows,
-            rel,
-            lineno,
-            Rule::V6,
-            "atomic `Ordering::` in the queue core without a nearby `// ORDERING:` justification"
-                .to_string(),
         );
     }
 }

@@ -66,31 +66,6 @@ fn v5_unsafe_without_safety_comment() {
     assert_fires_once("v5_bad.rs", Rule::V5, 2);
 }
 
-/// V6 is scoped to the queue core: the same text fires under
-/// `crates/core/src/queue/` and stays silent one directory up.
-#[test]
-fn v6_unjustified_ordering_in_queue_core() {
-    let text = fixture("v6_bad.rs");
-    let out = lint_source(
-        "crates/core/src/queue/fixture.rs",
-        &text,
-        &LockOrder::default(),
-    );
-    let hits: Vec<_> = out
-        .violations
-        .iter()
-        .filter(|v| v.rule == Rule::V6)
-        .collect();
-    assert_eq!(hits.len(), 1, "expected one V6 hit: {:?}", out.violations);
-    assert_eq!(hits[0].line, 2);
-    let out = lint_source("crates/core/src/fixture.rs", &text, &LockOrder::default());
-    assert!(
-        out.violations.iter().all(|v| v.rule != Rule::V6),
-        "V6 must not fire outside the queue core: {:?}",
-        out.violations
-    );
-}
-
 #[test]
 fn clean_fixture_is_silent() {
     let text = fixture("clean.rs");

@@ -98,6 +98,36 @@ proptest! {
         prop_assert_eq!(out, expect);
     }
 
+    /// Offers and skips in any interleaving, drained at any points, come
+    /// out in sequence order with nothing lost and nothing duplicated —
+    /// and with every seq resolved nothing stays parked.
+    #[test]
+    fn reorder_buffer_walks_over_skipped_seqs(
+        keys in proptest::collection::vec(any::<u32>(), 40),
+        skipped in proptest::collection::vec(any::<bool>(), 40),
+        drain_after in proptest::collection::vec(any::<bool>(), 40),
+    ) {
+        let mut arrivals: Vec<u64> = (0..40).collect();
+        arrivals.sort_by_key(|&seq| keys[seq as usize]);
+        let mut rb = ReorderBuffer::new(0);
+        let mut out = Vec::new();
+        for (&seq, &drain) in arrivals.iter().zip(&drain_after) {
+            if skipped[seq as usize] {
+                rb.skip(seq);
+            } else {
+                rb.offer(seq, seq);
+            }
+            if drain {
+                rb.drain_ready(&mut out);
+            }
+        }
+        rb.drain_ready(&mut out);
+        let expect: Vec<u64> = (0..40).filter(|&seq| !skipped[seq as usize]).collect();
+        prop_assert_eq!(out, expect);
+        prop_assert_eq!(rb.next_seq(), 40);
+        prop_assert_eq!(rb.pending(), 0);
+    }
+
     /// Queue FIFO order survives arbitrary interleaved put/pop programs.
     #[test]
     fn queue_preserves_fifo(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
@@ -178,7 +208,6 @@ proptest! {
         batch in 1usize..9,
         workers in 1usize..4,
         epochs in 1usize..3,
-        chunk in 1usize..10,
     ) {
         use minato::core::prelude::*;
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
@@ -188,7 +217,6 @@ proptest! {
             .epochs(epochs)
             .initial_workers(workers)
             .max_workers(workers)
-            .ticket_chunk(chunk)
             .build()
             .expect("valid configuration");
         let mut counts = std::collections::HashMap::new();
