@@ -1478,6 +1478,34 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_load_alone_does_not_flag_a_sample() {
+        // The cutoff is learned from pipeline time, so the deadline must
+        // time the pipeline only: a load of twice the timeout in front
+        // of a near-free pipeline flags nothing. (When the deadline also
+        // covered the load, every sample here was deferred at the first
+        // between-step check.)
+        let ds = crate::dataset::FnDataset::new(6, |i| {
+            std::thread::sleep(Duration::from_millis(40));
+            Ok(i as u32)
+        });
+        let p = Pipeline::new(vec![
+            fn_transform("id", |x: u32| Ok(x)),
+            fn_transform("id", |x: u32| Ok(x)),
+        ]);
+        let loader = MinatoLoader::builder(ds, p)
+            .batch_size(2)
+            .initial_workers(2)
+            .max_workers(2)
+            .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(20)))
+            .build()
+            .unwrap();
+        let metas: Vec<_> = loader.iter().flat_map(|b| b.into_parts().1).collect();
+        assert_eq!(metas.len(), 6);
+        assert!(metas.iter().all(|m| !m.slow), "{metas:?}");
+        assert_eq!(loader.stats().slow_flagged, 0);
+    }
+
+    #[test]
     fn order_preserving_mode_keeps_sampler_order() {
         let ds = VecDataset::new((0..40u32).collect::<Vec<_>>());
         let p: Pipeline<u32> = Pipeline::identity();

@@ -235,6 +235,17 @@ impl TransformCtx {
         TransformCtx::base(Some(deadline))
     }
 
+    /// Returns a copy whose deadline is `timeout` from now (`None`:
+    /// unbounded). Called where the pipeline starts, not where the
+    /// context is built: the balancer learns its cutoff from
+    /// [`PipelineRun`]'s `elapsed`, which [`Pipeline::run_ctx`] starts
+    /// after the `Dataset::load`, so a deadline that also timed the load
+    /// would flag samples the cutoff never meant.
+    pub fn with_timeout(mut self, timeout: Option<Duration>) -> TransformCtx {
+        self.deadline = timeout.map(|t| Instant::now() + t);
+        self
+    }
+
     /// Returns a copy with the accelerator speedup set.
     pub fn with_speedup(mut self, speedup: f64) -> TransformCtx {
         self.speedup = speedup.max(f64::MIN_POSITIVE);
@@ -652,10 +663,7 @@ impl<T: Send + 'static> Pipeline<T> {
         input: T,
         timeout: Option<Duration>,
     ) -> Result<PipelineRun<T>> {
-        let ctx = match timeout {
-            Some(t) => TransformCtx::with_deadline(Instant::now() + t),
-            None => TransformCtx::unbounded(),
-        };
+        let ctx = TransformCtx::unbounded().with_timeout(timeout);
         self.run_ctx(start_at, input, ctx)
     }
 

@@ -473,24 +473,21 @@ impl<D: Dataset> Runtime<D> {
         !self.is_shutdown()
     }
 
-    /// Builds the per-run transform context — optional deadline, plus
-    /// the buffer pools (which engage in-place execution) when pooling
-    /// is on — paired with a [`ScratchGuard`] that repays un-recycled
+    /// Builds the per-run transform context — no deadline (the fast path
+    /// sets its own where the pipeline starts), the buffer pools (which
+    /// engage in-place execution) when pooling is on — paired with a
+    /// [`ScratchGuard`] that repays un-recycled
     /// pool scratch if the run unwinds. `ledger` carries a deferred
     /// sample's existing ledger into its background resume; fresh runs
     /// pass `None` and get a new one. `epoch`/`seq` identify the sample
     /// on stage-observer callbacks when tracing is enabled.
     fn guarded_ctx(
         &self,
-        timeout: Option<Duration>,
         ledger: Option<Arc<ScratchLedger>>,
         epoch: usize,
         seq: u64,
     ) -> (TransformCtx, ScratchGuard) {
-        let ctx = match timeout {
-            Some(t) => TransformCtx::with_deadline(Instant::now() + t),
-            None => TransformCtx::unbounded(),
-        };
+        let ctx = TransformCtx::unbounded();
         let ctx = match &self.stage_obs {
             Some(obs) => {
                 ctx.with_observer(Arc::clone(obs), epoch.min(u16::MAX as usize) as u16, seq)
@@ -529,7 +526,6 @@ impl<D: Dataset> Runtime<D> {
     fn run_contained(
         &self,
         site: FaultSite,
-        timeout: Option<Duration>,
         mut ledger: Option<Arc<ScratchLedger>>,
         (index, epoch, seq): (usize, usize, u64),
         mut body: impl FnMut(TransformCtx) -> crate::error::Result<PipelineRun<D::Sample>>,
@@ -540,7 +536,7 @@ impl<D: Dataset> Runtime<D> {
     ) {
         let mut attempt = 0u32;
         loop {
-            let (ctx, guard) = self.guarded_ctx(timeout, ledger.take(), epoch, seq);
+            let (ctx, guard) = self.guarded_ctx(ledger.take(), epoch, seq);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if let Some(inj) = &self.injector {
                     match inj.decide(site, index, seq) {
@@ -646,7 +642,6 @@ impl<D: Dataset> Runtime<D> {
         let mut partial = Some(d.partial);
         let (run, panicked, mut guard) = self.run_contained(
             FaultSite::Slow,
-            None,
             d.scratch,
             (index, epoch, seq),
             |ctx| match partial.take() {
@@ -963,14 +958,16 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             let t0 = Instant::now();
             // Contained: the in-flight claim has to be released whether
             // or not the dataset or a transform panics.
+            let timeout = rt.balancer.current_timeout();
             let (run, panicked, mut guard) = rt.run_contained(
                 FaultSite::Fast,
-                rt.balancer.current_timeout(),
                 None,
                 (ticket.index, ticket.epoch, ticket.seq),
                 |ctx| {
                     let raw = rt.dataset.load(ticket.index)?;
-                    rt.pipeline.run_ctx(0, raw, ctx)
+                    // The deadline starts with the pipeline: a slow load
+                    // is already paid and cannot be deferred.
+                    rt.pipeline.run_ctx(0, raw, ctx.with_timeout(timeout))
                 },
             );
             let bytes = rt.dataset.size_hint_bytes(ticket.index).unwrap_or(0);

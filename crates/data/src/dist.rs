@@ -3,9 +3,21 @@
 //! The approved offline crate set does not include `rand_distr`, so the
 //! handful of distributions the workload models need (Table 2 calibration:
 //! normal bodies, lognormal tails, uniform mixtures) are implemented here.
-//! Normal variates use the Box–Muller transform.
+//!
+//! There are two standard-normal samplers, with different streams:
+//!
+//! * [`standard_normal`] — Box–Muller, two draws per variate. Everything
+//!   that feeds a figure uses it ([`Dist`], `spec.rs` and through them the
+//!   simulator), so its stream is pinned: the same seed must keep giving
+//!   the same variates.
+//! * `Ziggurat` — Marsaglia & Tsang's 128-layer ziggurat (J. Stat. Softw.
+//!   5(8), 2000), one draw and no transcendental per variate on the common
+//!   path. Crate-private, for bulk per-voxel noise in the real kernels
+//!   (`volume::GaussianNoise`), where only the distribution and per-seed
+//!   determinism matter. Not for anything a simulator figure depends on.
 
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A samplable scalar distribution.
 ///
@@ -140,6 +152,70 @@ pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// Layer tables of the ziggurat normal sampler (see the module header).
+pub(crate) struct Ziggurat {
+    /// Right edge of each layer, decreasing: `x[0]` is the base strip's
+    /// area-equivalent width `V / f(R)`, `x[1] = R`, `x[LAYERS] = 0`.
+    x: [f64; Self::LAYERS + 1],
+    /// `x[i + 1] / x[i]`: the share of layer `i` lying under the curve.
+    ratio: [f64; Self::LAYERS],
+}
+
+impl Ziggurat {
+    const LAYERS: usize = 128;
+    /// Start of the tail, and the common area of every layer.
+    const R: f64 = 3.442_619_855_899;
+    const V: f64 = 9.912_563_035_262_17e-3;
+
+    /// The tables, built on first use (2 KB, shared by every thread).
+    pub(crate) fn get() -> &'static Ziggurat {
+        static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let mut x = [0.0; Self::LAYERS + 1];
+            let mut f = (-0.5 * Self::R * Self::R).exp();
+            x[0] = Self::V / f;
+            x[1] = Self::R;
+            for i in 2..Self::LAYERS {
+                x[i] = (-2.0 * (Self::V / x[i - 1] + f).ln()).sqrt();
+                f = (-0.5 * x[i] * x[i]).exp();
+            }
+            let ratio = std::array::from_fn(|i| x[i + 1] / x[i]);
+            Ziggurat { x, ratio }
+        })
+    }
+
+    /// One standard-normal variate: one `next_u64` unless the draw lands
+    /// in a layer's wedge or the tail (≈ 2.8 % of draws together).
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+        loop {
+            // Low 7 bits pick the layer, the top 53 a signed position.
+            let bits = rng.next_u64();
+            let i = (bits & 0x7F) as usize;
+            let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
+            if u.abs() < self.ratio[i] {
+                return u * self.x[i];
+            }
+            if i == 0 {
+                // Beyond R: Marsaglia's exponential-rejection tail.
+                loop {
+                    let a = (1.0 - rng.random::<f64>()).ln() / Self::R;
+                    let b = (1.0 - rng.random::<f64>()).ln();
+                    if -2.0 * b >= a * a {
+                        return if u < 0.0 { a - Self::R } else { Self::R - a };
+                    }
+                }
+            }
+            // Wedge between the layer's rectangle and the curve.
+            let x = u * self.x[i];
+            let f0 = (-0.5 * (self.x[i] * self.x[i] - x * x)).exp();
+            let f1 = (-0.5 * (self.x[i + 1] * self.x[i + 1] - x * x)).exp();
+            if f1 + rng.random::<f64>() * (f0 - f1) < 1.0 {
+                return x;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,5 +305,67 @@ mod tests {
         let s = Summary::of(&xs);
         assert!(s.avg.abs() < 0.02);
         assert!((s.std - 1.0).abs() < 0.02);
+    }
+
+    #[test]
+    fn standard_normal_stream_is_pinned() {
+        // `spec.rs`, and so every simulator figure, draws from this
+        // stream: a faster sampler must not replace it.
+        // (To 1e-12, not to the bit: `ln` and `cos` come from the
+        // platform's libm.)
+        let mut r = rng();
+        let want = [
+            0.882_248_906_222_268_8,
+            -0.450_849_875_718_860_1,
+            0.188_352_634_115_931_5,
+            0.219_586_379_190_761,
+        ];
+        for w in want {
+            let z = standard_normal(&mut r);
+            assert!((z - w).abs() < 1e-12, "{z} != {w}");
+        }
+    }
+
+    #[test]
+    fn ziggurat_is_standard_normal() {
+        let (zig, mut r) = (Ziggurat::get(), rng());
+        let n = 1_000_000;
+        let (mut s1, mut s2, mut s4) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut beyond_2, mut in_tail) = (0u32, 0u32);
+        for _ in 0..n {
+            let z = zig.sample(&mut r);
+            s1 += z;
+            s2 += z * z;
+            s4 += z * z * z * z;
+            beyond_2 += u32::from(z.abs() > 2.0);
+            in_tail += u32::from(z.abs() > Ziggurat::R);
+        }
+        let n = n as f64;
+        let (mean, var) = (s1 / n, s2 / n - (s1 / n) * (s1 / n));
+        assert!(mean.abs() < 4e-3, "mean {mean}");
+        assert!((var - 1.0).abs() < 6e-3, "variance {var}");
+        // The fourth moment about zero stands in for the central one:
+        // the mean is within 4e-3 of it.
+        let kurtosis = s4 / n / (var * var);
+        assert!((kurtosis - 3.0).abs() < 0.03, "kurtosis {kurtosis}");
+        let tail_mass = f64::from(beyond_2) / n;
+        assert!(
+            (tail_mass - 0.0455).abs() < 1e-3,
+            "P(|z| > 2) = {tail_mass}"
+        );
+        // P(|z| > R) ≈ 5.8e-4: the tail branch runs a few hundred times.
+        assert!((300..900).contains(&in_tail), "{in_tail} tail draws");
+    }
+
+    #[test]
+    fn ziggurat_is_deterministic_per_seed_and_small() {
+        let zig = Ziggurat::get();
+        let draw = |seed| {
+            let mut r = StdRng::seed_from_u64(seed);
+            (0..1000).map(|_| zig.sample(&mut r)).collect::<Vec<f64>>()
+        };
+        assert_eq!(draw(3), draw(3));
+        assert_ne!(draw(3), draw(4));
+        assert!(std::mem::size_of::<Ziggurat>() <= 4096);
     }
 }

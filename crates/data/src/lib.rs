@@ -18,6 +18,8 @@
 
 pub mod audio;
 pub mod dist;
+#[cfg(test)]
+mod oracle;
 pub mod spec;
 pub mod synth;
 pub mod volume;

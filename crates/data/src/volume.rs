@@ -6,7 +6,7 @@
 //! work over the voxels, so preprocessing cost genuinely scales with
 //! volume size, reproducing the size/time correlation of §3.2.
 
-use crate::dist::standard_normal;
+use crate::dist::Ziggurat;
 use minato_core::error::{LoaderError, Result};
 use minato_core::pool::{PoolSet, Reclaim};
 use minato_core::transform::{CostClass, InPlace, Outcome, Pipeline, Transform, TransformCtx};
@@ -33,25 +33,40 @@ impl Volume3D {
         let [d, h, w] = dims;
         let n = d * h * w;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut voxels = vec![0.0f32; n];
-        let mut labels = vec![0u8; n];
         // Background noise.
-        for v in voxels.iter_mut() {
-            *v = rng.random_range(-1.0..1.0);
-        }
-        // Ellipsoid of interest.
+        let mut voxels: Vec<f32> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let mut labels = vec![0u8; n];
+        // Ellipsoid of interest: centre `c`, semi-axes `r`. A voxel more
+        // than `r` from the centre along any axis has a quotient above 1
+        // there, so only the bounding box `[c - r, c + r]` is scanned —
+        // with the full scan's f64 expression, term for term (`dx²` once
+        // per column, `dz² + dy²` once per row): the same bits.
         let c = [d as f64 / 2.0, h as f64 / 2.0, w as f64 / 2.0];
-        let r = [d as f64 / 4.0, h as f64 / 4.0, w as f64 / 4.0];
-        for z in 0..d {
-            for y in 0..h {
-                for x in 0..w {
-                    let dz = (z as f64 - c[0]) / r[0].max(1.0);
-                    let dy = (y as f64 - c[1]) / r[1].max(1.0);
-                    let dx = (x as f64 - c[2]) / r[2].max(1.0);
-                    if dz * dz + dy * dy + dx * dx <= 1.0 {
-                        let i = (z * h + y) * w + x;
-                        voxels[i] += 3.0;
-                        labels[i] = 1;
+        let r = [d, h, w].map(|s| (s as f64 / 4.0).max(1.0));
+        let span = |a: usize| {
+            let lo = (c[a] - r[a]).floor().max(0.0) as usize;
+            lo..((c[a] + r[a]).ceil() as usize + 1).min(dims[a])
+        };
+        let xs = span(2);
+        let dx2: Vec<f64> = xs
+            .clone()
+            .map(|x| {
+                let dx = (x as f64 - c[2]) / r[2];
+                dx * dx
+            })
+            .collect();
+        for z in span(0) {
+            let dz = (z as f64 - c[0]) / r[0];
+            for y in span(1) {
+                let dy = (y as f64 - c[1]) / r[1];
+                let zy = dz * dz + dy * dy;
+                let row = (z * h + y) * w;
+                let row_v = &mut voxels[row + xs.start..row + xs.end];
+                let row_l = &mut labels[row + xs.start..row + xs.end];
+                for ((v, l), dx2) in row_v.iter_mut().zip(row_l).zip(&dx2) {
+                    if zy + dx2 <= 1.0 {
+                        *v += 3.0;
+                        *l = 1;
                     }
                 }
             }
@@ -91,6 +106,31 @@ impl Reclaim for Volume3D {
     }
 }
 
+/// Mean and `1 / max(std, 1e-6)` of `voxels`, in one pass: eight f64
+/// lanes of sums and squared sums, shifted by the first voxel so the
+/// variance does not cancel when the mean is far from zero, merged in lane
+/// order — the same bits whatever thread runs it.
+pub fn intensity_stats(voxels: &[f32]) -> (f32, f32) {
+    const LANES: usize = 8;
+    let shift = voxels.first().map_or(0.0, |&x| x as f64);
+    let (mut s1, mut s2) = ([0.0f64; LANES], [0.0f64; LANES]);
+    let mut add = |xs: &[f32]| {
+        for (l, &x) in xs.iter().enumerate() {
+            let t = x as f64 - shift;
+            s1[l] += t;
+            s2[l] += t * t;
+        }
+    };
+    let chunks = voxels.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    chunks.for_each(&mut add);
+    add(tail);
+    let n = voxels.len().max(1) as f64;
+    let (s1, s2) = (s1.iter().sum::<f64>(), s2.iter().sum::<f64>());
+    let var = ((s2 - s1 * s1 / n) / n).max(0.0);
+    ((shift + s1 / n) as f32, (1.0 / var.sqrt().max(1e-6)) as f32)
+}
+
 /// Crops a random `target`-sized region (Deflationary; the dominant cost
 /// in the paper's pipeline at 338 ms average, §3.1).
 pub struct RandomCrop {
@@ -114,15 +154,7 @@ impl RandomCrop {
         // Full-volume intensity statistics (KiTS19 preprocessing
         // standardizes intensities before cropping) — this O(input) pass
         // is why preprocessing cost scales with raw volume size (§3.2).
-        let n = v.voxels.len().max(1) as f64;
-        let mean = v.voxels.iter().map(|&x| x as f64).sum::<f64>() / n;
-        let var = v
-            .voxels
-            .iter()
-            .map(|&x| (x as f64 - mean) * (x as f64 - mean))
-            .sum::<f64>()
-            / n;
-        let (mean, inv_std) = (mean as f32, (1.0 / var.sqrt().max(1e-6)) as f32);
+        let (mean, inv_std) = intensity_stats(&v.voxels);
         let oz = if d > td {
             rng.random_range(0..=d - td)
         } else {
@@ -138,14 +170,18 @@ impl RandomCrop {
         } else {
             0
         };
+        let cw = tw.min(w);
         for z in 0..td.min(d) {
             for y in 0..th.min(h) {
-                for x in 0..tw.min(w) {
-                    let src = v.index(z + oz, y + oy, x + ox);
-                    let dst = (z * th + y) * tw + x;
-                    voxels[dst] = (v.voxels[src] - mean) * inv_std;
-                    labels[dst] = v.labels[src];
+                let src = v.index(z + oz, y + oy, ox);
+                let dst = (z * th + y) * tw;
+                for (o, &i) in voxels[dst..dst + cw]
+                    .iter_mut()
+                    .zip(&v.voxels[src..src + cw])
+                {
+                    *o = (i - mean) * inv_std;
                 }
+                labels[dst..dst + cw].copy_from_slice(&v.labels[src..src + cw]);
             }
         }
         Ok(())
@@ -288,8 +324,9 @@ pub struct GaussianNoise {
 impl GaussianNoise {
     fn add_noise_in_place(&self, v: &mut Volume3D) {
         let mut rng = StdRng::seed_from_u64(v.seed ^ 0x9015E);
+        let normal = Ziggurat::get();
         for x in v.voxels.iter_mut() {
-            *x += self.sigma * standard_normal(&mut rng) as f32;
+            *x += self.sigma * normal.sample(&mut rng) as f32;
         }
     }
 }
@@ -363,7 +400,9 @@ pub fn segmentation_pipeline(target: [usize; 3]) -> Pipeline<Volume3D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{generate_full_scan, two_pass_stats, within_one_ulp};
     use minato_core::transform::PipelineRun;
+    use proptest::prelude::*;
 
     fn vol(dims: [usize; 3]) -> Volume3D {
         Volume3D::generate(dims, 7)
@@ -376,6 +415,101 @@ mod tests {
         assert!(pos > 0, "must contain labelled voxels");
         assert!(pos < v.len(), "must not be all-label");
         assert_eq!(v.nbytes(), (16 * 16 * 16 * 5) as u64);
+    }
+
+    /// Bit-for-bit: `Volume3D`'s `PartialEq` would let `-0.0 == 0.0` by.
+    fn assert_same_bits(dims: [usize; 3], seed: u64) {
+        let got = Volume3D::generate(dims, seed);
+        let (voxels, labels) = generate_full_scan(dims, seed);
+        assert_eq!((got.dims, got.seed), (dims, seed));
+        assert_eq!(got.labels, labels, "{dims:?} seed {seed}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.voxels), bits(&voxels), "{dims:?} seed {seed}");
+    }
+
+    #[test]
+    fn generate_matches_the_full_scan() {
+        // Unit axes (the `r.max(1.0)` clamp), a flat slab, odd centres,
+        // the benchmark's smallest cube, unequal sides, an empty axis.
+        for dims in [
+            [1, 1, 1],
+            [3, 40, 2],
+            [5, 7, 9],
+            [40, 40, 40],
+            [41, 63, 95],
+            [0, 4, 4],
+        ] {
+            assert_same_bits(dims, 7);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn generate_matches_the_full_scan_on_random_dims(
+            d in 1usize..25,
+            h in 1usize..25,
+            w in 1usize..25,
+            seed in 0u64..u64::MAX,
+        ) {
+            assert_same_bits([d, h, w], seed);
+        }
+    }
+
+    #[test]
+    fn crop_statistics_match_the_two_pass_oracle() {
+        for dims in [[16, 16, 16], [5, 7, 9], [41, 63, 95], [1, 1, 1]] {
+            let v = vol(dims);
+            let (got, want) = (intensity_stats(&v.voxels), two_pass_stats(&v.voxels));
+            assert!(within_one_ulp(got.0, want.0), "mean {got:?} {want:?}");
+            assert!(within_one_ulp(got.1, want.1), "1/std {got:?} {want:?}");
+        }
+        // Constant input: variance exactly 0, so the 1e-6 clamp decides.
+        let flat = vec![2.5f32; 1003];
+        assert_eq!(intensity_stats(&flat), two_pass_stats(&flat));
+        assert_eq!(intensity_stats(&flat), (2.5, 1e6));
+        assert_eq!(intensity_stats(&[]), two_pass_stats(&[]));
+        // Mean 1e4, σ 1e-2: raw sums of squares would lose the variance
+        // (1e8 against 1e-4) where the shifted ones keep it.
+        let mut rng = StdRng::seed_from_u64(5);
+        let normal = Ziggurat::get();
+        let far: Vec<f32> = (0..100_000)
+            .map(|_| (1e4 + 1e-2 * normal.sample(&mut rng)) as f32)
+            .collect();
+        let (got, want) = (intensity_stats(&far), two_pass_stats(&far));
+        assert!(within_one_ulp(got.0, want.0), "mean {got:?} {want:?}");
+        let rel = ((got.1 - want.1) / want.1).abs();
+        assert!(rel <= 1e-6, "1/std {got:?} {want:?}");
+    }
+
+    #[test]
+    fn crop_standardizes_the_window_it_copies() {
+        // Slice-wise row copies against the per-voxel definition.
+        let v = vol([20, 18, 16]);
+        let (mean, inv_std) = intensity_stats(&v.voxels);
+        let t = RandomCrop { target: [8, 8, 8] };
+        let c = match t.apply(v.clone(), &TransformCtx::unbounded()).unwrap() {
+            Outcome::Done(c) => c,
+            _ => panic!(),
+        };
+        // Recover the offset from the one window whose labels and
+        // standardized voxels all match.
+        let matches_at = |oz: usize, oy: usize, ox: usize| {
+            (0..8).all(|z| {
+                (0..8).all(|y| {
+                    (0..8).all(|x| {
+                        let src = v.index(z + oz, y + oy, x + ox);
+                        let dst = (z * 8 + y) * 8 + x;
+                        c.labels[dst] == v.labels[src]
+                            && c.voxels[dst] == (v.voxels[src] - mean) * inv_std
+                    })
+                })
+            })
+        };
+        let hits = (0..=12)
+            .flat_map(|oz| (0..=10).flat_map(move |oy| (0..=8).map(move |ox| (oz, oy, ox))))
+            .filter(|&(oz, oy, ox)| matches_at(oz, oy, ox))
+            .count();
+        assert_eq!(hits, 1, "exactly one source window reproduces the crop");
     }
 
     #[test]
