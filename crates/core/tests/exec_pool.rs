@@ -92,10 +92,15 @@ fn pool_delivers_the_samplers_ticket_set_exactly_once() {
 
 /// Defers every fourth sample on its deadline-bearing first run. The
 /// background resume holds its sample until two threads are resuming at
-/// once — with one slow worker and a temp queue too deep to fill (no
-/// backpressure helping), the second can only be a fast worker that
-/// joined the slow role after the source drained. Bounded, so a pool
-/// that never sends one fails the assertions instead of hanging.
+/// once. A second resumer has three possible sources: a fast worker
+/// helping inline because the temp queue is full, a fast worker
+/// *moonlighting* between two chunks because the backlog passed
+/// `TICKET_CHUNK × slow_workers` (8 with one slow worker), or a fast
+/// worker that joined the slow role after the source drained. The test
+/// below sizes its run to rule out the first two (a temp queue too deep
+/// to fill, eight deferred samples in all), so the third is the only one
+/// left. Bounded, so a pool that never sends one fails the assertions
+/// instead of hanging.
 struct DeferUntilHelped {
     resuming: AtomicUsize,
     max_resuming: AtomicUsize,
@@ -132,7 +137,9 @@ impl Transform<u32> for DeferUntilHelped {
 /// by its fast workers, and delivery stays exactly-once.
 #[test]
 fn fixed_pool_adopts_the_slow_backlog_at_drain() {
-    let (n, epochs) = (64u32, 2usize);
+    // 32 samples, every fourth deferred: a backlog of at most 8, which
+    // is the moonlight mark, not over it.
+    let (n, epochs) = (16u32, 2usize);
     let gate = Arc::new(DeferUntilHelped {
         resuming: AtomicUsize::new(0),
         max_resuming: AtomicUsize::new(0),

@@ -12,7 +12,8 @@ mod oracle;
 
 use minato_core::transform::{Outcome, Transform, TransformCtx};
 use minato_data::volume::{
-    intensity_stats, Cast, GaussianNoise, RandomBrightness, RandomCrop, RandomFlip, Volume3D,
+    intensity_stats, kernel_level, Cast, GaussianNoise, RandomBrightness, RandomCrop, RandomFlip,
+    Volume3D,
 };
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -77,6 +78,11 @@ fn main() {
         );
     }
     println!("volume kernels, {SAMPLES} cubes of side 40..96 cropped to 32^3, one thread");
+    // A generate or crop figure means nothing without the width it ran at.
+    println!(
+        "generate and crop statistics dispatched to: {}",
+        kernel_level()
+    );
     println!("{:<28}{:>12}{:>12}", "stage", "us/sample", "ns/voxel");
     let row = |name: &str, spent: Duration, voxels: usize| {
         let (us, ns) = (

@@ -5,6 +5,20 @@
 //! RandomBrightness → GaussianNoise → Cast — are real kernels doing O(n)
 //! work over the voxels, so preprocessing cost genuinely scales with
 //! volume size, reproducing the size/time correlation of §3.2.
+//!
+//! [`Volume3D::generate`] and [`intensity_stats`] are *multi-versioned*:
+//! written once and, on x86-64, compiled for the baseline, for AVX2 and
+//! for AVX-512; each call runs the widest version the CPU reports
+//! ([`kernel_level`]). Both are data-parallel over 64-bit lanes (SplitMix64
+//! draw `i` depends only on `seed + i·γ`; the statistics keep eight
+//! independent f64 sums), and baseline SSE2 has no 64-bit vector multiply
+//! and two f64 lanes. The other kernels are not: `GaussianNoise`'s
+//! ziggurat is a branchy table walk that measured slower built for
+//! AVX-512, and the rest touch only the crop's output in 32-bit loops SSE2
+//! already vectorises. All versions return the same bits — by construction
+//! (one Rust body, no intrinsics, `a*b + c` is never fused, the sums' lane
+//! order is fixed in the source) and by test (each version against the
+//! portable one, in release builds, where the vectoriser runs).
 
 use crate::dist::Ziggurat;
 use minato_core::error::{LoaderError, Result};
@@ -12,6 +26,85 @@ use minato_core::pool::{PoolSet, Reclaim};
 use minato_core::transform::{CostClass, InPlace, Outcome, Pipeline, Transform, TransformCtx};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::sync::Arc;
+
+/// A vector instruction level the multi-versioned kernels are compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Level {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+impl Level {
+    /// Widest first.
+    const ALL: [Level; 3] = [Level::Avx512, Level::Avx2, Level::Portable];
+
+    /// Whether the CPU reports every feature this level's kernels are
+    /// compiled with (std caches the answer: one relaxed load).
+    fn detected(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return match self {
+            Level::Avx512 => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512dq")
+                    && is_x86_feature_detected!("avx512vl")
+            }
+            Level::Avx2 => is_x86_feature_detected!("avx2"),
+            Level::Portable => true,
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        return self == Level::Portable;
+    }
+
+    /// The widest level `detected` accepts, the portable one if none.
+    fn widest(detected: impl Fn(Level) -> bool) -> Level {
+        let found = Level::ALL.into_iter().find(|&level| detected(level));
+        found.unwrap_or(Level::Portable)
+    }
+}
+
+/// The vector level [`Volume3D::generate`] and [`intensity_stats`] run at
+/// on this CPU: `"avx512"`, `"avx2"` or `"portable"`.
+pub fn kernel_level() -> &'static str {
+    match Level::widest(Level::detected) {
+        Level::Avx512 => "avx512",
+        Level::Avx2 => "avx2",
+        Level::Portable => "portable",
+    }
+}
+
+/// Defines `fn $at(level, args..)`: the `#[inline(always)]` kernel `$body`
+/// run at `level` — on x86-64 inside a function compiled with that level's
+/// features, which is all LLVM needs to vectorise the same source at that
+/// width — or as it is where the CPU does not report `level`.
+macro_rules! multiversion {
+    (fn $at:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $body:path) => {
+        fn $at(level: Level, $($arg: $ty),*) -> $ret {
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+            fn avx512($($arg: $ty),*) -> $ret {
+                $body($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) -> $ret {
+                $body($($arg),*)
+            }
+            match level {
+                // SAFETY: `detected` in this arm's guard: the CPU reports avx512f, avx512dq, avx512vl.
+                #[cfg(target_arch = "x86_64")]
+                Level::Avx512 if level.detected() => unsafe { avx512($($arg),*) },
+                // SAFETY: `detected` in this arm's guard: the CPU reports avx2.
+                #[cfg(target_arch = "x86_64")]
+                Level::Avx2 if level.detected() => unsafe { avx2($($arg),*) },
+                _ => $body($($arg),*),
+            }
+        }
+    };
+}
+
+multiversion!(fn generate_at(dims: [usize; 3], seed: u64) -> Volume3D = Volume3D::generate_kernel);
+multiversion!(fn intensity_stats_at(voxels: &[f32]) -> (f32, f32) = intensity_stats_kernel);
 
 /// A 3D scalar volume with a segmentation mask.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +123,11 @@ impl Volume3D {
     /// Generates a synthetic volume with a bright ellipsoidal "tumor"
     /// region (so segmentation labels are non-trivial).
     pub fn generate(dims: [usize; 3], seed: u64) -> Volume3D {
+        generate_at(Level::widest(Level::detected), dims, seed)
+    }
+
+    #[inline(always)]
+    fn generate_kernel(dims: [usize; 3], seed: u64) -> Volume3D {
         let [d, h, w] = dims;
         let n = d * h * w;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -111,6 +209,11 @@ impl Reclaim for Volume3D {
 /// variance does not cancel when the mean is far from zero, merged in lane
 /// order — the same bits whatever thread runs it.
 pub fn intensity_stats(voxels: &[f32]) -> (f32, f32) {
+    intensity_stats_at(Level::widest(Level::detected), voxels)
+}
+
+#[inline(always)]
+fn intensity_stats_kernel(voxels: &[f32]) -> (f32, f32) {
     const LANES: usize = 8;
     let shift = voxels.first().map_or(0.0, |&x| x as f64);
     let (mut s1, mut s2) = ([0.0f64; LANES], [0.0f64; LANES]);
@@ -247,17 +350,29 @@ impl RandomFlip {
                 }
             }
         }
+        let slab = h * w;
         if rng.random_bool(0.5) {
             // Flip along z: swap slabs.
-            let slab = h * w;
-            for z in 0..d / 2 {
-                let (a, b) = (z * slab, (d - 1 - z) * slab);
-                for i in 0..slab {
-                    v.voxels.swap(a + i, b + i);
-                    v.labels.swap(a + i, b + i);
-                }
+            reverse_blocks(&mut v.voxels, slab);
+            reverse_blocks(&mut v.labels, slab);
+        }
+        // Drawn last, so the x and z decisions keep their stream.
+        if rng.random_bool(0.5) {
+            // Flip along y: swap rows inside each slab.
+            for z in 0..d {
+                reverse_blocks(&mut v.voxels[z * slab..(z + 1) * slab], w);
+                reverse_blocks(&mut v.labels[z * slab..(z + 1) * slab], w);
             }
         }
+    }
+}
+
+/// Reverses the order of the `block`-long pieces of `buf`.
+fn reverse_blocks<T>(buf: &mut [T], block: usize) {
+    let n = buf.len().checked_div(block).unwrap_or(0);
+    for i in 0..n / 2 {
+        let (head, tail) = buf.split_at_mut((n - 1 - i) * block);
+        head[i * block..(i + 1) * block].swap_with_slice(&mut tail[..block]);
     }
 }
 
@@ -417,14 +532,76 @@ mod tests {
         assert_eq!(v.nbytes(), (16 * 16 * 16 * 5) as u64);
     }
 
+    /// Every level this CPU can run, the portable one included.
+    fn levels() -> impl Iterator<Item = Level> {
+        Level::ALL.into_iter().filter(|level| level.detected())
+    }
+
     /// Bit-for-bit: `Volume3D`'s `PartialEq` would let `-0.0 == 0.0` by.
+    /// The dispatched entry point against the full scan, and each version
+    /// compiled for this CPU against the portable one.
     fn assert_same_bits(dims: [usize; 3], seed: u64) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let got = Volume3D::generate(dims, seed);
         let (voxels, labels) = generate_full_scan(dims, seed);
         assert_eq!((got.dims, got.seed), (dims, seed));
         assert_eq!(got.labels, labels, "{dims:?} seed {seed}");
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got.voxels), bits(&voxels), "{dims:?} seed {seed}");
+        let portable = generate_at(Level::Portable, dims, seed);
+        for level in levels() {
+            let got = generate_at(level, dims, seed);
+            assert_eq!((got.dims, got.seed), (dims, seed));
+            assert_eq!(
+                got.labels, portable.labels,
+                "{level:?} {dims:?} seed {seed}"
+            );
+            let (got, want) = (bits(&got.voxels), bits(&portable.voxels));
+            assert_eq!(got, want, "{level:?} {dims:?} seed {seed}");
+        }
+    }
+
+    #[test]
+    fn dispatch_picks_the_widest_level_the_cpu_reports() {
+        assert_eq!(Level::widest(|_| false), Level::Portable);
+        assert_eq!(Level::widest(|level| level == Level::Avx2), Level::Avx2);
+        assert_eq!(Level::widest(|level| level != Level::Avx2), Level::Avx512);
+        assert_eq!(Level::widest(|_| true), Level::Avx512);
+        // On this CPU: a reported level, and the first such from the top.
+        let picked = Level::widest(Level::detected);
+        assert!(picked.detected());
+        assert_eq!(Some(picked), levels().next());
+        assert_eq!(kernel_level(), format!("{picked:?}").to_lowercase());
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(picked, Level::Portable);
+    }
+
+    /// Mean 1e4, σ 1e-2: raw sums of squares would lose the variance
+    /// (1e8 against 1e-4) where the shifted ones keep it.
+    fn far_from_zero() -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(5);
+        let normal = Ziggurat::get();
+        let draw = |_| (1e4 + 1e-2 * normal.sample(&mut rng)) as f32;
+        (0..100_000).map(draw).collect()
+    }
+
+    #[test]
+    fn every_level_returns_the_portable_statistics() {
+        let mut inputs: Vec<Vec<f32>> = [[16, 16, 16], [5, 7, 9], [41, 63, 95], [40, 40, 40]]
+            .into_iter()
+            .map(|dims| vol(dims).voxels)
+            .collect();
+        inputs.push(vec![2.5; 1003]);
+        // Empty, then every length around the eight-lane chunk and its tail.
+        inputs.extend((0..=17).map(|n| vol([1, 1, n]).voxels));
+        inputs.push(far_from_zero());
+        for voxels in &inputs {
+            let bits = |(mean, inv_std): (f32, f32)| (mean.to_bits(), inv_std.to_bits());
+            let want = bits(intensity_stats_at(Level::Portable, voxels));
+            for level in levels() {
+                let got = bits(intensity_stats_at(level, voxels));
+                assert_eq!(got, want, "{level:?}, {} voxels", voxels.len());
+            }
+        }
     }
 
     #[test]
@@ -468,13 +645,7 @@ mod tests {
         assert_eq!(intensity_stats(&flat), two_pass_stats(&flat));
         assert_eq!(intensity_stats(&flat), (2.5, 1e6));
         assert_eq!(intensity_stats(&[]), two_pass_stats(&[]));
-        // Mean 1e4, σ 1e-2: raw sums of squares would lose the variance
-        // (1e8 against 1e-4) where the shifted ones keep it.
-        let mut rng = StdRng::seed_from_u64(5);
-        let normal = Ziggurat::get();
-        let far: Vec<f32> = (0..100_000)
-            .map(|_| (1e4 + 1e-2 * normal.sample(&mut rng)) as f32)
-            .collect();
+        let far = far_from_zero();
         let (got, want) = (intensity_stats(&far), two_pass_stats(&far));
         assert!(within_one_ulp(got.0, want.0), "mean {got:?} {want:?}");
         let rel = ((got.1 - want.1) / want.1).abs();
@@ -544,6 +715,39 @@ mod tests {
     fn crop_rejects_zero_target() {
         let t = RandomCrop { target: [0, 8, 8] };
         assert!(t.apply(vol([8, 8, 8]), &TransformCtx::unbounded()).is_err());
+    }
+
+    #[test]
+    fn flip_maps_indices_along_the_drawn_axes() {
+        let dims @ [d, h, w] = [4, 6, 8];
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..64 {
+            let n = d * h * w;
+            let input = Volume3D {
+                dims,
+                voxels: (0..n).map(|i| i as f32).collect(),
+                labels: (0..n).map(|i| i as u8).collect(),
+                seed,
+            };
+            let mut out = input.clone();
+            RandomFlip::flip_in_place(&mut out);
+            // x and z keep the draws they had before y existed; y is third.
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xF11B);
+            let [fx, fz, fy] = [(); 3].map(|()| rng.random_bool(0.5));
+            seen.insert((fz, fy, fx));
+            let pick = |flip: bool, i: usize, len: usize| if flip { len - 1 - i } else { i };
+            for (z, y, x) in
+                (0..d).flat_map(|z| (0..h).flat_map(move |y| (0..w).map(move |x| (z, y, x))))
+            {
+                let (dst, src) = (
+                    out.index(z, y, x),
+                    input.index(pick(fz, z, d), pick(fy, y, h), pick(fx, x, w)),
+                );
+                assert_eq!(out.voxels[dst], input.voxels[src], "seed {seed}");
+                assert_eq!(out.labels[dst], input.labels[src], "seed {seed}");
+            }
+        }
+        assert_eq!(seen.len(), 8, "all eight flip combinations occur");
     }
 
     #[test]
