@@ -1,7 +1,8 @@
 //! Per-stage cost of the volume data path, one thread, over the side
 //! ladder the benchmark's `imgseg_kernels` workload uses (400 cubes,
 //! sides 40..96, cropped to 32³) — and a check, on every volume, that the
-//! bounded and fused kernels still agree with the loops they replaced.
+//! bounded, fused and blocked kernels still agree with the loops they
+//! replaced.
 //! Prints µs per sample and ns per voxel; asserts equalities only, never
 //! a time.
 //!
@@ -11,6 +12,7 @@
 mod oracle;
 
 use minato_core::transform::{Outcome, Transform, TransformCtx};
+use minato_data::dist::Ziggurat;
 use minato_data::volume::{
     intensity_stats, kernel_level, Cast, GaussianNoise, RandomBrightness, RandomCrop, RandomFlip,
     Volume3D,
@@ -57,17 +59,15 @@ fn main() {
     }
     // Checked in a pass of its own: the oracle's buffers between two
     // timed stages would change what the allocator hands the next one.
+    let same_bits = |a: &[f32], b: &[f32]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
+    };
+    let zig = Ziggurat::get();
     for (dims, seed) in (0..SAMPLES).map(ladder) {
         let v = Volume3D::generate(dims, seed);
         let (voxels, labels) = oracle::generate_full_scan(dims, seed);
         assert_eq!(v.labels, labels, "labels, {dims:?}");
-        assert!(
-            v.voxels
-                .iter()
-                .zip(&voxels)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "voxels, {dims:?}"
-        );
+        assert!(same_bits(&v.voxels, &voxels), "voxels, {dims:?}");
         let (got, want) = (
             intensity_stats(&v.voxels),
             oracle::two_pass_stats(&v.voxels),
@@ -76,11 +76,20 @@ fn main() {
             oracle::within_one_ulp(got.0, want.0) && oracle::within_one_ulp(got.1, want.1),
             "crop statistics, {dims:?}: {got:?} against {want:?}"
         );
+        // `GaussianNoise` seeds its draws with the volume's seed ^ 0x9015E.
+        let mut want = voxels;
+        oracle::noise_voxel_by_voxel(&mut want, noise.sigma, seed ^ 0x9015E, |b, rest| {
+            zig.finish(b, rest)
+        });
+        let Ok(Outcome::Done(got)) = noise.apply(v, &TransformCtx::unbounded()) else {
+            panic!("GaussianNoise did not complete")
+        };
+        assert!(same_bits(&got.voxels, &want), "noise, {dims:?}");
     }
     println!("volume kernels, {SAMPLES} cubes of side 40..96 cropped to 32^3, one thread");
-    // A generate or crop figure means nothing without the width it ran at.
+    // A kernel figure means nothing without the width it ran at.
     println!(
-        "generate and crop statistics dispatched to: {}",
+        "generate, crop statistics and noise dispatched to: {}",
         kernel_level()
     );
     println!("{:<28}{:>12}{:>12}", "stage", "us/sample", "ns/voxel");
@@ -95,5 +104,5 @@ fn main() {
     row("RandomCrop (input voxels)", cropping, voxels_in);
     row("GaussianNoise (32^3)", noising, voxels_out);
     row("flip+brightness+cast (32^3)", rest, voxels_out);
-    println!("generate and crop statistics match their oracles on all {SAMPLES} volumes");
+    println!("generate, crop statistics and noise match their oracles on all {SAMPLES} volumes");
 }

@@ -10,11 +10,16 @@
 //!   that feeds a figure uses it ([`Dist`], `spec.rs` and through them the
 //!   simulator), so its stream is pinned: the same seed must keep giving
 //!   the same variates.
-//! * `Ziggurat` — Marsaglia & Tsang's 128-layer ziggurat (J. Stat. Softw.
+//! * [`Ziggurat`] — Marsaglia & Tsang's 128-layer ziggurat (J. Stat. Softw.
 //!   5(8), 2000), one draw and no transcendental per variate on the common
-//!   path. Crate-private, for bulk per-voxel noise in the real kernels
+//!   path. For bulk per-voxel noise in the real kernels
 //!   (`volume::GaussianNoise`), where only the distribution and per-seed
-//!   determinism matter. Not for anything a simulator figure depends on.
+//!   determinism matter; public only so the `kernel_budget` example can
+//!   check that kernel. Not for anything a simulator figure depends on.
+//!   Its common path is branch-free and reads only the draw it is given,
+//!   so the noise kernel takes voxel `j`'s first draw by its counter `j`
+//!   — a whole block at a time — and finishes the ≈ 2.8 % it rejects one
+//!   by one from a second stream.
 
 use rand::Rng;
 use std::sync::OnceLock;
@@ -153,12 +158,14 @@ pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
 }
 
 /// Layer tables of the ziggurat normal sampler (see the module header).
-pub(crate) struct Ziggurat {
+pub struct Ziggurat {
     /// Right edge of each layer, decreasing: `x[0]` is the base strip's
     /// area-equivalent width `V / f(R)`, `x[1] = R`, `x[LAYERS] = 0`.
     x: [f64; Self::LAYERS + 1],
     /// `x[i + 1] / x[i]`: the share of layer `i` lying under the curve.
     ratio: [f64; Self::LAYERS],
+    /// `exp(-x[i]² / 2)`: the curve's height at each right edge.
+    f: [f64; Self::LAYERS + 1],
 }
 
 impl Ziggurat {
@@ -167,8 +174,8 @@ impl Ziggurat {
     const R: f64 = 3.442_619_855_899;
     const V: f64 = 9.912_563_035_262_17e-3;
 
-    /// The tables, built on first use (2 KB, shared by every thread).
-    pub(crate) fn get() -> &'static Ziggurat {
+    /// The tables, built on first use (3 KB, shared by every thread).
+    pub fn get() -> &'static Ziggurat {
         static TABLES: OnceLock<Ziggurat> = OnceLock::new();
         TABLES.get_or_init(|| {
             let mut x = [0.0; Self::LAYERS + 1];
@@ -180,39 +187,56 @@ impl Ziggurat {
                 f = (-0.5 * x[i] * x[i]).exp();
             }
             let ratio = std::array::from_fn(|i| x[i + 1] / x[i]);
-            Ziggurat { x, ratio }
+            let f = x.map(|x| (-0.5 * x * x).exp());
+            Ziggurat { x, ratio, f }
         })
     }
 
-    /// One standard-normal variate: one `next_u64` unless the draw lands
-    /// in a layer's wedge or the tail (≈ 2.8 % of draws together).
-    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+    /// The variate the 64-bit draw `bits` gives on the common path, and
+    /// whether that path accepts it (≈ 97.2 % of draws). Branch-free, so
+    /// a loop over it vectorises.
+    #[inline(always)]
+    pub(crate) fn first(&self, bits: u64) -> (f64, bool) {
+        // Low 7 bits pick the layer, the top 52 a signed position in
+        // [-1, 1), set as the mantissa of [1, 2) (no u64 → f64 convert).
+        let i = (bits & 0x7F) as usize;
+        let u = f64::from_bits(bits >> 12 | 1.0f64.to_bits()) * 2.0 - 3.0;
+        (u * self.x[i], u.abs() < self.ratio[i])
+    }
+
+    /// The standard-normal variate the draw `bits` starts: [`Ziggurat`]'s
+    /// common path if it accepts, else the wedge or tail test and as many
+    /// further tries as they take, drawn from `rng`.
+    pub fn finish<R: Rng>(&self, mut bits: u64, rng: &mut R) -> f64 {
         loop {
-            // Low 7 bits pick the layer, the top 53 a signed position.
-            let bits = rng.next_u64();
-            let i = (bits & 0x7F) as usize;
-            let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
-            if u.abs() < self.ratio[i] {
-                return u * self.x[i];
+            let (z, accepted) = self.first(bits);
+            if accepted {
+                return z;
             }
+            let i = (bits & 0x7F) as usize;
             if i == 0 {
                 // Beyond R: Marsaglia's exponential-rejection tail.
                 loop {
                     let a = (1.0 - rng.random::<f64>()).ln() / Self::R;
                     let b = (1.0 - rng.random::<f64>()).ln();
                     if -2.0 * b >= a * a {
-                        return if u < 0.0 { a - Self::R } else { Self::R - a };
+                        return if z < 0.0 { a - Self::R } else { Self::R - a };
                     }
                 }
             }
-            // Wedge between the layer's rectangle and the curve.
-            let x = u * self.x[i];
-            let f0 = (-0.5 * (self.x[i] * self.x[i] - x * x)).exp();
-            let f1 = (-0.5 * (self.x[i + 1] * self.x[i + 1] - x * x)).exp();
-            if f1 + rng.random::<f64>() * (f0 - f1) < 1.0 {
-                return x;
+            // Wedge: a height uniform over the layer's, under the curve?
+            let f = self.f[i + 1] + rng.random::<f64>() * (self.f[i] - self.f[i + 1]);
+            if f < (-0.5 * z * z).exp() {
+                return z;
             }
+            bits = rng.next_u64();
         }
+    }
+
+    /// One standard-normal variate, every draw from `rng`.
+    #[cfg(test)]
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+        self.finish(rng.next_u64(), rng)
     }
 }
 
@@ -220,7 +244,7 @@ impl Ziggurat {
 mod tests {
     use super::*;
     use minato_metrics::Summary;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
@@ -355,6 +379,16 @@ mod tests {
         );
         // P(|z| > R) ≈ 5.8e-4: the tail branch runs a few hundred times.
         assert!((300..900).contains(&in_tail), "{in_tail} tail draws");
+    }
+
+    #[test]
+    fn ziggurat_common_path_rejects_about_one_draw_in_36() {
+        // The share of voxels the noise kernel finishes one by one.
+        let (zig, mut r) = (Ziggurat::get(), rng());
+        let n = 1_000_000;
+        let rejected = (0..n).filter(|_| !zig.first(r.next_u64()).1).count();
+        let share = rejected as f64 / n as f64;
+        assert!((0.025..=0.031).contains(&share), "{share} finished scalar");
     }
 
     #[test]

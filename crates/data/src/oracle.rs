@@ -1,10 +1,10 @@
 //! Reference kernels the volume path is checked against: the loops
 //! `Volume3D::generate` and `RandomCrop` ran before they were bounded and
-//! fused. Compiled into the unit tests and, by path, into
-//! `examples/kernel_budget.rs` (hence no `crate::` paths) — never into
-//! the library.
+//! fused, and `GaussianNoise` one voxel at a time. Compiled into the unit
+//! tests and, by path, into `examples/kernel_budget.rs` (hence no
+//! `crate::` paths) — never into the library.
 
-use rand::{rngs::StdRng, RngExt, SeedableRng};
+use rand::{rngs::StdRng, RngCore, RngExt, SeedableRng};
 
 /// The voxels and labels of `Volume3D::generate`, with the ellipsoid test
 /// on every voxel.
@@ -46,6 +46,23 @@ pub fn two_pass_stats(voxels: &[f32]) -> (f32, f32) {
         .sum::<f64>()
         / n;
     (mean as f32, (1.0 / var.sqrt().max(1e-6)) as f32)
+}
+
+/// `GaussianNoise`'s noise kernel one voxel at a time, given
+/// `Ziggurat::finish` as `finish`: voxel `j` finishes draw `j` of
+/// `StdRng(seed)`, taking any further draws from the kernel's second
+/// stream.
+pub fn noise_voxel_by_voxel(
+    voxels: &mut [f32],
+    sigma: f32,
+    seed: u64,
+    finish: impl Fn(u64, &mut StdRng) -> f64,
+) {
+    let mut draws = StdRng::seed_from_u64(seed);
+    let mut rest = StdRng::seed_from_u64(seed ^ 0xD1B5_4A32_D192_ED03);
+    for x in voxels.iter_mut() {
+        *x += sigma * finish(draws.next_u64(), &mut rest) as f32;
+    }
 }
 
 /// Whether two finite floats (of one sign, unless equal) are at most one

@@ -6,25 +6,25 @@
 //! work over the voxels, so preprocessing cost genuinely scales with
 //! volume size, reproducing the size/time correlation of §3.2.
 //!
-//! [`Volume3D::generate`] and [`intensity_stats`] are *multi-versioned*:
-//! written once and, on x86-64, compiled for the baseline, for AVX2 and
-//! for AVX-512; each call runs the widest version the CPU reports
-//! ([`kernel_level`]). Both are data-parallel over 64-bit lanes (SplitMix64
-//! draw `i` depends only on `seed + i·γ`; the statistics keep eight
-//! independent f64 sums), and baseline SSE2 has no 64-bit vector multiply
-//! and two f64 lanes. The other kernels are not: `GaussianNoise`'s
-//! ziggurat is a branchy table walk that measured slower built for
-//! AVX-512, and the rest touch only the crop's output in 32-bit loops SSE2
-//! already vectorises. All versions return the same bits — by construction
-//! (one Rust body, no intrinsics, `a*b + c` is never fused, the sums' lane
-//! order is fixed in the source) and by test (each version against the
-//! portable one, in release builds, where the vectoriser runs).
+//! [`Volume3D::generate`], [`intensity_stats`] and [`GaussianNoise`]'s
+//! kernel are *multi-versioned*: written once and, on x86-64, compiled for
+//! the baseline, for AVX2 and for AVX-512; each call runs the widest
+//! version the CPU reports ([`kernel_level`]). All three are data-parallel
+//! over 64-bit lanes (SplitMix64 draw `i` depends only on `seed + i·γ`;
+//! the statistics keep eight independent f64 sums; the ziggurat's common
+//! path is branch-free), and baseline SSE2 has no 64-bit vector multiply,
+//! no gather and two f64 lanes. The other kernels touch only the crop's
+//! output in 32-bit loops SSE2 already vectorises. All versions return the
+//! same bits — by construction (one Rust body, no intrinsics, `a*b + c` is
+//! never fused, the sums' lane order is fixed in the source) and by test
+//! (each version against the portable one or a scalar reference, in
+//! release builds, where the vectoriser runs).
 
 use crate::dist::Ziggurat;
 use minato_core::error::{LoaderError, Result};
 use minato_core::pool::{PoolSet, Reclaim};
 use minato_core::transform::{CostClass, InPlace, Outcome, Pipeline, Transform, TransformCtx};
-use rand::{rngs::StdRng, RngExt, SeedableRng};
+use rand::{rngs::StdRng, RngCore, RngExt, SeedableRng};
 use std::sync::Arc;
 
 /// A vector instruction level the multi-versioned kernels are compiled for.
@@ -63,8 +63,9 @@ impl Level {
     }
 }
 
-/// The vector level [`Volume3D::generate`] and [`intensity_stats`] run at
-/// on this CPU: `"avx512"`, `"avx2"` or `"portable"`.
+/// The vector level [`Volume3D::generate`], [`intensity_stats`] and
+/// [`GaussianNoise`] run at on this CPU: `"avx512"`, `"avx2"` or
+/// `"portable"`.
 pub fn kernel_level() -> &'static str {
     match Level::widest(Level::detected) {
         Level::Avx512 => "avx512",
@@ -78,16 +79,16 @@ pub fn kernel_level() -> &'static str {
 /// features, which is all LLVM needs to vectorise the same source at that
 /// width — or as it is where the CPU does not report `level`.
 macro_rules! multiversion {
-    (fn $at:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $body:path) => {
-        fn $at(level: Level, $($arg: $ty),*) -> $ret {
+    (fn $at:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? = $body:path) => {
+        fn $at(level: Level, $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-            fn avx512($($arg: $ty),*) -> $ret {
+            fn avx512($($arg: $ty),*) $(-> $ret)? {
                 $body($($arg),*)
             }
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2")]
-            fn avx2($($arg: $ty),*) -> $ret {
+            fn avx2($($arg: $ty),*) $(-> $ret)? {
                 $body($($arg),*)
             }
             match level {
@@ -105,6 +106,7 @@ macro_rules! multiversion {
 
 multiversion!(fn generate_at(dims: [usize; 3], seed: u64) -> Volume3D = Volume3D::generate_kernel);
 multiversion!(fn intensity_stats_at(voxels: &[f32]) -> (f32, f32) = intensity_stats_kernel);
+multiversion!(fn add_noise_at(voxels: &mut [f32], sigma: f32, seed: u64) = add_noise_kernel);
 
 /// A 3D scalar volume with a segmentation mask.
 #[derive(Debug, Clone, PartialEq)]
@@ -438,10 +440,40 @@ pub struct GaussianNoise {
 
 impl GaussianNoise {
     fn add_noise_in_place(&self, v: &mut Volume3D) {
-        let mut rng = StdRng::seed_from_u64(v.seed ^ 0x9015E);
-        let normal = Ziggurat::get();
-        for x in v.voxels.iter_mut() {
-            *x += self.sigma * normal.sample(&mut rng) as f32;
+        let level = Level::widest(Level::detected);
+        add_noise_at(level, &mut v.voxels, self.sigma, v.seed ^ 0x9015E);
+    }
+}
+
+/// Adds `sigma` times a standard normal to each voxel, 64 voxels at a
+/// time: one branch-free pass starts voxel `j`'s ziggurat from draw `j` of
+/// `StdRng(seed)` (draw `j` depends only on `j`, so the pass vectorises),
+/// the ≈ 2.8 % it rejects are finished in voxel order from a second
+/// stream, `StdRng(seed ^ 0xD1B5_4A32_D192_ED03)`, and one more pass adds
+/// the noise.
+#[inline(always)]
+fn add_noise_kernel(voxels: &mut [f32], sigma: f32, seed: u64) {
+    const BLOCK: usize = 64;
+    let zig = Ziggurat::get();
+    let mut draws = StdRng::seed_from_u64(seed);
+    let mut rest = StdRng::seed_from_u64(seed ^ 0xD1B5_4A32_D192_ED03);
+    let (mut bits, mut noise) = ([0u64; BLOCK], [0.0f64; BLOCK]);
+    for block in voxels.chunks_mut(BLOCK) {
+        let (bits, noise) = (&mut bits[..block.len()], &mut noise[..block.len()]);
+        let mut rejected = 0u64;
+        for (j, (b, z)) in bits.iter_mut().zip(noise.iter_mut()).enumerate() {
+            *b = draws.next_u64();
+            let accepted;
+            (*z, accepted) = zig.first(*b);
+            rejected |= u64::from(!accepted) << j;
+        }
+        while rejected != 0 {
+            let j = rejected.trailing_zeros() as usize;
+            noise[j] = zig.finish(bits[j], &mut rest);
+            rejected &= rejected - 1;
+        }
+        for (x, &z) in block.iter_mut().zip(noise.iter()) {
+            *x += sigma * z as f32;
         }
     }
 }
@@ -467,16 +499,19 @@ impl Transform<Volume3D> for GaussianNoise {
 }
 
 /// Quantizes voxels to half-precision-representable values (the paper's
-/// `Cast` step; Neutral).
+/// `Cast` step; Neutral): each keeps 10 mantissa bits, rounded to nearest,
+/// ties to even, as a float16 cast rounds. f16's exponent range is not
+/// applied — the voxels are standardised, so |x| ≪ 65504.
 pub struct Cast;
 
 impl Cast {
     fn cast_in_place(v: &mut Volume3D) {
         for x in v.voxels.iter_mut() {
-            // Round-trip through f16-equivalent precision (10-bit
-            // mantissa) without a half-float dependency.
-            let bits = x.to_bits() & 0xFFFF_E000;
-            *x = f32::from_bits(bits);
+            // Half the dropped 13 bits' range, less one, plus the kept
+            // mantissa's last bit: a tie carries only into an odd one.
+            let b = x.to_bits();
+            let rounded = b.wrapping_add(0x0FFF + ((b >> 13) & 1)) & 0xFFFF_E000;
+            *x = f32::from_bits(rounded);
         }
     }
 }
@@ -515,12 +550,17 @@ pub fn segmentation_pipeline(target: [usize; 3]) -> Pipeline<Volume3D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{generate_full_scan, two_pass_stats, within_one_ulp};
+    use crate::oracle::{generate_full_scan, noise_voxel_by_voxel, two_pass_stats, within_one_ulp};
     use minato_core::transform::PipelineRun;
     use proptest::prelude::*;
 
     fn vol(dims: [usize; 3]) -> Volume3D {
         Volume3D::generate(dims, 7)
+    }
+
+    /// Bit for bit: `f32`'s `==` would let `-0.0 == 0.0` by.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -537,11 +577,9 @@ mod tests {
         Level::ALL.into_iter().filter(|level| level.detected())
     }
 
-    /// Bit-for-bit: `Volume3D`'s `PartialEq` would let `-0.0 == 0.0` by.
     /// The dispatched entry point against the full scan, and each version
-    /// compiled for this CPU against the portable one.
+    /// compiled for this CPU against the portable one, bit for bit.
     fn assert_same_bits(dims: [usize; 3], seed: u64) {
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let got = Volume3D::generate(dims, seed);
         let (voxels, labels) = generate_full_scan(dims, seed);
         assert_eq!((got.dims, got.seed), (dims, seed));
@@ -782,25 +820,88 @@ mod tests {
         }
     }
 
+    /// The noise kernel at every level this CPU runs against the
+    /// one-voxel-at-a-time reference, bit for bit.
+    fn assert_noise_matches_the_reference(voxels: &[f32], seed: u64) {
+        let zig = Ziggurat::get();
+        let mut want = voxels.to_vec();
+        noise_voxel_by_voxel(&mut want, 0.05, seed, |b, rest| zig.finish(b, rest));
+        let (want, n) = (bits(&want), voxels.len());
+        for level in levels() {
+            let mut got = voxels.to_vec();
+            add_noise_at(level, &mut got, 0.05, seed);
+            assert_eq!(bits(&got), want, "{level:?}, {n} voxels, seed {seed}");
+        }
+    }
+
     #[test]
-    fn noise_changes_values_deterministically() {
-        let v = vol([4, 4, 4]);
-        let a = match (GaussianNoise { sigma: 0.1 })
-            .apply(v.clone(), &TransformCtx::unbounded())
-            .unwrap()
-        {
-            Outcome::Done(x) => x,
-            _ => panic!(),
+    fn noise_matches_the_scalar_reference_at_every_level() {
+        // Empty, below one block, one 64-voxel block, its tail, two blocks.
+        for n in 0..=130 {
+            assert_noise_matches_the_reference(&vol([1, 1, n]).voxels, n as u64);
+        }
+        let v = vol([32, 32, 32]);
+        let seed = v.seed ^ 0x9015E;
+        assert_noise_matches_the_reference(&v.voxels, seed);
+        // Dispatched, by value and in place: the reference's bytes.
+        let (noise, ctx) = (GaussianNoise { sigma: 0.05 }, TransformCtx::unbounded());
+        let mut in_place = v.clone();
+        noise.apply_mut(&mut in_place, &ctx).unwrap();
+        let Outcome::Done(by_value) = noise.apply(v.clone(), &ctx).unwrap() else {
+            panic!("noise always completes")
         };
-        let b = match (GaussianNoise { sigma: 0.1 })
-            .apply(v.clone(), &TransformCtx::unbounded())
-            .unwrap()
-        {
-            Outcome::Done(x) => x,
-            _ => panic!(),
-        };
-        assert_eq!(a.voxels, b.voxels, "same seed, same noise");
-        assert_ne!(a.voxels, v.voxels, "noise applied");
+        let mut want = v.voxels;
+        let zig = Ziggurat::get();
+        noise_voxel_by_voxel(&mut want, 0.05, seed, |b, rest| zig.finish(b, rest));
+        assert_eq!(bits(&by_value.voxels), bits(&want));
+        assert_eq!(bits(&in_place.voxels), bits(&want));
+    }
+
+    proptest! {
+        #[test]
+        fn noise_matches_the_scalar_reference_on_random_lengths(
+            n in 0usize..5000,
+            seed in 0u64..u64::MAX,
+        ) {
+            assert_noise_matches_the_reference(&vol([1, 1, n]).voxels, seed);
+        }
+    }
+
+    #[test]
+    fn noise_is_sigma_times_a_standard_normal() {
+        // Zero volumes, so each voxel is its noise; σ a power of two, so
+        // x / σ is exact. Tolerances: `dist`'s `ziggurat_is_standard_normal`.
+        let sigma = 0.25;
+        let (mut s1, mut s2, mut s4, mut beyond_2) = (0.0f64, 0.0f64, 0.0f64, 0u32);
+        for seed in 0..8 {
+            let n = 125_000;
+            let (voxels, labels) = (vec![0.0; n], vec![0; n]);
+            let mut v = Volume3D {
+                dims: [50, 50, 50],
+                voxels,
+                labels,
+                seed,
+            };
+            GaussianNoise { sigma }.add_noise_in_place(&mut v);
+            for &x in &v.voxels {
+                let z = f64::from(x / sigma);
+                s1 += z;
+                s2 += z * z;
+                s4 += z * z * z * z;
+                beyond_2 += u32::from(z.abs() > 2.0);
+            }
+        }
+        let n = 1e6;
+        let (mean, var) = (s1 / n, s2 / n - (s1 / n) * (s1 / n));
+        assert!(mean.abs() < 4e-3, "mean {mean}");
+        assert!((var - 1.0).abs() < 6e-3, "variance {var}");
+        let kurtosis = s4 / n / (var * var);
+        assert!((kurtosis - 3.0).abs() < 0.03, "kurtosis {kurtosis}");
+        let tail_mass = f64::from(beyond_2) / n;
+        assert!(
+            (tail_mass - 0.0455).abs() < 1e-3,
+            "P(|z| > 2) = {tail_mass}"
+        );
     }
 
     #[test]
@@ -808,12 +909,32 @@ mod tests {
         let mut v = vol([2, 2, 2]);
         v.voxels[0] = 1.000_123;
         match Cast.apply(v, &TransformCtx::unbounded()).unwrap() {
-            Outcome::Done(c) => {
-                assert_ne!(c.voxels[0], 1.000_123);
-                assert!((c.voxels[0] - 1.0).abs() < 0.01);
-            }
+            Outcome::Done(c) => assert_eq!(c.voxels[0], 1.0),
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn cast_rounds_to_nearest_even() {
+        // (input, output) bits: 13 dropped bits just below, at and above
+        // half of their range, under an even and an odd kept mantissa,
+        // and a tie that carries into the exponent (→ 2.0).
+        let cases = [
+            (0x3F80_0FFF, 0x3F80_0000),
+            (0x3F80_1000, 0x3F80_0000),
+            (0x3F80_1001, 0x3F80_2000),
+            (0x3F80_2FFF, 0x3F80_2000),
+            (0x3F80_3000, 0x3F80_4000),
+            (0x3F80_3001, 0x3F80_4000),
+            (0x3FFF_F000, 0x4000_0000),
+        ];
+        let sign = 0x8000_0000u32;
+        let input: Vec<u32> = cases.iter().flat_map(|&(i, _)| [i, i | sign]).collect();
+        let want: Vec<u32> = cases.iter().flat_map(|&(_, o)| [o, o | sign]).collect();
+        let mut v = vol([1, 1, input.len()]);
+        v.voxels = input.iter().map(|&b| f32::from_bits(b)).collect();
+        Cast::cast_in_place(&mut v);
+        assert_eq!(bits(&v.voxels), want);
     }
 
     #[test]
