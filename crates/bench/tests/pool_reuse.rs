@@ -66,7 +66,6 @@ fn pool_reuse_run(pooled: bool) -> (f64, f64) {
     let mut builder = MinatoLoader::builder(ds, Pipeline::new(stages))
         .batch_size(8)
         .shuffle(false)
-        .queue_capacity(32)
         .timeout_policy(TimeoutPolicy::Disabled)
         .initial_workers(3)
         .max_workers(3)

@@ -5,7 +5,7 @@
 //! *within* an epoch, but a vanilla multi-epoch run re-pays the full
 //! preprocessing cost — including the slow path — for the same samples
 //! every epoch. With a cache configured (builder knobs
-//! `cache_budget_bytes` / `cache_policy` / `cache_shards`), loader
+//! `cache_budget_bytes` / `cache_policy` / `cache_weigher`), loader
 //! workers consult the cache before loading a sample; a hit is delivered
 //! straight onto the fast path, bypassing the dataset, the pipeline,
 //! *and* timeout classification. On a miss, the completion path (fast

@@ -6,18 +6,15 @@
 //! operators exact counts of what the loader survived. A
 //! [`FaultInjector`] installed via
 //! [`MinatoLoaderBuilder::fault_injector`](crate::loader::MinatoLoaderBuilder::fault_injector)
-//! is consulted once per sample execution *attempt* on both the fast
-//! and slow paths; a failing sample is re-attempted with exponential
-//! backoff up to the configured retry budget
-//! ([`MinatoLoaderBuilder::retry_budget`](crate::loader::MinatoLoaderBuilder::retry_budget),
-//! default 2) before the loader quarantines it and keeps delivering,
-//! surfacing the tally as
+//! is consulted once per sample execution on both the fast and slow
+//! paths; a failing sample is quarantined on its first failure and the
+//! loader keeps delivering, surfacing the tally as
 //! [`LoaderStats::faults`](crate::stats::LoaderStats).
 
 /// Where in the pipeline a fault decision is being made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// First-attempt execution in `FastStep` (foreground workers).
+    /// Load and deadline-bearing run in `FastStep` (foreground workers).
     Fast,
     /// Background completion in `SlowStep`/helpers (`complete_one`).
     Slow,
@@ -61,20 +58,6 @@ pub struct FaultStats {
     /// Batches that skipped at least one full/wedged consumer queue and
     /// were delivered to another GPU instead.
     pub rerouted: u64,
-    /// Extra execution attempts spent on transiently failing samples
-    /// (each failed attempt below the retry budget counts one).
-    pub retried: u64,
-    /// Samples whose retry budget ran out — every attempt failed, and
-    /// only then was the sample quarantined.
-    pub gave_up: u64,
-}
-
-impl FaultStats {
-    /// Total faults of all kinds (reroutes excluded — those samples
-    /// were still delivered).
-    pub fn total_quarantined(&self) -> u64 {
-        self.quarantined
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +73,5 @@ mod tests {
     fn stats_default_is_zero() {
         let s = FaultStats::default();
         assert_eq!(s.panics + s.poisoned + s.quarantined + s.rerouted, 0);
-        assert_eq!(s.retried + s.gave_up, 0);
-        assert_eq!(s.total_quarantined(), 0);
     }
 }

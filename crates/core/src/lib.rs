@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::dataset::{Dataset, EpochSampler, FnDataset, Sampler, VecDataset};
     pub use crate::error::{LoaderError, Result};
     pub use crate::fault::{FaultAction, FaultInjector, FaultSite, FaultStats};
-    pub use crate::loader::{ErrorPolicy, LoaderConfig, MinatoLoader, MinatoLoaderBuilder};
+    pub use crate::loader::{LoaderConfig, MinatoLoader, MinatoLoaderBuilder};
     pub use crate::pool::{
         BufferPool, PoolConfig, PoolRecycler, PoolSet, PoolSetStats, PoolStats, Reclaim,
         SampleRecycler,

@@ -42,23 +42,16 @@ use crate::worker::{
     BatchStep, ExecRoles, FastStep, Runtime, SlowStep, TracerStageObserver, Q_BATCH0,
 };
 use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec};
-use minato_trace::{Collector, EventKind, TraceConfig, Tracer};
+use minato_trace::{Collector, EventKind, TraceConfig, Tracer, RING_CAPACITY};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What to do when a dataset or transform errors on one sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorPolicy {
-    /// Count the error, remember the first one, and continue with the
-    /// remaining samples (default).
-    Skip,
-    /// Stop the loader; the error is reported by
-    /// [`MinatoLoader::first_error`].
-    Fail,
-}
+/// Lock-striped shards of the sample cache; each enforces
+/// `cache_budget_bytes / CACHE_SHARDS` independently.
+const CACHE_SHARDS: usize = 8;
 
 /// Fully resolved loader configuration (see [`MinatoLoaderBuilder`]).
 #[derive(Debug, Clone)]
@@ -81,12 +74,12 @@ pub struct LoaderConfig {
     pub slow_workers: usize,
     /// Batch-construction workers.
     pub batch_workers: usize,
-    /// Capacity of fast/slow/temp queues (paper: 100).
+    /// Capacity of fast/slow/temp queues. Fixed at the paper's 100
+    /// (§5.1); no builder method sets it.
     pub queue_capacity: usize,
-    /// Capacity of each per-GPU batch queue (paper: prefetch factor 2).
+    /// Capacity of each per-GPU batch queue. Fixed at the paper's
+    /// prefetch factor of 2 (§5.1); no builder method sets it.
     pub prefetch_factor: usize,
-    /// Drop the final partial batch.
-    pub drop_last: bool,
     /// Balancer timeout policy.
     pub timeout_policy: TimeoutPolicy,
     /// Warm-up samples before the adaptive timeout activates.
@@ -113,17 +106,12 @@ pub struct LoaderConfig {
     pub starvation_wait: Duration,
     /// Strict sampler-order mode (§6); disables fast/slow classification.
     pub order_preserving: bool,
-    /// Per-sample error handling.
-    pub error_policy: ErrorPolicy,
     /// Byte budget of the cross-epoch sample cache; 0 disables caching
     /// (the default — behavior and stats are then identical to a
     /// cache-less build).
     pub cache_budget_bytes: u64,
     /// Eviction policy of the sample cache.
     pub cache_policy: EvictionPolicy,
-    /// Lock-striped shards of the sample cache; each enforces
-    /// `cache_budget_bytes / cache_shards` independently.
-    pub cache_shards: usize,
     /// Byte budget of the sample buffer pool; 0 disables pooling (the
     /// default — behavior is then byte-identical to a pool-less build:
     /// by-value transform execution, no recycle hook on batches).
@@ -136,13 +124,6 @@ pub struct LoaderConfig {
     /// then byte-identical to an untraced build; every record site
     /// compiles down to one skipped branch).
     pub trace: TraceConfig,
-    /// Re-attempts a failing sample gets before it is quarantined
-    /// (panics and errors alike); 0 restores first-failure quarantine.
-    pub retry_budget: usize,
-    /// Base delay of the exponential retry backoff
-    /// (`retry_backoff · 2^(attempt−1)`, capped at 50 ms); zero
-    /// retries immediately.
-    pub retry_backoff: Duration,
 }
 
 impl LoaderConfig {
@@ -213,22 +194,17 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 batch_workers: 1,
                 queue_capacity: 100,
                 prefetch_factor: 2,
-                drop_last: false,
                 timeout_policy: TimeoutPolicy::paper_default(),
                 warmup_samples: 32,
                 adaptive_workers: true,
                 scheduler: SchedulerConfig::paper_default(max_workers),
                 starvation_wait: Duration::from_millis(1),
                 order_preserving: false,
-                error_policy: ErrorPolicy::Skip,
                 cache_budget_bytes: 0,
                 cache_policy: EvictionPolicy::CostAware,
-                cache_shards: 8,
                 pool_budget_bytes: 0,
                 checkpointing: false,
                 trace: TraceConfig::default(),
-                retry_budget: 2,
-                retry_backoff: Duration::from_micros(200),
             },
         }
     }
@@ -287,24 +263,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Capacity of fast/slow/temp queues.
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.cfg.queue_capacity = n;
-        self
-    }
-
-    /// Batches buffered per GPU (prefetching).
-    pub fn prefetch_factor(mut self, n: usize) -> Self {
-        self.cfg.prefetch_factor = n;
-        self
-    }
-
-    /// Drop the final partial batch.
-    pub fn drop_last(mut self, yes: bool) -> Self {
-        self.cfg.drop_last = yes;
-        self
-    }
-
     /// Balancer timeout policy (adaptive P75 by default).
     pub fn timeout_policy(mut self, p: TimeoutPolicy) -> Self {
         self.cfg.timeout_policy = p;
@@ -339,12 +297,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         if yes {
             self.cfg.timeout_policy = TimeoutPolicy::Disabled;
         }
-        self
-    }
-
-    /// Per-sample error handling.
-    pub fn error_policy(mut self, p: ErrorPolicy) -> Self {
-        self.cfg.error_policy = p;
         self
     }
 
@@ -395,27 +347,10 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// Installs a fault injector consulted once per sample execution at
     /// the fast and slow sites — the chaos-testing hook of
     /// [`crate::fault`]. Injected panics and poisoned samples are
-    /// quarantined and counted in [`LoaderStats::faults`].
+    /// quarantined on that first failure and counted in
+    /// [`LoaderStats::faults`].
     pub fn fault_injector(mut self, inj: Arc<dyn FaultInjector>) -> Self {
         self.injector = Some(inj);
-        self
-    }
-
-    /// Re-attempts a failing sample gets before quarantine (default 2;
-    /// 0 restores first-failure quarantine). Extra attempts and
-    /// exhausted budgets surface as
-    /// [`FaultStats::retried`](crate::fault::FaultStats::retried) /
-    /// [`FaultStats::gave_up`](crate::fault::FaultStats::gave_up).
-    pub fn retry_budget(mut self, n: usize) -> Self {
-        self.cfg.retry_budget = n;
-        self
-    }
-
-    /// Base delay of the exponential retry backoff (default 200 µs;
-    /// attempt *k* waits `base · 2^(k−1)`, capped at 50 ms). Zero
-    /// retries immediately.
-    pub fn retry_backoff(mut self, base: Duration) -> Self {
-        self.cfg.retry_backoff = base;
         self
     }
 
@@ -458,15 +393,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Overrides the delivery-side recycle hook attached to emitted
-    /// batches (defaults to routing through the sample's [`Reclaim`]
-    /// impl). Useful for counting reclaims in tests or routing buffers
-    /// to a custom allocator.
-    pub fn sample_recycler(mut self, r: Arc<dyn SampleRecycler<D::Sample>>) -> Self {
-        self.recycler = Some(r);
-        self
-    }
-
     fn ensure_cache_factory(&mut self)
     where
         D::Sample: Clone + Sync,
@@ -476,7 +402,7 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 Arc::new(ClonedSampleCache::with_weigher(
                     CacheConfig {
                         budget_bytes: cfg.cache_budget_bytes,
-                        shards: cfg.cache_shards,
+                        shards: CACHE_SHARDS,
                         policy: cfg.cache_policy,
                     },
                     weigher,
@@ -511,17 +437,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         D::Sample: Clone + Sync,
     {
         self.cfg.cache_policy = p;
-        self.ensure_cache_factory();
-        self
-    }
-
-    /// Lock-striped shards of the sample cache (default 8). Each shard
-    /// independently enforces `cache_budget_bytes / cache_shards`.
-    pub fn cache_shards(mut self, n: usize) -> Self
-    where
-        D::Sample: Clone + Sync,
-    {
-        self.cfg.cache_shards = n;
         self.ensure_cache_factory();
         self
     }
@@ -569,22 +484,11 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         if cfg.batch_workers == 0 {
             return Err(LoaderError::Config("batch_workers must be positive".into()));
         }
-        if cfg.queue_capacity == 0 || cfg.prefetch_factor == 0 {
-            return Err(LoaderError::Config(
-                "queue capacities must be positive".into(),
-            ));
-        }
-        if cfg.cache_budget_bytes > 0 {
-            if cfg.cache_shards == 0 {
-                return Err(LoaderError::Config("cache_shards must be positive".into()));
-            }
-            if cfg.cache_budget_bytes < cfg.cache_shards as u64 {
-                return Err(LoaderError::Config(
-                    "cache_budget_bytes must be at least cache_shards (each shard \
-                     needs a non-zero budget slice)"
-                        .into(),
-                ));
-            }
+        if cfg.cache_budget_bytes > 0 && cfg.cache_budget_bytes < CACHE_SHARDS as u64 {
+            return Err(LoaderError::Config(format!(
+                "cache_budget_bytes must be at least {CACHE_SHARDS} (each cache shard \
+                 needs a non-zero budget slice)"
+            )));
         }
         if let Some(ck) = &self.resume {
             if ck.version != CHECKPOINT_VERSION {
@@ -717,14 +621,10 @@ impl<D: Dataset> MinatoLoader<D> {
         }
         rt.pools = pools;
         let trace_collect = if cfg.trace.enabled {
-            let workers = if cfg.trace.max_workers > 0 {
-                cfg.trace.max_workers
-            } else {
-                // Every pool worker plus per-GPU consumers, the monitor,
-                // and slack for helper threads stepping in.
-                exec.config().threads + cfg.num_gpus + 4
-            };
-            let t = Arc::new(Tracer::new(rt.started_at, workers, cfg.trace.ring_capacity));
+            // Every pool worker plus per-GPU consumers, the monitor, and
+            // slack for helper threads stepping in.
+            let workers = exec.config().threads + cfg.num_gpus + 4;
+            let t = Arc::new(Tracer::new(rt.started_at, workers, RING_CAPACITY));
             // Pool acquisitions report hit/miss through the first
             // observer installed on the set (first-setter-wins on shared
             // pools).
@@ -1055,8 +955,8 @@ impl<D: Dataset> MinatoLoader<D> {
         self.trace.lock().clone()
     }
 
-    /// First error encountered (with `ErrorPolicy::Skip`, training
-    /// continued past it).
+    /// First error encountered (the failing sample was skipped and
+    /// training continued past it).
     pub fn first_error(&self) -> Option<LoaderError> {
         self.rt.first_error.lock().clone()
     }
@@ -1304,19 +1204,7 @@ mod tests {
             Err(LoaderError::Config(_))
         ));
         assert!(matches!(
-            MinatoLoader::builder(ds.clone(), p.clone())
-                .epochs(0)
-                .build(),
-            Err(LoaderError::Config(_))
-        ));
-        assert!(matches!(
-            MinatoLoader::builder(ds.clone(), p.clone())
-                .queue_capacity(0)
-                .build(),
-            Err(LoaderError::Config(_))
-        ));
-        assert!(matches!(
-            MinatoLoader::builder(ds, p).prefetch_factor(0).build(),
+            MinatoLoader::builder(ds, p).epochs(0).build(),
             Err(LoaderError::Config(_))
         ));
     }
@@ -1325,29 +1213,21 @@ mod tests {
     fn builder_rejects_degenerate_cache_config() {
         let ds = VecDataset::new(vec![1u32]);
         let p: Pipeline<u32> = Pipeline::identity();
-        assert!(matches!(
-            MinatoLoader::builder(ds.clone(), p.clone())
-                .cache_budget_bytes(1024)
-                .cache_shards(0)
-                .build(),
-            Err(LoaderError::Config(_))
-        ));
         // A budget smaller than the shard count gives every shard a
         // zero-byte slice: nothing could ever be admitted.
         assert!(matches!(
             MinatoLoader::builder(ds.clone(), p.clone())
                 .cache_budget_bytes(4)
-                .cache_shards(8)
                 .build(),
             Err(LoaderError::Config(_))
         ));
         // Setting only non-budget cache knobs leaves the cache disabled.
         let loader = MinatoLoader::builder(ds, p)
-            .cache_shards(0)
+            .cache_policy(EvictionPolicy::Lru)
             .initial_workers(1)
             .max_workers(1)
             .build()
-            .expect("cache disabled: shard knob alone must not reject");
+            .expect("cache disabled: policy knob alone must not reject");
         assert!(loader.stats().cache.is_none());
     }
 
@@ -1397,24 +1277,6 @@ mod tests {
             .unwrap();
         let total: usize = loader.iter().map(|b| b.len()).sum();
         assert_eq!(total, 30);
-    }
-
-    #[test]
-    fn drop_last_discards_partial() {
-        let loader = {
-            let ds = VecDataset::new((0..10u32).collect::<Vec<_>>());
-            let p: Pipeline<u32> = Pipeline::identity();
-            MinatoLoader::builder(ds, p)
-                .batch_size(4)
-                .drop_last(true)
-                .initial_workers(2)
-                .max_workers(2)
-                .build()
-                .unwrap()
-        };
-        let sizes: Vec<usize> = loader.iter().map(|b| b.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 8, "partial batch dropped");
-        assert!(sizes.iter().all(|&s| s == 4));
     }
 
     /// Transform that burns ~`cost_ms` per sample, cooperating with the
@@ -1562,7 +1424,6 @@ mod tests {
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(4)
             .num_gpus(2)
-            .prefetch_factor(2)
             .initial_workers(2)
             .max_workers(2)
             .build()
@@ -1571,7 +1432,7 @@ mod tests {
         while let Some(b) = loader.next_batch(1) {
             gpu1_samples += b.len();
         }
-        // GPU 0 can absorb at most prefetch_factor batches; everything
+        // GPU 0 can absorb at most its two-batch queue; everything
         // else must have been delivered to the live consumer.
         assert!(
             gpu1_samples >= 64 - 2 * 4,
@@ -1602,32 +1463,6 @@ mod tests {
         let delivered: usize = loader.iter().map(|b| b.len()).sum();
         assert_eq!(delivered, 15);
         assert_eq!(loader.stats().errors, 5);
-        assert!(loader.first_error().is_some());
-    }
-
-    #[test]
-    fn fail_policy_stops_early() {
-        let ds = crate::dataset::FnDataset::new(1000, |i| {
-            if i == 3 {
-                Err(LoaderError::Dataset {
-                    index: i,
-                    msg: "fatal".into(),
-                })
-            } else {
-                Ok(i as u32)
-            }
-        });
-        let p: Pipeline<u32> = Pipeline::identity();
-        let loader = MinatoLoader::builder(ds, p)
-            .batch_size(10)
-            .shuffle(false)
-            .initial_workers(1)
-            .max_workers(1)
-            .error_policy(ErrorPolicy::Fail)
-            .build()
-            .unwrap();
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert!(delivered < 1000, "must stop before the full dataset");
         assert!(loader.first_error().is_some());
     }
 

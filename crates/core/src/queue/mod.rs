@@ -124,7 +124,7 @@ pub struct MinatoQueue<T> {
     // the re-acquisition every condvar wait ends with. Monitoring-only
     // accessors (`len`, `is_closed`, ...) are not counted: the counter
     // measures the synchronization cost of moving items, the quantity
-    // the `queue_batching` ablation divides by delivered samples.
+    // `benchmark`'s `queue.locks_per_sample` divides by delivered samples.
     lock_ops: Counter,
     // Occupancy accumulator for the scheduler's moving average: sum of
     // queue lengths observed at each operation.
@@ -542,7 +542,7 @@ impl<T> MinatoQueue<T> {
     /// the mutex; it is counted when the wait begins, so a thread that
     /// blocks is visible here before it is woken). Divided by
     /// [`MinatoQueue::total_pops`] it is the per-item synchronization
-    /// cost the `queue_batching` ablation reports.
+    /// cost `benchmark`'s `queue.locks_per_sample` row reports.
     pub fn lock_acquisitions(&self) -> u64 {
         self.lock_ops.get()
     }

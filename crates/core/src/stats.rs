@@ -21,7 +21,8 @@ pub struct LoaderStats {
     pub batches_done: u64,
     /// Raw bytes represented by delivered samples.
     pub bytes_done: u64,
-    /// Dataset/transform errors skipped (with `ErrorPolicy::Skip`).
+    /// Dataset/transform errors: each failing sample is skipped and
+    /// counted here, and delivery continues.
     pub errors: u64,
     /// Fault-containment counters: panics caught, samples poisoned,
     /// samples quarantined, batches rerouted around wedged consumers.
@@ -38,8 +39,8 @@ pub struct LoaderStats {
     /// State-mutex acquisitions by put/pop operations across all
     /// runtime queues (fast, slow, temp, batch): one per call plus one
     /// per condvar wait (see `MinatoQueue::lock_acquisitions`). Divided
-    /// by `samples_done` it is the per-sample synchronization cost the
-    /// `queue_batching` ablation reports.
+    /// by `samples_done` it is the per-sample synchronization cost
+    /// `benchmark`'s `queue.locks_per_sample` row reports.
     pub queue_lock_acquisitions: u64,
     /// Compatibility remnant, always 0: the frozen `benchmark/` package
     /// reads it for its `queue.cas_retries_per_sample` row. The queue

@@ -34,7 +34,7 @@ use crate::checkpoint::DeliveryLog;
 use crate::dataset::{Dataset, Sampler};
 use crate::error::LoaderError;
 use crate::fault::{FaultAction, FaultInjector, FaultSite, FaultStats};
-use crate::loader::{ErrorPolicy, LoaderConfig};
+use crate::loader::LoaderConfig;
 use crate::pool::{PoolSet, SampleRecycler};
 use crate::profiler::SampleRecord;
 use crate::queue::{Closed, MinatoQueue, PopResult, TryPutError, TryReserveError};
@@ -117,8 +117,6 @@ pub(crate) struct FaultCounters {
     pub poisoned: Counter,
     pub quarantined: Counter,
     pub rerouted: Counter,
-    pub retried: Counter,
-    pub gave_up: Counter,
 }
 
 impl FaultCounters {
@@ -128,8 +126,6 @@ impl FaultCounters {
             poisoned: Counter::new(),
             quarantined: Counter::new(),
             rerouted: Counter::new(),
-            retried: Counter::new(),
-            gave_up: Counter::new(),
         }
     }
 
@@ -139,8 +135,6 @@ impl FaultCounters {
             poisoned: self.poisoned.get(),
             quarantined: self.quarantined.get(),
             rerouted: self.rerouted.get(),
-            retried: self.retried.get(),
-            gave_up: self.gave_up.get(),
         }
     }
 }
@@ -397,7 +391,7 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Shared bookkeeping for any quarantined sample: error counter,
-    /// bounded recent-errors ring, first-error slot, fail-fast policy.
+    /// bounded recent-errors ring, first-error slot.
     fn note_error(&self, err: LoaderError) {
         self.errors.incr();
         let mut ring = self.recent_errors.lock();
@@ -410,22 +404,6 @@ impl<D: Dataset> Runtime<D> {
         if slot.is_none() {
             *slot = Some(err);
         }
-        drop(slot);
-        if self.cfg.error_policy == ErrorPolicy::Fail {
-            self.initiate_shutdown();
-        }
-    }
-
-    /// Exponential retry backoff before attempt `attempt` (1-based):
-    /// `retry_backoff · 2^(attempt−1)`, capped at 50 ms so a wedged
-    /// sample's retries never stall its worker for long.
-    fn retry_backoff(&self, attempt: u32) {
-        let base = self.cfg.retry_backoff;
-        if base.is_zero() {
-            return;
-        }
-        let factor = 1u32 << attempt.saturating_sub(1).min(6);
-        std::thread::sleep(base.saturating_mul(factor).min(Duration::from_millis(50)));
     }
 
     /// Records a sample quarantined by a clean error (dataset failure,
@@ -511,71 +489,53 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
-    /// Runs `body` — one attempt at a sample: load and/or pipeline run —
-    /// under the panic containment both the fast and the slow path need:
-    /// the close cascade depends on every step reaching its exit
+    /// Runs `body` — the one attempt at a sample: load and/or pipeline
+    /// run — under the panic containment both the fast and the slow path
+    /// need: the close cascade depends on every step reaching its exit
     /// accounting, so a panicking dataset or transform degrades to a
     /// recorded error for this sample instead of unwinding the worker.
-    /// The fault injector is consulted once per attempt; a failed attempt
-    /// is re-run up to `retry_budget` times with exponential backoff
-    /// before the failure stands (and the caller quarantines the sample).
-    /// `ledger` goes to the first attempt only. Returns the last
-    /// attempt's result, whether that attempt panicked, and its scratch
-    /// guard, which repays pool scratch the run never recycled unless
-    /// the caller disarms it.
+    /// The fault injector is consulted once, before `body`; a failure
+    /// stands and the caller quarantines the sample. Returns the run's
+    /// result, whether it panicked, and its scratch guard, which repays
+    /// pool scratch the run never recycled unless the caller disarms it.
     fn run_contained(
         &self,
         site: FaultSite,
-        mut ledger: Option<Arc<ScratchLedger>>,
+        ledger: Option<Arc<ScratchLedger>>,
         (index, epoch, seq): (usize, usize, u64),
-        mut body: impl FnMut(TransformCtx) -> crate::error::Result<PipelineRun<D::Sample>>,
+        body: impl FnOnce(TransformCtx) -> crate::error::Result<PipelineRun<D::Sample>>,
     ) -> (
         crate::error::Result<PipelineRun<D::Sample>>,
         bool,
         ScratchGuard,
     ) {
-        let mut attempt = 0u32;
-        loop {
-            let (ctx, guard) = self.guarded_ctx(ledger.take(), epoch, seq);
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(inj) = &self.injector {
-                    match inj.decide(site, index, seq) {
-                        FaultAction::Panic => panic!("injected {site:?}-path fault at seq {seq}"),
-                        FaultAction::Poison => {
-                            return Err(LoaderError::Transform {
-                                name: "poisoned".into(),
-                                msg: format!("injected poison at seq {seq}"),
-                            })
-                        }
-                        FaultAction::None => {}
+        let (ctx, guard) = self.guarded_ctx(ledger, epoch, seq);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(inj) = &self.injector {
+                match inj.decide(site, index, seq) {
+                    FaultAction::Panic => panic!("injected {site:?}-path fault at seq {seq}"),
+                    FaultAction::Poison => {
+                        return Err(LoaderError::Transform {
+                            name: "poisoned".into(),
+                            msg: format!("injected poison at seq {seq}"),
+                        })
                     }
+                    FaultAction::None => {}
                 }
-                body(ctx)
-            }));
-            let panicked = caught.is_err();
-            let run = caught.unwrap_or_else(|p| {
-                Err(LoaderError::Transform {
-                    name: "panicked".into(),
-                    msg: panic_payload_msg(p),
-                })
-            });
-            if run.is_err() && (attempt as usize) < self.cfg.retry_budget && !self.is_shutdown() {
-                // The failed attempt's guard drops here, repaying its
-                // un-recycled pool scratch before the re-run.
-                drop(guard);
-                attempt += 1;
-                self.faults.retried.incr();
-                self.retry_backoff(attempt);
-                continue;
             }
-            if run.is_err() && attempt > 0 {
-                self.faults.gave_up.incr();
-            }
-            return (run, panicked, guard);
-        }
+            body(ctx)
+        }));
+        let panicked = caught.is_err();
+        let run = caught.unwrap_or_else(|p| {
+            Err(LoaderError::Transform {
+                name: "panicked".into(),
+                msg: panic_payload_msg(p),
+            })
+        });
+        (run, panicked, guard)
     }
 
-    /// Quarantines a sample whose last contained attempt failed: the
+    /// Quarantines a sample whose contained run failed: the
     /// `FaultHit` event, then the panic or clean-error accounting. In
     /// order-preserving mode the seq is also reported to the assembly
     /// lane, which would otherwise hold every later sample behind it
@@ -636,22 +596,10 @@ impl<D: Dataset> Runtime<D> {
         let resume_at = d.resume_at;
         let (index, seq) = (d.meta.index, d.meta.seq);
         let epoch = d.meta.epoch;
-        // The first attempt resumes the deferred partial in place; the
-        // partial is consumed by a failed run, so each re-attempt
-        // re-executes the whole pipeline from the source.
-        let mut partial = Some(d.partial);
-        let (run, panicked, mut guard) = self.run_contained(
-            FaultSite::Slow,
-            d.scratch,
-            (index, epoch, seq),
-            |ctx| match partial.take() {
-                Some(p) => self.pipeline.run_ctx(resume_at, p, ctx),
-                None => {
-                    let raw = self.dataset.load(index)?;
-                    self.pipeline.run_ctx(0, raw, ctx)
-                }
-            },
-        );
+        let (run, panicked, mut guard) =
+            self.run_contained(FaultSite::Slow, d.scratch, (index, epoch, seq), |ctx| {
+                self.pipeline.run_ctx(resume_at, d.partial, ctx)
+            });
         self.slow_meter.add_busy(t0.elapsed());
         match run {
             Ok(PipelineRun::Completed { value, elapsed }) => {
@@ -1456,7 +1404,7 @@ impl<D: Dataset> RoleStep for BatchStep<D> {
                     break;
                 }
             }
-            if open && !rt.cfg.drop_last {
+            if open {
                 let _ = emit_batch(rt, &mut lane.batch);
             }
         }
@@ -1505,22 +1453,17 @@ mod tests {
             batch_workers: 1,
             queue_capacity: 16,
             prefetch_factor: 8,
-            drop_last: false,
             timeout_policy: TimeoutPolicy::Disabled,
             warmup_samples: 8,
             adaptive_workers: false,
             scheduler: SchedulerConfig::paper_default(1),
             starvation_wait: Duration::from_millis(1),
             order_preserving: false,
-            error_policy: ErrorPolicy::Skip,
             cache_budget_bytes: 0,
             cache_policy: crate::cache::EvictionPolicy::CostAware,
-            cache_shards: 8,
             pool_budget_bytes: 0,
             checkpointing: false,
             trace: minato_trace::TraceConfig::default(),
-            retry_budget: 0,
-            retry_backoff: Duration::ZERO,
         }
     }
 

@@ -152,7 +152,6 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
         .initial_workers(3)
         .max_workers(3)
         .slow_workers(1)
-        .queue_capacity(n as usize * epochs)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
         .build()
         .expect("valid configuration");
@@ -197,33 +196,31 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
 
 /// Strict mode against the sampler's ground truth: shuffled, across an
 /// epoch boundary, with one fast worker parked by the initial budget —
-/// once with room everywhere, once under back-pressure all the way up:
-/// two-slot sample queues, one batch of prefetch, and a consumer that
-/// takes a batch only when the producers are blocked on the full fast
-/// queue (or have nothing left to produce).
+/// once with a free-running consumer, once under back-pressure all the
+/// way up: a consumer that takes a batch only when the producers are
+/// blocked on the full 100-slot fast queue (or have nothing left to
+/// produce), with its two-batch queue full.
 #[test]
 fn order_preserving_keeps_sampler_order() {
-    let (n, epochs, seed) = (48usize, 2usize, 5u64);
+    let (n, epochs, seed) = (192usize, 2usize, 5u64);
     for backpressure in [false, true] {
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-        let mut b = MinatoLoader::builder(ds, Pipeline::identity())
+        let loader = MinatoLoader::builder(ds, Pipeline::identity())
             .batch_size(4)
             .epochs(epochs)
             .seed(seed)
             .order_preserving(true)
             .initial_workers(3)
-            .max_workers(4);
-        if backpressure {
-            b = b.queue_capacity(2).prefetch_factor(1);
-        }
-        let loader = b.build().unwrap();
+            .max_workers(4)
+            .build()
+            .unwrap();
         let mut got = Vec::new();
         loop {
             if backpressure {
                 let t0 = Instant::now();
                 loop {
                     let s = loader.stats();
-                    if s.fast_queue_len == 2 || s.samples_done == (n * epochs) as u64 {
+                    if s.fast_queue_len == 100 || s.samples_done == (n * epochs) as u64 {
                         break;
                     }
                     assert!(t0.elapsed() < FAIL_SAFE, "producers stalled: {s:?}");
@@ -277,7 +274,6 @@ fn ordered_delivery_continues_past_a_quarantined_sample() {
         .batch_size(4)
         .shuffle(false)
         .order_preserving(true)
-        .retry_budget(0)
         .initial_workers(2)
         .max_workers(2)
         .build()
@@ -325,7 +321,6 @@ fn ordered_resume_starts_at_the_checkpoint() {
             .seed(seed)
             .order_preserving(true)
             .checkpoint(true)
-            .retry_budget(0)
             .initial_workers(2)
             .max_workers(2);
         if let Some(ck) = resume {

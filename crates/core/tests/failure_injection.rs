@@ -170,46 +170,36 @@ fn background_panic_does_not_wedge_shutdown() {
     assert!(t0.elapsed() < Duration::from_secs(20));
 }
 
-#[test]
-fn dataset_errors_with_fail_policy_stop_quickly() {
-    let ds = FnDataset::new(10_000, |i| {
-        if i >= 50 {
-            Err(LoaderError::Dataset {
-                index: i,
-                msg: "storage gone".into(),
-            })
-        } else {
-            Ok(i as u32)
+/// How long a test waits for something a working loader does at once: a
+/// loader that can never do it fails the test instead of hanging it.
+const FAIL_SAFE: Duration = Duration::from_secs(10);
+
+/// Yields until `cond` holds on the loader's stats (`FAIL_SAFE` bound).
+fn wait_for_stats<D: Dataset>(
+    loader: &MinatoLoader<D>,
+    what: &str,
+    cond: impl Fn(&LoaderStats) -> bool,
+) {
+    let t0 = Instant::now();
+    loop {
+        let s = loader.stats();
+        if cond(&s) {
+            return;
         }
-    });
-    let p: Pipeline<u32> = Pipeline::identity();
-    let loader = MinatoLoader::builder(ds, p)
-        .batch_size(10)
-        .shuffle(false)
-        .initial_workers(2)
-        .max_workers(2)
-        .error_policy(ErrorPolicy::Fail)
-        .build()
-        .expect("valid configuration");
-    let delivered: usize = loader.iter().map(|b| b.len()).sum();
-    assert!(delivered <= 60, "must stop near the failure");
-    assert!(loader.first_error().is_some());
+        assert!(t0.elapsed() < FAIL_SAFE, "{what}: {s:?}");
+        std::thread::yield_now();
+    }
 }
 
 #[test]
 #[allow(clippy::drop_non_drop)] // The drops ARE the behavior under test.
 fn shutdown_under_backpressure_is_clean() {
-    // Tiny queues + an iterator that abandons mid-stream: blocked
-    // producers must unblock on drop.
+    // An iterator that abandons mid-stream with back-pressure all the
+    // way up: the batch queue's two slots taken, the 100-slot fast
+    // queue full, producers blocked on it. They must unblock on drop.
     let ds = VecDataset::new((0..500u32).collect::<Vec<_>>());
-    let p = Pipeline::new(vec![fn_transform("slow-ish", |x: u32| {
-        std::thread::sleep(Duration::from_micros(500));
-        Ok(x)
-    })]);
-    let loader = MinatoLoader::builder(ds, p)
+    let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(2)
-        .queue_capacity(2)
-        .prefetch_factor(1)
         .initial_workers(3)
         .max_workers(3)
         .build()
@@ -217,6 +207,9 @@ fn shutdown_under_backpressure_is_clean() {
     let mut it = loader.iter();
     let _ = it.next();
     drop(it);
+    wait_for_stats(&loader, "the fast queue never filled", |s| {
+        s.fast_queue_len == 100
+    });
     let t0 = Instant::now();
     drop(loader);
     assert!(
@@ -353,32 +346,37 @@ fn chaos_slow_site_panic_counts_match_injection() {
 
 /// A wedged batch consumer (never pops its queue) must not stall
 /// delivery: batches route around it, the reroute counter says so, and
-/// the live consumer still receives nearly everything.
+/// the live consumer receives everything the wedged queue did not take.
 #[test]
 fn chaos_wedged_consumer_reroutes() {
-    let n = 64usize;
+    let n = 256usize;
     let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(4)
         .num_gpus(2)
-        .prefetch_factor(1)
         .initial_workers(2)
         .max_workers(2)
         .build()
         .expect("valid configuration");
-    // GPU 0's consumer is wedged: nothing ever pops queue 0.
+    // GPU 0's consumer is wedged: nothing ever pops queue 0. The live
+    // consumer starts only once both two-batch queues are full, so every
+    // later delivery has to route around the wedged one.
+    wait_for_stats(&loader, "the batch queues never filled", |s| {
+        s.batch_queue_len == 4
+    });
     let mut live = 0usize;
     while let Some(b) = loader.next_batch(1) {
         live += b.len();
     }
-    // Queue 0 absorbs at most prefetch_factor batches.
-    assert!(live >= n - 2 * 4, "live GPU starved: got {live} of {n}");
-    let f = loader.stats().faults;
-    assert!(
-        f.rerouted >= 1,
-        "deliveries past the wedged queue must count as \
-         reroutes, got {}",
-        f.rerouted
+    assert_eq!(live, n - 2 * 4, "queue 0 keeps exactly its two batches");
+    let s = loader.stats();
+    assert_eq!(s.batch_queue_len, 2);
+    // The first three batches found no queue full; from the fourth on,
+    // the other queue was full at every delivery.
+    assert_eq!(
+        s.faults.rerouted,
+        (n / 4 - 3) as u64,
+        "each delivery past the wedged queue counts as one reroute"
     );
 }
 
@@ -423,16 +421,11 @@ fn panicked_sample_is_not_served_from_cache() {
     }) as Arc<dyn Transform<u32>>]);
     // One worker serializes the ticket stream: epoch 1 finishes (and
     // admits) before any epoch-2 lookup, making cache hits exact.
-    // Retries are disabled: this transform's panic is transient by
-    // construction, and the default budget would recover the sample
-    // before quarantine (covered by `transient_fault_recovers_within_
-    // retry_budget`); here the quarantine path itself is under test.
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(4)
         .epochs(2)
         .initial_workers(1)
         .max_workers(1)
-        .retry_budget(0)
         .cache_budget_bytes(1 << 20)
         .build()
         .expect("valid configuration");
@@ -534,87 +527,64 @@ fn pool_bytes_return_to_baseline_after_panics() {
     );
 }
 
-/// Permanently failing samples exhaust the retry budget with exact
-/// counters: each target burns `retry_budget` extra attempts
-/// (`retried`), gives up once (`gave_up`), and is quarantined once —
-/// delivery and quarantine counts are unchanged from the no-retry
-/// behavior.
+/// Panics at the fast site on a fixed set of dataset indices and counts
+/// every fast-site consultation per index.
+struct CountingInjector {
+    targets: BTreeSet<usize>,
+    fast_calls: Vec<AtomicUsize>,
+}
+
+impl FaultInjector for CountingInjector {
+    fn decide(&self, site: FaultSite, index: usize, _seq: u64) -> FaultAction {
+        if site != FaultSite::Fast {
+            return FaultAction::None;
+        }
+        self.fast_calls[index].fetch_add(1, Ordering::SeqCst);
+        if self.targets.contains(&index) {
+            FaultAction::Panic
+        } else {
+            FaultAction::None
+        }
+    }
+}
+
+/// A failing sample gets one attempt: the injector is consulted once per
+/// sample, each target is quarantined on that first failure, and every
+/// other sample is delivered exactly once.
 #[test]
-fn chaos_retry_counters_match_injection() {
+fn chaos_fault_is_quarantined_on_its_first_attempt() {
     let n = 40usize;
     let targets = derive_targets(6, n, 5);
     let k = targets.len() as u64;
-    let budget = 2u64;
+    let injector = Arc::new(CountingInjector {
+        targets: targets.clone(),
+        fast_calls: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+    });
     let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(8)
         .initial_workers(2)
         .max_workers(4)
-        .retry_budget(budget as usize)
-        .retry_backoff(Duration::from_micros(50))
-        .fault_injector(Arc::new(TargetInjector {
-            site: FaultSite::Fast,
-            action: FaultAction::Panic,
-            targets: targets.clone(),
-        }))
+        .fault_injector(Arc::clone(&injector) as Arc<dyn FaultInjector>)
         .build()
         .expect("valid configuration");
-    let delivered: usize = loader.iter().map(|b| b.len()).sum();
-    assert_eq!(delivered, n - targets.len());
-    let f = loader.stats().faults;
-    assert_eq!(f.retried, budget * k, "retry count exact");
-    assert_eq!(f.gave_up, k, "give-up count exact");
-    assert_eq!(f.panics, k, "one quarantine per target");
-    assert_eq!(f.quarantined, k);
-}
-
-/// Transform that panics the *first* time it sees each armed value and
-/// succeeds on any later attempt — a transient fault by construction.
-struct TransientPanicOn {
-    armed: std::sync::Mutex<BTreeSet<u32>>,
-}
-
-impl Transform<u32> for TransientPanicOn {
-    fn name(&self) -> &str {
-        "transient-panic-on"
+    let mut delivered: Vec<usize> = loader
+        .iter()
+        .flat_map(|b| b.into_samples())
+        .map(|s| s as usize)
+        .collect();
+    delivered.sort_unstable();
+    let want: Vec<usize> = (0..n).filter(|i| !targets.contains(i)).collect();
+    assert_eq!(delivered, want, "every other sample exactly once");
+    for (i, calls) in injector.fast_calls.iter().enumerate() {
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "sample {i} (target: {}) must be consulted exactly once",
+            targets.contains(&i)
+        );
     }
-
-    fn apply(&self, x: u32, _ctx: &TransformCtx) -> minato_core::error::Result<Outcome<u32>> {
-        let fire = self
-            .armed
-            .lock()
-            .map(|mut armed| armed.remove(&x))
-            .unwrap_or(false);
-        assert!(!fire, "injected transient panic on {x}");
-        Ok(Outcome::Done(x))
-    }
-}
-
-/// Satellite: a transiently failing sample is recovered by the default
-/// retry budget — full delivery, zero quarantines, and the recovery
-/// visible only in the `retried` counter.
-#[test]
-fn transient_fault_recovers_within_retry_budget() {
-    let n = 40usize;
-    let targets = derive_targets(7, n, 5);
-    let k = targets.len() as u64;
-    let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
-    let p: Pipeline<u32> = Pipeline::new(vec![Arc::new(TransientPanicOn {
-        armed: std::sync::Mutex::new(targets.iter().map(|&i| i as u32).collect()),
-    }) as Arc<dyn Transform<u32>>]);
-    let loader = MinatoLoader::builder(ds, p)
-        .batch_size(8)
-        .initial_workers(2)
-        .max_workers(4)
-        .retry_backoff(Duration::from_micros(50))
-        .build()
-        .expect("valid configuration");
-    let delivered: usize = loader.iter().map(|b| b.len()).sum();
-    assert_eq!(delivered, n, "every sample recovered");
     let f = loader.stats().faults;
-    assert_eq!(f.retried, k, "one extra attempt per target");
-    assert_eq!(f.gave_up, 0, "nothing exhausted its budget");
-    assert_eq!(f.panics, 0, "recovered panics are not recorded");
-    assert_eq!(f.quarantined, 0, "nothing quarantined");
-    assert_eq!(loader.stats().errors, 0);
+    assert_eq!(f.panics, k, "one panic per target");
+    assert_eq!(f.quarantined, k, "one quarantine per target");
 }

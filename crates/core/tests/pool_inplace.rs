@@ -6,7 +6,7 @@ use minato_core::pool::{PoolSet, Reclaim};
 use minato_core::prelude::*;
 use minato_core::transform::InPlace;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -322,21 +322,18 @@ fn pool_and_cache_compose_without_double_counting() {
     assert_eq!(stats.samples_done + cache.hits, delivered as u64);
 }
 
-/// A custom recycler sees exactly the samples the training loop did not
-/// take ownership of.
+/// The batches' recycle hook — the pool's, the only one there is — sees
+/// exactly the samples the training loop did not take ownership of.
 #[test]
 fn custom_recycler_observes_dropped_samples() {
     let n = 40usize;
-    let seen = Arc::new(AtomicUsize::new(0));
-    let seen2 = Arc::clone(&seen);
-    let ds = FnDataset::new(n, |i| Ok(vec![i as f32; 8]));
+    // One smallest-class buffer per sample; the budget holds them all.
+    let ds = FnDataset::new(n, |i| Ok(vec![i as f32; 64]));
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(5)
         .initial_workers(2)
         .max_workers(2)
-        .sample_recycler(Arc::new(move |_s: Vec<f32>| {
-            seen2.fetch_add(1, Ordering::Relaxed);
-        }))
+        .pool_budget_bytes(1 << 20)
         .build()
         .expect("valid configuration");
     let mut kept = 0usize;
@@ -349,7 +346,9 @@ fn custom_recycler_observes_dropped_samples() {
         }
     }
     assert_eq!(kept + dropped, n);
-    assert_eq!(seen.load(Ordering::Relaxed), dropped);
+    let pool = loader.stats().pool.expect("pool on").combined();
+    assert_eq!(pool.recycled, dropped as u64);
+    assert_eq!(pool.dropped, 0);
 }
 
 /// `Reclaim` plumbing for common sample shapes used by the loader.

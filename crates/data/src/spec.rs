@@ -285,12 +285,6 @@ impl WorkloadSpec {
             ),
         }
     }
-
-    /// Mean preprocessing time estimated over the first `n` samples, ms.
-    pub fn mean_preprocess_ms(&self, n: usize) -> f64 {
-        let n = n.max(1);
-        (0..n).map(|i| self.sample_profile(i).total_ms).sum::<f64>() / n as f64
-    }
 }
 
 fn speech_steps() -> Vec<StepSpec> {

@@ -60,16 +60,6 @@ impl ServerPool {
         (start, end)
     }
 
-    /// Earliest time any server is free (≥ `now`).
-    pub fn earliest_free(&self, now: SimTime) -> SimTime {
-        self.free_at
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(SimTime::ZERO)
-            .max(now)
-    }
-
     /// Changes the pool size to `target` (≥ 1). Growing servers become
     /// free at `now`.
     pub fn resize(&mut self, now: SimTime, target: usize) {

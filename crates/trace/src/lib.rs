@@ -35,45 +35,32 @@ pub use export::chrome_trace;
 pub use ring::EventRing;
 pub use tracer::{TraceStats, Tracer, WorkerTrace};
 
+/// Events the loader's tracer buffers per worker ring before overflow
+/// drops begin. The loader sizes the ring count from its own threads
+/// (workers + consumers + slack).
+pub const RING_CAPACITY: usize = 1 << 14;
+
 /// Tracing knob for the loader builder.
 ///
 /// The default is **disabled**: no tracer is constructed and every
 /// record site compiles down to a skipped `Option` check, so behavior
 /// is byte-identical to an untraced loader.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch; `false` means no tracer exists at all.
     pub enabled: bool,
-    /// Events buffered per worker ring before overflow drops begin
-    /// (rounded up to a power of two).
-    pub ring_capacity: usize,
-    /// Number of per-thread rings. 0 lets the loader size it from its
-    /// thread count (workers + consumer + slack).
-    pub max_workers: usize,
     /// Raw events retained by the collector for the Perfetto export;
     /// 0 keeps histograms only.
     pub export_events: usize,
 }
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: false,
-            ring_capacity: 1 << 14,
-            max_workers: 0,
-            export_events: 0,
-        }
-    }
-}
-
 impl TraceConfig {
-    /// Tracing on with default sizing and a 64Ki-event export window —
-    /// enough to open a short run in Perfetto.
+    /// Tracing on with a 64Ki-event export window — enough to open a
+    /// short run in Perfetto.
     pub fn on() -> TraceConfig {
         TraceConfig {
             enabled: true,
             export_events: 1 << 16,
-            ..TraceConfig::default()
         }
     }
 
@@ -83,7 +70,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             export_events: 0,
-            ..TraceConfig::default()
         }
     }
 }

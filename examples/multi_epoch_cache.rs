@@ -38,13 +38,11 @@ fn run(label: &str, cache_budget: u64) -> f64 {
         .seed(42)
         .initial_workers(4)
         .max_workers(8)
-        .queue_capacity(32)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(2)));
     if cache_budget > 0 {
         builder = builder
             .cache_budget_bytes(cache_budget)
-            .cache_policy(EvictionPolicy::CostAware)
-            .cache_shards(4);
+            .cache_policy(EvictionPolicy::CostAware);
     }
     let loader = builder.build().expect("valid configuration");
 

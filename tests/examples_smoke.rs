@@ -70,11 +70,9 @@ fn multi_epoch_cache_flow() {
         .seed(42)
         .initial_workers(4)
         .max_workers(4)
-        .queue_capacity(16)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
         .cache_budget_bytes(1 << 20)
         .cache_policy(EvictionPolicy::CostAware)
-        .cache_shards(4)
         .build()
         .expect("valid configuration");
     let delivered: usize = loader.iter().map(|b| b.len()).sum();
@@ -281,7 +279,6 @@ fn drained_pool_raises_no_panic_on_any_thread() {
         .initial_workers(2)
         .max_workers(2)
         .slow_workers(1)
-        .queue_capacity(n as usize)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
         .build()
         .expect("loader builds");
