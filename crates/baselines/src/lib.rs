@@ -1,22 +1,15 @@
-//! Baseline data loaders the paper compares MinatoLoader against (§2.1).
+//! The baseline data loader the paper compares MinatoLoader against
+//! (§2.1).
 //!
 //! * [`torch`] — PyTorch-DataLoader semantics: pre-determined batches,
 //!   per-worker whole-batch fetch, strict in-order delivery bounded by a
 //!   prefetch factor (the head-of-line-blocking design of Figure 1a).
-//! * [`dali`] — NVIDIA-DALI semantics: transforms offloaded to an
-//!   accelerator (configurable speedup) that training must share.
-//! * [`pecan`] — Pecan's AutoOrder policy (deflationary transforms
-//!   hoisted, inflationary postponed, barrier-delimited) over the PyTorch
-//!   engine, as the paper reimplemented it for PyTorch.
 //!
-//! The size-based classification heuristic of §3.2/Figure 3a is modelled
-//! in the simulator (`minato-sim::policy`), where its interaction with
-//! GPU starvation is measurable.
+//! DALI (transforms offloaded to the GPU that training shares) and
+//! Pecan (AutoOrder's deflationary-first reordering) are modelled in the
+//! simulator (`minato-sim::policy`), as is the size-based classification
+//! heuristic of §3.2/Figure 3a.
 
-pub mod dali;
-pub mod pecan;
 pub mod torch;
 
-pub use dali::{DaliConfig, DaliLoader, GpuDevice};
-pub use pecan::{auto_order, PecanLoader};
-pub use torch::{ExecOptions, TorchConfig, TorchIter, TorchLoader};
+pub use torch::{TorchConfig, TorchIter, TorchLoader};

@@ -11,18 +11,16 @@
 //!    samples sequentially (PyTorch's `_MapDatasetFetcher`).
 //! 3. **Strict in-order delivery** — batches are handed to the trainer in
 //!    batch-index order through a reorder buffer; one slow batch blocks
-//!    everything behind it, bounded by `prefetch_factor` outstanding
-//!    batches per worker.
+//!    everything behind it, bounded by two outstanding batches per
+//!    worker (PyTorch's default `prefetch_factor`).
 //!
-//! The same engine also powers the DALI- and Pecan-style baselines (they
-//! share PyTorch's ordering semantics and differ in where/at what speed
-//! transforms run), via [`ExecOptions`].
+//! The final partial batch is always delivered.
 
 use minato_core::batch::{Batch, Prepared, ReorderBuffer, SampleMeta};
-use minato_core::dataset::{Dataset, EpochSampler, Sampler};
+use minato_core::dataset::{Dataset, EpochSampler, SampleTicket, Sampler};
 use minato_core::error::{LoaderError, Result};
 use minato_core::queue::MinatoQueue;
-use minato_core::transform::{Outcome, Pipeline, TransformCtx};
+use minato_core::transform::{Pipeline, PipelineRun};
 use minato_metrics::{Counter, UtilizationMeter};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -30,26 +28,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Where and how fast transforms execute (shared by PyTorch / DALI /
-/// Pecan baselines).
-#[derive(Clone)]
-pub struct ExecOptions {
-    /// Transform speed multiplier (DALI's GPU offload: 10×; CPU: 1×).
-    pub speedup: f64,
-    /// Device tokens acquired for the duration of each sample's
-    /// preprocessing (DALI: contends with training on the same GPUs).
-    /// Empty = pure CPU execution.
-    pub devices: Vec<Arc<crate::dali::GpuDevice>>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            speedup: 1.0,
-            devices: Vec::new(),
-        }
-    }
-}
+/// Batches each worker may have in flight (PyTorch's default
+/// `prefetch_factor`).
+const PREFETCH_FACTOR: usize = 2;
 
 /// Configuration for [`TorchLoader`].
 #[derive(Clone)]
@@ -58,18 +39,12 @@ pub struct TorchConfig {
     pub batch_size: usize,
     /// Parallel workers (paper tuning: 12).
     pub num_workers: usize,
-    /// Batches each worker may have in flight (paper default: 2).
-    pub prefetch_factor: usize,
     /// Epochs to iterate.
     pub epochs: usize,
     /// Shuffle each epoch.
     pub shuffle: bool,
     /// Shuffle seed.
     pub seed: u64,
-    /// Drop the final partial batch.
-    pub drop_last: bool,
-    /// Execution placement/speed.
-    pub exec: ExecOptions,
 }
 
 impl Default for TorchConfig {
@@ -77,12 +52,9 @@ impl Default for TorchConfig {
         TorchConfig {
             batch_size: 1,
             num_workers: 12,
-            prefetch_factor: 2,
             epochs: 1,
             shuffle: true,
             seed: 0,
-            drop_last: false,
-            exec: ExecOptions::default(),
         }
     }
 }
@@ -91,18 +63,15 @@ struct Shared<D: Dataset> {
     dataset: D,
     pipeline: Pipeline<D::Sample>,
     /// Batch index → tickets; fixed before training starts (property 1).
-    plan: Vec<Vec<minato_core::dataset::SampleTicket>>,
+    plan: Vec<Vec<SampleTicket>>,
     /// Per-worker bounded task queues (property 2 + prefetch bound).
     task_qs: Vec<MinatoQueue<usize>>,
     /// Completed (batch_idx, batch) pairs awaiting reordering.
     done_q: MinatoQueue<(usize, Batch<D::Sample>)>,
     /// In-order output available to the iterator (property 3).
     out_q: MinatoQueue<Batch<D::Sample>>,
-    exec: ExecOptions,
     workers_live: AtomicUsize,
     cpu_meter: UtilizationMeter,
-    bytes_out: Counter,
-    batches_out: Counter,
     errors: Counter,
     first_error: Mutex<Option<LoaderError>>,
     shutdown: AtomicBool,
@@ -140,11 +109,6 @@ impl<D: Dataset> TorchLoader<D> {
         if cfg.num_workers == 0 {
             return Err(LoaderError::Config("num_workers must be positive".into()));
         }
-        if cfg.prefetch_factor == 0 {
-            return Err(LoaderError::Config(
-                "prefetch_factor must be positive".into(),
-            ));
-        }
         // Property 1: chunk the full (multi-epoch) ticket stream up front.
         let sampler = EpochSampler::new(dataset.len(), cfg.epochs, cfg.shuffle, cfg.seed);
         let mut plan = Vec::new();
@@ -155,20 +119,17 @@ impl<D: Dataset> TorchLoader<D> {
                 plan.push(std::mem::take(&mut cur));
             }
         }
-        if !cur.is_empty() && !cfg.drop_last {
+        if !cur.is_empty() {
             plan.push(cur);
         }
         let task_qs: Vec<MinatoQueue<usize>> = (0..cfg.num_workers)
-            .map(|w| MinatoQueue::new(&format!("task[{w}]"), cfg.prefetch_factor))
+            .map(|w| MinatoQueue::new(&format!("task[{w}]"), PREFETCH_FACTOR))
             .collect();
         let shared = Arc::new(Shared {
-            done_q: MinatoQueue::new("done", (cfg.num_workers * cfg.prefetch_factor).max(1)),
-            out_q: MinatoQueue::new("out", cfg.prefetch_factor.max(1)),
-            exec: cfg.exec.clone(),
+            done_q: MinatoQueue::new("done", cfg.num_workers * PREFETCH_FACTOR),
+            out_q: MinatoQueue::new("out", PREFETCH_FACTOR),
             workers_live: AtomicUsize::new(cfg.num_workers),
             cpu_meter: UtilizationMeter::new(cfg.num_workers),
-            bytes_out: Counter::new(),
-            batches_out: Counter::new(),
             errors: Counter::new(),
             first_error: Mutex::new(None),
             shutdown: AtomicBool::new(false),
@@ -209,21 +170,6 @@ impl<D: Dataset> TorchLoader<D> {
     /// Pops the next batch; `None` when training data is exhausted.
     pub fn next_batch(&self) -> Option<Batch<D::Sample>> {
         self.shared.out_q.pop()
-    }
-
-    /// Total batches the fixed plan contains.
-    pub fn planned_batches(&self) -> usize {
-        self.shared.plan.len()
-    }
-
-    /// Raw bytes delivered so far.
-    pub fn bytes_done(&self) -> u64 {
-        self.shared.bytes_out.get()
-    }
-
-    /// Batches delivered so far.
-    pub fn batches_done(&self) -> u64 {
-        self.shared.batches_out.get()
     }
 
     /// Errors skipped so far.
@@ -308,10 +254,9 @@ fn batch_fetcher<D: Dataset>(sh: Arc<Shared<D>>, w: usize) {
         let t0 = Instant::now();
         let mut batch = Batch::with_capacity(sh.plan[batch_idx].len());
         for ticket in &sh.plan[batch_idx] {
-            match fetch_one(&sh, *ticket) {
-                Ok(Some(p)) => batch.push(p),
-                Ok(None) => {} // Skipped (error recorded).
-                Err(()) => break,
+            // `None`: skipped, error recorded.
+            if let Some(p) = fetch_one(&sh, *ticket) {
+                batch.push(p);
             }
         }
         sh.cpu_meter.add_busy(t0.elapsed());
@@ -324,54 +269,41 @@ fn batch_fetcher<D: Dataset>(sh: Arc<Shared<D>>, w: usize) {
     }
 }
 
-fn fetch_one<D: Dataset>(
-    sh: &Shared<D>,
-    ticket: minato_core::dataset::SampleTicket,
-) -> std::result::Result<Option<Prepared<D::Sample>>, ()> {
-    let raw = match sh.dataset.load(ticket.index) {
-        Ok(r) => r,
+/// Loads and preprocesses one sample; `None` when it failed (the error
+/// is recorded and the sample skipped).
+fn fetch_one<D: Dataset>(sh: &Shared<D>, ticket: SampleTicket) -> Option<Prepared<D::Sample>> {
+    let loaded = sh
+        .dataset
+        .load(ticket.index)
+        .and_then(|raw| sh.pipeline.run(raw, None));
+    let (sample, preprocess) = match loaded {
+        Ok(PipelineRun::Completed { value, elapsed }) => (value, elapsed),
+        // No deadline was set, so only a transform that reported
+        // `Interrupted` on its own gets here: its output is not the
+        // transformed sample, so it is not delivered.
+        Ok(PipelineRun::TimedOut { resume_at, .. }) => {
+            let name = sh.pipeline.steps()[resume_at].name().to_string();
+            let msg = "interrupted with no deadline set".into();
+            record_error(sh, LoaderError::Transform { name, msg });
+            return None;
+        }
         Err(e) => {
             record_error(sh, e);
-            return Ok(None);
+            return None;
         }
     };
-    let bytes = sh.dataset.size_hint_bytes(ticket.index).unwrap_or(0);
-    let started = Instant::now();
-    let ctx = TransformCtx::unbounded().with_speedup(sh.exec.speedup);
-    // DALI-style execution holds a device token while transforming,
-    // contending with training steps on the same GPU.
-    let _guards: Vec<_> = if sh.exec.devices.is_empty() {
-        Vec::new()
-    } else {
-        let dev = &sh.exec.devices[ticket.index % sh.exec.devices.len()];
-        vec![dev.acquire_preprocess()]
-    };
-    let mut value = raw;
-    for step in sh.pipeline.steps() {
-        match step.apply(value, &ctx) {
-            Ok(Outcome::Done(v)) => value = v,
-            Ok(Outcome::Interrupted(v)) => {
-                // No deadline is ever set here; treat as completed input.
-                value = v;
-            }
-            Err(e) => {
-                record_error(sh, e);
-                return Ok(None);
-            }
-        }
-    }
-    Ok(Some(Prepared {
-        sample: value,
+    Some(Prepared {
+        sample,
         meta: SampleMeta {
             index: ticket.index,
             epoch: ticket.epoch,
             seq: ticket.seq,
             slow: false,
-            preprocess: started.elapsed(),
-            bytes,
+            preprocess,
+            bytes: sh.dataset.size_hint_bytes(ticket.index).unwrap_or(0),
             issued_ns: 0,
         },
-    }))
+    })
 }
 
 fn record_error<D: Dataset>(sh: &Shared<D>, e: LoaderError) {
@@ -408,8 +340,6 @@ fn emit<D: Dataset>(sh: &Arc<Shared<D>>, b: Batch<D::Sample>) -> std::result::Re
     if b.is_empty() {
         return Ok(());
     }
-    sh.bytes_out.add(b.bytes());
-    sh.batches_out.incr();
     sh.out_q.put(b).map_err(|_| ())
 }
 
@@ -417,7 +347,7 @@ fn emit<D: Dataset>(sh: &Arc<Shared<D>>, b: Batch<D::Sample>) -> std::result::Re
 mod tests {
     use super::*;
     use minato_core::dataset::VecDataset;
-    use minato_core::transform::fn_transform;
+    use minato_core::transform::{fn_transform, Outcome, Transform, TransformCtx};
     use std::collections::HashMap;
     use std::time::Duration;
 
@@ -496,33 +426,21 @@ mod tests {
     }
 
     #[test]
-    fn partial_batch_kept_unless_drop_last() {
+    fn partial_batch_is_kept() {
         let ds = VecDataset::new((0..10u32).collect::<Vec<_>>());
-        let keep = TorchLoader::new(
-            ds.clone(),
-            id_pipeline(),
-            TorchConfig {
-                batch_size: 4,
-                num_workers: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(keep.planned_batches(), 3);
-        assert_eq!(keep.iter().map(|b| b.len()).sum::<usize>(), 10);
-        let drop = TorchLoader::new(
+        let loader = TorchLoader::new(
             ds,
             id_pipeline(),
             TorchConfig {
                 batch_size: 4,
                 num_workers: 2,
-                drop_last: true,
                 ..Default::default()
             },
         )
         .unwrap();
-        assert_eq!(drop.planned_batches(), 2);
-        assert_eq!(drop.iter().map(|b| b.len()).sum::<usize>(), 8);
+        let sizes: Vec<usize> = loader.iter().map(|b| b.len()).collect();
+        assert_eq!(sizes.len(), 3);
+        assert_eq!(sizes.iter().sum::<usize>(), 10);
     }
 
     #[test]
@@ -539,8 +457,44 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(loader.planned_batches(), 8);
         assert_eq!(loader.iter().count(), 8);
+    }
+
+    /// Reports `Interrupted` on every sample, with or without a deadline.
+    struct AlwaysInterrupted;
+
+    impl Transform<u32> for AlwaysInterrupted {
+        fn name(&self) -> &str {
+            "always-interrupted"
+        }
+
+        fn apply(&self, x: u32, _ctx: &TransformCtx) -> Result<Outcome<u32>> {
+            Ok(Outcome::Interrupted(x))
+        }
+    }
+
+    #[test]
+    fn interrupted_without_deadline_is_an_error() {
+        // The loader sets no deadline, so an interrupted transform has
+        // not transformed the sample: it is counted, not delivered.
+        let ds = VecDataset::new((0..6u32).collect::<Vec<_>>());
+        let p = Pipeline::new(vec![Arc::new(AlwaysInterrupted) as Arc<dyn Transform<u32>>]);
+        let loader = TorchLoader::new(
+            ds,
+            p,
+            TorchConfig {
+                batch_size: 2,
+                num_workers: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), 0);
+        assert_eq!(loader.errors(), 6);
+        assert!(matches!(
+            loader.first_error(),
+            Some(LoaderError::Transform { name, .. }) if name == "always-interrupted"
+        ));
     }
 
     #[test]

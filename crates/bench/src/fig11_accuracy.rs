@@ -134,7 +134,6 @@ pub fn run(n: usize, epochs: usize, batch_size: usize) -> (AccuracyRun, Accuracy
                 epochs,
                 shuffle: true,
                 seed: 5,
-                ..Default::default()
             },
         )
         .expect("torch loader builds");

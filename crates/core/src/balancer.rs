@@ -144,7 +144,7 @@ impl LoadBalancer {
             TimeoutPolicy::Fixed(d) => d.as_nanos() as u64,
             _ => 0,
         };
-        let profiler = Profiler::new(cfg.profile_window, cfg.warmup_samples);
+        let profiler = Profiler::new(cfg.profile_window);
         LoadBalancer {
             cfg,
             profiler,

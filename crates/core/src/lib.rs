@@ -90,8 +90,7 @@ pub mod prelude {
     pub use crate::scheduler::{RoleBudgets, SchedulerConfig, WorkerScheduler};
     pub use crate::stats::{LoaderStats, MonitorTrace};
     pub use crate::transform::{
-        fn_transform, fn_transform_classed, CostClass, InPlace, Outcome, Pipeline, PipelineRun,
-        Transform, TransformCtx,
+        fn_transform, CostClass, InPlace, Outcome, Pipeline, PipelineRun, Transform, TransformCtx,
     };
     pub use minato_exec::{ExecStats, RoleStatsSnapshot};
     pub use minato_trace::{LatencyBreakdown, StageLatency, TraceConfig, TraceStats};

@@ -39,7 +39,6 @@ impl SampleRecord {
 #[derive(Debug)]
 struct ProfilerInner {
     totals_ms: Reservoir,
-    warmup_target: u64,
 }
 
 fn to_ms(d: Duration) -> f64 {
@@ -80,7 +79,7 @@ impl Window {
 /// use minato_core::profiler::{Profiler, SampleRecord};
 /// use std::time::Duration;
 ///
-/// let p = Profiler::new(4096, 10);
+/// let p = Profiler::new(4096);
 /// for ms in [5, 10, 100] {
 ///     p.record(&SampleRecord::total_only(Duration::from_millis(ms)));
 /// }
@@ -93,13 +92,11 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Creates a profiler retaining up to `window` observations, with
-    /// warm-up considered complete after `warmup_samples` records.
-    pub fn new(window: usize, warmup_samples: u64) -> Profiler {
+    /// Creates a profiler retaining up to `window` observations.
+    pub fn new(window: usize) -> Profiler {
         Profiler {
             inner: Mutex::new(ProfilerInner {
                 totals_ms: Reservoir::new(window.max(1)),
-                warmup_target: warmup_samples,
             }),
         }
     }
@@ -123,12 +120,6 @@ impl Profiler {
     /// Total executions ever recorded.
     pub fn samples_seen(&self) -> u64 {
         self.inner.lock().totals_ms.total_seen()
-    }
-
-    /// Whether enough samples were recorded to end the warm-up phase.
-    pub fn warmed_up(&self) -> bool {
-        let g = self.inner.lock();
-        g.totals_ms.total_seen() >= g.warmup_target
     }
 
     /// The timeout implied by the `p`-percentile of observed total times,
@@ -164,18 +155,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn warmup_completes_after_target() {
-        let p = Profiler::new(64, 3);
-        assert!(!p.warmed_up());
-        for _ in 0..3 {
-            p.record(&SampleRecord::total_only(Duration::from_millis(1)));
-        }
-        assert!(p.warmed_up());
-    }
-
-    #[test]
     fn percentile_timeout_reflects_distribution() {
-        let p = Profiler::new(1024, 1);
+        let p = Profiler::new(1024);
         // 75 fast samples at 10ms, 25 slow at 1000ms: P75 sits at the
         // boundary, P90 well into the slow set.
         for _ in 0..75 {
@@ -193,14 +174,14 @@ mod tests {
 
     #[test]
     fn no_data_yields_none() {
-        let p = Profiler::new(8, 1);
+        let p = Profiler::new(8);
         assert!(p.timeout_at_percentile(0.75).is_none());
         assert_eq!(p.fraction_slower_than(Duration::from_millis(1)), 0.0);
     }
 
     #[test]
     fn summary_in_milliseconds() {
-        let p = Profiler::new(16, 1);
+        let p = Profiler::new(16);
         p.record(&SampleRecord::total_only(Duration::from_millis(500)));
         let s = p.summary_ms();
         assert!((s.avg - 500.0).abs() < 1.0);

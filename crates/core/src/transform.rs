@@ -153,7 +153,7 @@ pub trait StageObserver: Send + Sync + std::fmt::Debug {
 pub struct TransformCtx {
     deadline: Option<Instant>,
     /// Speed multiplier applied by accelerator-offloaded execution
-    /// (the DALI baseline divides synthetic compute cost by this; CPU
+    /// (the synthetic work transforms divide their cost by it; CPU
     /// execution uses 1.0).
     pub speedup: f64,
     /// Buffer pools for in-place stages that still need fresh output
@@ -161,14 +161,6 @@ pub struct TransformCtx {
     pools: Option<Arc<PoolSet>>,
     /// Run transforms through [`Transform::apply_mut`] when set.
     in_place: bool,
-    /// Upper bound on how many [`TransformCtx::expired`] calls may pass
-    /// between two clock reads; tight kernels can poll per row without
-    /// paying a syscall-ish `Instant::now()` each time. The effective
-    /// stride is *adaptive*: each clock read measures the observed
-    /// per-poll interval and schedules the next read so the
-    /// undetected-expiry window stays small in wall time, never
-    /// exceeding this many polls.
-    poll_stride: u32,
     /// Total [`TransformCtx::expired`] calls so far.
     polls: Cell<u64>,
     /// Poll count at which the clock is read next.
@@ -196,13 +188,19 @@ pub struct TransformCtx {
 }
 
 impl TransformCtx {
-    /// Default cap of the amortized deadline check: at most 64
-    /// [`TransformCtx::expired`] calls between clock reads.
+    /// Upper bound on how many [`TransformCtx::expired`] calls may pass
+    /// between two clock reads; tight kernels can poll per row without
+    /// paying a syscall-ish `Instant::now()` each time. The effective
+    /// stride is *adaptive*: each clock read measures the observed
+    /// per-poll interval and schedules the next read so the
+    /// undetected-expiry window stays small in wall time, never
+    /// exceeding this many polls.
     pub const DEFAULT_POLL_STRIDE: u32 = 64;
 
     /// Target bound on how long an expired deadline may go unnoticed
     /// while polls are being skipped. The adaptive stride aims below
-    /// this; the configured `poll_stride` still caps the skip count.
+    /// this; [`DEFAULT_POLL_STRIDE`](Self::DEFAULT_POLL_STRIDE) still
+    /// caps the skip count.
     pub const MAX_POLL_SKEW: Duration = Duration::from_micros(500);
 
     fn base(deadline: Option<Instant>) -> TransformCtx {
@@ -211,7 +209,6 @@ impl TransformCtx {
             speedup: 1.0,
             pools: None,
             in_place: false,
-            poll_stride: Self::DEFAULT_POLL_STRIDE,
             polls: Cell::new(0),
             next_read: Cell::new(1),
             last_read: Cell::new(None),
@@ -292,14 +289,6 @@ impl TransformCtx {
         self
     }
 
-    /// Returns a copy polling the clock every `n`-th
-    /// [`TransformCtx::expired`] call (`n >= 1`; default
-    /// [`TransformCtx::DEFAULT_POLL_STRIDE`]).
-    pub fn with_poll_stride(mut self, n: u32) -> TransformCtx {
-        self.poll_stride = n.max(1);
-        self
-    }
-
     /// The deadline, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
@@ -324,8 +313,9 @@ impl TransformCtx {
     /// Whether the deadline has passed — amortized: most calls only
     /// bump a counter; the clock is read on a stride calibrated from
     /// the observed poll rate, so a kernel polling per row pays at most
-    /// one `Instant::now()` per `poll_stride` polls while a kernel
-    /// polling every few hundred microseconds still observes expiry
+    /// one `Instant::now()` per
+    /// [`DEFAULT_POLL_STRIDE`](Self::DEFAULT_POLL_STRIDE) polls while a
+    /// kernel polling every few hundred microseconds still observes expiry
     /// within roughly [`MAX_POLL_SKEW`](Self::MAX_POLL_SKEW). Use
     /// [`TransformCtx::expired_now`] where exact timing matters.
     pub fn expired(&self) -> bool {
@@ -347,8 +337,8 @@ impl TransformCtx {
         }
         // Calibrate the next read: skip however many polls fit in the
         // skew budget at the measured per-poll rate (1 when the rate is
-        // unknown or slow, `poll_stride` at most). Nearing the deadline
-        // shrinks the budget, so detection tightens exactly when it
+        // unknown or slow, `DEFAULT_POLL_STRIDE` at most). Nearing the
+        // deadline shrinks the budget, so detection tightens exactly when it
         // matters. Growth is geometric (at most doubling per read): one
         // noisy-short interval must not grant the full cap to a kernel
         // that actually polls slowly.
@@ -357,7 +347,8 @@ impl TransformCtx {
             Some(prev) if n > self.last_read_polls.get() && now > prev => {
                 let per_poll =
                     (now - prev).as_nanos().max(1) / u128::from(n - self.last_read_polls.get());
-                (budget.as_nanos() / per_poll.max(1)).clamp(1, u128::from(self.poll_stride)) as u64
+                (budget.as_nanos() / per_poll.max(1))
+                    .clamp(1, u128::from(Self::DEFAULT_POLL_STRIDE)) as u64
             }
             _ => 1,
         };
@@ -625,27 +616,6 @@ impl<T: Send + 'static> Pipeline<T> {
         &self.steps
     }
 
-    /// Returns a pipeline with the same transforms in a new order given by
-    /// `order` (a permutation of `0..len`). Used by Pecan's AutoOrder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..len`.
-    pub fn reordered(&self, order: &[usize]) -> Pipeline<T> {
-        assert_eq!(order.len(), self.steps.len(), "order length mismatch");
-        let mut seen = vec![false; order.len()];
-        for &i in order {
-            assert!(
-                i < self.steps.len() && !seen[i],
-                "order is not a permutation"
-            );
-            seen[i] = true;
-        }
-        Pipeline {
-            steps: order.iter().map(|&i| Arc::clone(&self.steps[i])).collect(),
-        }
-    }
-
     /// Runs the full pipeline from the first transform. See
     /// [`Pipeline::run_from`].
     pub fn run(&self, input: T, timeout: Option<Duration>) -> Result<PipelineRun<T>> {
@@ -750,8 +720,6 @@ impl<T: Send + 'static> Pipeline<T> {
 struct FnTransform<F> {
     name: String,
     f: F,
-    class: CostClass,
-    barrier: bool,
 }
 
 impl<T, F> Transform<T> for FnTransform<F>
@@ -766,14 +734,6 @@ where
     fn apply(&self, input: T, _ctx: &TransformCtx) -> Result<Outcome<T>> {
         (self.f)(input).map(Outcome::Done)
     }
-
-    fn cost_class(&self) -> CostClass {
-        self.class
-    }
-
-    fn is_barrier(&self) -> bool {
-        self.barrier
-    }
 }
 
 /// Wraps a plain closure as a (non-interruptible) transform.
@@ -785,22 +745,6 @@ where
     Arc::new(FnTransform {
         name: name.to_string(),
         f,
-        class: CostClass::Unknown,
-        barrier: false,
-    })
-}
-
-/// Like [`fn_transform`] but with an explicit [`CostClass`] (for AutoOrder).
-pub fn fn_transform_classed<T, F>(name: &str, class: CostClass, f: F) -> Arc<dyn Transform<T>>
-where
-    T: Send + 'static,
-    F: Fn(T) -> Result<T> + Send + Sync + 'static,
-{
-    Arc::new(FnTransform {
-        name: name.to_string(),
-        f,
-        class,
-        barrier: false,
     })
 }
 
@@ -917,8 +861,7 @@ mod tests {
         // A tight kernel polling millions of times must still notice a
         // short deadline — the adaptive stride caps skipped polls, so
         // expiry is detected promptly in wall time.
-        let ctx = TransformCtx::with_deadline(Instant::now() + Duration::from_millis(5))
-            .with_poll_stride(64);
+        let ctx = TransformCtx::with_deadline(Instant::now() + Duration::from_millis(5));
         let t0 = Instant::now();
         let mut polls = 0u64;
         while !ctx.expired() {
@@ -941,7 +884,7 @@ mod tests {
     #[test]
     fn slow_polls_detect_within_skew_budget() {
         // A coarse poller (hundreds of µs between polls, like an
-        // I/O-bound stage) must not wait `poll_stride` polls for the
+        // I/O-bound stage) must not wait the full stride of polls for the
         // clock: the adaptive stride drops to ~1 at this rate.
         let deadline = Duration::from_millis(5);
         let ctx = TransformCtx::with_deadline(Instant::now() + deadline);
@@ -1152,30 +1095,6 @@ mod tests {
             PipelineRun::Completed { value, .. } => assert_eq!(value, 9),
             _ => panic!("identity cannot time out"),
         }
-    }
-
-    #[test]
-    fn reordered_permutes_steps() {
-        let p = Pipeline::new(vec![
-            fn_transform("add1", |x: u64| Ok(x + 1)),
-            fn_transform("mul2", |x: u64| Ok(x * 2)),
-        ]);
-        let r = p.reordered(&[1, 0]);
-        match r.run(3, None).unwrap() {
-            PipelineRun::Completed { value, .. } => assert_eq!(value, 7), // (3*2)+1
-            _ => panic!(),
-        }
-        assert_eq!(r.steps()[0].name(), "mul2");
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn reordered_rejects_bad_permutation() {
-        let p = Pipeline::new(vec![
-            fn_transform("a", |x: u64| Ok(x)),
-            fn_transform("b", |x: u64| Ok(x)),
-        ]);
-        let _ = p.reordered(&[0, 0]);
     }
 
     #[test]

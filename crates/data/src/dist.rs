@@ -142,11 +142,6 @@ impl Dist {
             Dist::Clamped { inner, lo, hi } => inner.sample(rng).clamp(*lo, *hi),
         }
     }
-
-    /// Draws `n` samples into a vector.
-    pub fn sample_n<R: Rng>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// One standard-normal variate via Box–Muller.
@@ -250,6 +245,10 @@ mod tests {
         StdRng::seed_from_u64(42)
     }
 
+    fn draws(d: &Dist, rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| d.sample(rng)).collect()
+    }
+
     #[test]
     fn constant_is_constant() {
         let mut r = rng();
@@ -259,7 +258,7 @@ mod tests {
     #[test]
     fn uniform_within_bounds_and_mean() {
         let mut r = rng();
-        let xs = Dist::uniform(2.0, 4.0).sample_n(&mut r, 20_000);
+        let xs = draws(&Dist::uniform(2.0, 4.0), &mut r, 20_000);
         assert!(xs.iter().all(|&x| (2.0..4.0).contains(&x)));
         let s = Summary::of(&xs);
         assert!((s.avg - 3.0).abs() < 0.03);
@@ -268,7 +267,7 @@ mod tests {
     #[test]
     fn normal_moments() {
         let mut r = rng();
-        let xs = Dist::normal(10.0, 2.0).sample_n(&mut r, 50_000);
+        let xs = draws(&Dist::normal(10.0, 2.0), &mut r, 50_000);
         let s = Summary::of(&xs);
         assert!((s.avg - 10.0).abs() < 0.05, "avg {}", s.avg);
         assert!((s.std - 2.0).abs() < 0.05, "std {}", s.std);
@@ -277,7 +276,7 @@ mod tests {
     #[test]
     fn lognormal_is_positive_and_skewed() {
         let mut r = rng();
-        let xs = Dist::lognormal(0.0, 0.5).sample_n(&mut r, 20_000);
+        let xs = draws(&Dist::lognormal(0.0, 0.5), &mut r, 20_000);
         assert!(xs.iter().all(|&x| x > 0.0));
         let s = Summary::of(&xs);
         // E[lognormal(0, 0.5)] = exp(0.125) ≈ 1.133; median = 1.
@@ -290,7 +289,7 @@ mod tests {
     fn mixture_respects_weights() {
         let mut r = rng();
         let d = Dist::mixture(vec![(0.8, Dist::Constant(0.0)), (0.2, Dist::Constant(1.0))]);
-        let xs = d.sample_n(&mut r, 50_000);
+        let xs = draws(&d, &mut r, 50_000);
         let ones = xs.iter().filter(|&&x| x == 1.0).count() as f64 / xs.len() as f64;
         assert!((ones - 0.2).abs() < 0.01, "got {ones}");
     }
@@ -299,14 +298,15 @@ mod tests {
     fn clamp_bounds_samples() {
         let mut r = rng();
         let d = Dist::normal(0.0, 100.0).clamped(-1.0, 1.0);
-        let xs = d.sample_n(&mut r, 1000);
+        let xs = draws(&d, &mut r, 1000);
         assert!(xs.iter().all(|&x| (-1.0..=1.0).contains(&x)));
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = Dist::normal(0.0, 1.0).sample_n(&mut StdRng::seed_from_u64(1), 10);
-        let b = Dist::normal(0.0, 1.0).sample_n(&mut StdRng::seed_from_u64(1), 10);
+        let d = Dist::normal(0.0, 1.0);
+        let a = draws(&d, &mut StdRng::seed_from_u64(1), 10);
+        let b = draws(&d, &mut StdRng::seed_from_u64(1), 10);
         assert_eq!(a, b);
     }
 

@@ -229,16 +229,6 @@ impl WorkloadSpec {
         s
     }
 
-    /// All four paper workloads, in the order the figures use.
-    pub fn all_paper_workloads() -> Vec<WorkloadSpec> {
-        vec![
-            WorkloadSpec::image_segmentation(),
-            WorkloadSpec::object_detection(),
-            WorkloadSpec::speech(3.0),
-            WorkloadSpec::speech(10.0),
-        ]
-    }
-
     /// GPU time for one training step on `arch`, in milliseconds.
     pub fn gpu_step_ms(&self, arch: GpuArch) -> f64 {
         match arch {
@@ -435,7 +425,12 @@ mod tests {
 
     #[test]
     fn per_step_sums_to_total() {
-        for spec in WorkloadSpec::all_paper_workloads() {
+        for spec in [
+            WorkloadSpec::image_segmentation(),
+            WorkloadSpec::object_detection(),
+            WorkloadSpec::speech(3.0),
+            WorkloadSpec::speech(10.0),
+        ] {
             for i in 0..50 {
                 let p = spec.sample_profile(i);
                 let sum: f64 = p.per_step_ms.iter().sum();

@@ -1,7 +1,6 @@
 //! Lock-free counters shared between loader workers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A monotonically increasing, thread-safe counter.
 ///
@@ -49,18 +48,6 @@ impl Counter {
     }
 }
 
-/// Converts a byte count and an elapsed duration into MB/s, the unit of the
-/// paper's throughput plots (Figure 7).
-///
-/// Returns 0.0 for a zero-length interval.
-pub fn mb_per_sec(bytes: u64, elapsed: Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    bytes as f64 / 1e6 / secs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,11 +78,5 @@ mod tests {
         c.add(5);
         assert_eq!(c.take(), 5);
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn mb_per_sec_basic() {
-        assert_eq!(mb_per_sec(10_000_000, Duration::from_secs(2)), 5.0);
-        assert_eq!(mb_per_sec(1, Duration::ZERO), 0.0);
     }
 }

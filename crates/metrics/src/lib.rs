@@ -13,7 +13,7 @@
 //!   worker scheduler (paper Formula 2),
 //! * [`LogHistogram`] — power-of-two-bucketed latency distribution the
 //!   `minato-trace` collector folds lifecycle events into,
-//! * [`table`] — plain-text table/CSV rendering for the experiment
+//! * [`table`] — plain-text table rendering for the experiment
 //!   harnesses.
 //!
 //! Everything here is deterministic and allocation-conscious; the hot-path

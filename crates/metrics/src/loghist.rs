@@ -162,22 +162,6 @@ impl LogHistogram {
         // Unreachable with total > 0; fall back to the max.
         Some(self.max as f64)
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Resets the histogram to empty.
-    pub fn clear(&mut self) {
-        *self = LogHistogram::new();
-    }
 }
 
 #[cfg(test)]
@@ -253,19 +237,5 @@ mod tests {
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(u64::MAX));
         assert!(h.quantile(1.0).expect("non-empty") <= u64::MAX as f64);
-    }
-
-    #[test]
-    fn merge_adds_counts_and_extends_range() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record(10);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(10));
-        assert_eq!(a.max(), Some(1_000_000));
-        a.clear();
-        assert!(a.is_empty());
     }
 }

@@ -85,15 +85,6 @@ impl Summary {
             std: var.sqrt(),
         }
     }
-
-    /// Renders the summary in the paper's Table 2 format:
-    /// `Avg Med. P75 P90 Min–Max–Std`.
-    pub fn table2_row(&self) -> String {
-        format!(
-            "{:>7.0} {:>7.0} {:>7.0} {:>7.0}  {:.0}-{:.0}-{:.0}",
-            self.avg, self.median, self.p75, self.p90, self.min, self.max, self.std
-        )
-    }
 }
 
 #[cfg(test)]
@@ -143,13 +134,5 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 9.0);
         assert_eq!(s.median, 5.0);
-    }
-
-    #[test]
-    fn table2_row_formats() {
-        let s = Summary::of(&[10.0, 20.0, 30.0]);
-        let row = s.table2_row();
-        assert!(row.contains("20"));
-        assert!(row.contains("10-30"));
     }
 }

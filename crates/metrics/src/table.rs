@@ -1,8 +1,8 @@
-//! Plain-text table and CSV rendering for experiment harnesses.
+//! Plain-text table rendering for experiment harnesses.
 //!
-//! Every figure/table harness in `minato-bench` prints its result both as an
-//! aligned terminal table (for eyeballing paper-vs-measured) and as CSV (for
-//! external plotting). This module keeps that formatting in one place.
+//! Every figure/table harness in `minato-bench` prints its result as an
+//! aligned terminal table (for eyeballing paper-vs-measured). This module
+//! keeps that formatting in one place.
 
 use std::fmt::Write as _;
 
@@ -100,29 +100,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (RFC-4180 quoting for cells containing
-    /// commas, quotes, or newlines).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let emit = |out: &mut String, cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| esc(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&mut out, &self.header);
-        for row in &self.rows {
-            emit(&mut out, row);
-        }
-        out
-    }
 }
 
 /// Formats a `f64` with `digits` decimal places, trimming `-0`.
@@ -150,15 +127,6 @@ mod tests {
         let h_off = lines[0].find("long_header").expect("header present");
         let r_off = lines[2].find('1').expect("row present");
         assert_eq!(h_off, r_off);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(&["k", "v"]);
-        t.row(&["a,b", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

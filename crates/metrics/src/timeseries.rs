@@ -89,27 +89,6 @@ impl TimeSeries {
         self.times.windows(2).all(|w| w[0] <= w[1])
     }
 
-    /// Time-weighted average using each sample as the value until the next
-    /// timestamp. Falls back to [`TimeSeries::mean`] with fewer than two
-    /// samples.
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.times.len() < 2 {
-            return self.mean();
-        }
-        let mut area = 0.0;
-        let mut span = 0.0;
-        for w in 0..self.times.len() - 1 {
-            let dt = (self.times[w + 1] - self.times[w]).max(0.0);
-            area += self.values[w] * dt;
-            span += dt;
-        }
-        if span <= 0.0 {
-            self.mean()
-        } else {
-            area / span
-        }
-    }
-
     /// Downsamples to at most `max_points` samples by striding, preserving
     /// the final sample. Used to keep harness output readable.
     pub fn downsample(&self, max_points: usize) -> TimeSeries {
@@ -195,17 +174,6 @@ mod tests {
         assert!(ts.downsample(8).is_monotonic());
         ts.push(0.25, 1.0);
         assert!(!ts.is_monotonic(), "regressing time must be flagged");
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_interval() {
-        let mut ts = TimeSeries::new("x");
-        // Value 0 for 9s, then value 100 for 1s (final sample has no span).
-        ts.push(0.0, 0.0);
-        ts.push(9.0, 100.0);
-        ts.push(10.0, 100.0);
-        // Area = 0*9 + 100*1 = 100 over span 10 -> 10.0.
-        assert!((ts.time_weighted_mean() - 10.0).abs() < 1e-9);
     }
 
     #[test]

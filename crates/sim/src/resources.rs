@@ -84,20 +84,6 @@ impl ServerPool {
     pub fn busy(&self) -> &IntervalAccumulator {
         &self.busy
     }
-
-    /// Fraction of the last-`window` bucket capacity that was busy, for
-    /// the scheduler's `Cusage` input.
-    pub fn recent_utilization(&self, now: SimTime, window: SimDuration) -> f64 {
-        let cap = window.as_secs_f64() * self.capacity() as f64;
-        if cap <= 0.0 {
-            return 0.0;
-        }
-        (self
-            .busy
-            .busy_seconds_between(now.saturating_sub_dur(window), now)
-            / cap)
-            .clamp(0.0, 1.0)
-    }
 }
 
 /// One GPU: a single FIFO timeline shared by training steps and (under
@@ -324,11 +310,6 @@ impl<T> SimQueue<T> {
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.items.pop_front()
     }
-
-    /// Ready time of the oldest item.
-    pub fn front_ready_at(&self) -> Option<SimTime> {
-        self.items.front().map(|(t, _)| *t)
-    }
 }
 
 #[cfg(test)]
@@ -362,14 +343,6 @@ mod tests {
         assert_eq!(s, SimTime::from_secs_f64(1.0));
         p.resize(SimTime::from_secs_f64(1.0), 1);
         assert_eq!(p.capacity(), 1);
-    }
-
-    #[test]
-    fn pool_utilization_window() {
-        let mut p = ServerPool::new(1, B);
-        p.submit(SimTime::ZERO, SimDuration::from_secs_f64(0.5));
-        let u = p.recent_utilization(SimTime::from_secs_f64(1.0), SimDuration::from_secs_f64(1.0));
-        assert!((u - 0.5).abs() < 1e-9, "got {u}");
     }
 
     #[test]
@@ -430,7 +403,6 @@ mod tests {
         q.push(SimTime(1), 'a');
         q.push(SimTime(2), 'b');
         assert!(q.is_full());
-        assert_eq!(q.front_ready_at(), Some(SimTime(1)));
         assert_eq!(q.pop(), Some((SimTime(1), 'a')));
         assert_eq!(q.len(), 1);
     }

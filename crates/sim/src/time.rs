@@ -77,11 +77,6 @@ impl SimDuration {
     pub fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Scales the span by `f` (clamped non-negative).
-    pub fn mul_f64(self, f: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * f.max(0.0)) as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -143,7 +138,6 @@ mod tests {
     fn negative_inputs_clamp_to_zero() {
         assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
         assert_eq!(SimDuration::from_ms_f64(-5.0), SimDuration::ZERO);
-        assert_eq!(SimDuration(10).mul_f64(-2.0), SimDuration::ZERO);
     }
 
     #[test]

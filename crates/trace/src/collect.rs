@@ -210,11 +210,6 @@ impl Collector {
         &self.kind_counts
     }
 
-    /// Count of one kind.
-    pub fn count_of(&self, kind: EventKind) -> u64 {
-        self.kind_counts[kind as usize]
-    }
-
     /// Total events folded.
     pub fn events_folded(&self) -> u64 {
         self.events_folded
@@ -323,7 +318,7 @@ mod tests {
         }
         assert_eq!(c.events().len(), 4);
         assert_eq!(c.export_dropped(), 6);
-        assert_eq!(c.count_of(EventKind::CacheHit), 10);
+        assert_eq!(c.kind_counts()[EventKind::CacheHit as usize], 10);
         assert_eq!(c.events_folded(), 10);
     }
 

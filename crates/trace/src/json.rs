@@ -55,14 +55,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The boolean, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Parse failure: a message plus the byte offset it occurred at.
@@ -298,12 +290,10 @@ mod tests {
                 .and_then(|a| a[2].as_f64()),
             Some(-300.0)
         );
-        assert_eq!(
-            v.get("b")
-                .and_then(|b| b.get("d"))
-                .and_then(JsonValue::as_bool),
-            Some(true)
-        );
+        assert!(matches!(
+            v.get("b").and_then(|b| b.get("d")),
+            Some(JsonValue::Bool(true))
+        ));
         assert_eq!(v.get("e").and_then(JsonValue::as_str), Some("x\ny"));
     }
 
