@@ -17,9 +17,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocation of `size` bytes.
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
+}
 
 /// Pass-through wrapper over the system allocator that counts every
-/// allocation and reallocation.
+/// allocation and reallocation, and the bytes each asks for.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
@@ -27,22 +34,23 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: inherits `System::alloc`'s contract verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's layout is forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: inherits `System::alloc_zeroed`'s contract verbatim.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's layout is forwarded unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: inherits `System::realloc`'s contract verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A grow/shrink pays the allocator once; count it once.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // A grow/shrink pays the allocator once; count it once, at its
+        // new size.
+        count(new_size);
         // SAFETY: ptr/layout/new_size come straight from the caller,
         // who upholds `GlobalAlloc::realloc`'s preconditions.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -59,6 +67,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// [`CountingAlloc`] is not the registered global allocator.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Total bytes requested by those allocations (a reallocation counts
+/// its new size); 0 when [`CountingAlloc`] is not registered.
+pub fn allocated_bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }
 
 /// Whether the counting allocator is live in this process (a heap probe

@@ -112,10 +112,6 @@ pub struct LoaderConfig {
     pub cache_budget_bytes: u64,
     /// Eviction policy of the sample cache.
     pub cache_policy: EvictionPolicy,
-    /// Byte budget of the sample buffer pool; 0 disables pooling (the
-    /// default — behavior is then byte-identical to a pool-less build:
-    /// by-value transform execution, no recycle hook on batches).
-    pub pool_budget_bytes: u64,
     /// Track delivered sequence numbers so [`MinatoLoader::checkpoint`]
     /// can snapshot progress (off by default — the delivery log costs
     /// one short lock acquisition per popped batch).
@@ -202,7 +198,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 order_preserving: false,
                 cache_budget_bytes: 0,
                 cache_policy: EvictionPolicy::CostAware,
-                pool_budget_bytes: 0,
                 checkpointing: false,
                 trace: TraceConfig::default(),
             },
@@ -355,17 +350,17 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     }
 
     /// Enables the sample buffer pool with a total byte budget
-    /// (0 = disabled, the default). With the pool on, the pipeline
-    /// executes in place ([`crate::transform::Transform::apply_mut`]),
-    /// shape-changing stages draw output buffers from the pool, and
-    /// delivered batches return their samples' buffers on drop — the
-    /// zero-allocation hot path of [`crate::pool`]. Requires the sample
-    /// type to implement [`Reclaim`].
+    /// (0 = disabled, the default). The pipeline runs in place
+    /// ([`crate::transform::Transform::apply_mut`]) either way; with the
+    /// pool on, shape-changing stages draw their output buffers from it
+    /// instead of the allocator, and delivered batches return their
+    /// samples' buffers on drop — the zero-allocation hot path of
+    /// [`crate::pool`]. Requires the sample type to implement
+    /// [`Reclaim`].
     pub fn pool_budget_bytes(mut self, n: u64) -> Self
     where
         D::Sample: Reclaim,
     {
-        self.cfg.pool_budget_bytes = n;
         if n == 0 {
             self.pool_set = None;
             self.recycler = None;
@@ -386,8 +381,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     where
         D::Sample: Reclaim,
     {
-        self.cfg.pool_budget_bytes =
-            pools.f32s().config().budget_bytes + pools.u8s().config().budget_bytes;
         self.recycler = Some(Arc::new(PoolRecycler::new(Arc::clone(&pools))));
         self.pool_set = Some(pools);
         self
@@ -1031,8 +1024,6 @@ fn monitor_loop<D: Dataset>(
     let mut scheduler = WorkerScheduler::new(rt.cfg.scheduler.clone());
     let interval = rt.cfg.scheduler.interval;
     let mut prev_busy = 0u64;
-    let mut prev_slow_busy = 0u64;
-    let mut prev_bytes = 0u64;
     let mut prev_cache_hits = 0u64;
     let mut prev_cache_lookups = 0u64;
     let mut prev_pool_hits = 0u64;
@@ -1046,8 +1037,8 @@ fn monitor_loop<D: Dataset>(
         let active = rt.exec.budget(roles.fast).max(1);
 
         // CPU utilization of *active loader* workers over the last
-        // interval. Slow workers meter their busy time separately: they
-        // are not gated by the scheduler, so folding their time into this
+        // interval. Slow workers' busy time is not metered: they are not
+        // gated by the scheduler, so folding their time into this
         // numerator while normalizing by the active loader count would
         // inflate `cpu_norm` into the clamp and bias Formulas 1–2.
         let busy = rt.cpu_meter.busy_ns();
@@ -1055,21 +1046,10 @@ fn monitor_loop<D: Dataset>(
         prev_busy = busy;
         let cpu_norm =
             (busy_delta as f64 / (interval.as_nanos() as f64 * active as f64)).clamp(0.0, 1.0);
-        let slow_busy = rt.slow_meter.busy_ns();
-        let slow_delta = slow_busy.saturating_sub(prev_slow_busy);
-        prev_slow_busy = slow_busy;
-        let slow_norm = (slow_delta as f64
-            / (interval.as_nanos() as f64 * rt.slow_meter.slots() as f64))
-            .clamp(0.0, 1.0);
 
-        // Batch-queue occupancy as a fraction of total capacity.
+        // Batch-queue occupancy, an input to the scheduler.
         let q_len: usize = rt.batch_qs.iter().map(|q| q.len()).sum();
         let q_cap: usize = rt.batch_qs.iter().map(|q| q.capacity()).sum();
-
-        // Delivered throughput over the interval.
-        let bytes = rt.bytes_out.get();
-        let mbps = (bytes.saturating_sub(prev_bytes)) as f64 / 1e6 / interval.as_secs_f64();
-        prev_bytes = bytes;
 
         // Cache hit rate over the interval (the cache stays `None` when
         // disabled, leaving the series empty).
@@ -1087,22 +1067,20 @@ fn monitor_loop<D: Dataset>(
             }
         });
 
-        // Pool hit rate over the interval plus the resident byte count —
-        // the steady-state working set the recycle loop retains (both
-        // series stay empty when pooling is disabled).
-        let pool_sample = rt.pools.as_ref().map(|p| {
+        // Pool hit rate over the interval (the series stays empty when
+        // pooling is disabled).
+        let pool_hit_pct = rt.pools.as_ref().map(|p| {
             let s = p.stats().combined();
             let lookups = s.lookups();
             let d_lookups = lookups.saturating_sub(prev_pool_lookups);
             let d_hits = s.hits.saturating_sub(prev_pool_hits);
             prev_pool_lookups = lookups;
             prev_pool_hits = s.hits;
-            let pct = if d_lookups == 0 {
+            if d_lookups == 0 {
                 0.0
             } else {
                 d_hits as f64 / d_lookups as f64 * 100.0
-            };
-            (pct, s.bytes as f64)
+            }
         });
 
         // Drain the event rings every tick (so they cannot silently
@@ -1118,27 +1096,16 @@ fn monitor_loop<D: Dataset>(
 
         {
             let mut t = trace.lock();
-            t.cpu_pct.push(now, cpu_norm * 100.0);
-            t.slow_cpu_pct.push(now, slow_norm * 100.0);
             t.workers.push(now, active as f64);
-            t.batch_occupancy
-                .push(now, q_len as f64 / q_cap.max(1) as f64);
-            t.throughput_mbps.push(now, mbps);
             if let Some(pct) = cache_hit_pct {
                 t.cache_hit_pct.push(now, pct);
             }
-            if let Some((pct, bytes)) = pool_sample {
+            if let Some(pct) = pool_hit_pct {
                 t.pool_hit_pct.push(now, pct);
-                t.pool_bytes.push(now, bytes);
             }
             if let Some(dropped) = trace_drop_total {
                 t.trace_dropped.push(now, dropped);
             }
-            let f = rt.faults.snapshot();
-            t.fault_counts[0].push(now, f.panics as f64);
-            t.fault_counts[1].push(now, f.poisoned as f64);
-            t.fault_counts[2].push(now, f.quarantined as f64);
-            t.fault_counts[3].push(now, f.rerouted as f64);
         }
 
         if rt.cfg.adaptive_workers {

@@ -6,10 +6,10 @@
 //! [`pool`](crate::loader::MinatoLoaderBuilder::pool)), the loader's
 //! delivery path stops paying the allocator per sample per stage:
 //!
-//! * loader and slow workers run the pipeline **in place**
-//!   ([`Transform::apply_mut`](crate::transform::Transform::apply_mut)),
-//!   with shape-changing stages drawing output buffers from the pool
-//!   and recycling the buffers they replace;
+//! * the pipeline runs **in place**
+//!   ([`Transform::apply_mut`](crate::transform::Transform::apply_mut))
+//!   with or without a pool; with one, shape-changing stages draw their
+//!   output buffers from it and recycle the buffers they replace into it;
 //! * delivered batches carry a [`SampleRecycler`]: when the training
 //!   loop drops a [`Batch`](crate::batch::Batch), every unconsumed
 //!   sample hands its buffers back (the [`Reclaim`] impl of the sample
@@ -22,8 +22,9 @@
 //! so pool bytes and cache bytes are disjoint — enabling both never
 //! double-counts a buffer.
 //!
-//! The pool is off by default; an unpooled loader executes the exact
-//! by-value path and is byte-identical to builds that predate pooling.
+//! The pool is off by default; an unpooled loader runs the same stage
+//! bodies with plain allocations for their scratch, and delivers the same
+//! bytes as a pooled one.
 
 pub use minato_pool::{
     AcquireObserver, BufferPool, PoolConfig, PoolGuard, PoolSet, PoolSetStats, PoolStats, Reclaim,

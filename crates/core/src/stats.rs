@@ -84,19 +84,8 @@ pub struct LoaderStats {
 /// the loader-side equivalent of the paper's `dstat`/`nvidia-smi` traces.
 #[derive(Debug, Clone)]
 pub struct MonitorTrace {
-    /// Foreground preprocessing CPU utilization (% of active loader
-    /// workers), per interval.
-    pub cpu_pct: TimeSeries,
-    /// Background slow-worker CPU utilization (% of slow workers), per
-    /// interval — metered separately so loader `cpu_pct` feeds the
-    /// scheduler unbiased.
-    pub slow_cpu_pct: TimeSeries,
     /// Active worker count (the fast role's budget), per interval.
     pub workers: TimeSeries,
-    /// Batch-queue occupancy (fraction of capacity), per interval.
-    pub batch_occupancy: TimeSeries,
-    /// Delivered throughput in MB/s of raw sample bytes, per interval.
-    pub throughput_mbps: TimeSeries,
     /// Sample-cache hit rate (% of lookups) over each interval; stays
     /// empty when the cache is disabled.
     pub cache_hit_pct: TimeSeries,
@@ -104,13 +93,6 @@ pub struct MonitorTrace {
     /// memory) over each interval; stays empty when pooling is
     /// disabled.
     pub pool_hit_pct: TimeSeries,
-    /// Bytes resident in the pool's shared free-lists at each interval
-    /// — the steady-state working set the recycle loop retains.
-    pub pool_bytes: TimeSeries,
-    /// Cumulative fault counters over time (`[panics, poisoned,
-    /// quarantined, rerouted]`) — flat at zero on a healthy run, so a
-    /// step in any series timestamps when a fault burst hit.
-    pub fault_counts: [TimeSeries; 4],
     /// Cumulative trace events dropped (ring overflow + unassigned
     /// threads) over time; empty when tracing is disabled, flat at zero
     /// when every event fit its ring — a step timestamps when overload
@@ -122,20 +104,9 @@ impl MonitorTrace {
     /// Creates an empty trace.
     pub fn new() -> MonitorTrace {
         MonitorTrace {
-            cpu_pct: TimeSeries::new("cpu_pct"),
-            slow_cpu_pct: TimeSeries::new("slow_cpu_pct"),
             workers: TimeSeries::new("workers"),
-            batch_occupancy: TimeSeries::new("batch_occupancy"),
-            throughput_mbps: TimeSeries::new("throughput_mbps"),
             cache_hit_pct: TimeSeries::new("cache_hit_pct"),
             pool_hit_pct: TimeSeries::new("pool_hit_pct"),
-            pool_bytes: TimeSeries::new("pool_bytes"),
-            fault_counts: [
-                TimeSeries::new("fault_panics"),
-                TimeSeries::new("fault_poisoned"),
-                TimeSeries::new("fault_quarantined"),
-                TimeSeries::new("fault_rerouted"),
-            ],
             trace_dropped: TimeSeries::new("trace_dropped"),
         }
     }
@@ -154,15 +125,9 @@ mod tests {
     #[test]
     fn trace_starts_empty() {
         let t = MonitorTrace::new();
-        assert!(t.cpu_pct.is_empty());
-        assert!(t.slow_cpu_pct.is_empty());
         assert!(t.workers.is_empty());
-        assert!(t.batch_occupancy.is_empty());
-        assert!(t.throughput_mbps.is_empty());
         assert!(t.cache_hit_pct.is_empty());
         assert!(t.pool_hit_pct.is_empty());
-        assert!(t.pool_bytes.is_empty());
-        assert!(t.fault_counts.iter().all(|s| s.is_empty()));
         assert!(t.trace_dropped.is_empty());
     }
 }

@@ -13,25 +13,27 @@
 //!   (a completed step is never redone — resume continues at `i + 1`);
 //! * *within* a transform, implementations may poll
 //!   [`TransformCtx::expired`] and bail out early by returning
-//!   [`Outcome::Interrupted`]; the pipeline then records index `i` so the
+//!   [`InPlace::Interrupted`]; the pipeline then records index `i` so the
 //!   interrupted transform re-executes, matching the paper's "the last
 //!   transformation was only partially applied, it must be re-executed".
 //!
 //! # In-place execution
 //!
-//! By-value [`Transform::apply`] forces every shape-changing stage to
-//! materialize a fresh output buffer per sample. The in-place contract —
-//! [`Transform::apply_mut`] — lets stages mutate (or shrink) the sample
-//! where it sits, and draw any genuinely new buffers from a shared
-//! [`PoolSet`] carried by the [`TransformCtx`]. The pipeline engages the
-//! in-place path per run (see [`Pipeline::run_ctx`]); transforms without
-//! an in-place implementation fall back to by-value `apply`
-//! transparently, and resume-at-index semantics are identical in both
-//! modes: an interrupted `apply_mut` **must leave the sample in its
-//! input state** so re-executing transform `i` reproduces the
-//! uninterrupted result.
+//! Every run executes a stage through [`Transform::apply_mut`], which
+//! mutates (or shrinks) the sample where it sits and takes any genuinely
+//! new buffer from [`TransformCtx::acquire_f32`] /
+//! [`TransformCtx::acquire_u8`]. Those serve it from the [`PoolSet`]
+//! attached with [`TransformCtx::with_pool`], and allocate plainly when
+//! none is: the pool is a scratch provider, not a mode, so pooled and
+//! unpooled runs execute the same kernel body. By-value
+//! [`Transform::apply`] is provided on top of `apply_mut`; a stage written
+//! by value (e.g. [`fn_transform`]) reports [`InPlace::ByValue`] and the
+//! pipeline runs its `apply` for that step instead. Resume-at-index
+//! semantics are the same for both: an interrupted `apply_mut` **must
+//! leave the sample in its input state** so re-executing transform `i`
+//! reproduces the uninterrupted result.
 
-use crate::error::Result;
+use crate::error::{LoaderError, Result};
 use minato_pool::PoolSet;
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -120,6 +122,9 @@ impl ScratchLedger {
 
 /// Pecan-style classification of a transform's effect on sample volume
 /// (§2.1: AutoOrder moves deflationary steps earlier, inflationary later).
+/// No in-tree code reads it; it remains only because the benchmark's
+/// span wrapper (`benchmark/src/spans.rs`) forwards
+/// [`Transform::cost_class`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostClass {
     /// Increases data volume (e.g., padding, one-hot encoding).
@@ -156,11 +161,9 @@ pub struct TransformCtx {
     /// (the synthetic work transforms divide their cost by it; CPU
     /// execution uses 1.0).
     pub speedup: f64,
-    /// Buffer pools for in-place stages that still need fresh output
-    /// memory (transposes, resizes); `None` on the by-value path.
+    /// Buffer pools serving the scratch stages still need (transposes,
+    /// resizes); `None` when unpooled, where scratch is allocated plainly.
     pools: Option<Arc<PoolSet>>,
-    /// Run transforms through [`Transform::apply_mut`] when set.
-    in_place: bool,
     /// Total [`TransformCtx::expired`] calls so far.
     polls: Cell<u64>,
     /// Poll count at which the clock is read next.
@@ -208,7 +211,6 @@ impl TransformCtx {
             deadline,
             speedup: 1.0,
             pools: None,
-            in_place: false,
             polls: Cell::new(0),
             next_read: Cell::new(1),
             last_read: Cell::new(None),
@@ -249,19 +251,10 @@ impl TransformCtx {
         self
     }
 
-    /// Returns a copy carrying `pools` and with in-place execution
-    /// engaged (stages acquire scratch from and recycle buffers into
-    /// the set; a disabled set still runs stages in place).
+    /// Returns a copy carrying `pools`: stages acquire scratch from and
+    /// recycle replaced buffers into the set instead of the allocator.
     pub fn with_pool(mut self, pools: Arc<PoolSet>) -> TransformCtx {
         self.pools = Some(pools);
-        self.in_place = true;
-        self
-    }
-
-    /// Returns a copy with in-place execution explicitly switched
-    /// on/off (independent of whether a pool is attached).
-    pub fn with_in_place(mut self, yes: bool) -> TransformCtx {
-        self.in_place = yes;
         self
     }
 
@@ -297,17 +290,6 @@ impl TransformCtx {
     /// The buffer pools, when the run is pooled.
     pub fn pool(&self) -> Option<&PoolSet> {
         self.pools.as_deref()
-    }
-
-    /// Whether transforms should execute through
-    /// [`Transform::apply_mut`].
-    pub fn in_place(&self) -> bool {
-        self.in_place
-    }
-
-    /// The scratch ledger, when panic repayment is armed.
-    pub fn scratch(&self) -> Option<&Arc<ScratchLedger>> {
-        self.scratch.as_ref()
     }
 
     /// Whether the deadline has passed — amortized: most calls only
@@ -390,12 +372,6 @@ impl TransformCtx {
             return true;
         }
         false
-    }
-
-    /// Time remaining until the deadline (`None` = unbounded).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// A zero-filled `f32` buffer of length `len` — pool-served when a
@@ -489,8 +465,8 @@ pub enum InPlace {
     /// (background worker, no deadline) reproduces the uninterrupted
     /// result.
     Interrupted,
-    /// The transform has no in-place implementation; the pipeline falls
-    /// back to by-value [`Transform::apply`] for this step.
+    /// The transform is written by value; the pipeline runs
+    /// [`Transform::apply`] for this step instead.
     ByValue,
 }
 
@@ -498,27 +474,28 @@ pub enum InPlace {
 ///
 /// Transforms are shared across worker threads, so implementations must be
 /// `Send + Sync` and must not cache per-sample state internally.
+///
+/// A stage implements [`Transform::apply_mut`], the body every pipeline
+/// run executes; `apply` is derived from it. A stage written by value
+/// (a closure, say) overrides `apply` instead and leaves `apply_mut`
+/// reporting [`InPlace::ByValue`].
 pub trait Transform<T>: Send + Sync + 'static {
     /// Stable name used in profiling output and error messages.
     fn name(&self) -> &str;
 
-    /// Applies the transform to `input`.
+    /// Applies the transform by mutating `sample` in place. Stages
+    /// needing a differently shaped output buffer draw it from
+    /// [`TransformCtx::acquire_f32`] / [`TransformCtx::acquire_u8`] and
+    /// recycle the buffer it replaces; with no pool attached those are
+    /// plain allocations.
     ///
     /// Long-running implementations should periodically check
-    /// [`TransformCtx::expired`] and return [`Outcome::Interrupted`] with
-    /// the original input to honor the load balancer's timeout; short
-    /// transforms may ignore the context entirely.
-    fn apply(&self, input: T, ctx: &TransformCtx) -> Result<Outcome<T>>;
-
-    /// Applies the transform by mutating `sample` in place — the
-    /// zero-allocation hot path. Stages needing a differently shaped
-    /// output buffer should draw it from [`TransformCtx::acquire_f32`]/
-    /// [`TransformCtx::acquire_u8`] and recycle the buffer it replaces.
+    /// [`TransformCtx::expired`] and return [`InPlace::Interrupted`] to
+    /// honor the load balancer's timeout; short transforms may ignore
+    /// the context entirely.
     ///
-    /// The default has no in-place implementation and returns
-    /// [`InPlace::ByValue`], making the pipeline fall back to the
-    /// by-value [`Transform::apply`] for this step — existing transforms
-    /// keep working unchanged.
+    /// The default returns [`InPlace::ByValue`]: the stage is written by
+    /// value and the pipeline runs [`Transform::apply`] for it.
     ///
     /// **Contract:** returning [`InPlace::Interrupted`] promises that
     /// `sample` was left in its input state (restore before bailing
@@ -528,13 +505,33 @@ pub trait Transform<T>: Send + Sync + 'static {
         Ok(InPlace::ByValue)
     }
 
-    /// Volume classification used by Pecan's AutoOrder policy.
+    /// Applies the transform to an owned `input`: runs
+    /// [`Transform::apply_mut`] on it and hands it back as
+    /// [`Outcome::Done`] or, with its input state, as
+    /// [`Outcome::Interrupted`]. Override it only for a stage written by
+    /// value. A stage that overrides neither method fails with
+    /// [`LoaderError::Transform`].
+    fn apply(&self, mut input: T, ctx: &TransformCtx) -> Result<Outcome<T>> {
+        match self.apply_mut(&mut input, ctx)? {
+            InPlace::Done => Ok(Outcome::Done(input)),
+            InPlace::Interrupted => Ok(Outcome::Interrupted(input)),
+            InPlace::ByValue => Err(LoaderError::Transform {
+                name: self.name().to_string(),
+                msg: "implements neither apply_mut nor apply".into(),
+            }),
+        }
+    }
+
+    /// Volume classification used by Pecan's AutoOrder policy. No
+    /// in-tree code reads it and no in-tree stage overrides it; it
+    /// remains only because `benchmark/src/spans.rs` forwards it.
     fn cost_class(&self) -> CostClass {
         CostClass::Unknown
     }
 
-    /// Whether this transform is a reordering barrier (AutoOrder never
-    /// moves transforms across a barrier, §2.1).
+    /// Whether this transform is a reordering barrier for AutoOrder
+    /// (§2.1). Kept, like [`Transform::cost_class`], only because
+    /// `benchmark/src/spans.rs` forwards it.
     fn is_barrier(&self) -> bool {
         false
     }
@@ -641,17 +638,13 @@ impl<T: Send + 'static> Pipeline<T> {
     /// execution context — the primitive behind [`Pipeline::run`] and
     /// [`Pipeline::run_from`].
     ///
-    /// With [`TransformCtx::in_place`] set (e.g. via
-    /// [`TransformCtx::with_pool`]) each step executes through
-    /// [`Transform::apply_mut`], falling back to by-value
-    /// [`Transform::apply`] per step when it reports
-    /// [`InPlace::ByValue`]. Resume-at-index semantics are identical in
-    /// both modes: a completed step is never redone, and an interrupted
-    /// step `i` (which left the sample in its input state, per the
-    /// `apply_mut` contract) re-executes from `resume_at = i`.
+    /// Each step executes through [`Transform::apply_mut`], pooled or
+    /// not, and through [`Transform::apply`] only when it reports
+    /// [`InPlace::ByValue`]. A completed step is never redone, and an
+    /// interrupted step `i` (which left the sample in its input state,
+    /// per the `apply_mut` contract) re-executes from `resume_at = i`.
     pub fn run_ctx(&self, start_at: usize, input: T, ctx: TransformCtx) -> Result<PipelineRun<T>> {
         let start = Instant::now();
-        let in_place = ctx.in_place();
         // The sample is owned directly: the by-value fallback moves it
         // into `apply` and reassigns from the outcome, so every exit path
         // has the value in hand without an `Option` dance.
@@ -665,12 +658,7 @@ impl<T: Send + 'static> Pipeline<T> {
                 obs.stage_start(i, ctx.obs_epoch, ctx.obs_seq);
                 Instant::now()
             });
-            let status = if in_place {
-                step.apply_mut(&mut value, &ctx)?
-            } else {
-                InPlace::ByValue
-            };
-            let interrupted = match status {
+            let interrupted = match step.apply_mut(&mut value, &ctx)? {
                 InPlace::Done => false,
                 InPlace::Interrupted => true,
                 InPlace::ByValue => match step.apply(value, &ctx)? {
@@ -751,7 +739,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::LoaderError;
 
     /// Transform that burns CPU for a fixed duration, polling the deadline.
     struct Burn {
@@ -765,15 +752,16 @@ mod tests {
             &self.name
         }
 
-        fn apply(&self, input: u64, ctx: &TransformCtx) -> Result<Outcome<u64>> {
+        fn apply_mut(&self, input: &mut u64, ctx: &TransformCtx) -> Result<InPlace> {
             let start = Instant::now();
             while start.elapsed() < self.cost {
                 if self.cooperative && ctx.expired() {
-                    return Ok(Outcome::Interrupted(input));
+                    return Ok(InPlace::Interrupted);
                 }
                 std::hint::spin_loop();
             }
-            Ok(Outcome::Done(input + 1))
+            *input += 1;
+            Ok(InPlace::Done)
         }
     }
 
@@ -951,15 +939,15 @@ mod tests {
 
     #[test]
     fn in_place_falls_back_to_by_value_per_step() {
-        // Transforms without `apply_mut` run through `apply` even when
-        // the context requests in-place execution.
+        // Transforms without `apply_mut` run through `apply`, between
+        // steps that run in place.
         let p: Pipeline<u64> = Pipeline::new(vec![
             fn_transform("x2", |x: u64| Ok(x * 2)),
+            burn("inc", 0, false),
             fn_transform("inc", |x: u64| Ok(x + 1)),
         ]);
-        let ctx = TransformCtx::unbounded().with_in_place(true);
-        match p.run_ctx(0, 5, ctx).unwrap() {
-            PipelineRun::Completed { value, .. } => assert_eq!(value, 11),
+        match p.run_ctx(0, 5, TransformCtx::unbounded()).unwrap() {
+            PipelineRun::Completed { value, .. } => assert_eq!(value, 12),
             _ => panic!("no deadline"),
         }
     }
@@ -977,7 +965,6 @@ mod tests {
     fn ctx_acquire_round_trips_through_pool() {
         let pools = Arc::new(PoolSet::new(1 << 20));
         let ctx = TransformCtx::unbounded().with_pool(Arc::clone(&pools));
-        assert!(ctx.in_place());
         let buf = ctx.acquire_f32(128);
         assert_eq!(buf, vec![0.0f32; 128]);
         ctx.recycle_f32(buf);
@@ -1022,16 +1009,15 @@ mod tests {
         fired: std::sync::atomic::AtomicBool,
     }
 
+    fn interrupt_once(fired: bool) -> InterruptOnce {
+        InterruptOnce {
+            fired: std::sync::atomic::AtomicBool::new(fired),
+        }
+    }
+
     impl Transform<Vec<f32>> for InterruptOnce {
         fn name(&self) -> &str {
             "interrupt-once"
-        }
-
-        fn apply(&self, mut v: Vec<f32>, _ctx: &TransformCtx) -> Result<Outcome<Vec<f32>>> {
-            for x in v.iter_mut() {
-                *x *= 2.0;
-            }
-            Ok(Outcome::Done(v))
         }
 
         fn apply_mut(&self, v: &mut Vec<f32>, _ctx: &TransformCtx) -> Result<InPlace> {
@@ -1055,10 +1041,8 @@ mod tests {
 
     #[test]
     fn interrupted_in_place_stage_resumes_byte_identically() {
-        let p: Pipeline<Vec<f32>> = Pipeline::new(vec![Arc::new(InterruptOnce {
-            fired: std::sync::atomic::AtomicBool::new(false),
-        })]);
-        let ctx = TransformCtx::unbounded().with_in_place(true);
+        let p: Pipeline<Vec<f32>> = Pipeline::new(vec![Arc::new(interrupt_once(false))]);
+        let ctx = TransformCtx::unbounded();
         let (partial, resume_at) = match p.run_ctx(0, vec![1.5, -2.0, 3.25], ctx).unwrap() {
             PipelineRun::TimedOut {
                 partial, resume_at, ..
@@ -1067,13 +1051,55 @@ mod tests {
         };
         assert_eq!(partial, vec![1.5, -2.0, 3.25], "input state restored");
         assert_eq!(resume_at, 0);
-        let ctx = TransformCtx::unbounded().with_in_place(true);
-        match p.run_ctx(resume_at, partial, ctx).unwrap() {
+        match p
+            .run_ctx(resume_at, partial, TransformCtx::unbounded())
+            .unwrap()
+        {
             PipelineRun::Completed { value, .. } => {
                 assert_eq!(value, vec![3.0, -4.0, 6.5]);
             }
             _ => panic!("re-execution must complete"),
         }
+    }
+
+    #[test]
+    fn apply_mut_only_stage_runs_by_pipeline_and_by_apply() {
+        let p: Pipeline<Vec<f32>> = Pipeline::new(vec![Arc::new(interrupt_once(true))]);
+        match p.run(vec![0.25, -1.0], None).unwrap() {
+            PipelineRun::Completed { value, .. } => assert_eq!(value, vec![0.5, -2.0]),
+            _ => panic!("no deadline"),
+        }
+        // The provided `apply` hands the owned value back either way: the
+        // interrupted one in its input state, the finished one doubled.
+        let (t, ctx) = (interrupt_once(false), TransformCtx::unbounded());
+        match t.apply(vec![1.5, -2.0], &ctx).unwrap() {
+            Outcome::Interrupted(v) => assert_eq!(v, vec![1.5, -2.0], "input state"),
+            Outcome::Done(_) => panic!("first execution interrupts"),
+        }
+        match t.apply(vec![1.5, -2.0], &ctx).unwrap() {
+            Outcome::Done(v) => assert_eq!(v, vec![3.0, -4.0]),
+            Outcome::Interrupted(_) => panic!("second execution completes"),
+        }
+    }
+
+    /// Overrides neither `apply` nor `apply_mut`.
+    struct Neither;
+
+    impl Transform<u64> for Neither {
+        fn name(&self) -> &str {
+            "neither"
+        }
+    }
+
+    #[test]
+    fn stage_overriding_neither_method_is_an_error_naming_it() {
+        let names_it =
+            |e: &LoaderError| matches!(e, LoaderError::Transform { name, .. } if name == "neither");
+        let err = Neither.apply(1, &TransformCtx::unbounded()).unwrap_err();
+        assert!(names_it(&err), "{err:?}");
+        let p: Pipeline<u64> = Pipeline::new(vec![Arc::new(Neither)]);
+        let err = p.run(1, None).unwrap_err();
+        assert!(names_it(&err), "{err:?}");
     }
 
     #[test]

@@ -206,9 +206,10 @@ pub(crate) struct Runtime<D: Dataset> {
     /// classification, and never feed the balancer's profiler.
     pub cache: Option<Arc<dyn SampleCache<D::Sample>>>,
     /// Buffer pools for the zero-allocation hot path; `None` when
-    /// pooling is disabled (the default). With pools attached, the
-    /// pipeline executes in place and stages draw fresh buffers from
-    /// (and recycle replaced buffers into) this set.
+    /// pooling is disabled (the default). The pipeline runs in place
+    /// either way; with pools attached, stages draw fresh buffers from
+    /// (and recycle replaced buffers into) this set instead of the
+    /// allocator.
     pub pools: Option<Arc<PoolSet>>,
     /// Delivery-side recycle hook attached to every emitted batch, so
     /// the training loop dropping a batch hands sample buffers back to
@@ -241,12 +242,9 @@ pub(crate) struct Runtime<D: Dataset> {
     /// [`Runtime::moonlight`]); the others keep producing fast samples.
     pub slow_helper: AtomicBool,
     /// Busy time of fast-role work only; the monitor normalizes it by
-    /// the fast-role budget, so mixing in slow-role busy time (see
-    /// `slow_meter`) would inflate `cpu_norm` and bias the Formula 1–2
-    /// scheduler.
+    /// the fast-role budget, so mixing in slow-role busy time would
+    /// inflate `cpu_norm` and bias the Formula 1–2 scheduler.
     pub cpu_meter: UtilizationMeter,
-    /// Busy time of background slow-role work, tracked separately.
-    pub slow_meter: UtilizationMeter,
     pub samples_out: Counter,
     pub bytes_out: Counter,
     pub batches_out: Counter,
@@ -333,7 +331,6 @@ impl<D: Dataset> Runtime<D> {
             source_drained: AtomicBool::new(false),
             slow_helper: AtomicBool::new(false),
             cpu_meter: UtilizationMeter::new(cfg.max_workers),
-            slow_meter: UtilizationMeter::new(cfg.slow_threads()),
             samples_out: Counter::new(),
             bytes_out: Counter::new(),
             batches_out: Counter::new(),
@@ -452,8 +449,8 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Builds the per-run transform context — no deadline (the fast path
-    /// sets its own where the pipeline starts), the buffer pools (which
-    /// engage in-place execution) when pooling is on — paired with a
+    /// sets its own where the pipeline starts), the buffer pools as the
+    /// stages' scratch provider when pooling is on — paired with a
     /// [`ScratchGuard`] that repays un-recycled
     /// pool scratch if the run unwinds. `ledger` carries a deferred
     /// sample's existing ledger into its background resume; fresh runs
@@ -588,11 +585,10 @@ impl<D: Dataset> Runtime<D> {
     // ------------------------------------------------------------------
 
     /// Completes one deferred sample on the (timeout-free) slow path:
-    /// resume from its recorded transform index, meter the background
-    /// time, feed the balancer, admit to the cache. Returns `None` when
-    /// the sample errored (already recorded).
+    /// resume from its recorded transform index, feed the balancer, admit
+    /// to the cache. Returns `None` when the sample errored (already
+    /// recorded).
     fn complete_one(&self, d: Deferred<D::Sample>) -> Option<Prepared<D::Sample>> {
-        let t0 = Instant::now();
         let resume_at = d.resume_at;
         let (index, seq) = (d.meta.index, d.meta.seq);
         let epoch = d.meta.epoch;
@@ -600,7 +596,6 @@ impl<D: Dataset> Runtime<D> {
             self.run_contained(FaultSite::Slow, d.scratch, (index, epoch, seq), |ctx| {
                 self.pipeline.run_ctx(resume_at, d.partial, ctx)
             });
-        self.slow_meter.add_busy(t0.elapsed());
         match run {
             Ok(PipelineRun::Completed { value, elapsed }) => {
                 guard.disarm();
@@ -1461,7 +1456,6 @@ mod tests {
             order_preserving: false,
             cache_budget_bytes: 0,
             cache_policy: crate::cache::EvictionPolicy::CostAware,
-            pool_budget_bytes: 0,
             checkpointing: false,
             trace: minato_trace::TraceConfig::default(),
         }

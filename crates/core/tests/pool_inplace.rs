@@ -1,18 +1,18 @@
-//! Integration tests for the zero-allocation hot path: pooled in-place
-//! pipeline execution, the delivery-side recycle loop, resume-at-index
-//! semantics under `apply_mut`, and pool × cache interplay.
+//! Integration tests for the zero-allocation hot path: in-place pipeline
+//! execution with and without the pool, the delivery-side recycle loop,
+//! resume-at-index semantics under `apply_mut`, and pool × cache
+//! interplay.
 
 use minato_core::pool::{PoolSet, Reclaim};
 use minato_core::prelude::*;
 use minato_core::transform::InPlace;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Element-wise `x*a + b` over a `Vec<f32>` sample. The by-value path
-/// materializes a fresh output buffer (the functional style mainstream
-/// loader ops use); the in-place path mutates where the sample sits.
+/// Element-wise `x*a + b` over a `Vec<f32>` sample, mutated where it
+/// sits.
 struct MulAdd {
     a: f32,
     b: f32,
@@ -23,20 +23,11 @@ impl Transform<Vec<f32>> for MulAdd {
         "muladd"
     }
 
-    fn apply(&self, v: Vec<f32>, _ctx: &TransformCtx) -> Result<Outcome<Vec<f32>>> {
-        let out = v.iter().map(|x| x * self.a + self.b).collect();
-        Ok(Outcome::Done(out))
-    }
-
     fn apply_mut(&self, v: &mut Vec<f32>, _ctx: &TransformCtx) -> Result<InPlace> {
         for x in v.iter_mut() {
             *x = *x * self.a + self.b;
         }
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
     }
 }
 
@@ -50,10 +41,6 @@ impl Transform<Vec<f32>> for ReverseSwap {
         "reverse-swap"
     }
 
-    fn apply(&self, v: Vec<f32>, _ctx: &TransformCtx) -> Result<Outcome<Vec<f32>>> {
-        Ok(Outcome::Done(v.iter().rev().copied().collect()))
-    }
-
     fn apply_mut(&self, v: &mut Vec<f32>, ctx: &TransformCtx) -> Result<InPlace> {
         let mut out = ctx.acquire_f32(v.len());
         for (o, x) in out.iter_mut().zip(v.iter().rev()) {
@@ -61,10 +48,6 @@ impl Transform<Vec<f32>> for ReverseSwap {
         }
         ctx.recycle_f32(std::mem::replace(v, out));
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
     }
 }
 
@@ -80,10 +63,6 @@ struct InterruptOnce {
 impl Transform<Vec<f32>> for InterruptOnce {
     fn name(&self) -> &str {
         "interrupt-once"
-    }
-
-    fn apply(&self, v: Vec<f32>, ctx: &TransformCtx) -> Result<Outcome<Vec<f32>>> {
-        self.inner.apply(v, ctx)
     }
 
     fn apply_mut(&self, v: &mut Vec<f32>, ctx: &TransformCtx) -> Result<InPlace> {
@@ -148,7 +127,7 @@ proptest! {
         let interrupt_at = interrupt_at % n_stages;
         let input = sample(len, seed);
 
-        // Reference: uninterrupted by-value run.
+        // Reference: uninterrupted unpooled run.
         let clean = Pipeline::new(stages(n_stages));
         let expect = complete(clean.run(input.clone(), None).unwrap());
 
@@ -174,10 +153,11 @@ proptest! {
         prop_assert_eq!(got, expect, "resumed run diverged from clean run");
     }
 
-    /// Pooled in-place execution matches the by-value path bit for bit
-    /// on uninterrupted runs, for any stage mix.
+    /// Pooled execution matches unpooled execution bit for bit on
+    /// uninterrupted runs, for any stage mix: both run the stages in
+    /// place, and only where scratch comes from differs.
     #[test]
-    fn pooled_pipeline_matches_by_value(
+    fn pooled_pipeline_matches_unpooled(
         n_stages in 1usize..8,
         len in 1usize..96,
         seed in 1u64..64,
@@ -194,6 +174,54 @@ proptest! {
 
 fn pooled_pipeline() -> Pipeline<Vec<f32>> {
     Pipeline::new(stages(5))
+}
+
+/// How often each entry point of [`CountEntries`] ran.
+#[derive(Default)]
+struct EntryCounts {
+    apply: AtomicUsize,
+    apply_mut: AtomicUsize,
+}
+
+/// Identity stage implementing both entry points, counting each.
+struct CountEntries(Arc<EntryCounts>);
+
+impl Transform<Vec<f32>> for CountEntries {
+    fn name(&self) -> &str {
+        "count-entries"
+    }
+
+    fn apply(&self, v: Vec<f32>, _ctx: &TransformCtx) -> Result<Outcome<Vec<f32>>> {
+        self.0.apply.fetch_add(1, Ordering::Relaxed);
+        Ok(Outcome::Done(v))
+    }
+
+    fn apply_mut(&self, _v: &mut Vec<f32>, _ctx: &TransformCtx) -> Result<InPlace> {
+        self.0.apply_mut.fetch_add(1, Ordering::Relaxed);
+        Ok(InPlace::Done)
+    }
+}
+
+/// The default (unpooled) loader runs the same entry point as the pooled
+/// one: every sample goes through `apply_mut`, none through `apply`.
+#[test]
+fn unpooled_loader_runs_every_stage_in_place() {
+    let n = 48usize;
+    let counts = Arc::new(EntryCounts::default());
+    let stage = Arc::new(CountEntries(Arc::clone(&counts))) as Arc<dyn Transform<Vec<f32>>>;
+    let ds = FnDataset::new(n, |i| Ok(vec![i as f32; 8]));
+    let loader = MinatoLoader::builder(ds, Pipeline::new(vec![stage]))
+        .batch_size(4)
+        .initial_workers(2)
+        .max_workers(2)
+        .timeout_policy(TimeoutPolicy::Disabled)
+        .build()
+        .expect("valid configuration");
+    let delivered: usize = loader.iter().map(|b| b.len()).sum();
+    assert_eq!(delivered, n);
+    assert!(loader.stats().pool.is_none(), "pool off by default");
+    assert_eq!(counts.apply_mut.load(Ordering::Relaxed), n);
+    assert_eq!(counts.apply.load(Ordering::Relaxed), 0);
 }
 
 /// End-to-end: pooled loader delivers the same multiset of samples as
@@ -408,18 +436,6 @@ fn slow_path_resumes_in_place_under_pool() {
     impl Transform<Vec<f32>> for SlowEvery5 {
         fn name(&self) -> &str {
             "slow-every-5"
-        }
-        fn apply(&self, v: Vec<f32>, ctx: &TransformCtx) -> Result<Outcome<Vec<f32>>> {
-            let slow = (v[0] as usize).is_multiple_of(5);
-            let cost = Duration::from_millis(if slow { 30 } else { 1 });
-            let t0 = std::time::Instant::now();
-            while t0.elapsed() < cost {
-                if ctx.expired() {
-                    return Ok(Outcome::Interrupted(v));
-                }
-                std::thread::yield_now();
-            }
-            Ok(Outcome::Done(v))
         }
         fn apply_mut(&self, v: &mut Vec<f32>, ctx: &TransformCtx) -> Result<InPlace> {
             let slow = (v[0] as usize).is_multiple_of(5);

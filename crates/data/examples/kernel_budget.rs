@@ -23,7 +23,8 @@ use std::time::{Duration, Instant};
 const SAMPLES: usize = 400;
 const TARGET: [usize; 3] = [32, 32, 32];
 
-/// Runs one by-value stage and adds what it took to `spent`.
+/// Runs one stage on an owned volume (`apply`, which runs the stage's
+/// in-place body) and adds what it took to `spent`.
 fn timed(stage: &dyn Transform<Volume3D>, v: Volume3D, spent: &mut Duration) -> Volume3D {
     let ctx = TransformCtx::unbounded();
     let t0 = Instant::now();

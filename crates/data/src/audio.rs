@@ -14,7 +14,7 @@
 
 use minato_core::error::{LoaderError, Result};
 use minato_core::pool::{PoolSet, Reclaim};
-use minato_core::transform::{CostClass, InPlace, Outcome, Pipeline, Transform, TransformCtx};
+use minato_core::transform::{InPlace, Pipeline, Transform, TransformCtx};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::sync::Arc;
 
@@ -122,54 +122,39 @@ pub struct Pad {
     pub unit: usize,
 }
 
-impl Pad {
-    fn pad_in_place(&self, clip: &mut AudioClip) -> Result<()> {
+impl Transform<AudioClip> for Pad {
+    fn name(&self) -> &str {
+        "Pad"
+    }
+
+    fn apply_mut(&self, clip: &mut AudioClip, _ctx: &TransformCtx) -> Result<InPlace> {
         if self.unit == 0 {
             return Err(LoaderError::Transform {
                 name: "Pad".into(),
                 msg: "unit must be positive".into(),
             });
         }
-        if let AudioData::Waveform(w) = &mut clip.data {
-            let target = w.len().div_ceil(self.unit) * self.unit;
-            w.resize(target, 0.0);
-        }
-        // Padding features (post-FilterBank position under AutoOrder) pads
-        // frames instead.
-        if let AudioData::Features {
-            frames,
-            bins,
-            values,
-        } = &mut clip.data
-        {
-            let target_frames = frames.div_ceil(self.unit.max(1)) * self.unit.max(1);
-            values.resize(target_frames * *bins, 0.0);
-            *frames = target_frames;
-        }
-        Ok(())
-    }
-}
-
-impl Transform<AudioClip> for Pad {
-    fn name(&self) -> &str {
-        "Pad"
-    }
-
-    fn apply(&self, mut clip: AudioClip, _ctx: &TransformCtx) -> Result<Outcome<AudioClip>> {
-        self.pad_in_place(&mut clip)?;
-        Ok(Outcome::Done(clip))
-    }
-
-    fn apply_mut(&self, clip: &mut AudioClip, _ctx: &TransformCtx) -> Result<InPlace> {
         // Inflationary, but growth happens inside the sample's own
         // buffer; pool-served buffers carry class-granular capacity, so
         // the resize usually fits without reallocating.
-        self.pad_in_place(clip)?;
+        match &mut clip.data {
+            AudioData::Waveform(w) => {
+                let target = w.len().div_ceil(self.unit) * self.unit;
+                w.resize(target, 0.0);
+            }
+            // Padding features (post-FilterBank position under AutoOrder)
+            // pads frames instead.
+            AudioData::Features {
+                frames,
+                bins,
+                values,
+            } => {
+                let target_frames = frames.div_ceil(self.unit) * self.unit;
+                values.resize(target_frames * *bins, 0.0);
+                *frames = target_frames;
+            }
+        }
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Inflationary
     }
 }
 
@@ -181,53 +166,27 @@ pub struct SpecAugment {
     pub max_width: f32,
 }
 
-impl SpecAugment {
-    fn augment_in_place(&self, clip: &mut AudioClip) {
-        let mut rng = StdRng::seed_from_u64(clip.seed ^ 0x5BEC);
-        let mask = |vals: &mut [f32], rng: &mut StdRng, max_w: usize| {
-            if vals.is_empty() || max_w == 0 {
-                return;
-            }
-            let w = rng.random_range(1..=max_w.min(vals.len()));
-            let start = rng.random_range(0..=vals.len() - w);
-            for v in &mut vals[start..start + w] {
-                *v = 0.0;
-            }
-        };
-        match &mut clip.data {
-            AudioData::Waveform(w) => {
-                let max_w = ((w.len() as f32) * self.max_width) as usize;
-                for _ in 0..self.masks {
-                    mask(w, &mut rng, max_w);
-                }
-            }
-            AudioData::Features { values, .. } => {
-                let max_w = ((values.len() as f32) * self.max_width) as usize;
-                for _ in 0..self.masks {
-                    mask(values, &mut rng, max_w);
-                }
-            }
-        }
-    }
-}
-
 impl Transform<AudioClip> for SpecAugment {
     fn name(&self) -> &str {
         "SpecAugment"
     }
 
-    fn apply(&self, mut clip: AudioClip, _ctx: &TransformCtx) -> Result<Outcome<AudioClip>> {
-        self.augment_in_place(&mut clip);
-        Ok(Outcome::Done(clip))
-    }
-
     fn apply_mut(&self, clip: &mut AudioClip, _ctx: &TransformCtx) -> Result<InPlace> {
-        self.augment_in_place(clip);
+        let mut rng = StdRng::seed_from_u64(clip.seed ^ 0x5BEC);
+        let vals = match &mut clip.data {
+            AudioData::Waveform(w) => w,
+            AudioData::Features { values, .. } => values,
+        };
+        let max_w = ((vals.len() as f32) * self.max_width) as usize;
+        if vals.is_empty() || max_w == 0 {
+            return Ok(InPlace::Done);
+        }
+        for _ in 0..self.masks {
+            let w = rng.random_range(1..=max_w.min(vals.len()));
+            let start = rng.random_range(0..=vals.len() - w);
+            vals[start..start + w].fill(0.0);
+        }
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
     }
 }
 
@@ -273,7 +232,7 @@ impl FilterBank {
     }
 
     /// Fills `values` (`frames * bins` long, zero-filled) with band
-    /// energies of waveform `w`: the shared kernel behind both paths.
+    /// energies of waveform `w`.
     fn energies_into(&self, w: &[f32], frames: usize, values: &mut [f32]) {
         // Goertzel-style band energies: real O(frames × window × bins/8)
         // compute, the honest stand-in for mel filterbanks.
@@ -303,28 +262,13 @@ impl Transform<AudioClip> for FilterBank {
         "FilterBank"
     }
 
-    fn apply(&self, mut clip: AudioClip, _ctx: &TransformCtx) -> Result<Outcome<AudioClip>> {
-        let frames = self.validate(&clip)?;
-        let AudioData::Waveform(w) = &clip.data else {
-            unreachable!("validated above");
-        };
-        let mut values = vec![0.0f32; frames * self.bins];
-        self.energies_into(w, frames, &mut values);
-        clip.data = AudioData::Features {
-            frames,
-            bins: self.bins,
-            values,
-        };
-        Ok(Outcome::Done(clip))
-    }
-
     fn apply_mut(&self, clip: &mut AudioClip, ctx: &TransformCtx) -> Result<InPlace> {
         let frames = self.validate(clip)?;
         let AudioData::Waveform(w) = &clip.data else {
             unreachable!("validated above");
         };
-        // Deflationary stage: the feature matrix comes from the pool and
-        // the (much larger) waveform goes back to it.
+        // Deflationary stage: the feature matrix is scratch (pool-served
+        // when pooled) and the (much larger) waveform goes back.
         let mut values = ctx.acquire_f32(frames * self.bins);
         self.energies_into(w, frames, &mut values);
         let old = std::mem::replace(
@@ -339,10 +283,6 @@ impl Transform<AudioClip> for FilterBank {
             ctx.recycle_f32(w);
         }
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Deflationary
     }
 }
 
@@ -363,11 +303,14 @@ impl FrameSplicing {
             }
         }
     }
+}
 
-    /// Both execution paths share this body: the only difference is
-    /// where the spliced output buffer comes from (and where the old
-    /// one goes), which `ctx` decides.
-    fn run(&self, clip: &mut AudioClip, ctx: &TransformCtx) -> Result<()> {
+impl Transform<AudioClip> for FrameSplicing {
+    fn name(&self) -> &str {
+        "FrameSplicing"
+    }
+
+    fn apply_mut(&self, clip: &mut AudioClip, ctx: &TransformCtx) -> Result<InPlace> {
         expect_features(clip, "FrameSplicing")?;
         if self.factor == 0 {
             return Err(LoaderError::Transform {
@@ -389,27 +332,7 @@ impl FrameSplicing {
             *bins = out_bins;
             ctx.recycle_f32(std::mem::replace(values, out));
         }
-        Ok(())
-    }
-}
-
-impl Transform<AudioClip> for FrameSplicing {
-    fn name(&self) -> &str {
-        "FrameSplicing"
-    }
-
-    fn apply(&self, mut clip: AudioClip, ctx: &TransformCtx) -> Result<Outcome<AudioClip>> {
-        self.run(&mut clip, ctx)?;
-        Ok(Outcome::Done(clip))
-    }
-
-    fn apply_mut(&self, clip: &mut AudioClip, ctx: &TransformCtx) -> Result<InPlace> {
-        self.run(clip, ctx)?;
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
     }
 }
 
@@ -417,10 +340,12 @@ impl Transform<AudioClip> for FrameSplicing {
 /// RNN-T consumer expects).
 pub struct PermuteAudio;
 
-impl PermuteAudio {
-    /// Shared body of both execution paths; `ctx` decides where the
-    /// transposed buffer comes from and where the old one goes.
-    fn run(clip: &mut AudioClip, ctx: &TransformCtx) -> Result<()> {
+impl Transform<AudioClip> for PermuteAudio {
+    fn name(&self) -> &str {
+        "PermuteAudio"
+    }
+
+    fn apply_mut(&self, clip: &mut AudioClip, ctx: &TransformCtx) -> Result<InPlace> {
         expect_features(clip, "PermuteAudio")?;
         if let AudioData::Features {
             frames,
@@ -439,27 +364,7 @@ impl PermuteAudio {
             std::mem::swap(frames, bins);
             ctx.recycle_f32(std::mem::replace(values, out));
         }
-        Ok(())
-    }
-}
-
-impl Transform<AudioClip> for PermuteAudio {
-    fn name(&self) -> &str {
-        "PermuteAudio"
-    }
-
-    fn apply(&self, mut clip: AudioClip, ctx: &TransformCtx) -> Result<Outcome<AudioClip>> {
-        Self::run(&mut clip, ctx)?;
-        Ok(Outcome::Done(clip))
-    }
-
-    fn apply_mut(&self, clip: &mut AudioClip, ctx: &TransformCtx) -> Result<InPlace> {
-        Self::run(clip, ctx)?;
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
     }
 }
 
@@ -495,15 +400,6 @@ impl Transform<AudioClip> for LightStep {
         "LightStep"
     }
 
-    fn apply(&self, mut clip: AudioClip, _ctx: &TransformCtx) -> Result<Outcome<AudioClip>> {
-        if let AudioData::Features { values, .. } = &mut clip.data {
-            for _ in 0..self.passes {
-                smooth_pass(values);
-            }
-        }
-        Ok(Outcome::Done(clip))
-    }
-
     fn apply_mut(&self, clip: &mut AudioClip, _ctx: &TransformCtx) -> Result<InPlace> {
         if let AudioData::Features { values, .. } = &mut clip.data {
             for _ in 0..self.passes {
@@ -512,14 +408,6 @@ impl Transform<AudioClip> for LightStep {
         }
         Ok(InPlace::Done)
     }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
-    }
-
-    fn is_barrier(&self) -> bool {
-        true
-    }
 }
 
 impl Transform<AudioClip> for HeavyStep {
@@ -527,32 +415,14 @@ impl Transform<AudioClip> for HeavyStep {
         "HeavyStep"
     }
 
-    fn apply(&self, mut clip: AudioClip, ctx: &TransformCtx) -> Result<Outcome<AudioClip>> {
-        // Heavy work cooperates with the deadline: check between passes
-        // and hand the clip back unchanged if interrupted (the background
-        // worker re-runs the step from scratch).
-        let original = clip.clone();
-        if let AudioData::Features { values, .. } = &mut clip.data {
-            for p in 0..self.passes {
-                smooth_pass(values);
-                // Extra enhancement work per pass: contrast expansion.
-                for v in values.iter_mut() {
-                    *v = v.tanh() * 1.02;
-                }
-                if p % 4 == 3 && ctx.expired() {
-                    return Ok(Outcome::Interrupted(original));
-                }
-            }
-        }
-        Ok(Outcome::Done(clip))
-    }
-
     fn apply_mut(&self, clip: &mut AudioClip, ctx: &TransformCtx) -> Result<InPlace> {
         if let AudioData::Features { values, .. } = &mut clip.data {
-            // Scratch-then-commit: run the passes on a pooled copy and
-            // swap it in only on completion, so an interrupt leaves the
-            // sample bit-for-bit in its input state (the `apply_mut`
-            // resume contract) without cloning the whole clip.
+            // Heavy work cooperates with the deadline, checked between
+            // passes. Scratch-then-commit: run the passes on a copy of the
+            // features (pool-served when pooled) and swap it in only on
+            // completion, so an interrupt leaves the sample bit-for-bit in
+            // its input state (the `apply_mut` resume contract) without
+            // cloning the whole clip.
             let mut scratch = ctx.acquire_f32_from(values);
             for p in 0..self.passes {
                 smooth_pass(&mut scratch);
@@ -568,14 +438,6 @@ impl Transform<AudioClip> for HeavyStep {
             ctx.recycle_f32(std::mem::replace(values, scratch));
         }
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
-    }
-
-    fn is_barrier(&self) -> bool {
-        true
     }
 }
 
@@ -603,7 +465,7 @@ pub fn speech_pipeline(light_passes: usize, heavy_passes: usize) -> Pipeline<Aud
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minato_core::transform::PipelineRun;
+    use minato_core::transform::{Outcome, PipelineRun};
     use std::time::Duration;
 
     fn clip(seconds: f32) -> AudioClip {
@@ -762,17 +624,16 @@ mod tests {
 
     #[test]
     fn in_place_pipeline_is_byte_identical() {
-        use minato_core::pool::PoolSet;
         let p = speech_pipeline(4, 8);
-        let by_value = match p.run(clip(0.5), None).unwrap() {
+        let unpooled = match p.run(clip(0.5), None).unwrap() {
             PipelineRun::Completed { value, .. } => value,
             _ => panic!("no deadline"),
         };
-        let pools = std::sync::Arc::new(PoolSet::new(32 << 20));
+        let pools = Arc::new(PoolSet::new(32 << 20));
         for _ in 0..2 {
-            let ctx = TransformCtx::unbounded().with_pool(std::sync::Arc::clone(&pools));
+            let ctx = TransformCtx::unbounded().with_pool(Arc::clone(&pools));
             match p.run_ctx(0, clip(0.5), ctx).unwrap() {
-                PipelineRun::Completed { value, .. } => assert_eq!(value, by_value),
+                PipelineRun::Completed { value, .. } => assert_eq!(value, unpooled),
                 _ => panic!("no deadline"),
             }
         }
@@ -783,8 +644,6 @@ mod tests {
 
     #[test]
     fn heavy_step_in_place_interrupt_restores_input() {
-        use minato_core::pool::PoolSet;
-        use minato_core::transform::InPlace;
         let mut c = clip(2.0);
         c = match FilterBank::default_16k()
             .apply(c, &TransformCtx::unbounded())
@@ -794,9 +653,9 @@ mod tests {
             _ => panic!(),
         };
         let heavy = HeavyStep { passes: 100_000 };
-        let pools = std::sync::Arc::new(PoolSet::new(32 << 20));
+        let pools = Arc::new(PoolSet::new(32 << 20));
         let ctx = TransformCtx::with_deadline(std::time::Instant::now() + Duration::from_millis(5))
-            .with_pool(std::sync::Arc::clone(&pools));
+            .with_pool(Arc::clone(&pools));
         let mut interrupted = c.clone();
         match heavy.apply_mut(&mut interrupted, &ctx).unwrap() {
             InPlace::Interrupted => {
@@ -804,16 +663,16 @@ mod tests {
             }
             _ => panic!("100k passes cannot finish in 5 ms"),
         }
-        // Re-execution from the restored state (the background path)
-        // matches an uninterrupted run.
+        // Re-execution from the restored state (the background path,
+        // pooled) matches an uninterrupted unpooled run.
         let quick = HeavyStep { passes: 8 };
         let uctx = TransformCtx::unbounded().with_pool(pools);
         quick.apply_mut(&mut interrupted, &uctx).unwrap();
-        let by_value = match quick.apply(c, &TransformCtx::unbounded()).unwrap() {
-            Outcome::Done(o) => o,
-            _ => panic!(),
-        };
-        assert_eq!(interrupted, by_value);
+        let mut unpooled = c;
+        quick
+            .apply_mut(&mut unpooled, &TransformCtx::unbounded())
+            .unwrap();
+        assert_eq!(interrupted, unpooled);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod spec;
 pub mod synth;
 pub mod volume;
 
-pub use spec::{GpuArch, SampleProfile, StepClass, StepSpec, TrainLength, WorkloadSpec};
+pub use spec::{GpuArch, SampleProfile, StepSpec, TrainLength, WorkloadSpec};
 pub use synth::{
     synthetic_dataset, work_pipeline, work_pipeline_with_mode, SyntheticSample, WorkMode,
 };

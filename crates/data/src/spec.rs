@@ -4,7 +4,7 @@
 //! datasets need to reproduce one of the paper's four workloads:
 //!
 //! * the preprocessing pipeline (transform names, per-transform cost
-//!   shares, Pecan cost classes) — Table 1,
+//!   shares) — Table 1,
 //! * per-sample raw/preprocessed sizes and total preprocessing time
 //!   distributions — §2.2 and Table 2,
 //! * training configuration (batch size, epochs/iterations) — Table 3,
@@ -18,20 +18,6 @@
 use crate::dist::{standard_normal, Dist};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-/// Pecan volume classification for a pipeline step (mirrors
-/// `minato_core::transform::CostClass` without depending on it here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepClass {
-    /// Increases sample volume.
-    Inflationary,
-    /// Decreases sample volume.
-    Deflationary,
-    /// Volume-neutral.
-    Neutral,
-    /// Unknown effect.
-    Unknown,
-}
-
 /// One step of a preprocessing pipeline.
 #[derive(Debug, Clone)]
 pub struct StepSpec {
@@ -42,20 +28,14 @@ pub struct StepSpec {
     /// Fixed cost added to every sample for this step, in milliseconds
     /// (used by the speech workload's constant LightStep/HeavyStep).
     pub fixed_ms: f64,
-    /// Pecan classification.
-    pub class: StepClass,
-    /// AutoOrder barrier (reordering never crosses it).
-    pub barrier: bool,
 }
 
 impl StepSpec {
-    fn new(name: &'static str, cost_share: f64, class: StepClass) -> StepSpec {
+    fn new(name: &'static str, cost_share: f64) -> StepSpec {
         StepSpec {
             name,
             cost_share,
             fixed_ms: 0.0,
-            class,
-            barrier: false,
         }
     }
 }
@@ -151,11 +131,11 @@ impl WorkloadSpec {
             steps: vec![
                 // RandomCrop dominates at ~338 ms of a ~500 ms average
                 // (§3.1): share 0.68.
-                StepSpec::new("RandomCrop", 0.68, StepClass::Deflationary),
-                StepSpec::new("RandomFlip", 0.06, StepClass::Neutral),
-                StepSpec::new("RandomBrightness", 0.10, StepClass::Neutral),
-                StepSpec::new("GaussianNoise", 0.12, StepClass::Neutral),
-                StepSpec::new("Cast", 0.04, StepClass::Neutral),
+                StepSpec::new("RandomCrop", 0.68),
+                StepSpec::new("RandomFlip", 0.06),
+                StepSpec::new("RandomBrightness", 0.10),
+                StepSpec::new("GaussianNoise", 0.12),
+                StepSpec::new("Cast", 0.04),
             ],
             gpu_step_ms_a100: 300.0,
             dali_speedup: 10.0,
@@ -174,10 +154,10 @@ impl WorkloadSpec {
             length: TrainLength::Iterations(1000),
             batch_size: 48,
             steps: vec![
-                StepSpec::new("Resize", 0.45, StepClass::Unknown),
-                StepSpec::new("RandomHorizontalFlip", 0.15, StepClass::Neutral),
-                StepSpec::new("ToTensor", 0.20, StepClass::Neutral),
-                StepSpec::new("Normalize", 0.20, StepClass::Neutral),
+                StepSpec::new("Resize", 0.45),
+                StepSpec::new("RandomHorizontalFlip", 0.15),
+                StepSpec::new("ToTensor", 0.20),
+                StepSpec::new("Normalize", 0.20),
             ],
             gpu_step_ms_a100: 270.0,
             dali_speedup: 10.0,
@@ -279,27 +259,22 @@ impl WorkloadSpec {
 
 fn speech_steps() -> Vec<StepSpec> {
     // The five real audio steps carry the (tiny) variable cost; LightStep
-    // and HeavyStep are fixed-cost simulated compute (§2.2). Pad inflates
-    // (Pecan moves it last in AutoOrder, §5.1).
+    // and HeavyStep are fixed-cost simulated compute (§2.2).
     vec![
-        StepSpec::new("Pad", 0.10, StepClass::Inflationary),
-        StepSpec::new("SpecAugment", 0.25, StepClass::Neutral),
-        StepSpec::new("FilterBank", 0.35, StepClass::Deflationary),
-        StepSpec::new("FrameSplicing", 0.20, StepClass::Neutral),
-        StepSpec::new("PermuteAudio", 0.10, StepClass::Neutral),
+        StepSpec::new("Pad", 0.10),
+        StepSpec::new("SpecAugment", 0.25),
+        StepSpec::new("FilterBank", 0.35),
+        StepSpec::new("FrameSplicing", 0.20),
+        StepSpec::new("PermuteAudio", 0.10),
         StepSpec {
             name: "LightStep",
             cost_share: 0.0,
             fixed_ms: 500.0,
-            class: StepClass::Neutral,
-            barrier: true, // Simulated steps must not be reordered.
         },
         StepSpec {
             name: "HeavyStep",
             cost_share: 0.0,
             fixed_ms: 0.0, // Per-sample: set in the profile.
-            class: StepClass::Neutral,
-            barrier: true,
         },
     ]
 }

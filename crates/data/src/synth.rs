@@ -10,13 +10,13 @@
 //!
 //! Transforms cooperate with the load balancer's deadline: the compute
 //! loop polls [`TransformCtx::expired`] and returns
-//! [`Outcome::Interrupted`], exercising the paper's partial-transform
+//! [`InPlace::Interrupted`], exercising the paper's partial-transform
 //! re-execution path.
 
 use crate::spec::WorkloadSpec;
 use minato_core::dataset::{Dataset, FnDataset};
 use minato_core::error::Result;
-use minato_core::transform::{CostClass, Outcome, Pipeline, Transform, TransformCtx};
+use minato_core::transform::{InPlace, Pipeline, Transform, TransformCtx};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -130,8 +130,6 @@ fn burn(payload: &mut [f32], target: Duration, ctx: &TransformCtx) -> bool {
 struct WorkTransform {
     name: String,
     step: usize,
-    class: CostClass,
-    barrier: bool,
     mode: WorkMode,
 }
 
@@ -140,11 +138,7 @@ impl Transform<SyntheticSample> for WorkTransform {
         &self.name
     }
 
-    fn apply(
-        &self,
-        mut s: SyntheticSample,
-        ctx: &TransformCtx,
-    ) -> Result<Outcome<SyntheticSample>> {
+    fn apply_mut(&self, s: &mut SyntheticSample, ctx: &TransformCtx) -> Result<InPlace> {
         let cost = s
             .step_costs
             .get(self.step)
@@ -156,29 +150,12 @@ impl Transform<SyntheticSample> for WorkTransform {
         };
         if finished {
             s.steps_done += 1;
-            Ok(Outcome::Done(s))
+            Ok(InPlace::Done)
         } else {
-            // Interrupted: hand the sample back unmodified in `steps_done`
-            // terms so the background worker re-executes this step.
-            Ok(Outcome::Interrupted(s))
+            // Interrupted: the sample is unmodified in `steps_done` terms,
+            // so the background worker re-executes this step.
+            Ok(InPlace::Interrupted)
         }
-    }
-
-    fn cost_class(&self) -> CostClass {
-        self.class
-    }
-
-    fn is_barrier(&self) -> bool {
-        self.barrier
-    }
-}
-
-fn to_core_class(c: crate::spec::StepClass) -> CostClass {
-    match c {
-        crate::spec::StepClass::Inflationary => CostClass::Inflationary,
-        crate::spec::StepClass::Deflationary => CostClass::Deflationary,
-        crate::spec::StepClass::Neutral => CostClass::Neutral,
-        crate::spec::StepClass::Unknown => CostClass::Unknown,
     }
 }
 
@@ -197,8 +174,6 @@ pub fn work_pipeline_with_mode(spec: &WorkloadSpec, mode: WorkMode) -> Pipeline<
             Arc::new(WorkTransform {
                 name: st.name.to_string(),
                 step: i,
-                class: to_core_class(st.class),
-                barrier: st.barrier,
                 mode,
             }) as Arc<dyn Transform<SyntheticSample>>
         })
@@ -285,13 +260,5 @@ mod tests {
         let t0 = Instant::now();
         let _ = p.run(s, None).unwrap();
         assert!(t0.elapsed() < Duration::from_millis(20));
-    }
-
-    #[test]
-    fn pecan_classes_propagate() {
-        let spec = WorkloadSpec::speech(3.0);
-        let p = work_pipeline(&spec);
-        assert_eq!(p.steps()[0].cost_class(), CostClass::Inflationary); // Pad.
-        assert!(p.steps()[5].is_barrier()); // LightStep.
     }
 }

@@ -23,7 +23,7 @@
 use crate::dist::Ziggurat;
 use minato_core::error::{LoaderError, Result};
 use minato_core::pool::{PoolSet, Reclaim};
-use minato_core::transform::{CostClass, InPlace, Outcome, Pipeline, Transform, TransformCtx};
+use minato_core::transform::{InPlace, Pipeline, Transform, TransformCtx};
 use rand::{rngs::StdRng, RngCore, RngExt, SeedableRng};
 use std::sync::Arc;
 
@@ -243,10 +243,12 @@ pub struct RandomCrop {
     pub target: [usize; 3],
 }
 
-impl RandomCrop {
-    /// Crops `v` into `voxels`/`labels` (zero-filled, `td*th*tw` long):
-    /// the shared kernel behind the by-value and in-place paths.
-    fn crop_into(&self, v: &Volume3D, voxels: &mut [f32], labels: &mut [u8]) -> Result<()> {
+impl Transform<Volume3D> for RandomCrop {
+    fn name(&self) -> &str {
+        "RandomCrop"
+    }
+
+    fn apply_mut(&self, v: &mut Volume3D, ctx: &TransformCtx) -> Result<InPlace> {
         let [td, th, tw] = self.target;
         if td == 0 || th == 0 || tw == 0 {
             return Err(LoaderError::Transform {
@@ -254,6 +256,11 @@ impl RandomCrop {
                 msg: "target dims must be positive".into(),
             });
         }
+        // Deflationary stage: the differently shaped output is scratch
+        // (pool-served when pooled) and the bigger input buffers go back.
+        let n_out = td * th * tw;
+        let mut voxels = ctx.acquire_f32(n_out);
+        let mut labels = ctx.acquire_u8(n_out);
         let mut rng = StdRng::seed_from_u64(v.seed ^ 0xC0FF_EE00);
         let [d, h, w] = v.dims;
         // Full-volume intensity statistics (KiTS19 preprocessing
@@ -289,57 +296,22 @@ impl RandomCrop {
                 labels[dst..dst + cw].copy_from_slice(&v.labels[src..src + cw]);
             }
         }
-        Ok(())
-    }
-}
-
-impl Transform<Volume3D> for RandomCrop {
-    fn name(&self) -> &str {
-        "RandomCrop"
-    }
-
-    fn apply(&self, v: Volume3D, _ctx: &TransformCtx) -> Result<Outcome<Volume3D>> {
-        let [td, th, tw] = self.target;
-        let n_out = td * th * tw;
-        let mut voxels = vec![0.0f32; n_out];
-        let mut labels = vec![0u8; n_out];
-        self.crop_into(&v, &mut voxels, &mut labels)?;
-        Ok(Outcome::Done(Volume3D {
-            dims: self.target,
-            voxels,
-            labels,
-            seed: v.seed,
-        }))
-    }
-
-    fn apply_mut(&self, v: &mut Volume3D, ctx: &TransformCtx) -> Result<InPlace> {
-        let [td, th, tw] = self.target;
-        let n_out = td * th * tw;
-        // Deflationary stage: the differently shaped output comes from
-        // the pool and the (bigger) input buffers go back to it.
-        let mut voxels = ctx.acquire_f32(n_out);
-        let mut labels = ctx.acquire_u8(n_out);
-        if let Err(e) = self.crop_into(v, &mut voxels, &mut labels) {
-            ctx.recycle_f32(voxels);
-            ctx.recycle_u8(labels);
-            return Err(e);
-        }
         v.dims = self.target;
         ctx.recycle_f32(std::mem::replace(&mut v.voxels, voxels));
         ctx.recycle_u8(std::mem::replace(&mut v.labels, labels));
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Deflationary
     }
 }
 
 /// Randomly flips along each axis with probability 1/2 (Neutral).
 pub struct RandomFlip;
 
-impl RandomFlip {
-    fn flip_in_place(v: &mut Volume3D) {
+impl Transform<Volume3D> for RandomFlip {
+    fn name(&self) -> &str {
+        "RandomFlip"
+    }
+
+    fn apply_mut(&self, v: &mut Volume3D, _ctx: &TransformCtx) -> Result<InPlace> {
         let mut rng = StdRng::seed_from_u64(v.seed ^ 0xF11B);
         let [d, h, w] = v.dims;
         if rng.random_bool(0.5) {
@@ -366,6 +338,7 @@ impl RandomFlip {
                 reverse_blocks(&mut v.labels[z * slab..(z + 1) * slab], w);
             }
         }
+        Ok(InPlace::Done)
     }
 }
 
@@ -378,56 +351,21 @@ fn reverse_blocks<T>(buf: &mut [T], block: usize) {
     }
 }
 
-impl Transform<Volume3D> for RandomFlip {
-    fn name(&self) -> &str {
-        "RandomFlip"
-    }
-
-    fn apply(&self, mut v: Volume3D, _ctx: &TransformCtx) -> Result<Outcome<Volume3D>> {
-        Self::flip_in_place(&mut v);
-        Ok(Outcome::Done(v))
-    }
-
-    fn apply_mut(&self, v: &mut Volume3D, _ctx: &TransformCtx) -> Result<InPlace> {
-        Self::flip_in_place(v);
-        Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
-    }
-}
-
 /// Scales intensity by a random factor in `[0.7, 1.3]` (Neutral).
 pub struct RandomBrightness;
-
-impl RandomBrightness {
-    fn scale_in_place(v: &mut Volume3D) {
-        let mut rng = StdRng::seed_from_u64(v.seed ^ 0xB216);
-        let factor = rng.random_range(0.7..1.3) as f32;
-        for x in v.voxels.iter_mut() {
-            *x *= factor;
-        }
-    }
-}
 
 impl Transform<Volume3D> for RandomBrightness {
     fn name(&self) -> &str {
         "RandomBrightness"
     }
 
-    fn apply(&self, mut v: Volume3D, _ctx: &TransformCtx) -> Result<Outcome<Volume3D>> {
-        Self::scale_in_place(&mut v);
-        Ok(Outcome::Done(v))
-    }
-
     fn apply_mut(&self, v: &mut Volume3D, _ctx: &TransformCtx) -> Result<InPlace> {
-        Self::scale_in_place(v);
+        let mut rng = StdRng::seed_from_u64(v.seed ^ 0xB216);
+        let factor = rng.random_range(0.7..1.3) as f32;
+        for x in v.voxels.iter_mut() {
+            *x *= factor;
+        }
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
     }
 }
 
@@ -436,13 +374,6 @@ impl Transform<Volume3D> for RandomBrightness {
 pub struct GaussianNoise {
     /// Noise standard deviation.
     pub sigma: f32,
-}
-
-impl GaussianNoise {
-    fn add_noise_in_place(&self, v: &mut Volume3D) {
-        let level = Level::widest(Level::detected);
-        add_noise_at(level, &mut v.voxels, self.sigma, v.seed ^ 0x9015E);
-    }
 }
 
 /// Adds `sigma` times a standard normal to each voxel, 64 voxels at a
@@ -483,18 +414,10 @@ impl Transform<Volume3D> for GaussianNoise {
         "GaussianNoise"
     }
 
-    fn apply(&self, mut v: Volume3D, _ctx: &TransformCtx) -> Result<Outcome<Volume3D>> {
-        self.add_noise_in_place(&mut v);
-        Ok(Outcome::Done(v))
-    }
-
     fn apply_mut(&self, v: &mut Volume3D, _ctx: &TransformCtx) -> Result<InPlace> {
-        self.add_noise_in_place(v);
+        let level = Level::widest(Level::detected);
+        add_noise_at(level, &mut v.voxels, self.sigma, v.seed ^ 0x9015E);
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
     }
 }
 
@@ -504,8 +427,12 @@ impl Transform<Volume3D> for GaussianNoise {
 /// applied — the voxels are standardised, so |x| ≪ 65504.
 pub struct Cast;
 
-impl Cast {
-    fn cast_in_place(v: &mut Volume3D) {
+impl Transform<Volume3D> for Cast {
+    fn name(&self) -> &str {
+        "Cast"
+    }
+
+    fn apply_mut(&self, v: &mut Volume3D, _ctx: &TransformCtx) -> Result<InPlace> {
         for x in v.voxels.iter_mut() {
             // Half the dropped 13 bits' range, less one, plus the kept
             // mantissa's last bit: a tie carries only into an odd one.
@@ -513,26 +440,7 @@ impl Cast {
             let rounded = b.wrapping_add(0x0FFF + ((b >> 13) & 1)) & 0xFFFF_E000;
             *x = f32::from_bits(rounded);
         }
-    }
-}
-
-impl Transform<Volume3D> for Cast {
-    fn name(&self) -> &str {
-        "Cast"
-    }
-
-    fn apply(&self, mut v: Volume3D, _ctx: &TransformCtx) -> Result<Outcome<Volume3D>> {
-        Self::cast_in_place(&mut v);
-        Ok(Outcome::Done(v))
-    }
-
-    fn apply_mut(&self, v: &mut Volume3D, _ctx: &TransformCtx) -> Result<InPlace> {
-        Self::cast_in_place(v);
         Ok(InPlace::Done)
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Neutral
     }
 }
 
@@ -551,7 +459,7 @@ pub fn segmentation_pipeline(target: [usize; 3]) -> Pipeline<Volume3D> {
 mod tests {
     use super::*;
     use crate::oracle::{generate_full_scan, noise_voxel_by_voxel, two_pass_stats, within_one_ulp};
-    use minato_core::transform::PipelineRun;
+    use minato_core::transform::{Outcome, PipelineRun};
     use proptest::prelude::*;
 
     fn vol(dims: [usize; 3]) -> Volume3D {
@@ -768,7 +676,9 @@ mod tests {
                 seed,
             };
             let mut out = input.clone();
-            RandomFlip::flip_in_place(&mut out);
+            RandomFlip
+                .apply_mut(&mut out, &TransformCtx::unbounded())
+                .unwrap();
             // x and z keep the draws they had before y existed; y is third.
             let mut rng = StdRng::seed_from_u64(seed ^ 0xF11B);
             let [fx, fz, fy] = [(); 3].map(|()| rng.random_bool(0.5));
@@ -843,18 +753,18 @@ mod tests {
         let v = vol([32, 32, 32]);
         let seed = v.seed ^ 0x9015E;
         assert_noise_matches_the_reference(&v.voxels, seed);
-        // Dispatched, by value and in place: the reference's bytes.
-        let (noise, ctx) = (GaussianNoise { sigma: 0.05 }, TransformCtx::unbounded());
-        let mut in_place = v.clone();
-        noise.apply_mut(&mut in_place, &ctx).unwrap();
-        let Outcome::Done(by_value) = noise.apply(v.clone(), &ctx).unwrap() else {
-            panic!("noise always completes")
-        };
-        let mut want = v.voxels;
+        // Dispatched, unpooled and pooled: the reference's bytes.
+        let mut want = v.voxels.clone();
         let zig = Ziggurat::get();
         noise_voxel_by_voxel(&mut want, 0.05, seed, |b, rest| zig.finish(b, rest));
-        assert_eq!(bits(&by_value.voxels), bits(&want));
-        assert_eq!(bits(&in_place.voxels), bits(&want));
+        let pooled = TransformCtx::unbounded().with_pool(Arc::new(PoolSet::new(1 << 20)));
+        for ctx in [TransformCtx::unbounded(), pooled] {
+            let mut got = v.clone();
+            GaussianNoise { sigma: 0.05 }
+                .apply_mut(&mut got, &ctx)
+                .unwrap();
+            assert_eq!(bits(&got.voxels), bits(&want));
+        }
     }
 
     proptest! {
@@ -882,7 +792,9 @@ mod tests {
                 labels,
                 seed,
             };
-            GaussianNoise { sigma }.add_noise_in_place(&mut v);
+            GaussianNoise { sigma }
+                .apply_mut(&mut v, &TransformCtx::unbounded())
+                .unwrap();
             for &x in &v.voxels {
                 let z = f64::from(x / sigma);
                 s1 += z;
@@ -933,7 +845,7 @@ mod tests {
         let want: Vec<u32> = cases.iter().flat_map(|&(_, o)| [o, o | sign]).collect();
         let mut v = vol([1, 1, input.len()]);
         v.voxels = input.iter().map(|&b| f32::from_bits(b)).collect();
-        Cast::cast_in_place(&mut v);
+        Cast.apply_mut(&mut v, &TransformCtx::unbounded()).unwrap();
         assert_eq!(bits(&v.voxels), want);
     }
 
@@ -952,31 +864,29 @@ mod tests {
 
     #[test]
     fn in_place_pipeline_is_byte_identical_and_recycles() {
-        use minato_core::pool::PoolSet;
         let p = segmentation_pipeline([8, 8, 8]);
-        let by_value = match p.run(vol([16, 16, 16]), None).unwrap() {
+        let unpooled = match p.run(vol([16, 16, 16]), None).unwrap() {
             PipelineRun::Completed { value, .. } => value,
             _ => panic!("no deadline"),
         };
-        let pools = std::sync::Arc::new(PoolSet::new(64 << 20));
+        let pools = Arc::new(PoolSet::new(64 << 20));
         let run_pooled = || {
-            let ctx = TransformCtx::unbounded().with_pool(std::sync::Arc::clone(&pools));
+            let ctx = TransformCtx::unbounded().with_pool(Arc::clone(&pools));
             match p.run_ctx(0, vol([16, 16, 16]), ctx).unwrap() {
                 PipelineRun::Completed { value, .. } => value,
                 _ => panic!("no deadline"),
             }
         };
         let pooled = run_pooled();
-        assert_eq!(pooled, by_value, "in-place path must be byte-identical");
+        assert_eq!(pooled, unpooled, "pooled scratch must be byte-identical");
         let first = pools.stats().combined();
         assert!(first.recycled >= 2, "crop recycles voxels+labels");
         // Close the consumer side of the loop (what the batch recycle
         // hook does after delivery): the next run's crop output must
         // then come from pooled memory instead of the allocator.
-        use minato_core::pool::Reclaim;
         pooled.reclaim(&pools);
         let again = run_pooled();
-        assert_eq!(again, by_value);
+        assert_eq!(again, unpooled);
         let second = pools.stats().combined();
         assert!(
             second.hits > first.hits,
@@ -986,7 +896,6 @@ mod tests {
 
     #[test]
     fn reclaim_returns_both_payloads() {
-        use minato_core::pool::{PoolSet, Reclaim};
         let pools = PoolSet::new(1 << 20);
         vol([8, 8, 8]).reclaim(&pools);
         let s = pools.stats();

@@ -37,8 +37,7 @@ impl PoolSet {
     }
 
     /// A pool set that recycles nothing (acquires allocate, recycles
-    /// drop). Useful to engage in-place pipeline execution without
-    /// retaining memory.
+    /// drop).
     pub fn disabled() -> PoolSet {
         PoolSet::new(0)
     }

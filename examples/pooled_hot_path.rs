@@ -1,11 +1,12 @@
-//! The zero-allocation hot path: buffer pooling + in-place transform
-//! execution on the volumetric segmentation pipeline.
+//! The zero-allocation hot path: buffer pooling on the volumetric
+//! segmentation pipeline.
 //!
-//! With `pool_budget_bytes` set, the loader runs every stage through
-//! `Transform::apply_mut` (shape-changing stages draw output buffers
-//! from the pool), and each delivered batch hands its sample buffers
-//! back when the training loop drops it — so at steady state sample
-//! memory recirculates instead of churning through malloc/free.
+//! The loader runs every stage through `Transform::apply_mut`, pooled or
+//! not. With `pool_budget_bytes` set, shape-changing stages (the crop)
+//! draw their output buffers from the pool instead of the allocator, and
+//! each delivered batch hands its sample buffers back when the training
+//! loop drops it — so at steady state sample memory recirculates instead
+//! of churning through malloc/free.
 //!
 //! Run with: `cargo run --release --example pooled_hot_path`
 

@@ -200,9 +200,9 @@ fn memory_constrained_flow() {
     );
 }
 
-/// `examples/pooled_hot_path.rs`: pooled in-place execution on the
-/// volumetric pipeline; the recycle loop must turn and delivery must
-/// match the unpooled loader sample for sample.
+/// `examples/pooled_hot_path.rs`: pooled execution on the volumetric
+/// pipeline; the recycle loop must turn and delivery must match the
+/// unpooled loader sample for sample.
 #[test]
 fn pooled_hot_path_flow() {
     let n = 48usize;
