@@ -15,6 +15,7 @@ use minato_core::balancer::{BalancerConfig, LoadBalancer, TimeoutPolicy};
 use minato_core::profiler::SampleRecord;
 use minato_metrics::quantile_sorted;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
 
@@ -61,15 +62,15 @@ fn reference_timeout(window_ms: &VecDeque<f64>, policy: TimeoutPolicy) -> Durati
 fn steady_state_allocates_nothing() {
     const PER_THREAD: u64 = 50_000;
     let cfg = BalancerConfig::default();
-    // Past this many completions per thread the window is full and a
-    // refresh has copied a full window, so the scratch buffer has
-    // reached its final size.
-    let fill = cfg.profile_window as u64 + cfg.refresh_every;
+    // Past this many completions per thread the window is full.
+    let fill = cfg.profile_window as u64;
     let lb = LoadBalancer::new(cfg);
-    let rendezvous = Barrier::new(3);
-    let (before, after) = std::thread::scope(|s| {
+    // Two recorders and a refresher standing in for the monitor tick.
+    let rendezvous = Barrier::new(4);
+    let recording = AtomicUsize::new(2);
+    let (before, after, refreshes) = std::thread::scope(|s| {
         for t in 0..2u64 {
-            let (lb, rendezvous) = (&lb, &rendezvous);
+            let (lb, rendezvous, recording) = (&lb, &rendezvous, &recording);
             s.spawn(move || {
                 let mut rng = 0x9E37_79B9_7F4A_7C15 ^ (t + 1);
                 for _ in 0..fill {
@@ -90,20 +91,39 @@ fn steady_state_allocates_nothing() {
                         }
                     }
                 }
+                recording.fetch_sub(1, Ordering::Relaxed);
                 rendezvous.wait(); // Steady state done.
                 rendezvous.wait(); // `after` read.
             });
         }
+        let refresher = s.spawn(|| {
+            rendezvous.wait(); // Filled.
+            rendezvous.wait(); // `before` read.
+            let mut refreshes = 0u64;
+            loop {
+                lb.refresh_now();
+                refreshes += 1;
+                if recording.load(Ordering::Relaxed) == 0 {
+                    break;
+                }
+            }
+            rendezvous.wait(); // Steady state done.
+            rendezvous.wait(); // `after` read.
+            refreshes
+        });
         rendezvous.wait();
+        // One refresh over the full window sizes the scratch buffer.
+        lb.refresh_now();
         let before = alloc_counter::allocations();
         rendezvous.wait();
         rendezvous.wait();
         let after = alloc_counter::allocations();
         rendezvous.wait();
-        (before, after)
+        (before, after, refresher.join().expect("refresher"))
     });
     assert_eq!(lb.completions(), 2 * (fill + (PER_THREAD - fill) / 8 * 8));
     assert!(lb.current_timeout().is_some());
+    assert!(refreshes > 0);
     assert_eq!(
         after - before,
         0,
@@ -116,7 +136,7 @@ fn published_timeouts_match_the_reference(policy: TimeoutPolicy) {
         policy,
         ..BalancerConfig::default()
     };
-    let (warmup, every, cap) = (cfg.warmup_samples, cfg.refresh_every, cfg.profile_window);
+    let (warmup, cap) = (cfg.warmup_samples, cfg.profile_window);
     let lb = LoadBalancer::new(cfg);
     let mut window_ms: VecDeque<f64> = VecDeque::with_capacity(cap);
     let mut rng = 0xD1B5_4A32_D192_ED03u64;
@@ -128,9 +148,14 @@ fn published_timeouts_match_the_reference(policy: TimeoutPolicy) {
         }
         window_ms.push_back(d.as_secs_f64() * 1e3);
         lb.on_fast_complete(&SampleRecord::total_only(d));
-        // Single-threaded, the refresh boundaries are exact: the end of
-        // warm-up, then every multiple of `refresh_every`.
-        if n == warmup || (n > warmup && n % every == 0) {
+        // The completion that ends warm-up publishes; after it, an
+        // explicit refresh every 64 completions stands in for the
+        // monitor's tick.
+        let tick = n > warmup && n % 64 == 0;
+        if tick {
+            lb.refresh_now();
+        }
+        if n == warmup || tick {
             refreshes += 1;
             assert_eq!(
                 lb.current_timeout(),

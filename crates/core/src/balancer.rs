@@ -11,25 +11,29 @@
 //! 3. **Fallback.** If too many samples are being flagged slow (a skewed
 //!    distribution, or drift since warm-up), the balancer falls back to the
 //!    90th percentile.
-//! 4. **Continuous adjustment.** Profiling keeps running during training;
-//!    the timeout is recomputed every `refresh_every` completions.
+//! 4. **Continuous adjustment.** Profiling keeps running during training.
+//!    The completion that ends warm-up publishes the first cutoff; after
+//!    that only [`LoadBalancer::refresh_now`] recomputes it, which the
+//!    loader's monitor thread calls once per scheduler tick — the same
+//!    schedule as the simulator's `Ev::Monitor`.
 //!
 //! # Cost model
 //!
 //! A completion costs one profiler-lock acquisition (one per ticket
 //! chunk through [`LoadBalancer::on_fast_complete_many`]), two counter
-//! increments and one boundary check. Every `refresh_every` completions
-//! the worker that claims the boundary pays one refresh: one copy of the
-//! profile window into a buffer the balancer keeps, then the primary
-//! percentile, the would-flag fraction and, under skew, the fallback
-//! percentile, each one O(window) pass over that copy — selection, not a
-//! sort — with the per-sample profiler lock already released. No
-//! allocation once the window has filled.
+//! increments and one relaxed load of the warm-up flag. The one worker
+//! whose completion ends warm-up pays the first refresh. Every refresh —
+//! that one, then one per monitor tick — copies the profile window into
+//! a buffer the balancer keeps, then runs the primary percentile, the
+//! would-flag fraction and, under skew, the fallback percentile, each
+//! one O(window) pass over that copy — selection, not a sort — with the
+//! per-sample profiler lock already released. No allocation once the
+//! window has filled.
 
 use crate::profiler::{Profiler, SampleRecord, Window};
 use minato_metrics::Counter;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Timeout selection policy.
@@ -74,8 +78,6 @@ pub struct BalancerConfig {
     /// warm-up phase; the paper uses a time window, we use a sample count
     /// which is equivalent and deterministic).
     pub warmup_samples: u64,
-    /// Recompute the adaptive timeout every this many completions.
-    pub refresh_every: u64,
     /// Sliding window length for profiling statistics.
     pub profile_window: usize,
 }
@@ -85,7 +87,6 @@ impl Default for BalancerConfig {
         BalancerConfig {
             policy: TimeoutPolicy::paper_default(),
             warmup_samples: 32,
-            refresh_every: 64,
             profile_window: 4096,
         }
     }
@@ -123,17 +124,16 @@ pub struct LoadBalancer {
     timeout_ns: AtomicU64,
     completions: Counter,
     flagged_slow: Counter,
-    /// Highest refresh boundary (warm-up end, then `refresh_every`
-    /// multiples past it) a refresh has been claimed for, advanced by
-    /// CAS. Makes the refresh trigger monotonic: with racing workers the
-    /// completion counter can skip past a boundary between one worker's
-    /// `incr` and its `get`, and a trigger comparing `n` against exact
-    /// boundary values would then never fire, leaving the timeout stale
-    /// until the monitor's backstop.
-    refreshed_through: AtomicU64,
+    /// Set once the warm-up cutoff has been published (or restored).
+    /// Claimed by swap, so exactly one of the workers racing past
+    /// `warmup_samples` publishes it, even when the completion counter
+    /// skips the exact boundary between one worker's add and its read.
+    /// Relaxed: it publishes no data (the refresh reads the profile
+    /// under the profiler's own lock).
+    warmed: AtomicBool,
     /// The refresh's private copy of the profile window, reused so a
-    /// refresh allocates nothing. Uncontended: one worker claims each
-    /// boundary, and the monitor's backstop refresh is rare.
+    /// refresh allocates nothing. All but uncontended: the warm-up
+    /// publish runs once, then only the monitor refreshes.
     scratch: Mutex<Window>,
 }
 
@@ -151,7 +151,7 @@ impl LoadBalancer {
             timeout_ns: AtomicU64::new(timeout_ns),
             completions: Counter::new(),
             flagged_slow: Counter::new(),
-            refreshed_through: AtomicU64::new(0),
+            warmed: AtomicBool::new(false),
             scratch: Mutex::new(Window::default()),
         }
     }
@@ -183,12 +183,12 @@ impl LoadBalancer {
     pub fn on_fast_complete(&self, rec: &SampleRecord) {
         self.profiler.record(rec);
         self.completions.incr();
-        self.maybe_refresh();
+        self.publish_warmup();
     }
 
     /// [`LoadBalancer::on_fast_complete`] for the total times of a whole
-    /// ticket chunk: one profiler-lock acquisition and one boundary
-    /// check for all of them.
+    /// ticket chunk: one profiler-lock acquisition and one warm-up check
+    /// for all of them.
     // minato-verify: hot-path
     pub fn on_fast_complete_many(&self, totals: &[Duration]) {
         if totals.is_empty() {
@@ -196,7 +196,7 @@ impl LoadBalancer {
         }
         self.profiler.record_many(totals);
         self.completions.add(totals.len() as u64);
-        self.maybe_refresh();
+        self.publish_warmup();
     }
 
     /// Records a sample that hit the timeout and was deferred.
@@ -209,7 +209,7 @@ impl LoadBalancer {
         self.profiler.record(rec);
         self.completions.incr();
         self.flagged_slow.incr();
-        self.maybe_refresh();
+        self.publish_warmup();
     }
 
     /// Fraction of all completed samples that were flagged slow.
@@ -240,11 +240,11 @@ impl LoadBalancer {
     /// Restores checkpointed estimator state into a fresh balancer.
     ///
     /// Counters are seeded so `slow_fraction` carries over; under the
-    /// adaptive policy the published cutoff is restored too, and
-    /// `refreshed_through` is advanced past the seeded completions so
-    /// the restored timeout is not immediately recomputed from an empty
-    /// profile window (`refresh_now` with no records is a no-op, so the
-    /// restored value holds until real samples refill the window).
+    /// adaptive policy the published cutoff is restored too and marks
+    /// warm-up as done, so the resumed run's first completion does not
+    /// replace it with the percentile of a one-sample window
+    /// (`refresh_now` with no records is a no-op, so the restored value
+    /// holds until the monitor refreshes over real samples).
     /// Fixed/Disabled policies define their own timeout and only take
     /// the counters.
     pub fn restore(&self, timeout_ns: u64, completions: u64, flagged_slow: u64) {
@@ -252,44 +252,26 @@ impl LoadBalancer {
         self.flagged_slow.add(flagged_slow);
         if matches!(self.cfg.policy, TimeoutPolicy::Adaptive { .. }) && timeout_ns > 0 {
             self.timeout_ns.store(timeout_ns, Ordering::Relaxed);
-            self.refreshed_through.store(completions, Ordering::Relaxed);
+            self.warmed.store(true, Ordering::Relaxed);
         }
     }
 
-    fn maybe_refresh(&self) {
-        let TimeoutPolicy::Adaptive { .. } = self.cfg.policy else {
-            return;
-        };
-        let n = self.completions.get();
-        if n < self.cfg.warmup_samples {
+    /// Publishes the first adaptive cutoff on the completion that ends
+    /// warm-up; later refreshes are the monitor's.
+    fn publish_warmup(&self) {
+        if self.warmed.load(Ordering::Relaxed)
+            || !matches!(self.cfg.policy, TimeoutPolicy::Adaptive { .. })
+            || self.completions.get() < self.cfg.warmup_samples
+        {
             return;
         }
-        // The refresh boundary `n` has most recently crossed: warm-up
-        // completion, then `refresh_every` multiples. Claim it by CAS so
-        // exactly one of the racing workers refreshes per boundary, and
-        // a boundary is never skipped just because no worker read the
-        // counter at its exact value.
-        let every = self.cfg.refresh_every.max(1);
-        let due = (n / every * every).max(self.cfg.warmup_samples);
-        let mut last = self.refreshed_through.load(Ordering::Relaxed);
-        while last < due {
-            match self.refreshed_through.compare_exchange_weak(
-                last,
-                due,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.refresh_now();
-                    return;
-                }
-                Err(current) => last = current,
-            }
+        if !self.warmed.swap(true, Ordering::Relaxed) {
+            self.refresh_now();
         }
     }
 
-    /// Forces a timeout recomputation (used by tests and the monitor
-    /// thread).
+    /// Recomputes the adaptive timeout from the current profile window:
+    /// the periodic refresh, called by the monitor thread once per tick.
     pub fn refresh_now(&self) {
         let TimeoutPolicy::Adaptive {
             percentile,
@@ -367,7 +349,6 @@ mod tests {
     fn adaptive_timeout_lands_at_p75() {
         let cfg = BalancerConfig {
             warmup_samples: 100,
-            refresh_every: 10,
             ..Default::default()
         };
         let lb = LoadBalancer::new(cfg);
@@ -386,7 +367,6 @@ mod tests {
     fn skew_triggers_fallback_to_p90() {
         let cfg = BalancerConfig {
             warmup_samples: 100,
-            refresh_every: 10,
             policy: TimeoutPolicy::Adaptive {
                 percentile: 0.25, // Deliberately bad: flags 75% as slow.
                 fallback_percentile: 0.90,
@@ -430,6 +410,12 @@ mod tests {
         // restored cutoff holds.
         lb.refresh_now();
         assert_eq!(lb.current_timeout(), Some(Duration::from_nanos(5_000_000)));
+        // The restored cutoff counts as the warm-up publish: completions
+        // past `warmup_samples` leave it for the monitor to refresh.
+        for _ in 0..32 {
+            lb.on_fast_complete(&rec(1));
+        }
+        assert_eq!(lb.current_timeout(), Some(Duration::from_nanos(5_000_000)));
         // A zero timeout (checkpoint taken in the optimistic phase)
         // restores counters only.
         let lb = LoadBalancer::paper_default();
@@ -445,21 +431,17 @@ mod tests {
         assert_eq!(lb.current_timeout(), Some(Duration::from_millis(9)));
     }
 
-    /// Regression test for the refresh race: with workers completing
+    /// Regression test for the warm-up race: with workers completing
     /// samples concurrently, the completion counter can skip past the
-    /// `n == warmup_samples` boundary (and `refresh_every` multiples)
-    /// between one worker's `incr` and its `get`. The CAS-claimed
-    /// boundary must publish the timeout regardless of interleaving —
-    /// without the monitor thread's `refresh_now` backstop.
+    /// `n == warmup_samples` boundary between one worker's `incr` and its
+    /// `get`. The swap-claimed flag must publish the timeout regardless
+    /// of interleaving — without the monitor thread's `refresh_now`.
     #[test]
     fn concurrent_warmup_publishes_timeout_without_backstop() {
         use std::sync::Arc;
         for round in 0..20 {
             let lb = Arc::new(LoadBalancer::new(BalancerConfig {
                 warmup_samples: 64,
-                // Far beyond the sample count: only the warm-up boundary
-                // can publish the timeout.
-                refresh_every: 1 << 40,
                 ..Default::default()
             }));
             let workers: Vec<_> = (0..8)
@@ -487,7 +469,6 @@ mod tests {
     fn timeout_tracks_drift() {
         let cfg = BalancerConfig {
             warmup_samples: 50,
-            refresh_every: 50,
             profile_window: 100,
             ..Default::default()
         };
@@ -496,10 +477,12 @@ mod tests {
             lb.on_fast_complete(&rec(10));
         }
         let before = lb.current_timeout().unwrap();
-        // Workload drifts 10x slower; window slides fully over.
+        // Workload drifts 10x slower; window slides fully over, then the
+        // monitor's tick refreshes.
         for _ in 0..200 {
             lb.on_fast_complete(&rec(100));
         }
+        lb.refresh_now();
         let after = lb.current_timeout().unwrap();
         assert!(after > before * 5, "timeout must follow drift");
     }

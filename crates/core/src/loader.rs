@@ -1444,6 +1444,44 @@ mod tests {
         drop(loader); // Must not hang or panic.
     }
 
+    /// After warm-up no completion recomputes the adaptive cutoff: the
+    /// monitor's tick is its only refresh. Samples 0–7 end warm-up at
+    /// ~0, so the cutoff it publishes defers every later sample after
+    /// its 1 ms first step; only a tick can lift it to their true time.
+    /// The one fast worker naps at least 192 ms, nineteen 10 ms ticks,
+    /// and any tick after the first few naps lifts it; a slower machine
+    /// only lengthens the run.
+    #[test]
+    fn monitor_tick_keeps_the_cutoff_live() {
+        let ds = VecDataset::new((0..200u32).collect::<Vec<_>>());
+        let nap = fn_transform("nap", |x: u32| {
+            if x >= 8 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(x)
+        });
+        let p = Pipeline::new(vec![nap, fn_transform("id", |x: u32| Ok(x))]);
+        let loader = MinatoLoader::builder(ds, p)
+            .batch_size(8)
+            .shuffle(false)
+            .initial_workers(1)
+            .max_workers(1)
+            .slow_workers(1)
+            .warmup_samples(8)
+            .scheduler(SchedulerConfig {
+                interval: Duration::from_millis(10),
+                ..SchedulerConfig::paper_default(1)
+            })
+            .build()
+            .unwrap();
+        assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), 200);
+        let timeout = loader.stats().timeout.expect("warmed up");
+        assert!(
+            timeout >= Duration::from_micros(500),
+            "the cutoff never left its warm-up value: {timeout:?}"
+        );
+    }
+
     #[test]
     fn stats_snapshot_consistent_after_drain() {
         let loader = quick_loader(50, 5);

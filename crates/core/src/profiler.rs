@@ -13,8 +13,8 @@
 //! [`Profiler::record_many`], and one ring store per observation. The
 //! percentile queries are the per-refresh path: each copies the window
 //! under the lock and selects on the copy (O(window), no sort). The
-//! balancer, which refreshes every `refresh_every` completions, takes
-//! one copy per refresh into a buffer it keeps
+//! balancer, which refreshes once at the end of warm-up and then once per
+//! monitor tick, takes one copy per refresh into a buffer it keeps
 //! ([`Profiler::copy_window_into`]) and runs all of its queries on that
 //! ([`Window`]), outside the lock.
 

@@ -102,7 +102,6 @@ fn close_is_idempotent_and_rejects_with_item_returned() {
 fn warmup_boundary_activates_timeout_exactly_at_threshold() {
     let lb = LoadBalancer::new(BalancerConfig {
         warmup_samples: 10,
-        refresh_every: 100,
         ..Default::default()
     });
     for _ in 0..9 {
@@ -117,31 +116,32 @@ fn warmup_boundary_activates_timeout_exactly_at_threshold() {
 }
 
 #[test]
-fn timeout_holds_steady_between_refresh_points() {
+fn cutoff_moves_only_on_refresh_after_warmup() {
     let lb = LoadBalancer::new(BalancerConfig {
         warmup_samples: 10,
-        refresh_every: 50,
         ..Default::default()
     });
     for _ in 0..10 {
         lb.on_fast_complete(&rec(10));
     }
     let at_warmup = lb.current_timeout().expect("warmed up");
-    // Distribution shifts, but the published timeout only moves at the
-    // next refresh boundary (completion count divisible by 50).
-    for _ in 0..35 {
+    // The distribution shifts a hundredfold, but after warm-up no
+    // completion recomputes the cutoff: only a refresh (the monitor's
+    // tick) moves it.
+    for _ in 0..10_000 {
         lb.on_fast_complete(&rec(1000));
     }
     assert_eq!(
         lb.current_timeout().expect("still set"),
         at_warmup,
-        "timeout must not drift between refreshes"
+        "a completion recomputed the cutoff"
     );
-    for _ in 0..5 {
-        lb.on_fast_complete(&rec(1000));
-    }
-    // 50th completion: refresh fires and the timeout follows the data.
-    assert!(lb.current_timeout().expect("still set") > at_warmup);
+    lb.refresh_now();
+    let refreshed = lb.current_timeout().expect("still set");
+    assert!(
+        refreshed > Duration::from_millis(500),
+        "the refresh must follow the data, got {refreshed:?}"
+    );
 }
 
 #[test]
@@ -151,7 +151,6 @@ fn slow_completions_feed_uncensored_times_into_the_profile() {
     // cutoff.
     let lb = LoadBalancer::new(BalancerConfig {
         warmup_samples: 20,
-        refresh_every: 20,
         profile_window: 40,
         ..Default::default()
     });
@@ -162,6 +161,7 @@ fn slow_completions_feed_uncensored_times_into_the_profile() {
     for _ in 0..40 {
         lb.on_slow_complete(&rec(800));
     }
+    lb.refresh_now();
     let after = lb.current_timeout().expect("still set");
     assert!(
         after > before * 10,
@@ -179,7 +179,6 @@ fn fallback_engages_under_skew_and_releases_when_distribution_normalizes() {
     // directions of the paper's §4.2 fallback transition.
     let cfg = BalancerConfig {
         warmup_samples: 50,
-        refresh_every: 10,
         profile_window: 100,
         policy: TimeoutPolicy::Adaptive {
             percentile: 0.50,
@@ -191,9 +190,11 @@ fn fallback_engages_under_skew_and_releases_when_distribution_normalizes() {
 
     // Phase 1: 100 distinct values spread over 0..1000 ms. P50 ≈ 500 ms
     // would flag ~50% > 35%, so the published timeout must be ≈ P90.
+    // Each phase ends where the monitor's tick would refresh.
     for i in 0..100u64 {
         lb.on_fast_complete(&rec(i * 10));
     }
+    lb.refresh_now();
     let skewed = lb.current_timeout().expect("warmed up");
     assert!(
         skewed > Duration::from_millis(800),
@@ -206,6 +207,7 @@ fn fallback_engages_under_skew_and_releases_when_distribution_normalizes() {
         let ms = if i % 5 == 4 { 2000 } else { 10 };
         lb.on_fast_complete(&rec(ms));
     }
+    lb.refresh_now();
     let recovered = lb.current_timeout().expect("still set");
     assert!(
         recovered < Duration::from_millis(100),
