@@ -7,13 +7,18 @@
 //! close signal for clean drain at end of training.
 //!
 //! There is one implementation: a mutex guards a `VecDeque` plus the
-//! closed flag and the reservation count, and two condition variables
-//! wake blocked producers (`not_full`) and consumers (`not_empty`)
-//! exactly when the state they wait for changes. The batched operations
-//! (`put_many`, `pop_many`, ...) move a whole burst under one
-//! acquisition, which is where the per-sample synchronization cost goes
-//! down; [`MinatoQueue::lock_acquisitions`] counts every acquisition so
-//! that cost can be read off a running loader.
+//! closed flag, the reservation count and one count of parked threads
+//! per condition, and two condition variables wake blocked producers
+//! (`not_full`) and consumers (`not_empty`) when the state they wait for
+//! changes. An operation signals a condition only when a thread is
+//! parked on it: the waiter counts are read under the state mutex, so an
+//! uncontended put or pop makes no wake-up call at all (each one is a
+//! `futex_wake` system call, whether or not anyone sleeps on the futex).
+//! The batched operations (`put_many`, `pop_many`, ...) move a whole
+//! burst under one acquisition, which is where the per-sample
+//! synchronization cost goes down; [`MinatoQueue::lock_acquisitions`]
+//! counts every acquisition so that cost can be read off a running
+//! loader.
 
 use minato_metrics::Counter;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -82,12 +87,37 @@ struct Inner<T> {
     /// Slots claimed by outstanding reservations: counted against
     /// capacity but not yet holding an item.
     reserved: usize,
+    /// Threads parked on `not_full` / `not_empty`. A waiter raises its
+    /// count under this mutex, in the same critical section in which it
+    /// found the condition false, and lowers it once the wait returns;
+    /// a notifier reads it under the mutex too. So whoever changes the
+    /// state either sees the waiter counted, or the waiter sees the new
+    /// state before it parks: skipping the signal at zero loses no
+    /// wake-up.
+    put_waiters: usize,
+    pop_waiters: usize,
 }
 
 impl<T> Inner<T> {
     fn space(&self, capacity: usize) -> usize {
         capacity - self.items.len() - self.reserved
     }
+
+    fn waiters(&mut self, cond: Cond) -> &mut usize {
+        match cond {
+            Cond::NotFull => &mut self.put_waiters,
+            Cond::NotEmpty => &mut self.pop_waiters,
+        }
+    }
+}
+
+/// The condition a blocked operation parks on.
+#[derive(Debug, Clone, Copy)]
+enum Cond {
+    /// Producers waiting for space.
+    NotFull,
+    /// Consumers waiting for an item.
+    NotEmpty,
 }
 
 /// A bounded MPMC queue with occupancy instrumentation and close-to-drain
@@ -147,6 +177,8 @@ impl<T> MinatoQueue<T> {
                 items: VecDeque::with_capacity(capacity.min(1024)),
                 closed: false,
                 reserved: 0,
+                put_waiters: 0,
+                pop_waiters: 0,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -182,48 +214,72 @@ impl<T> MinatoQueue<T> {
         self.inner.lock()
     }
 
-    /// Parks on `cv` until notified. The re-acquisition the wake-up
-    /// makes is counted on entry, while `g` is still held: whoever reads
-    /// the count and then takes the state mutex finds this thread
-    /// already parked — the rendezvous the blocking tests are built on.
-    fn wait(&self, cv: &Condvar, g: &mut MutexGuard<'_, Inner<T>>) {
-        self.lock_ops.incr();
-        cv.wait(g);
-    }
-
-    /// [`MinatoQueue::wait`] bounded by `deadline`; `true` when the
-    /// wait timed out.
-    fn wait_until(
+    /// Parks on `cond` until notified, or until `deadline` when one is
+    /// given; `true` when the wait timed out. The thread is counted as a
+    /// waiter on `cond` for the whole wait, so the notifiers know to
+    /// signal it. The re-acquisition the wake-up makes is counted on
+    /// entry, while `g` is still held: whoever reads the count and then
+    /// takes the state mutex finds this thread already parked — the
+    /// rendezvous the blocking tests are built on.
+    fn wait(
         &self,
-        cv: &Condvar,
+        cond: Cond,
         g: &mut MutexGuard<'_, Inner<T>>,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> bool {
         self.lock_ops.incr();
-        cv.wait_until(g, deadline).timed_out()
+        *g.waiters(cond) += 1;
+        let cv = match cond {
+            Cond::NotFull => &self.not_full,
+            Cond::NotEmpty => &self.not_empty,
+        };
+        let timed_out = match deadline {
+            Some(d) => cv.wait_until(g, d).timed_out(),
+            None => {
+                cv.wait(g);
+                false
+            }
+        };
+        *g.waiters(cond) -= 1;
+        timed_out
+    }
+
+    /// The two waiter counts, `(put_waiters, pop_waiters)`.
+    #[cfg(test)]
+    fn waiter_counts(&self) -> (usize, usize) {
+        let g = self.inner.lock();
+        (g.put_waiters, g.pop_waiters)
     }
 
     /// Enqueues one item into space the caller has checked for, then
-    /// releases the state mutex before counting and waking a consumer.
+    /// releases the state mutex before counting and waking a parked
+    /// consumer, if there is one.
     // minato-verify: hot-path
     fn push_one(&self, mut g: MutexGuard<'_, Inner<T>>, item: T) {
         g.items.push_back(item);
         let len = g.items.len();
+        let wake = g.pop_waiters > 0;
         drop(g);
         self.observe_len(len);
         self.puts.incr();
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
     }
 
     /// The other half: the caller has just dequeued one item under `g`;
-    /// releases the state mutex before counting and waking a producer.
+    /// releases the state mutex before counting and waking a parked
+    /// producer, if there is one.
     // minato-verify: hot-path
     fn popped_one(&self, g: MutexGuard<'_, Inner<T>>) {
         let len = g.items.len();
+        let wake = g.put_waiters > 0;
         drop(g);
         self.observe_len(len);
         self.pops.incr();
-        self.not_full.notify_one();
+        if wake {
+            self.not_full.notify_one();
+        }
     }
 
     /// Blocking put. Fails with [`Closed`] if the queue was closed (before
@@ -239,7 +295,7 @@ impl<T> MinatoQueue<T> {
                 self.push_one(g, item);
                 return Ok(());
             }
-            self.wait(&self.not_full, &mut g);
+            self.wait(Cond::NotFull, &mut g, None);
         }
     }
 
@@ -304,15 +360,15 @@ impl<T> MinatoQueue<T> {
                     active: true,
                 });
             }
-            if self.wait_until(&self.not_full, &mut g, deadline) {
+            if self.wait(Cond::NotFull, &mut g, Some(deadline)) {
                 return Err(TryReserveError::Full);
             }
         }
     }
 
     /// Blocking bulk put: enqueues all of `items` in bursts of available
-    /// space instead of one synchronization round per item, waking
-    /// consumers once per burst.
+    /// space instead of one synchronization round per item, waking the
+    /// parked consumers (if any) once per burst.
     ///
     /// If the chunk exceeds the free space (or the queue capacity), the
     /// put proceeds in capacity-sized bursts, blocking between them.
@@ -341,14 +397,19 @@ impl<T> MinatoQueue<T> {
                 let len = g.items.len();
                 self.observe_len(len);
                 self.puts.add(take as u64);
+                let wake = g.pop_waiters > 0;
                 if done == total {
                     drop(g);
-                    self.not_empty.notify_all();
+                    if wake {
+                        self.not_empty.notify_all();
+                    }
                     return Ok(());
                 }
-                self.not_empty.notify_all();
+                if wake {
+                    self.not_empty.notify_all();
+                }
             }
-            self.wait(&self.not_full, &mut g);
+            self.wait(Cond::NotFull, &mut g, None);
         }
     }
 
@@ -372,10 +433,13 @@ impl<T> MinatoQueue<T> {
         let rest = items.split_off(take);
         g.items.extend(items);
         let len = g.items.len();
+        let wake = g.pop_waiters > 0;
         drop(g);
         self.observe_len(len);
         self.puts.add(take as u64);
-        self.not_empty.notify_all();
+        if wake {
+            self.not_empty.notify_all();
+        }
         if rest.is_empty() {
             Ok(())
         } else {
@@ -396,7 +460,7 @@ impl<T> MinatoQueue<T> {
             if g.closed {
                 return None;
             }
-            self.wait(&self.not_empty, &mut g);
+            self.wait(Cond::NotEmpty, &mut g, None);
         }
     }
 
@@ -413,7 +477,7 @@ impl<T> MinatoQueue<T> {
             if g.closed {
                 return Err(Closed);
             }
-            if self.wait_until(&self.not_empty, &mut g, deadline) {
+            if self.wait(Cond::NotEmpty, &mut g, Some(deadline)) {
                 return Ok(None);
             }
         }
@@ -434,14 +498,17 @@ impl<T> MinatoQueue<T> {
     }
 
     /// Dequeues up to `max` already-available items under one lock
-    /// acquisition, releasing blocked producers with one `notify_all`.
+    /// acquisition, releasing the parked producers (if any) with one
+    /// `notify_all`.
     fn drain_burst(&self, g: &mut MutexGuard<'_, Inner<T>>, max: usize) -> Vec<T> {
         let take = max.min(g.items.len());
         let out: Vec<T> = g.items.drain(..take).collect();
         if !out.is_empty() {
             self.observe_len(g.items.len());
             self.pops.add(out.len() as u64);
-            self.not_full.notify_all();
+            if g.put_waiters > 0 {
+                self.not_full.notify_all();
+            }
         }
         out
     }
@@ -463,7 +530,7 @@ impl<T> MinatoQueue<T> {
             if g.closed {
                 return Vec::new();
             }
-            self.wait(&self.not_empty, &mut g);
+            self.wait(Cond::NotEmpty, &mut g, None);
         }
     }
 
@@ -496,14 +563,16 @@ impl<T> MinatoQueue<T> {
             if g.closed {
                 return Err(Closed);
             }
-            if self.wait_until(&self.not_empty, &mut g, deadline) {
+            if self.wait(Cond::NotEmpty, &mut g, Some(deadline)) {
                 return Ok(Vec::new());
             }
         }
     }
 
     /// Closes the queue: pending and future `put`s fail, `pop` drains the
-    /// remaining items then returns `None`. Idempotent.
+    /// remaining items then returns `None`. Idempotent. Unlike the
+    /// put/pop paths it signals both conditions unconditionally: it runs
+    /// once per queue, off the hot path.
     pub fn close(&self) {
         let mut g = self.inner.lock();
         g.closed = true;
@@ -586,8 +655,11 @@ impl<T> PutReservation<'_, T> {
         let mut g = self.queue.lock_op();
         g.reserved -= 1;
         if g.closed {
+            let wake = g.put_waiters > 0;
             drop(g);
-            self.queue.not_full.notify_one();
+            if wake {
+                self.queue.not_full.notify_one();
+            }
             return Err(Closed);
         }
         self.queue.push_one(g, item);
@@ -600,8 +672,11 @@ impl<T> Drop for PutReservation<'_, T> {
         if self.active {
             let mut g = self.queue.lock_op();
             g.reserved -= 1;
+            let wake = g.put_waiters > 0;
             drop(g);
-            self.queue.not_full.notify_one();
+            if wake {
+                self.queue.not_full.notify_one();
+            }
         }
     }
 }
@@ -857,6 +932,138 @@ mod tests {
         drop(r);
         h.join().unwrap().unwrap();
         assert_eq!(q.pop(), Some(5));
+    }
+
+    #[test]
+    fn timed_out_waits_leave_no_waiter_counted() {
+        let q: MinatoQueue<u32> = MinatoQueue::new("q", 1);
+        assert_eq!(q.pop_timeout(Duration::from_millis(2)), Ok(None));
+        assert_eq!(q.waiter_counts(), (0, 0), "after pop_timeout");
+        assert_eq!(
+            q.pop_many_timeout(4, Duration::from_millis(2)),
+            Ok(Vec::new())
+        );
+        assert_eq!(q.waiter_counts(), (0, 0), "after pop_many_timeout");
+        q.put(1).unwrap();
+        assert_eq!(
+            q.reserve_timeout(Duration::from_millis(2)).unwrap_err(),
+            TryReserveError::Full
+        );
+        assert_eq!(q.waiter_counts(), (0, 0), "after reserve_timeout");
+    }
+
+    #[test]
+    fn woken_waits_leave_no_waiter_counted() {
+        let q = Arc::new(MinatoQueue::new("q", 1));
+        // A put parked on the full queue, woken by a pop.
+        q.put(1).unwrap();
+        let base = q.lock_acquisitions();
+        let q2 = Arc::clone(&q);
+        let producer = thread::spawn(move || q2.put(2));
+        wait_until_parked(&q, base, 1);
+        assert_eq!(q.waiter_counts(), (1, 0), "the parked put is counted");
+        assert_eq!(q.pop(), Some(1));
+        producer.join().unwrap().unwrap();
+        assert_eq!(q.waiter_counts(), (0, 0), "after a woken put");
+        // A pop parked on the empty queue, woken by a put.
+        assert_eq!(q.pop(), Some(2));
+        let base = q.lock_acquisitions();
+        let q2 = Arc::clone(&q);
+        let consumer = thread::spawn(move || q2.pop());
+        wait_until_parked(&q, base, 1);
+        assert_eq!(q.waiter_counts(), (0, 1), "the parked pop is counted");
+        q.put(3).unwrap();
+        assert_eq!(consumer.join().unwrap(), Some(3));
+        assert_eq!(q.waiter_counts(), (0, 0), "after a woken pop");
+    }
+
+    /// Runs `park` on its own thread, waits until it has parked, runs
+    /// `wake`, and returns what `park` returned. Fails instead of
+    /// hanging when no wake-up reaches the parked thread in 10 s.
+    fn park_then<R: Send + 'static>(
+        q: &Arc<MinatoQueue<u32>>,
+        park: fn(&MinatoQueue<u32>) -> R,
+        wake: fn(&MinatoQueue<u32>),
+    ) -> R {
+        let base = q.lock_acquisitions();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let q2 = Arc::clone(q);
+        thread::spawn(move || tx.send(park(&q2)));
+        wait_until_parked(q, base, 1);
+        wake(q);
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        q.close(); // Releases a thread the wake-up missed.
+        got.expect("the parked thread was never woken")
+    }
+
+    #[test]
+    fn every_signalling_path_wakes_a_lone_parked_thread() {
+        const LIMIT: Duration = Duration::from_secs(10);
+        type Park<R> = (&'static str, fn(&MinatoQueue<u32>) -> R);
+        type Wake = (&'static str, fn(&MinatoQueue<u32>));
+        // A producer parked on the full queue, and each way of freeing
+        // its slot.
+        let producers: [Park<bool>; 3] = [
+            ("put", |q| q.put(2).is_ok()),
+            ("put_many", |q| q.put_many(vec![2]).is_ok()),
+            ("reserve_timeout", |q| {
+                q.reserve_timeout(LIMIT)
+                    .is_ok_and(|slot| slot.publish(2).is_ok())
+            }),
+        ];
+        let frees: [Wake; 6] = [
+            ("pop", |q| assert_eq!(q.pop(), Some(1))),
+            ("try_pop", |q| assert_eq!(q.try_pop(), PopResult::Item(1))),
+            ("pop_timeout", |q| {
+                assert_eq!(q.pop_timeout(LIMIT), Ok(Some(1)))
+            }),
+            ("pop_many", |q| assert_eq!(q.pop_many(4), vec![1])),
+            ("try_pop_many", |q| {
+                assert_eq!(q.try_pop_many(4), Ok(vec![1]))
+            }),
+            ("pop_many_timeout", |q| {
+                assert_eq!(q.pop_many_timeout(4, LIMIT), Ok(vec![1]))
+            }),
+        ];
+        for (park_name, park) in producers {
+            for (wake_name, wake) in frees {
+                let q = Arc::new(MinatoQueue::new("q", 1));
+                q.put(1).unwrap();
+                assert!(park_then(&q, park, wake), "{park_name} after {wake_name}");
+                assert_eq!(q.pop(), Some(2), "{park_name} after {wake_name}");
+            }
+        }
+        // A consumer parked on the empty queue, and each way of handing
+        // it an item.
+        let consumers: [Park<Vec<u32>>; 4] = [
+            ("pop", |q| q.pop().into_iter().collect()),
+            ("pop_timeout", |q| {
+                q.pop_timeout(LIMIT).ok().flatten().into_iter().collect()
+            }),
+            ("pop_many", |q| q.pop_many(4)),
+            ("pop_many_timeout", |q| {
+                q.pop_many_timeout(4, LIMIT).unwrap_or_default()
+            }),
+        ];
+        let adds: [Wake; 6] = [
+            ("put", |q| q.put(7).unwrap()),
+            ("try_put", |q| q.try_put(7).unwrap()),
+            ("put_many", |q| q.put_many(vec![7]).unwrap()),
+            ("try_put_many", |q| q.try_put_many(vec![7]).unwrap()),
+            ("try_reserve", |q| {
+                q.try_reserve().unwrap().publish(7).unwrap()
+            }),
+            ("reserve_timeout", |q| {
+                q.reserve_timeout(LIMIT).unwrap().publish(7).unwrap()
+            }),
+        ];
+        for (park_name, park) in consumers {
+            for (wake_name, wake) in adds {
+                let q = Arc::new(MinatoQueue::new("q", 1));
+                let got = park_then(&q, park, wake);
+                assert_eq!(got, vec![7], "{park_name} after {wake_name}");
+            }
+        }
     }
 
     #[test]

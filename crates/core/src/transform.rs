@@ -157,6 +157,10 @@ pub trait StageObserver: Send + Sync + std::fmt::Debug {
 #[derive(Debug, Clone)]
 pub struct TransformCtx {
     deadline: Option<Instant>,
+    /// The instant [`TransformCtx::with_timeout`] read: the deadline is
+    /// measured from it, and so is the `elapsed` [`Pipeline::run_ctx`]
+    /// reports. `None` until a timeout is set.
+    anchor: Option<Instant>,
     /// Speed multiplier applied by accelerator-offloaded execution
     /// (the synthetic work transforms divide their cost by it; CPU
     /// execution uses 1.0).
@@ -209,6 +213,7 @@ impl TransformCtx {
     fn base(deadline: Option<Instant>) -> TransformCtx {
         TransformCtx {
             deadline,
+            anchor: None,
             speedup: 1.0,
             pools: None,
             polls: Cell::new(0),
@@ -235,13 +240,26 @@ impl TransformCtx {
     }
 
     /// Returns a copy whose deadline is `timeout` from now (`None`:
-    /// unbounded). Called where the pipeline starts, not where the
-    /// context is built: the balancer learns its cutoff from
-    /// [`PipelineRun`]'s `elapsed`, which [`Pipeline::run_ctx`] starts
-    /// after the `Dataset::load`, so a deadline that also timed the load
-    /// would flag samples the cutoff never meant.
+    /// unbounded), anchored at now.
+    ///
+    /// It reads the clock once, with or without a timeout, and that
+    /// instant is the *anchor*: the deadline is `anchor + timeout`, and
+    /// [`Pipeline::run_ctx`] measures its `elapsed` from the anchor
+    /// instead of reading the clock again. Deadline and `elapsed` share
+    /// one origin, so a run that times out reports `elapsed ≥ timeout`
+    /// exactly, and a caller that timed its own work from an earlier
+    /// instant can add `elapsed` to the gap up to
+    /// [`TransformCtx::anchor`] without a clock read of its own.
+    ///
+    /// Call it where the pipeline starts, not where the context is
+    /// built: the balancer learns its cutoff from [`PipelineRun`]'s
+    /// `elapsed`, which must not include the `Dataset::load`, so a
+    /// deadline that also timed the load would flag samples the cutoff
+    /// never meant.
     pub fn with_timeout(mut self, timeout: Option<Duration>) -> TransformCtx {
-        self.deadline = timeout.map(|t| Instant::now() + t);
+        let now = Instant::now();
+        self.anchor = Some(now);
+        self.deadline = timeout.map(|t| now + t);
         self
     }
 
@@ -285,6 +303,12 @@ impl TransformCtx {
     /// The deadline, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
+    }
+
+    /// The instant [`TransformCtx::with_timeout`] anchored the run at,
+    /// if it was called.
+    pub fn anchor(&self) -> Option<Instant> {
+        self.anchor
     }
 
     /// The buffer pools, when the run is pooled.
@@ -544,7 +568,9 @@ pub enum PipelineRun<T> {
     Completed {
         /// The fully preprocessed sample.
         value: T,
-        /// Wall time spent inside this call.
+        /// Wall time of the run, from the context's anchor (see
+        /// [`TransformCtx::with_timeout`]) or, without one, from the
+        /// start of the call.
         elapsed: Duration,
     },
     /// The deadline fired at transform `resume_at`; `partial` holds the
@@ -554,7 +580,8 @@ pub enum PipelineRun<T> {
         partial: T,
         /// Index of the first transform still to run.
         resume_at: usize,
-        /// Wall time spent inside this call.
+        /// Wall time of the run, measured like `Completed`'s; at least
+        /// the timeout, since the deadline shares its origin.
         elapsed: Duration,
     },
 }
@@ -643,8 +670,15 @@ impl<T: Send + 'static> Pipeline<T> {
     /// [`InPlace::ByValue`]. A completed step is never redone, and an
     /// interrupted step `i` (which left the sample in its input state,
     /// per the `apply_mut` contract) re-executes from `resume_at = i`.
+    ///
+    /// The reported `elapsed` runs from the context's anchor when
+    /// [`TransformCtx::with_timeout`] set one — the same instant the
+    /// deadline counts from — and from the start of this call
+    /// otherwise. Past that start, an unobserved run reads the clock at
+    /// the end, plus once between steps when a deadline is set (an
+    /// observer adds a read per step).
     pub fn run_ctx(&self, start_at: usize, input: T, ctx: TransformCtx) -> Result<PipelineRun<T>> {
-        let start = Instant::now();
+        let start = ctx.anchor.unwrap_or_else(Instant::now);
         // The sample is owned directly: the by-value fallback moves it
         // into `apply` and reassigns from the outcome, so every exit path
         // has the value in hand without an `Option` dance.
@@ -826,6 +860,38 @@ mod tests {
             PipelineRun::Completed { value, .. } => assert_eq!(value, 1),
             PipelineRun::TimedOut { .. } => panic!("finished samples are fast samples"),
         }
+    }
+
+    #[test]
+    fn deadline_and_elapsed_share_one_anchor() {
+        // The context is anchored, then 5 ms pass before the run starts:
+        // the deadline has already fired, and `elapsed` must count from
+        // the same anchor, so the timed-out run reports at least the
+        // timeout. Measured from the start of `run_ctx` instead, it
+        // would report microseconds.
+        let timeout = Duration::from_millis(5);
+        let ctx = TransformCtx::unbounded().with_timeout(Some(timeout));
+        let anchor = ctx.anchor().expect("with_timeout anchors the context");
+        assert_eq!(ctx.deadline(), Some(anchor + timeout));
+        while anchor.elapsed() <= timeout {
+            std::hint::spin_loop();
+        }
+        let p = Pipeline::new(vec![burn("a", 0, false), burn("b", 0, false)]);
+        match p.run_ctx(0, 0, ctx).unwrap() {
+            PipelineRun::TimedOut {
+                resume_at, elapsed, ..
+            } => {
+                assert_eq!(resume_at, 1, "the between-step check fired");
+                assert!(elapsed >= timeout, "elapsed {elapsed:?} < {timeout:?}");
+            }
+            PipelineRun::Completed { .. } => panic!("the deadline had passed"),
+        }
+        // Without a timeout the context is still anchored.
+        assert!(TransformCtx::unbounded()
+            .with_timeout(None)
+            .anchor()
+            .is_some());
+        assert!(TransformCtx::unbounded().anchor().is_none());
     }
 
     #[test]

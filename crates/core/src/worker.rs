@@ -800,6 +800,12 @@ impl<D: Dataset> Runtime<D> {
 ///
 /// Between two chunks, one fast worker at a time moonlights on slow
 /// overflow ([`Runtime::moonlight`]).
+///
+/// An untraced sample that misses the cache reads the clock three
+/// times: at its start (`t0`, which also gives `issued_ns`), where
+/// [`TransformCtx::with_timeout`] anchors the deadline, and at the end
+/// of [`Pipeline::run_ctx`]. Its busy time is `anchor − t0 + elapsed`,
+/// and the chunk hands the sum to the CPU meter at each flush.
 pub(crate) struct FastStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
 }
@@ -852,9 +858,16 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         // Pipeline times of the chunk's fast completions (cache hits
         // excluded), handed to the balancer in one call after the loop.
         let mut fast_times: Vec<Duration> = Vec::with_capacity(total);
-        // Publishes the buffered fast samples in one queue operation and
-        // settles their in-flight claims; false = fast queue closed.
-        let flush_fast = |buf: &mut Vec<Prepared<D::Sample>>| -> bool {
+        // Busy time of the chunk's pipeline runs not yet on the CPU
+        // meter: one shared atomic add per flush instead of per sample.
+        let mut busy_sum = Duration::ZERO;
+        // Hands `busy` to the CPU meter, then publishes the buffered fast
+        // samples in one queue operation and settles their in-flight
+        // claims; false = fast queue closed.
+        let flush_fast = |buf: &mut Vec<Prepared<D::Sample>>, busy: &mut Duration| -> bool {
+            if !busy.is_zero() {
+                rt.cpu_meter.add_busy(std::mem::take(busy));
+            }
             if buf.is_empty() {
                 return true;
             }
@@ -874,7 +887,10 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 break;
             }
             processed += 1;
-            let issued_ns = rt.now_ns();
+            // Clock read 1 of the three an untraced, uncached sample
+            // makes: its start, which also stamps its issue time.
+            let t0 = Instant::now();
+            let issued_ns = t0.saturating_duration_since(rt.started_at).as_nanos() as u64;
             rt.trace(EventKind::TicketClaimed, ticket.epoch, ticket.seq, 0, 0);
             // Cross-epoch cache: a hit skips load + preprocessing and
             // rides the fast path with its ticket's epoch/seq. It must
@@ -899,10 +915,10 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 }
                 rt.trace(EventKind::CacheMiss, ticket.epoch, ticket.seq, 0, 0);
             }
-            let t0 = Instant::now();
             // Contained: the in-flight claim has to be released whether
             // or not the dataset or a transform panics.
             let timeout = rt.balancer.current_timeout();
+            let mut anchor = None;
             let (run, panicked, mut guard) = rt.run_contained(
                 FaultSite::Fast,
                 None,
@@ -910,13 +926,29 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 |ctx| {
                     let raw = rt.dataset.load(ticket.index)?;
                     // The deadline starts with the pipeline: a slow load
-                    // is already paid and cannot be deferred.
-                    rt.pipeline.run_ctx(0, raw, ctx.with_timeout(timeout))
+                    // is already paid and cannot be deferred. Clock read
+                    // 2: the anchor the deadline and `elapsed` share.
+                    let ctx = ctx.with_timeout(timeout);
+                    anchor = ctx.anchor();
+                    // Clock read 3: the end of the run, in `run_ctx`.
+                    rt.pipeline.run_ctx(0, raw, ctx)
                 },
             );
             let bytes = rt.dataset.size_hint_bytes(ticket.index).unwrap_or(0);
-            let busy = t0.elapsed();
-            rt.cpu_meter.add_busy(busy);
+            // The sample's busy time is the load (start to anchor) plus
+            // the run, so it needs no read of its own; only a failed
+            // run, which reports no `elapsed`, reads the clock here.
+            let busy = match (&run, anchor) {
+                (
+                    Ok(
+                        PipelineRun::Completed { elapsed, .. }
+                        | PipelineRun::TimedOut { elapsed, .. },
+                    ),
+                    Some(a),
+                ) => a.saturating_duration_since(t0) + *elapsed,
+                _ => t0.elapsed(),
+            };
+            busy_sum += busy;
             match run {
                 Ok(PipelineRun::Completed { value, elapsed }) => {
                     guard.disarm();
@@ -981,7 +1013,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                         Ok(()) => true,
                         Err(TryPutError::Closed(_)) => false,
                         Err(TryPutError::Full(d)) => {
-                            flush_fast(&mut fast_buf) && rt.route_deferred(d)
+                            flush_fast(&mut fast_buf, &mut busy_sum) && rt.route_deferred(d)
                         }
                     };
                     rt.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -1002,7 +1034,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             let held_ns = fast_buf.first().map_or(0, |oldest| {
                 (issued_ns + busy.as_nanos() as u64).saturating_sub(oldest.meta.issued_ns)
             });
-            if held_ns >= hold_ns && !flush_fast(&mut fast_buf) {
+            if held_ns >= hold_ns && !flush_fast(&mut fast_buf, &mut busy_sum) {
                 routed = false;
                 break; // Queue closed under us: shutting down.
             }
@@ -1013,7 +1045,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         }
         rt.balancer.on_fast_complete_many(&fast_times);
         // Flush the chunk's remaining fast samples in one queue operation.
-        if !flush_fast(&mut fast_buf) {
+        if !flush_fast(&mut fast_buf, &mut busy_sum) {
             routed = false;
         }
         rt.maybe_close_sources();

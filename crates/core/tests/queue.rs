@@ -13,10 +13,11 @@
 //! `lock_acquisitions()` (its call, then its wait, counted under the
 //! state mutex), so the tests rendezvous on that count.
 
-use minato_core::queue::{Closed, MinatoQueue, PopResult};
+use minato_core::queue::{Closed, MinatoQueue, PopResult, TryPutError};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -248,6 +249,149 @@ fn abandoned_reservation_does_not_wedge_close() {
     assert_eq!(consumer.join().unwrap(), None, "consumer wedged");
     // And reserving after close fails cleanly.
     assert!(q.try_reserve().is_err());
+}
+
+/// Every producer and consumer path of a capacity-1 queue at once, so
+/// nearly every operation either parks or has to wake a parked thread:
+/// 4 producers mix `put`, `put_many`, `try_put_many` with retry and
+/// `reserve_timeout` + `publish` (sometimes dropping a reservation
+/// unpublished), 4 consumers mix `pop`, `pop_many`, `pop_timeout` and
+/// `pop_many_timeout`. A wake-up skipped while a thread was parked would
+/// leave that thread asleep; every blocking call is bounded by one 10 s
+/// deadline (a timed call's own timeout, and for the untimed ones a
+/// watchdog that closes the queue), so that fails the test instead of
+/// hanging it. The 20 000 items must arrive exactly once.
+#[test]
+fn capacity_one_mixed_paths_lose_no_wake_up() {
+    const PRODUCERS: u64 = 4;
+    const CONSUMERS: usize = 4;
+    const PER_PRODUCER: u64 = 5_000;
+    const LIMIT: Duration = Duration::from_secs(10);
+    let q: Arc<MinatoQueue<u64>> = Arc::new(MinatoQueue::new("wake", 1));
+    let deadline = Instant::now() + LIMIT;
+    let stuck = Arc::new(AtomicBool::new(false));
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let watchdog = {
+        let (q, stuck) = (Arc::clone(&q), Arc::clone(&stuck));
+        thread::spawn(move || {
+            // Dropping the sender ends the wait early and disarms it.
+            if let Err(mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(LIMIT) {
+                stuck.store(true, Ordering::SeqCst);
+                q.close();
+            }
+        })
+    };
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let q = Arc::clone(&q);
+            thread::spawn(move || -> Result<(), String> {
+                let mut next = p * PER_PRODUCER;
+                let end = next + PER_PRODUCER;
+                let mut op = p;
+                while next < end {
+                    op += 1;
+                    match op % 5 {
+                        0 => q.put(next).map_err(|_| "put: closed")?,
+                        1 => {
+                            let hi = (next + 3).min(end);
+                            q.put_many((next..hi).collect())
+                                .map_err(|_| "put_many: closed")?;
+                            next = hi - 1;
+                        }
+                        2 => {
+                            let hi = (next + 2).min(end);
+                            let mut rest: Vec<u64> = (next..hi).collect();
+                            loop {
+                                match q.try_put_many(rest) {
+                                    Ok(()) => break,
+                                    Err(TryPutError::Full(r)) => rest = r,
+                                    Err(TryPutError::Closed(_)) => {
+                                        return Err("try_put_many: closed".into())
+                                    }
+                                }
+                                if Instant::now() > deadline {
+                                    return Err("try_put_many: no space in 10 s".into());
+                                }
+                                thread::yield_now();
+                            }
+                            next = hi - 1;
+                        }
+                        3 => {
+                            let slot = q
+                                .reserve_timeout(LIMIT)
+                                .map_err(|e| format!("reserve_timeout: {e:?}"))?;
+                            slot.publish(next).map_err(|_| "publish: closed")?;
+                        }
+                        _ => {
+                            // Claim a slot and give it back: the drop must
+                            // wake a producer parked behind it.
+                            drop(
+                                q.reserve_timeout(LIMIT)
+                                    .map_err(|e| format!("reserve_timeout: {e:?}"))?,
+                            );
+                            continue;
+                        }
+                    }
+                    next += 1;
+                }
+                Ok(())
+            })
+        })
+        .collect();
+    let consumers: Vec<_> = (0..CONSUMERS)
+        .map(|c| {
+            let q = Arc::clone(&q);
+            thread::spawn(move || -> Result<Vec<u64>, String> {
+                let mut got = Vec::new();
+                let mut op = c;
+                loop {
+                    op += 1;
+                    let burst = match op % 4 {
+                        0 => q.pop().into_iter().collect(),
+                        1 => q.pop_many(3),
+                        2 => match q.pop_timeout(LIMIT) {
+                            Ok(Some(v)) => vec![v],
+                            Ok(None) => return Err("pop_timeout: nothing in 10 s".into()),
+                            Err(Closed) => Vec::new(),
+                        },
+                        _ => match q.pop_many_timeout(2, LIMIT) {
+                            Ok(b) if b.is_empty() => {
+                                return Err("pop_many_timeout: nothing in 10 s".into())
+                            }
+                            Ok(b) => b,
+                            Err(Closed) => Vec::new(),
+                        },
+                    };
+                    if burst.is_empty() {
+                        return Ok(got); // Closed and drained.
+                    }
+                    got.extend(burst);
+                }
+            })
+        })
+        .collect();
+    let produced: Vec<_> = producers.into_iter().map(|p| p.join().unwrap()).collect();
+    q.close();
+    let consumed: Vec<_> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
+    drop(done_tx);
+    watchdog.join().unwrap();
+    assert!(
+        !stuck.load(Ordering::SeqCst),
+        "a blocking call was still parked after 10 s"
+    );
+    for r in produced {
+        r.unwrap();
+    }
+    let mut all = Vec::new();
+    for r in consumed {
+        all.extend(r.unwrap());
+    }
+    all.sort_unstable();
+    assert_eq!(all.len() as u64, PRODUCERS * PER_PRODUCER, "items lost");
+    assert!(
+        all.iter().copied().eq(0..PRODUCERS * PER_PRODUCER),
+        "items duplicated or corrupted"
+    );
 }
 
 /// `try_pop` on a closed-and-drained queue reports `ClosedAndDrained`

@@ -41,11 +41,14 @@ fn minato_delivers_calibrated_workload_exactly_once() {
 
 #[test]
 fn minato_flags_heavy_samples_slow() {
-    // Larger scale for a wide light/heavy margin: light ≈ 2 ms, heavy
-    // ≈ 12 ms, cutoff 6 ms.
-    let mut wl = WorkloadSpec::speech(3.0);
+    // Sleeping steps at 1/250 scale: a light sample sleeps ≈ 2 ms in its
+    // LightStep, a heavy one (index % 5 == 0) another 38 ms in its
+    // HeavyStep, the last step. The cutoff is 6 ms. Only properties that
+    // hold however slowly the host runs are asserted.
+    let mut wl = WorkloadSpec::speech(10.0);
     wl.n_samples = 40;
     let scale = 0.004;
+    let cutoff = Duration::from_millis(6);
     let ds = synthetic_dataset(&wl, scale);
     let loader = MinatoLoader::builder(ds, work_pipeline_with_mode(&wl, WorkMode::Sleep))
         .batch_size(8)
@@ -53,31 +56,53 @@ fn minato_flags_heavy_samples_slow() {
         .initial_workers(3)
         .max_workers(4)
         .slow_workers(2)
-        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(6)))
+        .timeout_policy(TimeoutPolicy::Fixed(cutoff))
         .build()
         .expect("valid configuration");
-    let mut slow_indices = Vec::new();
+    let mut delivered: HashMap<usize, usize> = HashMap::new();
+    let mut heavy_flags = 0usize;
+    let mut light_flags = Vec::new();
     for batch in loader.iter() {
         for m in &batch.meta {
-            if m.slow {
-                slow_indices.push(m.index);
+            *delivered.entry(m.index).or_default() += 1;
+            if !m.slow {
+                continue;
+            }
+            // A sample is flagged only when its fast run saw the deadline
+            // pass, and the deadline and the reported time count from
+            // the same instant: no flagged sample took less than the
+            // cutoff, however the host schedules the sleeps.
+            assert!(
+                m.preprocess >= cutoff,
+                "sample {} flagged after {:?}",
+                m.index,
+                m.preprocess
+            );
+            if m.index % 5 == 0 {
+                heavy_flags += 1;
+            } else {
+                light_flags.push(m.index);
             }
         }
     }
-    assert!(!slow_indices.is_empty(), "heavy samples must be flagged");
-    // Heavy samples are index % 5 == 0. OS scheduling jitter can push an
-    // occasional light sample over the cutoff (the real system tolerates
-    // the same), so assert statistically: ≥80% of flags are genuinely
-    // heavy, and a clear majority of heavy executions were caught.
-    let heavy_flags = slow_indices.iter().filter(|&&i| i % 5 == 0).count();
+    assert_eq!(delivered.len(), 40);
     assert!(
-        heavy_flags as f64 >= 0.8 * slow_indices.len() as f64,
-        "too many mis-flags: {slow_indices:?}"
+        delivered.values().all(|&n| n == 3),
+        "3 epochs, exactly once"
     );
-    // 8 heavy samples × 3 epochs = 24 heavy executions.
-    assert!(
-        heavy_flags >= 12,
-        "too few heavy samples caught: {heavy_flags}"
+    // The HeavyStep dozes in slices of at most 300 µs and polls the
+    // deadline between them. It starts at most 6 ms before the deadline
+    // and needs 38 ms, so it is always interrupted unless one or two
+    // slices overrun by more than 30 ms; a deadline that passes during
+    // an earlier step is caught by the check between steps. So every
+    // heavy execution is flagged: 8 heavy samples × 3 epochs.
+    assert_eq!(heavy_flags, 24, "heavy executions missed the deadline");
+    // A light sample is flagged only when the host stretched its 2 ms of
+    // sleep past the cutoff, which depends on the host's load: reported,
+    // not asserted.
+    println!(
+        "light samples flagged: {} of 96 {light_flags:?}",
+        light_flags.len()
     );
 }
 
