@@ -27,8 +27,9 @@ pub fn ablation_timeout_percentile(scale: Scale) -> String {
         ]);
     }
     format!(
-        "Ablation — timeout percentile (speech-3s; paper default P75 balances\n\
-         deferring true outliers against foreground waste)\n{}",
+        "Ablation — timeout percentile (speech-3s; P75 defers the most samples\n\
+         and is no slower than P99; P50 would flag over 35%, so the balancer\n\
+         falls back to P90 and those two rows match)\n{}",
         t.render()
     )
 }

@@ -14,8 +14,9 @@
 //! 4. **Continuous adjustment.** Profiling keeps running during training.
 //!    The completion that ends warm-up publishes the first cutoff; after
 //!    that only [`LoadBalancer::refresh_now`] recomputes it, which the
-//!    loader's monitor thread calls once per scheduler tick — the same
-//!    schedule as the simulator's `Ev::Monitor`.
+//!    loader's monitor thread calls once per scheduler tick. The simulator
+//!    (`minato-sim`) drives this same balancer and calls it on a
+//!    virtual-time tick of the same interval.
 //!
 //! # Cost model
 //!

@@ -115,7 +115,7 @@ impl WorkerScheduler {
     }
 
     /// Computes `Δ` per Formula 2 (already clipped).
-    pub fn delta(&self, q_avg: f64, q_max: f64, cpu_usage: f64) -> i64 {
+    fn delta(&self, q_avg: f64, q_max: f64, cpu_usage: f64) -> i64 {
         let q_term = if q_max <= 0.0 {
             0.0
         } else {

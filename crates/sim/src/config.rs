@@ -23,12 +23,6 @@ pub struct MinatoSimCfg {
     pub adaptive_fg: bool,
     /// Timeout percentile (paper default 0.75).
     pub timeout_percentile: f64,
-    /// Samples profiled before the timeout activates.
-    pub warmup_samples: usize,
-    /// Background slow-task workers per GPU.
-    pub slow_workers_per_gpu: usize,
-    /// Ready-pool capacity (paper: all queues capped at 100).
-    pub ready_pool_cap: usize,
 }
 
 impl Default for MinatoSimCfg {
@@ -37,9 +31,6 @@ impl Default for MinatoSimCfg {
             adaptive: true,
             adaptive_fg: true,
             timeout_percentile: 0.75,
-            warmup_samples: 32,
-            slow_workers_per_gpu: 2,
-            ready_pool_cap: 100,
         }
     }
 }

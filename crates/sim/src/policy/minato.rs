@@ -1,18 +1,25 @@
 //! MinatoLoader simulation policy (§4) and the size-heuristic strawman
 //! (§3.2 / Figure 3a).
 //!
-//! Faithfully models the runtime of Figure 5 in virtual time:
+//! Models the runtime of Figure 5 in virtual time, driving the loader's
+//! own policy objects rather than a copy of them:
 //!
 //! * loader workers claim samples individually (no pre-formed batches),
-//! * a per-sample timeout (P75 of profiled times after a warm-up,
-//!   refreshed continuously) classifies samples fast/slow,
-//! * timed-out samples release their worker after `t_out` of foreground
-//!   work and finish on background slow-task workers, re-executing the
-//!   interrupted transform (Algorithm 1),
+//! * a [`LoadBalancer`] classifies samples fast/slow: optimistic until
+//!   warm-up ends, then the P75 cutoff it publishes itself, with its P90
+//!   fallback under skew. It records each sample's cost when the sample
+//!   completes — a deferred one as the cutoff it burned in the foreground
+//!   plus its resumed remainder, as the loader measures it,
+//! * timed-out samples release their worker after the cutoff they were
+//!   timed against and finish on background slow-task workers,
+//!   re-executing the interrupted transform (Algorithm 1),
 //! * batches form from whichever samples are ready first and feed the
 //!   least-occupied per-GPU batch queue,
-//! * the adaptive scheduler resizes the foreground pool every second per
-//!   Formulas 1–2.
+//! * a monitor ticks every [`SchedulerConfig::interval`], as the loader's
+//!   monitor thread does: it calls [`LoadBalancer::refresh_now`] and, in
+//!   adaptive mode, resizes the foreground pool with
+//!   [`WorkerScheduler::decide`] (Formulas 1–2). Unlike the loader, the
+//!   adaptive tick also sizes the slow-task pool to its backlog.
 //!
 //! The same engine with [`ClassifyMode::BySize`] reproduces the image-size
 //! heuristic: classification happens *at admission* from the raw size and
@@ -25,10 +32,17 @@ use crate::config::SimConfig;
 use crate::report::SimReport;
 use crate::resources::{ServerPool, SimQueue, Storage};
 use crate::time::{SimDuration, SimTime};
+use minato_core::balancer::{BalancerConfig, LoadBalancer, TimeoutPolicy};
+use minato_core::profiler::SampleRecord;
 use minato_core::scheduler::{SchedulerConfig, WorkerScheduler};
-use minato_metrics::Reservoir;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::time::Duration;
+
+/// Background slow-task workers per GPU at start.
+const SLOW_WORKERS_PER_GPU: usize = 2;
+/// Ready-pool capacity (paper: all queues capped at 100).
+const READY_POOL_CAP: usize = 100;
 
 /// How samples are classified fast/slow.
 #[derive(Debug, Clone, Copy)]
@@ -45,16 +59,60 @@ pub enum ClassifyMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A foreground sample finished preprocessing (fast path).
-    FgDone { slow: bool, bytes_milli: u64 },
-    /// A foreground sample hit the timeout; its remaining work moves to
-    /// the background pool.
-    FgTimedOut { sample: usize },
-    /// A background sample finished preprocessing.
-    BgDone { bytes_milli: u64 },
+    FgDone {
+        slow: bool,
+        bytes_milli: u64,
+        cost: SimDuration,
+    },
+    /// A foreground sample hit its cutoff after `burned`; `remaining`
+    /// moves to the background pool.
+    FgTimedOut {
+        bytes_milli: u64,
+        burned: SimDuration,
+        remaining: SimDuration,
+    },
+    /// A background sample finished preprocessing; `measured` is the
+    /// preprocessing time the loader records for it.
+    BgDone {
+        bytes_milli: u64,
+        measured: SimDuration,
+    },
     /// GPU finished a training step.
     StepDone { gpu: usize },
-    /// Worker-scheduler monitor tick.
+    /// Monitor tick: cutoff refresh and worker scheduling.
     Monitor,
+}
+
+/// Splits a sample's cost at `cutoff_ms`: `(done, remaining)` in ms.
+/// Steps that fit in the cutoff are done; the interrupted step reruns in
+/// full with the rest (Algorithm 1).
+fn split_at_cutoff(per_step_ms: &[f64], total_ms: f64, cutoff_ms: f64) -> (f64, f64) {
+    let mut done = 0.0;
+    for &s in per_step_ms {
+        if done + s > cutoff_ms {
+            break;
+        }
+        done += s;
+    }
+    (done, (total_ms - done).max(0.0))
+}
+
+/// The profile record of a sample that took `d`.
+fn record(d: SimDuration) -> SampleRecord {
+    SampleRecord::total_only(Duration::from_nanos(d.0))
+}
+
+/// The loader's balancer: paper defaults with the configured percentile
+/// in [`ClassifyMode::Timeout`], never timing out otherwise.
+fn balancer(cfg: &SimConfig, mode: ClassifyMode) -> LoadBalancer {
+    let mut bc = BalancerConfig::default();
+    match (&mut bc.policy, mode) {
+        (TimeoutPolicy::Adaptive { percentile, .. }, ClassifyMode::Timeout) => {
+            *percentile = cfg.minato.timeout_percentile;
+        }
+        (policy, _) => *policy = TimeoutPolicy::Disabled,
+    }
+    LoadBalancer::new(bc)
 }
 
 /// Runs one simulated training with MinatoLoader semantics.
@@ -78,15 +136,13 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     // per-GPU default but is scaled by the monitor alongside the
     // foreground pool — §4.3 includes slow-task workers in the CPU
     // workers the scheduler adjusts.
-    let bg_min = (cfg.minato.slow_workers_per_gpu * cfg.n_gpus).max(1);
+    let bg_min = (SLOW_WORKERS_PER_GPU * cfg.n_gpus).max(1);
     let bg_max = (cfg.cpu_cores / 2).max(bg_min);
-    let mut bg_capacity = bg_min;
-    let mut max_fg = cfg.cpu_cores.saturating_sub(bg_capacity).max(1);
+    let mut max_fg = cfg.cpu_cores.saturating_sub(bg_min).max(1);
     let mut fg_capacity = (cfg.workers_per_gpu * cfg.n_gpus).min(max_fg);
     let mut fg_active = 0usize;
     let mut fg_busy = IntervalAccumulator::new(cfg.bucket);
-    let mut bg_pool = ServerPool::new(bg_capacity, cfg.bucket);
-    let _ = bg_capacity; // Tracked through `bg_pool.capacity()` below.
+    let mut bg_pool = ServerPool::new(bg_min, cfg.bucket);
     let mut storage = Storage::new(cfg.storage_bandwidth_bps, cfg.memory_bytes, cfg.bucket);
     let mut trainer = Trainer::new(cfg);
     let mut queues: Vec<SimQueue<BatchStats>> = (0..cfg.n_gpus)
@@ -95,18 +151,19 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     let mut overflow: VecDeque<(SimTime, BatchStats)> = VecDeque::new();
     let mut gpu_busy_flag = vec![false; cfg.n_gpus];
 
-    // Profiler + timeout, and the foreground pool's scheduler (only its
-    // Formula 2 is used: the pool bounds here move with the background
-    // pool).
-    let mut profiler = Reservoir::new(4096);
-    let mut tout_ms: Option<f64> = None;
-    let scheduler = WorkerScheduler::new(SchedulerConfig::paper_default(cfg.cpu_cores));
+    // The loader's classifier and foreground-pool scheduler, and the
+    // monitor's meter: foreground busy time credited at completion since
+    // the last tick, as the loader's `cpu_meter` is.
+    let balancer = balancer(cfg, mode);
+    let sched_cfg = SchedulerConfig::paper_default(cfg.cpu_cores);
+    let interval = SimDuration(sched_cfg.interval.as_nanos() as u64);
+    let mut scheduler = WorkerScheduler::new(sched_cfg);
+    let mut tick_busy = SimDuration::ZERO;
 
     // Progress.
     let mut next_ticket = 0usize;
     let mut pending = BatchStats::default();
     let mut in_flight_bg = 0usize;
-    let mut slow_flagged = 0usize;
     let mut samples_ready = 0usize;
 
     let mut heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>> = BinaryHeap::new();
@@ -122,9 +179,7 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     // bounded assembled-batch overflow).
     macro_rules! can_claim {
         () => {
-            next_ticket < total_samples
-                && pending.len < cfg.minato.ready_pool_cap
-                && overflow.len() < 8
+            next_ticket < total_samples && pending.len < READY_POOL_CAP && overflow.len() < 8
         };
     }
 
@@ -136,58 +191,55 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                 fg_active += 1;
                 let profile = wl.sample_profile(sample % wl.n_samples);
                 let read = storage.read($now, sample as u64, profile.raw_bytes);
-                // In Timeout mode a sample is predicted slow exactly when
-                // its total cost exceeds the configured timeout; carry that
-                // timeout with the verdict so the deferral arm below never
-                // has to re-unwrap the option.
-                let slow_timeout = match mode {
-                    ClassifyMode::Timeout => tout_ms.filter(|&t| profile.total_ms > t),
-                    _ => None,
-                };
-                let is_predicted_slow = match mode {
-                    ClassifyMode::Timeout => slow_timeout.is_some(),
-                    ClassifyMode::BySize => (profile.raw_bytes as f64) > size_threshold,
-                    ClassifyMode::None => false,
-                };
-                match (mode, is_predicted_slow, slow_timeout) {
-                    (ClassifyMode::Timeout, true, Some(t)) => {
-                        // Foreground burns exactly t_out, then defers.
-                        let start = read.ready_at;
-                        let end = start + SimDuration::from_ms_f64(t);
-                        fg_busy.add(start, end);
-                        push_ev!(end, Ev::FgTimedOut { sample });
-                    }
-                    (ClassifyMode::BySize, true, _) => {
-                        // Admission-time routing: the whole sample runs in
-                        // background.
-                        in_flight_bg += 1;
-                        fg_active -= 1; // Never occupied a fg worker.
-                        let dur = SimDuration::from_ms_f64(profile.total_ms);
-                        let (_s, e) = bg_pool.submit(read.ready_at, dur);
-                        push_ev!(
-                            e,
-                            Ev::BgDone {
-                                bytes_milli: profile.raw_bytes
-                            }
-                        );
-                    }
-                    _ => {
-                        // Foreground runs the full cost.
-                        let start = read.ready_at;
-                        let end = start + SimDuration::from_ms_f64(profile.total_ms);
-                        fg_busy.add(start, end);
-                        push_ev!(
-                            end,
-                            Ev::FgDone {
-                                slow: profile.total_ms > slow_threshold,
-                                bytes_milli: profile.raw_bytes
-                            }
-                        );
-                        profiler.record(profile.total_ms);
-                    }
-                }
-                if matches!(mode, ClassifyMode::Timeout) && is_predicted_slow {
-                    profiler.record(profile.total_ms);
+                let start = read.ready_at;
+                let cost = SimDuration::from_ms_f64(profile.total_ms);
+                // A sample is timed out exactly when its cost exceeds the
+                // cutoff current at its claim (never outside Timeout mode).
+                let cutoff = balancer
+                    .current_timeout()
+                    .map(|t| SimDuration(t.as_nanos() as u64))
+                    .filter(|&t| cost > t);
+                if let Some(burned) = cutoff {
+                    // Foreground burns exactly the cutoff, then defers.
+                    let (_, remaining) =
+                        split_at_cutoff(&profile.per_step_ms, profile.total_ms, burned.as_ms_f64());
+                    let end = start + burned;
+                    fg_busy.add(start, end);
+                    push_ev!(
+                        end,
+                        Ev::FgTimedOut {
+                            bytes_milli: profile.raw_bytes,
+                            burned,
+                            remaining: SimDuration::from_ms_f64(remaining),
+                        }
+                    );
+                } else if matches!(mode, ClassifyMode::BySize)
+                    && (profile.raw_bytes as f64) > size_threshold
+                {
+                    // Admission-time routing: the whole sample runs in
+                    // background.
+                    in_flight_bg += 1;
+                    fg_active -= 1; // Never occupied a fg worker.
+                    let (_s, e) = bg_pool.submit(start, cost);
+                    push_ev!(
+                        e,
+                        Ev::BgDone {
+                            bytes_milli: profile.raw_bytes,
+                            measured: cost,
+                        }
+                    );
+                } else {
+                    // Foreground runs the full cost.
+                    let end = start + cost;
+                    fg_busy.add(start, end);
+                    push_ev!(
+                        end,
+                        Ev::FgDone {
+                            slow: profile.total_ms > slow_threshold,
+                            bytes_milli: profile.raw_bytes,
+                            cost,
+                        }
+                    );
                 }
             }
         }};
@@ -240,62 +292,48 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     // Prime the pipeline.
     try_claim!(SimTime::ZERO);
     if cfg.minato.adaptive || matches!(mode, ClassifyMode::Timeout) {
-        push_ev!(SimTime::from_secs_f64(1.0), Ev::Monitor);
+        push_ev!(SimTime::ZERO + interval, Ev::Monitor);
     }
 
     while let Some(Reverse((now, _, ev))) = heap.pop() {
         match ev {
-            Ev::FgDone { slow, bytes_milli } => {
+            Ev::FgDone {
+                slow,
+                bytes_milli,
+                cost,
+            } => {
                 fg_active -= 1;
-                if slow {
-                    // Ground-truth slow sample that was *not* rescued (no
-                    // timeout yet, or BySize misprediction): not flagged,
-                    // it silently delayed the foreground.
-                }
+                tick_busy = tick_busy + cost;
+                // The completion that ends warm-up publishes the cutoff.
+                balancer.on_fast_complete(&record(cost));
                 on_sample_ready!(now, slow, bytes_milli);
-                // Initialize the timeout as soon as warm-up completes.
-                if matches!(mode, ClassifyMode::Timeout)
-                    && tout_ms.is_none()
-                    && profiler.len() >= cfg.minato.warmup_samples
-                {
-                    tout_ms = profiler.quantile(cfg.minato.timeout_percentile);
-                }
                 try_claim!(now);
             }
-            Ev::FgTimedOut { sample } => {
+            Ev::FgTimedOut {
+                bytes_milli,
+                burned,
+                remaining,
+            } => {
                 fg_active -= 1;
-                slow_flagged += 1;
-                let profile = wl.sample_profile(sample % wl.n_samples);
-                // Resume from the interrupted transform: completed steps
-                // are not redone, the interrupted one is (Algorithm 1).
-                let t = tout_ms.unwrap_or(0.0);
-                let mut done_before = 0.0;
-                let mut cum = 0.0;
-                for &s in &profile.per_step_ms {
-                    if cum + s <= t {
-                        cum += s;
-                        done_before = cum;
-                    } else {
-                        break;
-                    }
-                }
-                let remaining = (profile.total_ms - done_before).max(0.0);
+                tick_busy = tick_busy + burned;
                 in_flight_bg += 1;
-                let (_s, e) = bg_pool.submit(now, SimDuration::from_ms_f64(remaining));
+                let (_s, e) = bg_pool.submit(now, remaining);
                 push_ev!(
                     e,
                     Ev::BgDone {
-                        bytes_milli: profile.raw_bytes
+                        bytes_milli,
+                        measured: burned + remaining,
                     }
                 );
                 try_claim!(now);
             }
-            Ev::BgDone { bytes_milli } => {
+            Ev::BgDone {
+                bytes_milli,
+                measured,
+            } => {
                 in_flight_bg -= 1;
+                balancer.on_slow_complete(&record(measured));
                 on_sample_ready!(now, true, bytes_milli);
-                if matches!(mode, ClassifyMode::BySize) {
-                    slow_flagged += 1;
-                }
                 try_claim!(now);
             }
             Ev::StepDone { gpu: g } => {
@@ -307,46 +345,27 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                 if trainer.batches >= total_batches {
                     continue; // Training done; stop rescheduling.
                 }
-                if matches!(mode, ClassifyMode::Timeout) {
-                    // Continuous refresh (workload drift, §4.2), with the
-                    // P90 fallback when too many samples flag slow.
-                    if profiler.len() >= cfg.minato.warmup_samples {
-                        let p = profiler.quantile(cfg.minato.timeout_percentile);
-                        if let Some(p) = p {
-                            let would_flag = profiler.fraction_above(p);
-                            tout_ms = if would_flag > 0.35 {
-                                profiler.quantile(0.90)
-                            } else {
-                                Some(p)
-                            };
-                        }
-                    }
-                }
+                balancer.refresh_now();
                 if cfg.minato.adaptive {
                     // Slow-task pool first: size it to its backlog (the
                     // temp-queue depth), bounded to half the machine.
-                    bg_capacity = in_flight_bg.clamp(bg_min, bg_max);
+                    let bg_capacity = in_flight_bg.clamp(bg_min, bg_max);
                     bg_pool.resize(now, bg_capacity);
                     max_fg = cfg.cpu_cores.saturating_sub(bg_capacity).max(1);
-                    if !cfg.minato.adaptive_fg {
-                        fg_capacity = fg_capacity.min(max_fg);
-                        try_claim!(now);
-                        push_ev!(now + SimDuration::from_secs_f64(1.0), Ev::Monitor);
-                        continue;
+                    if cfg.minato.adaptive_fg {
+                        // Foreground pool per Formulas 1–2, metered like
+                        // the loader's monitor.
+                        let window = interval.as_secs_f64() * fg_capacity as f64;
+                        let cpu_usage = (tick_busy.as_secs_f64() / window).clamp(0.0, 1.0);
+                        let q_len: usize = queues.iter().map(|q| q.len()).sum();
+                        let q_cap: usize = queues.iter().map(|q| q.capacity()).sum();
+                        fg_capacity = scheduler.decide(fg_capacity, q_len, q_cap, cpu_usage);
                     }
-                    // Foreground pool per Formulas 1–2.
-                    let window = SimDuration::from_secs_f64(1.0);
-                    let cap = window.as_secs_f64() * fg_capacity as f64;
-                    let busy = fg_busy.busy_seconds_between(now.saturating_sub_dur(window), now);
-                    let cpu_usage = (busy / cap.max(1e-9)).clamp(0.0, 1.0);
-                    let q_len: usize = queues.iter().map(|q| q.len()).sum();
-                    let q_cap: usize = queues.iter().map(|q| q.capacity()).sum();
-                    let delta = scheduler.delta(q_len as f64, q_cap as f64, cpu_usage);
-                    let next = (fg_capacity as i64 + delta).max(1) as usize;
-                    fg_capacity = next.min(max_fg);
+                    fg_capacity = fg_capacity.min(max_fg);
                     try_claim!(now);
                 }
-                push_ev!(now + SimDuration::from_secs_f64(1.0), Ev::Monitor);
+                tick_busy = SimDuration::ZERO;
+                push_ev!(now + interval, Ev::Monitor);
             }
         }
     }
@@ -356,7 +375,9 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     merge_utilization(&mut cpu_total, bg_pool.busy(), cfg.bucket);
     let cpu_series = cpu_total.to_utilization_series("cpu_pct", cfg.cpu_cores);
     SimReport {
-        slow_flagged,
+        // Every flagged sample completes on the slow path before the
+        // last batch forms.
+        slow_flagged: balancer.flagged_slow() as usize,
         ..trainer.report(name, cfg, &storage, cpu_busy_total, cpu_series)
     }
 }
@@ -371,6 +392,17 @@ mod tests {
         let mut c = SimConfig::config_a(workload);
         c.max_batches = batches;
         c
+    }
+
+    #[test]
+    fn split_at_cutoff_reruns_the_interrupted_step() {
+        let steps = [10.0, 20.0, 30.0];
+        // Inside the second step: the first is done, the second reruns.
+        assert_eq!(split_at_cutoff(&steps, 60.0, 25.0), (10.0, 50.0));
+        // Exactly on a step boundary: both steps before it are done.
+        assert_eq!(split_at_cutoff(&steps, 60.0, 30.0), (30.0, 30.0));
+        // Past the total: everything is done, nothing remains.
+        assert_eq!(split_at_cutoff(&steps, 60.0, 100.0), (60.0, 0.0));
     }
 
     #[test]
