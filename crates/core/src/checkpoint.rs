@@ -2,34 +2,38 @@
 //!
 //! Training jobs preempt and crash; restarting a loader from scratch
 //! re-pays every epoch already delivered and loses the balancer's
-//! learned timeout and the scheduler's role split. A
-//! [`LoaderCheckpoint`] snapshots exactly the state needed to continue
-//! — the sampler stream parameters, a *delivery watermark* (every
-//! sequence number below it was handed to a consumer) plus the sparse
-//! set of delivered seqs above it, the balancer estimator, the role
-//! budgets, and a cache summary — into a small versioned struct with a
-//! hand-rolled binary codec ([`LoaderCheckpoint::encode`] /
-//! [`LoaderCheckpoint::decode`]) so it can be written to any byte sink
-//! without pulling in a serialization dependency.
+//! learned timeout and the scheduler's fast share. A
+//! [`LoaderCheckpoint`] holds exactly the state a resume reads — the
+//! sampler stream parameters, a *delivery watermark* (every sequence
+//! number below it was delivered) plus the sparse set of delivered seqs
+//! above it, the balancer estimator, and the fast role's budget — in a
+//! small versioned struct with a hand-rolled binary codec
+//! ([`LoaderCheckpoint::encode`] / [`LoaderCheckpoint::decode`]) so it
+//! can be written to any byte sink without pulling in a serialization
+//! dependency.
+//!
+//! A seq is *delivered* once `next_batch` has recorded it in the
+//! [`DeliveryLog`], under the log's lock, before returning its batch.
+//! [`MinatoLoader::checkpoint`](crate::loader::MinatoLoader::checkpoint)
+//! copies that log under the same lock, so the snapshot is consistent
+//! at any instant: nothing is paused or drained first.
 //!
 //! The resume invariant is **exactly-once delivery**: the union of
 //! sequence numbers delivered before the kill and after
 //! [`resume_from`](crate::loader::MinatoLoaderBuilder::resume_from) is
 //! every ticket of the run, with no duplicates. [`ResumeSampler`]
 //! enforces it by replaying the original seeded ticket stream and
-//! skipping seqs the checkpoint records as already delivered; batches
-//! that were *in flight* (queued but never popped) at checkpoint time
-//! are absent from the log and therefore re-run — delivered again,
-//! never lost.
+//! skipping seqs the checkpoint records as delivered; samples that were
+//! in flight or queued but never popped at checkpoint time are absent
+//! from the log and therefore re-run — delivered again, never lost.
 
 use crate::dataset::{EpochSampler, SampleTicket, Sampler};
 use crate::error::{LoaderError, Result};
-use crate::scheduler::RoleBudgets;
 use std::collections::BTreeSet;
 
 /// Version stamp encoded into every checkpoint; `decode` rejects
 /// mismatches rather than misinterpreting bytes.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Magic prefix identifying an encoded checkpoint.
 const MAGIC: &[u8; 8] = b"MINATOCK";
@@ -44,18 +48,6 @@ pub struct BalancerCheckpoint {
     pub completions: u64,
     /// Samples flagged slow before the checkpoint.
     pub flagged_slow: u64,
-}
-
-/// Cross-epoch cache occupancy at checkpoint time.
-///
-/// The cache itself is process-local memory and is *not* serialized;
-/// the summary lets a resumed run report how much re-warming it faces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheSummary {
-    /// Entries resident when the checkpoint was taken.
-    pub entries: u64,
-    /// Bytes resident when the checkpoint was taken.
-    pub bytes: u64,
 }
 
 /// Versioned snapshot of resumable loader state.
@@ -74,14 +66,15 @@ pub struct LoaderCheckpoint {
     pub seed: u64,
     /// Every seq `< watermark` was delivered to a consumer.
     pub watermark: u64,
-    /// Delivered seqs `>= watermark` (sparse, sorted ascending).
+    /// Delivered seqs `>= watermark` (sparse, strictly ascending);
+    /// resuming from any other shape fails with
+    /// [`LoaderError::Checkpoint`].
     pub delivered_above: Vec<u64>,
     /// Balancer estimator state.
     pub balancer: BalancerCheckpoint,
-    /// Scheduler role budgets at checkpoint time.
-    pub budgets: RoleBudgets,
-    /// Cache occupancy summary (informational).
-    pub cache: CacheSummary,
+    /// Fast-role budget (the scheduler's gate) at checkpoint time;
+    /// resume clamps it into `1..=max_workers`.
+    pub fast_budget: usize,
 }
 
 impl LoaderCheckpoint {
@@ -98,7 +91,7 @@ impl LoaderCheckpoint {
     /// Serializes the checkpoint into a self-describing byte buffer:
     /// an 8-byte magic followed by little-endian `u64` words.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 8 * (16 + self.delivered_above.len()));
+        let mut out = Vec::with_capacity(8 + 8 * (11 + self.delivered_above.len()));
         out.extend_from_slice(MAGIC);
         let mut word = |v: u64| out.extend_from_slice(&v.to_le_bytes());
         word(self.version as u64);
@@ -110,11 +103,7 @@ impl LoaderCheckpoint {
         word(self.balancer.timeout_ns);
         word(self.balancer.completions);
         word(self.balancer.flagged_slow);
-        word(self.budgets.fast as u64);
-        word(self.budgets.slow as u64);
-        word(self.budgets.batch as u64);
-        word(self.cache.entries);
-        word(self.cache.bytes);
+        word(self.fast_budget as u64);
         word(self.delivered_above.len() as u64);
         for &seq in &self.delivered_above {
             word(seq);
@@ -151,15 +140,7 @@ impl LoaderCheckpoint {
             completions: word()?,
             flagged_slow: word()?,
         };
-        let budgets = RoleBudgets {
-            fast: word()? as usize,
-            slow: word()? as usize,
-            batch: word()? as usize,
-        };
-        let cache = CacheSummary {
-            entries: word()?,
-            bytes: word()?,
-        };
+        let fast_budget = word()? as usize;
         let above_len = word()?;
         let mut delivered_above = Vec::with_capacity(above_len.min(1 << 20) as usize);
         for _ in 0..above_len {
@@ -177,8 +158,7 @@ impl LoaderCheckpoint {
             watermark,
             delivered_above,
             balancer,
-            budgets,
-            cache,
+            fast_budget,
         })
     }
 }
@@ -261,9 +241,7 @@ impl DeliveryLog {
 /// stream minus the seqs the checkpoint records as delivered.
 pub struct ResumeSampler {
     inner: EpochSampler,
-    watermark: u64,
-    above: BTreeSet<u64>,
-    skipped: u64,
+    delivered: DeliveryLog,
 }
 
 impl ResumeSampler {
@@ -272,14 +250,8 @@ impl ResumeSampler {
     pub fn new(inner: EpochSampler, ckpt: &LoaderCheckpoint) -> ResumeSampler {
         ResumeSampler {
             inner,
-            watermark: ckpt.watermark,
-            above: ckpt.delivered_above.iter().copied().collect(),
-            skipped: ckpt.delivered_count(),
+            delivered: DeliveryLog::seeded(ckpt.watermark, ckpt.delivered_above.iter().copied()),
         }
-    }
-
-    fn already_delivered(&self, seq: u64) -> bool {
-        seq < self.watermark || self.above.contains(&seq)
     }
 }
 
@@ -302,13 +274,13 @@ impl Sampler for ResumeSampler {
             if chunk.is_empty() {
                 break;
             }
-            out.extend(chunk.into_iter().filter(|t| !self.already_delivered(t.seq)));
+            out.extend(
+                chunk
+                    .into_iter()
+                    .filter(|t| !self.delivered.contains(t.seq)),
+            );
         }
         out
-    }
-
-    fn total(&self) -> u64 {
-        self.inner.total().saturating_sub(self.skipped)
     }
 }
 
@@ -330,15 +302,7 @@ mod tests {
                 completions: 20,
                 flagged_slow: 4,
             },
-            budgets: RoleBudgets {
-                fast: 5,
-                slow: 2,
-                batch: 1,
-            },
-            cache: CacheSummary {
-                entries: 12,
-                bytes: 4096,
-            },
+            fast_budget: 5,
         }
     }
 
@@ -406,7 +370,6 @@ mod tests {
             ..sample_ckpt()
         };
         let s = ResumeSampler::new(EpochSampler::new(n, epochs, true, 7), &ckpt);
-        assert_eq!(s.total(), (n * epochs) as u64 - 14);
         let mut seqs = Vec::new();
         loop {
             // Chunk size 6 exercises the refill loop across filters.

@@ -192,9 +192,6 @@ pub trait Sampler: Send + Sync + 'static {
         }
         out
     }
-
-    /// Total number of tickets this sampler will ever emit.
-    fn total(&self) -> u64;
 }
 
 struct ShuffleState {
@@ -219,7 +216,6 @@ struct ShuffleState {
 /// let s = EpochSampler::new(3, 2, false, 0);
 /// let idxs: Vec<usize> = std::iter::from_fn(|| s.next().map(|t| t.index)).collect();
 /// assert_eq!(idxs, vec![0, 1, 2, 0, 1, 2]);
-/// assert_eq!(s.total(), 6);
 /// ```
 pub struct EpochSampler {
     len: usize,
@@ -292,10 +288,6 @@ impl Sampler for EpochSampler {
             st.seq += 1;
         }
         out
-    }
-
-    fn total(&self) -> u64 {
-        (self.len as u64) * (self.epochs as u64)
     }
 }
 
@@ -435,7 +427,6 @@ mod tests {
     fn empty_sampler_returns_none() {
         let s = EpochSampler::new(0, 5, true, 0);
         assert!(s.next().is_none());
-        assert_eq!(s.total(), 0);
         let s = EpochSampler::new(5, 0, true, 0);
         assert!(s.next().is_none());
     }

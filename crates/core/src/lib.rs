@@ -75,8 +75,7 @@ pub mod prelude {
     pub use crate::batch::{Batch, Prepared, SampleMeta};
     pub use crate::cache::{CacheStats, ClonedSampleCache, EvictionPolicy, SampleCache};
     pub use crate::checkpoint::{
-        BalancerCheckpoint, CacheSummary, DeliveryLog, LoaderCheckpoint, ResumeSampler,
-        CHECKPOINT_VERSION,
+        BalancerCheckpoint, DeliveryLog, LoaderCheckpoint, ResumeSampler, CHECKPOINT_VERSION,
     };
     pub use crate::dataset::{Dataset, EpochSampler, FnDataset, Sampler, VecDataset};
     pub use crate::error::{LoaderError, Result};
@@ -87,7 +86,7 @@ pub mod prelude {
         SampleRecycler,
     };
     pub use crate::queue::MinatoQueue;
-    pub use crate::scheduler::{RoleBudgets, SchedulerConfig, WorkerScheduler};
+    pub use crate::scheduler::{SchedulerConfig, WorkerScheduler};
     pub use crate::stats::{LoaderStats, MonitorTrace};
     pub use crate::transform::{
         fn_transform, CostClass, InPlace, Outcome, Pipeline, PipelineRun, Transform, TransformCtx,

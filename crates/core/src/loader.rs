@@ -27,15 +27,14 @@ use crate::balancer::TimeoutPolicy;
 use crate::batch::{Batch, TransferHook};
 use crate::cache::{CacheConfig, ClonedSampleCache, EvictionPolicy, SampleCache, SampleWeigher};
 use crate::checkpoint::{
-    BalancerCheckpoint, CacheSummary, DeliveryLog, LoaderCheckpoint, ResumeSampler,
-    CHECKPOINT_VERSION,
+    BalancerCheckpoint, DeliveryLog, LoaderCheckpoint, ResumeSampler, CHECKPOINT_VERSION,
 };
 use crate::dataset::{Dataset, EpochSampler, Sampler};
 use crate::error::{LoaderError, Result};
 use crate::fault::FaultInjector;
 use crate::pool::AcquireObserver;
 use crate::pool::{PoolRecycler, PoolSet, Reclaim, SampleRecycler};
-use crate::scheduler::{RoleBudgets, SchedulerConfig, WorkerScheduler};
+use crate::scheduler::{SchedulerConfig, WorkerScheduler};
 use crate::stats::{LoaderStats, MonitorTrace};
 use crate::transform::Pipeline;
 use crate::worker::{
@@ -47,7 +46,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Lock-striped shards of the sample cache; each enforces
 /// `cache_budget_bytes / CACHE_SHARDS` independently.
@@ -302,10 +301,11 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Enables checkpoint/resume: the loader tracks delivered sequence
-    /// numbers so [`MinatoLoader::checkpoint`] can snapshot progress at
-    /// a quiescent point. Off by default (the delivery log costs one
-    /// short lock acquisition per popped batch).
+    /// Enables checkpoint/resume: the loader records every seq that
+    /// [`MinatoLoader::next_batch`] delivers, so
+    /// [`MinatoLoader::checkpoint`] can snapshot progress at any instant.
+    /// Off by default (the delivery log costs one short lock acquisition
+    /// per popped batch).
     pub fn checkpoint(mut self, yes: bool) -> Self {
         self.cfg.checkpointing = yes;
         self
@@ -324,12 +324,14 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// Resumes a run from `ckpt` (produced by
     /// [`MinatoLoader::checkpoint`]): the loader replays the original
     /// seeded ticket stream minus the seqs the checkpoint records as
-    /// delivered, restores the balancer estimator and the scheduler's
-    /// role budgets, and implies [`checkpoint`](Self::checkpoint). The
-    /// sampler parameters (`epochs`, `shuffle`, `seed`) come from the
-    /// checkpoint, overriding earlier builder calls; batches that were
-    /// in flight (queued but never popped) when the checkpoint was
-    /// taken are re-run, so delivery is exactly-once across the kill.
+    /// delivered, restores the balancer estimator and the fast role's
+    /// budget (clamped into `1..=max_workers`), and implies
+    /// [`checkpoint`](Self::checkpoint). The sampler parameters
+    /// (`epochs`, `shuffle`, `seed`) come from the checkpoint,
+    /// overriding earlier builder calls. A seq counts as delivered once
+    /// `next_batch` recorded it before returning; every other seq —
+    /// in flight or queued but never popped when the checkpoint was
+    /// taken — is re-run, so delivery is exactly-once across the kill.
     pub fn resume_from(mut self, ckpt: LoaderCheckpoint) -> Self {
         self.cfg.epochs = ckpt.epochs as usize;
         self.cfg.shuffle = ckpt.shuffle;
@@ -497,10 +499,18 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                     self.dataset.len()
                 )));
             }
-            let total = ck.total_tickets();
-            if ck.watermark > total || ck.delivered_above.iter().any(|&s| s >= total) {
+            let (total, above) = (ck.total_tickets(), &ck.delivered_above);
+            if ck.watermark > total || above.iter().any(|&s| s >= total) {
                 return Err(LoaderError::Checkpoint(
                     "checkpoint records deliveries beyond the run's ticket range".into(),
+                ));
+            }
+            if above.first().is_some_and(|&s| s < ck.watermark)
+                || above.windows(2).any(|w| w[0] >= w[1])
+            {
+                return Err(LoaderError::Checkpoint(
+                    "checkpoint's seqs above the watermark are not strictly ascending from it"
+                        .into(),
                 ));
             }
         }
@@ -658,7 +668,7 @@ impl<D: Dataset> MinatoLoader<D> {
             .set(Arc::downgrade(&batch_step))
             .unwrap_or_else(|_| unreachable!("batch_help set once"));
         let fast_budget = match &resume {
-            Some(ck) => ck.budgets.fast.clamp(1, cfg.max_workers),
+            Some(ck) => ck.fast_budget.clamp(1, cfg.max_workers),
             None => cfg.initial_workers,
         };
         let ids = exec.register(vec![
@@ -813,17 +823,17 @@ impl<D: Dataset> MinatoLoader<D> {
         Some(c.export_chrome_trace())
     }
 
-    /// Captures a crash-safe snapshot of loader progress at a quiescent
-    /// point, for [`MinatoLoaderBuilder::resume_from`].
+    /// Snapshots loader progress for
+    /// [`MinatoLoaderBuilder::resume_from`]. Requires
+    /// [`MinatoLoaderBuilder::checkpoint`].
     ///
-    /// The call parks the fast role at its step boundary, waits
-    /// briefly for in-flight samples to drain into queues, snapshots the
-    /// delivery log plus balancer/budget/cache state, and resumes the
-    /// pipeline. Requires [`MinatoLoaderBuilder::checkpoint`].
-    ///
-    /// Batches already queued but not yet popped are *not* recorded —
-    /// they re-run after a resume, preserving exactly-once delivery to
-    /// consumers across kill/restart.
+    /// The snapshot is consistent at any instant, so nothing pauses: it
+    /// copies the delivery log under its lock and reads the balancer
+    /// estimator and the fast role's budget. A seq is delivered once
+    /// [`next_batch`](Self::next_batch) recorded it under that lock
+    /// before returning; samples still in flight and batches queued but
+    /// not yet popped are not, so a resumed run re-runs them and
+    /// delivery stays exactly-once across kill/restart.
     pub fn checkpoint(&self) -> Result<LoaderCheckpoint> {
         let rt = &self.rt;
         if !rt.cfg.checkpointing {
@@ -831,42 +841,11 @@ impl<D: Dataset> MinatoLoader<D> {
                 "checkpointing is disabled; enable it with MinatoLoaderBuilder::checkpoint".into(),
             ));
         }
-        rt.checkpoint_pause.store(true, Ordering::Release);
-        let quiesce = Instant::now();
-        while rt.in_flight.load(Ordering::Acquire) > 0
-            && quiesce.elapsed() < Duration::from_millis(250)
-        {
-            std::thread::sleep(Duration::from_millis(1));
-        }
         let (watermark, delivered_above) = {
             let log = rt.delivered.lock();
             (log.watermark(), log.above())
         };
-        let budgets = rt
-            .exec_roles
-            .get()
-            .map(|roles| RoleBudgets {
-                fast: rt.exec.budget(roles.fast),
-                slow: rt.exec.budget(roles.slow),
-                batch: rt.exec.budget(roles.batch),
-            })
-            .unwrap_or(RoleBudgets {
-                fast: rt.cfg.initial_workers,
-                slow: rt.cfg.slow_workers,
-                batch: rt.cfg.batch_workers,
-            });
-        let cache = rt
-            .cache
-            .as_ref()
-            .map(|c| {
-                let s = c.stats();
-                CacheSummary {
-                    entries: s.entries,
-                    bytes: s.bytes,
-                }
-            })
-            .unwrap_or_default();
-        let ckpt = LoaderCheckpoint {
+        Ok(LoaderCheckpoint {
             version: CHECKPOINT_VERSION,
             dataset_len: rt.dataset.len() as u64,
             epochs: rt.cfg.epochs as u64,
@@ -883,11 +862,11 @@ impl<D: Dataset> MinatoLoader<D> {
                 completions: rt.balancer.completions(),
                 flagged_slow: rt.balancer.flagged_slow(),
             },
-            budgets,
-            cache,
-        };
-        rt.checkpoint_pause.store(false, Ordering::Release);
-        Ok(ckpt)
+            fast_budget: rt
+                .exec_roles
+                .get()
+                .map_or(rt.cfg.initial_workers, |roles| rt.exec.budget(roles.fast)),
+        })
     }
 
     /// The most recent per-sample errors (dataset, transform, poison,
@@ -1128,6 +1107,7 @@ mod tests {
     use crate::dataset::VecDataset;
     use crate::transform::{fn_transform, Outcome, Transform, TransformCtx};
     use std::collections::HashMap;
+    use std::time::Instant;
 
     fn quick_loader(n: usize, batch: usize) -> MinatoLoader<VecDataset<u32>> {
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
@@ -1501,6 +1481,7 @@ mod transfer_hook_tests {
     use super::*;
     use crate::dataset::VecDataset;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     #[test]
     fn transfer_hook_fires_once_per_batch() {

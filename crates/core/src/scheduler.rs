@@ -62,19 +62,6 @@ impl SchedulerConfig {
     }
 }
 
-/// Worker counts per executor role, as registered at start and saved in
-/// a checkpoint. Only `fast` moves at runtime (the scheduler's gate
-/// limit); `slow` and `batch` are sized by the configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoleBudgets {
-    /// Foreground preprocessing workers (ticket claim + pipeline).
-    pub fast: usize,
-    /// Background slow-resume workers.
-    pub slow: usize,
-    /// Batch-assembly workers.
-    pub batch: usize,
-}
-
 /// Pure scaling-decision engine.
 #[derive(Debug)]
 pub struct WorkerScheduler {

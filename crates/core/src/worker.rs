@@ -265,10 +265,6 @@ pub(crate) struct Runtime<D: Dataset> {
     /// resolved in its reorder buffer, so delivery continues past the
     /// gap. Never touched on the shuffled path.
     pub(crate) ordered_gaps: Mutex<Vec<u64>>,
-    /// Safe-point rendezvous for `MinatoLoader::checkpoint()`: while
-    /// set, fast-role steps idle at their step boundary instead of
-    /// claiming new tickets, quiescing the claim pipeline.
-    pub checkpoint_pause: AtomicBool,
     /// Deterministic fault oracle for the chaos suite; `None` (the
     /// production default) costs one branch per sample.
     pub injector: Option<Arc<dyn FaultInjector>>,
@@ -341,7 +337,6 @@ impl<D: Dataset> Runtime<D> {
             faults: FaultCounters::new(),
             delivered: Mutex::new(DeliveryLog::new()),
             ordered_gaps: Mutex::new(Vec::new()),
-            checkpoint_pause: AtomicBool::new(false),
             injector: None,
             shutdown: AtomicBool::new(false),
             monitor_lock: Mutex::new(()),
@@ -821,13 +816,6 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         let rt = &*self.rt;
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
-        }
-        // Checkpoint rendezvous: idle at the step boundary instead of
-        // claiming tickets, so `MinatoLoader::checkpoint()` can observe
-        // a quiescent claim pipeline. Samples already claimed keep
-        // flowing; only new claims stop.
-        if rt.checkpoint_pause.load(Ordering::Acquire) {
-            return StepOutcome::Idle;
         }
         let chunk = TICKET_CHUNK;
         // Claim accounting: raise `in_flight` *before* taking tickets so

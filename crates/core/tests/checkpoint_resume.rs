@@ -180,12 +180,7 @@ fn resume_restores_the_learned_timeout() {
             completions: 500,
             flagged_slow: 40,
         },
-        budgets: RoleBudgets {
-            fast: 2,
-            slow: 1,
-            batch: 1,
-        },
-        cache: CacheSummary::default(),
+        fast_budget: 2,
     };
     let ds = VecDataset::new((0..64u32).collect::<Vec<_>>());
     // Workers block on a gate until the assertion below has run: with
@@ -218,12 +213,10 @@ fn resume_restores_the_learned_timeout() {
     assert_eq!(loader.stats().samples_done, 500 + 64);
 }
 
-/// A checkpoint file can outlive the build that wrote it and carry
-/// budgets in a shape this pool never produces (a fast share of 0 or
-/// wider than the pool, a slow share above `slow_workers` — what a
-/// role-fluid pool used to save). Resume takes only the fast
-/// gate from it, clamped into `1..=max_workers`; the slow and batch
-/// slices come from the configuration; every ticket is delivered once.
+/// A checkpoint file can outlive the build that wrote it and carry a
+/// fast share this pool never produces (0, or wider than the pool).
+/// Resume clamps it into `1..=max_workers`; the slow and batch slices
+/// come from the configuration; every ticket is delivered once.
 #[test]
 fn resume_clamps_budgets_saved_by_another_topology() {
     for (saved_fast, want_fast) in [(0usize, 1usize), (1, 1), (9, 4)] {
@@ -236,11 +229,7 @@ fn resume_clamps_budgets_saved_by_another_topology() {
         }
         let mut ckpt = first.checkpoint().expect("checkpointing enabled");
         drop(first);
-        ckpt.budgets = RoleBudgets {
-            fast: saved_fast,
-            slow: 4,
-            batch: 1,
-        };
+        ckpt.fast_budget = saved_fast;
         let ckpt = LoaderCheckpoint::decode(&ckpt.encode()).expect("round-trip");
 
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
@@ -273,5 +262,93 @@ fn resume_clamps_budgets_saved_by_another_topology() {
         );
         let union: BTreeSet<u64> = pre.union(&post).copied().collect();
         assert_eq!(union, (0..(n * epochs) as u64).collect::<BTreeSet<u64>>());
+    }
+}
+
+/// `delivered_above` must be strictly ascending and start at or above
+/// the watermark: a duplicate or a seq below the watermark would stay in
+/// the resumed delivery log for good, be written into every later
+/// checkpoint, and inflate `delivered_count`.
+#[test]
+fn resume_rejects_a_malformed_delivery_record() {
+    let first = build_loader(20, 1, 5, false, None);
+    let ckpt = first.checkpoint().expect("checkpointing enabled");
+    drop(first);
+    for (watermark, above) in [(3u64, vec![7u64, 7]), (5, vec![2, 7]), (0, vec![9, 4])] {
+        let bad = LoaderCheckpoint {
+            watermark,
+            delivered_above: above.clone(),
+            ..ckpt.clone()
+        };
+        let bad = LoaderCheckpoint::decode(&bad.encode()).expect("round-trip");
+        let ds = VecDataset::new((0..20u32).collect::<Vec<_>>());
+        let built = MinatoLoader::builder(ds, Pipeline::identity())
+            .resume_from(bad)
+            .build();
+        match built {
+            Err(err) => assert!(matches!(err, LoaderError::Checkpoint(_)), "got: {err:?}"),
+            Ok(_) => panic!("watermark {watermark} with {above:?} must not build"),
+        }
+    }
+}
+
+/// A checkpoint is a snapshot, not a pause: with the consumer wedged and
+/// every queue full, it returns at once, counts exactly the popped seqs
+/// as delivered, and a resume from it delivers every other seq once.
+#[test]
+fn checkpoint_of_a_wedged_pipeline_resumes_exactly_once() {
+    for ordered in [false, true] {
+        let (n, batch) = (1000usize, 4usize);
+        let build = |resume: Option<LoaderCheckpoint>| {
+            let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+            let mut b = MinatoLoader::builder(ds, Pipeline::identity())
+                .batch_size(batch)
+                .initial_workers(2)
+                .max_workers(2)
+                .order_preserving(ordered)
+                .checkpoint(true);
+            if let Some(ck) = resume {
+                b = b.resume_from(ck);
+            }
+            b.build().expect("valid configuration")
+        };
+
+        let first = build(None);
+        let mut pre = BTreeSet::new();
+        let mut popped = 0usize;
+        for _ in 0..3 {
+            let b = first.next_batch(0).expect("early batches exist");
+            popped += b.len();
+            pre.extend(b.meta.iter().map(|m| m.seq));
+        }
+        // The consumer stops popping; wait for the pipeline to back up
+        // into full batch and fast queues.
+        loop {
+            let s = first.stats();
+            if s.batch_queue_len == 2 && s.fast_queue_len == 100 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        let ckpt = first.checkpoint().expect("checkpointing enabled");
+        assert_eq!(ckpt.delivered_count(), popped as u64, "ordered={ordered}");
+        drop(first);
+
+        let ckpt = LoaderCheckpoint::decode(&ckpt.encode()).expect("round-trip");
+        let second = build(Some(ckpt));
+        let mut post = BTreeSet::new();
+        let mut resumed = 0usize;
+        while let Some(b) = second.next_batch(0) {
+            resumed += b.len();
+            post.extend(b.meta.iter().map(|m| m.seq));
+        }
+        assert_eq!(post.len(), resumed, "resume delivered a ticket twice");
+        assert!(pre.is_disjoint(&post), "resume re-delivered popped seqs");
+        let union: BTreeSet<u64> = pre.union(&post).copied().collect();
+        assert_eq!(
+            union,
+            (0..n as u64).collect::<BTreeSet<u64>>(),
+            "ordered={ordered}"
+        );
     }
 }

@@ -2,12 +2,13 @@
 //! verify exactly-once delivery across the crash.
 //!
 //! The loader snapshots its resumable state — sampler stream, delivery
-//! watermark, balancer estimator, role budgets — into a small
-//! serializable [`LoaderCheckpoint`]. A resumed run replays the
-//! original seeded ticket stream minus what was already delivered;
-//! batches that were in flight (queued but never popped) when the
-//! process died are simply re-run, so nothing is lost and nothing is
-//! delivered twice.
+//! watermark, balancer estimator, fast budget — into a small
+//! serializable [`LoaderCheckpoint`], at any instant and without pausing
+//! the pipeline. A seq counts as delivered once `next_batch` recorded
+//! it before returning. A resumed run replays the original seeded
+//! ticket stream minus what was already delivered; samples in flight
+//! and batches queued but never popped when the process died are simply
+//! re-run, so nothing is lost and nothing is delivered twice.
 //!
 //! Run with: `cargo run --release --example resume_after_crash`
 
