@@ -56,13 +56,39 @@ use std::time::{Duration, Instant};
 /// executor.
 const SLOW_CLAIM_WAIT: Duration = Duration::from_millis(25);
 
-/// Tickets a fast worker claims from the sampler per step, and the most
-/// fast samples it publishes in one queue operation. It amortizes locks
-/// only: how long a finished sample may sit in a worker's chunk buffer
-/// is bounded by `starvation_wait`, not by the chunk. Times
-/// `slow_workers` it is also the temp-queue backlog above which one fast
-/// worker at a time completes deferred samples ([`Runtime::moonlight`]).
+/// Tickets a fast worker claims from the sampler per step when there is
+/// no cutoff (warm-up, `TimeoutPolicy::Disabled`) and always in
+/// order-preserving mode, and the smallest claim under a cutoff
+/// ([`claim_size`]). A claim amortizes locks only: how long a finished
+/// sample may sit in a worker's claim buffer is bounded by
+/// `starvation_wait` plus the run of the sample in progress, not by the
+/// claim. Times `slow_workers` it is also the temp-queue backlog above
+/// which one fast worker at a time completes deferred samples
+/// ([`Runtime::moonlight`]).
 const TICKET_CHUNK: usize = 8;
+
+/// Tickets a fast worker claims in one step: [`TICKET_CHUNK`] without a
+/// cutoff, and under one as many samples as fit in one hold window
+/// (`hold / cutoff`), clamped to `TICKET_CHUNK ..= max(TICKET_CHUNK,
+/// min(batch_size, queue_capacity))`. So a claim over `TICKET_CHUNK`
+/// always has `claim × cutoff ≤ hold`: samples that each run or are
+/// deferred within the cutoff fill it before the hold rule would publish
+/// it, and cheap samples reach the batch worker one batch per put.
+fn claim_size(
+    cutoff: Option<Duration>,
+    hold: Duration,
+    batch_size: usize,
+    queue_capacity: usize,
+) -> usize {
+    let cap = TICKET_CHUNK.max(batch_size.min(queue_capacity));
+    match cutoff {
+        Some(c) if !c.is_zero() => {
+            let fits = (hold.as_nanos() / c.as_nanos()).min(cap as u128) as usize;
+            fits.max(TICKET_CHUNK)
+        }
+        _ => TICKET_CHUNK,
+    }
+}
 
 /// Bound on the `recent_errors` ring: enough to see a fault *burst*,
 /// small enough that a pathological run cannot grow memory unboundedly.
@@ -239,7 +265,7 @@ pub(crate) struct Runtime<D: Dataset> {
     /// Set once any worker observes the sampler exhausted.
     pub source_drained: AtomicBool,
     /// The single moonlighting token: the fast worker that holds it is
-    /// completing deferred samples between two of its chunks (see
+    /// completing deferred samples between two of its claims (see
     /// [`Runtime::moonlight`]); the others keep producing fast samples.
     pub slow_helper: AtomicBool,
     /// Busy time of fast-role work only; the monitor normalizes it by
@@ -670,8 +696,8 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
-    /// Early slow-path help, run by a fast worker between two chunks:
-    /// when the temp-queue backlog exceeds one ticket chunk per slow
+    /// Early slow-path help, run by a fast worker between two claims:
+    /// when the temp-queue backlog exceeds `TICKET_CHUNK` per slow
     /// worker, the one worker that wins the `slow_helper` token
     /// completes deferred samples until the backlog is back under that
     /// mark. The other fast workers keep producing,
@@ -696,6 +722,24 @@ impl<D: Dataset> Runtime<D> {
         }
         while !self.is_shutdown() && self.temp_q.len() > mark && self.help_slow_once() {}
         self.slow_helper.store(false, Ordering::Release);
+    }
+
+    /// Tickets the next fast step claims: [`claim_size`] under the
+    /// balancer's current cutoff. Order-preserving mode claims
+    /// [`TICKET_CHUNK`] even when a policy set after it brings a cutoff
+    /// back: a larger claim there only lets the reorder buffer run
+    /// further ahead of the awaited seq.
+    fn fast_claim(&self) -> usize {
+        let cutoff = self
+            .balancer
+            .current_timeout()
+            .filter(|_| !self.cfg.order_preserving);
+        claim_size(
+            cutoff,
+            self.cfg.starvation_wait,
+            self.cfg.batch_size,
+            self.cfg.queue_capacity,
+        )
     }
 
     /// Runs one batch-assembly pass inline. Returns whether it made
@@ -742,7 +786,7 @@ impl<D: Dataset> Runtime<D> {
             }
             match q.reserve_timeout(self.cfg.starvation_wait) {
                 // The woken slot takes the head item (order within the
-                // chunk is kept); the bulk put above retries the rest.
+                // claim is kept); the bulk put above retries the rest.
                 Ok(slot) => slot.publish(rest.remove(0))?,
                 Err(TryReserveError::Full) => {}
                 Err(TryReserveError::Closed) => return Err(Closed),
@@ -776,31 +820,35 @@ impl<D: Dataset> Runtime<D> {
     }
 }
 
-/// Fast role: claims tickets in [`TICKET_CHUNK`]-sized chunks, loads,
+/// Fast role: claims tickets ([`claim_size`] of them), loads,
 /// preprocesses against the balancer's timeout, and routes to fast or
-/// temp queue (Algorithm 1 lines 6–12). One step = one chunk.
+/// temp queue (Algorithm 1 lines 6–12). One step = one claim: eight
+/// tickets by default, and under a cutoff as many as fit in one hold
+/// window, up to one batch (at most `queue_capacity`).
 ///
-/// Completed fast samples accumulate in a chunk-local buffer so that
+/// Completed fast samples accumulate in a claim-local buffer so that
 /// the dominant per-sample cost (a queue mutex acquisition plus condvar
 /// signalling) is paid once per [`MinatoQueue::put_many`], not once per
 /// sample — but a finished sample is withheld from the batch stage for
-/// at most `starvation_wait`: once the worker has spent that long since
-/// it took up the oldest buffered sample, it publishes the buffer at
-/// that sample boundary. Samples that take microseconds therefore still
-/// publish once per chunk, samples that take milliseconds one by one,
-/// and the chunk never re-creates the head-of-line wait the fast path
-/// exists to remove. Timed-out samples go to the temp queue at once:
-/// deferring a deferral would delay its background completion for no
-/// benefit.
+/// at most `starvation_wait` plus the run of the sample in progress:
+/// once the worker has spent `starvation_wait` since it took up the
+/// oldest buffered sample, it publishes the buffer at the next sample
+/// boundary. Samples that take microseconds therefore still publish
+/// once per claim, samples that take milliseconds one by one, and the
+/// claim never re-creates the head-of-line wait the fast path exists to
+/// remove. The caveat is a transform that ignores its deadline: it can
+/// hold up to claim − 1 finished samples of its worker for its whole
+/// run. Timed-out samples go to the temp queue at once: deferring a
+/// deferral would delay its background completion for no benefit.
 ///
-/// Between two chunks, one fast worker at a time moonlights on slow
+/// Between two claims, one fast worker at a time moonlights on slow
 /// overflow ([`Runtime::moonlight`]).
 ///
 /// An untraced sample that misses the cache reads the clock three
 /// times: at its start (`t0`, which also gives `issued_ns`), where
 /// [`TransformCtx::with_timeout`] anchors the deadline, and at the end
 /// of [`Pipeline::run_ctx`]. Its busy time is `anchor − t0 + elapsed`,
-/// and the chunk hands the sum to the CPU meter at each flush.
+/// and the claim hands the sum to the CPU meter at each flush.
 pub(crate) struct FastStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
 }
@@ -817,23 +865,23 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        let chunk = TICKET_CHUNK;
+        let claim = rt.fast_claim();
         // Claim accounting: raise `in_flight` *before* taking tickets so
         // a concurrent worker observing the drained sampler cannot close
         // the queues while these samples are between claim and routing.
-        rt.in_flight.fetch_add(chunk, Ordering::SeqCst);
-        // Between two chunks, under the claim just raised: with the
+        rt.in_flight.fetch_add(claim, Ordering::SeqCst);
+        // Between two claims, under the claim just raised: with the
         // source not yet seen drained, no worker can start the close
         // cascade until this one has routed (or handed back) its claim,
         // so a deferred sample completed here still finds `slow_q` open.
         if !rt.source_drained.load(Ordering::SeqCst) {
             rt.moonlight();
         }
-        let tickets = rt.sampler.next_many(chunk);
-        let drained = tickets.len() < chunk;
+        let tickets = rt.sampler.next_many(claim);
+        let drained = tickets.len() < claim;
         if drained {
             rt.in_flight
-                .fetch_sub(chunk - tickets.len(), Ordering::SeqCst);
+                .fetch_sub(claim - tickets.len(), Ordering::SeqCst);
             rt.source_drained.store(true, Ordering::SeqCst);
         }
         if tickets.is_empty() {
@@ -843,10 +891,10 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         let total = tickets.len();
         let mut processed = 0usize;
         let mut fast_buf: Vec<Prepared<D::Sample>> = Vec::with_capacity(total);
-        // Pipeline times of the chunk's fast completions (cache hits
+        // Pipeline times of the claim's fast completions (cache hits
         // excluded), handed to the balancer in one call after the loop.
         let mut fast_times: Vec<Duration> = Vec::with_capacity(total);
-        // Busy time of the chunk's pipeline runs not yet on the CPU
+        // Busy time of the claim's pipeline runs not yet on the CPU
         // meter: one shared atomic add per flush instead of per sample.
         let mut busy_sum = Duration::ZERO;
         // Hands `busy` to the CPU meter, then publishes the buffered fast
@@ -899,7 +947,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                             issued_ns,
                         },
                     });
-                    continue; // Stays in flight until the chunk flush.
+                    continue; // Stays in flight until the claim flush.
                 }
                 rt.trace(EventKind::CacheMiss, ticket.epoch, ticket.seq, 0, 0);
             }
@@ -953,7 +1001,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                     if let Some(cache) = rt.cache.as_deref() {
                         cache.admit(ticket.index, &value, bytes, elapsed);
                     }
-                    // Stays in flight until the chunk flush below.
+                    // Stays in flight until the claim flush below.
                     fast_buf.push(Prepared {
                         sample: value,
                         meta,
@@ -1016,7 +1064,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             }
             // Bounded hold: once this worker has spent `starvation_wait`
             // since it took up the oldest buffered sample, the buffer
-            // goes out now instead of at the end of the chunk. "Now" is
+            // goes out now instead of at the end of the claim. "Now" is
             // this sample's issue time plus the time just measured, so
             // the check costs no clock read.
             let held_ns = fast_buf.first().map_or(0, |oldest| {
@@ -1027,12 +1075,12 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 break; // Queue closed under us: shutting down.
             }
         }
-        // Claims never processed (shutdown or routing failure mid-chunk).
+        // Claims never processed (shutdown or routing failure mid-claim).
         if processed < total {
             rt.in_flight.fetch_sub(total - processed, Ordering::SeqCst);
         }
         rt.balancer.on_fast_complete_many(&fast_times);
-        // Flush the chunk's remaining fast samples in one queue operation.
+        // Flush the claim's remaining fast samples in one queue operation.
         if !flush_fast(&mut fast_buf, &mut busy_sum) {
             routed = false;
         }
@@ -1578,44 +1626,105 @@ mod tests {
         q.pop_many(usize::MAX).iter().map(|p| p.sample).collect()
     }
 
+    /// A config under which [`claim_size`] is one batch of 64: a 1 µs
+    /// cutoff, batch and queue capacity 64.
+    fn batch_claim_cfg() -> LoaderConfig {
+        let mut cfg = mini_cfg();
+        cfg.timeout_policy = TimeoutPolicy::Fixed(Duration::from_micros(1));
+        cfg.batch_size = 64;
+        cfg.queue_capacity = 64;
+        cfg
+    }
+
+    #[test]
+    fn claim_is_eight_without_a_cutoff_and_one_batch_under_a_cheap_one() {
+        let ms = Duration::from_millis(1);
+        assert_eq!(claim_size(None, ms, 64, 100), TICKET_CHUNK, "no cutoff");
+        // A cutoff at or above an eighth of the hold window: eight.
+        assert_eq!(claim_size(Some(ms / 8), ms, 64, 100), TICKET_CHUNK);
+        assert_eq!(claim_size(Some(ms), ms, 64, 100), TICKET_CHUNK);
+        // `noop_tax`: a 69 ns cutoff fills one batch.
+        let cheap = Some(Duration::from_nanos(69));
+        assert_eq!(claim_size(cheap, ms, 64, 100), 64);
+        assert_eq!(claim_size(cheap, ms, 4, 100), TICKET_CHUNK, "batch 4");
+        assert_eq!(claim_size(cheap, ms, 64, 16), 16, "queue capacity caps it");
+        assert_eq!(claim_size(cheap, ms, 64, 4), TICKET_CHUNK);
+        assert_eq!(claim_size(Some(Duration::ZERO), ms, 64, 100), TICKET_CHUNK);
+    }
+
+    #[test]
+    fn order_preserving_mode_claims_eight_under_any_policy() {
+        let mut cfg = batch_claim_cfg();
+        assert_eq!(mini_runtime(cfg.clone()).fast_claim(), 64);
+        cfg.order_preserving = true;
+        assert_eq!(mini_runtime(cfg).fast_claim(), TICKET_CHUNK);
+    }
+
+    #[test]
+    fn a_claim_over_eight_fits_in_one_hold_window() {
+        let hold = Duration::from_millis(1);
+        for cutoff_ns in (1..=200_000u64).step_by(997) {
+            let cutoff = Duration::from_nanos(cutoff_ns);
+            for (batch, capacity) in [(4, 100), (8, 100), (24, 16), (64, 100), (256, 1000)] {
+                let claim = claim_size(Some(cutoff), hold, batch, capacity);
+                assert!(claim >= TICKET_CHUNK);
+                assert!(claim <= TICKET_CHUNK.max(batch.min(capacity)));
+                if claim > TICKET_CHUNK {
+                    assert!(cutoff * claim as u32 <= hold, "{claim} × {cutoff:?}");
+                }
+            }
+        }
+    }
+
     /// Bounded hold: a sample that took longer than `starvation_wait`
     /// is in the fast queue before its worker has finished the next one
-    /// of the same chunk.
+    /// of the same claim — a claim of eight, and one of a whole batch.
     #[test]
     fn slow_fast_sample_is_published_before_its_chunk_ends() {
-        let gates = Gates::closed();
-        let entered = Arc::new(AtomicUsize::new(0));
-        let (g, e) = (Arc::clone(&gates), Arc::clone(&entered));
-        let pipeline = Pipeline::new(vec![crate::transform::fn_transform("gated", move |x| {
-            e.fetch_add(1, Ordering::SeqCst);
-            g.pass(x);
-            Ok(x)
-        })]);
-        let rt = runtime_over(mini_cfg(), TICKET_CHUNK as u32, pipeline);
-        let rt2 = Arc::clone(&rt);
-        let worker = thread::spawn(move || RoleStep::step(&FastStep::new(rt2)));
-        // Hold sample 0 inside its transform for `starvation_wait` by
-        // this thread's clock; the worker's own measurement spans it.
-        spin_until("sample 0 never started", || {
-            entered.load(Ordering::SeqCst) == 1
-        });
-        let t0 = Instant::now();
-        spin_until("clock stopped", || t0.elapsed() >= rt.cfg.starvation_wait);
-        gates.open_below(1);
-        spin_until("sample 1 never started", || {
-            entered.load(Ordering::SeqCst) == 2
-        });
-        // The worker is inside sample 1 of its chunk (gate 1 is shut).
-        match rt.fast_q.try_pop() {
-            PopResult::Item(p) => assert_eq!(p.sample, 0),
-            _ => panic!("sample 0 withheld until the end of its chunk"),
+        for (mut cfg, n) in [(mini_cfg(), TICKET_CHUNK), (batch_claim_cfg(), 64)] {
+            // Long enough that the samples after sample 1, which take no
+            // time, still leave together when an unoptimised build shares
+            // its cores with other work.
+            cfg.starvation_wait = Duration::from_millis(20);
+            let gates = Gates::closed();
+            let entered = Arc::new(AtomicUsize::new(0));
+            let (g, e) = (Arc::clone(&gates), Arc::clone(&entered));
+            let pipeline = Pipeline::new(vec![crate::transform::fn_transform("gated", move |x| {
+                e.fetch_add(1, Ordering::SeqCst);
+                g.pass(x);
+                Ok(x)
+            })]);
+            let rt = runtime_over(cfg, n as u32, pipeline);
+            assert_eq!(rt.fast_claim(), n);
+            let rt2 = Arc::clone(&rt);
+            let worker = thread::spawn(move || RoleStep::step(&FastStep::new(rt2)));
+            // Hold sample 0 inside its transform for `starvation_wait` by
+            // this thread's clock; the worker's own measurement spans it.
+            spin_until("sample 0 never started", || {
+                entered.load(Ordering::SeqCst) == 1
+            });
+            let t0 = Instant::now();
+            spin_until("clock stopped", || t0.elapsed() >= rt.cfg.starvation_wait);
+            gates.open_below(1);
+            spin_until("sample 1 never started", || {
+                entered.load(Ordering::SeqCst) == 2
+            });
+            // The worker is inside sample 1 of its claim (gate 1 is shut).
+            match rt.fast_q.try_pop() {
+                PopResult::Item(p) => assert_eq!(p.sample, 0),
+                _ => panic!("sample 0 withheld until the end of its claim of {n}"),
+            }
+            gates.open_below(u32::MAX);
+            assert_eq!(worker.join().unwrap(), StepOutcome::Progress);
+            // The others took no time: they left together.
+            assert_eq!(
+                rt.fast_q.lock_acquisitions(),
+                3,
+                "two puts and the pop, claim of {n}"
+            );
+            assert_eq!(drain_values(&rt.fast_q), (1..n as u32).collect::<Vec<_>>());
+            assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         }
-        gates.open_below(u32::MAX);
-        assert_eq!(worker.join().unwrap(), StepOutcome::Progress);
-        // The others took no time: they left together.
-        assert_eq!(rt.fast_q.lock_acquisitions(), 3, "two puts and the pop");
-        assert_eq!(drain_values(&rt.fast_q), [1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
     }
 
     /// The other half of the hold rule: samples far quicker than
@@ -1630,6 +1739,25 @@ mod tests {
         while RoleStep::step(&step) != StepOutcome::Exhausted {}
         assert_eq!(rt.fast_q.total_puts(), 16);
         assert_eq!(rt.fast_q.lock_acquisitions(), 2, "one put per chunk of 8");
+        assert!(rt.fast_q.is_closed(), "drained source closed the queue");
+    }
+
+    /// Under a cutoff the claim grows to one batch: 128 quick samples
+    /// enter the fast queue in two puts of 64, not sixteen of eight.
+    #[test]
+    fn quick_samples_under_a_cutoff_are_published_once_per_claim() {
+        let mut cfg = batch_claim_cfg();
+        // Out of reach of any scheduling hiccup inside a claim.
+        cfg.starvation_wait = Duration::from_secs(10);
+        // Room for the whole run, as nothing pops; the batch still
+        // bounds the claim.
+        cfg.queue_capacity = 128;
+        let rt = runtime_over(cfg, 128, Pipeline::identity());
+        assert_eq!(rt.fast_claim(), 64);
+        let step = FastStep::new(Arc::clone(&rt));
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        assert_eq!(rt.fast_q.total_puts(), 128);
+        assert_eq!(rt.fast_q.lock_acquisitions(), 2, "one put per claim of 64");
         assert!(rt.fast_q.is_closed(), "drained source closed the queue");
     }
 

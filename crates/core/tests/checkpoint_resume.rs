@@ -8,7 +8,11 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Bound on every wait for a pipeline state, so a state never reached
+/// fails the test with what was seen instead of hanging it.
+const FAIL_SAFE: Duration = Duration::from_secs(10);
 
 /// Defers every third sample on its deadline-bearing first run, so a
 /// kill or a source drain finds a backlog in the slow path — which the
@@ -322,12 +326,20 @@ fn checkpoint_of_a_wedged_pipeline_resumes_exactly_once() {
             pre.extend(b.meta.iter().map(|m| m.seq));
         }
         // The consumer stops popping; wait for the pipeline to back up
-        // into full batch and fast queues.
+        // into full batch and fast queues. In ordered mode a descheduled
+        // worker holding the awaited seq lets the lane move the fast
+        // queue into its unbounded reorder buffer, so the wait is bounded
+        // and reports the state it found instead of spinning forever.
+        let t0 = Instant::now();
         loop {
             let s = first.stats();
             if s.batch_queue_len == 2 && s.fast_queue_len == 100 {
                 break;
             }
+            assert!(
+                t0.elapsed() < FAIL_SAFE,
+                "pipeline never wedged (ordered={ordered}): {s:?}"
+            );
             std::thread::yield_now();
         }
         let ckpt = first.checkpoint().expect("checkpointing enabled");

@@ -299,6 +299,50 @@ fn chaos_poison_counts_match_injection() {
     assert!(err.to_string().contains("poison"), "got: {err}");
 }
 
+/// The same exact counts when every fast claim is a whole batch: a 1 µs
+/// cutoff fits 64 samples in the 1 ms hold window, so each of the 1000
+/// tickets is claimed 64 at a time. Every sample that is not injected
+/// is delivered exactly once.
+#[test]
+fn chaos_faults_under_batch_sized_claims_count_exactly() {
+    for (salt, action) in [(4, FaultAction::Panic), (5, FaultAction::Poison)] {
+        let n = 1000usize;
+        let targets = derive_targets(salt, n, 50);
+        let k = targets.len() as u64;
+        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+        let loader = MinatoLoader::builder(ds, Pipeline::identity())
+            .batch_size(64)
+            .initial_workers(2)
+            .max_workers(4)
+            .timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(1)))
+            .fault_injector(Arc::new(TargetInjector {
+                site: FaultSite::Fast,
+                action,
+                targets: targets.clone(),
+            }))
+            .build()
+            .expect("valid configuration");
+        let mut values: Vec<u32> = loader.iter().flat_map(Batch::into_samples).collect();
+        values.sort_unstable();
+        let expected: Vec<u32> = (0..n as u32)
+            .filter(|i| !targets.contains(&(*i as usize)))
+            .collect();
+        assert_eq!(
+            values, expected,
+            "{action:?}: every other sample exactly once"
+        );
+        let f = loader.stats().faults;
+        let (panics, poisoned) = match action {
+            FaultAction::Panic => (k, 0),
+            _ => (0, k),
+        };
+        assert_eq!(f.panics, panics, "{action:?}: panic count exact");
+        assert_eq!(f.poisoned, poisoned, "{action:?}: poison count exact");
+        assert_eq!(f.quarantined, k, "{action:?}: quarantine count exact");
+        assert_eq!(loader.stats().errors, k);
+    }
+}
+
 /// Transform that always defers to the background on its first
 /// (deadline-bearing) run and completes after `resume_cost` when
 /// resumed.
