@@ -9,7 +9,7 @@
 use crate::Scale;
 use minato_data::WorkloadSpec;
 use minato_metrics::table::{fnum, Table};
-use minato_sim::{simulate_minato, ClassifyMode, SimConfig};
+use minato_sim::{simulate, Policy, SimConfig};
 
 /// Timeout-percentile sweep on the speech workload (simulator).
 pub fn ablation_timeout_percentile(scale: Scale) -> String {
@@ -18,7 +18,7 @@ pub fn ablation_timeout_percentile(scale: Scale) -> String {
         let mut cfg = SimConfig::config_a(WorkloadSpec::speech(3.0));
         cfg.max_batches = scale.cap(120);
         cfg.minato.timeout_percentile = pct;
-        let r = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
+        let r = simulate(Policy::Minato, &cfg);
         t.row_owned(vec![
             format!("P{:.0}", pct * 100.0),
             fnum(r.train_time_s, 0),
@@ -44,8 +44,8 @@ pub fn ablation_adaptive_workers(scale: Scale) -> String {
         cfg.workers_per_gpu = wpg;
         let mut fixed = cfg.clone();
         fixed.minato.adaptive = false;
-        let a = simulate_minato("adaptive", &cfg, ClassifyMode::Timeout);
-        let f = simulate_minato("fixed", &fixed, ClassifyMode::Timeout);
+        let a = simulate(Policy::Minato, &cfg);
+        let f = simulate(Policy::Minato, &fixed);
         t.row_owned(vec![
             format!("{wpg}"),
             fnum(f.train_time_s, 0),
@@ -67,7 +67,7 @@ pub fn ablation_queue_depth(scale: Scale) -> String {
         let mut cfg = SimConfig::config_a(WorkloadSpec::image_segmentation());
         cfg.max_batches = scale.cap(150);
         cfg.prefetch = depth;
-        let r = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
+        let r = simulate(Policy::Minato, &cfg);
         t.row_owned(vec![
             format!("{depth}"),
             fnum(r.train_time_s, 0),
@@ -113,8 +113,8 @@ mod tests {
         cfg.workers_per_gpu = 4;
         let mut fixed = cfg.clone();
         fixed.minato.adaptive = false;
-        let a = simulate_minato("a", &cfg, ClassifyMode::Timeout);
-        let f = simulate_minato("f", &fixed, ClassifyMode::Timeout);
+        let a = simulate(Policy::Minato, &cfg);
+        let f = simulate(Policy::Minato, &fixed);
         assert!(a.train_time_s <= f.train_time_s * 1.1);
     }
 }

@@ -5,40 +5,16 @@ use crate::Scale;
 use minato_data::WorkloadSpec;
 use minato_metrics::table::{fnum, Table};
 use minato_metrics::Summary;
-use minato_sim::{
-    simulate_inorder, simulate_minato, ClassifyMode, DaliSimCfg, SimConfig, SimReport,
-};
+use minato_sim::{simulate, Policy, SimConfig, SimReport};
 use std::fmt::Write as _;
 
-/// AutoOrder's measured benefit per workload: the paper finds ≈3% on
-/// object detection (Figure 3b), a small win on speech (Pad moved last),
-/// and no change on image segmentation (§5.1: transforms already
-/// optimally ordered).
-pub fn pecan_gain_for(wl: &WorkloadSpec) -> f64 {
-    match wl.name {
-        "image-segmentation" => 0.0,
-        "object-detection" => 0.03,
-        _ => 0.05,
-    }
-}
+/// The paper's four loaders, in the order the figures list them.
+const LOADERS: [Policy; 4] = [Policy::Torch, Policy::Pecan, Policy::Dali, Policy::Minato];
 
-/// Runs all four loaders over `cfg` and returns
-/// `(pytorch, pecan, dali, minato)`.
-pub fn run_all_loaders(cfg: &SimConfig) -> (SimReport, SimReport, SimReport, SimReport) {
-    let pytorch = simulate_inorder("PyTorch", cfg, None);
-    let mut pc = cfg.clone();
-    pc.pecan_gain = pecan_gain_for(&cfg.workload);
-    let pecan = simulate_inorder("Pecan", &pc, None);
-    let dali = simulate_inorder(
-        "DALI",
-        cfg,
-        Some(DaliSimCfg {
-            speedup: cfg.workload.dali_speedup,
-            queue_depth: cfg.prefetch,
-        }),
-    );
-    let minato = simulate_minato("Minato", cfg, ClassifyMode::Timeout);
-    (pytorch, pecan, dali, minato)
+/// Runs the four paper loaders over `cfg` and returns
+/// `[pytorch, pecan, dali, minato]`.
+pub fn run_all_loaders(cfg: &SimConfig) -> [SimReport; 4] {
+    LOADERS.map(|policy| simulate(policy, cfg))
 }
 
 fn spark(ts: &minato_metrics::TimeSeries) -> String {
@@ -117,7 +93,7 @@ pub fn fig02_variability() -> String {
 pub fn fig01_pytorch_usage(scale: Scale) -> String {
     let mut cfg = SimConfig::config_a(WorkloadSpec::image_segmentation());
     cfg.max_batches = scale.cap(400);
-    let r = simulate_inorder("PyTorch", &cfg, None);
+    let r = simulate(Policy::Torch, &cfg);
     format!(
         "Figure 1b — PyTorch DataLoader on 3D-UNet (paper: CPU avg 9.8%, GPU avg 57.4%)\n\
          measured: CPU avg {:.1}%, GPU avg {:.1}%, train time {:.0}s\n\
@@ -135,11 +111,10 @@ pub fn fig01_pytorch_usage(scale: Scale) -> String {
 pub fn fig03_heuristics(scale: Scale) -> String {
     let mut cfg = SimConfig::config_a(WorkloadSpec::object_detection());
     cfg.max_batches = scale.cap(300);
-    let size_h = simulate_minato("SizeHeuristic", &cfg, ClassifyMode::BySize);
-    let mut pc = cfg.clone();
-    pc.pecan_gain = pecan_gain_for(&cfg.workload);
-    let reorder = simulate_inorder("Reordering", &pc, None);
-    let pytorch = simulate_inorder("PyTorch", &cfg, None);
+    let size_h = simulate(Policy::SizeHeuristic, &cfg);
+    // Transformation reordering is Pecan's AutoOrder.
+    let reorder = simulate(Policy::Pecan, &cfg);
+    let pytorch = simulate(Policy::Torch, &cfg);
     let mut t = Table::new(&[
         "heuristic",
         "GPU avg %",
@@ -195,7 +170,7 @@ pub fn fig04_prefetch(scale: Scale) -> String {
             let mut cfg = SimConfig::config_a(wl.clone());
             cfg.max_batches = scale.cap(200);
             cfg.prefetch = pf;
-            let r = simulate_inorder("PyTorch", &cfg, None);
+            let r = simulate(Policy::Torch, &cfg);
             row.push(fnum(r.train_time_s, 0));
             oom = r.host_oom;
         }
@@ -219,14 +194,8 @@ pub fn fig04_prefetch(scale: Scale) -> String {
         for d in [2usize, 8, 16, 24] {
             let mut cfg = SimConfig::config_a(wl.clone());
             cfg.max_batches = scale.cap(200);
-            let r = simulate_inorder(
-                "DALI",
-                &cfg,
-                Some(DaliSimCfg {
-                    speedup: cfg.workload.dali_speedup,
-                    queue_depth: d,
-                }),
-            );
+            cfg.prefetch = d;
+            let r = simulate(Policy::Dali, &cfg);
             row.push(fnum(r.train_time_s, 0));
             oom = r.gpu_oom;
         }
@@ -252,7 +221,7 @@ pub fn fig07_throughput(scale: Scale) -> String {
     {
         let mut cfg = SimConfig::config_a(wl.clone());
         cfg.max_batches = scale.cap(cap);
-        let (py, pc, da, mi) = run_all_loaders(&cfg);
+        let [py, pc, da, mi] = run_all_loaders(&cfg);
         let _ = writeln!(out, "Figure 7 — {} (4×A100)", wl.name);
         let mut t = Table::new(&[
             "loader",
@@ -263,7 +232,7 @@ pub fn fig07_throughput(scale: Scale) -> String {
         ]);
         for r in [&py, &pc, &da, &mi] {
             t.row_owned(vec![
-                r.name.clone(),
+                r.policy.to_string(),
                 fnum(r.avg_throughput_mbps(), 1),
                 fnum(r.train_time_s, 0),
                 format!("{:.2}x", py.train_time_s / r.train_time_s.max(1e-9)),
@@ -293,14 +262,14 @@ pub fn fig08_usage(scale: Scale) -> String {
     ] {
         let mut cfg = SimConfig::config_a(wl.clone());
         cfg.max_batches = scale.cap(cap);
-        let (py, _pc, da, mi) = run_all_loaders(&cfg);
+        let [py, _pc, da, mi] = run_all_loaders(&cfg);
         minato_utils.push(mi.gpu_util_pct);
         pytorch_utils.push(py.gpu_util_pct);
         let _ = writeln!(out, "Figure 8 — {} (4×A100)", wl.name);
         let mut t = Table::new(&["loader", "GPU avg %", "CPU avg %", "GPU trace", "CPU trace"]);
         for r in [&py, &da, &mi] {
             t.row_owned(vec![
-                r.name.clone(),
+                r.policy.to_string(),
                 fnum(r.gpu_util_pct, 1),
                 fnum(r.cpu_util_pct, 1),
                 spark(&r.gpu_series),
@@ -342,37 +311,20 @@ pub fn fig09_scalability(scale: Scale) -> String {
         ] {
             let _ = writeln!(out, "Figure 9 — {} on {}", wl.name, arch_name);
             let mut t = Table::new(&["loader", "1st", "2nd", "3rd", "4th (s)"]);
-            let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
-            for loader in ["PyTorch", "Pecan", "DALI", "Minato"] {
+            let mut rows: Vec<(Policy, Vec<f64>)> = Vec::new();
+            for policy in LOADERS {
                 let mut times = Vec::new();
                 for &n in &gpu_counts {
                     let mut cfg = base.clone();
                     cfg.workload = wl.clone();
                     cfg.n_gpus = n;
                     cfg.max_batches = scale.cap(160);
-                    let r = match loader {
-                        "PyTorch" => simulate_inorder("PyTorch", &cfg, None),
-                        "Pecan" => {
-                            let mut pc = cfg.clone();
-                            pc.pecan_gain = pecan_gain_for(&wl);
-                            simulate_inorder("Pecan", &pc, None)
-                        }
-                        "DALI" => simulate_inorder(
-                            "DALI",
-                            &cfg,
-                            Some(DaliSimCfg {
-                                speedup: wl.dali_speedup,
-                                queue_depth: cfg.prefetch,
-                            }),
-                        ),
-                        _ => simulate_minato("Minato", &cfg, ClassifyMode::Timeout),
-                    };
-                    times.push(r.train_time_s);
+                    times.push(simulate(policy, &cfg).train_time_s);
                 }
-                rows.push((loader.to_string(), times));
+                rows.push((policy, times));
             }
-            for (name, times) in &rows {
-                let mut row = vec![name.clone()];
+            for (policy, times) in &rows {
+                let mut row = vec![policy.to_string()];
                 row.extend(times.iter().map(|&s| fnum(s, 0)));
                 t.row_owned(row);
             }
@@ -415,7 +367,7 @@ pub fn fig10_memory(scale: Scale) -> String {
         cfg
     };
     let cfg = mk();
-    let (py, _pc, da, mi) = run_all_loaders(&cfg);
+    let [py, _pc, da, mi] = run_all_loaders(&cfg);
     let mut t = Table::new(&[
         "loader",
         "time (s)",
@@ -426,7 +378,7 @@ pub fn fig10_memory(scale: Scale) -> String {
     ]);
     for r in [&py, &da, &mi] {
         t.row_owned(vec![
-            r.name.clone(),
+            r.policy.to_string(),
             fnum(r.train_time_s, 0),
             fnum(r.gpu_util_pct, 1),
             fnum(r.bytes_from_disk as f64 / 1e9, 1),
@@ -450,8 +402,8 @@ pub fn fig11_batch_composition(scale: Scale) -> String {
         // Paper uses batch size 4 for this analysis.
         cfg.workload.batch_size = 4;
         cfg.max_batches = scale.cap(500);
-        let py = simulate_inorder("PyTorch", &cfg, None);
-        let mi = simulate_minato("Minato", &cfg, ClassifyMode::Timeout);
+        let py = simulate(Policy::Torch, &cfg);
+        let mi = simulate(Policy::Minato, &cfg);
         let _ = writeln!(out, "Figure 11b — {} (batch size 4)", wl.name);
         let mut t = Table::new(&["#slow", "PyTorch frac", "Minato frac"]);
         let dp = py.batch_slow_distribution(4);
@@ -492,7 +444,7 @@ pub fn fig12_slow_fraction(scale: Scale) -> String {
         let wl = WorkloadSpec::speech_with_slow_fraction(pct as f64 / 100.0);
         let mut cfg = SimConfig::config_a(wl);
         cfg.max_batches = scale.cap(120);
-        let (py, pc, da, mi) = run_all_loaders(&cfg);
+        let [py, pc, da, mi] = run_all_loaders(&cfg);
         // Ablation isolating the classification mechanism in the regime
         // it targets — a *bounded* foreground pool (12 workers, like the
         // baselines) whose workers must not be monopolized by slow
@@ -500,8 +452,8 @@ pub fn fig12_slow_fraction(scale: Scale) -> String {
         let mut pinned = cfg.clone();
         pinned.workers_per_gpu = 3; // 12 foreground workers total.
         pinned.minato.adaptive_fg = false;
-        let with_cls = simulate_minato("Minato-12w", &pinned, ClassifyMode::Timeout);
-        let no_cls = simulate_minato("NoCls-12w", &pinned, ClassifyMode::None);
+        let with_cls = simulate(Policy::Minato, &pinned);
+        let no_cls = simulate(Policy::NoClassify, &pinned);
         t.row_owned(vec![
             format!("{pct}"),
             fnum(py.train_time_s, 0),
@@ -533,11 +485,11 @@ pub fn artifact_e1_e2(scale: Scale) -> String {
         Scale::Full => (210 * 10) / 3, // 10 epochs.
         Scale::Quick => 300,
     };
-    let (py, _pc, da, mi) = run_all_loaders(&cfg);
+    let [py, _pc, da, mi] = run_all_loaders(&cfg);
     let mut t = Table::new(&["system", "time (s)", "paper (s)", "GPU %", "CPU %"]);
     for (r, paper) in [(&py, "≈210"), (&da, "≈151"), (&mi, "≈81")] {
         t.row_owned(vec![
-            r.name.clone(),
+            r.policy.to_string(),
             fnum(r.train_time_s, 0),
             paper.to_string(),
             fnum(r.gpu_util_pct, 1),
@@ -589,7 +541,7 @@ mod tests {
         // C1 claim).
         let mut cfg = SimConfig::config_b(WorkloadSpec::image_segmentation());
         cfg.max_batches = 300;
-        let (py, _pc, da, mi) = run_all_loaders(&cfg);
+        let [py, _pc, da, mi] = run_all_loaders(&cfg);
         assert!(mi.train_time_s < da.train_time_s);
         assert!(da.train_time_s < py.train_time_s);
     }
@@ -602,8 +554,8 @@ mod tests {
             let wl = WorkloadSpec::speech_with_slow_fraction(pct);
             let mut cfg = SimConfig::config_a(wl);
             cfg.max_batches = cap;
-            let py = simulate_inorder("py", &cfg, None);
-            let mi = simulate_minato("mi", &cfg, ClassifyMode::Timeout);
+            let py = simulate(Policy::Torch, &cfg);
+            let mi = simulate(Policy::Minato, &cfg);
             py.train_time_s / mi.train_time_s.max(1e-9)
         };
         let mid = run(0.5, 60);

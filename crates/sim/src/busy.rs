@@ -64,22 +64,6 @@ impl IntervalAccumulator {
         }
     }
 
-    /// Units accumulated between `from` and `to` (bucket-aligned
-    /// approximation).
-    pub fn busy_seconds_between(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        let first = (from.0 / self.bucket.0) as usize;
-        let last = ((to.0.saturating_sub(1)) / self.bucket.0) as usize;
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i >= first && *i <= last)
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
     /// Total accumulated units.
     pub fn total(&self) -> f64 {
         self.buckets.iter().sum()
@@ -209,14 +193,6 @@ mod tests {
         assert_eq!(one.values()[0], 100.0); // Clamped.
         let two = a.to_utilization_series("u", 2);
         assert!((two.values()[0] - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn busy_between_window() {
-        let mut a = IntervalAccumulator::new(SEC);
-        a.add(SimTime::ZERO, SimTime::from_secs_f64(3.0));
-        let w = a.busy_seconds_between(SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(2.0));
-        assert!((w - 1.0).abs() < 1e-9);
     }
 
     #[test]

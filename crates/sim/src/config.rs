@@ -3,15 +3,6 @@
 use crate::time::SimDuration;
 use minato_data::{GpuArch, WorkloadSpec};
 
-/// DALI-specific simulation parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct DaliSimCfg {
-    /// Accelerator speedup over CPU preprocessing (§5.1: 10×).
-    pub speedup: f64,
-    /// `prefetch_queue_depth` (batches buffered between stages).
-    pub queue_depth: usize,
-}
-
 /// MinatoLoader-specific simulation parameters (§4).
 #[derive(Debug, Clone, Copy)]
 pub struct MinatoSimCfg {
@@ -52,7 +43,8 @@ pub struct SimConfig {
     /// Total workers for the in-order baselines (paper tuning for
     /// PyTorch/Pecan: 12; DALI ignores this and uses every core).
     pub inorder_workers_total: usize,
-    /// PyTorch `prefetch_factor` / Minato batch-queue depth.
+    /// PyTorch `prefetch_factor` / DALI `prefetch_queue_depth` / Minato
+    /// batch-queue depth.
     pub prefetch: usize,
     /// Storage read bandwidth in bytes/second.
     pub storage_bandwidth_bps: f64,
@@ -66,9 +58,6 @@ pub struct SimConfig {
     pub dataset_replication: usize,
     /// Reporting bucket width.
     pub bucket: SimDuration,
-    /// Per-sample preprocessing cost reduction from Pecan's AutoOrder
-    /// (0.0 for the plain PyTorch loader).
-    pub pecan_gain: f64,
     /// Cap on training batches (0 = run the workload's full length); used
     /// to keep sweep harnesses fast.
     pub max_batches: usize,
@@ -96,7 +85,6 @@ impl SimConfig {
             gpu_memory_bytes: 40_000_000_000,
             dataset_replication: 1,
             bucket: SimDuration::from_secs_f64(1.0),
-            pecan_gain: 0.0,
             max_batches: 0,
             seed: 7,
             minato: MinatoSimCfg::default(),

@@ -7,10 +7,13 @@
 //! deterministic event-driven policy over them. A full paper-scale run
 //! simulates in milliseconds, so every figure regenerates exactly.
 //!
-//! Policies: [`policy::simulate_inorder`] (PyTorch / Pecan / DALI) and
-//! [`policy::simulate_minato`] (MinatoLoader and the size-heuristic
-//! strawman). Cost models come from [`minato_data::WorkloadSpec`],
-//! calibrated to the paper's Table 2.
+//! One entry point, [`simulate`], runs a [`Policy`] over a [`SimConfig`]:
+//! `Torch`, `Pecan` and `DALI` on the in-order engine, `Minato`, the
+//! `SizeHeuristic` strawman and the `NoClassify` ablation on Minato's.
+//! Every policy counts a batch's slow samples against the same
+//! ground-truth threshold ([`slow_threshold_ms`]), so any two policies
+//! run over one configuration report the same total. Cost models come
+//! from [`minato_data::WorkloadSpec`], calibrated to the paper's Table 2.
 
 pub mod busy;
 pub mod config;
@@ -19,8 +22,8 @@ pub mod report;
 pub mod resources;
 pub mod time;
 
-pub use config::{DaliSimCfg, MinatoSimCfg, SimConfig};
-pub use policy::{simulate_inorder, simulate_minato, ClassifyMode};
+pub use config::{MinatoSimCfg, SimConfig};
+pub use policy::{simulate, Policy};
 pub use report::SimReport;
 pub use time::{SimDuration, SimTime};
 

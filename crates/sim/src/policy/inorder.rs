@@ -5,22 +5,22 @@
 //! is strictly in batch order with a bounded prefetch window. They differ
 //! only in execution placement/speed:
 //!
-//! * **pytorch** — transforms on the CPU pool at 1×, 12 workers total
-//!   (the paper's tuned setting, §5.1),
-//! * **pecan** — CPU at 1× minus the AutoOrder gain (`pecan_gain`),
-//! * **dali** — loading workers on every core, transforms on the
-//!   consuming GPU at `speedup`×, FIFO-shared with training steps
-//!   (Takeaway 5's contention), window bounded by
-//!   `prefetch_queue_depth`.
+//! * [`Policy::Torch`] — transforms on the CPU pool at 1×, 12 workers
+//!   total (the paper's tuned setting, §5.1),
+//! * [`Policy::Pecan`] — CPU at 1× minus the AutoOrder gain for the
+//!   workload,
+//! * [`Policy::Dali`] — loading workers on every core, transforms on the
+//!   consuming GPU at the workload's `dali_speedup`×, FIFO-shared with
+//!   training steps (Takeaway 5's contention), window bounded by
+//!   `prefetch_queue_depth` (`cfg.prefetch`).
 
-use super::{shuffled_tickets, BatchStats, Trainer};
-use crate::config::{DaliSimCfg, SimConfig};
+use super::{shuffled_tickets, BatchStats, EventQueue, Policy, Trainer};
+use crate::config::SimConfig;
 use crate::report::SimReport;
 use crate::resources::{Gpu, ServerPool, Storage};
 use crate::time::{SimDuration, SimTime};
 use minato_core::batch::ReorderBuffer;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
@@ -50,25 +50,37 @@ struct GpuState {
     busy: bool,
 }
 
-/// Runs one simulated training with in-order (PyTorch-family) semantics.
-///
-/// `dali = None` selects CPU execution (pytorch/pecan depending on
-/// `cfg.pecan_gain`); `Some` offloads transforms to the consuming GPU.
-pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -> SimReport {
+/// Runs one simulated training with in-order (PyTorch-family) semantics:
+/// CPU execution for [`Policy::Torch`] and [`Policy::Pecan`], transforms
+/// offloaded to the consuming GPU for [`Policy::Dali`].
+pub(super) fn run(policy: Policy, cfg: &SimConfig) -> SimReport {
     let wl = &cfg.workload;
+    let dali = policy == Policy::Dali;
+    // Pecan's AutoOrder gain per workload: the paper finds ≈3% on object
+    // detection (Figure 3b), a small win on speech (Pad moved last), and
+    // no change on image segmentation (§5.1: transforms already
+    // optimally ordered).
+    let gain = match (policy, wl.name) {
+        (Policy::Pecan, "image-segmentation") => 0.0,
+        (Policy::Pecan, "object-detection") => 0.03,
+        (Policy::Pecan, _) => 0.05,
+        _ => 0.0,
+    };
 
     // Worker count: the paper tunes PyTorch/Pecan to 12 total workers
     // (§5.1) and gives DALI a loading worker per core.
-    let n_workers = match dali {
-        Some(_) => cfg.cpu_cores,
-        None => cfg.inorder_workers_total.max(1),
+    let n_workers = if dali {
+        cfg.cpu_cores
+    } else {
+        cfg.inorder_workers_total.max(1)
     };
     // Per-GPU in-flight window: PyTorch buffers per-rank
     // `workers × prefetch_factor` batches; DALI buffers
     // `prefetch_queue_depth` per pipeline.
-    let window_per_gpu = match dali {
-        Some(d) => d.queue_depth.max(1),
-        None => ((n_workers * cfg.prefetch) / cfg.n_gpus).max(1),
+    let window_per_gpu = if dali {
+        cfg.prefetch.max(1)
+    } else {
+        ((n_workers * cfg.prefetch) / cfg.n_gpus).max(1)
     };
 
     // --- Plan: shuffled multi-epoch ticket stream chunked into batches,
@@ -104,15 +116,7 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
         })
         .collect();
 
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-
-    macro_rules! push_ev {
-        ($t:expr, $e:expr) => {{
-            seq += 1;
-            heap.push(Reverse(($t, seq, $e)));
-        }};
-    }
+    let mut events = EventQueue::new();
 
     // Begins preprocessing of worker `w`'s current batch's next sample.
     let start_sample = |now: SimTime,
@@ -126,22 +130,18 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
         let sample_id = plan[cur.batch_idx][cur.next_sample];
         let profile = wl.sample_profile(sample_id % wl.n_samples);
         let read = storage.read(now, sample_id as u64, profile.raw_bytes);
-        let cost_ms = profile.total_ms * (1.0 - cfg.pecan_gain).clamp(0.0, 1.0);
-        let end = match dali {
-            Some(d) => {
-                // Deeper prefetch queues keep a larger preprocessing
-                // working set resident on the device; the resulting
-                // memory/cache pressure slows the kernels (the §3.4
-                // observation that higher depth "can interfere with
-                // training computations").
-                let pressure = 1.0 + 0.015 * d.queue_depth.saturating_sub(2) as f64;
-                let dur = SimDuration::from_ms_f64(cost_ms / d.speedup.max(1e-9) * pressure);
-                gpus[cur.gpu].preprocess(read.ready_at, dur).1
-            }
-            None => {
-                let dur = SimDuration::from_ms_f64(cost_ms);
-                cpu.submit(read.ready_at, dur).1
-            }
+        let cost_ms = profile.total_ms * (1.0 - gain);
+        let end = if dali {
+            // Deeper prefetch queues keep a larger preprocessing working
+            // set resident on the device; the resulting memory/cache
+            // pressure slows the kernels (the §3.4 observation that
+            // higher depth "can interfere with training computations").
+            let pressure = 1.0 + 0.015 * cfg.prefetch.saturating_sub(2) as f64;
+            let dur = SimDuration::from_ms_f64(cost_ms / wl.dali_speedup.max(1e-9) * pressure);
+            gpus[cur.gpu].preprocess(read.ready_at, dur).1
+        } else {
+            let dur = SimDuration::from_ms_f64(cost_ms);
+            cpu.submit(read.ready_at, dur).1
         };
         cur.stats.bytes += profile.raw_bytes;
         cur.stats.len += 1;
@@ -185,7 +185,7 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
                     &mut cpu,
                     &mut trainer.gpus,
                 ) {
-                    push_ev!(t, ev);
+                    events.push(t, ev);
                 }
             }
         }};
@@ -202,7 +202,7 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
                         try_start_worker!($now, w);
                     }
                     let end = trainer.train($g, $now, ready_at, &stats);
-                    push_ev!(end, Ev::StepDone { gpu: $g });
+                    events.push(end, Ev::StepDone { gpu: $g });
                 }
             }
         }};
@@ -212,7 +212,7 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
         try_start_worker!(SimTime::ZERO, w);
     }
 
-    while let Some(Reverse((now, _, ev))) = heap.pop() {
+    while let Some((now, ev)) = events.pop() {
         match ev {
             Ev::SampleDone { worker: w } => {
                 let finished = match workers[w].current.as_mut() {
@@ -238,7 +238,7 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
                     &mut cpu,
                     &mut trainer.gpus,
                 ) {
-                    push_ev!(t, ev);
+                    events.push(t, ev);
                 }
             }
             Ev::StepDone { gpu: g } => {
@@ -257,21 +257,24 @@ pub fn simulate_inorder(name: &str, cfg: &SimConfig, dali: Option<DaliSimCfg>) -
         .sum::<f64>()
         / 64.min(wl.n_samples) as f64;
     let host_buffer = (cfg.n_gpus * window_per_gpu * wl.batch_size) as f64 * avg_pre;
-    let gpu_buffer = dali
-        .map(|d| (d.queue_depth * wl.batch_size) as f64 * avg_pre)
-        .unwrap_or(0.0);
+    let gpu_buffer = if dali {
+        (cfg.prefetch * wl.batch_size) as f64 * avg_pre
+    } else {
+        0.0
+    };
 
     let cpu_series = cpu.busy().to_utilization_series("cpu_pct", cfg.cpu_cores);
     SimReport {
         host_oom: host_buffer > cfg.ram_bytes as f64,
         gpu_oom: gpu_buffer > cfg.gpu_memory_bytes as f64,
-        ..trainer.report(name, cfg, &storage, cpu.busy().total(), cpu_series)
+        ..trainer.report(policy, cfg, &storage, cpu.busy().total(), cpu_series)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::policy::{simulate, Policy};
+    use crate::SimConfig;
     use minato_data::WorkloadSpec;
 
     fn small_cfg() -> SimConfig {
@@ -283,7 +286,7 @@ mod tests {
     #[test]
     fn trains_all_planned_batches() {
         let cfg = small_cfg();
-        let r = simulate_inorder("pytorch", &cfg, None);
+        let r = simulate(Policy::Torch, &cfg);
         assert_eq!(r.batches, 40);
         assert_eq!(r.samples, 40 * 48);
         assert!(r.train_time_s > 0.0);
@@ -293,8 +296,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let cfg = small_cfg();
-        let a = simulate_inorder("pytorch", &cfg, None);
-        let b = simulate_inorder("pytorch", &cfg, None);
+        let a = simulate(Policy::Torch, &cfg);
+        let b = simulate(Policy::Torch, &cfg);
         assert_eq!(a.train_time_s, b.train_time_s);
         assert_eq!(a.batch_slow_counts, b.batch_slow_counts);
     }
@@ -302,7 +305,7 @@ mod tests {
     #[test]
     fn batch_end_times_bounded_by_train_time() {
         let cfg = small_cfg();
-        let r = simulate_inorder("pytorch", &cfg, None);
+        let r = simulate(Policy::Torch, &cfg);
         assert!(r
             .batch_end_times
             .iter()
@@ -312,14 +315,7 @@ mod tests {
     #[test]
     fn dali_runs_and_uses_gpu_for_preprocessing() {
         let cfg = small_cfg();
-        let r = simulate_inorder(
-            "dali",
-            &cfg,
-            Some(DaliSimCfg {
-                speedup: 10.0,
-                queue_depth: 2,
-            }),
-        );
+        let r = simulate(Policy::Dali, &cfg);
         assert_eq!(r.batches, 40);
         assert!(r.gpu_util_pct > r.gpu_train_pct);
     }
@@ -330,7 +326,7 @@ mod tests {
         // GPU starves.
         let mut cfg = SimConfig::config_a(WorkloadSpec::image_segmentation());
         cfg.max_batches = 200;
-        let r = simulate_inorder("pytorch", &cfg, None);
+        let r = simulate(Policy::Torch, &cfg);
         assert!(
             (30.0..75.0).contains(&r.gpu_util_pct),
             "expected starved GPU, got {:.1}%",
@@ -342,9 +338,8 @@ mod tests {
     fn pecan_gain_speeds_up_cpu_loader() {
         let mut cfg = SimConfig::config_a(WorkloadSpec::speech(3.0));
         cfg.max_batches = 30;
-        let base = simulate_inorder("pytorch", &cfg, None);
-        cfg.pecan_gain = 0.5; // Exaggerated gain to make the effect clear.
-        let pecan = simulate_inorder("pecan", &cfg, None);
+        let base = simulate(Policy::Torch, &cfg);
+        let pecan = simulate(Policy::Pecan, &cfg);
         assert!(
             pecan.train_time_s < base.train_time_s,
             "pecan {} vs pytorch {}",
@@ -358,9 +353,9 @@ mod tests {
         let mut cfg = SimConfig::config_a(WorkloadSpec::image_segmentation());
         cfg.max_batches = 60;
         cfg.n_gpus = 1;
-        let one = simulate_inorder("pytorch", &cfg, None);
+        let one = simulate(Policy::Torch, &cfg);
         cfg.n_gpus = 4;
-        let four = simulate_inorder("pytorch", &cfg, None);
+        let four = simulate(Policy::Torch, &cfg);
         assert!(
             four.train_time_s < one.train_time_s,
             "4 GPU {} vs 1 GPU {}",
@@ -374,7 +369,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.ram_bytes = 1_000_000; // 1 MB of RAM.
         cfg.prefetch = 48;
-        let r = simulate_inorder("pytorch", &cfg, None);
+        let r = simulate(Policy::Torch, &cfg);
         assert!(r.host_oom);
     }
 
@@ -382,14 +377,8 @@ mod tests {
     fn dali_queue_depth_inflates_gpu_memory() {
         let mut cfg = small_cfg();
         cfg.gpu_memory_bytes = 10_000_000; // 10 MB GPU.
-        let r = simulate_inorder(
-            "dali",
-            &cfg,
-            Some(DaliSimCfg {
-                speedup: 10.0,
-                queue_depth: 24,
-            }),
-        );
+        cfg.prefetch = 24; // DALI's prefetch_queue_depth.
+        let r = simulate(Policy::Dali, &cfg);
         assert!(r.gpu_oom);
     }
 }

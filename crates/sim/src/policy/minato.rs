@@ -21,12 +21,13 @@
 //!   [`WorkerScheduler::decide`] (Formulas 1–2). Unlike the loader, the
 //!   adaptive tick also sizes the slow-task pool to its backlog.
 //!
-//! The same engine with [`ClassifyMode::BySize`] reproduces the image-size
+//! The same engine runs [`Policy::SizeHeuristic`], the image-size
 //! heuristic: classification happens *at admission* from the raw size and
 //! there is no timeout rescue, so a mispredicted slow sample occupies a
 //! foreground worker for its entire cost — the failure mode of Figure 3a.
+//! [`Policy::NoClassify`] runs every sample in the foreground.
 
-use super::{merge_utilization, shuffled_tickets, BatchStats, Trainer};
+use super::{merge_utilization, shuffled_tickets, BatchStats, EventQueue, Policy, Trainer};
 use crate::busy::IntervalAccumulator;
 use crate::config::SimConfig;
 use crate::report::SimReport;
@@ -35,8 +36,7 @@ use crate::time::{SimDuration, SimTime};
 use minato_core::balancer::{BalancerConfig, LoadBalancer, TimeoutPolicy};
 use minato_core::profiler::SampleRecord;
 use minato_core::scheduler::{SchedulerConfig, WorkerScheduler};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Background slow-task workers per GPU at start.
@@ -44,18 +44,8 @@ const SLOW_WORKERS_PER_GPU: usize = 2;
 /// Ready-pool capacity (paper: all queues capped at 100).
 const READY_POOL_CAP: usize = 100;
 
-/// How samples are classified fast/slow.
-#[derive(Debug, Clone, Copy)]
-pub enum ClassifyMode {
-    /// MinatoLoader: runtime timeout at the configured percentile.
-    Timeout,
-    /// §3.2 heuristic: predicted slow when raw size exceeds the P75 of
-    /// sizes (computed from the first profiled samples). No timeout.
-    BySize,
-    /// No classification at all (ablation: every sample is foreground).
-    None,
-}
-
+/// A sample event's `slow` is its ground-truth class against
+/// [`crate::slow_threshold_ms`], whichever path it took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A foreground sample finished preprocessing (fast path).
@@ -67,6 +57,7 @@ enum Ev {
     /// A foreground sample hit its cutoff after `burned`; `remaining`
     /// moves to the background pool.
     FgTimedOut {
+        slow: bool,
         bytes_milli: u64,
         burned: SimDuration,
         remaining: SimDuration,
@@ -74,6 +65,7 @@ enum Ev {
     /// A background sample finished preprocessing; `measured` is the
     /// preprocessing time the loader records for it.
     BgDone {
+        slow: bool,
         bytes_milli: u64,
         measured: SimDuration,
     },
@@ -103,11 +95,11 @@ fn record(d: SimDuration) -> SampleRecord {
 }
 
 /// The loader's balancer: paper defaults with the configured percentile
-/// in [`ClassifyMode::Timeout`], never timing out otherwise.
-fn balancer(cfg: &SimConfig, mode: ClassifyMode) -> LoadBalancer {
+/// under [`Policy::Minato`], never timing out otherwise.
+fn balancer(cfg: &SimConfig, policy: Policy) -> LoadBalancer {
     let mut bc = BalancerConfig::default();
-    match (&mut bc.policy, mode) {
-        (TimeoutPolicy::Adaptive { percentile, .. }, ClassifyMode::Timeout) => {
+    match (&mut bc.policy, policy) {
+        (TimeoutPolicy::Adaptive { percentile, .. }, Policy::Minato) => {
             *percentile = cfg.minato.timeout_percentile;
         }
         (policy, _) => *policy = TimeoutPolicy::Disabled,
@@ -115,8 +107,9 @@ fn balancer(cfg: &SimConfig, mode: ClassifyMode) -> LoadBalancer {
     LoadBalancer::new(bc)
 }
 
-/// Runs one simulated training with MinatoLoader semantics.
-pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimReport {
+/// Runs one simulated training with MinatoLoader semantics, classifying
+/// as `policy` says.
+pub(super) fn run(policy: Policy, cfg: &SimConfig) -> SimReport {
     let wl = &cfg.workload;
     let total_samples = cfg.total_samples();
     let total_batches = cfg.total_batches();
@@ -124,13 +117,13 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     let tickets = shuffled_tickets(cfg);
 
     // Size-heuristic threshold: P75 of the first 512 sample sizes.
-    let size_threshold = {
+    let size_threshold = (policy == Policy::SizeHeuristic).then(|| {
         let mut sizes: Vec<f64> = (0..512.min(wl.n_samples))
             .map(|i| wl.sample_profile(i).raw_bytes as f64)
             .collect();
         sizes.sort_by(f64::total_cmp);
         minato_metrics::quantile_sorted(&sizes, 0.75).unwrap_or(f64::MAX)
-    };
+    });
 
     // Resources. The slow-task (background) pool starts at the paper's
     // per-GPU default but is scaled by the monitor alongside the
@@ -154,7 +147,7 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     // The loader's classifier and foreground-pool scheduler, and the
     // monitor's meter: foreground busy time credited at completion since
     // the last tick, as the loader's `cpu_meter` is.
-    let balancer = balancer(cfg, mode);
+    let balancer = balancer(cfg, policy);
     let sched_cfg = SchedulerConfig::paper_default(cfg.cpu_cores);
     let interval = SimDuration(sched_cfg.interval.as_nanos() as u64);
     let mut scheduler = WorkerScheduler::new(sched_cfg);
@@ -166,14 +159,7 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
     let mut in_flight_bg = 0usize;
     let mut samples_ready = 0usize;
 
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    macro_rules! push_ev {
-        ($t:expr, $e:expr) => {{
-            seq += 1;
-            heap.push(Reverse(($t, seq, $e)));
-        }};
-    }
+    let mut events = EventQueue::new();
 
     // Whether more claims may start (backpressure: bounded ready pool +
     // bounded assembled-batch overflow).
@@ -193,8 +179,9 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                 let read = storage.read($now, sample as u64, profile.raw_bytes);
                 let start = read.ready_at;
                 let cost = SimDuration::from_ms_f64(profile.total_ms);
+                let slow = profile.total_ms > slow_threshold;
                 // A sample is timed out exactly when its cost exceeds the
-                // cutoff current at its claim (never outside Timeout mode).
+                // cutoff current at its claim (never outside Policy::Minato).
                 let cutoff = balancer
                     .current_timeout()
                     .map(|t| SimDuration(t.as_nanos() as u64))
@@ -205,40 +192,40 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                         split_at_cutoff(&profile.per_step_ms, profile.total_ms, burned.as_ms_f64());
                     let end = start + burned;
                     fg_busy.add(start, end);
-                    push_ev!(
+                    events.push(
                         end,
                         Ev::FgTimedOut {
+                            slow,
                             bytes_milli: profile.raw_bytes,
                             burned,
                             remaining: SimDuration::from_ms_f64(remaining),
-                        }
+                        },
                     );
-                } else if matches!(mode, ClassifyMode::BySize)
-                    && (profile.raw_bytes as f64) > size_threshold
-                {
+                } else if size_threshold.is_some_and(|t| profile.raw_bytes as f64 > t) {
                     // Admission-time routing: the whole sample runs in
                     // background.
                     in_flight_bg += 1;
                     fg_active -= 1; // Never occupied a fg worker.
                     let (_s, e) = bg_pool.submit(start, cost);
-                    push_ev!(
+                    events.push(
                         e,
                         Ev::BgDone {
+                            slow,
                             bytes_milli: profile.raw_bytes,
                             measured: cost,
-                        }
+                        },
                     );
                 } else {
                     // Foreground runs the full cost.
                     let end = start + cost;
                     fg_busy.add(start, end);
-                    push_ev!(
+                    events.push(
                         end,
                         Ev::FgDone {
-                            slow: profile.total_ms > slow_threshold,
+                            slow,
                             bytes_milli: profile.raw_bytes,
                             cost,
-                        }
+                        },
                     );
                 }
             }
@@ -256,7 +243,7 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                         queues[$g].push(t, b);
                     }
                     let end = trainer.train($g, $now, ready_at, &stats);
-                    push_ev!(end, Ev::StepDone { gpu: $g });
+                    events.push(end, Ev::StepDone { gpu: $g });
                 }
             }
         }};
@@ -291,11 +278,11 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
 
     // Prime the pipeline.
     try_claim!(SimTime::ZERO);
-    if cfg.minato.adaptive || matches!(mode, ClassifyMode::Timeout) {
-        push_ev!(SimTime::ZERO + interval, Ev::Monitor);
+    if cfg.minato.adaptive || policy == Policy::Minato {
+        events.push(SimTime::ZERO + interval, Ev::Monitor);
     }
 
-    while let Some(Reverse((now, _, ev))) = heap.pop() {
+    while let Some((now, ev)) = events.pop() {
         match ev {
             Ev::FgDone {
                 slow,
@@ -310,6 +297,7 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                 try_claim!(now);
             }
             Ev::FgTimedOut {
+                slow,
                 bytes_milli,
                 burned,
                 remaining,
@@ -318,22 +306,24 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                 tick_busy = tick_busy + burned;
                 in_flight_bg += 1;
                 let (_s, e) = bg_pool.submit(now, remaining);
-                push_ev!(
+                events.push(
                     e,
                     Ev::BgDone {
+                        slow,
                         bytes_milli,
                         measured: burned + remaining,
-                    }
+                    },
                 );
                 try_claim!(now);
             }
             Ev::BgDone {
+                slow,
                 bytes_milli,
                 measured,
             } => {
                 in_flight_bg -= 1;
                 balancer.on_slow_complete(&record(measured));
-                on_sample_ready!(now, true, bytes_milli);
+                on_sample_ready!(now, slow, bytes_milli);
                 try_claim!(now);
             }
             Ev::StepDone { gpu: g } => {
@@ -365,7 +355,7 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
                     try_claim!(now);
                 }
                 tick_busy = SimDuration::ZERO;
-                push_ev!(now + interval, Ev::Monitor);
+                events.push(now + interval, Ev::Monitor);
             }
         }
     }
@@ -378,14 +368,14 @@ pub fn simulate_minato(name: &str, cfg: &SimConfig, mode: ClassifyMode) -> SimRe
         // Every flagged sample completes on the slow path before the
         // last batch forms.
         slow_flagged: balancer.flagged_slow() as usize,
-        ..trainer.report(name, cfg, &storage, cpu_busy_total, cpu_series)
+        ..trainer.report(policy, cfg, &storage, cpu_busy_total, cpu_series)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::inorder::simulate_inorder;
+    use crate::policy::simulate;
     use minato_data::WorkloadSpec;
 
     fn small(workload: WorkloadSpec, batches: usize) -> SimConfig {
@@ -408,7 +398,7 @@ mod tests {
     #[test]
     fn trains_all_batches() {
         let cfg = small(WorkloadSpec::object_detection(), 40);
-        let r = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
+        let r = simulate(Policy::Minato, &cfg);
         assert_eq!(r.batches, 40);
         assert_eq!(r.samples, 40 * 48);
     }
@@ -416,8 +406,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let cfg = small(WorkloadSpec::speech(3.0), 20);
-        let a = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
-        let b = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
+        let a = simulate(Policy::Minato, &cfg);
+        let b = simulate(Policy::Minato, &cfg);
         assert_eq!(a.train_time_s, b.train_time_s);
         assert_eq!(a.slow_flagged, b.slow_flagged);
     }
@@ -425,7 +415,7 @@ mod tests {
     #[test]
     fn timeout_flags_heavy_speech_samples() {
         let cfg = small(WorkloadSpec::speech(3.0), 60);
-        let r = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
+        let r = simulate(Policy::Minato, &cfg);
         // ~20% of samples are heavy; after warm-up most should be caught.
         let trained = r.samples as f64;
         let frac = r.slow_flagged as f64 / trained;
@@ -440,8 +430,8 @@ mod tests {
         // The headline result, in miniature: heavy per-sample variability
         // → Minato's classification wins by a large factor.
         let cfg = small(WorkloadSpec::speech(3.0), 50);
-        let minato = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
-        let pytorch = simulate_inorder("pytorch", &cfg, None);
+        let minato = simulate(Policy::Minato, &cfg);
+        let pytorch = simulate(Policy::Torch, &cfg);
         assert!(
             minato.train_time_s < pytorch.train_time_s / 1.5,
             "minato {:.1}s vs pytorch {:.1}s",
@@ -453,8 +443,8 @@ mod tests {
     #[test]
     fn minato_gpu_utilization_higher_than_pytorch() {
         let cfg = small(WorkloadSpec::image_segmentation(), 100);
-        let minato = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
-        let pytorch = simulate_inorder("pytorch", &cfg, None);
+        let minato = simulate(Policy::Minato, &cfg);
+        let pytorch = simulate(Policy::Torch, &cfg);
         assert!(
             minato.gpu_util_pct > pytorch.gpu_util_pct,
             "minato {:.1}% vs pytorch {:.1}%",
@@ -469,8 +459,8 @@ mod tests {
         cfg.workers_per_gpu = 4; // Deliberately too few.
         let mut fixed = cfg.clone();
         fixed.minato.adaptive = false;
-        let adaptive = simulate_minato("adaptive", &cfg, ClassifyMode::Timeout);
-        let frozen = simulate_minato("fixed", &fixed, ClassifyMode::Timeout);
+        let adaptive = simulate(Policy::Minato, &cfg);
+        let frozen = simulate(Policy::Minato, &fixed);
         assert!(
             adaptive.train_time_s <= frozen.train_time_s,
             "adaptive {:.1}s vs fixed {:.1}s",
@@ -482,7 +472,7 @@ mod tests {
     #[test]
     fn batch_composition_mixes_slow_samples() {
         let cfg = small(WorkloadSpec::speech(3.0), 60);
-        let r = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
+        let r = simulate(Policy::Minato, &cfg);
         // Slow samples must appear *throughout* training, not bunch at
         // the end (§4.1): check some slow sample lands in the first half
         // of batches.
@@ -494,7 +484,7 @@ mod tests {
     #[test]
     fn size_heuristic_runs() {
         let cfg = small(WorkloadSpec::object_detection(), 40);
-        let r = simulate_minato("heuristic", &cfg, ClassifyMode::BySize);
+        let r = simulate(Policy::SizeHeuristic, &cfg);
         assert_eq!(r.batches, 40);
         assert!(r.slow_flagged > 0, "some samples predicted slow by size");
     }
@@ -502,7 +492,7 @@ mod tests {
     #[test]
     fn classify_none_is_plain_pooling() {
         let cfg = small(WorkloadSpec::object_detection(), 20);
-        let r = simulate_minato("none", &cfg, ClassifyMode::None);
+        let r = simulate(Policy::NoClassify, &cfg);
         assert_eq!(r.batches, 20);
         assert_eq!(r.slow_flagged, 0);
     }

@@ -1,14 +1,15 @@
 //! Loader policies as simulation processes.
 //!
-//! The two engines differ in how samples become batches; what happens
-//! around that — the ticket stream they draw from, the GPUs consuming
-//! batches, and the report built from the run — is stated once here.
+//! [`simulate`] runs one [`Policy`]: PyTorch, Pecan and DALI on the
+//! [`inorder`] engine (pre-planned batches, delivered in order), the rest
+//! on the [`minato`] engine (samples batched as they finish). Their events
+//! are disjoint, so each engine keeps its own event type and loop body.
+//! What happens around them — the event queue, the ticket stream they
+//! draw from, the GPUs consuming batches, and the report built from the
+//! run — is stated once here.
 
 pub mod inorder;
 pub mod minato;
-
-pub use inorder::simulate_inorder;
-pub use minato::{simulate_minato, ClassifyMode};
 
 use crate::busy::{CounterSeries, IntervalAccumulator};
 use crate::config::SimConfig;
@@ -17,6 +18,88 @@ use crate::resources::{Gpu, Storage};
 use crate::time::{SimDuration, SimTime};
 use minato_metrics::TimeSeries;
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fmt;
+
+/// The loader a simulated run models. Its `Display` is the label the
+/// figures print.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// PyTorch DataLoader: whole batches on 12 CPU workers, in order.
+    Torch,
+    /// Pecan: PyTorch with AutoOrder's per-workload cost reduction.
+    Pecan,
+    /// DALI: transforms on the consuming GPU at the workload's
+    /// `dali_speedup`, `cfg.prefetch` batches deep.
+    Dali,
+    /// MinatoLoader: runtime timeout classification (§4).
+    Minato,
+    /// §3.2 strawman: predicted slow when the raw size exceeds the P75
+    /// of sizes, routed at admission, no timeout.
+    SizeHeuristic,
+    /// Ablation: Minato's engine with no classification; every sample
+    /// runs in the foreground.
+    NoClassify,
+}
+
+impl Policy {
+    /// Every policy, the four paper loaders first.
+    pub const ALL: [Policy; 6] = [
+        Policy::Torch,
+        Policy::Pecan,
+        Policy::Dali,
+        Policy::Minato,
+        Policy::SizeHeuristic,
+        Policy::NoClassify,
+    ];
+}
+
+impl fmt::Display for Policy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Policy::Torch => "PyTorch",
+            Policy::Pecan => "Pecan",
+            Policy::Dali => "DALI",
+            Policy::Minato => "Minato",
+            Policy::SizeHeuristic => "SizeHeuristic",
+            Policy::NoClassify => "NoClassify",
+        })
+    }
+}
+
+/// Runs one simulated training of `cfg` under `policy`.
+pub fn simulate(policy: Policy, cfg: &SimConfig) -> SimReport {
+    match policy {
+        Policy::Torch | Policy::Pecan | Policy::Dali => inorder::run(policy, cfg),
+        Policy::Minato | Policy::SizeHeuristic | Policy::NoClassify => minato::run(policy, cfg),
+    }
+}
+
+/// Pending events in virtual-time order; events due at the same instant
+/// pop in the order they were pushed.
+struct EventQueue<E> {
+    heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
+    seq: u64,
+}
+
+impl<E: Ord> EventQueue<E> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, ev: E) {
+        self.seq += 1;
+        self.heap.push(Reverse((at, self.seq, ev)));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|Reverse((at, _, ev))| (at, ev))
+    }
+}
 
 /// The run's ticket stream: dataset indices shuffled per epoch, like the
 /// loaders request data.
@@ -88,11 +171,11 @@ impl Trainer {
     }
 
     /// The run's report. `cpu_busy_s` and `cpu_series` describe the
-    /// preprocessing CPUs, which each policy accounts for in its own
+    /// preprocessing CPUs, which each engine accounts for in its own
     /// way; nothing is flagged slow or out of memory.
     fn report(
         self,
-        name: &str,
+        policy: Policy,
         cfg: &SimConfig,
         storage: &Storage,
         cpu_busy_s: f64,
@@ -119,7 +202,7 @@ impl Trainer {
         }
 
         SimReport {
-            name: name.to_string(),
+            policy,
             train_time_s: elapsed,
             gpu_util_pct: ((train_busy + pre_busy) / gpu_cap * 100.0).min(100.0),
             gpu_train_pct: (train_busy / gpu_cap * 100.0).min(100.0),
@@ -151,5 +234,17 @@ fn merge_utilization(
     for (i, &v) in t.values().iter().enumerate() {
         let start = SimTime::from_secs_f64(t.times()[i]);
         into.add_weighted(start, start + bucket, v / 100.0 * bucket.as_secs_f64());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_labels_are_pinned() {
+        let labels: Vec<String> = Policy::ALL[..4].iter().map(|p| p.to_string()).collect();
+        assert_eq!(labels, ["PyTorch", "Pecan", "DALI", "Minato"]);
+        assert_eq!(format!("{:8}|", Policy::Dali), "DALI    |");
     }
 }

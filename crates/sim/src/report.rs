@@ -1,12 +1,13 @@
 //! Simulation results in the shape the paper reports them.
 
+use crate::policy::Policy;
 use minato_metrics::TimeSeries;
 
 /// Outcome of one simulated training run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// Loader/policy name.
-    pub name: String,
+    /// The loader this run simulated.
+    pub policy: Policy,
     /// End-to-end training time in (virtual) seconds.
     pub train_time_s: f64,
     /// Average GPU utilization (%) over the run. For CPU-side loaders
@@ -85,7 +86,7 @@ mod tests {
 
     fn blank() -> SimReport {
         SimReport {
-            name: "x".into(),
+            policy: Policy::Torch,
             train_time_s: 0.0,
             gpu_util_pct: 0.0,
             gpu_train_pct: 0.0,

@@ -43,11 +43,6 @@ impl SimTime {
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
-
-    /// Saturating subtraction of a span.
-    pub fn saturating_sub_dur(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_sub(d.0))
-    }
 }
 
 /// A span of virtual time, in nanoseconds.

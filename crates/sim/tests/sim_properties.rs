@@ -1,7 +1,7 @@
 //! Property-based tests over the simulator's invariants.
 
 use minato_data::WorkloadSpec;
-use minato_sim::{simulate_inorder, simulate_minato, ClassifyMode, DaliSimCfg, SimConfig};
+use minato_sim::{simulate, Policy, SimConfig};
 use proptest::prelude::*;
 
 fn workload_for(idx: u8) -> WorkloadSpec {
@@ -30,16 +30,34 @@ proptest! {
         cfg.max_batches = batches;
         cfg.seed = seed;
         let expected_samples = cfg.total_samples();
-        for report in [
-            simulate_inorder("pytorch", &cfg, None),
-            simulate_inorder("dali", &cfg, Some(DaliSimCfg { speedup: 10.0, queue_depth: 2 })),
-            simulate_minato("minato", &cfg, ClassifyMode::Timeout),
-            simulate_minato("heuristic", &cfg, ClassifyMode::BySize),
-        ] {
-            prop_assert_eq!(report.batches, batches, "{}", report.name);
-            prop_assert_eq!(report.samples, expected_samples, "{}", report.name);
+        for policy in Policy::ALL {
+            let report = simulate(policy, &cfg);
+            prop_assert_eq!(report.batches, batches, "{}", policy);
+            prop_assert_eq!(report.samples, expected_samples, "{}", policy);
             prop_assert_eq!(report.batch_slow_counts.len(), batches);
             prop_assert!(report.train_time_s > 0.0);
+        }
+    }
+
+    /// Every policy trains the same tickets, and a sample's slowness is
+    /// judged by one ground-truth threshold, so the slow samples summed
+    /// over all batches are the same whichever loader assembled them.
+    #[test]
+    fn slow_samples_are_conserved(
+        wl_idx in 0u8..4,
+        n_gpus in 1usize..5,
+        batches in 2usize..300,
+        seed in 0u64..1000,
+    ) {
+        let mut cfg = SimConfig::config_a(workload_for(wl_idx));
+        cfg.workload.batch_size = 4;
+        cfg.n_gpus = n_gpus;
+        cfg.max_batches = batches;
+        cfg.seed = seed;
+        let slow = |policy| simulate(policy, &cfg).batch_slow_counts.iter().sum::<usize>();
+        let expected = slow(Policy::Torch);
+        for policy in Policy::ALL {
+            prop_assert_eq!(slow(policy), expected, "{}", policy);
         }
     }
 
@@ -52,7 +70,7 @@ proptest! {
     ) {
         let mut cfg = SimConfig::config_b(workload_for(wl_idx));
         cfg.max_batches = batches;
-        let r = simulate_minato("minato", &cfg, ClassifyMode::Timeout);
+        let r = simulate(Policy::Minato, &cfg);
         prop_assert!((0.0..=100.0).contains(&r.gpu_util_pct));
         prop_assert!((0.0..=100.0).contains(&r.cpu_util_pct));
         prop_assert!(r.batch_end_times.iter().all(|&t| t <= r.train_time_s + 1e-6));
@@ -72,8 +90,8 @@ proptest! {
             cfg.max_batches = batches;
             cfg
         };
-        let one = simulate_inorder("pytorch", &mk(1), None).train_time_s;
-        let four = simulate_inorder("pytorch", &mk(4), None).train_time_s;
+        let one = simulate(Policy::Torch, &mk(1)).train_time_s;
+        let four = simulate(Policy::Torch, &mk(4)).train_time_s;
         // 10% slack: a partial final wave of batches can cost one step.
         prop_assert!(four <= one * 1.10, "1 gpu {one}, 4 gpus {four}");
     }
@@ -88,13 +106,13 @@ proptest! {
         let mut cfg = SimConfig::config_a(workload_for(wl_idx));
         cfg.max_batches = 8;
         cfg.seed = seed;
-        let a = simulate_minato("m", &cfg, ClassifyMode::Timeout);
-        let b = simulate_minato("m", &cfg, ClassifyMode::Timeout);
+        let a = simulate(Policy::Minato, &cfg);
+        let b = simulate(Policy::Minato, &cfg);
         prop_assert_eq!(a.train_time_s, b.train_time_s);
         prop_assert_eq!(a.batch_slow_counts, b.batch_slow_counts);
         prop_assert_eq!(a.slow_flagged, b.slow_flagged);
-        let c = simulate_inorder("p", &cfg, None);
-        let d = simulate_inorder("p", &cfg, None);
+        let c = simulate(Policy::Torch, &cfg);
+        let d = simulate(Policy::Torch, &cfg);
         prop_assert_eq!(c.train_time_s, d.train_time_s);
     }
 
@@ -106,8 +124,8 @@ proptest! {
         with_cache.max_batches = batches;
         let mut no_cache = with_cache.clone();
         no_cache.memory_bytes = 0;
-        let a = simulate_minato("cached", &with_cache, ClassifyMode::Timeout);
-        let b = simulate_minato("uncached", &no_cache, ClassifyMode::Timeout);
+        let a = simulate(Policy::Minato, &with_cache);
+        let b = simulate(Policy::Minato, &no_cache);
         prop_assert!(a.bytes_from_disk <= b.bytes_from_disk);
         prop_assert_eq!(b.bytes_from_cache, 0);
         prop_assert_eq!(

@@ -209,7 +209,7 @@ fn simulator_and_real_loader_agree_on_slow_fraction() {
     // (≈ 20% heavy for the speech microbenchmark).
     let mut cfg = minato::sim::SimConfig::config_a(WorkloadSpec::speech(3.0));
     cfg.max_batches = 60;
-    let sim = minato::sim::simulate_minato("minato", &cfg, minato::sim::ClassifyMode::Timeout);
+    let sim = minato::sim::simulate(minato::sim::Policy::Minato, &cfg);
     let sim_frac = sim.slow_flagged as f64 / sim.samples as f64;
 
     let (wl, scale) = speech_small();

@@ -8,7 +8,7 @@ use minato::core::prelude::*;
 use minato::data::audio::{speech_pipeline, AudioClip};
 use minato::data::volume::{segmentation_pipeline, Volume3D};
 use minato::data::WorkloadSpec;
-use minato::sim::{simulate_inorder, simulate_minato, ClassifyMode, DaliSimCfg, SimConfig};
+use minato::sim::{simulate, Policy, SimConfig};
 use std::time::Duration;
 
 /// `examples/quickstart.rs`: in-memory dataset, mixed-cost pipeline.
@@ -179,16 +179,8 @@ fn memory_constrained_flow() {
     cfg.memory_bytes = 20_000_000_000;
     cfg.max_batches = 80;
 
-    let pytorch = simulate_inorder("PyTorch", &cfg, None);
-    let dali = simulate_inorder(
-        "DALI",
-        &cfg,
-        Some(DaliSimCfg {
-            speedup: 10.0,
-            queue_depth: 2,
-        }),
-    );
-    let minato = simulate_minato("Minato", &cfg, ClassifyMode::Timeout);
+    let [pytorch, dali, minato] =
+        [Policy::Torch, Policy::Dali, Policy::Minato].map(|p| simulate(p, &cfg));
 
     assert!(pytorch.train_time_s > 0.0);
     assert!(dali.train_time_s > 0.0);
