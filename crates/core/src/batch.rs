@@ -159,28 +159,6 @@ impl<S: std::fmt::Debug + 'static> std::fmt::Debug for Batch<S> {
     }
 }
 
-/// Device-transfer hook (paper §4.3): MinatoLoader prefetches batch `i`
-/// into GPU memory on a CUDA stream while the GPU executes batch `i − 1`.
-///
-/// There is no CUDA here, so the transfer is a pluggable callback invoked
-/// by the batch constructor the moment a batch is bound to a GPU queue —
-/// before the consumer asks for it. Implementations typically enqueue an
-/// async copy (or, in tests, count invocations).
-pub trait TransferHook<S>: Send + Sync + 'static {
-    /// Called once per batch, with the destination GPU index, at enqueue
-    /// time.
-    fn transfer(&self, batch: &Batch<S>, gpu: usize);
-}
-
-impl<S, F> TransferHook<S> for F
-where
-    F: Fn(&Batch<S>, usize) + Send + Sync + 'static,
-{
-    fn transfer(&self, batch: &Batch<S>, gpu: usize) {
-        self(batch, gpu)
-    }
-}
-
 /// Reassembles an out-of-order stream of `(seq, item)` into sequence order.
 ///
 /// The PyTorch DataLoader delivers batches strictly in sampler order even

@@ -12,8 +12,9 @@
 //! can be written to any byte sink without pulling in a serialization
 //! dependency.
 //!
-//! A seq is *delivered* once `next_batch` has recorded it in the
-//! [`DeliveryLog`], under the log's lock, before returning its batch.
+//! Every loader keeps a [`DeliveryLog`]; no setting turns it off. A seq
+//! is *delivered* once `next_batch` has recorded it there, under the
+//! one lock it takes per popped batch, before returning the batch.
 //! [`MinatoLoader::checkpoint`](crate::loader::MinatoLoader::checkpoint)
 //! copies that log under the same lock, so the snapshot is consistent
 //! at any instant: nothing is paused or drained first.
@@ -24,12 +25,13 @@
 //! every ticket of the run, with no duplicates. [`ResumeSampler`]
 //! enforces it by replaying the original seeded ticket stream and
 //! skipping seqs the checkpoint records as delivered; samples that were
-//! in flight or queued but never popped at checkpoint time are absent
-//! from the log and therefore re-run — delivered again, never lost.
+//! in flight, queued but never popped, or quarantined at checkpoint
+//! time are absent from the log and therefore re-run — delivered again,
+//! never lost.
 
 use crate::dataset::{EpochSampler, SampleTicket, Sampler};
 use crate::error::{LoaderError, Result};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// Version stamp encoded into every checkpoint; `decode` rejects
 /// mismatches rather than misinterpreting bytes.
@@ -167,14 +169,17 @@ impl LoaderCheckpoint {
 ///
 /// Delivery is out-of-order (that is the whole point of the loader), so
 /// the log keeps a dense *watermark* — every seq below it delivered —
-/// plus a sparse set of delivered seqs above it; recording the next
-/// contiguous seq advances the watermark and drains the set, keeping
-/// the memory footprint proportional to the reorder window, not the
-/// run length.
+/// plus a bit window over the seqs above it: bit `i` of word `k` stands
+/// for seq `base + 64k + i`, where `base` is the watermark rounded down
+/// to a multiple of 64, so the front word's bits below the watermark are
+/// all set. Recording a seq is amortized O(1): the watermark advances a
+/// word at a time and full words leave the front. A seq above a pinned
+/// watermark (a quarantined seq is never recorded) costs one bit, so the
+/// window holds at most one bit per seq of the run.
 #[derive(Debug, Default)]
 pub struct DeliveryLog {
     watermark: u64,
-    above: BTreeSet<u64>,
+    window: VecDeque<u64>,
 }
 
 impl DeliveryLog {
@@ -187,13 +192,18 @@ impl DeliveryLog {
     pub fn seeded(watermark: u64, above: impl IntoIterator<Item = u64>) -> DeliveryLog {
         let mut log = DeliveryLog {
             watermark,
-            above: above.into_iter().collect(),
+            window: VecDeque::from([(1 << (watermark % 64)) - 1]),
         };
-        // Normalize in case `above` was contiguous with the watermark.
-        while log.above.remove(&log.watermark) {
-            log.watermark += 1;
+        // Recording normalizes `above` contiguous with the watermark.
+        for seq in above {
+            log.record(seq);
         }
         log
+    }
+
+    /// Seq of bit 0 of the front word.
+    fn base(&self) -> u64 {
+        self.watermark & !63
     }
 
     /// Marks `seq` delivered.
@@ -201,19 +211,31 @@ impl DeliveryLog {
         if seq < self.watermark {
             return;
         }
-        if seq == self.watermark {
-            self.watermark += 1;
-        } else {
-            self.above.insert(seq);
+        let word = ((seq - self.base()) / 64) as usize;
+        if word >= self.window.len() {
+            self.window.resize(word + 1, 0);
         }
-        while self.above.remove(&self.watermark) {
-            self.watermark += 1;
+        self.window[word] |= 1 << (seq % 64);
+        if word > 0 {
+            return;
         }
+        let mut base = self.base();
+        while self.window.front() == Some(&u64::MAX) {
+            self.window.pop_front();
+            base += 64;
+        }
+        self.watermark = base + self.window.front().map_or(0, |w| w.trailing_ones() as u64);
     }
 
     /// Whether `seq` has been delivered.
     pub fn contains(&self, seq: u64) -> bool {
-        seq < self.watermark || self.above.contains(&seq)
+        if seq < self.watermark {
+            return true;
+        }
+        let word = ((seq - self.base()) / 64) as usize;
+        self.window
+            .get(word)
+            .is_some_and(|w| w & (1 << (seq % 64)) != 0)
     }
 
     /// Dense prefix bound: every seq below this was delivered.
@@ -223,12 +245,25 @@ impl DeliveryLog {
 
     /// Delivered seqs at or above the watermark, ascending.
     pub fn above(&self) -> Vec<u64> {
-        self.above.iter().copied().collect()
+        let base = self.base();
+        let mut out = Vec::new();
+        for (k, &word) in self.window.iter().enumerate() {
+            // The front word's bits below the watermark are its trailing
+            // ones (never all 64: a full front word is popped), and
+            // `w & (w + 1)` clears them.
+            let mut bits = if k == 0 { word & (word + 1) } else { word };
+            while bits != 0 {
+                out.push(base + 64 * k as u64 + bits.trailing_zeros() as u64);
+                bits &= bits - 1;
+            }
+        }
+        out
     }
 
     /// Total seqs recorded.
     pub fn len(&self) -> u64 {
-        self.watermark + self.above.len() as u64
+        let bits: u64 = self.window.iter().map(|w| w.count_ones() as u64).sum();
+        self.base() + bits
     }
 
     /// Whether nothing has been recorded.
@@ -356,6 +391,23 @@ mod tests {
         assert_eq!(log.above(), vec![9]);
     }
 
+    /// A seq that is never recorded pins the watermark; every seq above
+    /// it then costs one bit, not a set entry.
+    #[test]
+    fn delivery_log_above_a_pinned_watermark_costs_a_bit_per_seq() {
+        let mut log = DeliveryLog::new();
+        let n = 1_000_000u64;
+        for seq in 1..=n {
+            log.record(seq);
+        }
+        assert_eq!(log.watermark(), 0);
+        assert_eq!(log.len(), n);
+        assert!(log.window.len() as u64 <= n.div_ceil(64) + 1);
+        log.record(0);
+        assert_eq!(log.watermark(), n + 1);
+        assert!(log.window.len() <= 1);
+    }
+
     #[test]
     fn resume_sampler_emits_exactly_the_undelivered_seqs() {
         let n = 20usize;
@@ -415,5 +467,60 @@ mod tests {
         let tail = s.next_many(4);
         assert_eq!(tail.len(), 1, "only seq 9 remains");
         assert!(s.next_many(4).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// Asserts that `log` answers like `model` on every query.
+    fn assert_matches(log: &DeliveryLog, model: &BTreeSet<u64>, hi: u64) {
+        let watermark = (0..).find(|q| !model.contains(q)).unwrap();
+        prop_assert_eq!(log.watermark(), watermark);
+        prop_assert_eq!(
+            log.above(),
+            model.range(watermark..).copied().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(log.len(), model.len() as u64);
+        for q in watermark.saturating_sub(70)..hi {
+            prop_assert_eq!(log.contains(q), model.contains(&q), "seq {}", q);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The bit window answers exactly like a set of every recorded
+        /// seq: seeded from a random watermark and sparse seqs above it,
+        /// then fed a random subset of a random permutation (seqs below
+        /// the watermark included), checked after every step.
+        #[test]
+        fn delivery_log_matches_a_set_model(
+            w in 0u64..300,
+            above in proptest::collection::vec(0u64..200, 0..6),
+            keys in proptest::collection::vec(any::<u64>(), 1..400),
+            skip in 0u64..8,
+        ) {
+            let above: Vec<u64> = above.iter().map(|d| w + 1 + d).collect();
+            let mut log = DeliveryLog::seeded(w, above.iter().copied());
+            let mut model: BTreeSet<u64> = (0..w).chain(above.iter().copied()).collect();
+            // Seqs `lo..lo + keys.len()`, visited in the order of their
+            // keys; a key whose low six bits are under `skip` leaves its
+            // seq unrecorded (none when `skip` is 0, so several full
+            // words can leave the front at once).
+            let lo = w.saturating_sub(10);
+            let hi = lo + keys.len() as u64 + 220;
+            assert_matches(&log, &model, hi);
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            for i in order.into_iter().filter(|&i| keys[i] % 64 >= skip) {
+                let seq = lo + i as u64;
+                log.record(seq);
+                model.insert(seq);
+                assert_matches(&log, &model, hi);
+            }
+        }
     }
 }

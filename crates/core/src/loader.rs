@@ -24,7 +24,7 @@
 //! ```
 
 use crate::balancer::TimeoutPolicy;
-use crate::batch::{Batch, TransferHook};
+use crate::batch::Batch;
 use crate::cache::{CacheConfig, ClonedSampleCache, EvictionPolicy, SampleCache, SampleWeigher};
 use crate::checkpoint::{
     BalancerCheckpoint, DeliveryLog, LoaderCheckpoint, ResumeSampler, CHECKPOINT_VERSION,
@@ -111,10 +111,6 @@ pub struct LoaderConfig {
     pub cache_budget_bytes: u64,
     /// Eviction policy of the sample cache.
     pub cache_policy: EvictionPolicy,
-    /// Track delivered sequence numbers so [`MinatoLoader::checkpoint`]
-    /// can snapshot progress (off by default — the delivery log costs
-    /// one short lock acquisition per popped batch).
-    pub checkpointing: bool,
     /// Per-sample lifecycle tracing (off by default — the loader is
     /// then byte-identical to an untraced build; every record site
     /// compiles down to one skipped branch).
@@ -142,7 +138,6 @@ pub struct MinatoLoaderBuilder<D: Dataset> {
     dataset: D,
     pipeline: Pipeline<D::Sample>,
     cfg: LoaderConfig,
-    transfer_hook: Option<Arc<dyn TransferHook<D::Sample>>>,
     cache_weigher: Option<SampleWeigher<D::Sample>>,
     pool_set: Option<Arc<PoolSet>>,
     recycler: Option<Arc<dyn SampleRecycler<D::Sample>>>,
@@ -170,7 +165,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         MinatoLoaderBuilder {
             dataset,
             pipeline,
-            transfer_hook: None,
             cache_weigher: None,
             cache_factory: None,
             pool_set: None,
@@ -197,7 +191,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 order_preserving: false,
                 cache_budget_bytes: 0,
                 cache_policy: EvictionPolicy::CostAware,
-                checkpointing: false,
                 trace: TraceConfig::default(),
             },
         }
@@ -294,23 +287,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Device-transfer prefetch hook, invoked per batch at enqueue time
-    /// (the paper's CUDA-stream prefetch, §4.3).
-    pub fn transfer_hook(mut self, hook: Arc<dyn TransferHook<D::Sample>>) -> Self {
-        self.transfer_hook = Some(hook);
-        self
-    }
-
-    /// Enables checkpoint/resume: the loader records every seq that
-    /// [`MinatoLoader::next_batch`] delivers, so
-    /// [`MinatoLoader::checkpoint`] can snapshot progress at any instant.
-    /// Off by default (the delivery log costs one short lock acquisition
-    /// per popped batch).
-    pub fn checkpoint(mut self, yes: bool) -> Self {
-        self.cfg.checkpointing = yes;
-        self
-    }
-
     /// Configures per-sample lifecycle tracing (see [`TraceConfig`]).
     /// Disabled by default; [`TraceConfig::on`] records every lifecycle
     /// event into per-worker lock-free rings, folds them into the
@@ -324,19 +300,19 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// Resumes a run from `ckpt` (produced by
     /// [`MinatoLoader::checkpoint`]): the loader replays the original
     /// seeded ticket stream minus the seqs the checkpoint records as
-    /// delivered, restores the balancer estimator and the fast role's
-    /// budget (clamped into `1..=max_workers`), and implies
-    /// [`checkpoint`](Self::checkpoint). The sampler parameters
+    /// delivered, seeds the resumed run's delivery log with them, and
+    /// restores the balancer estimator and the fast role's budget
+    /// (clamped into `1..=max_workers`). The sampler parameters
     /// (`epochs`, `shuffle`, `seed`) come from the checkpoint,
     /// overriding earlier builder calls. A seq counts as delivered once
     /// `next_batch` recorded it before returning; every other seq —
-    /// in flight or queued but never popped when the checkpoint was
-    /// taken — is re-run, so delivery is exactly-once across the kill.
+    /// in flight, queued but never popped, or quarantined when the
+    /// checkpoint was taken — is re-run, so delivery is exactly-once
+    /// across the kill.
     pub fn resume_from(mut self, ckpt: LoaderCheckpoint) -> Self {
         self.cfg.epochs = ckpt.epochs as usize;
         self.cfg.shuffle = ckpt.shuffle;
         self.cfg.seed = ckpt.seed;
-        self.cfg.checkpointing = true;
         self.resume = Some(ckpt);
         self
     }
@@ -524,7 +500,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
             dataset: self.dataset,
             pipeline: self.pipeline,
             cfg: self.cfg,
-            transfer_hook: self.transfer_hook,
             cache,
             pools: self.pool_set,
             recycler: self.recycler,
@@ -541,7 +516,6 @@ struct LoaderParts<D: Dataset> {
     dataset: D,
     pipeline: Pipeline<D::Sample>,
     cfg: LoaderConfig,
-    transfer_hook: Option<Arc<dyn TransferHook<D::Sample>>>,
     cache: Option<Arc<dyn SampleCache<D::Sample>>>,
     pools: Option<Arc<PoolSet>>,
     recycler: Option<Arc<dyn SampleRecycler<D::Sample>>>,
@@ -579,7 +553,6 @@ impl<D: Dataset> MinatoLoader<D> {
             dataset,
             pipeline,
             mut cfg,
-            transfer_hook,
             cache,
             pools,
             recycler,
@@ -608,7 +581,6 @@ impl<D: Dataset> MinatoLoader<D> {
         rt.cache = cache;
         rt.recycler = recycler;
         rt.injector = injector;
-        rt.transfer_hook = transfer_hook;
         if let Some(ck) = &resume {
             // Reinstate the learned timeout and estimator counters so
             // the resumed run skips the optimistic warm-up phase.
@@ -617,10 +589,8 @@ impl<D: Dataset> MinatoLoader<D> {
                 ck.balancer.completions,
                 ck.balancer.flagged_slow,
             );
-            rt.delivered = Mutex::new(DeliveryLog::seeded(
-                ck.watermark,
-                ck.delivered_above.iter().copied(),
-            ));
+            rt.delivered.get_mut().log =
+                DeliveryLog::seeded(ck.watermark, ck.delivered_above.iter().copied());
         }
         rt.pools = pools;
         let trace_collect = if cfg.trace.enabled {
@@ -767,25 +737,12 @@ impl<D: Dataset> MinatoLoader<D> {
     /// is exhausted.
     pub fn next_batch(&self, gpu: usize) -> Option<Batch<D::Sample>> {
         let batch = self.rt.batch_qs.get(gpu)?.pop()?;
-        if self.rt.cfg.checkpointing {
-            // The delivery log records seqs at the pop, not the enqueue:
-            // a batch sitting in a queue when the process dies was never
-            // delivered, so resume must re-run it.
-            let mut log = self.rt.delivered.lock();
-            for m in &batch.meta {
-                log.record(m.seq);
-            }
-        }
-        // Always-on end-to-end delivery latency (ticket issue → this
-        // pop): one short lock acquisition per batch, like the delivery
-        // log above.
+        // Seqs and their end-to-end latency are recorded at the pop, not
+        // the enqueue, under one lock acquisition per batch: a batch
+        // sitting in a queue when the process dies was never delivered,
+        // so resume must re-run it.
         let now_ns = self.rt.now_ns();
-        {
-            let mut lat = self.rt.delivery_ms.lock();
-            for m in &batch.meta {
-                lat.record(now_ns.saturating_sub(m.issued_ns) as f64 / 1e6);
-            }
-        }
+        self.rt.delivered.lock().record(&batch.meta, now_ns);
         if self.rt.tracer.is_some() {
             if let Some(m) = batch.meta.first() {
                 self.rt.trace(
@@ -824,8 +781,8 @@ impl<D: Dataset> MinatoLoader<D> {
     }
 
     /// Snapshots loader progress for
-    /// [`MinatoLoaderBuilder::resume_from`]. Requires
-    /// [`MinatoLoaderBuilder::checkpoint`].
+    /// [`MinatoLoaderBuilder::resume_from`]. Every loader keeps the
+    /// delivery log, so this works on any loader at any time.
     ///
     /// The snapshot is consistent at any instant, so nothing pauses: it
     /// copies the delivery log under its lock and reads the balancer
@@ -836,13 +793,8 @@ impl<D: Dataset> MinatoLoader<D> {
     /// delivery stays exactly-once across kill/restart.
     pub fn checkpoint(&self) -> Result<LoaderCheckpoint> {
         let rt = &self.rt;
-        if !rt.cfg.checkpointing {
-            return Err(LoaderError::Checkpoint(
-                "checkpointing is disabled; enable it with MinatoLoaderBuilder::checkpoint".into(),
-            ));
-        }
         let (watermark, delivered_above) = {
-            let log = rt.delivered.lock();
+            let log = &rt.delivered.lock().log;
             (log.watermark(), log.above())
         };
         Ok(LoaderCheckpoint {
@@ -886,7 +838,7 @@ impl<D: Dataset> MinatoLoader<D> {
             slow_fraction: rt.balancer.slow_fraction(),
             batches_done: rt.batches_out.get(),
             bytes_done: rt.bytes_out.get(),
-            errors: rt.errors.get(),
+            errors: rt.faults.quarantined.get(),
             faults: rt.faults.snapshot(),
             fast_queue_len: rt.fast_q.len(),
             slow_queue_len: rt.slow_q.len(),
@@ -910,7 +862,7 @@ impl<D: Dataset> MinatoLoader<D> {
                 .unwrap_or(rt.cfg.initial_workers),
             timeout: rt.balancer.current_timeout(),
             preprocess_ms: rt.balancer.profiler().summary_ms(),
-            delivery_ms: rt.delivery_ms.lock().summary(),
+            delivery_ms: rt.delivered.lock().latency_ms.summary(),
             trace: rt.tracer.as_ref().map(|t| t.stats()),
             latency: self.trace_collect.as_ref().map(|collect| {
                 let mut c = collect.lock();
@@ -1473,64 +1425,5 @@ mod tests {
         assert_eq!(s.errors, 0);
         assert_eq!(s.fast_queue_len, 0);
         assert_eq!(s.slow_queue_len, 0);
-    }
-}
-
-#[cfg(test)]
-mod transfer_hook_tests {
-    use super::*;
-    use crate::dataset::VecDataset;
-    use std::sync::atomic::AtomicUsize;
-    use std::time::Instant;
-
-    #[test]
-    fn transfer_hook_fires_once_per_batch() {
-        let count = Arc::new(AtomicUsize::new(0));
-        let gpus_seen = Arc::new(Mutex::new(Vec::new()));
-        let c2 = Arc::clone(&count);
-        let g2 = Arc::clone(&gpus_seen);
-        let ds = VecDataset::new((0..40u32).collect::<Vec<_>>());
-        let loader = MinatoLoader::builder(ds, Pipeline::identity())
-            .batch_size(5)
-            .num_gpus(2)
-            .initial_workers(2)
-            .max_workers(2)
-            .transfer_hook(Arc::new(move |b: &Batch<u32>, gpu: usize| {
-                assert!(!b.is_empty());
-                c2.fetch_add(1, Ordering::Relaxed);
-                g2.lock().push(gpu);
-            }))
-            .build()
-            .expect("valid configuration");
-        let loader = Arc::new(loader);
-        let l2 = Arc::clone(&loader);
-        let h = std::thread::spawn(move || {
-            let mut n = 0;
-            while let Some(b) = l2.next_batch(1) {
-                n += b.len();
-            }
-            n
-        });
-        // GPU 0's consumer starts only once a batch has gone to GPU 1:
-        // with queue 0 left alone, least-occupied-first has to send the
-        // second batch there, however quick either consumer is.
-        let t0 = Instant::now();
-        while !gpus_seen.lock().contains(&1) {
-            assert!(t0.elapsed() < Duration::from_secs(10), "GPU 1 never fed");
-            std::thread::yield_now();
-        }
-        let mut n = 0;
-        while let Some(b) = loader.next_batch(0) {
-            n += b.len();
-        }
-        n += h.join().expect("consumer thread");
-        assert_eq!(n, 40);
-        assert_eq!(count.load(Ordering::Relaxed), 8, "one transfer per batch");
-        let gpus = gpus_seen.lock();
-        assert!(gpus.iter().all(|&g| g < 2));
-        assert!(
-            gpus.contains(&0) && gpus.contains(&1),
-            "both devices prefetched into"
-        );
     }
 }

@@ -21,8 +21,9 @@ pub struct LoaderStats {
     pub batches_done: u64,
     /// Raw bytes represented by delivered samples.
     pub bytes_done: u64,
-    /// Dataset/transform errors: each failing sample is skipped and
-    /// counted here, and delivery continues.
+    /// Dataset/transform errors and caught panics: each failing sample
+    /// is skipped and counted here, and delivery continues. Always
+    /// equal to `faults.quarantined`.
     pub errors: u64,
     /// Fault-containment counters: panics caught, samples poisoned,
     /// samples quarantined, batches rerouted around wedged consumers.

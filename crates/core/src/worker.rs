@@ -29,7 +29,7 @@
 //! Queues drain after close, so no prepared sample is lost.
 
 use crate::balancer::{BalancerConfig, LoadBalancer};
-use crate::batch::{Batch, Prepared, ReorderBuffer, SampleMeta, TransferHook};
+use crate::batch::{Batch, Prepared, ReorderBuffer, SampleMeta};
 use crate::cache::SampleCache;
 use crate::checkpoint::DeliveryLog;
 use crate::dataset::{Dataset, Sampler};
@@ -275,7 +275,6 @@ pub(crate) struct Runtime<D: Dataset> {
     pub samples_out: Counter,
     pub bytes_out: Counter,
     pub batches_out: Counter,
-    pub errors: Counter,
     pub first_error: Mutex<Option<LoaderError>>,
     /// Ring of the most recent errors (cap [`RECENT_ERRORS_CAP`]), so a
     /// burst of *distinct* faults stays observable — `first_error` alone
@@ -283,9 +282,10 @@ pub(crate) struct Runtime<D: Dataset> {
     pub recent_errors: Mutex<VecDeque<LoaderError>>,
     /// Fault-containment counters snapshot into `LoaderStats.faults`.
     pub faults: FaultCounters,
-    /// Seqs delivered to consumers; only populated when
-    /// `cfg.checkpointing` is on (recorded by `next_batch`).
-    pub delivered: Mutex<DeliveryLog>,
+    /// Seqs delivered to consumers and their end-to-end latency,
+    /// recorded by `next_batch` under one lock acquisition per popped
+    /// batch.
+    pub delivered: Mutex<Deliveries>,
     /// Seqs quarantined in order-preserving mode and not yet reported to
     /// the assembly lane, which drains this every pass and marks them
     /// resolved in its reorder buffer, so delivery continues past the
@@ -300,8 +300,6 @@ pub(crate) struct Runtime<D: Dataset> {
     pub(crate) monitor_lock: Mutex<()>,
     pub(crate) monitor_cv: Condvar,
     pub started_at: Instant,
-    /// Optional device-transfer prefetch hook (§4.3's CUDA stream).
-    pub transfer_hook: Option<Arc<dyn TransferHook<D::Sample>>>,
     /// Lifecycle tracer; `None` when tracing is disabled (the default),
     /// in which case every record site costs one branch and nothing
     /// else.
@@ -310,18 +308,34 @@ pub(crate) struct Runtime<D: Dataset> {
     /// `tracer` is `Some` (built once at loader start, cloned per
     /// sample — refcount traffic only).
     pub(crate) stage_obs: Option<Arc<dyn StageObserver>>,
-    /// Always-on end-to-end delivery latency in milliseconds (ticket
-    /// issue → consumer pop), recorded by `next_batch` under one lock
-    /// acquisition per popped batch.
-    pub delivery_ms: Mutex<Reservoir>,
+}
+
+/// What `next_batch` records for every popped batch, under one lock.
+pub(crate) struct Deliveries {
+    /// Every seq popped so far; a checkpoint copies it.
+    pub(crate) log: DeliveryLog,
+    /// End-to-end delivery latency in milliseconds (ticket issue →
+    /// consumer pop), summarized into `LoaderStats::delivery_ms`.
+    pub(crate) latency_ms: Reservoir,
+}
+
+impl Deliveries {
+    /// Records the samples of a batch popped at `now_ns`.
+    pub(crate) fn record(&mut self, meta: &[SampleMeta], now_ns: u64) {
+        for m in meta {
+            self.log.record(m.seq);
+            self.latency_ms
+                .record(now_ns.saturating_sub(m.issued_ns) as f64 / 1e6);
+        }
+    }
 }
 
 impl<D: Dataset> Runtime<D> {
     /// A runtime over `cfg` with every opt-in subsystem absent (cache,
-    /// pools, recycler, fault injector, transfer hook, tracer) and
-    /// nothing delivered yet. `MinatoLoader::start` sets what the builder
-    /// configured before it shares the runtime; unit tests drive the
-    /// role steps against it directly.
+    /// pools, recycler, fault injector, tracer) and nothing delivered
+    /// yet. `MinatoLoader::start` sets what the builder configured
+    /// before it shares the runtime; unit tests drive the role steps
+    /// against it directly.
     pub(crate) fn new(
         cfg: LoaderConfig,
         dataset: D,
@@ -357,11 +371,13 @@ impl<D: Dataset> Runtime<D> {
             samples_out: Counter::new(),
             bytes_out: Counter::new(),
             batches_out: Counter::new(),
-            errors: Counter::new(),
             first_error: Mutex::new(None),
             recent_errors: Mutex::new(VecDeque::new()),
             faults: FaultCounters::new(),
-            delivered: Mutex::new(DeliveryLog::new()),
+            delivered: Mutex::new(Deliveries {
+                log: DeliveryLog::new(),
+                latency_ms: Reservoir::new(4096),
+            }),
             ordered_gaps: Mutex::new(Vec::new()),
             injector: None,
             shutdown: AtomicBool::new(false),
@@ -371,10 +387,8 @@ impl<D: Dataset> Runtime<D> {
             // the delivery-latency reservoir, and (when enabled) every
             // trace event measure against this instant.
             started_at: Instant::now(),
-            transfer_hook: None,
             tracer: None,
             stage_obs: None,
-            delivery_ms: Mutex::new(Reservoir::new(4096)),
             cfg,
         }
     }
@@ -409,10 +423,9 @@ impl<D: Dataset> Runtime<D> {
         self.started_at.elapsed().as_nanos() as u64
     }
 
-    /// Shared bookkeeping for any quarantined sample: error counter,
-    /// bounded recent-errors ring, first-error slot.
+    /// Shared bookkeeping for any quarantined sample: bounded
+    /// recent-errors ring, first-error slot.
     fn note_error(&self, err: LoaderError) {
-        self.errors.incr();
         let mut ring = self.recent_errors.lock();
         if ring.len() == RECENT_ERRORS_CAP {
             ring.pop_front();
@@ -1150,12 +1163,6 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
 /// queues have space. Only when *all* queues are full does the worker
 /// block, and then only for a bounded wait before re-scanning, so a
 /// queue freed in the meantime is picked up.
-///
-/// Reserve-then-publish keeps the device-transfer prefetch hook (§4.3)
-/// honest: it fires exactly once, for the GPU whose queue actually
-/// claimed the batch, runs outside any queue lock (a slow transfer must
-/// not block consumers popping batches already delivered), and finishes
-/// before the batch becomes poppable.
 fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool {
     if batch.is_empty() {
         return true;
@@ -1196,12 +1203,8 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool
     {
         rt.faults.rerouted.incr();
     }
-    // Prefetch to the device before the consumer asks (§4.3).
-    if let Some(hook) = &rt.transfer_hook {
-        hook.transfer(&full, gpu);
-    }
     if slot.publish(full).is_err() {
-        return false; // Closed while transferring: shutting down.
+        return false; // Closed since the reservation: shutting down.
     }
     if let Some((epoch, seq)) = first {
         rt.trace(EventKind::BatchEmit, epoch, seq, gpu as u32, 0);
@@ -1265,7 +1268,7 @@ impl<D: Dataset> BatchStep<D> {
             // The ordered stream starts where the delivery log does: on
             // a resumed run at the checkpoint's watermark, with the seqs
             // delivered above it already resolved.
-            let log = rt.delivered.lock();
+            let log = &rt.delivered.lock().log;
             let mut reorder = ReorderBuffer::new(log.watermark());
             for seq in log.above() {
                 reorder.skip(seq);
@@ -1503,7 +1506,6 @@ mod tests {
             order_preserving: false,
             cache_budget_bytes: 0,
             cache_policy: crate::cache::EvictionPolicy::CostAware,
-            checkpointing: false,
             trace: minato_trace::TraceConfig::default(),
         }
     }
@@ -2082,7 +2084,6 @@ mod tests {
             "oldest entries must have fallen out"
         );
         drop(ring);
-        assert_eq!(rt.errors.get(), (RECENT_ERRORS_CAP + 5) as u64);
         assert_eq!(
             rt.faults.snapshot().quarantined,
             (RECENT_ERRORS_CAP + 5) as u64

@@ -7,7 +7,7 @@ use minato_core::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Bound on every wait for a pipeline state, so a state never reached
@@ -53,8 +53,7 @@ fn build_loader(
         .epochs(epochs)
         .seed(seed)
         .initial_workers(2)
-        .max_workers(4)
-        .checkpoint(true);
+        .max_workers(4);
     if defer {
         b = b.timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(500)));
     }
@@ -114,17 +113,86 @@ proptest! {
     }
 }
 
+/// Poisons one seq (when set) and records every seq it is asked about.
+struct PoisonSeq {
+    seq: Option<u64>,
+    asked: Mutex<BTreeSet<u64>>,
+}
+
+impl FaultInjector for PoisonSeq {
+    fn decide(&self, _site: FaultSite, _index: usize, seq: u64) -> FaultAction {
+        self.asked.lock().unwrap().insert(seq);
+        if self.seq == Some(seq) {
+            FaultAction::Poison
+        } else {
+            FaultAction::None
+        }
+    }
+}
+
+/// Every loader keeps the delivery log. A quarantined seq is never
+/// recorded, so it pins the watermark: a checkpoint of the drained run
+/// counts every other seq, and the resume re-runs exactly that seq —
+/// delivering it once the fault is gone, quarantining it again if not.
 #[test]
-fn checkpoint_requires_the_builder_knob() {
-    let ds = VecDataset::new((0..8u32).collect::<Vec<_>>());
-    let loader = MinatoLoader::builder(ds, Pipeline::identity())
-        .batch_size(4)
-        .initial_workers(1)
-        .max_workers(1)
-        .build()
-        .expect("valid configuration");
-    let err = loader.checkpoint().expect_err("knob is off");
-    assert!(matches!(err, LoaderError::Checkpoint(_)), "got: {err:?}");
+fn a_quarantined_seq_pins_the_watermark_and_alone_is_rerun() {
+    let (n, q) = (200usize, 37u64);
+    let build = |poison: bool, resume: Option<LoaderCheckpoint>| {
+        let injector = Arc::new(PoisonSeq {
+            seq: poison.then_some(q),
+            asked: Mutex::new(BTreeSet::new()),
+        });
+        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+        let mut b = MinatoLoader::builder(ds, Pipeline::identity())
+            .batch_size(4)
+            .initial_workers(2)
+            .max_workers(2)
+            .fault_injector(Arc::clone(&injector) as Arc<dyn FaultInjector>);
+        if let Some(ck) = resume {
+            b = b.resume_from(ck);
+        }
+        (b.build().expect("valid configuration"), injector)
+    };
+    let drain = |loader: &MinatoLoader<VecDataset<u32>>| {
+        let mut seqs = BTreeSet::new();
+        while let Some(b) = loader.next_batch(0) {
+            for m in &b.meta {
+                assert!(seqs.insert(m.seq), "seq {} delivered twice", m.seq);
+            }
+        }
+        seqs
+    };
+
+    let (first, _) = build(true, None);
+    let pre = drain(&first);
+    assert_eq!(first.stats().faults.quarantined, 1);
+    let ckpt = first.checkpoint().expect("every loader checkpoints");
+    drop(first);
+    assert_eq!(ckpt.watermark, q, "the quarantined seq pins the watermark");
+    assert_eq!(ckpt.delivered_count(), n as u64 - 1);
+    let ckpt = LoaderCheckpoint::decode(&ckpt.encode()).expect("round-trip");
+    assert_eq!(
+        pre,
+        (0..n as u64).filter(|&s| s != q).collect::<BTreeSet<u64>>()
+    );
+
+    for poison in [false, true] {
+        let (second, injector) = build(poison, Some(ckpt.clone()));
+        let post = drain(&second);
+        assert_eq!(
+            *injector.asked.lock().unwrap(),
+            BTreeSet::from([q]),
+            "poison={poison}: the resume re-runs exactly the quarantined seq"
+        );
+        let quarantined = second.stats().faults.quarantined;
+        if poison {
+            assert!(post.is_empty(), "a poisoned seq is not delivered");
+            assert_eq!(quarantined, 1, "quarantined again");
+        } else {
+            assert_eq!(post, BTreeSet::from([q]));
+            assert_eq!(quarantined, 0);
+        }
+    }
 }
 
 #[test]
@@ -309,8 +377,7 @@ fn checkpoint_of_a_wedged_pipeline_resumes_exactly_once() {
                 .batch_size(batch)
                 .initial_workers(2)
                 .max_workers(2)
-                .order_preserving(ordered)
-                .checkpoint(true);
+                .order_preserving(ordered);
             if let Some(ck) = resume {
                 b = b.resume_from(ck);
             }

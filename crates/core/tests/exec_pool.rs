@@ -320,7 +320,6 @@ fn ordered_resume_starts_at_the_checkpoint() {
             .batch_size(4)
             .seed(seed)
             .order_preserving(true)
-            .checkpoint(true)
             .initial_workers(2)
             .max_workers(2);
         if let Some(ck) = resume {

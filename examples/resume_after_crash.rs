@@ -1,11 +1,12 @@
 //! Kill a training run mid-epoch, resume it from a checkpoint, and
 //! verify exactly-once delivery across the crash.
 //!
-//! The loader snapshots its resumable state — sampler stream, delivery
-//! watermark, balancer estimator, fast budget — into a small
-//! serializable [`LoaderCheckpoint`], at any instant and without pausing
-//! the pipeline. A seq counts as delivered once `next_batch` recorded
-//! it before returning. A resumed run replays the original seeded
+//! Every loader keeps a delivery log, so any loader can snapshot its
+//! resumable state — sampler stream, delivery watermark, balancer
+//! estimator, fast budget — into a small serializable
+//! [`LoaderCheckpoint`], at any instant and without pausing the
+//! pipeline. A seq counts as delivered once `next_batch` recorded it
+//! before returning. A resumed run replays the original seeded
 //! ticket stream minus what was already delivered; samples in flight
 //! and batches queued but never popped when the process died are simply
 //! re-run, so nothing is lost and nothing is delivered twice.
@@ -44,7 +45,6 @@ fn builder() -> MinatoLoaderBuilder<VecDataset<u32>> {
         .initial_workers(4)
         .max_workers(8)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
-        .checkpoint(true)
 }
 
 fn main() {

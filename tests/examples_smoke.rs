@@ -302,7 +302,6 @@ fn resume_after_crash_flow() {
             .seed(7)
             .initial_workers(2)
             .max_workers(4)
-            .checkpoint(true)
     };
 
     let first = build().build().expect("loader builds");
