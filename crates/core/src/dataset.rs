@@ -86,10 +86,13 @@ impl<T: Clone + Send + Sync + 'static> Dataset for VecDataset<T> {
     }
 
     fn load(&self, index: usize) -> Result<T> {
-        self.items.get(index).cloned().ok_or(LoaderError::Dataset {
-            index,
-            msg: format!("index out of bounds (len {})", self.items.len()),
-        })
+        self.items
+            .get(index)
+            .cloned()
+            .ok_or_else(|| LoaderError::Dataset {
+                index,
+                msg: format!("index out of bounds (len {})", self.items.len()),
+            })
     }
 }
 

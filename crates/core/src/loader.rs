@@ -593,6 +593,9 @@ impl<D: Dataset> MinatoLoader<D> {
                 DeliveryLog::seeded(ck.watermark, ck.delivered_above.iter().copied());
         }
         rt.pools = pools;
+        // Rebuilt now that the open batches can carry the recycler and
+        // the ordered lane can start at the resumed watermark.
+        rt.lanes = rt.build_lanes();
         let trace_collect = if cfg.trace.enabled {
             // Every pool worker plus per-GPU consumers, the monitor, and
             // slack for helper threads stepping in.
@@ -630,13 +633,6 @@ impl<D: Dataset> MinatoLoader<D> {
         // budget is scheduler-driven; the slow and batch slices are sized
         // by the config, so a checkpoint restores the fast gate alone
         // (clamped: the restart may run with fewer workers).
-        let batch_step = Arc::new(BatchStep::new(Arc::clone(&rt)));
-        let lanes = batch_step.lane_count();
-        // In order-preserving mode a producer facing a full fast queue
-        // runs this step's lane instead of sleeping.
-        rt.batch_help
-            .set(Arc::downgrade(&batch_step))
-            .unwrap_or_else(|_| unreachable!("batch_help set once"));
         let fast_budget = match &resume {
             Some(ck) => ck.fast_budget.clamp(1, cfg.max_workers),
             None => cfg.initial_workers,
@@ -658,10 +654,10 @@ impl<D: Dataset> MinatoLoader<D> {
             },
             RoleSpec {
                 name: "batch".into(),
-                step: batch_step,
+                step: Arc::new(BatchStep::new(Arc::clone(&rt))),
                 budget: batch_threads,
                 threads: batch_threads,
-                max_concurrency: Some(lanes),
+                max_concurrency: Some(rt.lanes.len()),
             },
         ]);
         let roles = ExecRoles {

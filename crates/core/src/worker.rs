@@ -3,8 +3,9 @@
 //! The runtime wires together the queue topology of Figure 5:
 //!
 //! ```text
-//! sampler → [fast role] → fast_q ─┐
-//!              │ timeout          ├→ [batch role] → batch_q[gpu] → training
+//! sampler → [fast role] ─────── whole-batch claim ──────┐
+//!              │ → fast_q ─┐                            ↓
+//!              │ timeout   ├→ [batch role] → open batch → batch_q[gpu] → training
 //!              └→ temp_q → [slow role] → slow_q ─┘
 //! ```
 //!
@@ -14,6 +15,13 @@
 //! (the fast ones gated by the scheduler's budget), and a thread whose
 //! stage is exhausted joins the stages still live, so the deferred
 //! backlog at the end of a run is finished by the whole pool.
+//!
+//! Batches are assembled in [`Lane`]s owned by the runtime. A lane's
+//! pull state belongs to the one worker running an assembly pass; its
+//! open batch sits under its own short-held lock, so a fast worker whose
+//! claim finished as one whole batch pushes it there itself instead of
+//! through `fast_q` and the batch thread. Lock order: lane → open batch
+//! → batch queue.
 //!
 //! Order-preserving mode (§6) is this same topology with classification
 //! off (nothing is ever deferred) and a reorder buffer in the batch
@@ -25,8 +33,8 @@
 //! Shutdown is a close cascade, never a hard stop: the fast role's
 //! `finish` closes `fast_q`/`temp_q` (normally `maybe_close_sources`
 //! already did), the slow role's `finish` closes `slow_q`, the batch
-//! role's `finish` flushes partial batches and closes every batch queue.
-//! Queues drain after close, so no prepared sample is lost.
+//! role's `finish` flushes the open batches and closes every batch
+//! queue. Queues drain after close, so no prepared sample is lost.
 
 use crate::balancer::{BalancerConfig, LoadBalancer};
 use crate::batch::{Batch, Prepared, ReorderBuffer, SampleMeta};
@@ -46,7 +54,7 @@ use minato_trace::{EventKind, Tracer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How long a slow-role step waits for a deferred sample before it
@@ -251,11 +259,10 @@ pub(crate) struct Runtime<D: Dataset> {
     /// The loader's role ids on that pool (empty in handler unit tests
     /// that drive steps directly).
     pub(crate) exec_roles: OnceLock<ExecRoles>,
-    /// Back-reference to the batch role so that, in order-preserving
-    /// mode, a producer facing a full fast queue can run the assembly
-    /// lane instead of sleeping (see [`Runtime::help_batch_once`]).
-    /// Weak: the executor owns the step.
-    pub(crate) batch_help: OnceLock<Weak<BatchStep<D>>>,
+    /// Batch-assembly lanes: one per configured batch worker, exactly
+    /// one in order-preserving mode, whose reorder buffer cannot be
+    /// split. Built by [`Runtime::build_lanes`].
+    pub(crate) lanes: Vec<Lane<D>>,
     pub cfg: LoaderConfig,
     /// Tickets claimed from the sampler but not yet routed to a queue (or
     /// dropped on error). Together with `source_drained`, this drives the
@@ -343,7 +350,7 @@ impl<D: Dataset> Runtime<D> {
         sampler: Arc<dyn Sampler>,
         exec: ExecHandle,
     ) -> Runtime<D> {
-        Runtime {
+        let mut rt = Runtime {
             dataset,
             pipeline,
             sampler,
@@ -363,7 +370,7 @@ impl<D: Dataset> Runtime<D> {
                 .collect(),
             exec,
             exec_roles: OnceLock::new(),
-            batch_help: OnceLock::new(),
+            lanes: Vec::new(),
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
             slow_helper: AtomicBool::new(false),
@@ -390,6 +397,37 @@ impl<D: Dataset> Runtime<D> {
             tracer: None,
             stage_obs: None,
             cfg,
+        };
+        rt.lanes = rt.build_lanes();
+        rt
+    }
+
+    /// Fresh batch lanes for this runtime: their open batches carry its
+    /// recycler, and the ordered lane's stream starts where its delivery
+    /// log does — on a resumed run at the checkpoint's watermark, with
+    /// the seqs delivered above it already resolved. `MinatoLoader::start`
+    /// rebuilds them once it has set both.
+    pub(crate) fn build_lanes(&self) -> Vec<Lane<D>> {
+        let lane = |reorder| Lane {
+            pull: Mutex::new(Pull {
+                fast_done: false,
+                slow_done: false,
+                reorder,
+                ready: Vec::new(),
+            }),
+            open: Mutex::new(self.new_batch()),
+        };
+        if self.cfg.order_preserving {
+            let log = &self.delivered.lock().log;
+            let mut reorder = ReorderBuffer::new(log.watermark());
+            for seq in log.above() {
+                reorder.skip(seq);
+            }
+            vec![lane(Some(reorder))]
+        } else {
+            (0..self.cfg.batch_workers.max(1))
+                .map(|_| lane(None))
+                .collect()
         }
     }
 
@@ -756,14 +794,54 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Runs one batch-assembly pass inline. Returns whether it made
-    /// progress (false also when no batch step is wired up, or another
-    /// worker holds every assembly lane — that worker is the one making
-    /// progress then).
+    /// progress (false also when another worker holds every assembly
+    /// lane — that worker is the one making progress then).
     fn help_batch_once(&self) -> bool {
-        match self.batch_help.get().and_then(Weak::upgrade) {
-            Some(step) => matches!(RoleStep::step(&*step), StepOutcome::Progress),
-            None => false,
+        matches!(self.lane_pass(0), StepOutcome::Progress)
+    }
+
+    /// One assembly pass on the first lane, from lane `start` on, that no
+    /// other worker holds; `Idle` when every lane is held.
+    fn lane_pass(&self, start: usize) -> StepOutcome {
+        let n = self.lanes.len();
+        for i in 0..n {
+            let lane = &self.lanes[(start + i) % n];
+            if let Some(mut pull) = lane.pull.try_lock() {
+                return self.assemble(&mut pull, &lane.open);
+            }
         }
+        StepOutcome::Idle
+    }
+
+    /// Pushes `items` into the open batch `batch`, oldest first, and
+    /// emits it each time it fills. False once the batch queues closed
+    /// (shutting down).
+    fn fill_open(
+        &self,
+        batch: &mut Batch<D::Sample>,
+        items: impl IntoIterator<Item = Prepared<D::Sample>>,
+    ) -> bool {
+        for p in items {
+            batch.push(p);
+            if batch.len() >= self.cfg.batch_size && !emit_batch(self, batch) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Delivers a fast claim that finished as one whole batch straight
+    /// into an open batch: the first one no other thread holds, else the
+    /// first lane's. A partial batch the lane left there is completed by
+    /// the claim's first samples and emitted; the claim's last ones stay
+    /// open. False once the batch queues closed.
+    fn deliver_claim(&self, claim: Vec<Prepared<D::Sample>>) -> bool {
+        for lane in &self.lanes {
+            if let Some(mut open) = lane.open.try_lock() {
+                return self.fill_open(&mut open, claim);
+            }
+        }
+        self.fill_open(&mut self.lanes[0].open.lock(), claim)
     }
 
     /// Publishes prepared samples into `q` (the fast or slow queue),
@@ -842,11 +920,17 @@ impl<D: Dataset> Runtime<D> {
 /// Completed fast samples accumulate in a claim-local buffer so that
 /// the dominant per-sample cost (a queue mutex acquisition plus condvar
 /// signalling) is paid once per [`MinatoQueue::put_many`], not once per
-/// sample — but a finished sample is withheld from the batch stage for
-/// at most `starvation_wait` plus the run of the sample in progress:
-/// once the worker has spent `starvation_wait` since it took up the
-/// oldest buffered sample, it publishes the buffer at the next sample
-/// boundary. Samples that take microseconds therefore still publish
+/// sample. A claim that finishes fast as one whole batch, in one flush,
+/// skips the fast queue: in shuffled mode the worker pushes it into an
+/// open batch itself and emits what fills ([`Runtime::deliver_claim`]),
+/// so the batch thread neither wakes for it nor copies it. Everything
+/// else takes the fast queue — order-preserving mode (its reorder
+/// buffer must see every sample), partial flushes, claims with a
+/// deferral or an error. Either way a finished sample is withheld from
+/// the batch stage for at most `starvation_wait` plus the run of the
+/// sample in progress: once the worker has spent `starvation_wait`
+/// since it took up the oldest buffered sample, it publishes the buffer
+/// at the next sample boundary. Samples that take microseconds therefore still publish
 /// once per claim, samples that take milliseconds one by one, and the
 /// claim never re-creates the head-of-line wait the fast path exists to
 /// remove. The caveat is a transform that ignores its deadline: it can
@@ -911,8 +995,9 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         // meter: one shared atomic add per flush instead of per sample.
         let mut busy_sum = Duration::ZERO;
         // Hands `busy` to the CPU meter, then publishes the buffered fast
-        // samples in one queue operation and settles their in-flight
-        // claims; false = fast queue closed.
+        // samples and settles their in-flight claims; false = queue
+        // closed. The whole claim, one batch long, goes into an open
+        // batch; anything else into the fast queue in one operation.
         let flush_fast = |buf: &mut Vec<Prepared<D::Sample>>, busy: &mut Duration| -> bool {
             if !busy.is_zero() {
                 rt.cpu_meter.add_busy(std::mem::take(busy));
@@ -921,11 +1006,17 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 return true;
             }
             let n = buf.len();
-            // Record-once-before-retry: the put event fires here, not
-            // inside `publish_helping`'s backpressure loop, so retries
-            // never inflate event counts.
-            rt.trace_queue(EventKind::QueuePut, Q_FAST, buf);
-            let ok = rt.publish_helping(&rt.fast_q, std::mem::take(buf)).is_ok();
+            let ok = if n == total && n == rt.cfg.batch_size && !rt.cfg.order_preserving {
+                rt.deliver_claim(std::mem::take(buf))
+            } else {
+                // Record-once-before-retry: the put event fires here, not
+                // inside `publish_helping`'s backpressure loop, so retries
+                // never inflate event counts.
+                rt.trace_queue(EventKind::QueuePut, Q_FAST, buf);
+                rt.publish_helping(&rt.fast_q, std::mem::take(buf)).is_ok()
+            };
+            // Only now: `fast_q` closes at `in_flight == 0`, and the batch
+            // role's `finish` flushes the open batches after that.
             rt.in_flight.fetch_sub(n, Ordering::SeqCst);
             ok
         };
@@ -1155,7 +1246,8 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
     }
 }
 
-/// Delivers a full batch to the hungriest GPU that can take it.
+/// Delivers a full batch to the hungriest GPU that can take it, and
+/// leaves a fresh empty batch in its place.
 ///
 /// Queues are tried least-occupied first with a slot reservation,
 /// falling through to the next candidate when one is full — a stalled
@@ -1163,6 +1255,11 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
 /// queues have space. Only when *all* queues are full does the worker
 /// block, and then only for a bounded wait before re-scanning, so a
 /// queue freed in the meantime is picked up.
+///
+/// Callers emit an open batch under its lock (lock order: lane → open
+/// batch → batch queue): the batch worker when its pass fills it, and a
+/// fast worker delivering a whole claim, which so blocks on full batch
+/// queues exactly as the batch worker would.
 fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool {
     if batch.is_empty() {
         return true;
@@ -1216,9 +1313,24 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool
     true
 }
 
-/// Assembly state of one batch lane.
-struct Lane<D: Dataset> {
-    batch: Batch<D::Sample>,
+/// One batch lane: the pull state of the worker assembling through it,
+/// and the open batch it fills.
+///
+/// The two sit under separate locks. An assembly pass takes `pull` for
+/// its whole length, including its blocking wait on the queues, so one
+/// worker at a time assembles through a lane. `open` is held only to
+/// push samples and emit the batches they fill, by that worker and by
+/// fast workers delivering a whole claim ([`Runtime::deliver_claim`]).
+/// Lock order: lane (`pull`) → open batch → batch queue.
+pub(crate) struct Lane<D: Dataset> {
+    pull: Mutex<Pull<D>>,
+    /// The partial batch; it carries the delivery-side recycle hook, as
+    /// every batch [`Runtime::new_batch`] makes does.
+    open: Mutex<Batch<D::Sample>>,
+}
+
+/// Pull state of one batch lane.
+struct Pull<D: Dataset> {
     /// Sticky per-queue completion flags: once a queue reports closed
     /// and drained it can never produce again, so the lane stops
     /// touching it — popping a closed queue returns instantly, and a
@@ -1235,69 +1347,14 @@ struct Lane<D: Dataset> {
     ready: Vec<Prepared<D::Sample>>,
 }
 
-/// Batch role: assembles batches preferring fast samples, falling back
-/// to completed slow samples (Algorithm 1 lines 20–30), and feeds the
-/// least-occupied per-GPU batch queue. One step = one assembly pass.
-///
-/// Assembly state lives in *lanes* (one per configured batch worker;
-/// exactly one in order-preserving mode, whose reorder buffer cannot be
-/// split): a stepping worker locks a free lane, runs one pass, and
-/// releases it. The executor caps the role's concurrency at the lane
-/// count.
-pub(crate) struct BatchStep<D: Dataset> {
-    rt: Arc<Runtime<D>>,
-    lanes: Vec<Mutex<Lane<D>>>,
-    /// Rotates the lane each step starts from, so a lane holding a
-    /// partial batch cannot be starved behind an always-free earlier
-    /// lane.
-    cursor: AtomicUsize,
-}
-
-impl<D: Dataset> BatchStep<D> {
-    pub(crate) fn new(rt: Arc<Runtime<D>>) -> BatchStep<D> {
-        let lane = |reorder| {
-            Mutex::new(Lane {
-                batch: rt.new_batch(),
-                fast_done: false,
-                slow_done: false,
-                reorder,
-                ready: Vec::new(),
-            })
-        };
-        let lanes = if rt.cfg.order_preserving {
-            // The ordered stream starts where the delivery log does: on
-            // a resumed run at the checkpoint's watermark, with the seqs
-            // delivered above it already resolved.
-            let log = &rt.delivered.lock().log;
-            let mut reorder = ReorderBuffer::new(log.watermark());
-            for seq in log.above() {
-                reorder.skip(seq);
-            }
-            vec![lane(Some(reorder))]
-        } else {
-            (0..rt.cfg.batch_workers.max(1))
-                .map(|_| lane(None))
-                .collect()
-        };
-        BatchStep {
-            rt,
-            lanes,
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of assembly lanes (the role's max concurrency).
-    pub(crate) fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
+impl<D: Dataset> Runtime<D> {
     /// The pull, in both modes: drains in bulk up to `need` samples —
     /// fast queue first; completed slow samples are mixed in as soon as
     /// they are ready, never deferred to the end of training (§4.1) — and
     /// waits briefly when neither side has anything.
     // minato-verify: hot-path
     fn pull_burst(
-        rt: &Runtime<D>,
+        &self,
         need: usize,
         fast_done: &mut bool,
         slow_done: &mut bool,
@@ -1306,13 +1363,13 @@ impl<D: Dataset> BatchStep<D> {
         let mut pulled = Vec::new();
         let mut pulled_q = Q_FAST;
         if !*fast_done {
-            match rt.fast_q.try_pop_many(need) {
+            match self.fast_q.try_pop_many(need) {
                 Ok(items) => pulled = items,
                 Err(Closed) => *fast_done = true,
             }
         }
         if pulled.is_empty() && !*slow_done {
-            match rt.slow_q.try_pop_many(need) {
+            match self.slow_q.try_pop_many(need) {
                 Ok(items) => {
                     pulled = items;
                     pulled_q = Q_SLOW;
@@ -1326,12 +1383,12 @@ impl<D: Dataset> BatchStep<D> {
             // this is a condvar wait that a put ends at once).
             let (waited, waited_q) = if !*fast_done {
                 (
-                    rt.fast_q.pop_many_timeout(need, rt.cfg.starvation_wait),
+                    self.fast_q.pop_many_timeout(need, self.cfg.starvation_wait),
                     Q_FAST,
                 )
             } else {
                 (
-                    rt.slow_q.pop_many_timeout(need, rt.cfg.starvation_wait),
+                    self.slow_q.pop_many_timeout(need, self.cfg.starvation_wait),
                     Q_SLOW,
                 )
             };
@@ -1349,15 +1406,18 @@ impl<D: Dataset> BatchStep<D> {
                 }
             }
         }
-        rt.trace_queue(EventKind::QueuePop, pulled_q, &pulled);
+        self.trace_queue(EventKind::QueuePop, pulled_q, &pulled);
         pulled
     }
 
-    /// One assembly pass: pull, push, emit on every full batch. In
-    /// order-preserving mode the pulled sample goes through the reorder
-    /// buffer first, and what it releases — possibly a run, possibly
-    /// nothing — is what gets pushed. Quarantined seqs are resolved in
-    /// the same pass, so a run parked behind one is released by it.
+    /// One assembly pass through a lane whose pull state the caller
+    /// holds: pull, then push into the open batch and emit each batch
+    /// that fills. The pull asks for what the open batch still lacks.
+    /// In order-preserving mode the pulled sample goes through the
+    /// reorder buffer first, and what it releases — possibly a run,
+    /// possibly nothing — is what gets pushed. Quarantined seqs are
+    /// resolved in the same pass, so a run parked behind one is released
+    /// by it.
     ///
     /// The ordered lane pulls one sample per pass, not the remaining
     /// batch budget. A burst with producers parking on the fast queue
@@ -1369,24 +1429,24 @@ impl<D: Dataset> BatchStep<D> {
     /// help-or-sleep in [`Runtime::publish_helping`] stay, as a pair
     /// (ROADMAP item 1).
     // minato-verify: hot-path
-    fn assemble(&self, lane: &mut Lane<D>) -> StepOutcome {
-        let rt = &*self.rt;
-        let Lane {
-            batch,
+    fn assemble(&self, pull: &mut Pull<D>, open: &Mutex<Batch<D::Sample>>) -> StepOutcome {
+        let Pull {
             fast_done,
             slow_done,
             reorder,
             ready,
-        } = lane;
+        } = pull;
         let need = match reorder {
             Some(_) => 1,
-            None => rt.cfg.batch_size - batch.len(),
+            // A fast worker may fill the open batch meanwhile; a pull
+            // past the end of it starts the next one.
+            None => self.cfg.batch_size - open.lock().len(),
         };
-        let mut pulled = Self::pull_burst(rt, need, fast_done, slow_done);
+        let mut pulled = self.pull_burst(need, fast_done, slow_done);
         let mut progressed = !pulled.is_empty();
         let ready = match reorder {
             Some(reorder) => {
-                for seq in rt.ordered_gaps.lock().drain(..) {
+                for seq in self.ordered_gaps.lock().drain(..) {
                     reorder.skip(seq);
                 }
                 for p in pulled {
@@ -1398,11 +1458,8 @@ impl<D: Dataset> BatchStep<D> {
             }
             None => &mut pulled,
         };
-        for p in ready.drain(..) {
-            batch.push(p);
-            if batch.len() >= rt.cfg.batch_size && !emit_batch(rt, batch) {
-                return StepOutcome::Exhausted;
-            }
+        if !ready.is_empty() && !self.fill_open(&mut open.lock(), ready.drain(..)) {
+            return StepOutcome::Exhausted;
         }
         if progressed {
             StepOutcome::Progress
@@ -1414,43 +1471,55 @@ impl<D: Dataset> BatchStep<D> {
     }
 }
 
+/// Batch role: assembles batches preferring fast samples, falling back
+/// to completed slow samples (Algorithm 1 lines 20–30), and feeds the
+/// least-occupied per-GPU batch queue. One step = one assembly pass.
+///
+/// Assembly state lives in the runtime's [`Lane`]s (one per configured
+/// batch worker; exactly one in order-preserving mode, whose reorder
+/// buffer cannot be split): a stepping worker takes a free lane's pull
+/// state, runs one pass, and releases it. The executor caps the role's
+/// concurrency at the lane count. Fast workers deliver whole-batch
+/// claims into the lanes' open batches without this role.
+pub(crate) struct BatchStep<D: Dataset> {
+    rt: Arc<Runtime<D>>,
+    /// Rotates the lane each step starts from, so a lane holding a
+    /// partial batch cannot be starved behind an always-free earlier
+    /// lane.
+    cursor: AtomicUsize,
+}
+
+impl<D: Dataset> BatchStep<D> {
+    pub(crate) fn new(rt: Arc<Runtime<D>>) -> BatchStep<D> {
+        BatchStep {
+            rt,
+            cursor: AtomicUsize::new(0),
+        }
+    }
+}
+
 impl<D: Dataset> RoleStep for BatchStep<D> {
     fn step(&self) -> StepOutcome {
         if self.rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        let n = self.lanes.len();
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
-        for i in 0..n {
-            let lane = &self.lanes[(start + i) % n];
-            if let Some(mut g) = lane.try_lock() {
-                return self.assemble(&mut g);
-            }
-        }
-        // Every lane is held by another worker already assembling.
-        StepOutcome::Idle
+        self.rt
+            .lane_pass(self.cursor.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Flushes each lane's leftovers (in ordered mode first the samples
-    /// still parked behind a gap nobody reported, then the partial
-    /// batch) and closes the batch queues. On the shutdown path the
+    /// still parked behind a gap nobody reported, then the open batch)
+    /// and closes the batch queues. Runs after `fast_q` closed, so no
+    /// fast worker is still delivering a claim. On the shutdown path the
     /// queues are already closed and the flush emits fail harmlessly.
     fn finish(&self) {
         let rt = &*self.rt;
-        for lane in &self.lanes {
-            let mut g = lane.lock();
-            let lane = &mut *g;
-            let parked = lane.reorder.as_mut().map(ReorderBuffer::drain_remaining);
-            let mut open = true;
-            for p in parked.into_iter().flatten() {
-                lane.batch.push(p);
-                if lane.batch.len() >= rt.cfg.batch_size && !emit_batch(rt, &mut lane.batch) {
-                    open = false;
-                    break;
-                }
-            }
-            if open {
-                let _ = emit_batch(rt, &mut lane.batch);
+        for lane in &rt.lanes {
+            let mut pull = lane.pull.lock();
+            let parked = pull.reorder.as_mut().map(ReorderBuffer::drain_remaining);
+            let mut open = lane.open.lock();
+            if rt.fill_open(&mut open, parked.into_iter().flatten()) {
+                let _ = emit_batch(rt, &mut open);
             }
         }
         for q in &rt.batch_qs {
@@ -1745,22 +1814,150 @@ mod tests {
     }
 
     /// Under a cutoff the claim grows to one batch: 128 quick samples
-    /// enter the fast queue in two puts of 64, not sixteen of eight.
+    /// leave as two publishes of 64, not sixteen of eight — and, each
+    /// claim being one whole batch, as two batches straight from the
+    /// fast worker, with nothing put into the fast queue.
     #[test]
     fn quick_samples_under_a_cutoff_are_published_once_per_claim() {
         let mut cfg = batch_claim_cfg();
         // Out of reach of any scheduling hiccup inside a claim.
         cfg.starvation_wait = Duration::from_secs(10);
-        // Room for the whole run, as nothing pops; the batch still
-        // bounds the claim.
-        cfg.queue_capacity = 128;
         let rt = runtime_over(cfg, 128, Pipeline::identity());
         assert_eq!(rt.fast_claim(), 64);
         let step = FastStep::new(Arc::clone(&rt));
         while RoleStep::step(&step) != StepOutcome::Exhausted {}
-        assert_eq!(rt.fast_q.total_puts(), 128);
-        assert_eq!(rt.fast_q.lock_acquisitions(), 2, "one put per claim of 64");
+        assert_eq!(rt.fast_q.total_puts(), 0, "no claim took the fast queue");
+        assert_eq!(rt.batches_out.get(), 2, "one publish per claim of 64");
+        assert_eq!(rt.samples_out.get(), 128);
+        let batches = rt.batch_qs[0].pop_many(usize::MAX);
+        let got: Vec<u32> = batches.into_iter().flat_map(Batch::into_samples).collect();
+        assert_eq!(got, (0..128).collect::<Vec<_>>(), "each claim in order");
+        assert!(rt.lanes[0].open.lock().is_empty());
+        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         assert!(rt.fast_q.is_closed(), "drained source closed the queue");
+    }
+
+    /// A whole claim meeting an open batch the lane left `k` samples in
+    /// completes it: the emitted batch starts with those `k`, and the
+    /// claim's last `k` stay open for the next one.
+    #[test]
+    fn a_whole_claim_completes_the_open_batch() {
+        const K: u32 = 5;
+        let mut cfg = batch_claim_cfg();
+        cfg.starvation_wait = Duration::from_secs(10);
+        let rt = runtime_over(cfg, 64, Pipeline::identity());
+        {
+            let mut open = rt.lanes[0].open.lock();
+            for i in 0..K {
+                open.push(prepared(1000 + i));
+            }
+        }
+        let step = FastStep::new(Arc::clone(&rt));
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        assert_eq!(rt.fast_q.total_puts(), 0);
+        assert_eq!(rt.batches_out.get(), 1);
+        let batch = rt.batch_qs[0].try_pop();
+        let PopResult::Item(batch) = batch else {
+            panic!("no batch emitted");
+        };
+        let want: Vec<u32> = (1000..1000 + K).chain(0..64 - K).collect();
+        assert_eq!(batch.into_samples(), want);
+        let open = rt.lanes[0].open.lock();
+        assert_eq!(open.samples, (64 - K..64).collect::<Vec<_>>());
+        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
+    }
+
+    /// Transform that defers every sample from `first` on whenever it
+    /// runs under a deadline, and passes the others through.
+    struct DeferFrom(u32);
+
+    impl crate::transform::Transform<u32> for DeferFrom {
+        fn name(&self) -> &str {
+            "defer-from"
+        }
+
+        fn apply(
+            &self,
+            x: u32,
+            ctx: &TransformCtx,
+        ) -> crate::error::Result<crate::transform::Outcome<u32>> {
+            Ok(if x >= self.0 && ctx.deadline().is_some() {
+                crate::transform::Outcome::Interrupted(x)
+            } else {
+                crate::transform::Outcome::Done(x)
+            })
+        }
+    }
+
+    /// A claim still takes the fast queue in order-preserving mode, when
+    /// some of its samples were deferred — also when what is left is one
+    /// batch — and when the hold rule split it: only a whole claim, one
+    /// batch long, in one flush goes into the open batch.
+    #[test]
+    fn ordered_deferred_and_held_claims_use_the_fast_queue() {
+        // Order-preserving: claim 8, batch 8.
+        let mut cfg = mini_cfg();
+        cfg.batch_size = TICKET_CHUNK;
+        cfg.order_preserving = true;
+        cfg.starvation_wait = Duration::from_secs(10);
+        let rt = runtime_over(cfg, TICKET_CHUNK as u32, Pipeline::identity());
+        assert_eq!(rt.fast_claim(), TICKET_CHUNK);
+        assert_eq!(
+            RoleStep::step(&FastStep::new(Arc::clone(&rt))),
+            StepOutcome::Progress
+        );
+        // Checked first: `drain_values` waits while the queue is empty.
+        assert_eq!(rt.batches_out.get(), 0, "ordered");
+        assert_eq!(
+            drain_values(&rt.fast_q),
+            (0..8).collect::<Vec<_>>(),
+            "ordered"
+        );
+
+        // Deferrals: a claim of 64 (batch 64) with its last sample
+        // deferred, and a claim of 8 (batch 4) with its last four
+        // deferred, whose four fast samples make exactly one batch.
+        let mut few = mini_cfg();
+        few.timeout_policy = TimeoutPolicy::Fixed(Duration::from_micros(1));
+        for (mut cfg, claim, first_deferred) in [(batch_claim_cfg(), 64, 63), (few, 8, 4)] {
+            cfg.starvation_wait = Duration::from_secs(10);
+            let deferring = Pipeline::new(vec![Arc::new(DeferFrom(first_deferred)) as Arc<_>]);
+            let rt = runtime_over(cfg, claim as u32, deferring);
+            assert_eq!(rt.fast_claim(), claim);
+            assert_eq!(
+                RoleStep::step(&FastStep::new(Arc::clone(&rt))),
+                StepOutcome::Progress
+            );
+            assert_eq!(rt.batches_out.get(), 0, "claim of {claim}");
+            let fast: Vec<u32> = (0..first_deferred).collect();
+            assert_eq!(drain_values(&rt.fast_q), fast, "claim of {claim}");
+            assert_eq!(rt.temp_q.len(), claim - first_deferred as usize);
+        }
+
+        // A hold-window flush: sample 0 outlasts `starvation_wait`, so it
+        // leaves alone and the other 63 follow through the fast queue.
+        let mut cfg = batch_claim_cfg();
+        cfg.starvation_wait = Duration::from_millis(2);
+        let hold = cfg.starvation_wait;
+        // One step, so no deadline check ever defers sample 0.
+        let pipeline = Pipeline::new(vec![crate::transform::fn_transform("slow-0", move |x| {
+            if x == 0 {
+                thread::sleep(2 * hold);
+            }
+            Ok(x)
+        })]);
+        let rt = runtime_over(cfg, 64, pipeline);
+        assert_eq!(rt.fast_claim(), 64);
+        assert_eq!(
+            RoleStep::step(&FastStep::new(Arc::clone(&rt))),
+            StepOutcome::Progress
+        );
+        assert_eq!(rt.batches_out.get(), 0, "held");
+        assert_eq!(
+            drain_values(&rt.fast_q),
+            (0..64).collect::<Vec<_>>(),
+            "held"
+        );
     }
 
     /// Moonlighting: with a temp-queue backlog over the mark, exactly
@@ -1834,8 +2031,14 @@ mod tests {
         assert!(rt.temp_q.is_closed(), "the helper's last step closes");
         assert_eq!(RoleStep::step(&slow), StepOutcome::Exhausted);
         slow.finish();
+        // A claim one batch long (the drained source's last four) went
+        // into the open batch and out as a batch; the rest queued.
         let mut got = drain_values(&rt.fast_q);
         got.extend(drain_values(&rt.slow_q));
+        for b in rt.batch_qs[0].pop_many(usize::MAX) {
+            got.extend(b.into_samples());
+        }
+        got.append(&mut rt.lanes[0].open.lock().samples);
         got.sort_unstable();
         let want: Vec<u32> = (0..12).chain(DEFERRED..DEFERRED + BACKLOG).collect();
         assert_eq!(got, want, "every sample exactly once");
@@ -1904,8 +2107,6 @@ mod tests {
         cfg.starvation_wait = Duration::from_secs(2);
         cfg.order_preserving = true;
         let rt = mini_runtime(cfg);
-        let step = Arc::new(BatchStep::new(Arc::clone(&rt)));
-        assert!(rt.batch_help.set(Arc::downgrade(&step)).is_ok());
         rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         let rt2 = Arc::clone(&rt);
@@ -2013,10 +2214,10 @@ mod tests {
     #[test]
     fn batch_step_single_lane_excludes_second_worker() {
         let rt = mini_runtime(mini_cfg());
-        let step = Arc::new(BatchStep::new(Arc::clone(&rt)));
-        assert_eq!(step.lane_count(), 1);
-        let held = step.lanes[0].lock();
-        assert_eq!(RoleStep::step(&*step), StepOutcome::Idle);
+        let step = BatchStep::new(Arc::clone(&rt));
+        assert_eq!(rt.lanes.len(), 1);
+        let held = rt.lanes[0].pull.lock();
+        assert_eq!(RoleStep::step(&step), StepOutcome::Idle);
         drop(held);
     }
 

@@ -343,6 +343,71 @@ fn chaos_faults_under_batch_sized_claims_count_exactly() {
     }
 }
 
+/// The same over two GPUs, each drained by its own consumer. Faults are
+/// sparse here (10 in 2000), so about three claims in four finish as one
+/// whole batch and their fast worker pushes them into the open batch and
+/// emits to the emptier batch queue itself, while the claims holding a
+/// fault go through the fast queue and the batch worker. Exact fault
+/// counts, and every other sample delivered exactly once across both
+/// streams.
+#[test]
+fn chaos_faults_under_batch_sized_claims_count_exactly_on_two_gpus() {
+    for (salt, action) in [(6, FaultAction::Panic), (7, FaultAction::Poison)] {
+        let n = 2000usize;
+        let targets = derive_targets(salt, n, 10);
+        let k = targets.len() as u64;
+        let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+        let loader = MinatoLoader::builder(ds, Pipeline::identity())
+            .batch_size(64)
+            .num_gpus(2)
+            .initial_workers(2)
+            .max_workers(4)
+            .timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(1)))
+            .fault_injector(Arc::new(TargetInjector {
+                site: FaultSite::Fast,
+                action,
+                targets: targets.clone(),
+            }))
+            .build()
+            .expect("valid configuration");
+        let streams: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let consumers: Vec<_> = (0..2)
+                .map(|gpu| {
+                    let loader = &loader;
+                    s.spawn(move || {
+                        loader
+                            .gpu_iter(gpu)
+                            .flat_map(Batch::into_samples)
+                            .collect::<Vec<u32>>()
+                    })
+                })
+                .collect();
+            consumers
+                .into_iter()
+                .map(|c| c.join().expect("consumer"))
+                .collect()
+        });
+        let mut values: Vec<u32> = streams.concat();
+        values.sort_unstable();
+        let expected: Vec<u32> = (0..n as u32)
+            .filter(|i| !targets.contains(&(*i as usize)))
+            .collect();
+        assert_eq!(
+            values, expected,
+            "{action:?}: every other sample exactly once over both GPUs"
+        );
+        let f = loader.stats().faults;
+        let (panics, poisoned) = match action {
+            FaultAction::Panic => (k, 0),
+            _ => (0, k),
+        };
+        assert_eq!(f.panics, panics, "{action:?}: panic count exact");
+        assert_eq!(f.poisoned, poisoned, "{action:?}: poison count exact");
+        assert_eq!(f.quarantined, k, "{action:?}: quarantine count exact");
+        assert_eq!(loader.stats().errors, k);
+    }
+}
+
 /// Transform that always defers to the background on its first
 /// (deadline-bearing) run and completes after `resume_cost` when
 /// resumed.
