@@ -593,9 +593,9 @@ impl<D: Dataset> MinatoLoader<D> {
                 DeliveryLog::seeded(ck.watermark, ck.delivered_above.iter().copied());
         }
         rt.pools = pools;
-        // Rebuilt now that the open batches can carry the recycler and
-        // the ordered lane can start at the resumed watermark.
-        rt.lanes = rt.build_lanes();
+        // Last: the open batches carry the recycler, and the ordered
+        // lane starts at the resumed watermark.
+        rt.build_lanes();
         let trace_collect = if cfg.trace.enabled {
             // Every pool worker plus per-GPU consumers, the monitor, and
             // slack for helper threads stepping in.

@@ -3,8 +3,8 @@
 //! The runtime wires together the queue topology of Figure 5:
 //!
 //! ```text
-//! sampler → [fast role] ─────── whole-batch claim ──────┐
-//!              │ → fast_q ─┐                            ↓
+//! sampler → [fast role] ──────── shuffled ─────────────┐
+//!              │ → fast_q ─┐ (ordered)                  ↓
 //!              │ timeout   ├→ [batch role] → open batch → batch_q[gpu] → training
 //!              └→ temp_q → [slow role] → slow_q ─┘
 //! ```
@@ -18,9 +18,10 @@
 //!
 //! Batches are assembled in [`Lane`]s owned by the runtime. A lane's
 //! pull state belongs to the one worker running an assembly pass; its
-//! open batch sits under its own short-held lock, so a fast worker whose
-//! claim finished as one whole batch pushes it there itself instead of
-//! through `fast_q` and the batch thread. Lock order: lane → open batch
+//! open batch sits under its own short-held lock, so in shuffled mode a
+//! fast worker pushes the samples it finished there itself, every flush,
+//! instead of through `fast_q` and the batch thread. `fast_q` carries
+//! samples in order-preserving mode only. Lock order: lane → open batch
 //! → batch queue.
 //!
 //! Order-preserving mode (§6) is this same topology with classification
@@ -261,7 +262,7 @@ pub(crate) struct Runtime<D: Dataset> {
     pub(crate) exec_roles: OnceLock<ExecRoles>,
     /// Batch-assembly lanes: one per configured batch worker, exactly
     /// one in order-preserving mode, whose reorder buffer cannot be
-    /// split. Built by [`Runtime::build_lanes`].
+    /// split. Empty until [`Runtime::build_lanes`].
     pub(crate) lanes: Vec<Lane<D>>,
     pub cfg: LoaderConfig,
     /// Tickets claimed from the sampler but not yet routed to a queue (or
@@ -339,9 +340,10 @@ impl Deliveries {
 
 impl<D: Dataset> Runtime<D> {
     /// A runtime over `cfg` with every opt-in subsystem absent (cache,
-    /// pools, recycler, fault injector, tracer) and nothing delivered
-    /// yet. `MinatoLoader::start` sets what the builder configured
-    /// before it shares the runtime; unit tests drive the role steps
+    /// pools, recycler, fault injector, tracer), nothing delivered yet
+    /// and no batch lanes. `MinatoLoader::start` sets what the builder
+    /// configured and then builds the lanes before it shares the
+    /// runtime; unit tests build them at once and drive the role steps
     /// against it directly.
     pub(crate) fn new(
         cfg: LoaderConfig,
@@ -350,7 +352,7 @@ impl<D: Dataset> Runtime<D> {
         sampler: Arc<dyn Sampler>,
         exec: ExecHandle,
     ) -> Runtime<D> {
-        let mut rt = Runtime {
+        Runtime {
             dataset,
             pipeline,
             sampler,
@@ -397,17 +399,20 @@ impl<D: Dataset> Runtime<D> {
             tracer: None,
             stage_obs: None,
             cfg,
-        };
-        rt.lanes = rt.build_lanes();
-        rt
+        }
     }
 
-    /// Fresh batch lanes for this runtime: their open batches carry its
-    /// recycler, and the ordered lane's stream starts where its delivery
-    /// log does — on a resumed run at the checkpoint's watermark, with
-    /// the seqs delivered above it already resolved. `MinatoLoader::start`
-    /// rebuilds them once it has set both.
-    pub(crate) fn build_lanes(&self) -> Vec<Lane<D>> {
+    /// Builds the batch lanes, once, after the recycler and the delivery
+    /// log are set: their open batches carry the recycler, and the
+    /// ordered lane's stream starts where the log does — on a resumed
+    /// run at the checkpoint's watermark, with the seqs delivered above
+    /// it already resolved.
+    pub(crate) fn build_lanes(&mut self) {
+        debug_assert!(self.lanes.is_empty(), "lanes are built once");
+        self.lanes = self.fresh_lanes();
+    }
+
+    fn fresh_lanes(&self) -> Vec<Lane<D>> {
         let lane = |reorder| Lane {
             pull: Mutex::new(Pull {
                 fast_done: false,
@@ -830,18 +835,28 @@ impl<D: Dataset> Runtime<D> {
         true
     }
 
-    /// Delivers a fast claim that finished as one whole batch straight
-    /// into an open batch: the first one no other thread holds, else the
-    /// first lane's. A partial batch the lane left there is completed by
-    /// the claim's first samples and emitted; the claim's last ones stay
-    /// open. False once the batch queues closed.
+    /// Delivers fast samples (shuffled mode) straight into an open
+    /// batch: the first non-empty one no other thread holds, else the
+    /// first free one, else the first lane's. A partial batch left there
+    /// is completed by the first samples and emitted, the rest stay
+    /// open; preferring it keeps a lane's partial batch from waiting on
+    /// traffic the others take. False once the batch queues closed.
     fn deliver_claim(&self, claim: Vec<Prepared<D::Sample>>) -> bool {
+        let mut free = None;
         for lane in &self.lanes {
+            // Never blocks, so holding `free` meanwhile cannot deadlock.
             if let Some(mut open) = lane.open.try_lock() {
-                return self.fill_open(&mut open, claim);
+                if !open.is_empty() {
+                    drop(free);
+                    return self.fill_open(&mut open, claim);
+                }
+                free.get_or_insert(open);
             }
         }
-        self.fill_open(&mut self.lanes[0].open.lock(), claim)
+        match free {
+            Some(mut open) => self.fill_open(&mut open, claim),
+            None => self.fill_open(&mut self.lanes[0].open.lock(), claim),
+        }
     }
 
     /// Publishes prepared samples into `q` (the fast or slow queue),
@@ -918,15 +933,15 @@ impl<D: Dataset> Runtime<D> {
 /// window, up to one batch (at most `queue_capacity`).
 ///
 /// Completed fast samples accumulate in a claim-local buffer so that
-/// the dominant per-sample cost (a queue mutex acquisition plus condvar
-/// signalling) is paid once per [`MinatoQueue::put_many`], not once per
-/// sample. A claim that finishes fast as one whole batch, in one flush,
-/// skips the fast queue: in shuffled mode the worker pushes it into an
-/// open batch itself and emits what fills ([`Runtime::deliver_claim`]),
-/// so the batch thread neither wakes for it nor copies it. Everything
-/// else takes the fast queue — order-preserving mode (its reorder
-/// buffer must see every sample), partial flushes, claims with a
-/// deferral or an error. Either way a finished sample is withheld from
+/// the dominant per-sample cost (a lock acquisition, and on a queue a
+/// condvar signal) is paid once per flush, not once per sample. In
+/// shuffled mode every flush goes into an open batch, which the worker
+/// emits when it fills ([`Runtime::deliver_claim`]): the batch thread
+/// neither wakes for fast samples nor copies them, and which samples
+/// share a batch follows the order of the flushes alone, not which of
+/// them the hold rule split. In order-preserving mode every flush is one
+/// [`MinatoQueue::put_many`] into the fast queue, whose reorder buffer
+/// must see every sample. Either way a finished sample is withheld from
 /// the batch stage for at most `starvation_wait` plus the run of the
 /// sample in progress: once the worker has spent `starvation_wait`
 /// since it took up the oldest buffered sample, it publishes the buffer
@@ -996,8 +1011,8 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         let mut busy_sum = Duration::ZERO;
         // Hands `busy` to the CPU meter, then publishes the buffered fast
         // samples and settles their in-flight claims; false = queue
-        // closed. The whole claim, one batch long, goes into an open
-        // batch; anything else into the fast queue in one operation.
+        // closed. Shuffled mode pushes them into an open batch, ordered
+        // mode into the fast queue, in one operation either way.
         let flush_fast = |buf: &mut Vec<Prepared<D::Sample>>, busy: &mut Duration| -> bool {
             if !busy.is_zero() {
                 rt.cpu_meter.add_busy(std::mem::take(busy));
@@ -1006,14 +1021,14 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 return true;
             }
             let n = buf.len();
-            let ok = if n == total && n == rt.cfg.batch_size && !rt.cfg.order_preserving {
-                rt.deliver_claim(std::mem::take(buf))
-            } else {
+            let ok = if rt.cfg.order_preserving {
                 // Record-once-before-retry: the put event fires here, not
                 // inside `publish_helping`'s backpressure loop, so retries
                 // never inflate event counts.
                 rt.trace_queue(EventKind::QueuePut, Q_FAST, buf);
                 rt.publish_helping(&rt.fast_q, std::mem::take(buf)).is_ok()
+            } else {
+                rt.deliver_claim(std::mem::take(buf))
             };
             // Only now: `fast_q` closes at `in_flight == 0`, and the batch
             // role's `finish` flushes the open batches after that.
@@ -1258,8 +1273,8 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
 ///
 /// Callers emit an open batch under its lock (lock order: lane → open
 /// batch → batch queue): the batch worker when its pass fills it, and a
-/// fast worker delivering a whole claim, which so blocks on full batch
-/// queues exactly as the batch worker would.
+/// fast worker (shuffled mode) when its flush fills it, which so blocks
+/// on full batch queues exactly as the batch worker would.
 fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool {
     if batch.is_empty() {
         return true;
@@ -1319,8 +1334,8 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool
 /// The two sit under separate locks. An assembly pass takes `pull` for
 /// its whole length, including its blocking wait on the queues, so one
 /// worker at a time assembles through a lane. `open` is held only to
-/// push samples and emit the batches they fill, by that worker and by
-/// fast workers delivering a whole claim ([`Runtime::deliver_claim`]).
+/// push samples and emit the batches they fill, by that worker and, in
+/// shuffled mode, by fast workers flushing ([`Runtime::deliver_claim`]).
 /// Lock order: lane (`pull`) → open batch → batch queue.
 pub(crate) struct Lane<D: Dataset> {
     pull: Mutex<Pull<D>>,
@@ -1352,6 +1367,12 @@ impl<D: Dataset> Runtime<D> {
     /// fast queue first; completed slow samples are mixed in as soon as
     /// they are ready, never deferred to the end of training (§4.1) — and
     /// waits briefly when neither side has anything.
+    ///
+    /// In shuffled mode fast samples reach the open batches without the
+    /// fast queue ([`Runtime::deliver_claim`]), so the pull pops and
+    /// waits on the slow queue alone; the fast queue only tells, by
+    /// closing, that no fast sample is still coming. The pass waits on
+    /// that close once the slow queue is done.
     // minato-verify: hot-path
     fn pull_burst(
         &self,
@@ -1362,7 +1383,8 @@ impl<D: Dataset> Runtime<D> {
         // minato-verify: allow(V2) zero-capacity constructor never touches the heap; the backing allocation happens inside try_pop_many
         let mut pulled = Vec::new();
         let mut pulled_q = Q_FAST;
-        if !*fast_done {
+        let fast_queued = self.cfg.order_preserving;
+        if fast_queued && !*fast_done {
             match self.fast_q.try_pop_many(need) {
                 Ok(items) => pulled = items,
                 Err(Closed) => *fast_done = true,
@@ -1381,7 +1403,7 @@ impl<D: Dataset> Runtime<D> {
             // Not enough samples yet: wait briefly on whichever side can
             // still produce (Algorithm 1 line 28; the paper sleeps 10 ms,
             // this is a condvar wait that a put ends at once).
-            let (waited, waited_q) = if !*fast_done {
+            let (waited, waited_q) = if !*fast_done && (fast_queued || *slow_done) {
                 (
                     self.fast_q.pop_many_timeout(need, self.cfg.starvation_wait),
                     Q_FAST,
@@ -1397,13 +1419,8 @@ impl<D: Dataset> Runtime<D> {
                     pulled = items;
                     pulled_q = waited_q;
                 }
-                Err(Closed) => {
-                    if !*fast_done {
-                        *fast_done = true;
-                    } else {
-                        *slow_done = true;
-                    }
-                }
+                Err(Closed) if waited_q == Q_FAST => *fast_done = true,
+                Err(Closed) => *slow_done = true,
             }
         }
         self.trace_queue(EventKind::QueuePop, pulled_q, &pulled);
@@ -1479,8 +1496,9 @@ impl<D: Dataset> Runtime<D> {
 /// batch worker; exactly one in order-preserving mode, whose reorder
 /// buffer cannot be split): a stepping worker takes a free lane's pull
 /// state, runs one pass, and releases it. The executor caps the role's
-/// concurrency at the lane count. Fast workers deliver whole-batch
-/// claims into the lanes' open batches without this role.
+/// concurrency at the lane count. In shuffled mode fast workers push
+/// into the lanes' open batches without this role, so it assembles
+/// completed slow samples only.
 pub(crate) struct BatchStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
     /// Rotates the lane each step starts from, so a lane holding a
@@ -1510,7 +1528,9 @@ impl<D: Dataset> RoleStep for BatchStep<D> {
     /// Flushes each lane's leftovers (in ordered mode first the samples
     /// still parked behind a gap nobody reported, then the open batch)
     /// and closes the batch queues. Runs after `fast_q` closed, so no
-    /// fast worker is still delivering a claim. On the shutdown path the
+    /// fast worker is still pushing into an open batch (`fast_q` closes
+    /// at `in_flight == 0`, which a flush settles only after its push).
+    /// On the shutdown path the
     /// queues are already closed and the flush emits fail harmlessly.
     fn finish(&self) {
         let rt = &*self.rt;
@@ -1584,13 +1604,15 @@ mod tests {
     /// A runtime with no spawned threads: tests drive the role handlers
     /// directly against hand-fed queues.
     fn mini_runtime(cfg: LoaderConfig) -> Arc<Runtime<Ds>> {
-        Arc::new(Runtime::new(
+        let mut rt = Runtime::new(
             cfg,
             VecDataset::new(Vec::new()),
             Pipeline::identity(),
             Arc::new(EpochSampler::new(0, 1, false, 0)),
             ExecHandle::new(ExecConfig::fixed(0)),
-        ))
+        );
+        rt.build_lanes();
+        Arc::new(rt)
     }
 
     fn prepared(i: u32) -> Prepared<u32> {
@@ -1697,6 +1719,21 @@ mod tests {
         q.pop_many(usize::MAX).iter().map(|p| p.sample).collect()
     }
 
+    /// The samples of every emitted batch, in emission order, then those
+    /// still in the open batches, lane by lane.
+    fn emitted_and_open(rt: &Runtime<Ds>) -> Vec<u32> {
+        let mut got: Vec<u32> = rt.batch_qs[0]
+            .try_pop_many(usize::MAX)
+            .unwrap_or_default()
+            .into_iter()
+            .flat_map(Batch::into_samples)
+            .collect();
+        for lane in &rt.lanes {
+            got.append(&mut lane.open.lock().samples);
+        }
+        got
+    }
+
     /// A config under which [`claim_size`] is one batch of 64: a 1 µs
     /// cutoff, batch and queue capacity 64.
     fn batch_claim_cfg() -> LoaderConfig {
@@ -1748,11 +1785,19 @@ mod tests {
     }
 
     /// Bounded hold: a sample that took longer than `starvation_wait`
-    /// is in the fast queue before its worker has finished the next one
-    /// of the same claim — a claim of eight, and one of a whole batch.
+    /// is published before its worker has finished the next one of the
+    /// same claim — into the fast queue in order-preserving mode (a
+    /// claim of eight), into the open batch in shuffled mode (a claim of
+    /// eight, and one of a whole batch).
     #[test]
     fn slow_fast_sample_is_published_before_its_chunk_ends() {
-        for (mut cfg, n) in [(mini_cfg(), TICKET_CHUNK), (batch_claim_cfg(), 64)] {
+        let mut ordered = mini_cfg();
+        ordered.order_preserving = true;
+        for (mut cfg, n) in [
+            (ordered, TICKET_CHUNK),
+            (mini_cfg(), TICKET_CHUNK),
+            (batch_claim_cfg(), 64),
+        ] {
             // Long enough that the samples after sample 1, which take no
             // time, still leave together when an unoptimised build shares
             // its cores with other work.
@@ -1781,36 +1826,61 @@ mod tests {
                 entered.load(Ordering::SeqCst) == 2
             });
             // The worker is inside sample 1 of its claim (gate 1 is shut).
-            match rt.fast_q.try_pop() {
-                PopResult::Item(p) => assert_eq!(p.sample, 0),
-                _ => panic!("sample 0 withheld until the end of its claim of {n}"),
+            let ordered = rt.cfg.order_preserving;
+            if ordered {
+                match rt.fast_q.try_pop() {
+                    PopResult::Item(p) => assert_eq!(p.sample, 0),
+                    _ => panic!("sample 0 withheld until the end of its claim of {n}"),
+                }
+            } else {
+                assert_eq!(
+                    rt.lanes[0].open.lock().samples,
+                    [0],
+                    "sample 0 withheld until the end of its claim of {n}"
+                );
             }
             gates.open_below(u32::MAX);
             assert_eq!(worker.join().unwrap(), StepOutcome::Progress);
-            // The others took no time: they left together.
-            assert_eq!(
-                rt.fast_q.lock_acquisitions(),
-                3,
-                "two puts and the pop, claim of {n}"
-            );
-            assert_eq!(drain_values(&rt.fast_q), (1..n as u32).collect::<Vec<_>>());
+            if ordered {
+                // The others took no time: they left together.
+                assert_eq!(
+                    rt.fast_q.lock_acquisitions(),
+                    3,
+                    "two puts and the pop, claim of {n}"
+                );
+                assert_eq!(drain_values(&rt.fast_q), (1..n as u32).collect::<Vec<_>>());
+            } else {
+                assert_eq!(rt.fast_q.total_puts(), 0, "claim of {n}");
+                assert_eq!(emitted_and_open(&rt), (0..n as u32).collect::<Vec<_>>());
+            }
             assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         }
     }
 
     /// The other half of the hold rule: samples far quicker than
-    /// `starvation_wait` still enter the fast queue once per chunk.
+    /// `starvation_wait` still enter the fast queue once per chunk in
+    /// order-preserving mode. Shuffled, the same chunks go into the open
+    /// batch and leave as batches, in claim order.
     #[test]
     fn quick_samples_are_published_once_per_chunk() {
-        let mut cfg = mini_cfg();
-        // Out of reach of any scheduling hiccup inside a chunk.
-        cfg.starvation_wait = Duration::from_secs(10);
-        let rt = runtime_over(cfg, 16, Pipeline::identity());
-        let step = FastStep::new(Arc::clone(&rt));
-        while RoleStep::step(&step) != StepOutcome::Exhausted {}
-        assert_eq!(rt.fast_q.total_puts(), 16);
-        assert_eq!(rt.fast_q.lock_acquisitions(), 2, "one put per chunk of 8");
-        assert!(rt.fast_q.is_closed(), "drained source closed the queue");
+        for ordered in [true, false] {
+            let mut cfg = mini_cfg();
+            cfg.order_preserving = ordered;
+            // Out of reach of any scheduling hiccup inside a chunk.
+            cfg.starvation_wait = Duration::from_secs(10);
+            let rt = runtime_over(cfg, 16, Pipeline::identity());
+            let step = FastStep::new(Arc::clone(&rt));
+            while RoleStep::step(&step) != StepOutcome::Exhausted {}
+            if ordered {
+                assert_eq!(rt.fast_q.total_puts(), 16);
+                assert_eq!(rt.fast_q.lock_acquisitions(), 2, "one put per chunk of 8");
+            } else {
+                assert_eq!(rt.fast_q.total_puts(), 0);
+                assert_eq!(rt.batches_out.get(), 4, "batches of 4");
+                assert_eq!(emitted_and_open(&rt), (0..16).collect::<Vec<_>>());
+            }
+            assert!(rt.fast_q.is_closed(), "drained source closed the queue");
+        }
     }
 
     /// Under a cutoff the claim grows to one batch: 128 quick samples
@@ -1889,12 +1959,11 @@ mod tests {
         }
     }
 
-    /// A claim still takes the fast queue in order-preserving mode, when
-    /// some of its samples were deferred — also when what is left is one
-    /// batch — and when the hold rule split it: only a whole claim, one
-    /// batch long, in one flush goes into the open batch.
+    /// Only order-preserving mode takes the fast queue. Shuffled, what a
+    /// claim finishes fast goes into the open batch also when some of its
+    /// samples were deferred and when the hold rule split it.
     #[test]
-    fn ordered_deferred_and_held_claims_use_the_fast_queue() {
+    fn only_ordered_claims_use_the_fast_queue() {
         // Order-preserving: claim 8, batch 8.
         let mut cfg = mini_cfg();
         cfg.batch_size = TICKET_CHUNK;
@@ -1919,7 +1988,9 @@ mod tests {
         // deferred, whose four fast samples make exactly one batch.
         let mut few = mini_cfg();
         few.timeout_policy = TimeoutPolicy::Fixed(Duration::from_micros(1));
-        for (mut cfg, claim, first_deferred) in [(batch_claim_cfg(), 64, 63), (few, 8, 4)] {
+        for (mut cfg, claim, first_deferred, batches) in
+            [(batch_claim_cfg(), 64, 63, 0), (few, 8, 4, 1)]
+        {
             cfg.starvation_wait = Duration::from_secs(10);
             let deferring = Pipeline::new(vec![Arc::new(DeferFrom(first_deferred)) as Arc<_>]);
             let rt = runtime_over(cfg, claim as u32, deferring);
@@ -1928,14 +1999,16 @@ mod tests {
                 RoleStep::step(&FastStep::new(Arc::clone(&rt))),
                 StepOutcome::Progress
             );
-            assert_eq!(rt.batches_out.get(), 0, "claim of {claim}");
+            assert_eq!(rt.fast_q.total_puts(), 0, "claim of {claim}");
+            assert_eq!(rt.batches_out.get(), batches, "claim of {claim}");
             let fast: Vec<u32> = (0..first_deferred).collect();
-            assert_eq!(drain_values(&rt.fast_q), fast, "claim of {claim}");
+            assert_eq!(emitted_and_open(&rt), fast, "claim of {claim}");
             assert_eq!(rt.temp_q.len(), claim - first_deferred as usize);
         }
 
         // A hold-window flush: sample 0 outlasts `starvation_wait`, so it
-        // leaves alone and the other 63 follow through the fast queue.
+        // leaves alone and the other 63 follow it into the open batch,
+        // which the last of them fills.
         let mut cfg = batch_claim_cfg();
         cfg.starvation_wait = Duration::from_millis(2);
         let hold = cfg.starvation_wait;
@@ -1952,11 +2025,71 @@ mod tests {
             RoleStep::step(&FastStep::new(Arc::clone(&rt))),
             StepOutcome::Progress
         );
-        assert_eq!(rt.batches_out.get(), 0, "held");
+        assert_eq!(rt.fast_q.total_puts(), 0, "held");
+        assert_eq!(rt.batches_out.get(), 1, "held");
+        assert_eq!(emitted_and_open(&rt), (0..64).collect::<Vec<_>>(), "held");
+    }
+
+    /// Batch composition does not follow the clock: a claim the hold
+    /// rule splits and the whole claims after it fill batches in claim
+    /// order, exactly as if nothing had been split — one route, one
+    /// order, whatever the timing.
+    #[test]
+    fn a_split_claim_is_not_overtaken_by_a_whole_one() {
+        let mut cfg = mini_cfg();
+        cfg.batch_size = TICKET_CHUNK;
+        cfg.starvation_wait = Duration::from_millis(2);
+        let hold = cfg.starvation_wait;
+        let pipeline = Pipeline::new(vec![crate::transform::fn_transform("slow-3", move |x| {
+            if x == 3 {
+                thread::sleep(2 * hold);
+            }
+            Ok(x)
+        })]);
+        let rt = runtime_over(cfg, 24, pipeline);
+        assert_eq!(rt.fast_claim(), TICKET_CHUNK);
+        let step = FastStep::new(Arc::clone(&rt));
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        let batches: Vec<Vec<u32>> = rt.batch_qs[0]
+            .pop_many(usize::MAX)
+            .into_iter()
+            .map(Batch::into_samples)
+            .collect();
+        let want: Vec<Vec<u32>> = (0..3).map(|b| (8 * b..8 * b + 8).collect()).collect();
+        assert_eq!(batches, want);
+        assert_eq!(rt.fast_q.total_puts(), 0);
+        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
+    }
+
+    /// With two lanes, a claim completes the partial batch lane 1 holds
+    /// instead of opening one in the free, empty lane 0: a partial batch
+    /// never waits for traffic another lane takes.
+    #[test]
+    fn a_claim_completes_a_partial_batch_in_any_lane() {
+        const K: u32 = 3;
+        let mut cfg = batch_claim_cfg();
+        cfg.batch_workers = 2;
+        cfg.starvation_wait = Duration::from_secs(10);
+        let rt = runtime_over(cfg, 64, Pipeline::identity());
+        assert_eq!(rt.lanes.len(), 2);
+        {
+            let mut open = rt.lanes[1].open.lock();
+            for i in 0..K {
+                open.push(prepared(1000 + i));
+            }
+        }
+        let step = FastStep::new(Arc::clone(&rt));
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        assert_eq!(rt.batches_out.get(), 1);
+        let PopResult::Item(batch) = rt.batch_qs[0].try_pop() else {
+            panic!("lane 1's partial batch was never completed");
+        };
+        let want: Vec<u32> = (1000..1000 + K).chain(0..64 - K).collect();
+        assert_eq!(batch.into_samples(), want);
+        assert!(rt.lanes[0].open.lock().is_empty());
         assert_eq!(
-            drain_values(&rt.fast_q),
-            (0..64).collect::<Vec<_>>(),
-            "held"
+            rt.lanes[1].open.lock().samples,
+            (64 - K..64).collect::<Vec<_>>()
         );
     }
 
@@ -2031,14 +2164,11 @@ mod tests {
         assert!(rt.temp_q.is_closed(), "the helper's last step closes");
         assert_eq!(RoleStep::step(&slow), StepOutcome::Exhausted);
         slow.finish();
-        // A claim one batch long (the drained source's last four) went
-        // into the open batch and out as a batch; the rest queued.
+        // The fast samples went into the open batch and out as batches
+        // of four; the completed deferred ones queued for the batch role.
         let mut got = drain_values(&rt.fast_q);
         got.extend(drain_values(&rt.slow_q));
-        for b in rt.batch_qs[0].pop_many(usize::MAX) {
-            got.extend(b.into_samples());
-        }
-        got.append(&mut rt.lanes[0].open.lock().samples);
+        got.extend(emitted_and_open(&rt));
         got.sort_unstable();
         let want: Vec<u32> = (0..12).chain(DEFERRED..DEFERRED + BACKLOG).collect();
         assert_eq!(got, want, "every sample exactly once");

@@ -14,6 +14,10 @@ use std::time::{Duration, Instant};
 /// fails the test with what was seen instead of hanging it.
 const FAIL_SAFE: Duration = Duration::from_secs(10);
 
+/// How long no sample may complete before a test takes its producers
+/// for blocked.
+const STILL: Duration = Duration::from_millis(50);
+
 /// Defers every third sample on its deadline-bearing first run, so a
 /// kill or a source drain finds a backlog in the slow path — which the
 /// pool's drained fast workers then adopt.
@@ -393,14 +397,26 @@ fn checkpoint_of_a_wedged_pipeline_resumes_exactly_once() {
             pre.extend(b.meta.iter().map(|m| m.seq));
         }
         // The consumer stops popping; wait for the pipeline to back up
-        // into full batch and fast queues. In ordered mode a descheduled
-        // worker holding the awaited seq lets the lane move the fast
-        // queue into its unbounded reorder buffer, so the wait is bounded
-        // and reports the state it found instead of spinning forever.
+        // into the full batch queue and, in ordered mode, the full fast
+        // queue. Shuffled, fast samples skip that queue: the producers
+        // block pushing into the open batch, and no sample completes any
+        // more. In ordered mode a descheduled worker holding the awaited
+        // seq lets the lane move the fast queue into its unbounded
+        // reorder buffer, so the wait is bounded and reports the state it
+        // found instead of spinning forever.
         let t0 = Instant::now();
+        let mut last_done = (u64::MAX, Instant::now());
         loop {
             let s = first.stats();
-            if s.batch_queue_len == 2 && s.fast_queue_len == 100 {
+            if s.samples_done != last_done.0 {
+                last_done = (s.samples_done, Instant::now());
+            }
+            let producers_blocked = if ordered {
+                s.fast_queue_len == 100
+            } else {
+                last_done.1.elapsed() >= STILL
+            };
+            if s.batch_queue_len == 2 && producers_blocked {
                 break;
             }
             assert!(

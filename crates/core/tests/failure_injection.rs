@@ -195,10 +195,13 @@ fn wait_for_stats<D: Dataset>(
 #[allow(clippy::drop_non_drop)] // The drops ARE the behavior under test.
 fn shutdown_under_backpressure_is_clean() {
     // An iterator that abandons mid-stream with back-pressure all the
-    // way up: the batch queue's two slots taken, the 100-slot fast
-    // queue full, producers blocked on it: parked, or in
-    // order-preserving mode sleeping between attempts to run the held
-    // lane themselves. They must unblock on drop in both modes.
+    // way up: the batch queue's two slots taken and the producers
+    // blocked. Shuffled, they push fast samples straight into the open
+    // batch, so they block there (one in the emit, the others on the
+    // open batch's lock) and no sample completes any more. In
+    // order-preserving mode the 100-slot fast queue fills and they
+    // sleep between attempts to run the held lane themselves. They must
+    // unblock on drop in both modes.
     for order_preserving in [false, true] {
         let ds = VecDataset::new((0..500u32).collect::<Vec<_>>());
         let loader = MinatoLoader::builder(ds, Pipeline::identity())
@@ -211,8 +214,16 @@ fn shutdown_under_backpressure_is_clean() {
         let mut it = loader.iter();
         let _ = it.next();
         drop(it);
-        wait_for_stats(&loader, "the fast queue never filled", |s| {
-            s.fast_queue_len == 100
+        let last_done = std::cell::Cell::new((u64::MAX, Instant::now()));
+        wait_for_stats(&loader, "the producers never blocked", |s| {
+            if s.samples_done != last_done.get().0 {
+                last_done.set((s.samples_done, Instant::now()));
+            }
+            if order_preserving {
+                s.fast_queue_len == 100
+            } else {
+                s.batch_queue_len == 2 && last_done.get().1.elapsed() >= Duration::from_millis(50)
+            }
         });
         let t0 = Instant::now();
         drop(loader);
@@ -344,12 +355,12 @@ fn chaos_faults_under_batch_sized_claims_count_exactly() {
 }
 
 /// The same over two GPUs, each drained by its own consumer. Faults are
-/// sparse here (10 in 2000), so about three claims in four finish as one
-/// whole batch and their fast worker pushes them into the open batch and
-/// emits to the emptier batch queue itself, while the claims holding a
-/// fault go through the fast queue and the batch worker. Exact fault
-/// counts, and every other sample delivered exactly once across both
-/// streams.
+/// sparse here (10 in 2000), so most claims finish as one whole batch;
+/// every fast worker pushes what its claim finished into the open batch
+/// and emits to the emptier batch queue itself, and a claim holding a
+/// fault completes the batch only with the next claim's samples. Exact
+/// fault counts, and every other sample delivered exactly once across
+/// both streams.
 #[test]
 fn chaos_faults_under_batch_sized_claims_count_exactly_on_two_gpus() {
     for (salt, action) in [(6, FaultAction::Panic), (7, FaultAction::Poison)] {

@@ -11,12 +11,6 @@ use std::time::Duration;
 /// A deterministic single-worker loader: fixed ticket order, no
 /// timeouts, no adaptive scaling — delivery (and therefore the traced
 /// event stream) must be identical run to run.
-///
-/// Batches of 16 against claims of eight: every sample takes the fast
-/// queue, one FIFO. With claims one batch long, a whole claim would go
-/// straight into the open batch while one split by the 1 ms hold rule
-/// would take the queue, so which samples share a batch, and which
-/// queue events are recorded, would follow the wall clock.
 fn deterministic_loader(trace: TraceConfig) -> MinatoLoader<VecDataset<u32>> {
     let ds = VecDataset::new((0..64u32).collect::<Vec<_>>());
     let pipeline = Pipeline::new(vec![
@@ -24,7 +18,7 @@ fn deterministic_loader(trace: TraceConfig) -> MinatoLoader<VecDataset<u32>> {
         fn_transform("offset", |x: u32| Ok(x + 1)),
     ]);
     MinatoLoader::builder(ds, pipeline)
-        .batch_size(16)
+        .batch_size(8)
         .shuffle(false)
         .initial_workers(1)
         .max_workers(1)
