@@ -14,7 +14,7 @@
 //!   timeout interruption (Algorithm 1).
 //! * [`balancer`] — the dynamic sample-aware load balancer: optimistic
 //!   start, warm-up profiling, P75 timeout with P90 fallback (§4.2).
-//! * [`queue`] — bounded instrumented MPMC queues (fast/slow/temp/batch):
+//! * [`queue`] — bounded instrumented MPMC queues (fast/temp/batch):
 //!   one mutex+condvar implementation with batched operations.
 //! * [`scheduler`] — the adaptive worker scheduler, Formulas 1–2 (§4.3).
 //! * [`cache`] — cross-epoch sample cache: memoized preprocessed outputs
@@ -23,10 +23,11 @@
 //! * [`loader`] — the public `MinatoLoader` builder/iterator API.
 //!
 //! The worker runtime itself lives on the `minato-exec` executor: the
-//! fast/slow/batch stages are role handlers one thread pool runs, each
-//! on its own slice of threads (the fast slice gated by the scheduler's
-//! budget); a thread whose stage is exhausted joins the stages still
-//! live, so the tail of a run is finished by the whole pool.
+//! fast and slow stages (and order-preserving mode's batch stage) are
+//! role handlers one thread pool runs, each on its own slice of threads
+//! (the fast slice gated by the scheduler's budget); a thread whose
+//! stage is exhausted joins the stages still live, so the tail of a run
+//! is finished by the whole pool.
 //!
 //! ## Quick start
 //!

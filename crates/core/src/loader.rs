@@ -3,8 +3,8 @@
 //! A drop-in data loader in the shape of PyTorch's `DataLoader`: construct
 //! with a dataset + transform pipeline, iterate batches. Internally it runs
 //! the paper's full architecture — sample-aware load balancer (§4.2),
-//! fast/slow/temp/batch queues (Figure 5), background completion of slow
-//! samples, and the adaptive worker scheduler (§4.3).
+//! fast/temp/batch queues and open batches (Figure 5), background
+//! completion of slow samples, and the adaptive worker scheduler (§4.3).
 //!
 //! # Examples
 //!
@@ -71,9 +71,10 @@ pub struct LoaderConfig {
     pub max_workers: usize,
     /// Background slow-task workers.
     pub slow_workers: usize,
-    /// Batch-construction workers.
+    /// Open batches (lanes) in shuffled mode; order-preserving mode has
+    /// one.
     pub batch_workers: usize,
-    /// Capacity of fast/slow/temp queues. Fixed at the paper's 100
+    /// Capacity of the fast and temp queues. Fixed at the paper's 100
     /// (§5.1); no builder method sets it.
     pub queue_capacity: usize,
     /// Capacity of each per-GPU batch queue. Fixed at the paper's
@@ -87,9 +88,9 @@ pub struct LoaderConfig {
     pub adaptive_workers: bool,
     /// Scheduler tuning (gains, clip, monitor interval).
     pub scheduler: SchedulerConfig,
-    /// Upper bound on the pipeline's internal waits: a starved batch
+    /// Upper bound on the pipeline's internal waits: the ordered batch
     /// worker waiting for samples, a producer waiting for space in a
-    /// full fast/slow/temp queue, batch delivery waiting for a
+    /// full temp queue, batch delivery waiting for a
     /// batch-queue slot, an idle pool worker. Each is a condvar wait
     /// that ends as soon as the awaited state changes; when it expires
     /// the waiter re-checks what else it could do, e.g. helping the
@@ -118,16 +119,14 @@ pub struct LoaderConfig {
 }
 
 impl LoaderConfig {
-    /// Threads on the slow role. With the timeout disabled (always so in
-    /// order-preserving mode) every sample is fast and no slow worker is
-    /// budgeted, but one thread stays: its only job then is the close
-    /// cascade (closing the slow queue once the never-used temp queue
-    /// closes).
+    /// Threads on the slow role: `slow_workers`, or none with the
+    /// timeout disabled (always so in order-preserving mode), when every
+    /// sample is fast and the temp queue stays empty.
     pub(crate) fn slow_threads(&self) -> usize {
         if matches!(self.timeout_policy, TimeoutPolicy::Disabled) {
-            1
+            0
         } else {
-            self.slow_workers.max(1)
+            self.slow_workers
         }
     }
 }
@@ -244,7 +243,11 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Batch-construction workers.
+    /// Open batches (lanes) in shuffled mode: the fast and slow workers
+    /// push finished samples into the first one free, so more than one
+    /// lets that many workers fill batches at once. Order-preserving mode
+    /// has one lane whatever this says; there it is the number of batch
+    /// threads, which take turns on that lane.
     pub fn batch_workers(mut self, n: usize) -> Self {
         self.cfg.batch_workers = n;
         self
@@ -275,7 +278,9 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     }
 
     /// Strict-order mode (§6): disables classification, restores sampler
-    /// order. A quarantined sample's seq is skipped as soon as it is
+    /// order. A timeout policy other than
+    /// [`TimeoutPolicy::Disabled`] set after this is a configuration
+    /// error. A quarantined sample's seq is skipped as soon as it is
     /// reported, and a run resumed with
     /// [`resume_from`](Self::resume_from) continues at the checkpoint's
     /// first undelivered seq.
@@ -455,6 +460,12 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         if cfg.batch_workers == 0 {
             return Err(LoaderError::Config("batch_workers must be positive".into()));
         }
+        if cfg.order_preserving && !matches!(cfg.timeout_policy, TimeoutPolicy::Disabled) {
+            return Err(LoaderError::Config(
+                "order_preserving mode classifies nothing: its timeout policy must be Disabled"
+                    .into(),
+            ));
+        }
         if cfg.cache_budget_bytes > 0 && cfg.cache_budget_bytes < CACHE_SHARDS as u64 {
             return Err(LoaderError::Config(format!(
                 "cache_budget_bytes must be at least {CACHE_SHARDS} (each cache shard \
@@ -573,7 +584,13 @@ impl<D: Dataset> MinatoLoader<D> {
             None => Arc::new(base_sampler),
         };
         let slow_threads = cfg.slow_threads();
-        let batch_threads = cfg.batch_workers;
+        // Only order-preserving mode has a batch thread: in shuffled mode
+        // the thread that finished a sample puts it into its batch.
+        let batch_threads = if cfg.order_preserving {
+            cfg.batch_workers
+        } else {
+            0
+        };
         let mut ecfg = ExecConfig::fixed(cfg.max_workers + slow_threads + batch_threads);
         ecfg.idle_wait = cfg.starvation_wait;
         let exec = ExecHandle::new(ecfg);
@@ -615,8 +632,7 @@ impl<D: Dataset> MinatoLoader<D> {
                 .iter()
                 .map(|s| s.name().to_string())
                 .collect();
-            let mut queue_names: Vec<String> =
-                vec!["fast_q".into(), "slow_q".into(), "temp_q".into()];
+            let mut queue_names: Vec<String> = vec!["fast_q".into(), "temp_q".into()];
             queue_names.extend((0..cfg.num_gpus).map(|g| format!("batch_q[{g}]")));
             Some(Arc::new(Mutex::new(Collector::new(
                 stage_names,
@@ -629,15 +645,16 @@ impl<D: Dataset> MinatoLoader<D> {
         let tracer = rt.tracer.clone();
         let rt = Arc::new(rt);
 
-        // The three pipeline stages as executor roles. Only the fast
-        // budget is scheduler-driven; the slow and batch slices are sized
-        // by the config, so a checkpoint restores the fast gate alone
-        // (clamped: the restart may run with fewer workers).
+        // The pipeline stages as executor roles: fast and slow, plus the
+        // batch role in order-preserving mode. Only the fast budget is
+        // scheduler-driven; the other slices are sized by the config, so
+        // a checkpoint restores the fast gate alone (clamped: the restart
+        // may run with fewer workers).
         let fast_budget = match &resume {
             Some(ck) => ck.fast_budget.clamp(1, cfg.max_workers),
             None => cfg.initial_workers,
         };
-        let ids = exec.register(vec![
+        let mut specs = vec![
             RoleSpec {
                 name: "fast".into(),
                 step: Arc::new(FastStep::new(Arc::clone(&rt))),
@@ -652,18 +669,21 @@ impl<D: Dataset> MinatoLoader<D> {
                 threads: slow_threads,
                 max_concurrency: None,
             },
-            RoleSpec {
+        ];
+        if cfg.order_preserving {
+            specs.push(RoleSpec {
                 name: "batch".into(),
                 step: Arc::new(BatchStep::new(Arc::clone(&rt))),
                 budget: batch_threads,
                 threads: batch_threads,
-                max_concurrency: Some(rt.lanes.len()),
-            },
-        ]);
+                max_concurrency: Some(1),
+            });
+        }
+        let ids = exec.register(specs);
         let roles = ExecRoles {
             fast: ids[0],
             slow: ids[1],
-            batch: ids[2],
+            batch: ids.get(2).copied(),
         };
         if rt.exec_roles.set(roles).is_err() {
             return Err(LoaderError::Config(
@@ -679,7 +699,7 @@ impl<D: Dataset> MinatoLoader<D> {
                     0
                 } else if role == roles.slow {
                     1
-                } else if role == roles.batch {
+                } else if Some(role) == roles.batch {
                     2
                 } else {
                     3
@@ -837,11 +857,9 @@ impl<D: Dataset> MinatoLoader<D> {
             errors: rt.faults.quarantined.get(),
             faults: rt.faults.snapshot(),
             fast_queue_len: rt.fast_q.len(),
-            slow_queue_len: rt.slow_q.len(),
             temp_queue_len: rt.temp_q.len(),
             batch_queue_len: rt.batch_qs.iter().map(|q| q.len()).sum(),
             queue_lock_acquisitions: rt.fast_q.lock_acquisitions()
-                + rt.slow_q.lock_acquisitions()
                 + rt.temp_q.lock_acquisitions()
                 + rt.batch_qs
                     .iter()
@@ -1102,6 +1120,31 @@ mod tests {
             MinatoLoader::builder(ds, p).epochs(0).build(),
             Err(LoaderError::Config(_))
         ));
+    }
+
+    /// Order-preserving mode never classifies: a cutoff set after it is
+    /// rejected instead of quietly turning classification back on, and
+    /// one set before it is overridden.
+    #[test]
+    fn builder_rejects_a_timeout_policy_in_order_preserving_mode() {
+        let ds = VecDataset::new(vec![1u32, 2, 3]);
+        let p: Pipeline<u32> = Pipeline::identity();
+        let fixed = TimeoutPolicy::Fixed(Duration::from_millis(1));
+        for policy in [fixed, TimeoutPolicy::paper_default()] {
+            assert!(matches!(
+                MinatoLoader::builder(ds.clone(), p.clone())
+                    .order_preserving(true)
+                    .timeout_policy(policy)
+                    .build(),
+                Err(LoaderError::Config(_))
+            ));
+        }
+        let loader = MinatoLoader::builder(ds, p)
+            .timeout_policy(fixed)
+            .order_preserving(true)
+            .build()
+            .expect("order_preserving resets the policy");
+        assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), 3);
     }
 
     #[test]
@@ -1420,6 +1463,5 @@ mod tests {
         assert_eq!(s.batches_done, 10);
         assert_eq!(s.errors, 0);
         assert_eq!(s.fast_queue_len, 0);
-        assert_eq!(s.slow_queue_len, 0);
     }
 }

@@ -1,10 +1,12 @@
 //! Bounded, instrumented, closable MPMC queues.
 //!
 //! The paper's runtime is built from four queue roles (fast, slow, temp,
-//! batch; §4.1). All of them share the same semantics: bounded capacity
-//! (the paper caps every queue at 100), multi-producer/multi-consumer,
-//! strict FIFO, occupancy statistics for the worker scheduler, and a
-//! close signal for clean drain at end of training.
+//! batch; §4.1); this one has three, since a resumed slow sample goes
+//! straight into its batch. All of them share the same semantics:
+//! bounded capacity (the paper caps every queue at 100),
+//! multi-producer/multi-consumer, strict FIFO, occupancy statistics for
+//! the worker scheduler, and a close signal for clean drain at end of
+//! training.
 //!
 //! There is one implementation: a mutex guards a `VecDeque` plus the
 //! closed flag, the reservation count and one count of parked threads

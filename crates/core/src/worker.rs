@@ -3,39 +3,44 @@
 //! The runtime wires together the queue topology of Figure 5:
 //!
 //! ```text
-//! sampler → [fast role] ──────── shuffled ─────────────┐
-//!              │ → fast_q ─┐ (ordered)                  ↓
-//!              │ timeout   ├→ [batch role] → open batch → batch_q[gpu] → training
-//!              └→ temp_q → [slow role] → slow_q ─┘
+//! sampler → [fast role] ──────── shuffled ────────────────┐
+//!              │ → fast_q → [batch role] ── ordered ──────┤
+//!              │ timeout                                  ↓
+//!              └→ temp_q → [slow role] ──────────────→ open batch → batch_q[gpu] → training
 //! ```
 //!
-//! The three stages are [`minato_exec::RoleStep`] implementations
-//! ([`FastStep`], [`SlowStep`], [`BatchStep`]) run one bounded step at a
-//! time by the loader's executor pool: each stage has its own threads
-//! (the fast ones gated by the scheduler's budget), and a thread whose
-//! stage is exhausted joins the stages still live, so the deferred
-//! backlog at the end of a run is finished by the whole pool.
+//! The stages are [`minato_exec::RoleStep`] implementations
+//! ([`FastStep`], [`SlowStep`], and in order-preserving mode
+//! [`BatchStep`]) run one bounded step at a time by the loader's
+//! executor pool: each stage has its own threads (the fast ones gated by
+//! the scheduler's budget), and a thread whose stage is exhausted joins
+//! the stages still live, so the deferred backlog at the end of a run is
+//! finished by the whole pool.
 //!
-//! Batches are assembled in [`Lane`]s owned by the runtime. A lane's
-//! pull state belongs to the one worker running an assembly pass; its
-//! open batch sits under its own short-held lock, so in shuffled mode a
-//! fast worker pushes the samples it finished there itself, every flush,
-//! instead of through `fast_q` and the batch thread. `fast_q` carries
-//! samples in order-preserving mode only. Lock order: lane → open batch
-//! → batch queue.
+//! Batches fill in open batches owned by the runtime (`Runtime::open`),
+//! each under its own short-held lock. In shuffled mode the thread that
+//! finished a sample pushes it there itself: a fast worker every flush
+//! of its claim, a slow worker (or a fast one helping it) every resumed
+//! sample ([`Runtime::deliver_claim`]). No queue and no batch thread sit
+//! between a finished sample and its batch, and a slow sample joins the
+//! next batch to fill (§4.1).
 //!
-//! Order-preserving mode (§6) is this same topology with classification
-//! off (nothing is ever deferred) and a reorder buffer in the batch
-//! role's single lane. The lane, its pull, its push/emit loop and its
-//! `finish` are shared with the shuffled mode; what stays its own is the
-//! pull's budget (one sample per pass) and the producers' back-pressure
-//! (help or sleep).
+//! Order-preserving mode (§6) runs classification off (nothing is ever
+//! deferred) and keeps one open batch behind a reorder buffer: fast
+//! workers put into `fast_q`, and the batch role pulls one sample per
+//! pass through the reorder buffer into the open batch; producers facing
+//! a full `fast_q` help or sleep. Lock order: pull → open batch → batch
+//! queue.
 //!
-//! Shutdown is a close cascade, never a hard stop: the fast role's
-//! `finish` closes `fast_q`/`temp_q` (normally `maybe_close_sources`
-//! already did), the slow role's `finish` closes `slow_q`, the batch
-//! role's `finish` flushes the open batches and closes every batch
-//! queue. Queues drain after close, so no prepared sample is lost.
+//! Shutdown is a close cascade, never a hard stop. A ticket counts in
+//! `in_flight` from its claim until its sample is in an open batch (or
+//! in `fast_q`, ordered) or quarantined, a deferred one across its whole
+//! stay in `temp_q`. Once the sampler is drained and nothing is in
+//! flight, `maybe_close_sources` closes `fast_q` and `temp_q`, and in
+//! shuffled mode also flushes every open batch and closes the batch
+//! queues; in order-preserving mode the batch role's `finish` does that
+//! once `fast_q` has drained. Queues drain after close, so no prepared
+//! sample is lost.
 
 use crate::balancer::{BalancerConfig, LoadBalancer};
 use crate::batch::{Batch, Prepared, ReorderBuffer, SampleMeta};
@@ -82,7 +87,7 @@ const TICKET_CHUNK: usize = 8;
 /// min(batch_size, queue_capacity))`. So a claim over `TICKET_CHUNK`
 /// always has `claim × cutoff ≤ hold`: samples that each run or are
 /// deferred within the cutoff fill it before the hold rule would publish
-/// it, and cheap samples reach the batch worker one batch per put.
+/// it, and cheap samples reach their batch one whole batch per flush.
 fn claim_size(
     cutoff: Option<Duration>,
     hold: Duration,
@@ -108,9 +113,8 @@ pub(crate) const RECENT_ERRORS_CAP: usize = 16;
 // queue is `Q_BATCH0 + g`, traced at batch granularity (one event per
 // batch, keyed by its first sample).
 pub(crate) const Q_FAST: u32 = 0;
-pub(crate) const Q_SLOW: u32 = 1;
-pub(crate) const Q_TEMP: u32 = 2;
-pub(crate) const Q_BATCH0: u32 = 3;
+pub(crate) const Q_TEMP: u32 = 1;
+pub(crate) const Q_BATCH0: u32 = 2;
 
 /// Bridges per-step [`StageObserver`] callbacks into trace events.
 #[derive(Debug)]
@@ -228,7 +232,8 @@ fn panic_payload_msg(p: Box<dyn std::any::Any + Send>) -> String {
 pub(crate) struct ExecRoles {
     pub fast: RoleId,
     pub slow: RoleId,
-    pub batch: RoleId,
+    /// Registered in order-preserving mode only.
+    pub batch: Option<RoleId>,
 }
 
 /// State shared by every pool worker and the monitor thread.
@@ -251,8 +256,9 @@ pub(crate) struct Runtime<D: Dataset> {
     /// the training loop dropping a batch hands sample buffers back to
     /// the pool. `None` when pooling is disabled.
     pub recycler: Option<Arc<dyn SampleRecycler<D::Sample>>>,
+    /// Order-preserving mode's route from the fast workers to the batch
+    /// role; never put into in shuffled mode.
     pub fast_q: MinatoQueue<Prepared<D::Sample>>,
-    pub slow_q: MinatoQueue<Prepared<D::Sample>>,
     pub temp_q: MinatoQueue<Deferred<D::Sample>>,
     pub batch_qs: Vec<MinatoQueue<Batch<D::Sample>>>,
     /// Control handle of the executor pool running this loader's roles.
@@ -260,18 +266,27 @@ pub(crate) struct Runtime<D: Dataset> {
     /// The loader's role ids on that pool (empty in handler unit tests
     /// that drive steps directly).
     pub(crate) exec_roles: OnceLock<ExecRoles>,
-    /// Batch-assembly lanes: one per configured batch worker, exactly
-    /// one in order-preserving mode, whose reorder buffer cannot be
-    /// split. Empty until [`Runtime::build_lanes`].
-    pub(crate) lanes: Vec<Lane<D>>,
+    /// The open batches (lanes): `batch_workers` of them in shuffled
+    /// mode, exactly one in order-preserving mode. Each is held
+    /// only to push samples and emit the batches they fill. Empty until
+    /// [`Runtime::build_lanes`].
+    pub(crate) open: Vec<Mutex<Batch<D::Sample>>>,
+    /// Order-preserving mode only: the pull state of the batch role,
+    /// which feeds `open[0]` through its reorder buffer.
+    pub(crate) pull: Option<Mutex<Pull<D>>>,
     pub cfg: LoaderConfig,
-    /// Tickets claimed from the sampler but not yet routed to a queue (or
-    /// dropped on error). Together with `source_drained`, this drives the
-    /// close cascade without depending on every pool worker exiting —
-    /// a worker parked by the scheduler must not stall completion.
+    /// Tickets claimed from the sampler whose samples are not yet in an
+    /// open batch (in `fast_q`, ordered) or quarantined. A deferred
+    /// ticket stays counted while its sample waits in `temp_q` and is
+    /// resumed. Together with `source_drained`, this drives the close
+    /// cascade without depending on every pool worker exiting — a worker
+    /// parked by the scheduler must not stall completion.
     pub in_flight: AtomicUsize,
     /// Set once any worker observes the sampler exhausted.
     pub source_drained: AtomicBool,
+    /// Set by the one thread that runs the close cascade
+    /// ([`Runtime::maybe_close_sources`]).
+    closing: AtomicBool,
     /// The single moonlighting token: the fast worker that holds it is
     /// completing deferred samples between two of its claims (see
     /// [`Runtime::moonlight`]); the others keep producing fast samples.
@@ -365,16 +380,17 @@ impl<D: Dataset> Runtime<D> {
             pools: None,
             recycler: None,
             fast_q: MinatoQueue::new("fast", cfg.queue_capacity),
-            slow_q: MinatoQueue::new("slow", cfg.queue_capacity),
             temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
             batch_qs: (0..cfg.num_gpus)
                 .map(|g| MinatoQueue::new(&format!("batch[{g}]"), cfg.prefetch_factor))
                 .collect(),
             exec,
             exec_roles: OnceLock::new(),
-            lanes: Vec::new(),
+            open: Vec::new(),
+            pull: None,
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
+            closing: AtomicBool::new(false),
             slow_helper: AtomicBool::new(false),
             cpu_meter: UtilizationMeter::new(cfg.max_workers),
             samples_out: Counter::new(),
@@ -408,32 +424,23 @@ impl<D: Dataset> Runtime<D> {
     /// run at the checkpoint's watermark, with the seqs delivered above
     /// it already resolved.
     pub(crate) fn build_lanes(&mut self) {
-        debug_assert!(self.lanes.is_empty(), "lanes are built once");
-        self.lanes = self.fresh_lanes();
-    }
-
-    fn fresh_lanes(&self) -> Vec<Lane<D>> {
-        let lane = |reorder| Lane {
-            pull: Mutex::new(Pull {
-                fast_done: false,
-                slow_done: false,
-                reorder,
-                ready: Vec::new(),
-            }),
-            open: Mutex::new(self.new_batch()),
-        };
-        if self.cfg.order_preserving {
+        debug_assert!(self.open.is_empty(), "lanes are built once");
+        let lanes = if self.cfg.order_preserving {
             let log = &self.delivered.lock().log;
             let mut reorder = ReorderBuffer::new(log.watermark());
             for seq in log.above() {
                 reorder.skip(seq);
             }
-            vec![lane(Some(reorder))]
+            self.pull = Some(Mutex::new(Pull {
+                fast_done: false,
+                reorder,
+                ready: Vec::new(),
+            }));
+            1
         } else {
-            (0..self.cfg.batch_workers.max(1))
-                .map(|_| lane(None))
-                .collect()
-        }
+            self.cfg.batch_workers.max(1)
+        };
+        self.open = (0..lanes).map(|_| Mutex::new(self.new_batch())).collect();
     }
 
     /// Records one trace event when tracing is enabled; a single branch
@@ -504,7 +511,6 @@ impl<D: Dataset> Runtime<D> {
         drop(self.monitor_lock.lock());
         self.monitor_cv.notify_all();
         self.fast_q.close();
-        self.slow_q.close();
         self.temp_q.close();
         for q in &self.batch_qs {
             q.close();
@@ -633,13 +639,40 @@ impl<D: Dataset> Runtime<D> {
         Batch::with_recycler(self.cfg.batch_size, self.recycler.clone())
     }
 
-    /// Closes the producer-side queues once no new samples can ever reach
-    /// them: the sampler is drained and nothing is in flight.
+    /// The close cascade, run once, by whichever thread first sees the
+    /// sampler drained with nothing in flight: every sample is then in an
+    /// open batch (or in `fast_q`, ordered) or quarantined. Closes
+    /// `fast_q` and `temp_q`; in shuffled mode also emits every open
+    /// batch and closes the batch queues. In order-preserving mode the
+    /// batch role's `finish` does that after `fast_q` has drained.
+    ///
+    /// Called after every `in_flight` release that can be the last: the
+    /// end of a fast step and each resumed sample's delivery. The release
+    /// and the drained flag are both `SeqCst`, so of two threads racing
+    /// over the last release and the flag, one sees both.
     fn maybe_close_sources(&self) {
-        if self.source_drained.load(Ordering::SeqCst) && self.in_flight.load(Ordering::SeqCst) == 0
+        if !self.source_drained.load(Ordering::SeqCst)
+            || self.in_flight.load(Ordering::SeqCst) != 0
+            || self.closing.swap(true, Ordering::AcqRel)
         {
-            self.fast_q.close();
-            self.temp_q.close();
+            return;
+        }
+        self.fast_q.close();
+        self.temp_q.close();
+        if !self.cfg.order_preserving {
+            self.flush_and_close();
+        }
+    }
+
+    /// Emits every open batch and closes the batch queues: the end of the
+    /// run for the consumers. On the shutdown path the queues are
+    /// already closed and the emits fail harmlessly.
+    fn flush_and_close(&self) {
+        for open in &self.open {
+            let _ = emit_batch(self, &mut open.lock());
+        }
+        for q in &self.batch_qs {
+            q.close();
         }
     }
 
@@ -648,16 +681,12 @@ impl<D: Dataset> Runtime<D> {
     //
     // A fast worker facing a full temp queue does not wait for the slow
     // workers to drain it: it completes one deferred sample inline
-    // (`route_deferred`), which also frees the slot it needs. A producer
-    // facing a full fast or slow queue has nothing to help with — batch
-    // assembly always has its own threads — so it waits for space on the
-    // queue itself, woken by the pop that frees a slot and for at most
-    // `starvation_wait` at a time. The chain bottoms out at the per-GPU
-    // batch queues, which only the external consumer drains — the one
-    // place where waiting is correct backpressure. Order-preserving mode
-    // is the exception: its lane pops one sample at a time, so every pop
-    // would wake every blocked producer for a single slot; there the
-    // producer runs an assembly pass itself when the lane is free and
+    // (`route_deferred`), which also frees the slot it needs. A finished
+    // sample goes into an open batch in shuffled mode, so the chain
+    // bottoms out at the per-GPU batch queues, which only the external
+    // consumer drains — the one place where waiting is correct
+    // backpressure. In order-preserving mode a producer facing a full
+    // fast queue runs an assembly pass itself when the lane is free and
     // sleeps `starvation_wait` out when it is not (see
     // `publish_helping`).
     // ------------------------------------------------------------------
@@ -724,19 +753,21 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Completes one deferred sample just popped from the temp queue and
-    /// publishes it to the slow queue: one unit of slow-role work,
-    /// whoever runs it. Fails only when the slow queue closed.
-    fn resume_and_publish(&self, d: Deferred<D::Sample>) -> Result<(), Closed> {
+    /// delivers it into an open batch: one unit of slow-role work,
+    /// whoever runs it. Its ticket leaves `in_flight` only after the push
+    /// (or the quarantine), so the close cascade cannot flush the open
+    /// batches under it. False once the batch queues closed (shutting
+    /// down).
+    fn resume_and_deliver(&self, d: Deferred<D::Sample>) -> bool {
+        debug_assert!(!self.cfg.order_preserving, "ordered mode defers nothing");
         self.trace(EventKind::QueuePop, d.meta.epoch, d.meta.seq, Q_TEMP, 0);
-        match self.complete_one(d) {
-            Some(p) => {
-                // Record-once-before-retry: backpressure re-puts inside
-                // `publish_helping` must not duplicate the event.
-                self.trace(EventKind::QueuePut, p.meta.epoch, p.meta.seq, Q_SLOW, 0);
-                self.publish_helping(&self.slow_q, vec![p])
-            }
-            None => Ok(()), // Errored: already recorded.
-        }
+        let delivered = match self.complete_one(d) {
+            Some(p) => self.deliver_claim(std::iter::once(p)),
+            None => true, // Errored: already recorded.
+        };
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.maybe_close_sources();
+        delivered
     }
 
     /// Pops one deferred sample from the temp queue and completes it
@@ -745,7 +776,7 @@ impl<D: Dataset> Runtime<D> {
     fn help_slow_once(&self) -> bool {
         match self.temp_q.try_pop() {
             PopResult::Item(d) => {
-                let _ = self.resume_and_publish(d);
+                self.resume_and_deliver(d);
                 true
             }
             _ => false,
@@ -760,11 +791,9 @@ impl<D: Dataset> Runtime<D> {
     /// so the temp queue stays short without the fast path ever
     /// stopping as a whole (which is what happens when it fills up and
     /// every worker helps inline from [`Runtime::route_deferred`], still
-    /// the progress backstop).
-    ///
-    /// The caller must hold an `in_flight` claim taken while
-    /// `source_drained` was unset: that is what keeps the close cascade
-    /// from closing the slow queue under a sample being completed here.
+    /// the progress backstop). Each deferred sample holds its own ticket
+    /// in `in_flight` until it is delivered, so the close cascade waits
+    /// for it whoever completes it.
     // minato-verify: hot-path
     fn moonlight(&self) {
         let mark = TICKET_CHUNK * self.cfg.slow_workers.max(1);
@@ -781,41 +810,34 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Tickets the next fast step claims: [`claim_size`] under the
-    /// balancer's current cutoff. Order-preserving mode claims
-    /// [`TICKET_CHUNK`] even when a policy set after it brings a cutoff
-    /// back: a larger claim there only lets the reorder buffer run
-    /// further ahead of the awaited seq.
+    /// balancer's current cutoff (none in order-preserving mode, which
+    /// the builder admits only with the timeout disabled).
     fn fast_claim(&self) -> usize {
-        let cutoff = self
-            .balancer
-            .current_timeout()
-            .filter(|_| !self.cfg.order_preserving);
         claim_size(
-            cutoff,
+            self.balancer.current_timeout(),
             self.cfg.starvation_wait,
             self.cfg.batch_size,
             self.cfg.queue_capacity,
         )
     }
 
-    /// Runs one batch-assembly pass inline. Returns whether it made
-    /// progress (false also when another worker holds every assembly
-    /// lane — that worker is the one making progress then).
+    /// Runs one ordered assembly pass inline. Returns whether it made
+    /// progress (false also when another worker holds the lane — that
+    /// worker is the one making progress then).
     fn help_batch_once(&self) -> bool {
-        matches!(self.lane_pass(0), StepOutcome::Progress)
+        matches!(self.lane_pass(), StepOutcome::Progress)
     }
 
-    /// One assembly pass on the first lane, from lane `start` on, that no
-    /// other worker holds; `Idle` when every lane is held.
-    fn lane_pass(&self, start: usize) -> StepOutcome {
-        let n = self.lanes.len();
-        for i in 0..n {
-            let lane = &self.lanes[(start + i) % n];
-            if let Some(mut pull) = lane.pull.try_lock() {
-                return self.assemble(&mut pull, &lane.open);
-            }
+    /// One ordered assembly pass, unless another worker holds the lane's
+    /// pull state (`Idle`).
+    fn lane_pass(&self) -> StepOutcome {
+        let Some(pull) = &self.pull else {
+            return StepOutcome::Exhausted; // Shuffled: nothing to pull.
+        };
+        match pull.try_lock() {
+            Some(mut pull) => self.assemble(&mut pull),
+            None => StepOutcome::Idle,
         }
-        StepOutcome::Idle
     }
 
     /// Pushes `items` into the open batch `batch`, oldest first, and
@@ -835,17 +857,18 @@ impl<D: Dataset> Runtime<D> {
         true
     }
 
-    /// Delivers fast samples (shuffled mode) straight into an open
-    /// batch: the first non-empty one no other thread holds, else the
-    /// first free one, else the first lane's. A partial batch left there
-    /// is completed by the first samples and emitted, the rest stay
-    /// open; preferring it keeps a lane's partial batch from waiting on
-    /// traffic the others take. False once the batch queues closed.
-    fn deliver_claim(&self, claim: Vec<Prepared<D::Sample>>) -> bool {
+    /// Delivers finished samples (shuffled mode: a fast worker's flush
+    /// or one resumed slow sample) straight into an open batch: the
+    /// first non-empty one no other thread holds, else the first free
+    /// one, else the first lane's. A partial batch left there is
+    /// completed by the first samples and emitted, the rest stay open;
+    /// preferring it keeps a lane's partial batch from waiting on traffic
+    /// the others take. False once the batch queues closed.
+    fn deliver_claim(&self, claim: impl IntoIterator<Item = Prepared<D::Sample>>) -> bool {
         let mut free = None;
-        for lane in &self.lanes {
+        for open in &self.open {
             // Never blocks, so holding `free` meanwhile cannot deadlock.
-            if let Some(mut open) = lane.open.try_lock() {
+            if let Some(mut open) = open.try_lock() {
                 if !open.is_empty() {
                     drop(free);
                     return self.fill_open(&mut open, claim);
@@ -855,47 +878,30 @@ impl<D: Dataset> Runtime<D> {
         }
         match free {
             Some(mut open) => self.fill_open(&mut open, claim),
-            None => self.fill_open(&mut self.lanes[0].open.lock(), claim),
+            None => self.fill_open(&mut self.open[0].lock(), claim),
         }
     }
 
-    /// Publishes prepared samples into `q` (the fast or slow queue),
-    /// waiting for space while it is full. Fails only when the queue
-    /// closed.
+    /// Order-preserving mode: publishes prepared samples into the fast
+    /// queue, waiting for space while it is full. Fails only when the
+    /// queue closed.
     ///
-    /// The producer parks on the queue's not-full signal for at most
-    /// `starvation_wait` at a time.
-    ///
-    /// Order-preserving mode cannot park: the ordered lane pops one
-    /// sample per pass, so parked producers would all be woken once per
-    /// sample to contend for one slot. There the producer runs the lane
-    /// itself whenever the batch worker is between two passes, and
-    /// sleeps only when it is not: with the sleep alone `noop_ordered`
-    /// delivers 143 k samples/s instead of 237 k.
-    fn publish_helping(
-        &self,
-        q: &MinatoQueue<Prepared<D::Sample>>,
-        items: Vec<Prepared<D::Sample>>,
-    ) -> Result<(), Closed> {
+    /// The producer cannot park: the ordered lane pops one sample per
+    /// pass, so parked producers would all be woken once per sample to
+    /// contend for one slot. It runs the lane itself whenever the batch
+    /// worker is between two passes, and sleeps only when it is not:
+    /// with the sleep alone `noop_ordered` delivers 143 k samples/s
+    /// instead of 237 k.
+    fn publish_helping(&self, items: Vec<Prepared<D::Sample>>) -> Result<(), Closed> {
         let mut rest = items;
         loop {
-            match q.try_put_many(rest) {
+            match self.fast_q.try_put_many(rest) {
                 Ok(()) => return Ok(()),
                 Err(TryPutError::Closed(_)) => return Err(Closed),
                 Err(TryPutError::Full(r)) => rest = r,
             }
-            if self.cfg.order_preserving {
-                if !self.help_batch_once() {
-                    std::thread::sleep(self.cfg.starvation_wait);
-                }
-                continue;
-            }
-            match q.reserve_timeout(self.cfg.starvation_wait) {
-                // The woken slot takes the head item (order within the
-                // claim is kept); the bulk put above retries the rest.
-                Ok(slot) => slot.publish(rest.remove(0))?,
-                Err(TryReserveError::Full) => {}
-                Err(TryReserveError::Closed) => return Err(Closed),
+            if !self.help_batch_once() {
+                std::thread::sleep(self.cfg.starvation_wait);
             }
         }
     }
@@ -927,31 +933,32 @@ impl<D: Dataset> Runtime<D> {
 }
 
 /// Fast role: claims tickets ([`claim_size`] of them), loads,
-/// preprocesses against the balancer's timeout, and routes to fast or
-/// temp queue (Algorithm 1 lines 6–12). One step = one claim: eight
-/// tickets by default, and under a cutoff as many as fit in one hold
-/// window, up to one batch (at most `queue_capacity`).
+/// preprocesses against the balancer's timeout, and routes each sample
+/// to an open batch (the fast queue, ordered) or to the temp queue
+/// (Algorithm 1 lines 6–12). One step = one claim: eight tickets by
+/// default, and under a cutoff as many as fit in one hold window, up to
+/// one batch (at most `queue_capacity`).
 ///
 /// Completed fast samples accumulate in a claim-local buffer so that
 /// the dominant per-sample cost (a lock acquisition, and on a queue a
 /// condvar signal) is paid once per flush, not once per sample. In
 /// shuffled mode every flush goes into an open batch, which the worker
-/// emits when it fills ([`Runtime::deliver_claim`]): the batch thread
-/// neither wakes for fast samples nor copies them, and which samples
+/// emits when it fills ([`Runtime::deliver_claim`]), and which samples
 /// share a batch follows the order of the flushes alone, not which of
 /// them the hold rule split. In order-preserving mode every flush is one
-/// [`MinatoQueue::put_many`] into the fast queue, whose reorder buffer
-/// must see every sample. Either way a finished sample is withheld from
-/// the batch stage for at most `starvation_wait` plus the run of the
-/// sample in progress: once the worker has spent `starvation_wait`
-/// since it took up the oldest buffered sample, it publishes the buffer
-/// at the next sample boundary. Samples that take microseconds therefore still publish
+/// put into the fast queue, whose reorder buffer must see every sample.
+/// Either way a finished sample is withheld from its batch for at most
+/// `starvation_wait` plus the run of the sample in progress: once the
+/// worker has spent `starvation_wait` since it took up the oldest
+/// buffered sample, it publishes the buffer at the next sample
+/// boundary. Samples that take microseconds therefore still publish
 /// once per claim, samples that take milliseconds one by one, and the
 /// claim never re-creates the head-of-line wait the fast path exists to
 /// remove. The caveat is a transform that ignores its deadline: it can
 /// hold up to claim − 1 finished samples of its worker for its whole
-/// run. Timed-out samples go to the temp queue at once: deferring a
-/// deferral would delay its background completion for no benefit.
+/// run. Timed-out samples go to the temp queue at once, their tickets
+/// still in flight: deferring a deferral would delay its background
+/// completion for no benefit.
 ///
 /// Between two claims, one fast worker at a time moonlights on slow
 /// overflow ([`Runtime::moonlight`]).
@@ -982,10 +989,8 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         // a concurrent worker observing the drained sampler cannot close
         // the queues while these samples are between claim and routing.
         rt.in_flight.fetch_add(claim, Ordering::SeqCst);
-        // Between two claims, under the claim just raised: with the
-        // source not yet seen drained, no worker can start the close
-        // cascade until this one has routed (or handed back) its claim,
-        // so a deferred sample completed here still finds `slow_q` open.
+        // Between two claims. Once the source is drained, the fast
+        // workers join the slow role as their own runs out.
         if !rt.source_drained.load(Ordering::SeqCst) {
             rt.moonlight();
         }
@@ -1026,12 +1031,11 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 // inside `publish_helping`'s backpressure loop, so retries
                 // never inflate event counts.
                 rt.trace_queue(EventKind::QueuePut, Q_FAST, buf);
-                rt.publish_helping(&rt.fast_q, std::mem::take(buf)).is_ok()
+                rt.publish_helping(std::mem::take(buf)).is_ok()
             } else {
-                rt.deliver_claim(std::mem::take(buf))
+                rt.deliver_claim(buf.drain(..))
             };
-            // Only now: `fast_q` closes at `in_flight == 0`, and the batch
-            // role's `finish` flushes the open batches after that.
+            // Only now: the close cascade runs at `in_flight == 0`.
             rt.in_flight.fetch_sub(n, Ordering::SeqCst);
             ok
         };
@@ -1162,7 +1166,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                     };
                     // A full temp queue means the slow stage is behind —
                     // publish the buffered fast samples first (they'd
-                    // sit invisible to the batch worker for the whole
+                    // sit invisible to the consumers for the whole
                     // wait), then route with inline helping.
                     routed = match rt.temp_q.try_put(deferred) {
                         Ok(()) => true,
@@ -1171,8 +1175,10 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                             flush_fast(&mut fast_buf, &mut busy_sum) && rt.route_deferred(d)
                         }
                     };
-                    rt.in_flight.fetch_sub(1, Ordering::SeqCst);
+                    // A routed ticket stays in flight until its resumed
+                    // sample is delivered ([`Runtime::resume_and_deliver`]).
                     if !routed {
+                        rt.in_flight.fetch_sub(1, Ordering::SeqCst);
                         break; // Queue closed under us: shutting down.
                     }
                 }
@@ -1210,20 +1216,16 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             StepOutcome::Progress
         }
     }
-
-    // Belt-and-braces: the fast role finishing implies nothing can be in
-    // flight; `maybe_close_sources` in the step body normally closed the
-    // queues already (closing is idempotent).
-    fn finish(&self) {
-        self.rt.fast_q.close();
-        self.rt.temp_q.close();
-    }
 }
 
 /// Slow role: resumes deferred samples from their recorded transform
-/// index, without any timeout (Algorithm 1 lines 14–18). One step = one
-/// deferred sample, claimed and published on its own, so a finished
-/// sample is never withheld behind another's unbounded background work.
+/// index, without any timeout, and delivers each into an open batch
+/// (Algorithm 1 lines 14–18, with the batch worker's merge done by the
+/// thread that finished the sample). One step = one deferred sample,
+/// claimed and delivered on its own, so a finished sample is never
+/// withheld behind another's unbounded background work. The role has
+/// nothing to close: the close cascade runs from the delivery that
+/// releases the last ticket in flight.
 ///
 /// Claiming one at a time also keeps the whole backlog visible in the
 /// temp queue: a burst of eight 6 ms samples claimed by one worker would
@@ -1247,17 +1249,16 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
             return StepOutcome::Exhausted;
         }
         match rt.temp_q.pop_timeout(SLOW_CLAIM_WAIT) {
-            Ok(Some(d)) => match rt.resume_and_publish(d) {
-                Ok(()) => StepOutcome::Progress,
-                Err(Closed) => StepOutcome::Exhausted, // Queue closed under us.
-            },
+            Ok(Some(d)) => {
+                if rt.resume_and_deliver(d) {
+                    StepOutcome::Progress
+                } else {
+                    StepOutcome::Exhausted // Batch queues closed: shutting down.
+                }
+            }
             Ok(None) => StepOutcome::Idle,
             Err(Closed) => StepOutcome::Exhausted, // Closed and drained.
         }
-    }
-
-    fn finish(&self) {
-        self.rt.slow_q.close();
     }
 }
 
@@ -1271,10 +1272,11 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
 /// block, and then only for a bounded wait before re-scanning, so a
 /// queue freed in the meantime is picked up.
 ///
-/// Callers emit an open batch under its lock (lock order: lane → open
-/// batch → batch queue): the batch worker when its pass fills it, and a
-/// fast worker (shuffled mode) when its flush fills it, which so blocks
-/// on full batch queues exactly as the batch worker would.
+/// Callers emit an open batch under its lock (lock order: pull → open
+/// batch → batch queue): in shuffled mode the fast or slow worker whose
+/// delivery fills it, which so blocks on full batch queues as a batch
+/// worker would; in order-preserving mode the batch worker when its pass
+/// fills it.
 fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool {
     if batch.is_empty() {
         return true;
@@ -1328,159 +1330,87 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool
     true
 }
 
-/// One batch lane: the pull state of the worker assembling through it,
-/// and the open batch it fills.
-///
-/// The two sit under separate locks. An assembly pass takes `pull` for
-/// its whole length, including its blocking wait on the queues, so one
-/// worker at a time assembles through a lane. `open` is held only to
-/// push samples and emit the batches they fill, by that worker and, in
-/// shuffled mode, by fast workers flushing ([`Runtime::deliver_claim`]).
-/// Lock order: lane (`pull`) → open batch → batch queue.
-pub(crate) struct Lane<D: Dataset> {
-    pull: Mutex<Pull<D>>,
-    /// The partial batch; it carries the delivery-side recycle hook, as
-    /// every batch [`Runtime::new_batch`] makes does.
-    open: Mutex<Batch<D::Sample>>,
-}
-
-/// Pull state of one batch lane.
-struct Pull<D: Dataset> {
-    /// Sticky per-queue completion flags: once a queue reports closed
-    /// and drained it can never produce again, so the lane stops
-    /// touching it — popping a closed queue returns instantly, and a
-    /// step doing that while the *other* queue trickles stragglers
-    /// would spin a full core.
+/// Pull state of order-preserving mode's one lane, held by the worker
+/// running an assembly pass for the pass's whole length, including its
+/// blocking wait on the fast queue. Lock order: pull → open batch →
+/// batch queue.
+pub(crate) struct Pull<D: Dataset> {
+    /// Sticky: once the fast queue reports closed and drained it can
+    /// never produce again, so the lane stops touching it.
     fast_done: bool,
-    slow_done: bool,
-    /// Order-preserving mode (§6) only: restores strict sampler order
-    /// before batching — intentionally reintroducing head-of-line
-    /// blocking in exchange for ordering guarantees.
-    reorder: Option<ReorderBuffer<Prepared<D::Sample>>>,
+    /// Restores strict sampler order before batching (§6) —
+    /// intentionally reintroducing head-of-line blocking in exchange for
+    /// ordering guarantees.
+    reorder: ReorderBuffer<Prepared<D::Sample>>,
     /// Reusable drain buffer of `reorder`: one allocation serves every
     /// pass.
     ready: Vec<Prepared<D::Sample>>,
 }
 
 impl<D: Dataset> Runtime<D> {
-    /// The pull, in both modes: drains in bulk up to `need` samples —
-    /// fast queue first; completed slow samples are mixed in as soon as
-    /// they are ready, never deferred to the end of training (§4.1) — and
-    /// waits briefly when neither side has anything.
-    ///
-    /// In shuffled mode fast samples reach the open batches without the
-    /// fast queue ([`Runtime::deliver_claim`]), so the pull pops and
-    /// waits on the slow queue alone; the fast queue only tells, by
-    /// closing, that no fast sample is still coming. The pass waits on
-    /// that close once the slow queue is done.
+    /// The ordered lane's pull: pops up to `need` samples from the fast
+    /// queue, and waits briefly when it has none (Algorithm 1 line 28;
+    /// the paper sleeps 10 ms, this is a condvar wait that a put ends at
+    /// once).
     // minato-verify: hot-path
-    fn pull_burst(
-        &self,
-        need: usize,
-        fast_done: &mut bool,
-        slow_done: &mut bool,
-    ) -> Vec<Prepared<D::Sample>> {
+    fn pull_burst(&self, need: usize, fast_done: &mut bool) -> Vec<Prepared<D::Sample>> {
         // minato-verify: allow(V2) zero-capacity constructor never touches the heap; the backing allocation happens inside try_pop_many
         let mut pulled = Vec::new();
-        let mut pulled_q = Q_FAST;
-        let fast_queued = self.cfg.order_preserving;
-        if fast_queued && !*fast_done {
+        if !*fast_done {
             match self.fast_q.try_pop_many(need) {
                 Ok(items) => pulled = items,
                 Err(Closed) => *fast_done = true,
             }
         }
-        if pulled.is_empty() && !*slow_done {
-            match self.slow_q.try_pop_many(need) {
-                Ok(items) => {
-                    pulled = items;
-                    pulled_q = Q_SLOW;
-                }
-                Err(Closed) => *slow_done = true,
+        if pulled.is_empty() && !*fast_done {
+            match self.fast_q.pop_many_timeout(need, self.cfg.starvation_wait) {
+                Ok(items) => pulled = items,
+                Err(Closed) => *fast_done = true,
             }
         }
-        if pulled.is_empty() && !(*fast_done && *slow_done) {
-            // Not enough samples yet: wait briefly on whichever side can
-            // still produce (Algorithm 1 line 28; the paper sleeps 10 ms,
-            // this is a condvar wait that a put ends at once).
-            let (waited, waited_q) = if !*fast_done && (fast_queued || *slow_done) {
-                (
-                    self.fast_q.pop_many_timeout(need, self.cfg.starvation_wait),
-                    Q_FAST,
-                )
-            } else {
-                (
-                    self.slow_q.pop_many_timeout(need, self.cfg.starvation_wait),
-                    Q_SLOW,
-                )
-            };
-            match waited {
-                Ok(items) => {
-                    pulled = items;
-                    pulled_q = waited_q;
-                }
-                Err(Closed) if waited_q == Q_FAST => *fast_done = true,
-                Err(Closed) => *slow_done = true,
-            }
-        }
-        self.trace_queue(EventKind::QueuePop, pulled_q, &pulled);
+        self.trace_queue(EventKind::QueuePop, Q_FAST, &pulled);
         pulled
     }
 
-    /// One assembly pass through a lane whose pull state the caller
-    /// holds: pull, then push into the open batch and emit each batch
-    /// that fills. The pull asks for what the open batch still lacks.
-    /// In order-preserving mode the pulled sample goes through the
-    /// reorder buffer first, and what it releases — possibly a run,
-    /// possibly nothing — is what gets pushed. Quarantined seqs are
+    /// One ordered assembly pass, with the pull state the caller holds:
+    /// pull, offer the pulled sample to the reorder buffer, and push what
+    /// it releases — possibly a run, possibly nothing — into the open
+    /// batch, emitting each batch that fills. Quarantined seqs are
     /// resolved in the same pass, so a run parked behind one is released
     /// by it.
     ///
-    /// The ordered lane pulls one sample per pass, not the remaining
-    /// batch budget. A burst with producers parking on the fast queue
-    /// runs `noop_ordered` about five times faster, but keeps both vCPUs
-    /// of the benchmark box busy, so its throughput follows the host's
-    /// load from run to run by more than the benchmark's gate, sized from
-    /// the one-sample rate, can resolve. Until that workload is judged
+    /// The lane pulls one sample per pass, not the remaining batch
+    /// budget. A burst with producers parking on the fast queue runs
+    /// `noop_ordered` about five times faster, but keeps both vCPUs of
+    /// the benchmark box busy, so its throughput follows the host's load
+    /// from run to run by more than the benchmark's gate, sized from the
+    /// one-sample rate, can resolve. Until that workload is judged
     /// against its own spread, the one-sample budget and the producers'
     /// help-or-sleep in [`Runtime::publish_helping`] stay, as a pair
     /// (ROADMAP item 1).
     // minato-verify: hot-path
-    fn assemble(&self, pull: &mut Pull<D>, open: &Mutex<Batch<D::Sample>>) -> StepOutcome {
+    fn assemble(&self, pull: &mut Pull<D>) -> StepOutcome {
         let Pull {
             fast_done,
-            slow_done,
             reorder,
             ready,
         } = pull;
-        let need = match reorder {
-            Some(_) => 1,
-            // A fast worker may fill the open batch meanwhile; a pull
-            // past the end of it starts the next one.
-            None => self.cfg.batch_size - open.lock().len(),
-        };
-        let mut pulled = self.pull_burst(need, fast_done, slow_done);
+        let pulled = self.pull_burst(1, fast_done);
         let mut progressed = !pulled.is_empty();
-        let ready = match reorder {
-            Some(reorder) => {
-                for seq in self.ordered_gaps.lock().drain(..) {
-                    reorder.skip(seq);
-                }
-                for p in pulled {
-                    reorder.offer(p.meta.seq, p);
-                }
-                reorder.drain_ready(ready);
-                progressed |= !ready.is_empty();
-                ready
-            }
-            None => &mut pulled,
-        };
-        if !ready.is_empty() && !self.fill_open(&mut open.lock(), ready.drain(..)) {
+        for seq in self.ordered_gaps.lock().drain(..) {
+            reorder.skip(seq);
+        }
+        for p in pulled {
+            reorder.offer(p.meta.seq, p);
+        }
+        reorder.drain_ready(ready);
+        progressed |= !ready.is_empty();
+        if !ready.is_empty() && !self.fill_open(&mut self.open[0].lock(), ready.drain(..)) {
             return StepOutcome::Exhausted;
         }
         if progressed {
             StepOutcome::Progress
-        } else if *fast_done && *slow_done {
+        } else if *fast_done {
             StepOutcome::Exhausted
         } else {
             StepOutcome::Idle
@@ -1488,31 +1418,19 @@ impl<D: Dataset> Runtime<D> {
     }
 }
 
-/// Batch role: assembles batches preferring fast samples, falling back
-/// to completed slow samples (Algorithm 1 lines 20–30), and feeds the
-/// least-occupied per-GPU batch queue. One step = one assembly pass.
-///
-/// Assembly state lives in the runtime's [`Lane`]s (one per configured
-/// batch worker; exactly one in order-preserving mode, whose reorder
-/// buffer cannot be split): a stepping worker takes a free lane's pull
-/// state, runs one pass, and releases it. The executor caps the role's
-/// concurrency at the lane count. In shuffled mode fast workers push
-/// into the lanes' open batches without this role, so it assembles
-/// completed slow samples only.
+/// Batch role, order-preserving mode only: feeds the one open batch from
+/// the fast queue through the reorder buffer (Algorithm 1 lines 20–30
+/// in sampler order) and so the least-occupied per-GPU batch queue. One
+/// step = one assembly pass ([`Runtime::assemble`]); the executor caps
+/// the role's concurrency at one. Shuffled mode has no batch role: the
+/// thread that finished a sample pushes it into an open batch.
 pub(crate) struct BatchStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
-    /// Rotates the lane each step starts from, so a lane holding a
-    /// partial batch cannot be starved behind an always-free earlier
-    /// lane.
-    cursor: AtomicUsize,
 }
 
 impl<D: Dataset> BatchStep<D> {
     pub(crate) fn new(rt: Arc<Runtime<D>>) -> BatchStep<D> {
-        BatchStep {
-            rt,
-            cursor: AtomicUsize::new(0),
-        }
+        BatchStep { rt }
     }
 }
 
@@ -1521,45 +1439,21 @@ impl<D: Dataset> RoleStep for BatchStep<D> {
         if self.rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        self.rt
-            .lane_pass(self.cursor.fetch_add(1, Ordering::Relaxed))
+        self.rt.lane_pass()
     }
 
-    /// Flushes each lane's leftovers (in ordered mode first the samples
-    /// still parked behind a gap nobody reported, then the open batch)
-    /// and closes the batch queues. Runs after `fast_q` closed, so no
-    /// fast worker is still pushing into an open batch (`fast_q` closes
-    /// at `in_flight == 0`, which a flush settles only after its push).
-    /// On the shutdown path the
-    /// queues are already closed and the flush emits fail harmlessly.
+    /// Pushes the samples still parked behind a gap nobody reported,
+    /// emits the open batch and closes the batch queues. Runs once the
+    /// lane saw `fast_q` closed and drained, and `fast_q` closes at
+    /// `in_flight == 0`, so nothing is still coming.
     fn finish(&self) {
         let rt = &*self.rt;
-        for lane in &rt.lanes {
-            let mut pull = lane.pull.lock();
-            let parked = pull.reorder.as_mut().map(ReorderBuffer::drain_remaining);
-            let mut open = lane.open.lock();
-            if rt.fill_open(&mut open, parked.into_iter().flatten()) {
-                let _ = emit_batch(rt, &mut open);
-            }
+        if let Some(pull) = &rt.pull {
+            let parked = pull.lock().reorder.drain_remaining();
+            rt.fill_open(&mut rt.open[0].lock(), parked);
         }
-        for q in &rt.batch_qs {
-            q.close();
-        }
+        rt.flush_and_close();
     }
-}
-
-/// Runs the batch role to completion on the calling thread — the
-/// single-worker reference driver used by unit tests (production goes
-/// through the executor pool).
-#[cfg(test)]
-pub(crate) fn batch_worker<D: Dataset>(rt: Arc<Runtime<D>>) {
-    let step = BatchStep::new(rt);
-    loop {
-        if let StepOutcome::Exhausted = RoleStep::step(&step) {
-            break;
-        }
-    }
-    step.finish();
 }
 
 #[cfg(test)]
@@ -1728,8 +1622,8 @@ mod tests {
             .into_iter()
             .flat_map(Batch::into_samples)
             .collect();
-        for lane in &rt.lanes {
-            got.append(&mut lane.open.lock().samples);
+        for open in &rt.open {
+            got.append(&mut open.lock().samples);
         }
         got
     }
@@ -1760,11 +1654,15 @@ mod tests {
         assert_eq!(claim_size(Some(Duration::ZERO), ms, 64, 100), TICKET_CHUNK);
     }
 
+    /// Order-preserving mode runs with the timeout disabled (the
+    /// builder admits no other policy there), so it claims eight where
+    /// the same shape under a cheap cutoff claims a whole batch.
     #[test]
-    fn order_preserving_mode_claims_eight_under_any_policy() {
+    fn order_preserving_mode_claims_eight() {
         let mut cfg = batch_claim_cfg();
         assert_eq!(mini_runtime(cfg.clone()).fast_claim(), 64);
         cfg.order_preserving = true;
+        cfg.timeout_policy = TimeoutPolicy::Disabled;
         assert_eq!(mini_runtime(cfg).fast_claim(), TICKET_CHUNK);
     }
 
@@ -1834,7 +1732,7 @@ mod tests {
                 }
             } else {
                 assert_eq!(
-                    rt.lanes[0].open.lock().samples,
+                    rt.open[0].lock().samples,
                     [0],
                     "sample 0 withheld until the end of its claim of {n}"
                 );
@@ -1902,14 +1800,15 @@ mod tests {
         let batches = rt.batch_qs[0].pop_many(usize::MAX);
         let got: Vec<u32> = batches.into_iter().flat_map(Batch::into_samples).collect();
         assert_eq!(got, (0..128).collect::<Vec<_>>(), "each claim in order");
-        assert!(rt.lanes[0].open.lock().is_empty());
+        assert!(rt.open[0].lock().is_empty());
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         assert!(rt.fast_q.is_closed(), "drained source closed the queue");
     }
 
     /// A whole claim meeting an open batch the lane left `k` samples in
     /// completes it: the emitted batch starts with those `k`, and the
-    /// claim's last `k` stay open for the next one.
+    /// claim's last `k` stay open for the next one — here the close
+    /// cascade's flush, run by the step that finds the source drained.
     #[test]
     fn a_whole_claim_completes_the_open_batch() {
         const K: u32 = 5;
@@ -1917,13 +1816,13 @@ mod tests {
         cfg.starvation_wait = Duration::from_secs(10);
         let rt = runtime_over(cfg, 64, Pipeline::identity());
         {
-            let mut open = rt.lanes[0].open.lock();
+            let mut open = rt.open[0].lock();
             for i in 0..K {
                 open.push(prepared(1000 + i));
             }
         }
         let step = FastStep::new(Arc::clone(&rt));
-        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        assert_eq!(RoleStep::step(&step), StepOutcome::Progress);
         assert_eq!(rt.fast_q.total_puts(), 0);
         assert_eq!(rt.batches_out.get(), 1);
         let batch = rt.batch_qs[0].try_pop();
@@ -1932,9 +1831,12 @@ mod tests {
         };
         let want: Vec<u32> = (1000..1000 + K).chain(0..64 - K).collect();
         assert_eq!(batch.into_samples(), want);
-        let open = rt.lanes[0].open.lock();
-        assert_eq!(open.samples, (64 - K..64).collect::<Vec<_>>());
+        let rest: Vec<u32> = (64 - K..64).collect();
+        assert_eq!(rt.open[0].lock().samples, rest);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
+        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
+        assert_eq!(emitted_and_open(&rt), rest, "flushed at the drain");
+        assert!(rt.batch_qs[0].is_closed());
     }
 
     /// Transform that defers every sample from `first` on whenever it
@@ -2063,7 +1965,8 @@ mod tests {
 
     /// With two lanes, a claim completes the partial batch lane 1 holds
     /// instead of opening one in the free, empty lane 0: a partial batch
-    /// never waits for traffic another lane takes.
+    /// never waits for traffic another lane takes. The close cascade
+    /// then flushes what the claim left in lane 1.
     #[test]
     fn a_claim_completes_a_partial_batch_in_any_lane() {
         const K: u32 = 3;
@@ -2071,32 +1974,67 @@ mod tests {
         cfg.batch_workers = 2;
         cfg.starvation_wait = Duration::from_secs(10);
         let rt = runtime_over(cfg, 64, Pipeline::identity());
-        assert_eq!(rt.lanes.len(), 2);
+        assert_eq!(rt.open.len(), 2);
         {
-            let mut open = rt.lanes[1].open.lock();
+            let mut open = rt.open[1].lock();
             for i in 0..K {
                 open.push(prepared(1000 + i));
             }
         }
         let step = FastStep::new(Arc::clone(&rt));
-        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        assert_eq!(RoleStep::step(&step), StepOutcome::Progress);
         assert_eq!(rt.batches_out.get(), 1);
         let PopResult::Item(batch) = rt.batch_qs[0].try_pop() else {
             panic!("lane 1's partial batch was never completed");
         };
         let want: Vec<u32> = (1000..1000 + K).chain(0..64 - K).collect();
         assert_eq!(batch.into_samples(), want);
-        assert!(rt.lanes[0].open.lock().is_empty());
-        assert_eq!(
-            rt.lanes[1].open.lock().samples,
-            (64 - K..64).collect::<Vec<_>>()
+        assert!(rt.open[0].lock().is_empty());
+        let rest: Vec<u32> = (64 - K..64).collect();
+        assert_eq!(rt.open[1].lock().samples, rest);
+        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
+        assert_eq!(emitted_and_open(&rt), rest, "flushed at the drain");
+    }
+
+    /// A resumed slow sample goes into the open batch from the thread
+    /// that finished it, with no batch step run, and its ticket leaves
+    /// `in_flight` only after the push: the delivery that releases the
+    /// last ticket runs the close cascade, and the batch that cascade
+    /// flushes already holds its sample.
+    #[test]
+    fn a_resumed_sample_lands_in_the_open_batch_before_its_ticket_leaves() {
+        let rt = mini_runtime(mini_cfg());
+        assert!(rt.pull.is_none(), "shuffled mode has no batch lane to pull");
+        let slow = SlowStep::new(Arc::clone(&rt));
+        // Two deferred tickets, in flight as the fast worker left them.
+        rt.in_flight.fetch_add(2, Ordering::SeqCst);
+        rt.temp_q.put(deferred(7)).unwrap();
+        rt.temp_q.put(deferred(8)).unwrap();
+        assert_eq!(RoleStep::step(&slow), StepOutcome::Progress);
+        assert_eq!(rt.open[0].lock().samples, [7]);
+        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 1);
+        assert!(!rt.batch_qs[0].is_closed());
+        rt.source_drained.store(true, Ordering::SeqCst);
+        assert_eq!(RoleStep::step(&slow), StepOutcome::Progress);
+        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
+        assert!(rt.temp_q.is_closed(), "the last delivery ran the cascade");
+        assert!(
+            rt.batch_qs[0].is_closed(),
+            "the last delivery ran the cascade"
         );
+        // Released before its push, sample 8 would have missed the flush
+        // and been left in the open batch.
+        assert_eq!(rt.batches_out.get(), 1);
+        assert_eq!(emitted_and_open(&rt), [7, 8]);
+        assert_eq!(rt.fast_q.total_puts(), 0);
+        assert_eq!(RoleStep::step(&slow), StepOutcome::Exhausted);
     }
 
     /// Moonlighting: with a temp-queue backlog over the mark, exactly
     /// one of three fast workers completes deferred samples while the
-    /// other two drain the sampler; its `in_flight` claim keeps the
-    /// close cascade off until it is done, so nothing is lost.
+    /// other two drain the sampler. The deferred tickets, in flight until
+    /// their samples are delivered, keep the close cascade off until the
+    /// helper is done, so nothing is lost; its delivery runs the cascade.
     #[test]
     fn one_fast_worker_moonlights_and_its_claim_holds_the_cascade() {
         const DEFERRED: u32 = 1000;
@@ -2120,6 +2058,8 @@ mod tests {
         // Mark = `TICKET_CHUNK` × 1 slow worker; the backlog is twice it.
         const BACKLOG: u32 = 2 * TICKET_CHUNK as u32;
         let rt = runtime_over(mini_cfg(), 12, pipeline);
+        // In flight, as the fast workers that deferred them left them.
+        rt.in_flight.fetch_add(BACKLOG as usize, Ordering::SeqCst);
         for k in 0..BACKLOG {
             rt.temp_q.put(deferred(DEFERRED + k)).unwrap();
         }
@@ -2144,9 +2084,10 @@ mod tests {
         assert_eq!(most.load(Ordering::SeqCst), 1, "two helpers at once");
         assert!(rt.source_drained.load(Ordering::SeqCst));
         // The slow role meanwhile works the queue down and then finds it
-        // empty but *open*: had the helper given up its claim, the drain
-        // would have closed it, this role would finish and close `slow_q`
-        // under the sample the helper still holds.
+        // empty but *open*: had the helper's sample left `in_flight`
+        // before its delivery, the drain would have closed it and
+        // flushed the open batches and closed the batch queues under the
+        // sample the helper still holds.
         let slow = SlowStep::new(Arc::clone(&rt));
         let mut outcome = RoleStep::step(&slow);
         while outcome == StepOutcome::Progress {
@@ -2162,44 +2103,15 @@ mod tests {
             w.join().unwrap();
         }
         assert!(rt.temp_q.is_closed(), "the helper's last step closes");
+        assert!(rt.batch_qs[0].is_closed(), "and ends the run");
         assert_eq!(RoleStep::step(&slow), StepOutcome::Exhausted);
-        slow.finish();
-        // The fast samples went into the open batch and out as batches
-        // of four; the completed deferred ones queued for the batch role.
-        let mut got = drain_values(&rt.fast_q);
-        got.extend(drain_values(&rt.slow_q));
-        got.extend(emitted_and_open(&rt));
+        // Fast and resumed samples alike went into the open batch and
+        // out as batches of four.
+        let mut got = emitted_and_open(&rt);
         got.sort_unstable();
         let want: Vec<u32> = (0..12).chain(DEFERRED..DEFERRED + BACKLOG).collect();
         assert_eq!(got, want, "every sample exactly once");
         assert!(!rt.slow_helper.load(Ordering::SeqCst), "token handed back");
-    }
-
-    /// A producer blocked in `publish_helping` (fast queue full) must
-    /// return as soon as the batch side pops, not after
-    /// `starvation_wait`.
-    #[test]
-    fn blocked_publisher_wakes_when_a_slot_is_popped() {
-        let rt = backpressure_runtime(4);
-        rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
-        let base = rt.fast_q.lock_acquisitions();
-        let rt2 = Arc::clone(&rt);
-        let producer = thread::spawn(move || {
-            rt2.publish_helping(&rt2.fast_q, (10..13).map(prepared).collect())
-        });
-        wait_until_blocked_on(&rt.fast_q, base);
-        let t0 = Instant::now();
-        assert_eq!(rt.fast_q.pop_many(3).len(), 3);
-        producer.join().unwrap().expect("queue stayed open");
-        let took = t0.elapsed();
-        assert!(
-            took <= rt.cfg.starvation_wait / 2,
-            "publish took {took:?} after the pop"
-        );
-        // One item through the woken reservation, the rest in bulk,
-        // chunk order kept.
-        let left: Vec<u32> = rt.fast_q.pop_many(4).iter().map(|p| p.sample).collect();
-        assert_eq!(left, [3, 10, 11, 12]);
     }
 
     /// `route_deferred` on a temp queue whose slots a concurrent
@@ -2242,7 +2154,7 @@ mod tests {
         let rt2 = Arc::clone(&rt);
         let t0 = Instant::now();
         let producer = thread::spawn(move || {
-            let sent = rt2.publish_helping(&rt2.fast_q, (4..16).map(prepared).collect());
+            let sent = rt2.publish_helping((4..16).map(prepared).collect());
             tx.send(sent).unwrap();
         });
         rx.recv_timeout(Duration::from_secs(10))
@@ -2261,38 +2173,21 @@ mod tests {
         assert!(rt.batches_out.get() >= 3);
     }
 
-    /// Regression test for the batch-worker busy-spin: with `fast_q`
-    /// closed and drained but `slow_q` still producing stragglers, the
-    /// worker must wait on the slow side instead of hammering the closed
-    /// fast queue (whose `pop` returns instantly) at full speed.
+    /// Regression test for the batch-worker busy-spin: popping a closed
+    /// queue returns at once, so a lane that kept probing a closed,
+    /// drained fast queue would spin a core. The ordered lane probes it
+    /// once and is exhausted.
     #[test]
     fn batch_worker_does_not_spin_on_closed_fast_queue() {
-        let rt = mini_runtime(mini_cfg());
-        rt.fast_q.close(); // Fast path fully drained before start.
-        let rt2 = Arc::clone(&rt);
-        let worker = thread::spawn(move || batch_worker(rt2));
-        // Trickle 8 straggler completions over ~80 ms.
-        for i in 0..8u32 {
-            thread::sleep(Duration::from_millis(10));
-            rt.slow_q.put(prepared(i)).unwrap();
-        }
-        thread::sleep(Duration::from_millis(20));
-        let fast_ops = rt.fast_q.lock_acquisitions();
-        rt.slow_q.close();
-        worker.join().unwrap();
-        // One probe tells the worker the fast side is done; anything
-        // near the spin regime (tens of thousands of acquisitions over
-        // 100 ms) means the fix regressed. Allow generous slack.
-        assert!(
-            fast_ops <= 8,
-            "batch worker kept polling the closed fast queue: {fast_ops} lock acquisitions"
-        );
-        // The stragglers were still delivered as batches.
-        let mut delivered = 0;
-        while let Some(b) = rt.batch_qs[0].pop() {
-            delivered += b.len();
-        }
-        assert_eq!(delivered, 8);
+        let mut cfg = mini_cfg();
+        cfg.order_preserving = true;
+        let rt = mini_runtime(cfg);
+        rt.fast_q.close();
+        let step = BatchStep::new(Arc::clone(&rt));
+        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
+        assert_eq!(rt.fast_q.lock_acquisitions(), 1, "one probe");
+        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
+        assert_eq!(rt.fast_q.lock_acquisitions(), 1, "the lane remembers");
     }
 
     /// Regression test for GPU-feed starvation: a consumer that never
@@ -2325,28 +2220,36 @@ mod tests {
     }
 
     /// A slow step with an empty-but-open temp queue reports idle (so a
-    /// draining worker bids elsewhere) and exhausted once it closes.
+    /// draining worker bids elsewhere) and exhausted once it closes. In
+    /// either mode the slow role closes nothing itself: the batch queues
+    /// stay open for the close cascade (shuffled) or the batch role
+    /// (ordered).
     #[test]
     fn slow_step_reports_idle_then_exhausted() {
-        let rt = mini_runtime(mini_cfg());
-        let step = SlowStep::new(Arc::clone(&rt));
-        assert_eq!(RoleStep::step(&step), StepOutcome::Idle);
-        rt.temp_q.close();
-        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
-        assert!(!rt.slow_q.is_closed(), "finish, not step, closes slow_q");
-        step.finish();
-        assert!(rt.slow_q.is_closed());
+        for ordered in [false, true] {
+            let mut cfg = mini_cfg();
+            cfg.order_preserving = ordered;
+            let rt = mini_runtime(cfg);
+            let step = SlowStep::new(Arc::clone(&rt));
+            assert_eq!(RoleStep::step(&step), StepOutcome::Idle);
+            rt.temp_q.close();
+            assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
+            step.finish();
+            assert!(!rt.batch_qs[0].is_closed(), "ordered: {ordered}");
+        }
     }
 
-    /// The batch role's lanes cap its concurrency: a second worker
-    /// stepping while the only lane is held reports idle instead of
+    /// The ordered lane caps the batch role's concurrency: a second
+    /// worker stepping while the lane is held reports idle instead of
     /// corrupting the partial batch.
     #[test]
     fn batch_step_single_lane_excludes_second_worker() {
-        let rt = mini_runtime(mini_cfg());
+        let mut cfg = mini_cfg();
+        cfg.order_preserving = true;
+        let rt = mini_runtime(cfg);
         let step = BatchStep::new(Arc::clone(&rt));
-        assert_eq!(rt.lanes.len(), 1);
-        let held = rt.lanes[0].pull.lock();
+        assert_eq!(rt.open.len(), 1);
+        let held = rt.pull.as_ref().expect("ordered lane").lock();
         assert_eq!(RoleStep::step(&step), StepOutcome::Idle);
         drop(held);
     }

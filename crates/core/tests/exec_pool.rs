@@ -83,11 +83,13 @@ fn pool_delivers_the_samplers_ticket_set_exactly_once() {
     let mut want = sampler_tickets(n as usize, epochs, false, 0);
     want.sort_unstable();
     assert_eq!(got, want, "missing or duplicated tickets");
+    // Shuffled mode runs the fast and slow roles only: finished samples
+    // go into their batches from the thread that finished them.
     let exec = loader.stats().exec.expect("executor stats present");
-    assert_eq!(exec.roles.len(), 3);
+    assert_eq!(exec.roles.len(), 2);
     assert!(exec.role("fast").unwrap().steps > 0);
     assert!(exec.role("slow").unwrap().steps > 0);
-    assert!(exec.role("batch").unwrap().steps > 0);
+    assert!(exec.role("batch").is_none(), "{exec:?}");
 }
 
 /// Defers every fourth sample on its deadline-bearing first run. The
@@ -231,7 +233,118 @@ fn order_preserving_keeps_sampler_order() {
             got.extend(b.meta.iter().map(|m| (m.epoch, m.index, m.seq)));
         }
         assert_eq!(got, sampler_tickets(n, epochs, true, seed));
+        // Order-preserving mode keeps the batch role, which runs the
+        // reorder buffer, and has no slow thread: nothing is deferred.
+        let exec = loader.stats().exec.expect("executor stats present");
+        assert_eq!(exec.roles.len(), 3);
+        assert!(exec.role("batch").unwrap().steps > 0);
+        assert_eq!(exec.role("slow").unwrap().steps, 0);
+        assert_eq!(exec.threads, 4 + 1, "max_workers + one batch thread");
     }
+}
+
+/// Defers every fourth sample on its first, deadline-bearing run; its
+/// background resume waits until the test opens the gate (or for the
+/// fail-safe).
+struct DeferBehindGate {
+    open: AtomicBool,
+}
+
+impl Transform<u32> for DeferBehindGate {
+    fn name(&self) -> &str {
+        "defer-behind-gate"
+    }
+
+    fn apply(&self, x: u32, ctx: &TransformCtx) -> minato_core::error::Result<Outcome<u32>> {
+        if ctx.deadline().is_some() {
+            if !x.is_multiple_of(4) {
+                return Ok(Outcome::Done(x));
+            }
+            while !ctx.expired() {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            return Ok(Outcome::Interrupted(x));
+        }
+        let t0 = Instant::now();
+        while !self.open.load(Ordering::Acquire) && t0.elapsed() < FAIL_SAFE {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Ok(Outcome::Done(x))
+    }
+}
+
+/// Two GPUs and two open batches, with a deferred backlog still waiting
+/// in the temp queue when the source drains: both batch queues stay open
+/// until that backlog is delivered, and every ticket arrives exactly
+/// once. The loader runs the fast and slow roles only, on
+/// `max_workers + slow_workers` threads.
+#[test]
+fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
+    let n = 64u32;
+    let gate = Arc::new(DeferBehindGate {
+        open: AtomicBool::new(false),
+    });
+    let ds = VecDataset::new((0..n).collect::<Vec<_>>());
+    let p = Pipeline::new(vec![Arc::clone(&gate) as Arc<dyn Transform<u32>>]);
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(4)
+        .num_gpus(2)
+        .batch_workers(2)
+        .initial_workers(2)
+        .max_workers(2)
+        .slow_workers(1)
+        .adaptive_workers(false)
+        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
+        .build()
+        .expect("valid configuration");
+    let exec = loader.stats().exec.expect("executor stats present");
+    assert_eq!(exec.threads, 2 + 1, "max_workers + slow_workers");
+    assert_eq!(exec.roles.len(), 2);
+    let ended = AtomicUsize::new(0);
+    let mut got: Vec<(usize, usize, u64)> = std::thread::scope(|s| {
+        let consumers: Vec<_> = (0..2)
+            .map(|gpu| {
+                let (loader, ended) = (&loader, &ended);
+                s.spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(b) = loader.next_batch(gpu) {
+                        got.extend(b.meta.iter().map(|m| (m.epoch, m.index, m.seq)));
+                    }
+                    ended.fetch_add(1, Ordering::SeqCst);
+                    got
+                })
+            })
+            .collect();
+        // The fast role ends once the source is drained. Every deferred
+        // sample is behind the gate then, most still in the temp queue.
+        let t0 = Instant::now();
+        let stats = loop {
+            let s = loader.stats();
+            if s.exec.as_ref().unwrap().role("fast").unwrap().exhausted {
+                break s;
+            }
+            assert!(t0.elapsed() < FAIL_SAFE, "the source never drained: {s:?}");
+            std::thread::yield_now();
+        };
+        assert!(
+            stats.temp_queue_len > 0,
+            "no backlog at the drain: {stats:?}"
+        );
+        assert_eq!(
+            ended.load(Ordering::SeqCst),
+            0,
+            "a batch queue closed early"
+        );
+        gate.open.store(true, Ordering::Release);
+        consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    got.sort_unstable();
+    let mut want = sampler_tickets(n as usize, 1, true, 0);
+    want.sort_unstable();
+    assert_eq!(got, want, "missing or duplicated tickets");
 }
 
 /// How long a test waits for something a working loader does at once: a

@@ -257,7 +257,7 @@ mod tests {
     fn collector() -> Collector {
         Collector::new(
             vec!["decode".into(), "augment".into()],
-            vec!["fast_q".into(), "slow_q".into()],
+            vec!["fast_q".into(), "temp_q".into()],
             1024,
         )
     }
