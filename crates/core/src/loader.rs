@@ -71,9 +71,6 @@ pub struct LoaderConfig {
     pub max_workers: usize,
     /// Background slow-task workers.
     pub slow_workers: usize,
-    /// Open batches (lanes) in shuffled mode; order-preserving mode has
-    /// one.
-    pub batch_workers: usize,
     /// Capacity of the fast and temp queues. Fixed at the paper's 100
     /// (§5.1); no builder method sets it.
     pub queue_capacity: usize,
@@ -96,7 +93,7 @@ pub struct LoaderConfig {
     /// the waiter re-checks what else it could do, e.g. helping the
     /// next stage. One wait is still a plain sleep of this length: a
     /// producer facing a full queue in `order_preserving` mode, whose
-    /// lane frees one slot per pop. Fixed at 1 ms (the paper polls
+    /// batch role frees one slot per pop. Fixed at 1 ms (the paper polls
     /// every 10 ms); no builder method sets it.
     ///
     /// It is also the longest a fast worker withholds a finished sample
@@ -179,7 +176,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 initial_workers: 12.min(max_workers),
                 max_workers,
                 slow_workers: 2,
-                batch_workers: 1,
                 queue_capacity: 100,
                 prefetch_factor: 2,
                 timeout_policy: TimeoutPolicy::paper_default(),
@@ -243,13 +239,12 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Open batches (lanes) in shuffled mode: the fast and slow workers
-    /// push finished samples into the first one free, so more than one
-    /// lets that many workers fill batches at once. Order-preserving mode
-    /// has one lane whatever this says; there it is the number of batch
-    /// threads, which take turns on that lane.
-    pub fn batch_workers(mut self, n: usize) -> Self {
-        self.cfg.batch_workers = n;
+    /// Compatibility remnant of the removed batch-lane count: the frozen
+    /// `benchmark/` package calls `batch_workers(1)`. A loader has one
+    /// open batch in both modes and, in order-preserving mode, one batch
+    /// thread; this accepts any `n` and changes nothing. It goes once
+    /// the benchmark drops the call.
+    pub fn batch_workers(self, _n: usize) -> Self {
         self
     }
 
@@ -457,9 +452,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 "slow_workers must be positive unless the timeout is disabled".into(),
             ));
         }
-        if cfg.batch_workers == 0 {
-            return Err(LoaderError::Config("batch_workers must be positive".into()));
-        }
         if cfg.order_preserving && !matches!(cfg.timeout_policy, TimeoutPolicy::Disabled) {
             return Err(LoaderError::Config(
                 "order_preserving mode classifies nothing: its timeout policy must be Disabled"
@@ -584,19 +576,29 @@ impl<D: Dataset> MinatoLoader<D> {
             None => Arc::new(base_sampler),
         };
         let slow_threads = cfg.slow_threads();
-        // Only order-preserving mode has a batch thread: in shuffled mode
-        // the thread that finished a sample puts it into its batch.
-        let batch_threads = if cfg.order_preserving {
-            cfg.batch_workers
-        } else {
-            0
-        };
+        // Only order-preserving mode has a batch thread, exactly one: in
+        // shuffled mode the thread that finished a sample puts it into
+        // its batch.
+        let batch_threads = usize::from(cfg.order_preserving);
         let mut ecfg = ExecConfig::fixed(cfg.max_workers + slow_threads + batch_threads);
         ecfg.idle_wait = cfg.starvation_wait;
         let exec = ExecHandle::new(ecfg);
-        let mut rt = Runtime::new(cfg.clone(), dataset, pipeline, sampler, exec.clone());
+        // The open batch carries the recycler, and the ordered pull
+        // starts at the resumed watermark.
+        let log = match &resume {
+            Some(ck) => DeliveryLog::seeded(ck.watermark, ck.delivered_above.iter().copied()),
+            None => DeliveryLog::new(),
+        };
+        let mut rt = Runtime::new(
+            cfg.clone(),
+            dataset,
+            pipeline,
+            sampler,
+            exec.clone(),
+            recycler,
+            log,
+        );
         rt.cache = cache;
-        rt.recycler = recycler;
         rt.injector = injector;
         if let Some(ck) = &resume {
             // Reinstate the learned timeout and estimator counters so
@@ -606,13 +608,8 @@ impl<D: Dataset> MinatoLoader<D> {
                 ck.balancer.completions,
                 ck.balancer.flagged_slow,
             );
-            rt.delivered.get_mut().log =
-                DeliveryLog::seeded(ck.watermark, ck.delivered_above.iter().copied());
         }
         rt.pools = pools;
-        // Last: the open batches carry the recycler, and the ordered
-        // lane starts at the resumed watermark.
-        rt.build_lanes();
         let trace_collect = if cfg.trace.enabled {
             // Every pool worker plus per-GPU consumers, the monitor, and
             // slack for helper threads stepping in.
@@ -1107,12 +1104,6 @@ mod tests {
             MinatoLoader::builder(ds.clone(), p.clone())
                 .initial_workers(8)
                 .max_workers(2)
-                .build(),
-            Err(LoaderError::Config(_))
-        ));
-        assert!(matches!(
-            MinatoLoader::builder(ds.clone(), p.clone())
-                .batch_workers(0)
                 .build(),
             Err(LoaderError::Config(_))
         ));

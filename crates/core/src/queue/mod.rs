@@ -4,9 +4,9 @@
 //! batch; §4.1); this one has three, since a resumed slow sample goes
 //! straight into its batch. All of them share the same semantics:
 //! bounded capacity (the paper caps every queue at 100),
-//! multi-producer/multi-consumer, strict FIFO, occupancy statistics for
-//! the worker scheduler, and a close signal for clean drain at end of
-//! training.
+//! multi-producer/multi-consumer, strict FIFO, and a close signal for
+//! clean drain at end of training. The worker scheduler reads a batch
+//! queue's instantaneous [`MinatoQueue::len`] as its `Qsize` input.
 //!
 //! There is one implementation: a mutex guards a `VecDeque` plus the
 //! closed flag, the reservation count and one count of parked threads
@@ -25,7 +25,6 @@
 use minato_metrics::Counter;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Compatibility remnant of the removed queue-core selection: the
@@ -122,7 +121,7 @@ enum Cond {
     NotEmpty,
 }
 
-/// A bounded MPMC queue with occupancy instrumentation and close-to-drain
+/// A bounded MPMC queue with operation counters and close-to-drain
 /// semantics.
 ///
 /// * `put` blocks while full (unless closed — then it fails),
@@ -158,10 +157,6 @@ pub struct MinatoQueue<T> {
     // measures the synchronization cost of moving items, the quantity
     // `benchmark`'s `queue.locks_per_sample` divides by delivered samples.
     lock_ops: Counter,
-    // Occupancy accumulator for the scheduler's moving average: sum of
-    // queue lengths observed at each operation.
-    occupancy_sum: AtomicU64,
-    occupancy_obs: AtomicU64,
 }
 
 impl<T> MinatoQueue<T> {
@@ -187,8 +182,6 @@ impl<T> MinatoQueue<T> {
             puts: Counter::new(),
             pops: Counter::new(),
             lock_ops: Counter::new(),
-            occupancy_sum: AtomicU64::new(0),
-            occupancy_obs: AtomicU64::new(0),
         }
     }
 
@@ -200,13 +193,6 @@ impl<T> MinatoQueue<T> {
     /// Maximum number of items (the paper's `Qmax`).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn observe_len(&self, len: usize) {
-        // ORDERING: Relaxed — monitoring counters; no data is published
-        // through them and the reader tolerates any interleaving.
-        self.occupancy_sum.fetch_add(len as u64, Ordering::Relaxed);
-        self.occupancy_obs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Acquires the state mutex for a put/pop operation, counting the
@@ -259,10 +245,8 @@ impl<T> MinatoQueue<T> {
     // minato-verify: hot-path
     fn push_one(&self, mut g: MutexGuard<'_, Inner<T>>, item: T) {
         g.items.push_back(item);
-        let len = g.items.len();
         let wake = g.pop_waiters > 0;
         drop(g);
-        self.observe_len(len);
         self.puts.incr();
         if wake {
             self.not_empty.notify_one();
@@ -274,10 +258,8 @@ impl<T> MinatoQueue<T> {
     /// producer, if there is one.
     // minato-verify: hot-path
     fn popped_one(&self, g: MutexGuard<'_, Inner<T>>) {
-        let len = g.items.len();
         let wake = g.put_waiters > 0;
         drop(g);
-        self.observe_len(len);
         self.pops.incr();
         if wake {
             self.not_full.notify_one();
@@ -396,8 +378,6 @@ impl<T> MinatoQueue<T> {
                 let take = space.min(total - done);
                 g.items.extend(it.by_ref().take(take));
                 done += take;
-                let len = g.items.len();
-                self.observe_len(len);
                 self.puts.add(take as u64);
                 let wake = g.pop_waiters > 0;
                 if done == total {
@@ -434,10 +414,8 @@ impl<T> MinatoQueue<T> {
         }
         let rest = items.split_off(take);
         g.items.extend(items);
-        let len = g.items.len();
         let wake = g.pop_waiters > 0;
         drop(g);
-        self.observe_len(len);
         self.puts.add(take as u64);
         if wake {
             self.not_empty.notify_all();
@@ -506,7 +484,6 @@ impl<T> MinatoQueue<T> {
         let take = max.min(g.items.len());
         let out: Vec<T> = g.items.drain(..take).collect();
         if !out.is_empty() {
-            self.observe_len(g.items.len());
             self.pops.add(out.len() as u64);
             if g.put_waiters > 0 {
                 self.not_full.notify_all();
@@ -616,21 +593,6 @@ impl<T> MinatoQueue<T> {
     /// cost `benchmark`'s `queue.locks_per_sample` row reports.
     pub fn lock_acquisitions(&self) -> u64 {
         self.lock_ops.get()
-    }
-
-    /// Average occupancy observed across all put/pop operations — the
-    /// `Qsize` input to the scheduler's Formula 2.
-    pub fn mean_occupancy(&self) -> f64 {
-        // ORDERING: Relaxed — the two monitoring counters are read
-        // independently; a torn pair only skews the average by one
-        // observation.
-        let obs = self.occupancy_obs.load(Ordering::Relaxed);
-        if obs == 0 {
-            0.0
-        } else {
-            // ORDERING: Relaxed — same monitoring pair as above.
-            self.occupancy_sum.load(Ordering::Relaxed) as f64 / obs as f64
-        }
     }
 }
 
@@ -806,7 +768,6 @@ mod tests {
         let _ = q.pop();
         assert_eq!(q.total_puts(), 2);
         assert_eq!(q.total_pops(), 1);
-        assert!(q.mean_occupancy() > 0.0);
         assert_eq!(q.len(), 1);
     }
 
@@ -1102,10 +1063,9 @@ mod tests {
             batched.lock_acquisitions(),
             single.lock_acquisitions()
         );
-        // Occupancy/throughput accounting still matches.
+        // Throughput accounting still matches.
         assert_eq!(batched.total_puts(), 64);
         assert_eq!(batched.total_pops(), 64);
-        assert!(batched.mean_occupancy() > 0.0);
     }
 
     #[test]

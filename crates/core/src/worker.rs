@@ -17,27 +17,27 @@
 //! the stages still live, so the deferred backlog at the end of a run is
 //! finished by the whole pool.
 //!
-//! Batches fill in open batches owned by the runtime (`Runtime::open`),
-//! each under its own short-held lock. In shuffled mode the thread that
+//! Batches fill in the one open batch the runtime owns (`Runtime::open`),
+//! under a short-held lock, and every push goes through one entry point
+//! ([`Runtime::deliver_claim`]). In shuffled mode the thread that
 //! finished a sample pushes it there itself: a fast worker every flush
 //! of its claim, a slow worker (or a fast one helping it) every resumed
-//! sample ([`Runtime::deliver_claim`]). No queue and no batch thread sit
-//! between a finished sample and its batch, and a slow sample joins the
-//! next batch to fill (§4.1).
+//! sample. No queue and no batch thread sit between a finished sample
+//! and its batch, and a slow sample joins the next batch to fill (§4.1).
 //!
 //! Order-preserving mode (§6) runs classification off (nothing is ever
-//! deferred) and keeps one open batch behind a reorder buffer: fast
-//! workers put into `fast_q`, and the batch role pulls one sample per
-//! pass through the reorder buffer into the open batch; producers facing
-//! a full `fast_q` help or sleep. Lock order: pull → open batch → batch
-//! queue.
+//! deferred) and puts a reorder buffer in front of the open batch: fast
+//! workers put into `fast_q`, and the batch role, one thread, pulls one
+//! sample per pass through the reorder buffer into the open batch;
+//! producers facing a full `fast_q` help or sleep. Lock order: pull →
+//! open batch → batch queue.
 //!
 //! Shutdown is a close cascade, never a hard stop. A ticket counts in
-//! `in_flight` from its claim until its sample is in an open batch (or
+//! `in_flight` from its claim until its sample is in the open batch (or
 //! in `fast_q`, ordered) or quarantined, a deferred one across its whole
 //! stay in `temp_q`. Once the sampler is drained and nothing is in
 //! flight, `maybe_close_sources` closes `fast_q` and `temp_q`, and in
-//! shuffled mode also flushes every open batch and closes the batch
+//! shuffled mode also flushes the open batch and closes the batch
 //! queues; in order-preserving mode the batch role's `finish` does that
 //! once `fast_q` has drained. Queues drain after close, so no prepared
 //! sample is lost.
@@ -266,13 +266,12 @@ pub(crate) struct Runtime<D: Dataset> {
     /// The loader's role ids on that pool (empty in handler unit tests
     /// that drive steps directly).
     pub(crate) exec_roles: OnceLock<ExecRoles>,
-    /// The open batches (lanes): `batch_workers` of them in shuffled
-    /// mode, exactly one in order-preserving mode. Each is held
-    /// only to push samples and emit the batches they fill. Empty until
-    /// [`Runtime::build_lanes`].
-    pub(crate) open: Vec<Mutex<Batch<D::Sample>>>,
+    /// The open batch, one per loader in both modes, carrying the
+    /// recycler. Held only to push samples and emit the batches they
+    /// fill ([`Runtime::deliver_claim`]).
+    pub(crate) open: Mutex<Batch<D::Sample>>,
     /// Order-preserving mode only: the pull state of the batch role,
-    /// which feeds `open[0]` through its reorder buffer.
+    /// which feeds `open` through its reorder buffer.
     pub(crate) pull: Option<Mutex<Pull<D>>>,
     pub cfg: LoaderConfig,
     /// Tickets claimed from the sampler whose samples are not yet in an
@@ -310,7 +309,7 @@ pub(crate) struct Runtime<D: Dataset> {
     /// batch.
     pub delivered: Mutex<Deliveries>,
     /// Seqs quarantined in order-preserving mode and not yet reported to
-    /// the assembly lane, which drains this every pass and marks them
+    /// the batch role, which drains this every pass and marks them
     /// resolved in its reorder buffer, so delivery continues past the
     /// gap. Never touched on the shuffled path.
     pub(crate) ordered_gaps: Mutex<Vec<u64>>,
@@ -354,18 +353,21 @@ impl Deliveries {
 }
 
 impl<D: Dataset> Runtime<D> {
-    /// A runtime over `cfg` with every opt-in subsystem absent (cache,
-    /// pools, recycler, fault injector, tracer), nothing delivered yet
-    /// and no batch lanes. `MinatoLoader::start` sets what the builder
-    /// configured and then builds the lanes before it shares the
-    /// runtime; unit tests build them at once and drive the role steps
-    /// against it directly.
+    /// A runtime over `cfg` with the other opt-in subsystems absent
+    /// (cache, pools, fault injector, tracer). Its open batch carries
+    /// `recycler`, and the ordered pull starts where `log` does — on a
+    /// resumed run at the checkpoint's watermark, with the seqs delivered
+    /// above it already resolved. `MinatoLoader::start` sets what else
+    /// the builder configured before it shares the runtime; unit tests
+    /// drive the role steps against it directly.
     pub(crate) fn new(
         cfg: LoaderConfig,
         dataset: D,
         pipeline: Pipeline<D::Sample>,
         sampler: Arc<dyn Sampler>,
         exec: ExecHandle,
+        recycler: Option<Arc<dyn SampleRecycler<D::Sample>>>,
+        log: DeliveryLog,
     ) -> Runtime<D> {
         Runtime {
             dataset,
@@ -378,7 +380,11 @@ impl<D: Dataset> Runtime<D> {
             }),
             cache: None,
             pools: None,
-            recycler: None,
+            open: Mutex::new(Batch::with_recycler(cfg.batch_size, recycler.clone())),
+            recycler,
+            pull: cfg
+                .order_preserving
+                .then(|| Mutex::new(Pull::starting_at(&log))),
             fast_q: MinatoQueue::new("fast", cfg.queue_capacity),
             temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
             batch_qs: (0..cfg.num_gpus)
@@ -386,8 +392,6 @@ impl<D: Dataset> Runtime<D> {
                 .collect(),
             exec,
             exec_roles: OnceLock::new(),
-            open: Vec::new(),
-            pull: None,
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
             closing: AtomicBool::new(false),
@@ -400,7 +404,7 @@ impl<D: Dataset> Runtime<D> {
             recent_errors: Mutex::new(VecDeque::new()),
             faults: FaultCounters::new(),
             delivered: Mutex::new(Deliveries {
-                log: DeliveryLog::new(),
+                log,
                 latency_ms: Reservoir::new(4096),
             }),
             ordered_gaps: Mutex::new(Vec::new()),
@@ -416,31 +420,6 @@ impl<D: Dataset> Runtime<D> {
             stage_obs: None,
             cfg,
         }
-    }
-
-    /// Builds the batch lanes, once, after the recycler and the delivery
-    /// log are set: their open batches carry the recycler, and the
-    /// ordered lane's stream starts where the log does — on a resumed
-    /// run at the checkpoint's watermark, with the seqs delivered above
-    /// it already resolved.
-    pub(crate) fn build_lanes(&mut self) {
-        debug_assert!(self.open.is_empty(), "lanes are built once");
-        let lanes = if self.cfg.order_preserving {
-            let log = &self.delivered.lock().log;
-            let mut reorder = ReorderBuffer::new(log.watermark());
-            for seq in log.above() {
-                reorder.skip(seq);
-            }
-            self.pull = Some(Mutex::new(Pull {
-                fast_done: false,
-                reorder,
-                ready: Vec::new(),
-            }));
-            1
-        } else {
-            self.cfg.batch_workers.max(1)
-        };
-        self.open = (0..lanes).map(|_| Mutex::new(self.new_batch())).collect();
     }
 
     /// Records one trace event when tracing is enabled; a single branch
@@ -618,9 +597,9 @@ impl<D: Dataset> Runtime<D> {
 
     /// Quarantines a sample whose contained run failed: the
     /// `FaultHit` event, then the panic or clean-error accounting. In
-    /// order-preserving mode the seq is also reported to the assembly
-    /// lane, which would otherwise hold every later sample behind it
-    /// until the run drains.
+    /// order-preserving mode the seq is also reported to the batch role,
+    /// which would otherwise hold every later sample behind it until the
+    /// run drains.
     fn quarantine(&self, epoch: usize, seq: u64, panicked: bool, err: LoaderError) {
         self.trace(EventKind::FaultHit, epoch, seq, u32::from(panicked), 0);
         if self.cfg.order_preserving {
@@ -642,8 +621,8 @@ impl<D: Dataset> Runtime<D> {
     /// The close cascade, run once, by whichever thread first sees the
     /// sampler drained with nothing in flight: every sample is then in an
     /// open batch (or in `fast_q`, ordered) or quarantined. Closes
-    /// `fast_q` and `temp_q`; in shuffled mode also emits every open
-    /// batch and closes the batch queues. In order-preserving mode the
+    /// `fast_q` and `temp_q`; in shuffled mode also emits the open batch
+    /// and closes the batch queues. In order-preserving mode the
     /// batch role's `finish` does that after `fast_q` has drained.
     ///
     /// Called after every `in_flight` release that can be the last: the
@@ -664,13 +643,11 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
-    /// Emits every open batch and closes the batch queues: the end of the
+    /// Emits the open batch and closes the batch queues: the end of the
     /// run for the consumers. On the shutdown path the queues are
-    /// already closed and the emits fail harmlessly.
+    /// already closed and the emit fails harmlessly.
     fn flush_and_close(&self) {
-        for open in &self.open {
-            let _ = emit_batch(self, &mut open.lock());
-        }
+        let _ = emit_batch(self, &mut self.open.lock());
         for q in &self.batch_qs {
             q.close();
         }
@@ -682,12 +659,12 @@ impl<D: Dataset> Runtime<D> {
     // A fast worker facing a full temp queue does not wait for the slow
     // workers to drain it: it completes one deferred sample inline
     // (`route_deferred`), which also frees the slot it needs. A finished
-    // sample goes into an open batch in shuffled mode, so the chain
+    // sample goes into the open batch in shuffled mode, so the chain
     // bottoms out at the per-GPU batch queues, which only the external
     // consumer drains — the one place where waiting is correct
     // backpressure. In order-preserving mode a producer facing a full
-    // fast queue runs an assembly pass itself when the lane is free and
-    // sleeps `starvation_wait` out when it is not (see
+    // fast queue runs an assembly pass itself when the pull state is
+    // free and sleeps `starvation_wait` out when it is not (see
     // `publish_helping`).
     // ------------------------------------------------------------------
 
@@ -753,10 +730,10 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Completes one deferred sample just popped from the temp queue and
-    /// delivers it into an open batch: one unit of slow-role work,
+    /// delivers it into the open batch: one unit of slow-role work,
     /// whoever runs it. Its ticket leaves `in_flight` only after the push
     /// (or the quarantine), so the close cascade cannot flush the open
-    /// batches under it. False once the batch queues closed (shutting
+    /// batch under it. False once the batch queues closed (shutting
     /// down).
     fn resume_and_deliver(&self, d: Deferred<D::Sample>) -> bool {
         debug_assert!(!self.cfg.order_preserving, "ordered mode defers nothing");
@@ -822,15 +799,15 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Runs one ordered assembly pass inline. Returns whether it made
-    /// progress (false also when another worker holds the lane — that
-    /// worker is the one making progress then).
+    /// progress (false also when another worker holds the pull state —
+    /// that worker is the one making progress then).
     fn help_batch_once(&self) -> bool {
-        matches!(self.lane_pass(), StepOutcome::Progress)
+        matches!(self.ordered_pass(), StepOutcome::Progress)
     }
 
-    /// One ordered assembly pass, unless another worker holds the lane's
-    /// pull state (`Idle`).
-    fn lane_pass(&self) -> StepOutcome {
+    /// One ordered assembly pass, unless another worker holds the pull
+    /// state (`Idle`).
+    fn ordered_pass(&self) -> StepOutcome {
         let Some(pull) = &self.pull else {
             return StepOutcome::Exhausted; // Shuffled: nothing to pull.
         };
@@ -840,55 +817,30 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
-    /// Pushes `items` into the open batch `batch`, oldest first, and
-    /// emits it each time it fills. False once the batch queues closed
-    /// (shutting down).
-    fn fill_open(
-        &self,
-        batch: &mut Batch<D::Sample>,
-        items: impl IntoIterator<Item = Prepared<D::Sample>>,
-    ) -> bool {
-        for p in items {
-            batch.push(p);
-            if batch.len() >= self.cfg.batch_size && !emit_batch(self, batch) {
+    /// The one entry point into the open batch: locks it, pushes
+    /// `claim` oldest first, and emits each batch that fills. Shuffled
+    /// mode delivers a fast worker's flush or one resumed slow sample
+    /// here, order-preserving mode what the reorder buffer releases in a
+    /// pass and, at the end, what it still parks. False once the batch
+    /// queues closed (shutting down).
+    fn deliver_claim(&self, claim: impl IntoIterator<Item = Prepared<D::Sample>>) -> bool {
+        let mut open = self.open.lock();
+        for p in claim {
+            open.push(p);
+            if open.len() >= self.cfg.batch_size && !emit_batch(self, &mut open) {
                 return false;
             }
         }
         true
     }
 
-    /// Delivers finished samples (shuffled mode: a fast worker's flush
-    /// or one resumed slow sample) straight into an open batch: the
-    /// first non-empty one no other thread holds, else the first free
-    /// one, else the first lane's. A partial batch left there is
-    /// completed by the first samples and emitted, the rest stay open;
-    /// preferring it keeps a lane's partial batch from waiting on traffic
-    /// the others take. False once the batch queues closed.
-    fn deliver_claim(&self, claim: impl IntoIterator<Item = Prepared<D::Sample>>) -> bool {
-        let mut free = None;
-        for open in &self.open {
-            // Never blocks, so holding `free` meanwhile cannot deadlock.
-            if let Some(mut open) = open.try_lock() {
-                if !open.is_empty() {
-                    drop(free);
-                    return self.fill_open(&mut open, claim);
-                }
-                free.get_or_insert(open);
-            }
-        }
-        match free {
-            Some(mut open) => self.fill_open(&mut open, claim),
-            None => self.fill_open(&mut self.open[0].lock(), claim),
-        }
-    }
-
     /// Order-preserving mode: publishes prepared samples into the fast
     /// queue, waiting for space while it is full. Fails only when the
     /// queue closed.
     ///
-    /// The producer cannot park: the ordered lane pops one sample per
+    /// The producer cannot park: the batch role pops one sample per
     /// pass, so parked producers would all be woken once per sample to
-    /// contend for one slot. It runs the lane itself whenever the batch
+    /// contend for one slot. It runs a pass itself whenever the batch
     /// worker is between two passes, and sleeps only when it is not:
     /// with the sleep alone `noop_ordered` delivers 143 k samples/s
     /// instead of 237 k.
@@ -934,7 +886,7 @@ impl<D: Dataset> Runtime<D> {
 
 /// Fast role: claims tickets ([`claim_size`] of them), loads,
 /// preprocesses against the balancer's timeout, and routes each sample
-/// to an open batch (the fast queue, ordered) or to the temp queue
+/// to the open batch (the fast queue, ordered) or to the temp queue
 /// (Algorithm 1 lines 6–12). One step = one claim: eight tickets by
 /// default, and under a cutoff as many as fit in one hold window, up to
 /// one batch (at most `queue_capacity`).
@@ -942,7 +894,7 @@ impl<D: Dataset> Runtime<D> {
 /// Completed fast samples accumulate in a claim-local buffer so that
 /// the dominant per-sample cost (a lock acquisition, and on a queue a
 /// condvar signal) is paid once per flush, not once per sample. In
-/// shuffled mode every flush goes into an open batch, which the worker
+/// shuffled mode every flush goes into the open batch, which the worker
 /// emits when it fills ([`Runtime::deliver_claim`]), and which samples
 /// share a batch follows the order of the flushes alone, not which of
 /// them the hold rule split. In order-preserving mode every flush is one
@@ -1016,7 +968,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         let mut busy_sum = Duration::ZERO;
         // Hands `busy` to the CPU meter, then publishes the buffered fast
         // samples and settles their in-flight claims; false = queue
-        // closed. Shuffled mode pushes them into an open batch, ordered
+        // closed. Shuffled mode pushes them into the open batch, ordered
         // mode into the fast queue, in one operation either way.
         let flush_fast = |buf: &mut Vec<Prepared<D::Sample>>, busy: &mut Duration| -> bool {
             if !busy.is_zero() {
@@ -1219,7 +1171,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
 }
 
 /// Slow role: resumes deferred samples from their recorded transform
-/// index, without any timeout, and delivers each into an open batch
+/// index, without any timeout, and delivers each into the open batch
 /// (Algorithm 1 lines 14–18, with the batch worker's merge done by the
 /// thread that finished the sample). One step = one deferred sample,
 /// claimed and delivered on its own, so a finished sample is never
@@ -1272,11 +1224,12 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
 /// block, and then only for a bounded wait before re-scanning, so a
 /// queue freed in the meantime is picked up.
 ///
-/// Callers emit an open batch under its lock (lock order: pull → open
-/// batch → batch queue): in shuffled mode the fast or slow worker whose
-/// delivery fills it, which so blocks on full batch queues as a batch
-/// worker would; in order-preserving mode the batch worker when its pass
-/// fills it.
+/// Callers emit the open batch under its lock (lock order: pull → open
+/// batch → batch queue), from [`Runtime::deliver_claim`] when a push
+/// fills it and from the end-of-run flush: in shuffled mode the fast or
+/// slow worker whose delivery fills it, which so blocks on full batch
+/// queues as a batch worker would; in order-preserving mode the batch
+/// worker when its pass fills it.
 fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool {
     if batch.is_empty() {
         return true;
@@ -1330,13 +1283,13 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool
     true
 }
 
-/// Pull state of order-preserving mode's one lane, held by the worker
+/// Pull state of order-preserving mode's batch role, held by the worker
 /// running an assembly pass for the pass's whole length, including its
 /// blocking wait on the fast queue. Lock order: pull → open batch →
 /// batch queue.
 pub(crate) struct Pull<D: Dataset> {
     /// Sticky: once the fast queue reports closed and drained it can
-    /// never produce again, so the lane stops touching it.
+    /// never produce again, so the pass stops touching it.
     fast_done: bool,
     /// Restores strict sampler order before batching (§6) —
     /// intentionally reintroducing head-of-line blocking in exchange for
@@ -1347,8 +1300,25 @@ pub(crate) struct Pull<D: Dataset> {
     ready: Vec<Prepared<D::Sample>>,
 }
 
+impl<D: Dataset> Pull<D> {
+    /// The pull state of a run whose delivery log is `log`: its stream
+    /// starts at the log's watermark, with the seqs delivered above it
+    /// already resolved.
+    fn starting_at(log: &DeliveryLog) -> Pull<D> {
+        let mut reorder = ReorderBuffer::new(log.watermark());
+        for seq in log.above() {
+            reorder.skip(seq);
+        }
+        Pull {
+            fast_done: false,
+            reorder,
+            ready: Vec::new(),
+        }
+    }
+}
+
 impl<D: Dataset> Runtime<D> {
-    /// The ordered lane's pull: pops up to `need` samples from the fast
+    /// The ordered pull: pops up to `need` samples from the fast
     /// queue, and waits briefly when it has none (Algorithm 1 line 28;
     /// the paper sleeps 10 ms, this is a condvar wait that a put ends at
     /// once).
@@ -1379,8 +1349,7 @@ impl<D: Dataset> Runtime<D> {
     /// resolved in the same pass, so a run parked behind one is released
     /// by it.
     ///
-    /// The lane pulls one sample per pass, not the remaining batch
-    /// budget. A burst with producers parking on the fast queue runs
+    /// The pass pulls one sample, not the remaining batch budget. A burst with producers parking on the fast queue runs
     /// `noop_ordered` about five times faster, but keeps both vCPUs of
     /// the benchmark box busy, so its throughput follows the host's load
     /// from run to run by more than the benchmark's gate, sized from the
@@ -1405,7 +1374,7 @@ impl<D: Dataset> Runtime<D> {
         }
         reorder.drain_ready(ready);
         progressed |= !ready.is_empty();
-        if !ready.is_empty() && !self.fill_open(&mut self.open[0].lock(), ready.drain(..)) {
+        if !ready.is_empty() && !self.deliver_claim(ready.drain(..)) {
             return StepOutcome::Exhausted;
         }
         if progressed {
@@ -1423,7 +1392,7 @@ impl<D: Dataset> Runtime<D> {
 /// in sampler order) and so the least-occupied per-GPU batch queue. One
 /// step = one assembly pass ([`Runtime::assemble`]); the executor caps
 /// the role's concurrency at one. Shuffled mode has no batch role: the
-/// thread that finished a sample pushes it into an open batch.
+/// thread that finished a sample pushes it into the open batch.
 pub(crate) struct BatchStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
 }
@@ -1439,18 +1408,18 @@ impl<D: Dataset> RoleStep for BatchStep<D> {
         if self.rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        self.rt.lane_pass()
+        self.rt.ordered_pass()
     }
 
     /// Pushes the samples still parked behind a gap nobody reported,
     /// emits the open batch and closes the batch queues. Runs once the
-    /// lane saw `fast_q` closed and drained, and `fast_q` closes at
+    /// pass saw `fast_q` closed and drained, and `fast_q` closes at
     /// `in_flight == 0`, so nothing is still coming.
     fn finish(&self) {
         let rt = &*self.rt;
         if let Some(pull) = &rt.pull {
             let parked = pull.lock().reorder.drain_remaining();
-            rt.fill_open(&mut rt.open[0].lock(), parked);
+            rt.deliver_claim(parked);
         }
         rt.flush_and_close();
     }
@@ -1478,7 +1447,6 @@ mod tests {
             initial_workers: 1,
             max_workers: 1,
             slow_workers: 1,
-            batch_workers: 1,
             queue_capacity: 16,
             prefetch_factor: 8,
             timeout_policy: TimeoutPolicy::Disabled,
@@ -1498,15 +1466,15 @@ mod tests {
     /// A runtime with no spawned threads: tests drive the role handlers
     /// directly against hand-fed queues.
     fn mini_runtime(cfg: LoaderConfig) -> Arc<Runtime<Ds>> {
-        let mut rt = Runtime::new(
+        Arc::new(Runtime::new(
             cfg,
             VecDataset::new(Vec::new()),
             Pipeline::identity(),
             Arc::new(EpochSampler::new(0, 1, false, 0)),
             ExecHandle::new(ExecConfig::fixed(0)),
-        );
-        rt.build_lanes();
-        Arc::new(rt)
+            None,
+            DeliveryLog::new(),
+        ))
     }
 
     fn prepared(i: u32) -> Prepared<u32> {
@@ -1614,7 +1582,7 @@ mod tests {
     }
 
     /// The samples of every emitted batch, in emission order, then those
-    /// still in the open batches, lane by lane.
+    /// still in the open batch.
     fn emitted_and_open(rt: &Runtime<Ds>) -> Vec<u32> {
         let mut got: Vec<u32> = rt.batch_qs[0]
             .try_pop_many(usize::MAX)
@@ -1622,9 +1590,7 @@ mod tests {
             .into_iter()
             .flat_map(Batch::into_samples)
             .collect();
-        for open in &rt.open {
-            got.append(&mut open.lock().samples);
-        }
+        got.append(&mut rt.open.lock().samples);
         got
     }
 
@@ -1732,7 +1698,7 @@ mod tests {
                 }
             } else {
                 assert_eq!(
-                    rt.open[0].lock().samples,
+                    rt.open.lock().samples,
                     [0],
                     "sample 0 withheld until the end of its claim of {n}"
                 );
@@ -1800,12 +1766,12 @@ mod tests {
         let batches = rt.batch_qs[0].pop_many(usize::MAX);
         let got: Vec<u32> = batches.into_iter().flat_map(Batch::into_samples).collect();
         assert_eq!(got, (0..128).collect::<Vec<_>>(), "each claim in order");
-        assert!(rt.open[0].lock().is_empty());
+        assert!(rt.open.lock().is_empty());
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         assert!(rt.fast_q.is_closed(), "drained source closed the queue");
     }
 
-    /// A whole claim meeting an open batch the lane left `k` samples in
+    /// A whole claim meeting an open batch left holding `k` samples
     /// completes it: the emitted batch starts with those `k`, and the
     /// claim's last `k` stay open for the next one — here the close
     /// cascade's flush, run by the step that finds the source drained.
@@ -1816,7 +1782,7 @@ mod tests {
         cfg.starvation_wait = Duration::from_secs(10);
         let rt = runtime_over(cfg, 64, Pipeline::identity());
         {
-            let mut open = rt.open[0].lock();
+            let mut open = rt.open.lock();
             for i in 0..K {
                 open.push(prepared(1000 + i));
             }
@@ -1832,7 +1798,7 @@ mod tests {
         let want: Vec<u32> = (1000..1000 + K).chain(0..64 - K).collect();
         assert_eq!(batch.into_samples(), want);
         let rest: Vec<u32> = (64 - K..64).collect();
-        assert_eq!(rt.open[0].lock().samples, rest);
+        assert_eq!(rt.open.lock().samples, rest);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
         assert_eq!(emitted_and_open(&rt), rest, "flushed at the drain");
@@ -1963,39 +1929,6 @@ mod tests {
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
     }
 
-    /// With two lanes, a claim completes the partial batch lane 1 holds
-    /// instead of opening one in the free, empty lane 0: a partial batch
-    /// never waits for traffic another lane takes. The close cascade
-    /// then flushes what the claim left in lane 1.
-    #[test]
-    fn a_claim_completes_a_partial_batch_in_any_lane() {
-        const K: u32 = 3;
-        let mut cfg = batch_claim_cfg();
-        cfg.batch_workers = 2;
-        cfg.starvation_wait = Duration::from_secs(10);
-        let rt = runtime_over(cfg, 64, Pipeline::identity());
-        assert_eq!(rt.open.len(), 2);
-        {
-            let mut open = rt.open[1].lock();
-            for i in 0..K {
-                open.push(prepared(1000 + i));
-            }
-        }
-        let step = FastStep::new(Arc::clone(&rt));
-        assert_eq!(RoleStep::step(&step), StepOutcome::Progress);
-        assert_eq!(rt.batches_out.get(), 1);
-        let PopResult::Item(batch) = rt.batch_qs[0].try_pop() else {
-            panic!("lane 1's partial batch was never completed");
-        };
-        let want: Vec<u32> = (1000..1000 + K).chain(0..64 - K).collect();
-        assert_eq!(batch.into_samples(), want);
-        assert!(rt.open[0].lock().is_empty());
-        let rest: Vec<u32> = (64 - K..64).collect();
-        assert_eq!(rt.open[1].lock().samples, rest);
-        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
-        assert_eq!(emitted_and_open(&rt), rest, "flushed at the drain");
-    }
-
     /// A resumed slow sample goes into the open batch from the thread
     /// that finished it, with no batch step run, and its ticket leaves
     /// `in_flight` only after the push: the delivery that releases the
@@ -2004,14 +1937,14 @@ mod tests {
     #[test]
     fn a_resumed_sample_lands_in_the_open_batch_before_its_ticket_leaves() {
         let rt = mini_runtime(mini_cfg());
-        assert!(rt.pull.is_none(), "shuffled mode has no batch lane to pull");
+        assert!(rt.pull.is_none(), "shuffled mode has no batch role to pull");
         let slow = SlowStep::new(Arc::clone(&rt));
         // Two deferred tickets, in flight as the fast worker left them.
         rt.in_flight.fetch_add(2, Ordering::SeqCst);
         rt.temp_q.put(deferred(7)).unwrap();
         rt.temp_q.put(deferred(8)).unwrap();
         assert_eq!(RoleStep::step(&slow), StepOutcome::Progress);
-        assert_eq!(rt.open[0].lock().samples, [7]);
+        assert_eq!(rt.open.lock().samples, [7]);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 1);
         assert!(!rt.batch_qs[0].is_closed());
         rt.source_drained.store(true, Ordering::SeqCst);
@@ -2086,7 +2019,7 @@ mod tests {
         // The slow role meanwhile works the queue down and then finds it
         // empty but *open*: had the helper's sample left `in_flight`
         // before its delivery, the drain would have closed it and
-        // flushed the open batches and closed the batch queues under the
+        // flushed the open batch and closed the batch queues under the
         // sample the helper still holds.
         let slow = SlowStep::new(Arc::clone(&rt));
         let mut outcome = RoleStep::step(&slow);
@@ -2139,7 +2072,7 @@ mod tests {
         assert_eq!(rt.temp_q.len(), 1);
     }
 
-    /// Order-preserving mode: with the assembly lane free, a producer
+    /// Order-preserving mode: with the pull state free, a producer
     /// facing a full fast queue assembles batches itself and so never
     /// sleeps.
     #[test]
@@ -2174,8 +2107,8 @@ mod tests {
     }
 
     /// Regression test for the batch-worker busy-spin: popping a closed
-    /// queue returns at once, so a lane that kept probing a closed,
-    /// drained fast queue would spin a core. The ordered lane probes it
+    /// queue returns at once, so a batch role that kept probing a closed,
+    /// drained fast queue would spin a core. The ordered pass probes it
     /// once and is exhausted.
     #[test]
     fn batch_worker_does_not_spin_on_closed_fast_queue() {
@@ -2187,7 +2120,7 @@ mod tests {
         assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
         assert_eq!(rt.fast_q.lock_acquisitions(), 1, "one probe");
         assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
-        assert_eq!(rt.fast_q.lock_acquisitions(), 1, "the lane remembers");
+        assert_eq!(rt.fast_q.lock_acquisitions(), 1, "the pull remembers");
     }
 
     /// Regression test for GPU-feed starvation: a consumer that never
@@ -2239,18 +2172,21 @@ mod tests {
         }
     }
 
-    /// The ordered lane caps the batch role's concurrency: a second
-    /// worker stepping while the lane is held reports idle instead of
-    /// corrupting the partial batch.
+    /// The pull state caps the ordered batch role's concurrency: a
+    /// second worker stepping while another holds it reports idle, and
+    /// touches neither the fast queue nor the open batch.
     #[test]
     fn batch_step_single_lane_excludes_second_worker() {
         let mut cfg = mini_cfg();
         cfg.order_preserving = true;
         let rt = mini_runtime(cfg);
+        rt.fast_q.put(prepared(0)).unwrap();
+        let puts = rt.fast_q.lock_acquisitions();
         let step = BatchStep::new(Arc::clone(&rt));
-        assert_eq!(rt.open.len(), 1);
-        let held = rt.pull.as_ref().expect("ordered lane").lock();
+        let held = rt.pull.as_ref().expect("ordered pull state").lock();
         assert_eq!(RoleStep::step(&step), StepOutcome::Idle);
+        assert_eq!(rt.fast_q.lock_acquisitions(), puts, "no pop");
+        assert!(rt.open.lock().is_empty());
         drop(held);
     }
 

@@ -405,7 +405,7 @@ fn checkpoint_of_a_wedged_pipeline_resumes_exactly_once() {
         // queue. Shuffled, fast samples skip that queue: the producers
         // block pushing into the open batch, and no sample completes any
         // more. In ordered mode a descheduled worker holding the awaited
-        // seq lets the lane move the fast queue into its unbounded
+        // seq lets the batch role move the fast queue into its unbounded
         // reorder buffer, so the wait is bounded and reports the state it
         // found instead of spinning forever.
         let t0 = Instant::now();

@@ -188,8 +188,8 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
         "a worker left a live home role: {exec:?}"
     );
     // Only the three fast threads have a live role left to join once
-    // their own is exhausted (the slow role; the batch lane is staffed),
-    // and each joins it once.
+    // their own is exhausted (the slow role; shuffled mode has no batch
+    // role), and each joins it once.
     assert!(
         exec.role_switches <= 3,
         "workers kept migrating after the drain: {exec:?}"
@@ -273,10 +273,10 @@ impl Transform<u32> for DeferBehindGate {
     }
 }
 
-/// Two GPUs and two open batches, with a deferred backlog still waiting
-/// in the temp queue when the source drains: both batch queues stay open
-/// until that backlog is delivered, and every ticket arrives exactly
-/// once. The loader runs the fast and slow roles only, on
+/// Two GPUs fed from the one open batch, with a deferred backlog still
+/// waiting in the temp queue when the source drains: both batch queues
+/// stay open until that backlog is delivered, and every ticket arrives
+/// exactly once. The loader runs the fast and slow roles only, on
 /// `max_workers + slow_workers` threads.
 #[test]
 fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
@@ -289,7 +289,6 @@ fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(4)
         .num_gpus(2)
-        .batch_workers(2)
         .initial_workers(2)
         .max_workers(2)
         .slow_workers(1)
@@ -345,6 +344,69 @@ fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
     let mut want = sampler_tickets(n as usize, 1, true, 0);
     want.sort_unstable();
     assert_eq!(got, want, "missing or duplicated tickets");
+}
+
+/// `batch_workers(n)` is an inert compatibility method: in both modes a
+/// loader built with `batch_workers(4)` registers the same roles, with
+/// the same budgets, on as many pool threads as one built without it —
+/// in order-preserving mode one batch thread either way — and the
+/// ordered loader delivers the same batches.
+#[test]
+fn batch_workers_changes_nothing() {
+    for ordered in [false, true] {
+        let build = |set_four: bool| {
+            let ds = VecDataset::new((0..96u32).collect::<Vec<_>>());
+            let mut b = MinatoLoader::builder(ds, Pipeline::identity())
+                .batch_size(8)
+                .shuffle(false)
+                .initial_workers(2)
+                .max_workers(2)
+                .slow_workers(1)
+                .adaptive_workers(false)
+                .order_preserving(ordered);
+            if set_four {
+                b = b.batch_workers(4);
+            }
+            b.build().expect("valid configuration")
+        };
+        let (plain, four) = (build(false), build(true));
+        let shape = |loader: &MinatoLoader<VecDataset<u32>>| {
+            let exec = loader.stats().exec.expect("executor stats present");
+            let roles: Vec<(String, usize)> = exec
+                .roles
+                .iter()
+                .map(|r| (r.name.clone(), r.budget))
+                .collect();
+            (exec.threads, roles)
+        };
+        let (threads, roles) = shape(&plain);
+        assert_eq!(shape(&four), (threads, roles.clone()), "ordered: {ordered}");
+        let batch = roles.iter().find(|(name, _)| name == "batch");
+        assert_eq!(
+            batch.map(|(_, budget)| *budget),
+            ordered.then_some(1),
+            "ordered: {ordered}"
+        );
+        let batches = |loader: MinatoLoader<VecDataset<u32>>| -> Vec<Vec<u64>> {
+            loader
+                .iter()
+                .map(|b| b.meta.iter().map(|m| m.seq).collect())
+                .collect()
+        };
+        let (a, b) = (batches(plain), batches(four));
+        if ordered {
+            assert_eq!(a, b, "ordered batches differ");
+        } else {
+            // Shuffled batch composition follows thread timing; both
+            // runs still deliver every seq once.
+            let all = |batches: Vec<Vec<u64>>| {
+                let mut seqs: Vec<u64> = batches.into_iter().flatten().collect();
+                seqs.sort_unstable();
+                seqs
+            };
+            assert_eq!(all(a), all(b));
+        }
+    }
 }
 
 /// How long a test waits for something a working loader does at once: a

@@ -200,8 +200,8 @@ fn shutdown_under_backpressure_is_clean() {
     // batch, so they block there (one in the emit, the others on the
     // open batch's lock) and no sample completes any more. In
     // order-preserving mode the 100-slot fast queue fills and they
-    // sleep between attempts to run the held lane themselves. They must
-    // unblock on drop in both modes.
+    // sleep between attempts to run an assembly pass themselves. They
+    // must unblock on drop in both modes.
     for order_preserving in [false, true] {
         let ds = VecDataset::new((0..500u32).collect::<Vec<_>>());
         let loader = MinatoLoader::builder(ds, Pipeline::identity())

@@ -50,17 +50,6 @@ fn queue_fill_to_capacity_then_drain_completely() {
 }
 
 #[test]
-fn queue_mean_occupancy_bounded_by_capacity() {
-    let q: MinatoQueue<u32> = MinatoQueue::new("occ", 4);
-    for i in 0..4 {
-        q.put(i).unwrap();
-    }
-    while let PopResult::Item(_) = q.try_pop() {}
-    let occ = q.mean_occupancy();
-    assert!(occ > 0.0 && occ <= 4.0, "mean occupancy {occ} out of range");
-}
-
-#[test]
 fn pop_timeout_returns_item_arriving_mid_wait() {
     let q: Arc<MinatoQueue<u32>> = Arc::new(MinatoQueue::new("late", 4));
     let q2 = Arc::clone(&q);

@@ -92,7 +92,8 @@ pub struct RoleSpec {
     /// this role, and only it, while it is live.
     pub threads: usize,
     /// Hard cap on concurrent occupants, independent of budget — e.g. a
-    /// batch role with N assembly lanes caps at N. `None` = unlimited.
+    /// batch role that assembles into one open batch caps at 1. `None` =
+    /// unlimited.
     pub max_concurrency: Option<usize>,
 }
 
@@ -499,8 +500,8 @@ fn worker_loop(shared: &Shared, id: usize) {
     let mut current: Option<RoleId> = None;
     while !shared.is_shutdown() {
         // A drained worker leaves alone the capped roles whose own
-        // threads already fill the cap (the batch lanes): it could add
-        // no capacity there, only take a lane from its owner.
+        // threads already fill the cap (the ordered batch role): it could
+        // add no capacity there, only take the role from its owner.
         let mut live: Vec<&Arc<RoleState>> = roles
             .iter()
             .filter(|r| {

@@ -5,17 +5,17 @@
 //! utilization is derived from first principles instead: every worker (or
 //! simulated device) reports the nanoseconds it spent busy, and utilization
 //! over an interval is `busy / (interval × slots)` where `slots` is the
-//! number of workers/devices sharing the meter.
+//! number of workers/devices sharing the meter. The meter keeps the
+//! cumulative busy time only; a monitor reads [`UtilizationMeter::busy_ns`]
+//! each tick and divides the delta by its own interval.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Accumulates busy time across many workers and converts it to a
-/// utilization percentage over sampled windows.
+/// Accumulates busy time across many workers.
 ///
 /// Thread-safe and lock-free; workers call [`UtilizationMeter::add_busy`]
-/// from the hot path, a monitor thread calls
-/// [`UtilizationMeter::utilization_since`] (or keeps a [`UtilizationWindow`])
+/// from the hot path, a monitor thread reads [`UtilizationMeter::busy_ns`]
 /// on its sampling interval.
 ///
 /// # Examples
@@ -28,8 +28,8 @@ use std::time::Duration;
 /// m.add_busy(Duration::from_millis(500));
 /// m.add_busy(Duration::from_millis(500));
 /// // Over a one-second window with two workers: 1.0s busy / 2.0s capacity.
-/// let pct = m.utilization_since(0, Duration::from_secs(1)).1;
-/// assert!((pct - 50.0).abs() < 1e-9);
+/// let capacity_ns = Duration::from_secs(1).as_nanos() as u64 * m.slots();
+/// assert_eq!(m.busy_ns() * 2, capacity_ns);
 /// ```
 #[derive(Debug)]
 pub struct UtilizationMeter {
@@ -66,52 +66,6 @@ impl UtilizationMeter {
     pub fn slots(&self) -> u64 {
         self.slots
     }
-
-    /// Returns `(current_busy_ns, utilization_percent)` for the window that
-    /// started when the cumulative busy counter read `prev_busy_ns` and
-    /// lasted `window`.
-    ///
-    /// The percentage is clamped to `[0, 100]`; clock skew between the busy
-    /// counter and the wall clock can otherwise push it slightly above 100.
-    pub fn utilization_since(&self, prev_busy_ns: u64, window: Duration) -> (u64, f64) {
-        let now = self.busy_ns();
-        let delta = now.saturating_sub(prev_busy_ns) as f64;
-        let capacity = window.as_nanos() as f64 * self.slots as f64;
-        let pct = if capacity <= 0.0 {
-            0.0
-        } else {
-            (delta / capacity * 100.0).clamp(0.0, 100.0)
-        };
-        (now, pct)
-    }
-}
-
-/// Stateful helper tying a [`UtilizationMeter`] to a monitor loop: each
-/// [`UtilizationWindow::sample`] call yields the utilization percentage over
-/// the window since the previous call.
-#[derive(Debug)]
-pub struct UtilizationWindow {
-    prev_busy_ns: u64,
-}
-
-impl Default for UtilizationWindow {
-    fn default() -> Self {
-        UtilizationWindow::new()
-    }
-}
-
-impl UtilizationWindow {
-    /// Creates a window anchored at zero cumulative busy time.
-    pub fn new() -> UtilizationWindow {
-        UtilizationWindow { prev_busy_ns: 0 }
-    }
-
-    /// Samples utilization over the `window` just ended.
-    pub fn sample(&mut self, meter: &UtilizationMeter, window: Duration) -> f64 {
-        let (now, pct) = meter.utilization_since(self.prev_busy_ns, window);
-        self.prev_busy_ns = now;
-        pct
-    }
 }
 
 #[cfg(test)]
@@ -125,38 +79,12 @@ mod tests {
     }
 
     #[test]
-    fn full_utilization_is_100() {
-        let m = UtilizationMeter::new(1);
-        m.add_busy(Duration::from_secs(1));
-        let (_, pct) = m.utilization_since(0, Duration::from_secs(1));
-        assert!((pct - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_clamped_at_100() {
-        let m = UtilizationMeter::new(1);
-        m.add_busy(Duration::from_secs(2));
-        let (_, pct) = m.utilization_since(0, Duration::from_secs(1));
-        assert_eq!(pct, 100.0);
-    }
-
-    #[test]
-    fn zero_window_is_zero() {
-        let m = UtilizationMeter::new(1);
-        m.add_busy(Duration::from_secs(1));
-        let (_, pct) = m.utilization_since(0, Duration::ZERO);
-        assert_eq!(pct, 0.0);
-    }
-
-    #[test]
     fn windowed_sampling_consumes_busy_time() {
         let m = UtilizationMeter::new(2);
-        let mut w = UtilizationWindow::new();
         m.add_busy(Duration::from_secs(1));
-        let pct1 = w.sample(&m, Duration::from_secs(1));
-        assert!((pct1 - 50.0).abs() < 1e-9);
-        // No new busy time: next window reads zero.
-        let pct2 = w.sample(&m, Duration::from_secs(1));
-        assert_eq!(pct2, 0.0);
+        let first = m.busy_ns();
+        assert_eq!(first, 1_000_000_000);
+        // No new busy time: the next window's delta is zero.
+        assert_eq!(m.busy_ns() - first, 0);
     }
 }

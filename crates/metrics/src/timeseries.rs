@@ -41,7 +41,7 @@ impl TimeSeries {
     }
 
     /// Appends a sample. Times should be non-decreasing; out-of-order
-    /// samples are accepted but flagged by [`TimeSeries::is_monotonic`].
+    /// samples are accepted as given.
     pub fn push(&mut self, time_s: f64, value: f64) {
         self.times.push(time_s);
         self.values.push(value);
@@ -82,11 +82,6 @@ impl TimeSeries {
     /// Maximum value; 0.0 when empty.
     pub fn max(&self) -> f64 {
         self.values.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Whether timestamps are non-decreasing.
-    pub fn is_monotonic(&self) -> bool {
-        self.times.windows(2).all(|w| w[0] <= w[1])
     }
 
     /// Downsamples to at most `max_points` samples by striding, preserving
@@ -137,7 +132,6 @@ mod tests {
         let ts = TimeSeries::new("x");
         assert_eq!(ts.mean(), 0.0);
         assert_eq!(ts.max(), 0.0);
-        assert!(ts.is_monotonic());
         assert!(ts.is_empty());
     }
 
@@ -151,16 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn monotonic_detection() {
-        let mut ts = TimeSeries::new("x");
-        ts.push(0.0, 1.0);
-        ts.push(2.0, 1.0);
-        assert!(ts.is_monotonic());
-        ts.push(1.0, 1.0);
-        assert!(!ts.is_monotonic());
-    }
-
-    #[test]
     fn monotonic_invariant_under_monitor_style_appends() {
         // The loader's monitor thread appends with a strictly advancing
         // clock; downsampling and equal timestamps must both preserve
@@ -170,10 +154,9 @@ mod tests {
             ts.push(i as f64 * 0.5, (i % 7) as f64);
         }
         ts.push(24.5, 0.0); // Equal timestamps are still monotonic.
-        assert!(ts.is_monotonic());
-        assert!(ts.downsample(8).is_monotonic());
-        ts.push(0.25, 1.0);
-        assert!(!ts.is_monotonic(), "regressing time must be flagged");
+        let monotonic = |ts: &TimeSeries| ts.times().windows(2).all(|w| w[0] <= w[1]);
+        assert!(monotonic(&ts));
+        assert!(monotonic(&ts.downsample(8)));
     }
 
     #[test]
