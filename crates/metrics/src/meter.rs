@@ -25,11 +25,11 @@ use std::time::Duration;
 /// use std::time::Duration;
 ///
 /// let m = UtilizationMeter::new(2); // Two workers.
+/// let before = m.busy_ns();
 /// m.add_busy(Duration::from_millis(500));
 /// m.add_busy(Duration::from_millis(500));
-/// // Over a one-second window with two workers: 1.0s busy / 2.0s capacity.
-/// let capacity_ns = Duration::from_secs(1).as_nanos() as u64 * m.slots();
-/// assert_eq!(m.busy_ns() * 2, capacity_ns);
+/// // One second of busy time in this window, whichever worker spent it.
+/// assert_eq!(m.busy_ns() - before, 1_000_000_000);
 /// ```
 #[derive(Debug)]
 pub struct UtilizationMeter {
