@@ -129,7 +129,7 @@ impl<D: Dataset> TorchLoader<D> {
             done_q: MinatoQueue::new("done", cfg.num_workers * PREFETCH_FACTOR),
             out_q: MinatoQueue::new("out", PREFETCH_FACTOR),
             workers_live: AtomicUsize::new(cfg.num_workers),
-            cpu_meter: UtilizationMeter::new(cfg.num_workers),
+            cpu_meter: UtilizationMeter::new(),
             errors: Counter::new(),
             first_error: Mutex::new(None),
             shutdown: AtomicBool::new(false),

@@ -179,9 +179,8 @@ impl<S: std::fmt::Debug + 'static> std::fmt::Debug for Batch<S> {
 #[derive(Debug)]
 pub struct ReorderBuffer<T> {
     next: u64,
-    /// Resolved seqs at or above `next`: `Some` holds the item, `None`
-    /// marks a seq skipped.
-    pending: BTreeMap<u64, Option<T>>,
+    /// Items whose seq is at or above `next`, by seq.
+    pending: BTreeMap<u64, T>,
 }
 
 impl<T> ReorderBuffer<T> {
@@ -210,18 +209,7 @@ impl<T> ReorderBuffer<T> {
     /// sequence numbers are discarded.
     pub fn offer(&mut self, seq: u64, item: T) {
         if seq >= self.next {
-            self.pending.insert(seq, Some(item));
-        }
-    }
-
-    /// Resolves `seq` without an item — it will never arrive (its sample
-    /// was quarantined, or was delivered before a resume) —
-    /// so [`ReorderBuffer::drain_ready`] walks over it instead of
-    /// holding back everything after it. Stale sequence numbers and
-    /// seqs already offered are left alone.
-    pub fn skip(&mut self, seq: u64) {
-        if seq >= self.next {
-            self.pending.entry(seq).or_insert(None);
+            self.pending.insert(seq, item);
         }
     }
 
@@ -230,10 +218,8 @@ impl<T> ReorderBuffer<T> {
     /// caller's reusable drain buffer — it is *not* cleared here, so one
     /// allocation serves every call.
     pub fn drain_ready(&mut self, out: &mut Vec<T>) {
-        while let Some(slot) = self.pending.remove(&self.next) {
-            if let Some(item) = slot {
-                out.push(item);
-            }
+        while let Some(item) = self.pending.remove(&self.next) {
+            out.push(item);
             self.next += 1;
         }
     }
@@ -241,7 +227,7 @@ impl<T> ReorderBuffer<T> {
     /// Number of items parked waiting for a gap to fill — a direct measure
     /// of head-of-line blocking depth.
     pub fn pending(&self) -> usize {
-        self.pending.values().flatten().count()
+        self.pending.len()
     }
 
     /// The sequence number the buffer is waiting for.
@@ -254,9 +240,9 @@ impl<T> ReorderBuffer<T> {
     pub fn drain_remaining(&mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.pending.len());
         let pending = std::mem::take(&mut self.pending);
-        for (seq, slot) in pending {
+        for (seq, item) in pending {
             self.next = seq + 1;
-            out.extend(slot);
+            out.push(item);
         }
         out
     }
@@ -341,27 +327,6 @@ mod tests {
         assert_eq!(rb.drain_remaining(), vec!['c', 'f']);
         assert_eq!(rb.pending(), 0);
         assert_eq!(rb.next_seq(), 6);
-    }
-
-    #[test]
-    fn skipped_seq_does_not_hold_back_later_items() {
-        let mut rb = ReorderBuffer::new(0);
-        assert!(rb.push(2, 'c').is_empty());
-        rb.skip(1);
-        assert_eq!(rb.pending(), 1, "a skip marker is not a parked item");
-        assert_eq!(rb.push(0, 'a'), vec!['a', 'c']);
-        assert_eq!(rb.next_seq(), 3);
-        // The awaited seq itself, a stale seq, and an offered seq.
-        rb.skip(3);
-        rb.skip(0);
-        assert!(rb.push(5, 'f').is_empty());
-        rb.skip(5);
-        assert_eq!(rb.push(4, 'e'), vec!['e', 'f']);
-        assert_eq!(rb.next_seq(), 6);
-        // Close-time drain drops the markers.
-        rb.skip(8);
-        rb.offer(9, 'j');
-        assert_eq!(rb.drain_remaining(), vec!['j']);
     }
 
     #[test]

@@ -37,9 +37,7 @@ use crate::pool::{PoolRecycler, PoolSet, Reclaim, SampleRecycler};
 use crate::scheduler::{SchedulerConfig, WorkerScheduler};
 use crate::stats::{LoaderStats, MonitorTrace};
 use crate::transform::Pipeline;
-use crate::worker::{
-    BatchStep, ExecRoles, FastStep, Runtime, SlowStep, TracerStageObserver, Q_BATCH0,
-};
+use crate::worker::{ExecRoles, FastStep, Runtime, SlowStep, TracerStageObserver, Q_BATCH0};
 use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer, RING_CAPACITY};
 use parking_lot::Mutex;
@@ -85,21 +83,20 @@ pub struct LoaderConfig {
     pub adaptive_workers: bool,
     /// Scheduler tuning (gains, clip, monitor interval).
     pub scheduler: SchedulerConfig,
-    /// Upper bound on the pipeline's internal waits: the ordered batch
-    /// worker waiting for samples, a producer waiting for space in a
-    /// full temp queue, batch delivery waiting for a
+    /// Upper bound on the pipeline's internal waits: a producer waiting
+    /// for space in a full temp queue, batch delivery waiting for a
     /// batch-queue slot, an idle pool worker. Each is a condvar wait
     /// that ends as soon as the awaited state changes; when it expires
     /// the waiter re-checks what else it could do, e.g. helping the
-    /// next stage. One wait is still a plain sleep of this length: a
-    /// producer facing a full queue in `order_preserving` mode, whose
-    /// batch role frees one slot per pop. Fixed at 1 ms (the paper polls
-    /// every 10 ms); no builder method sets it.
+    /// next stage. An `order_preserving` claimer waiting for room in the
+    /// claim window waits until an emit or shutdown wakes it. Fixed at
+    /// 1 ms (the paper polls every 10 ms); no builder method sets it.
     ///
-    /// It is also the longest a fast worker withholds a finished sample
-    /// from the batch stage: once it has spent this long since taking up
-    /// the oldest sample in its chunk buffer, it publishes the buffer at
-    /// the next sample boundary instead of at the end of the chunk.
+    /// In shuffled mode it is also the longest a fast worker withholds a
+    /// finished sample from its batch: once it has spent this long since
+    /// taking up the oldest sample in its chunk buffer, it publishes the
+    /// buffer at the next sample boundary instead of at the end of the
+    /// chunk. An ordered worker fills its claimed batch whole.
     pub starvation_wait: Duration,
     /// Strict sampler-order mode (§6); disables fast/slow classification.
     pub order_preserving: bool,
@@ -241,9 +238,9 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
 
     /// Compatibility remnant of the removed batch-lane count: the frozen
     /// `benchmark/` package calls `batch_workers(1)`. A loader has one
-    /// open batch in both modes and, in order-preserving mode, one batch
-    /// thread; this accepts any `n` and changes nothing. It goes once
-    /// the benchmark drops the call.
+    /// open batch and no batch thread in either mode; this accepts any
+    /// `n` and changes nothing. It goes once the benchmark drops the
+    /// call.
     pub fn batch_workers(self, _n: usize) -> Self {
         self
     }
@@ -272,13 +269,14 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Strict-order mode (§6): disables classification, restores sampler
-    /// order. A timeout policy other than
-    /// [`TimeoutPolicy::Disabled`] set after this is a configuration
-    /// error. A quarantined sample's seq is skipped as soon as it is
-    /// reported, and a run resumed with
-    /// [`resume_from`](Self::resume_from) continues at the checkpoint's
-    /// first undelivered seq.
+    /// Strict-order mode (§6): disables classification and delivers in
+    /// sampler order, as PyTorch's DataLoader does: each fast step fills
+    /// one whole batch of consecutive tickets, and batches leave in claim
+    /// order. A timeout policy other than [`TimeoutPolicy::Disabled`] set
+    /// after this is a configuration error. A quarantined sample leaves
+    /// its batch one short, and a run resumed with
+    /// [`resume_from`](Self::resume_from) claims the checkpoint's
+    /// undelivered tickets in sampler order.
     pub fn order_preserving(mut self, yes: bool) -> Self {
         self.cfg.order_preserving = yes;
         if yes {
@@ -576,15 +574,13 @@ impl<D: Dataset> MinatoLoader<D> {
             None => Arc::new(base_sampler),
         };
         let slow_threads = cfg.slow_threads();
-        // Only order-preserving mode has a batch thread, exactly one: in
-        // shuffled mode the thread that finished a sample puts it into
-        // its batch.
-        let batch_threads = usize::from(cfg.order_preserving);
-        let mut ecfg = ExecConfig::fixed(cfg.max_workers + slow_threads + batch_threads);
+        // No batch thread: the thread that finished a sample (or, in
+        // order-preserving mode, a batch) puts it into its batch.
+        let mut ecfg = ExecConfig::fixed(cfg.max_workers + slow_threads);
         ecfg.idle_wait = cfg.starvation_wait;
         let exec = ExecHandle::new(ecfg);
-        // The open batch carries the recycler, and the ordered pull
-        // starts at the resumed watermark.
+        // The open batch carries the recycler, and the delivery log
+        // starts from the checkpoint's.
         let log = match &resume {
             Some(ck) => DeliveryLog::seeded(ck.watermark, ck.delivered_above.iter().copied()),
             None => DeliveryLog::new(),
@@ -629,7 +625,7 @@ impl<D: Dataset> MinatoLoader<D> {
                 .iter()
                 .map(|s| s.name().to_string())
                 .collect();
-            let mut queue_names: Vec<String> = vec!["fast_q".into(), "temp_q".into()];
+            let mut queue_names: Vec<String> = vec!["temp_q".into()];
             queue_names.extend((0..cfg.num_gpus).map(|g| format!("batch_q[{g}]")));
             Some(Arc::new(Mutex::new(Collector::new(
                 stage_names,
@@ -642,16 +638,15 @@ impl<D: Dataset> MinatoLoader<D> {
         let tracer = rt.tracer.clone();
         let rt = Arc::new(rt);
 
-        // The pipeline stages as executor roles: fast and slow, plus the
-        // batch role in order-preserving mode. Only the fast budget is
-        // scheduler-driven; the other slices are sized by the config, so
-        // a checkpoint restores the fast gate alone (clamped: the restart
-        // may run with fewer workers).
+        // The pipeline stages as executor roles: fast and slow. Only the
+        // fast budget is scheduler-driven; the slow slice is sized by the
+        // config, so a checkpoint restores the fast gate alone (clamped:
+        // the restart may run with fewer workers).
         let fast_budget = match &resume {
             Some(ck) => ck.fast_budget.clamp(1, cfg.max_workers),
             None => cfg.initial_workers,
         };
-        let mut specs = vec![
+        let specs = vec![
             RoleSpec {
                 name: "fast".into(),
                 step: Arc::new(FastStep::new(Arc::clone(&rt))),
@@ -667,20 +662,10 @@ impl<D: Dataset> MinatoLoader<D> {
                 max_concurrency: None,
             },
         ];
-        if cfg.order_preserving {
-            specs.push(RoleSpec {
-                name: "batch".into(),
-                step: Arc::new(BatchStep::new(Arc::clone(&rt))),
-                budget: batch_threads,
-                threads: batch_threads,
-                max_concurrency: Some(1),
-            });
-        }
         let ids = exec.register(specs);
         let roles = ExecRoles {
             fast: ids[0],
             slow: ids[1],
-            batch: ids.get(2).copied(),
         };
         if rt.exec_roles.set(roles).is_err() {
             return Err(LoaderError::Config(
@@ -688,7 +673,7 @@ impl<D: Dataset> MinatoLoader<D> {
             ));
         }
         // Role switches at drain become RoleSwitch events (arg: 0 fast /
-        // 1 slow / 2 batch / 3 other).
+        // 1 slow / 3 other).
         if let Some(t) = &tracer {
             let t2 = Arc::clone(t);
             exec.set_switch_observer(Arc::new(move |role| {
@@ -696,8 +681,6 @@ impl<D: Dataset> MinatoLoader<D> {
                     0
                 } else if role == roles.slow {
                     1
-                } else if Some(role) == roles.batch {
-                    2
                 } else {
                     3
                 };
@@ -853,11 +836,9 @@ impl<D: Dataset> MinatoLoader<D> {
             bytes_done: rt.bytes_out.get(),
             errors: rt.faults.quarantined.get(),
             faults: rt.faults.snapshot(),
-            fast_queue_len: rt.fast_q.len(),
             temp_queue_len: rt.temp_q.len(),
             batch_queue_len: rt.batch_qs.iter().map(|q| q.len()).sum(),
-            queue_lock_acquisitions: rt.fast_q.lock_acquisitions()
-                + rt.temp_q.lock_acquisitions()
+            queue_lock_acquisitions: rt.temp_q.lock_acquisitions()
                 + rt.batch_qs
                     .iter()
                     .map(|q| q.lock_acquisitions())
@@ -1453,6 +1434,6 @@ mod tests {
         assert_eq!(s.samples_done, 50);
         assert_eq!(s.batches_done, 10);
         assert_eq!(s.errors, 0);
-        assert_eq!(s.fast_queue_len, 0);
+        assert_eq!(s.temp_queue_len, 0);
     }
 }

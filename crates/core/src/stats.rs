@@ -28,15 +28,13 @@ pub struct LoaderStats {
     /// Fault-containment counters: panics caught, samples poisoned,
     /// samples quarantined, batches rerouted around wedged consumers.
     pub faults: FaultStats,
-    /// Current fast-queue occupancy.
-    pub fast_queue_len: usize,
     /// Current temp-queue occupancy (samples being completed in
     /// background).
     pub temp_queue_len: usize,
     /// Summed occupancy of all per-GPU batch queues.
     pub batch_queue_len: usize,
     /// State-mutex acquisitions by put/pop operations across all
-    /// runtime queues (fast, temp, batch): one per call plus one
+    /// runtime queues (temp, batch): one per call plus one
     /// per condvar wait (see `MinatoQueue::lock_acquisitions`). Divided
     /// by `samples_done` it is the per-sample synchronization cost
     /// `benchmark`'s `queue.locks_per_sample` row reports.

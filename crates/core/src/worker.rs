@@ -3,15 +3,14 @@
 //! The runtime wires together the queue topology of Figure 5:
 //!
 //! ```text
-//! sampler → [fast role] ──────── shuffled ────────────────┐
-//!              │ → fast_q → [batch role] ── ordered ──────┤
-//!              │ timeout                                  ↓
-//!              └→ temp_q → [slow role] ──────────────→ open batch → batch_q[gpu] → training
+//! sampler → [fast role] ── shuffled ──────────→ open batch ──┐
+//!              │ └─ ordered: one claimed batch → window ─────┤
+//!              │ timeout                                     ↓
+//!              └→ temp_q → [slow role] → open batch     batch_q[gpu] → training
 //! ```
 //!
-//! The stages are [`minato_exec::RoleStep`] implementations
-//! ([`FastStep`], [`SlowStep`], and in order-preserving mode
-//! [`BatchStep`]) run one bounded step at a time by the loader's
+//! The stages are [`minato_exec::RoleStep`] implementations ([`FastStep`]
+//! and [`SlowStep`]) run one bounded step at a time by the loader's
 //! executor pool: each stage has its own threads (the fast ones gated by
 //! the scheduler's budget), and a thread whose stage is exhausted joins
 //! the stages still live, so the deferred backlog at the end of a run is
@@ -25,28 +24,31 @@
 //! sample. No queue and no batch thread sit between a finished sample
 //! and its batch, and a slow sample joins the next batch to fill (§4.1).
 //!
-//! Order-preserving mode (§6) runs classification off (nothing is ever
-//! deferred) and puts a reorder buffer in front of the open batch: fast
-//! workers put into `fast_q`, and the batch role, one thread, pulls one
-//! sample per pass through the reorder buffer into the open batch;
-//! producers facing a full `fast_q` help or sleep. Lock order: pull →
-//! open batch → batch queue.
+//! Order-preserving mode (§6) classifies and defers nothing and works at
+//! batch granularity, as PyTorch's DataLoader does. A fast step claims
+//! one batch of tickets under the window lock, which numbers the claim
+//! k in claim order, fills that batch itself and parks it in slot k of
+//! the window ([`Runtime::park`]); whoever parks the awaited slot emits
+//! the ready run. A worker claims only while k < awaited + R, R =
+//! `prefetch_factor × max_workers`, and otherwise waits on the window's
+//! condvar, so the reorder depth is bounded. A quarantined sample leaves
+//! its batch one short. Lock order: window → batch queue.
 //!
 //! Shutdown is a close cascade, never a hard stop. A ticket counts in
-//! `in_flight` from its claim until its sample is in the open batch (or
-//! in `fast_q`, ordered) or quarantined, a deferred one across its whole
-//! stay in `temp_q`. Once the sampler is drained and nothing is in
-//! flight, `maybe_close_sources` closes `fast_q` and `temp_q`, and in
-//! shuffled mode also flushes the open batch and closes the batch
-//! queues; in order-preserving mode the batch role's `finish` does that
-//! once `fast_q` has drained. Queues drain after close, so no prepared
-//! sample is lost.
+//! `in_flight` from its claim until its sample is in the open batch or,
+//! ordered, until its claim's batch is parked (a quarantined one too); a
+//! deferred one across its whole stay in `temp_q`. Once the sampler is
+//! drained and nothing is in flight, `maybe_close_sources` closes
+//! `temp_q`, emits the open batch and closes the batch queues, in both
+//! modes: every parked batch was emitted by then, because a park comes
+//! before its release and emits whatever it makes ready. Queues drain
+//! after close, so no prepared sample is lost.
 
 use crate::balancer::{BalancerConfig, LoadBalancer};
 use crate::batch::{Batch, Prepared, ReorderBuffer, SampleMeta};
 use crate::cache::SampleCache;
 use crate::checkpoint::DeliveryLog;
-use crate::dataset::{Dataset, Sampler};
+use crate::dataset::{Dataset, SampleTicket, Sampler};
 use crate::error::LoaderError;
 use crate::fault::{FaultAction, FaultInjector, FaultSite, FaultStats};
 use crate::loader::LoaderConfig;
@@ -70,10 +72,10 @@ use std::time::{Duration, Instant};
 /// executor.
 const SLOW_CLAIM_WAIT: Duration = Duration::from_millis(25);
 
-/// Tickets a fast worker claims from the sampler per step when there is
-/// no cutoff (warm-up, `TimeoutPolicy::Disabled`) and always in
-/// order-preserving mode, and the smallest claim under a cutoff
-/// ([`claim_size`]). A claim amortizes locks only: how long a finished
+/// Tickets a shuffled fast worker claims from the sampler per step when
+/// there is no cutoff (warm-up, `TimeoutPolicy::Disabled`), and the
+/// smallest claim under a cutoff ([`claim_size`]; an order-preserving
+/// claim is one batch). A claim amortizes locks only: how long a finished
 /// sample may sit in a worker's claim buffer is bounded by
 /// `starvation_wait` plus the run of the sample in progress, not by the
 /// claim. Times `slow_workers` it is also the temp-queue backlog above
@@ -81,10 +83,11 @@ const SLOW_CLAIM_WAIT: Duration = Duration::from_millis(25);
 /// ([`Runtime::moonlight`]).
 const TICKET_CHUNK: usize = 8;
 
-/// Tickets a fast worker claims in one step: [`TICKET_CHUNK`] without a
-/// cutoff, and under one as many samples as fit in one hold window
-/// (`hold / cutoff`), clamped to `TICKET_CHUNK ..= max(TICKET_CHUNK,
-/// min(batch_size, queue_capacity))`. So a claim over `TICKET_CHUNK`
+/// Tickets a shuffled fast worker claims in one step (an ordered one
+/// claims one batch): [`TICKET_CHUNK`] without a cutoff, and under one
+/// as many samples as fit in one hold window (`hold / cutoff`), clamped
+/// to `TICKET_CHUNK ..= max(TICKET_CHUNK, min(batch_size,
+/// queue_capacity))`. So a claim over `TICKET_CHUNK`
 /// always has `claim × cutoff ≤ hold`: samples that each run or are
 /// deferred within the cutoff fill it before the hold rule would publish
 /// it, and cheap samples reach their batch one whole batch per flush.
@@ -112,9 +115,8 @@ pub(crate) const RECENT_ERRORS_CAP: usize = 16;
 // collector's `queue_names` follow the same order; GPU `g`'s batch
 // queue is `Q_BATCH0 + g`, traced at batch granularity (one event per
 // batch, keyed by its first sample).
-pub(crate) const Q_FAST: u32 = 0;
-pub(crate) const Q_TEMP: u32 = 1;
-pub(crate) const Q_BATCH0: u32 = 2;
+pub(crate) const Q_TEMP: u32 = 0;
+pub(crate) const Q_BATCH0: u32 = 1;
 
 /// Bridges per-step [`StageObserver`] callbacks into trace events.
 #[derive(Debug)]
@@ -232,8 +234,6 @@ fn panic_payload_msg(p: Box<dyn std::any::Any + Send>) -> String {
 pub(crate) struct ExecRoles {
     pub fast: RoleId,
     pub slow: RoleId,
-    /// Registered in order-preserving mode only.
-    pub batch: Option<RoleId>,
 }
 
 /// State shared by every pool worker and the monitor thread.
@@ -256,9 +256,6 @@ pub(crate) struct Runtime<D: Dataset> {
     /// the training loop dropping a batch hands sample buffers back to
     /// the pool. `None` when pooling is disabled.
     pub recycler: Option<Arc<dyn SampleRecycler<D::Sample>>>,
-    /// Order-preserving mode's route from the fast workers to the batch
-    /// role; never put into in shuffled mode.
-    pub fast_q: MinatoQueue<Prepared<D::Sample>>,
     pub temp_q: MinatoQueue<Deferred<D::Sample>>,
     pub batch_qs: Vec<MinatoQueue<Batch<D::Sample>>>,
     /// Control handle of the executor pool running this loader's roles.
@@ -266,16 +263,21 @@ pub(crate) struct Runtime<D: Dataset> {
     /// The loader's role ids on that pool (empty in handler unit tests
     /// that drive steps directly).
     pub(crate) exec_roles: OnceLock<ExecRoles>,
-    /// The open batch, one per loader in both modes, carrying the
-    /// recycler. Held only to push samples and emit the batches they
-    /// fill ([`Runtime::deliver_claim`]).
+    /// The open batch of shuffled mode, carrying the recycler. Held only
+    /// to push samples and emit the batches they fill
+    /// ([`Runtime::deliver_claim`]).
     pub(crate) open: Mutex<Batch<D::Sample>>,
-    /// Order-preserving mode only: the pull state of the batch role,
-    /// which feeds `open` through its reorder buffer.
-    pub(crate) pull: Option<Mutex<Pull<D>>>,
+    /// Order-preserving mode's claim window ([`Window`]), held to claim
+    /// a batch of tickets and to park a filled batch; untouched in
+    /// shuffled mode.
+    pub(crate) window: Mutex<Window<D::Sample>>,
+    /// Claimers facing a full window wait here; emitting from the
+    /// window and `initiate_shutdown` wake them.
+    window_cv: Condvar,
     pub cfg: LoaderConfig,
-    /// Tickets claimed from the sampler whose samples are not yet in an
-    /// open batch (in `fast_q`, ordered) or quarantined. A deferred
+    /// Tickets claimed from the sampler whose samples are not yet in the
+    /// open batch, or ordered in a parked batch, or quarantined (ordered:
+    /// not before their claim's batch is parked). A deferred
     /// ticket stays counted while its sample waits in `temp_q` and is
     /// resumed. Together with `source_drained`, this drives the close
     /// cascade without depending on every pool worker exiting — a worker
@@ -308,11 +310,6 @@ pub(crate) struct Runtime<D: Dataset> {
     /// recorded by `next_batch` under one lock acquisition per popped
     /// batch.
     pub delivered: Mutex<Deliveries>,
-    /// Seqs quarantined in order-preserving mode and not yet reported to
-    /// the batch role, which drains this every pass and marks them
-    /// resolved in its reorder buffer, so delivery continues past the
-    /// gap. Never touched on the shuffled path.
-    pub(crate) ordered_gaps: Mutex<Vec<u64>>,
     /// Deterministic fault oracle for the chaos suite; `None` (the
     /// production default) costs one branch per sample.
     pub injector: Option<Arc<dyn FaultInjector>>,
@@ -355,9 +352,8 @@ impl Deliveries {
 impl<D: Dataset> Runtime<D> {
     /// A runtime over `cfg` with the other opt-in subsystems absent
     /// (cache, pools, fault injector, tracer). Its open batch carries
-    /// `recycler`, and the ordered pull starts where `log` does — on a
-    /// resumed run at the checkpoint's watermark, with the seqs delivered
-    /// above it already resolved. `MinatoLoader::start` sets what else
+    /// `recycler`, and its delivery record starts from `log` (a resumed
+    /// run's checkpoint). `MinatoLoader::start` sets what else
     /// the builder configured before it shares the runtime; unit tests
     /// drive the role steps against it directly.
     pub(crate) fn new(
@@ -382,10 +378,12 @@ impl<D: Dataset> Runtime<D> {
             pools: None,
             open: Mutex::new(Batch::with_recycler(cfg.batch_size, recycler.clone())),
             recycler,
-            pull: cfg
-                .order_preserving
-                .then(|| Mutex::new(Pull::starting_at(&log))),
-            fast_q: MinatoQueue::new("fast", cfg.queue_capacity),
+            window: Mutex::new(Window {
+                claimed: 0,
+                parked: ReorderBuffer::new(0),
+                ready: Vec::new(),
+            }),
+            window_cv: Condvar::new(),
             temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
             batch_qs: (0..cfg.num_gpus)
                 .map(|g| MinatoQueue::new(&format!("batch[{g}]"), cfg.prefetch_factor))
@@ -396,7 +394,7 @@ impl<D: Dataset> Runtime<D> {
             source_drained: AtomicBool::new(false),
             closing: AtomicBool::new(false),
             slow_helper: AtomicBool::new(false),
-            cpu_meter: UtilizationMeter::new(cfg.max_workers),
+            cpu_meter: UtilizationMeter::new(),
             samples_out: Counter::new(),
             bytes_out: Counter::new(),
             batches_out: Counter::new(),
@@ -407,7 +405,6 @@ impl<D: Dataset> Runtime<D> {
                 log,
                 latency_ms: Reservoir::new(4096),
             }),
-            ordered_gaps: Mutex::new(Vec::new()),
             injector: None,
             shutdown: AtomicBool::new(false),
             monitor_lock: Mutex::new(()),
@@ -430,17 +427,6 @@ impl<D: Dataset> Runtime<D> {
     pub(crate) fn trace(&self, kind: EventKind, epoch: usize, seq: u64, arg: u32, dur_ns: u64) {
         if let Some(t) = &self.tracer {
             t.record(kind, epoch.min(u16::MAX as usize) as u16, seq, arg, dur_ns);
-        }
-    }
-
-    /// Records one queue event per sample in `items` (used for bulk
-    /// put/pop sites, so the disabled path stays a single branch).
-    // minato-verify: hot-path
-    fn trace_queue(&self, kind: EventKind, qid: u32, items: &[Prepared<D::Sample>]) {
-        if self.tracer.is_some() {
-            for p in items {
-                self.trace(kind, p.meta.epoch, p.meta.seq, qid, 0);
-            }
         }
     }
 
@@ -489,11 +475,15 @@ impl<D: Dataset> Runtime<D> {
         // checked `shutdown` but not yet started waiting.
         drop(self.monitor_lock.lock());
         self.monitor_cv.notify_all();
-        self.fast_q.close();
         self.temp_q.close();
         for q in &self.batch_qs {
             q.close();
         }
+        // After the batch queues: an emitter holding the window lock
+        // returns once they are closed. The lock orders the wake after a
+        // claimer that has checked `shutdown` but not yet started waiting.
+        drop(self.window.lock());
+        self.window_cv.notify_all();
         self.exec.shutdown();
     }
 
@@ -596,15 +586,9 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Quarantines a sample whose contained run failed: the
-    /// `FaultHit` event, then the panic or clean-error accounting. In
-    /// order-preserving mode the seq is also reported to the batch role,
-    /// which would otherwise hold every later sample behind it until the
-    /// run drains.
+    /// `FaultHit` event, then the panic or clean-error accounting.
     fn quarantine(&self, epoch: usize, seq: u64, panicked: bool, err: LoaderError) {
         self.trace(EventKind::FaultHit, epoch, seq, u32::from(panicked), 0);
-        if self.cfg.order_preserving {
-            self.ordered_gaps.lock().push(seq);
-        }
         if panicked {
             self.record_panic(err);
         } else {
@@ -619,11 +603,11 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// The close cascade, run once, by whichever thread first sees the
-    /// sampler drained with nothing in flight: every sample is then in an
-    /// open batch (or in `fast_q`, ordered) or quarantined. Closes
-    /// `fast_q` and `temp_q`; in shuffled mode also emits the open batch
-    /// and closes the batch queues. In order-preserving mode the
-    /// batch role's `finish` does that after `fast_q` has drained.
+    /// sampler drained with nothing in flight: every sample is then in
+    /// the open batch, or in an emitted batch, or quarantined. Closes
+    /// `temp_q`, emits the open batch and closes the batch queues: the
+    /// end of the run for the consumers. On the shutdown path the queues
+    /// are already closed and the emit fails harmlessly.
     ///
     /// Called after every `in_flight` release that can be the last: the
     /// end of a fast step and each resumed sample's delivery. The release
@@ -636,18 +620,9 @@ impl<D: Dataset> Runtime<D> {
         {
             return;
         }
-        self.fast_q.close();
         self.temp_q.close();
-        if !self.cfg.order_preserving {
-            self.flush_and_close();
-        }
-    }
-
-    /// Emits the open batch and closes the batch queues: the end of the
-    /// run for the consumers. On the shutdown path the queues are
-    /// already closed and the emit fails harmlessly.
-    fn flush_and_close(&self) {
-        let _ = emit_batch(self, &mut self.open.lock());
+        let last = std::mem::replace(&mut *self.open.lock(), self.new_batch());
+        let _ = emit_batch(self, last);
         for q in &self.batch_qs {
             q.close();
         }
@@ -662,10 +637,9 @@ impl<D: Dataset> Runtime<D> {
     // sample goes into the open batch in shuffled mode, so the chain
     // bottoms out at the per-GPU batch queues, which only the external
     // consumer drains — the one place where waiting is correct
-    // backpressure. In order-preserving mode a producer facing a full
-    // fast queue runs an assembly pass itself when the pull state is
-    // free and sleeps `starvation_wait` out when it is not (see
-    // `publish_helping`).
+    // backpressure. In order-preserving mode the window is the
+    // back-pressure: a claimer waits for room in it (`claim_batch`), and
+    // the emitter of the awaited batch waits on the batch queues.
     // ------------------------------------------------------------------
 
     /// Completes one deferred sample on the (timeout-free) slow path:
@@ -786,10 +760,12 @@ impl<D: Dataset> Runtime<D> {
         self.slow_helper.store(false, Ordering::Release);
     }
 
-    /// Tickets the next fast step claims: [`claim_size`] under the
-    /// balancer's current cutoff (none in order-preserving mode, which
-    /// the builder admits only with the timeout disabled).
+    /// Tickets the next fast step claims: one batch in order-preserving
+    /// mode, otherwise [`claim_size`] under the balancer's current cutoff.
     fn fast_claim(&self) -> usize {
+        if self.cfg.order_preserving {
+            return self.cfg.batch_size;
+        }
         claim_size(
             self.balancer.current_timeout(),
             self.cfg.starvation_wait,
@@ -798,64 +774,64 @@ impl<D: Dataset> Runtime<D> {
         )
     }
 
-    /// Runs one ordered assembly pass inline. Returns whether it made
-    /// progress (false also when another worker holds the pull state —
-    /// that worker is the one making progress then).
-    fn help_batch_once(&self) -> bool {
-        matches!(self.ordered_pass(), StepOutcome::Progress)
-    }
-
-    /// One ordered assembly pass, unless another worker holds the pull
-    /// state (`Idle`).
-    fn ordered_pass(&self) -> StepOutcome {
-        let Some(pull) = &self.pull else {
-            return StepOutcome::Exhausted; // Shuffled: nothing to pull.
-        };
-        match pull.try_lock() {
-            Some(mut pull) => self.assemble(&mut pull),
-            None => StepOutcome::Idle,
-        }
-    }
-
     /// The one entry point into the open batch: locks it, pushes
-    /// `claim` oldest first, and emits each batch that fills. Shuffled
-    /// mode delivers a fast worker's flush or one resumed slow sample
-    /// here, order-preserving mode what the reorder buffer releases in a
-    /// pass and, at the end, what it still parks. False once the batch
-    /// queues closed (shutting down).
+    /// `claim` oldest first, and emits each batch that fills: a fast
+    /// worker's flush or one resumed slow sample, in shuffled mode.
+    /// False once the batch queues closed (shutting down).
     fn deliver_claim(&self, claim: impl IntoIterator<Item = Prepared<D::Sample>>) -> bool {
         let mut open = self.open.lock();
         for p in claim {
             open.push(p);
-            if open.len() >= self.cfg.batch_size && !emit_batch(self, &mut open) {
-                return false;
+            if open.len() >= self.cfg.batch_size {
+                let full = std::mem::replace(&mut *open, self.new_batch());
+                if !emit_batch(self, full) {
+                    return false;
+                }
             }
         }
         true
     }
 
-    /// Order-preserving mode: publishes prepared samples into the fast
-    /// queue, waiting for space while it is full. Fails only when the
-    /// queue closed.
-    ///
-    /// The producer cannot park: the batch role pops one sample per
-    /// pass, so parked producers would all be woken once per sample to
-    /// contend for one slot. It runs a pass itself whenever the batch
-    /// worker is between two passes, and sleeps only when it is not:
-    /// with the sleep alone `noop_ordered` delivers 143 k samples/s
-    /// instead of 237 k.
-    fn publish_helping(&self, items: Vec<Prepared<D::Sample>>) -> Result<(), Closed> {
-        let mut rest = items;
-        loop {
-            match self.fast_q.try_put_many(rest) {
-                Ok(()) => return Ok(()),
-                Err(TryPutError::Closed(_)) => return Err(Closed),
-                Err(TryPutError::Full(r)) => rest = r,
-            }
-            if !self.help_batch_once() {
-                std::thread::sleep(self.cfg.starvation_wait);
-            }
+    /// Order-preserving mode: takes up to `n` tickets from the sampler
+    /// and the number of their claim, waiting while the window is full:
+    /// claims run at most R = `prefetch_factor × max_workers` ahead of
+    /// the awaited one, PyTorch's bound. The sampler is read under the
+    /// window lock, so claim order is sampler order. An empty claim
+    /// takes no number. `None` on shutdown.
+    fn claim_batch(&self, n: usize) -> Option<(u64, Vec<SampleTicket>)> {
+        let r = (self.cfg.prefetch_factor * self.cfg.max_workers) as u64;
+        let mut w = self.window.lock();
+        while w.claimed >= w.parked.next_seq() + r && !self.is_shutdown() {
+            self.window_cv.wait(&mut w);
         }
+        if self.is_shutdown() {
+            return None;
+        }
+        let tickets = self.sampler.next_many(n);
+        let k = w.claimed;
+        w.claimed += u64::from(!tickets.is_empty());
+        Some((k, tickets))
+    }
+
+    /// Order-preserving mode: parks claim `k`'s batch in the window and,
+    /// when `k` is the awaited claim, emits the ready run in claim order
+    /// and wakes the claimers waiting for room. A batch is emitted under
+    /// the window lock, so emits never overtake one another. False once
+    /// the batch queues closed (shutting down).
+    fn park(&self, k: u64, samples: impl IntoIterator<Item = Prepared<D::Sample>>) -> bool {
+        let mut batch = self.new_batch();
+        samples.into_iter().for_each(|p| batch.push(p));
+        let mut w = self.window.lock();
+        let Window { parked, ready, .. } = &mut *w;
+        parked.offer(k, batch);
+        parked.drain_ready(ready);
+        if ready.is_empty() {
+            return true;
+        }
+        let emitted = ready.drain(..).all(|b| emit_batch(self, b));
+        drop(w);
+        self.window_cv.notify_all();
+        emitted
     }
 
     /// Routes a deferral into the temp queue, completing other deferred
@@ -884,22 +860,20 @@ impl<D: Dataset> Runtime<D> {
     }
 }
 
-/// Fast role: claims tickets ([`claim_size`] of them), loads,
-/// preprocesses against the balancer's timeout, and routes each sample
-/// to the open batch (the fast queue, ordered) or to the temp queue
-/// (Algorithm 1 lines 6–12). One step = one claim: eight tickets by
-/// default, and under a cutoff as many as fit in one hold window, up to
-/// one batch (at most `queue_capacity`).
+/// Fast role: claims tickets, loads, preprocesses against the balancer's
+/// timeout, and routes each sample to its batch or to the temp queue
+/// (Algorithm 1 lines 6–12). One step = one claim: in shuffled mode
+/// eight tickets by default, and under a cutoff as many as fit in one
+/// hold window, up to one batch (at most `queue_capacity`); in
+/// order-preserving mode exactly one batch, numbered in the window.
 ///
 /// Completed fast samples accumulate in a claim-local buffer so that
-/// the dominant per-sample cost (a lock acquisition, and on a queue a
-/// condvar signal) is paid once per flush, not once per sample. In
-/// shuffled mode every flush goes into the open batch, which the worker
-/// emits when it fills ([`Runtime::deliver_claim`]), and which samples
-/// share a batch follows the order of the flushes alone, not which of
-/// them the hold rule split. In order-preserving mode every flush is one
-/// put into the fast queue, whose reorder buffer must see every sample.
-/// Either way a finished sample is withheld from its batch for at most
+/// the dominant per-sample cost (a lock acquisition) is paid once per
+/// flush, not once per sample. In shuffled mode every flush goes into
+/// the open batch, which the worker emits when it fills
+/// ([`Runtime::deliver_claim`]), and which samples share a batch
+/// follows the order of the flushes alone, not which of them the hold
+/// rule split. A finished sample is withheld from its batch for at most
 /// `starvation_wait` plus the run of the sample in progress: once the
 /// worker has spent `starvation_wait` since it took up the oldest
 /// buffered sample, it publishes the buffer at the next sample
@@ -911,6 +885,11 @@ impl<D: Dataset> Runtime<D> {
 /// run. Timed-out samples go to the temp queue at once, their tickets
 /// still in flight: deferring a deferral would delay its background
 /// completion for no benefit.
+///
+/// In order-preserving mode the buffer is the claim's batch: it leaves
+/// once, parked in the window ([`Runtime::park`]), and a sample that
+/// interrupts itself with no deadline set is quarantined, as PyTorch's
+/// DataLoader skips it.
 ///
 /// Between two claims, one fast worker at a time moonlights on slow
 /// overflow ([`Runtime::moonlight`]).
@@ -946,7 +925,18 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         if !rt.source_drained.load(Ordering::SeqCst) {
             rt.moonlight();
         }
-        let tickets = rt.sampler.next_many(claim);
+        // Order-preserving mode parks the claim in its window slot.
+        let (slot, tickets) = if rt.cfg.order_preserving {
+            match rt.claim_batch(claim) {
+                Some((k, tickets)) => (Some(k), tickets),
+                None => {
+                    rt.in_flight.fetch_sub(claim, Ordering::SeqCst);
+                    return StepOutcome::Exhausted; // Shutting down.
+                }
+            }
+        } else {
+            (None, rt.sampler.next_many(claim))
+        };
         let drained = tickets.len() < claim;
         if drained {
             rt.in_flight
@@ -959,6 +949,10 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         }
         let total = tickets.len();
         let mut processed = 0usize;
+        // Quarantined tickets, released with the claim's last flush: an
+        // ordered claim holds the close cascade until its batch is
+        // parked, also when nothing in it survived.
+        let mut failed = 0usize;
         let mut fast_buf: Vec<Prepared<D::Sample>> = Vec::with_capacity(total);
         // Pipeline times of the claim's fast completions (cache hits
         // excluded), handed to the balancer in one call after the loop.
@@ -967,31 +961,30 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         // meter: one shared atomic add per flush instead of per sample.
         let mut busy_sum = Duration::ZERO;
         // Hands `busy` to the CPU meter, then publishes the buffered fast
-        // samples and settles their in-flight claims; false = queue
-        // closed. Shuffled mode pushes them into the open batch, ordered
-        // mode into the fast queue, in one operation either way.
-        let flush_fast = |buf: &mut Vec<Prepared<D::Sample>>, busy: &mut Duration| -> bool {
-            if !busy.is_zero() {
-                rt.cpu_meter.add_busy(std::mem::take(busy));
-            }
-            if buf.is_empty() {
-                return true;
-            }
-            let n = buf.len();
-            let ok = if rt.cfg.order_preserving {
-                // Record-once-before-retry: the put event fires here, not
-                // inside `publish_helping`'s backpressure loop, so retries
-                // never inflate event counts.
-                rt.trace_queue(EventKind::QueuePut, Q_FAST, buf);
-                rt.publish_helping(std::mem::take(buf)).is_ok()
-            } else {
-                rt.deliver_claim(buf.drain(..))
+        // samples and settles their in-flight claims; false = batch
+        // queues closed. A shuffled flush pushes them into the open
+        // batch; an ordered one (`slot`, the claim's last) parks them as
+        // the claim's batch, also when there are none.
+        let flush_fast =
+            |buf: &mut Vec<Prepared<D::Sample>>, busy: &mut Duration, slot: Option<u64>| -> bool {
+                if !busy.is_zero() {
+                    rt.cpu_meter.add_busy(std::mem::take(busy));
+                }
+                let n = buf.len();
+                let ok = match slot {
+                    Some(k) => rt.park(k, buf.drain(..)),
+                    None if n == 0 => return true,
+                    None => rt.deliver_claim(buf.drain(..)),
+                };
+                // Only now: the close cascade runs at `in_flight == 0`.
+                rt.in_flight.fetch_sub(n, Ordering::SeqCst);
+                ok
             };
-            // Only now: the close cascade runs at `in_flight == 0`.
-            rt.in_flight.fetch_sub(n, Ordering::SeqCst);
-            ok
+        // An ordered claim leaves once, whole: no hold rule.
+        let hold_ns = match slot {
+            Some(_) => u64::MAX,
+            None => rt.cfg.starvation_wait.as_nanos() as u64,
         };
-        let hold_ns = rt.cfg.starvation_wait.as_nanos() as u64;
         let mut routed = true;
         for ticket in tickets {
             if rt.is_shutdown() {
@@ -1060,6 +1053,15 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 _ => t0.elapsed(),
             };
             busy_sum += busy;
+            let run = match run {
+                Ok(PipelineRun::TimedOut { resume_at, .. }) if slot.is_some() => {
+                    Err(LoaderError::Transform {
+                        name: rt.pipeline.steps()[resume_at].name().to_string(),
+                        msg: "interrupted with no deadline set".into(),
+                    })
+                }
+                run => run,
+            };
             match run {
                 Ok(PipelineRun::Completed { value, elapsed }) => {
                     guard.disarm();
@@ -1124,7 +1126,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                         Ok(()) => true,
                         Err(TryPutError::Closed(_)) => false,
                         Err(TryPutError::Full(d)) => {
-                            flush_fast(&mut fast_buf, &mut busy_sum) && rt.route_deferred(d)
+                            flush_fast(&mut fast_buf, &mut busy_sum, None) && rt.route_deferred(d)
                         }
                     };
                     // A routed ticket stays in flight until its resumed
@@ -1136,7 +1138,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 }
                 Err(e) => {
                     rt.quarantine(ticket.epoch, ticket.seq, panicked, e);
-                    rt.in_flight.fetch_sub(1, Ordering::SeqCst);
+                    failed += 1;
                 }
             }
             // Bounded hold: once this worker has spent `starvation_wait`
@@ -1147,19 +1149,21 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             let held_ns = fast_buf.first().map_or(0, |oldest| {
                 (issued_ns + busy.as_nanos() as u64).saturating_sub(oldest.meta.issued_ns)
             });
-            if held_ns >= hold_ns && !flush_fast(&mut fast_buf, &mut busy_sum) {
+            if held_ns >= hold_ns && !flush_fast(&mut fast_buf, &mut busy_sum, None) {
                 routed = false;
                 break; // Queue closed under us: shutting down.
             }
         }
-        // Claims never processed (shutdown or routing failure mid-claim).
-        if processed < total {
-            rt.in_flight.fetch_sub(total - processed, Ordering::SeqCst);
-        }
         rt.balancer.on_fast_complete_many(&fast_times);
-        // Flush the claim's remaining fast samples in one queue operation.
-        if !flush_fast(&mut fast_buf, &mut busy_sum) {
+        // Flush the claim's remaining fast samples in one operation.
+        if !flush_fast(&mut fast_buf, &mut busy_sum, slot) {
             routed = false;
+        }
+        // Then the quarantined tickets and those never processed
+        // (shutdown or routing failure mid-claim).
+        let unsettled = failed + total - processed;
+        if unsettled > 0 {
+            rt.in_flight.fetch_sub(unsettled, Ordering::SeqCst);
         }
         rt.maybe_close_sources();
         if !routed || drained {
@@ -1214,8 +1218,8 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
     }
 }
 
-/// Delivers a full batch to the hungriest GPU that can take it, and
-/// leaves a fresh empty batch in its place.
+/// Delivers a batch to the hungriest GPU that can take it; an empty
+/// batch is dropped.
 ///
 /// Queues are tried least-occupied first with a slot reservation,
 /// falling through to the next candidate when one is full — a stalled
@@ -1224,17 +1228,14 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
 /// block, and then only for a bounded wait before re-scanning, so a
 /// queue freed in the meantime is picked up.
 ///
-/// Callers emit the open batch under its lock (lock order: pull → open
-/// batch → batch queue), from [`Runtime::deliver_claim`] when a push
-/// fills it and from the end-of-run flush: in shuffled mode the fast or
-/// slow worker whose delivery fills it, which so blocks on full batch
-/// queues as a batch worker would; in order-preserving mode the batch
-/// worker when its pass fills it.
-fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool {
-    if batch.is_empty() {
+/// Callers emit under the lock of the batch's source (lock order: open
+/// batch or window → batch queue), so the worker whose push fills the
+/// open batch, or whose park releases a run of the window, blocks on
+/// full batch queues as a batch worker would.
+fn emit_batch<D: Dataset>(rt: &Runtime<D>, full: Batch<D::Sample>) -> bool {
+    if full.is_empty() {
         return true;
     }
-    let full = std::mem::replace(batch, rt.new_batch());
     let samples = full.len() as u64;
     let bytes = full.bytes();
     // Batch queues are traced at batch granularity, keyed by the first
@@ -1283,146 +1284,17 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, batch: &mut Batch<D::Sample>) -> bool
     true
 }
 
-/// Pull state of order-preserving mode's batch role, held by the worker
-/// running an assembly pass for the pass's whole length, including its
-/// blocking wait on the fast queue. Lock order: pull → open batch →
-/// batch queue.
-pub(crate) struct Pull<D: Dataset> {
-    /// Sticky: once the fast queue reports closed and drained it can
-    /// never produce again, so the pass stops touching it.
-    fast_done: bool,
-    /// Restores strict sampler order before batching (§6) —
-    /// intentionally reintroducing head-of-line blocking in exchange for
-    /// ordering guarantees.
-    reorder: ReorderBuffer<Prepared<D::Sample>>,
-    /// Reusable drain buffer of `reorder`: one allocation serves every
-    /// pass.
-    ready: Vec<Prepared<D::Sample>>,
-}
-
-impl<D: Dataset> Pull<D> {
-    /// The pull state of a run whose delivery log is `log`: its stream
-    /// starts at the log's watermark, with the seqs delivered above it
-    /// already resolved.
-    fn starting_at(log: &DeliveryLog) -> Pull<D> {
-        let mut reorder = ReorderBuffer::new(log.watermark());
-        for seq in log.above() {
-            reorder.skip(seq);
-        }
-        Pull {
-            fast_done: false,
-            reorder,
-            ready: Vec::new(),
-        }
-    }
-}
-
-impl<D: Dataset> Runtime<D> {
-    /// The ordered pull: pops up to `need` samples from the fast
-    /// queue, and waits briefly when it has none (Algorithm 1 line 28;
-    /// the paper sleeps 10 ms, this is a condvar wait that a put ends at
-    /// once).
-    // minato-verify: hot-path
-    fn pull_burst(&self, need: usize, fast_done: &mut bool) -> Vec<Prepared<D::Sample>> {
-        // minato-verify: allow(V2) zero-capacity constructor never touches the heap; the backing allocation happens inside try_pop_many
-        let mut pulled = Vec::new();
-        if !*fast_done {
-            match self.fast_q.try_pop_many(need) {
-                Ok(items) => pulled = items,
-                Err(Closed) => *fast_done = true,
-            }
-        }
-        if pulled.is_empty() && !*fast_done {
-            match self.fast_q.pop_many_timeout(need, self.cfg.starvation_wait) {
-                Ok(items) => pulled = items,
-                Err(Closed) => *fast_done = true,
-            }
-        }
-        self.trace_queue(EventKind::QueuePop, Q_FAST, &pulled);
-        pulled
-    }
-
-    /// One ordered assembly pass, with the pull state the caller holds:
-    /// pull, offer the pulled sample to the reorder buffer, and push what
-    /// it releases — possibly a run, possibly nothing — into the open
-    /// batch, emitting each batch that fills. Quarantined seqs are
-    /// resolved in the same pass, so a run parked behind one is released
-    /// by it.
-    ///
-    /// The pass pulls one sample, not the remaining batch budget. A burst with producers parking on the fast queue runs
-    /// `noop_ordered` about five times faster, but keeps both vCPUs of
-    /// the benchmark box busy, so its throughput follows the host's load
-    /// from run to run by more than the benchmark's gate, sized from the
-    /// one-sample rate, can resolve. Until that workload is judged
-    /// against its own spread, the one-sample budget and the producers'
-    /// help-or-sleep in [`Runtime::publish_helping`] stay, as a pair
-    /// (ROADMAP item 1).
-    // minato-verify: hot-path
-    fn assemble(&self, pull: &mut Pull<D>) -> StepOutcome {
-        let Pull {
-            fast_done,
-            reorder,
-            ready,
-        } = pull;
-        let pulled = self.pull_burst(1, fast_done);
-        let mut progressed = !pulled.is_empty();
-        for seq in self.ordered_gaps.lock().drain(..) {
-            reorder.skip(seq);
-        }
-        for p in pulled {
-            reorder.offer(p.meta.seq, p);
-        }
-        reorder.drain_ready(ready);
-        progressed |= !ready.is_empty();
-        if !ready.is_empty() && !self.deliver_claim(ready.drain(..)) {
-            return StepOutcome::Exhausted;
-        }
-        if progressed {
-            StepOutcome::Progress
-        } else if *fast_done {
-            StepOutcome::Exhausted
-        } else {
-            StepOutcome::Idle
-        }
-    }
-}
-
-/// Batch role, order-preserving mode only: feeds the one open batch from
-/// the fast queue through the reorder buffer (Algorithm 1 lines 20–30
-/// in sampler order) and so the least-occupied per-GPU batch queue. One
-/// step = one assembly pass ([`Runtime::assemble`]); the executor caps
-/// the role's concurrency at one. Shuffled mode has no batch role: the
-/// thread that finished a sample pushes it into the open batch.
-pub(crate) struct BatchStep<D: Dataset> {
-    rt: Arc<Runtime<D>>,
-}
-
-impl<D: Dataset> BatchStep<D> {
-    pub(crate) fn new(rt: Arc<Runtime<D>>) -> BatchStep<D> {
-        BatchStep { rt }
-    }
-}
-
-impl<D: Dataset> RoleStep for BatchStep<D> {
-    fn step(&self) -> StepOutcome {
-        if self.rt.is_shutdown() {
-            return StepOutcome::Exhausted;
-        }
-        self.rt.ordered_pass()
-    }
-
-    /// Pushes the samples still parked behind a gap nobody reported,
-    /// emits the open batch and closes the batch queues. Runs once the
-    /// pass saw `fast_q` closed and drained, and `fast_q` closes at
-    /// `in_flight == 0`, so nothing is still coming.
-    fn finish(&self) {
-        let rt = &*self.rt;
-        if let Some(pull) = &rt.pull {
-            let parked = pull.lock().reorder.drain_remaining();
-            rt.deliver_claim(parked);
-        }
-        rt.flush_and_close();
-    }
+/// Order-preserving mode's claim window: claims numbered in claim
+/// order, and the filled batches parked until every earlier claim's
+/// batch is emitted.
+pub(crate) struct Window<S: 'static> {
+    /// Claims numbered so far: the next claim is number `claimed`.
+    claimed: u64,
+    /// Parked batches by claim number; its `next_seq` is the awaited
+    /// claim.
+    parked: ReorderBuffer<Batch<S>>,
+    /// Reusable drain buffer of `parked`.
+    ready: Vec<Batch<S>>,
 }
 
 #[cfg(test)]
@@ -1576,11 +1448,6 @@ mod tests {
         }
     }
 
-    /// Everything `q` holds, as sample values.
-    fn drain_values(q: &MinatoQueue<Prepared<u32>>) -> Vec<u32> {
-        q.pop_many(usize::MAX).iter().map(|p| p.sample).collect()
-    }
-
     /// The samples of every emitted batch, in emission order, then those
     /// still in the open batch.
     fn emitted_and_open(rt: &Runtime<Ds>) -> Vec<u32> {
@@ -1621,15 +1488,20 @@ mod tests {
     }
 
     /// Order-preserving mode runs with the timeout disabled (the
-    /// builder admits no other policy there), so it claims eight where
-    /// the same shape under a cheap cutoff claims a whole batch.
+    /// builder admits no other policy there), where a shuffled claim is
+    /// eight, and claims exactly one batch whatever its size: one below
+    /// eight, and one over the queue capacity that caps a shuffled claim.
     #[test]
-    fn order_preserving_mode_claims_eight() {
+    fn order_preserving_mode_claims_one_batch() {
         let mut cfg = batch_claim_cfg();
         assert_eq!(mini_runtime(cfg.clone()).fast_claim(), 64);
-        cfg.order_preserving = true;
         cfg.timeout_policy = TimeoutPolicy::Disabled;
-        assert_eq!(mini_runtime(cfg).fast_claim(), TICKET_CHUNK);
+        assert_eq!(mini_runtime(cfg.clone()).fast_claim(), TICKET_CHUNK);
+        cfg.order_preserving = true;
+        for batch in [4, 64, 100] {
+            cfg.batch_size = batch;
+            assert_eq!(mini_runtime(cfg.clone()).fast_claim(), batch);
+        }
     }
 
     #[test]
@@ -1649,19 +1521,12 @@ mod tests {
     }
 
     /// Bounded hold: a sample that took longer than `starvation_wait`
-    /// is published before its worker has finished the next one of the
-    /// same claim — into the fast queue in order-preserving mode (a
-    /// claim of eight), into the open batch in shuffled mode (a claim of
-    /// eight, and one of a whole batch).
+    /// is published into the open batch before its worker has finished
+    /// the next one of the same claim (a claim of eight, and one of a
+    /// whole batch).
     #[test]
     fn slow_fast_sample_is_published_before_its_chunk_ends() {
-        let mut ordered = mini_cfg();
-        ordered.order_preserving = true;
-        for (mut cfg, n) in [
-            (ordered, TICKET_CHUNK),
-            (mini_cfg(), TICKET_CHUNK),
-            (batch_claim_cfg(), 64),
-        ] {
+        for (mut cfg, n) in [(mini_cfg(), TICKET_CHUNK), (batch_claim_cfg(), 64)] {
             // Long enough that the samples after sample 1, which take no
             // time, still leave together when an unoptimised build shares
             // its cores with other work.
@@ -1690,41 +1555,23 @@ mod tests {
                 entered.load(Ordering::SeqCst) == 2
             });
             // The worker is inside sample 1 of its claim (gate 1 is shut).
-            let ordered = rt.cfg.order_preserving;
-            if ordered {
-                match rt.fast_q.try_pop() {
-                    PopResult::Item(p) => assert_eq!(p.sample, 0),
-                    _ => panic!("sample 0 withheld until the end of its claim of {n}"),
-                }
-            } else {
-                assert_eq!(
-                    rt.open.lock().samples,
-                    [0],
-                    "sample 0 withheld until the end of its claim of {n}"
-                );
-            }
+            assert_eq!(
+                rt.open.lock().samples,
+                [0],
+                "sample 0 withheld until the end of its claim of {n}"
+            );
             gates.open_below(u32::MAX);
             assert_eq!(worker.join().unwrap(), StepOutcome::Progress);
-            if ordered {
-                // The others took no time: they left together.
-                assert_eq!(
-                    rt.fast_q.lock_acquisitions(),
-                    3,
-                    "two puts and the pop, claim of {n}"
-                );
-                assert_eq!(drain_values(&rt.fast_q), (1..n as u32).collect::<Vec<_>>());
-            } else {
-                assert_eq!(rt.fast_q.total_puts(), 0, "claim of {n}");
-                assert_eq!(emitted_and_open(&rt), (0..n as u32).collect::<Vec<_>>());
-            }
+            assert_eq!(emitted_and_open(&rt), (0..n as u32).collect::<Vec<_>>());
             assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         }
     }
 
     /// The other half of the hold rule: samples far quicker than
-    /// `starvation_wait` still enter the fast queue once per chunk in
-    /// order-preserving mode. Shuffled, the same chunks go into the open
-    /// batch and leave as batches, in claim order.
+    /// `starvation_wait` go into the open batch once per chunk of eight
+    /// in shuffled mode and leave as batches, in claim order. In
+    /// order-preserving mode each claim is one batch, parked and emitted
+    /// whole, and the open batch stays unused.
     #[test]
     fn quick_samples_are_published_once_per_chunk() {
         for ordered in [true, false] {
@@ -1734,23 +1581,25 @@ mod tests {
             cfg.starvation_wait = Duration::from_secs(10);
             let rt = runtime_over(cfg, 16, Pipeline::identity());
             let step = FastStep::new(Arc::clone(&rt));
-            while RoleStep::step(&step) != StepOutcome::Exhausted {}
-            if ordered {
-                assert_eq!(rt.fast_q.total_puts(), 16);
-                assert_eq!(rt.fast_q.lock_acquisitions(), 2, "one put per chunk of 8");
-            } else {
-                assert_eq!(rt.fast_q.total_puts(), 0);
-                assert_eq!(rt.batches_out.get(), 4, "batches of 4");
-                assert_eq!(emitted_and_open(&rt), (0..16).collect::<Vec<_>>());
+            let mut steps = 0;
+            while RoleStep::step(&step) != StepOutcome::Exhausted {
+                steps += 1;
             }
-            assert!(rt.fast_q.is_closed(), "drained source closed the queue");
+            assert_eq!(steps, if ordered { 4 } else { 2 }, "ordered: {ordered}");
+            assert_eq!(rt.batches_out.get(), 4, "batches of 4");
+            assert_eq!(emitted_and_open(&rt), (0..16).collect::<Vec<_>>());
+            let w = rt.window.lock();
+            let claims = if ordered { 4 } else { 0 };
+            assert_eq!((w.claimed, w.parked.next_seq()), (claims, claims));
+            drop(w);
+            assert!(rt.batch_qs[0].is_closed(), "drained source ended the run");
         }
     }
 
     /// Under a cutoff the claim grows to one batch: 128 quick samples
     /// leave as two publishes of 64, not sixteen of eight — and, each
     /// claim being one whole batch, as two batches straight from the
-    /// fast worker, with nothing put into the fast queue.
+    /// fast worker.
     #[test]
     fn quick_samples_under_a_cutoff_are_published_once_per_claim() {
         let mut cfg = batch_claim_cfg();
@@ -1760,7 +1609,6 @@ mod tests {
         assert_eq!(rt.fast_claim(), 64);
         let step = FastStep::new(Arc::clone(&rt));
         while RoleStep::step(&step) != StepOutcome::Exhausted {}
-        assert_eq!(rt.fast_q.total_puts(), 0, "no claim took the fast queue");
         assert_eq!(rt.batches_out.get(), 2, "one publish per claim of 64");
         assert_eq!(rt.samples_out.get(), 128);
         let batches = rt.batch_qs[0].pop_many(usize::MAX);
@@ -1768,7 +1616,7 @@ mod tests {
         assert_eq!(got, (0..128).collect::<Vec<_>>(), "each claim in order");
         assert!(rt.open.lock().is_empty());
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
-        assert!(rt.fast_q.is_closed(), "drained source closed the queue");
+        assert!(rt.batch_qs[0].is_closed(), "drained source ended the run");
     }
 
     /// A whole claim meeting an open batch left holding `k` samples
@@ -1789,7 +1637,6 @@ mod tests {
         }
         let step = FastStep::new(Arc::clone(&rt));
         assert_eq!(RoleStep::step(&step), StepOutcome::Progress);
-        assert_eq!(rt.fast_q.total_puts(), 0);
         assert_eq!(rt.batches_out.get(), 1);
         let batch = rt.batch_qs[0].try_pop();
         let PopResult::Item(batch) = batch else {
@@ -1827,30 +1674,11 @@ mod tests {
         }
     }
 
-    /// Only order-preserving mode takes the fast queue. Shuffled, what a
-    /// claim finishes fast goes into the open batch also when some of its
-    /// samples were deferred and when the hold rule split it.
+    /// What a shuffled claim finishes fast goes into the open batch also
+    /// when some of its samples were deferred and when the hold rule
+    /// split it.
     #[test]
-    fn only_ordered_claims_use_the_fast_queue() {
-        // Order-preserving: claim 8, batch 8.
-        let mut cfg = mini_cfg();
-        cfg.batch_size = TICKET_CHUNK;
-        cfg.order_preserving = true;
-        cfg.starvation_wait = Duration::from_secs(10);
-        let rt = runtime_over(cfg, TICKET_CHUNK as u32, Pipeline::identity());
-        assert_eq!(rt.fast_claim(), TICKET_CHUNK);
-        assert_eq!(
-            RoleStep::step(&FastStep::new(Arc::clone(&rt))),
-            StepOutcome::Progress
-        );
-        // Checked first: `drain_values` waits while the queue is empty.
-        assert_eq!(rt.batches_out.get(), 0, "ordered");
-        assert_eq!(
-            drain_values(&rt.fast_q),
-            (0..8).collect::<Vec<_>>(),
-            "ordered"
-        );
-
+    fn a_claim_enters_the_open_batch_around_deferrals_and_splits() {
         // Deferrals: a claim of 64 (batch 64) with its last sample
         // deferred, and a claim of 8 (batch 4) with its last four
         // deferred, whose four fast samples make exactly one batch.
@@ -1867,7 +1695,6 @@ mod tests {
                 RoleStep::step(&FastStep::new(Arc::clone(&rt))),
                 StepOutcome::Progress
             );
-            assert_eq!(rt.fast_q.total_puts(), 0, "claim of {claim}");
             assert_eq!(rt.batches_out.get(), batches, "claim of {claim}");
             let fast: Vec<u32> = (0..first_deferred).collect();
             assert_eq!(emitted_and_open(&rt), fast, "claim of {claim}");
@@ -1893,7 +1720,6 @@ mod tests {
             RoleStep::step(&FastStep::new(Arc::clone(&rt))),
             StepOutcome::Progress
         );
-        assert_eq!(rt.fast_q.total_puts(), 0, "held");
         assert_eq!(rt.batches_out.get(), 1, "held");
         assert_eq!(emitted_and_open(&rt), (0..64).collect::<Vec<_>>(), "held");
     }
@@ -1925,7 +1751,6 @@ mod tests {
             .collect();
         let want: Vec<Vec<u32>> = (0..3).map(|b| (8 * b..8 * b + 8).collect()).collect();
         assert_eq!(batches, want);
-        assert_eq!(rt.fast_q.total_puts(), 0);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
     }
 
@@ -1937,7 +1762,6 @@ mod tests {
     #[test]
     fn a_resumed_sample_lands_in_the_open_batch_before_its_ticket_leaves() {
         let rt = mini_runtime(mini_cfg());
-        assert!(rt.pull.is_none(), "shuffled mode has no batch role to pull");
         let slow = SlowStep::new(Arc::clone(&rt));
         // Two deferred tickets, in flight as the fast worker left them.
         rt.in_flight.fetch_add(2, Ordering::SeqCst);
@@ -1959,8 +1783,129 @@ mod tests {
         // and been left in the open batch.
         assert_eq!(rt.batches_out.get(), 1);
         assert_eq!(emitted_and_open(&rt), [7, 8]);
-        assert_eq!(rt.fast_q.total_puts(), 0);
         assert_eq!(RoleStep::step(&slow), StepOutcome::Exhausted);
+    }
+
+    /// Ordered fast steps on three threads, the consumer stopped and
+    /// the awaited claim's first sample held in its transform: the
+    /// others claim, fill and park the next R − 1 batches and then wait,
+    /// so claims stay within R = `prefetch_factor × max_workers` of the
+    /// awaited one and no later ticket is touched. Released, the awaited
+    /// claim emits what the two-batch queue takes, its worker blocks on
+    /// the stopped consumer, and shutdown wakes and ends every step.
+    #[test]
+    fn the_ordered_window_bounds_claims_ahead_of_the_awaited_one() {
+        let mut cfg = mini_cfg();
+        cfg.order_preserving = true;
+        cfg.max_workers = 2;
+        cfg.prefetch_factor = 2;
+        let r = (cfg.prefetch_factor * cfg.max_workers) as u64;
+        let batch = cfg.batch_size as u32;
+        let gates = Gates::closed();
+        let entered = Arc::new(AtomicUsize::new(0));
+        let (g, e) = (Arc::clone(&gates), Arc::clone(&entered));
+        let pipeline = Pipeline::new(vec![crate::transform::fn_transform("gated", move |x| {
+            e.fetch_add(1, Ordering::SeqCst);
+            if x == 0 {
+                g.pass(0);
+            }
+            Ok(x)
+        })]);
+        let rt = runtime_over(cfg, 400, pipeline);
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let rt = Arc::clone(&rt);
+                thread::spawn(move || {
+                    let step = FastStep::new(rt);
+                    while RoleStep::step(&step) != StepOutcome::Exhausted {}
+                })
+            })
+            .collect();
+        // Sample 0, and every sample of claims 1 ..= R − 1.
+        let blocked = 1 + (r as usize - 1) * batch as usize;
+        let window = || {
+            let w = rt.window.lock();
+            (w.claimed, w.parked.next_seq(), w.parked.pending() as u64)
+        };
+        spin_until("the claims after the awaited one never parked", || {
+            entered.load(Ordering::SeqCst) >= blocked && window().2 == r - 1
+        });
+        for _ in 0..1000 {
+            thread::yield_now();
+        }
+        let (claimed, awaited, parked) = window();
+        assert_eq!(
+            (claimed, awaited, parked),
+            (r, 0, r - 1),
+            "claimed − awaited ≤ R"
+        );
+        assert_eq!(
+            entered.load(Ordering::SeqCst),
+            blocked,
+            "a ticket past R ran"
+        );
+        assert_eq!(rt.batches_out.get(), 0);
+        gates.open_below(1);
+        spin_until("the awaited claim emitted nothing", || {
+            rt.batches_out.get() == rt.cfg.prefetch_factor as u64
+        });
+        rt.initiate_shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let got: Vec<u32> = rt.batch_qs[0]
+            .try_pop_many(usize::MAX)
+            .unwrap_or_default()
+            .into_iter()
+            .flat_map(Batch::into_samples)
+            .collect();
+        assert_eq!(got, (0..2 * batch).collect::<Vec<_>>(), "in claim order");
+        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
+    }
+
+    /// An ordered claim whose every sample is quarantined still holds its
+    /// tickets in flight until its (empty) batch is parked: the worker
+    /// that drained the source must not run the close cascade while the
+    /// later batches wait behind it, or they would never be emitted.
+    #[test]
+    fn an_emptied_ordered_claim_holds_the_cascade_until_it_is_parked() {
+        let mut cfg = mini_cfg();
+        cfg.order_preserving = true;
+        cfg.batch_size = 2;
+        let gates = Gates::closed();
+        let g = Arc::clone(&gates);
+        let pipeline = Pipeline::new(vec![crate::transform::fn_transform("fail-0-1", move |x| {
+            if x == 1 {
+                g.pass(0);
+            }
+            if x < 2 {
+                return Err(LoaderError::Transform {
+                    name: "fail-0-1".into(),
+                    msg: format!("sample {x}"),
+                });
+            }
+            Ok(x)
+        })]);
+        let rt = runtime_over(cfg, 6, pipeline);
+        let rt2 = Arc::clone(&rt);
+        let first = thread::spawn(move || RoleStep::step(&FastStep::new(rt2)));
+        spin_until("claim 0 never started", || rt.window.lock().claimed == 1);
+        // Claims 1 and 2 park behind claim 0; the third step drains the
+        // source and finds claim 0's tickets still in flight.
+        let step = FastStep::new(Arc::clone(&rt));
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        assert!(rt.source_drained.load(Ordering::SeqCst));
+        assert!(
+            !rt.batch_qs[0].is_closed(),
+            "closed under the parked batches"
+        );
+        assert_eq!(rt.in_flight.load(Ordering::SeqCst), 2);
+        gates.open_below(1);
+        assert_eq!(first.join().unwrap(), StepOutcome::Progress);
+        assert!(rt.batch_qs[0].is_closed(), "the park ran the cascade");
+        assert_eq!(emitted_and_open(&rt), [2, 3, 4, 5]);
+        assert_eq!(rt.batches_out.get(), 2, "the empty batch is not emitted");
+        assert_eq!(rt.faults.quarantined.get(), 2);
     }
 
     /// Moonlighting: with a temp-queue backlog over the mark, exactly
@@ -2072,57 +2017,6 @@ mod tests {
         assert_eq!(rt.temp_q.len(), 1);
     }
 
-    /// Order-preserving mode: with the pull state free, a producer
-    /// facing a full fast queue assembles batches itself and so never
-    /// sleeps.
-    #[test]
-    fn blocked_publisher_helps_when_nobody_holds_the_batch_role() {
-        let mut cfg = mini_cfg();
-        cfg.queue_capacity = 4;
-        cfg.starvation_wait = Duration::from_secs(2);
-        cfg.order_preserving = true;
-        let rt = mini_runtime(cfg);
-        rt.fast_q.put_many((0..4).map(prepared).collect()).unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let rt2 = Arc::clone(&rt);
-        let t0 = Instant::now();
-        let producer = thread::spawn(move || {
-            let sent = rt2.publish_helping((4..16).map(prepared).collect());
-            tx.send(sent).unwrap();
-        });
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("producer made no progress by helping")
-            .expect("queue stayed open");
-        let took = t0.elapsed();
-        producer.join().unwrap();
-        assert!(
-            took <= rt.cfg.starvation_wait / 2,
-            "publish took {took:?} with helping available"
-        );
-        // 16 samples: whatever is not still queued left as batches
-        // of 4, assembled by the producer.
-        let queued = rt.fast_q.len() as u64;
-        assert_eq!(rt.samples_out.get() + queued, 16);
-        assert!(rt.batches_out.get() >= 3);
-    }
-
-    /// Regression test for the batch-worker busy-spin: popping a closed
-    /// queue returns at once, so a batch role that kept probing a closed,
-    /// drained fast queue would spin a core. The ordered pass probes it
-    /// once and is exhausted.
-    #[test]
-    fn batch_worker_does_not_spin_on_closed_fast_queue() {
-        let mut cfg = mini_cfg();
-        cfg.order_preserving = true;
-        let rt = mini_runtime(cfg);
-        rt.fast_q.close();
-        let step = BatchStep::new(Arc::clone(&rt));
-        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
-        assert_eq!(rt.fast_q.lock_acquisitions(), 1, "one probe");
-        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
-        assert_eq!(rt.fast_q.lock_acquisitions(), 1, "the pull remembers");
-    }
-
     /// Regression test for GPU-feed starvation: a consumer that never
     /// drains its queue must not wedge delivery to the other GPUs once
     /// its queue fills.
@@ -2144,7 +2038,7 @@ mod tests {
         for i in 0..3u32 {
             let mut b = Batch::with_capacity(2);
             b.push(prepared(10 + i));
-            assert!(emit_batch(&*rt, &mut b), "emission {i} wedged");
+            assert!(emit_batch(&*rt, b), "emission {i} wedged");
             // GPU 1 is drained by the test between emissions.
             let got = rt.batch_qs[1].pop().expect("delivered to the live GPU");
             assert_eq!(got.len(), 1);
@@ -2155,8 +2049,7 @@ mod tests {
     /// A slow step with an empty-but-open temp queue reports idle (so a
     /// draining worker bids elsewhere) and exhausted once it closes. In
     /// either mode the slow role closes nothing itself: the batch queues
-    /// stay open for the close cascade (shuffled) or the batch role
-    /// (ordered).
+    /// stay open for the close cascade.
     #[test]
     fn slow_step_reports_idle_then_exhausted() {
         for ordered in [false, true] {
@@ -2170,24 +2063,6 @@ mod tests {
             step.finish();
             assert!(!rt.batch_qs[0].is_closed(), "ordered: {ordered}");
         }
-    }
-
-    /// The pull state caps the ordered batch role's concurrency: a
-    /// second worker stepping while another holds it reports idle, and
-    /// touches neither the fast queue nor the open batch.
-    #[test]
-    fn batch_step_single_lane_excludes_second_worker() {
-        let mut cfg = mini_cfg();
-        cfg.order_preserving = true;
-        let rt = mini_runtime(cfg);
-        rt.fast_q.put(prepared(0)).unwrap();
-        let puts = rt.fast_q.lock_acquisitions();
-        let step = BatchStep::new(Arc::clone(&rt));
-        let held = rt.pull.as_ref().expect("ordered pull state").lock();
-        assert_eq!(RoleStep::step(&step), StepOutcome::Idle);
-        assert_eq!(rt.fast_q.lock_acquisitions(), puts, "no pop");
-        assert!(rt.open.lock().is_empty());
-        drop(held);
     }
 
     #[test]
@@ -2222,13 +2097,13 @@ mod tests {
         let rt = mini_runtime(cfg);
         let mut b = Batch::with_capacity(2);
         b.push(prepared(0));
-        assert!(emit_batch(&*rt, &mut b), "plain delivery");
+        assert!(emit_batch(&*rt, b), "plain delivery");
         assert_eq!(rt.faults.rerouted.get(), 0, "no saturated queue yet");
         // The first batch's consumer never drains its capacity-1 queue,
         // so the next delivery dodges a wedged consumer.
         let mut b = Batch::with_capacity(2);
         b.push(prepared(1));
-        assert!(emit_batch(&*rt, &mut b));
+        assert!(emit_batch(&*rt, b));
         assert_eq!(rt.faults.rerouted.get(), 1, "routed around the stall");
     }
 

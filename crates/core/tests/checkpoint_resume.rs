@@ -401,13 +401,10 @@ fn checkpoint_of_a_wedged_pipeline_resumes_exactly_once() {
             pre.extend(b.meta.iter().map(|m| m.seq));
         }
         // The consumer stops popping; wait for the pipeline to back up
-        // into the full batch queue and, in ordered mode, the full fast
-        // queue. Shuffled, fast samples skip that queue: the producers
-        // block pushing into the open batch, and no sample completes any
-        // more. In ordered mode a descheduled worker holding the awaited
-        // seq lets the batch role move the fast queue into its unbounded
-        // reorder buffer, so the wait is bounded and reports the state it
-        // found instead of spinning forever.
+        // into the full batch queue. Shuffled, the producers block
+        // pushing into the open batch; ordered, the worker emitting the
+        // awaited batch blocks on the batch queue and the others on the
+        // full claim window. Either way no sample completes any more.
         let t0 = Instant::now();
         let mut last_done = (u64::MAX, Instant::now());
         loop {
@@ -415,12 +412,7 @@ fn checkpoint_of_a_wedged_pipeline_resumes_exactly_once() {
             if s.samples_done != last_done.0 {
                 last_done = (s.samples_done, Instant::now());
             }
-            let producers_blocked = if ordered {
-                s.fast_queue_len == 100
-            } else {
-                last_done.1.elapsed() >= STILL
-            };
-            if s.batch_queue_len == 2 && producers_blocked {
+            if s.batch_queue_len == 2 && last_done.1.elapsed() >= STILL {
                 break;
             }
             assert!(

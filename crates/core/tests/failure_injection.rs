@@ -196,12 +196,12 @@ fn wait_for_stats<D: Dataset>(
 fn shutdown_under_backpressure_is_clean() {
     // An iterator that abandons mid-stream with back-pressure all the
     // way up: the batch queue's two slots taken and the producers
-    // blocked. Shuffled, they push fast samples straight into the open
-    // batch, so they block there (one in the emit, the others on the
-    // open batch's lock) and no sample completes any more. In
-    // order-preserving mode the 100-slot fast queue fills and they
-    // sleep between attempts to run an assembly pass themselves. They
-    // must unblock on drop in both modes.
+    // blocked, so no sample completes any more. Shuffled, they push fast
+    // samples straight into the open batch, so they block there (one in
+    // the emit, the others on the open batch's lock). In
+    // order-preserving mode one blocks emitting the awaited batch under
+    // the window lock and the others on that lock or on the full claim
+    // window. They must unblock on drop in both modes.
     for order_preserving in [false, true] {
         let ds = VecDataset::new((0..500u32).collect::<Vec<_>>());
         let loader = MinatoLoader::builder(ds, Pipeline::identity())
@@ -219,11 +219,7 @@ fn shutdown_under_backpressure_is_clean() {
             if s.samples_done != last_done.get().0 {
                 last_done.set((s.samples_done, Instant::now()));
             }
-            if order_preserving {
-                s.fast_queue_len == 100
-            } else {
-                s.batch_queue_len == 2 && last_done.get().1.elapsed() >= Duration::from_millis(50)
-            }
+            s.batch_queue_len == 2 && last_done.get().1.elapsed() >= Duration::from_millis(50)
         });
         let t0 = Instant::now();
         drop(loader);

@@ -4,10 +4,10 @@
 //! with `dstat`. Neither applies to an instrumented Rust runtime, so
 //! utilization is derived from first principles instead: every worker (or
 //! simulated device) reports the nanoseconds it spent busy, and utilization
-//! over an interval is `busy / (interval × slots)` where `slots` is the
-//! number of workers/devices sharing the meter. The meter keeps the
+//! over an interval is `busy / (interval × workers)`. The meter keeps the
 //! cumulative busy time only; a monitor reads [`UtilizationMeter::busy_ns`]
-//! each tick and divides the delta by its own interval.
+//! each tick and divides the delta by its own interval and by the workers
+//! it counts as active.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -24,31 +24,22 @@ use std::time::Duration;
 /// use minato_metrics::UtilizationMeter;
 /// use std::time::Duration;
 ///
-/// let m = UtilizationMeter::new(2); // Two workers.
+/// let m = UtilizationMeter::new();
 /// let before = m.busy_ns();
 /// m.add_busy(Duration::from_millis(500));
 /// m.add_busy(Duration::from_millis(500));
 /// // One second of busy time in this window, whichever worker spent it.
 /// assert_eq!(m.busy_ns() - before, 1_000_000_000);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct UtilizationMeter {
     busy_ns: AtomicU64,
-    slots: u64,
 }
 
 impl UtilizationMeter {
-    /// Creates a meter shared by `slots` workers/devices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn new(slots: usize) -> UtilizationMeter {
-        assert!(slots > 0, "utilization meter needs at least one slot");
-        UtilizationMeter {
-            busy_ns: AtomicU64::new(0),
-            slots: slots as u64,
-        }
+    /// Creates a meter with no busy time recorded.
+    pub fn new() -> UtilizationMeter {
+        UtilizationMeter::default()
     }
 
     /// Records `busy` time spent working by one worker.
@@ -61,11 +52,6 @@ impl UtilizationMeter {
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns.load(Ordering::Relaxed)
     }
-
-    /// Number of slots (workers) sharing this meter.
-    pub fn slots(&self) -> u64 {
-        self.slots
-    }
 }
 
 #[cfg(test)]
@@ -73,14 +59,8 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_slots_panics() {
-        let _ = UtilizationMeter::new(0);
-    }
-
-    #[test]
     fn windowed_sampling_consumes_busy_time() {
-        let m = UtilizationMeter::new(2);
+        let m = UtilizationMeter::new();
         m.add_busy(Duration::from_secs(1));
         let first = m.busy_ns();
         assert_eq!(first, 1_000_000_000);

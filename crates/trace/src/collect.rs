@@ -257,7 +257,7 @@ mod tests {
     fn collector() -> Collector {
         Collector::new(
             vec!["decode".into(), "augment".into()],
-            vec!["fast_q".into(), "temp_q".into()],
+            vec!["temp_q".into(), "batch_q[0]".into()],
             1024,
         )
     }
@@ -283,7 +283,7 @@ mod tests {
         c.fold(ev(EventKind::QueuePut, 1_000, 7, 0, 0));
         c.fold(ev(EventKind::QueuePop, 2_001_000, 7, 0, 0));
         let b = c.breakdown();
-        let wait = b.stage("fast_q_wait").expect("fast_q_wait row");
+        let wait = b.stage("temp_q_wait").expect("temp_q_wait row");
         assert_eq!(wait.count, 1);
         assert!((1.0..4.1).contains(&wait.p50_ms), "{}", wait.p50_ms);
         assert_eq!(c.unpaired(), 0);
@@ -294,7 +294,7 @@ mod tests {
         let mut c = collector();
         c.fold(ev(EventKind::QueuePop, 500, 9, 0, 0));
         assert_eq!(c.unpaired(), 1);
-        assert!(c.breakdown().stage("fast_q_wait").is_none());
+        assert!(c.breakdown().stage("temp_q_wait").is_none());
     }
 
     #[test]

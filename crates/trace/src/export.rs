@@ -126,7 +126,7 @@ mod tests {
         let json = chrome_trace(
             &events,
             &["decode\"weird\\name".to_string()],
-            &["fast_q".to_string(), "temp_q".to_string()],
+            &["temp_q".to_string(), "batch_q[0]".to_string()],
         );
         let v = parse(&json).expect("exporter must emit valid JSON");
         let spans = v

@@ -98,36 +98,6 @@ proptest! {
         prop_assert_eq!(out, expect);
     }
 
-    /// Offers and skips in any interleaving, drained at any points, come
-    /// out in sequence order with nothing lost and nothing duplicated —
-    /// and with every seq resolved nothing stays parked.
-    #[test]
-    fn reorder_buffer_walks_over_skipped_seqs(
-        keys in proptest::collection::vec(any::<u32>(), 40),
-        skipped in proptest::collection::vec(any::<bool>(), 40),
-        drain_after in proptest::collection::vec(any::<bool>(), 40),
-    ) {
-        let mut arrivals: Vec<u64> = (0..40).collect();
-        arrivals.sort_by_key(|&seq| keys[seq as usize]);
-        let mut rb = ReorderBuffer::new(0);
-        let mut out = Vec::new();
-        for (&seq, &drain) in arrivals.iter().zip(&drain_after) {
-            if skipped[seq as usize] {
-                rb.skip(seq);
-            } else {
-                rb.offer(seq, seq);
-            }
-            if drain {
-                rb.drain_ready(&mut out);
-            }
-        }
-        rb.drain_ready(&mut out);
-        let expect: Vec<u64> = (0..40).filter(|&seq| !skipped[seq as usize]).collect();
-        prop_assert_eq!(out, expect);
-        prop_assert_eq!(rb.next_seq(), 40);
-        prop_assert_eq!(rb.pending(), 0);
-    }
-
     /// Queue FIFO order survives arbitrary interleaved put/pop programs.
     #[test]
     fn queue_preserves_fifo(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
