@@ -3,11 +3,12 @@
 //! claims are counts, so they hold in debug builds; wall time is
 //! `benchmark/`'s business (`loader.allocs_per_sample` on `noop_tax`).
 //!
-//! What is left per claim of one batch (64 samples): the claim's
-//! tickets, its sample buffer and pipeline times, and the fresh open
-//! batch that replaces each emitted one — about 0.1 allocations per
-//! sample. A dataset that builds its error message on every successful
-//! load adds one per sample (≈ 1.13 in all).
+//! What is left per claim of one batch (64 samples) is five
+//! allocations, ≈ 0.078 per sample: the claim's tickets, its sample
+//! buffer and pipeline times, and the two `Vec`s of the fresh open
+//! batch that replaces each emitted one; emitting a batch allocates
+//! nothing. A dataset that builds its error message on every
+//! successful load adds one per sample (≈ 1.13 in all).
 
 use minato_bench::alloc_counter;
 use minato_core::balancer::TimeoutPolicy;
@@ -54,7 +55,7 @@ fn identity_loader_allocates_under_half_an_allocation_per_sample() {
     let per_sample = (alloc_counter::allocations() - a0) as f64 / delivered as f64;
     assert_eq!(delivered, N, "must deliver every sample");
     assert!(
-        per_sample < 0.5,
+        per_sample < 0.09,
         "{per_sample:.3} allocations per delivered sample"
     );
 }

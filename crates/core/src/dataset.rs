@@ -253,42 +253,63 @@ impl EpochSampler {
     }
 }
 
+impl ShuffleState {
+    /// Rolls into the next epoch when the current one is used up
+    /// (reshuffling its order when `shuffle`); false once every epoch is.
+    fn roll(&mut self, len: usize, epochs: usize, shuffle: bool) -> bool {
+        if self.pos == len && self.epoch < epochs {
+            self.epoch += 1;
+            self.pos = 0;
+            if shuffle && self.epoch < epochs {
+                let mut order = std::mem::take(&mut self.order);
+                order.shuffle(&mut self.rng);
+                self.order = order;
+            }
+        }
+        self.epoch < epochs
+    }
+}
+
 impl Sampler for EpochSampler {
     fn next(&self) -> Option<SampleTicket> {
-        self.next_many(1).pop()
+        if self.len == 0 {
+            return None;
+        }
+        let mut st = self.state.lock();
+        if !st.roll(self.len, self.epochs, self.shuffle) {
+            return None;
+        }
+        let t = SampleTicket {
+            index: st.order[st.pos],
+            epoch: st.epoch,
+            seq: st.seq,
+        };
+        st.pos += 1;
+        st.seq += 1;
+        Some(t)
     }
 
     /// Claims a whole chunk under a single lock acquisition (the default
-    /// trait implementation would lock once per ticket).
+    /// trait implementation would lock once per ticket), copying the
+    /// rest of the current epoch's order as one run and rolling into
+    /// the next epoch only between runs.
     fn next_many(&self, max: usize) -> Vec<SampleTicket> {
         if self.len == 0 || self.epochs == 0 || max == 0 {
             return Vec::new();
         }
         let mut st = self.state.lock();
         let mut out = Vec::with_capacity(max);
-        while out.len() < max {
-            if st.epoch >= self.epochs {
-                break;
-            }
-            if st.pos == self.len {
-                st.epoch += 1;
-                if st.epoch >= self.epochs {
-                    break;
-                }
-                st.pos = 0;
-                if self.shuffle {
-                    let mut order = std::mem::take(&mut st.order);
-                    order.shuffle(&mut st.rng);
-                    st.order = order;
-                }
-            }
-            out.push(SampleTicket {
-                index: st.order[st.pos],
-                epoch: st.epoch,
-                seq: st.seq,
-            });
-            st.pos += 1;
-            st.seq += 1;
+        while out.len() < max && st.roll(self.len, self.epochs, self.shuffle) {
+            let (pos, epoch, seq) = (st.pos, st.epoch, st.seq);
+            let run = (max - out.len()).min(self.len - pos);
+            out.extend(
+                st.order[pos..pos + run]
+                    .iter()
+                    .zip(seq..)
+                    .map(|(&index, seq)| SampleTicket { index, epoch, seq }),
+            );
+            st.pos += run;
+            st.seq += run as u64;
         }
         out
     }
@@ -352,22 +373,34 @@ mod tests {
         assert_ne!(collect(7), collect(8));
     }
 
+    /// `next_many` copies runs of an epoch's order and `next` takes one
+    /// ticket at a time: chunks of any size, concatenated, are the
+    /// `next` stream, shuffled and not, across every epoch boundary, and
+    /// both stay exhausted at the end.
     #[test]
     fn next_many_matches_single_claims_across_epochs() {
-        let chunked = EpochSampler::new(5, 3, true, 9);
-        let single = EpochSampler::new(5, 3, true, 9);
-        let mut via_chunks = Vec::new();
-        loop {
-            let chunk = chunked.next_many(4);
-            if chunk.is_empty() {
-                break;
+        const LEN: usize = 10;
+        for shuffle in [false, true] {
+            let single = EpochSampler::new(LEN, 4, shuffle, 9);
+            let via_single: Vec<SampleTicket> = std::iter::from_fn(|| single.next()).collect();
+            assert_eq!(via_single.len(), 4 * LEN);
+            assert!(single.next_many(1).is_empty());
+            for k in [1, 4, 7, 64, LEN + 3] {
+                let chunked = EpochSampler::new(LEN, 4, shuffle, 9);
+                let mut via_chunks = Vec::new();
+                loop {
+                    let chunk = chunked.next_many(k);
+                    if chunk.is_empty() {
+                        break;
+                    }
+                    assert!(chunk.len() <= k);
+                    via_chunks.extend(chunk);
+                }
+                assert_eq!(via_chunks, via_single, "chunks of {k}, shuffle {shuffle}");
+                assert!(chunked.next_many(k).is_empty(), "stays exhausted");
+                assert!(chunked.next().is_none());
             }
-            assert!(chunk.len() <= 4);
-            via_chunks.extend(chunk);
         }
-        let via_single: Vec<SampleTicket> = std::iter::from_fn(|| single.next()).collect();
-        assert_eq!(via_chunks, via_single);
-        assert!(chunked.next_many(4).is_empty(), "stays exhausted");
     }
 
     /// A chunk larger than what remains in the current epoch must roll

@@ -183,40 +183,28 @@ impl FaultCounters {
 
 /// Repays un-recycled pool scratch when a sample execution unwinds.
 ///
-/// Armed by [`Runtime::guarded_ctx`] around every pipeline run that has
-/// a pool attached; the success paths call [`ScratchGuard::disarm`], so
-/// the `Drop` impl only fires when the run panicked or errored out —
+/// Armed by [`Runtime::run_contained`] around every pipeline run that
+/// has a pool attached; the success paths call [`ScratchGuard::disarm`],
+/// so the `Drop` impl only fires when the run panicked or errored out —
 /// exactly the paths that lose their buffers to the unwinding stack.
-struct ScratchGuard {
-    pools: Option<Arc<PoolSet>>,
-    ledger: Option<Arc<ScratchLedger>>,
-    armed: bool,
+struct ScratchGuard<'a> {
+    /// The pools and the run's ledger; `None` for an unpooled run and
+    /// once disarmed.
+    armed: Option<(&'a PoolSet, Arc<ScratchLedger>)>,
 }
 
-impl ScratchGuard {
-    /// Guard for an unpooled run: nothing to repay.
-    fn disabled() -> ScratchGuard {
-        ScratchGuard {
-            pools: None,
-            ledger: None,
-            armed: false,
-        }
-    }
-
+impl ScratchGuard<'_> {
     /// Defuses the guard (the run completed; its buffers live on in the
     /// sample) and hands the ledger back for deferred runs to carry.
     fn disarm(&mut self) -> Option<Arc<ScratchLedger>> {
-        self.armed = false;
-        self.ledger.take()
+        self.armed.take().map(|(_, ledger)| ledger)
     }
 }
 
-impl Drop for ScratchGuard {
+impl Drop for ScratchGuard<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            if let (Some(pools), Some(ledger)) = (&self.pools, &self.ledger) {
-                ledger.repay(pools);
-            }
+        if let Some((pools, ledger)) = &self.armed {
+            ledger.repay(pools);
         }
     }
 }
@@ -501,53 +489,24 @@ impl<D: Dataset> Runtime<D> {
         !self.is_shutdown()
     }
 
-    /// Builds the per-run transform context — no deadline (the fast path
-    /// sets its own where the pipeline starts), the buffer pools as the
-    /// stages' scratch provider when pooling is on — paired with a
-    /// [`ScratchGuard`] that repays un-recycled
-    /// pool scratch if the run unwinds. `ledger` carries a deferred
-    /// sample's existing ledger into its background resume; fresh runs
-    /// pass `None` and get a new one. `epoch`/`seq` identify the sample
-    /// on stage-observer callbacks when tracing is enabled.
-    fn guarded_ctx(
-        &self,
-        ledger: Option<Arc<ScratchLedger>>,
-        epoch: usize,
-        seq: u64,
-    ) -> (TransformCtx, ScratchGuard) {
-        let ctx = TransformCtx::unbounded();
-        let ctx = match &self.stage_obs {
-            Some(obs) => {
-                ctx.with_observer(Arc::clone(obs), epoch.min(u16::MAX as usize) as u16, seq)
-            }
-            None => ctx,
-        };
-        match &self.pools {
-            Some(p) => {
-                let ledger = ledger.unwrap_or_else(|| Arc::new(ScratchLedger::new()));
-                let ctx = ctx
-                    .with_pool(Arc::clone(p))
-                    .with_scratch(Arc::clone(&ledger));
-                let guard = ScratchGuard {
-                    pools: Some(Arc::clone(p)),
-                    ledger: Some(ledger),
-                    armed: true,
-                };
-                (ctx, guard)
-            }
-            None => (ctx, ScratchGuard::disabled()),
-        }
-    }
-
-    /// Runs `body` — the one attempt at a sample: load and/or pipeline
-    /// run — under the panic containment both the fast and the slow path
-    /// need: the close cascade depends on every step reaching its exit
-    /// accounting, so a panicking dataset or transform degrades to a
-    /// recorded error for this sample instead of unwinding the worker.
-    /// The fault injector is consulted once, before `body`; a failure
-    /// stands and the caller quarantines the sample. Returns the run's
-    /// result, whether it panicked, and its scratch guard, which repays
-    /// pool scratch the run never recycled unless the caller disarms it.
+    /// The one contained run of a sample, on every path: fast or
+    /// resumed, pooled or not, traced or not. Runs `body` — the one
+    /// attempt at a sample: load and/or pipeline run — under the panic
+    /// containment both the fast and the slow path need: the close
+    /// cascade depends on every step reaching its exit accounting, so a
+    /// panicking dataset or transform degrades to a recorded error for
+    /// this sample instead of unwinding the worker. The fault injector
+    /// is consulted once, before `body`; a failure stands and the caller
+    /// quarantines the sample.
+    ///
+    /// `body` gets a context built in place: no deadline (the fast path
+    /// sets its own where the pipeline starts), the stage observer when
+    /// tracing, and the buffer pools with the run's scratch ledger when
+    /// pooling. `ledger` carries a deferred sample's ledger into its
+    /// background resume; a fresh run passes `None` and gets a new one.
+    /// Returns the run's result, whether it panicked, and its scratch
+    /// guard (armed only when pools are attached), which repays pool
+    /// scratch the run never recycled unless the caller disarms it.
     fn run_contained(
         &self,
         site: FaultSite,
@@ -557,9 +516,14 @@ impl<D: Dataset> Runtime<D> {
     ) -> (
         crate::error::Result<PipelineRun<D::Sample>>,
         bool,
-        ScratchGuard,
+        ScratchGuard<'_>,
     ) {
-        let (ctx, guard) = self.guarded_ctx(ledger, epoch, seq);
+        let guard = ScratchGuard {
+            armed: self
+                .pools
+                .as_deref()
+                .map(|p| (p, ledger.unwrap_or_else(|| Arc::new(ScratchLedger::new())))),
+        };
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(inj) = &self.injector {
                 match inj.decide(site, index, seq) {
@@ -572,6 +536,16 @@ impl<D: Dataset> Runtime<D> {
                     }
                     FaultAction::None => {}
                 }
+            }
+            let mut ctx = TransformCtx::unbounded();
+            if let Some(obs) = &self.stage_obs {
+                let epoch = epoch.min(u16::MAX as usize) as u16;
+                ctx = ctx.with_observer(Arc::clone(obs), epoch, seq);
+            }
+            if let (Some(pools), Some((_, ledger))) = (&self.pools, &guard.armed) {
+                ctx = ctx
+                    .with_pool(Arc::clone(pools))
+                    .with_scratch(Arc::clone(ledger));
             }
             body(ctx)
         }));
@@ -894,11 +868,16 @@ impl<D: Dataset> Runtime<D> {
 /// Between two claims, one fast worker at a time moonlights on slow
 /// overflow ([`Runtime::moonlight`]).
 ///
-/// An untraced sample that misses the cache reads the clock three
-/// times: at its start (`t0`, which also gives `issued_ns`), where
-/// [`TransformCtx::with_timeout`] anchors the deadline, and at the end
-/// of [`Pipeline::run_ctx`]. Its busy time is `anchor − t0 + elapsed`,
-/// and the claim hands the sum to the CPU meter at each flush.
+/// An untraced, uncached sample reads the clock twice: where
+/// [`TransformCtx::with_timeout`] anchors the deadline after the load,
+/// and at the end of [`Pipeline::run_ctx`]. Its start (`t0`, which also
+/// gives `issued_ns`) is where the previous sample's run ended, its
+/// `anchor + elapsed`, already known. The clock is read for `t0` only
+/// at the claim's first sample and after anything between two samples
+/// that can block or take a lock: a flush, a deferral, a quarantine, a
+/// cache hit or admission (with a cache attached every sample reads its
+/// own). A sample's busy time is `anchor − t0 + elapsed`, and the claim
+/// hands the sum to the CPU meter at each flush.
 pub(crate) struct FastStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
 }
@@ -986,14 +965,17 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             None => rt.cfg.starvation_wait.as_nanos() as u64,
         };
         let mut routed = true;
+        // Where the previous sample's run ended, and so where the next
+        // one starts; `None` where the next sample reads its start itself.
+        let mut chain: Option<Instant> = None;
         for ticket in tickets {
             if rt.is_shutdown() {
                 break;
             }
             processed += 1;
-            // Clock read 1 of the three an untraced, uncached sample
-            // makes: its start, which also stamps its issue time.
-            let t0 = Instant::now();
+            // The sample's start, which also stamps its issue time: a
+            // clock read only when the chain was cut.
+            let t0 = chain.take().unwrap_or_else(Instant::now);
             let issued_ns = t0.saturating_duration_since(rt.started_at).as_nanos() as u64;
             rt.trace(EventKind::TicketClaimed, ticket.epoch, ticket.seq, 0, 0);
             // Cross-epoch cache: a hit skips load + preprocessing and
@@ -1031,27 +1013,29 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                     let raw = rt.dataset.load(ticket.index)?;
                     // The deadline starts with the pipeline: a slow load
                     // is already paid and cannot be deferred. Clock read
-                    // 2: the anchor the deadline and `elapsed` share.
+                    // 1 of 2: the anchor the deadline and `elapsed` share.
                     let ctx = ctx.with_timeout(timeout);
                     anchor = ctx.anchor();
-                    // Clock read 3: the end of the run, in `run_ctx`.
+                    // Clock read 2 of 2: the end of the run, in `run_ctx`.
                     rt.pipeline.run_ctx(0, raw, ctx)
                 },
             );
             let bytes = rt.dataset.size_hint_bytes(ticket.index).unwrap_or(0);
-            // The sample's busy time is the load (start to anchor) plus
-            // the run, so it needs no read of its own; only a failed
-            // run, which reports no `elapsed`, reads the clock here.
-            let busy = match (&run, anchor) {
+            // The end of the run is its anchor plus its `elapsed`, so the
+            // busy time (the load, start to anchor, plus the run) needs no
+            // read of its own; only a failed run, which reports no
+            // `elapsed`, reads the clock here.
+            let end = match (&run, anchor) {
                 (
                     Ok(
                         PipelineRun::Completed { elapsed, .. }
                         | PipelineRun::TimedOut { elapsed, .. },
                     ),
                     Some(a),
-                ) => a.saturating_duration_since(t0) + *elapsed,
-                _ => t0.elapsed(),
+                ) => a + *elapsed,
+                _ => Instant::now(),
             };
+            let busy = end.saturating_duration_since(t0);
             busy_sum += busy;
             let run = match run {
                 Ok(PipelineRun::TimedOut { resume_at, .. }) if slot.is_some() => {
@@ -1075,8 +1059,12 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                         issued_ns,
                     };
                     fast_times.push(elapsed);
-                    if let Some(cache) = rt.cache.as_deref() {
-                        cache.admit(ticket.index, &value, bytes, elapsed);
+                    match rt.cache.as_deref() {
+                        Some(cache) => cache.admit(ticket.index, &value, bytes, elapsed),
+                        // Nothing up to the next sample can block or
+                        // take a lock, unless the hold rule flushes
+                        // below: it starts where this run ended.
+                        None => chain = Some(end),
                     }
                     // Stays in flight until the claim flush below.
                     fast_buf.push(Prepared {
@@ -1149,9 +1137,14 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             let held_ns = fast_buf.first().map_or(0, |oldest| {
                 (issued_ns + busy.as_nanos() as u64).saturating_sub(oldest.meta.issued_ns)
             });
-            if held_ns >= hold_ns && !flush_fast(&mut fast_buf, &mut busy_sum, None) {
-                routed = false;
-                break; // Queue closed under us: shutting down.
+            if held_ns >= hold_ns {
+                // The flush takes the open batch's lock and may wait on
+                // a full batch queue: the next sample reads its start.
+                chain = None;
+                if !flush_fast(&mut fast_buf, &mut busy_sum, None) {
+                    routed = false;
+                    break; // Queue closed under us: shutting down.
+                }
             }
         }
         rt.balancer.on_fast_complete_many(&fast_times);
@@ -1221,17 +1214,20 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
 /// Delivers a batch to the hungriest GPU that can take it; an empty
 /// batch is dropped.
 ///
-/// Queues are tried least-occupied first with a slot reservation,
-/// falling through to the next candidate when one is full — a stalled
-/// consumer must not wedge delivery to every other GPU while their
-/// queues have space. Only when *all* queues are full does the worker
-/// block, and then only for a bounded wait before re-scanning, so a
-/// queue freed in the meantime is picked up.
+/// The least-occupied queue is tried first with a slot reservation,
+/// then the others in index order, falling through each one that is
+/// full — a stalled consumer must not wedge delivery to every other GPU
+/// while their queues have space. (All batch queues have the same
+/// capacity, so when the least-occupied one is full the order of the
+/// rest hardly matters.) Only when *all* queues are full does the
+/// worker block, and then only for a bounded wait before re-scanning,
+/// so a queue freed in the meantime is picked up. Nothing allocates.
 ///
 /// Callers emit under the lock of the batch's source (lock order: open
 /// batch or window → batch queue), so the worker whose push fills the
 /// open batch, or whose park releases a run of the window, blocks on
 /// full batch queues as a batch worker would.
+// minato-verify: hot-path
 fn emit_batch<D: Dataset>(rt: &Runtime<D>, full: Batch<D::Sample>) -> bool {
     if full.is_empty() {
         return true;
@@ -1241,11 +1237,16 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, full: Batch<D::Sample>) -> bool {
     // Batch queues are traced at batch granularity, keyed by the first
     // sample (captured here: `publish` consumes the batch).
     let first = full.meta.first().map(|m| (m.epoch, m.seq));
-    let mut order: Vec<usize> = (0..rt.batch_qs.len()).collect();
+    let qs = &rt.batch_qs;
     let (gpu, slot) = 'deliver: loop {
-        order.sort_unstable_by_key(|&g| rt.batch_qs[g].len());
-        for &gpu in &order {
-            match rt.batch_qs[gpu].try_reserve() {
+        // One queue needs no scan (`len` takes the queue's lock).
+        let hungriest = match qs.len() {
+            1 => 0,
+            n => (0..n).min_by_key(|&g| qs[g].len()).unwrap_or(0),
+        };
+        let rest = (0..qs.len()).filter(|&g| g != hungriest);
+        for gpu in std::iter::once(hungriest).chain(rest) {
+            match qs[gpu].try_reserve() {
                 Ok(slot) => break 'deliver (gpu, slot),
                 Err(TryReserveError::Full) => continue,
                 Err(TryReserveError::Closed) => return false, // Shutting down.
@@ -1254,8 +1255,8 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, full: Batch<D::Sample>) -> bool {
         // Every queue is full: all GPUs are ahead of preprocessing. Block
         // on the hungriest, but re-scan on timeout in case another
         // consumer freed space first.
-        match rt.batch_qs[order[0]].reserve_timeout(rt.cfg.starvation_wait) {
-            Ok(slot) => break 'deliver (order[0], slot),
+        match qs[hungriest].reserve_timeout(rt.cfg.starvation_wait) {
+            Ok(slot) => break 'deliver (hungriest, slot),
             Err(TryReserveError::Full) => continue,
             Err(TryReserveError::Closed) => return false,
         }
@@ -1263,11 +1264,12 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, full: Batch<D::Sample>) -> bool {
     // Delivered while another GPU's queue sat full: this batch was
     // routed *around* a saturated (possibly wedged) consumer — the
     // fault stats surface how often delivery had to dodge a stall.
-    if rt
-        .batch_qs
-        .iter()
-        .enumerate()
-        .any(|(g, q)| g != gpu && q.len() >= q.capacity())
+    // With one GPU there is nothing to route around.
+    if qs.len() > 1
+        && qs
+            .iter()
+            .enumerate()
+            .any(|(g, q)| g != gpu && q.len() >= q.capacity())
     {
         rt.faults.rerouted.incr();
     }
@@ -1617,6 +1619,55 @@ mod tests {
         assert!(rt.open.lock().is_empty());
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         assert!(rt.batch_qs[0].is_closed(), "drained source ended the run");
+    }
+
+    /// The chained clock: within a claim a sample starts where the one
+    /// before it ended, so it is issued no earlier than the previous
+    /// sample's issue time plus its preprocessing, and the CPU meter
+    /// gets at least the summed preprocessing and at most the steps'
+    /// wall time. In shuffled mode a hold of 120 µs over samples of at
+    /// least 50 µs flushes mid-claim (after three samples at the
+    /// latest), and the chain is cut and re-read across each flush.
+    #[test]
+    fn chained_clock_issues_each_sample_after_the_last_one_ran() {
+        const SPIN: Duration = Duration::from_micros(50);
+        for ordered in [false, true] {
+            let mut cfg = mini_cfg();
+            cfg.order_preserving = ordered;
+            cfg.batch_size = 8;
+            cfg.starvation_wait = Duration::from_micros(120);
+            let spin = crate::transform::fn_transform("spin", |x| {
+                let t0 = Instant::now();
+                while t0.elapsed() < SPIN {
+                    std::hint::spin_loop();
+                }
+                Ok(x)
+            });
+            let rt = runtime_over(cfg, 8, Pipeline::new(vec![spin]));
+            assert_eq!(rt.fast_claim(), 8, "one claim of 8");
+            let step = FastStep::new(Arc::clone(&rt));
+            let t0 = Instant::now();
+            while RoleStep::step(&step) != StepOutcome::Exhausted {}
+            let wall = t0.elapsed();
+            let PopResult::Item(batch) = rt.batch_qs[0].try_pop() else {
+                panic!("no batch emitted (ordered: {ordered})");
+            };
+            assert_eq!(batch.samples, (0..8).collect::<Vec<_>>());
+            let meta = &batch.meta;
+            assert!(meta.iter().all(|m| m.preprocess >= SPIN));
+            for w in meta.windows(2) {
+                assert!(
+                    w[1].issued_ns >= w[0].issued_ns + w[0].preprocess.as_nanos() as u64,
+                    "seq {} issued before seq {} ran (ordered: {ordered})",
+                    w[1].seq,
+                    w[0].seq
+                );
+            }
+            let preprocess: Duration = meta.iter().map(|m| m.preprocess).sum();
+            let busy = Duration::from_nanos(rt.cpu_meter.busy_ns());
+            assert!(busy >= preprocess, "{busy:?} busy < {preprocess:?}");
+            assert!(busy <= wall, "{busy:?} busy > {wall:?} wall");
+        }
     }
 
     /// A whole claim meeting an open batch left holding `k` samples

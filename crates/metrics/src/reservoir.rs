@@ -66,7 +66,11 @@ impl Reservoir {
             self.ring.push(value);
         } else {
             self.ring[self.next] = value;
-            self.next = (self.next + 1) % self.capacity;
+            // A compare, not a `%`: no division per observation.
+            self.next += 1;
+            if self.next == self.capacity {
+                self.next = 0;
+            }
         }
     }
 
@@ -148,6 +152,24 @@ mod tests {
         assert_eq!(r.quantile(0.0), Some(2.0));
         assert_eq!(r.quantile(1.0), Some(10.0));
         assert_eq!(r.total_seen(), 4);
+    }
+
+    /// Slot `j` of the ring holds the latest of the values recorded so
+    /// far that are `j` modulo the capacity: checked after every record
+    /// over several laps, at the smallest capacities.
+    #[test]
+    fn ring_slots_hold_the_latest_value_of_their_residue_over_laps() {
+        for cap in [1usize, 3] {
+            let mut r = Reservoir::new(cap);
+            for k in 1..=5 * cap + 1 {
+                r.record((k - 1) as f64);
+                let want: Vec<f64> = (0..cap.min(k))
+                    .map(|j| (j + (k - 1 - j) / cap * cap) as f64)
+                    .collect();
+                assert_eq!(r.values(), want, "capacity {cap} after {k} records");
+                assert_eq!(r.total_seen(), k as u64);
+            }
+        }
     }
 
     #[test]
