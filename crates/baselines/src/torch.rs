@@ -109,6 +109,12 @@ impl<D: Dataset> TorchLoader<D> {
         if cfg.num_workers == 0 {
             return Err(LoaderError::Config("num_workers must be positive".into()));
         }
+        if cfg.shuffle && u32::try_from(dataset.len()).is_err() {
+            return Err(LoaderError::Config(format!(
+                "a shuffled loader covers at most u32::MAX samples, not {}",
+                dataset.len()
+            )));
+        }
         // Property 1: chunk the full (multi-epoch) ticket stream up front.
         let sampler = EpochSampler::new(dataset.len(), cfg.epochs, cfg.shuffle, cfg.seed);
         let mut plan = Vec::new();

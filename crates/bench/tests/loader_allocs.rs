@@ -9,10 +9,16 @@
 //! batch that replaces each emitted one; emitting a batch allocates
 //! nothing. A dataset that builds its error message on every
 //! successful load adds one per sample (≈ 1.13 in all).
+//!
+//! `build()` is held to a byte budget: the sampler draws each epoch's
+//! shuffle as tickets are claimed, so nothing scales with the dataset
+//! but a shuffled sampler's zeroed 4 B per index.
 
 use minato_bench::alloc_counter;
 use minato_core::balancer::TimeoutPolicy;
 use minato_core::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 #[global_allocator]
@@ -58,4 +64,39 @@ fn identity_loader_allocates_under_half_an_allocation_per_sample() {
         per_sample < 0.09,
         "{per_sample:.3} allocations per delivered sample"
     );
+    drop(loader);
+
+    // `build()` allocates no per-index order up front: a shuffled
+    // sampler's 4 B slots per index (allocated zeroed), and nothing per
+    // index unshuffled, plus what the threads and queues take.
+    const BIG: usize = 1_000_000;
+    const FIXED: u64 = 256 << 10;
+    for (shuffle, budget) in [(true, 4 * BIG as u64 + FIXED), (false, FIXED)] {
+        // Loads wait on the gate, so no worker gets past its first
+        // claim while the count is open.
+        let gate = Arc::new(AtomicBool::new(false));
+        let held = Arc::clone(&gate);
+        let ds = FnDataset::new(BIG, move |i| {
+            while !held.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            Ok(i as u32)
+        });
+        let b0 = alloc_counter::allocated_bytes();
+        let loader = MinatoLoader::builder(ds, Pipeline::identity())
+            .batch_size(64)
+            .initial_workers(2)
+            .max_workers(2)
+            .shuffle(shuffle)
+            .build()
+            .expect("valid configuration");
+        let bytes = alloc_counter::allocated_bytes() - b0;
+        gate.store(true, Ordering::Release);
+        drop(loader);
+        assert!(
+            bytes < budget,
+            "build() of a {BIG}-sample loader (shuffle {shuffle}) allocated {bytes} B, \
+             budget {budget} B"
+        );
+    }
 }

@@ -34,8 +34,11 @@ use crate::error::{LoaderError, Result};
 use std::collections::VecDeque;
 
 /// Version stamp encoded into every checkpoint; `decode` rejects
-/// mismatches rather than misinterpreting bytes.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// mismatches rather than misinterpreting bytes. Version 3 marks the
+/// sampler that draws its shuffle as tickets are claimed: the same seed
+/// gives another ticket stream than version 2's up-front shuffle did, so
+/// a version 2 checkpoint would replay the wrong tickets.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Magic prefix identifying an encoded checkpoint.
 const MAGIC: &[u8; 8] = b"MINATOCK";
@@ -273,7 +276,9 @@ impl DeliveryLog {
 }
 
 /// Sampler replaying a checkpointed run: the original seeded ticket
-/// stream minus the seqs the checkpoint records as delivered.
+/// stream minus the seqs the checkpoint records as delivered. The
+/// prefix below the watermark is skipped once, up front; the sparse
+/// seqs above it are filtered out as they are claimed.
 pub struct ResumeSampler {
     inner: EpochSampler,
     delivered: DeliveryLog,
@@ -281,8 +286,10 @@ pub struct ResumeSampler {
 
 impl ResumeSampler {
     /// Wraps the freshly rebuilt `inner` stream (same len/epochs/
-    /// shuffle/seed as the original run) with `ckpt`'s delivery record.
+    /// shuffle/seed as the original run) with `ckpt`'s delivery record,
+    /// skipping the delivered prefix below the watermark in one call.
     pub fn new(inner: EpochSampler, ckpt: &LoaderCheckpoint) -> ResumeSampler {
+        inner.discard(ckpt.watermark);
         ResumeSampler {
             inner,
             delivered: DeliveryLog::seeded(ckpt.watermark, ckpt.delivered_above.iter().copied()),

@@ -8,7 +8,7 @@
 
 use crate::error::{LoaderError, Result};
 use parking_lot::Mutex;
-use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 use std::sync::Arc;
 
 /// Random-access source of training samples.
@@ -197,8 +197,11 @@ pub trait Sampler: Send + Sync + 'static {
     }
 }
 
-struct ShuffleState {
-    order: Vec<usize>,
+struct SamplerState {
+    /// Shuffled only (empty otherwise): slot `k` holds `index ^ k` for
+    /// the index at position `k` of the arrangement the epoch draws
+    /// from, so zeroed memory reads as the identity order.
+    slots: Vec<u32>,
     pos: usize,
     epoch: usize,
     seq: u64,
@@ -208,8 +211,17 @@ struct ShuffleState {
 /// Multi-epoch sampler with optional per-epoch reshuffling.
 ///
 /// Matches PyTorch semantics: every epoch visits each index exactly once;
-/// with `shuffle` the visit order is re-randomized per epoch from a seeded
-/// RNG, so runs are reproducible.
+/// with `shuffle` the visit order is a uniformly random permutation drawn
+/// from a seeded RNG, so runs are reproducible.
+///
+/// The shuffle is a forward Fisher–Yates run drawn as tickets are
+/// claimed, not a pass over the whole order up front: claiming position
+/// `i` swaps in a uniform pick from positions `i..len` of the current
+/// arrangement. An epoch boundary only rewinds the position — Fisher–Yates
+/// over any arrangement yields a uniform permutation — so `new` does O(1)
+/// work, and the 4 B per index of a shuffled sampler are allocated zeroed
+/// and touched only as tickets are drawn. An unshuffled sampler stores
+/// nothing: the index is the position.
 ///
 /// # Examples
 ///
@@ -223,50 +235,110 @@ struct ShuffleState {
 pub struct EpochSampler {
     len: usize,
     epochs: usize,
-    shuffle: bool,
-    state: Mutex<ShuffleState>,
+    state: Mutex<SamplerState>,
 }
 
 impl EpochSampler {
     /// Creates a sampler over `len` indices for `epochs` epochs.
     ///
-    /// With `shuffle`, each epoch's order is drawn from `seed` (epoch
-    /// boundaries reshuffle; the same seed reproduces the same stream).
+    /// With `shuffle`, each epoch's order is drawn from `seed` (the same
+    /// seed reproduces the same stream).
+    ///
+    /// # Panics
+    ///
+    /// With `shuffle`, if `len` exceeds `u32::MAX` (a slot is 32 bits);
+    /// the loader builders reject such a dataset with
+    /// [`LoaderError::Config`] first.
     pub fn new(len: usize, epochs: usize, shuffle: bool, seed: u64) -> EpochSampler {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut order: Vec<usize> = (0..len).collect();
-        if shuffle {
-            order.shuffle(&mut rng);
-        }
+        let slots = if shuffle {
+            assert!(
+                u32::try_from(len).is_ok(),
+                "a shuffled sampler covers at most u32::MAX indices, not {len}"
+            );
+            vec![0; len]
+        } else {
+            Vec::new()
+        };
         EpochSampler {
             len,
             epochs,
-            shuffle,
-            state: Mutex::new(ShuffleState {
-                order,
+            state: Mutex::new(SamplerState {
+                slots,
                 pos: 0,
                 epoch: 0,
                 seq: 0,
-                rng,
+                rng: StdRng::seed_from_u64(seed),
             }),
+        }
+    }
+
+    /// Claims and discards the next `n` tickets (fewer if the sampler
+    /// runs out) under one lock acquisition, drawing them exactly as
+    /// claims would so that the stream after them is unchanged.
+    pub(crate) fn discard(&self, n: u64) {
+        if self.len == 0 || self.epochs == 0 {
+            return;
+        }
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let mut left = n;
+        while left > 0 && st.roll(self.len, self.epochs) {
+            let run = left.min((self.len - st.pos) as u64);
+            st.take(self.len, run as usize).for_each(drop);
+            left -= run;
         }
     }
 }
 
-impl ShuffleState {
-    /// Rolls into the next epoch when the current one is used up
-    /// (reshuffling its order when `shuffle`); false once every epoch is.
-    fn roll(&mut self, len: usize, epochs: usize, shuffle: bool) -> bool {
+/// Uniform draw from `0..n` (`n > 0`): the high word of one 64 × 64-bit
+/// multiply (Lemire's method). The rejection step that makes it exact
+/// runs only when the low word lands below `n`, with probability
+/// `n / 2^64`.
+fn below(rng: &mut StdRng, n: u64) -> u64 {
+    let mut m = u128::from(rng.next_u64()) * u128::from(n);
+    if (m as u64) < n {
+        let floor = n.wrapping_neg() % n;
+        while (m as u64) < floor {
+            m = u128::from(rng.next_u64()) * u128::from(n);
+        }
+    }
+    (m >> 64) as u64
+}
+
+impl SamplerState {
+    /// Rolls into the next epoch when the current one is used up; false
+    /// once every epoch is.
+    fn roll(&mut self, len: usize, epochs: usize) -> bool {
         if self.pos == len && self.epoch < epochs {
             self.epoch += 1;
             self.pos = 0;
-            if shuffle && self.epoch < epochs {
-                let mut order = std::mem::take(&mut self.order);
-                order.shuffle(&mut self.rng);
-                self.order = order;
-            }
         }
         self.epoch < epochs
+    }
+
+    /// The next `run` tickets of the current epoch, drawn as the
+    /// iterator is consumed (one Fisher–Yates step each when shuffled).
+    /// The caller has rolled, takes at most `len - pos` tickets and
+    /// consumes all of them: the position and seq advance up front.
+    fn take(&mut self, len: usize, run: usize) -> impl Iterator<Item = SampleTicket> + '_ {
+        let (pos, epoch, seq) = (self.pos, self.epoch, self.seq);
+        self.pos += run;
+        self.seq += run as u64;
+        let (slots, rng) = (&mut self.slots[..], &mut self.rng);
+        (pos..pos + run).zip(seq..).map(move |(i, seq)| {
+            let index = if slots.is_empty() {
+                i
+            } else {
+                let j = i + below(rng, (len - i) as u64) as usize;
+                // Slots hold `index ^ position`; `len <= u32::MAX`.
+                let (ki, kj) = (i as u32, j as u32);
+                let (at_i, at_j) = (slots[i] ^ ki, slots[j] ^ kj);
+                slots[i] = at_j ^ ki;
+                slots[j] = at_i ^ kj;
+                at_j as usize
+            };
+            SampleTicket { index, epoch, seq }
+        })
     }
 }
 
@@ -276,40 +348,27 @@ impl Sampler for EpochSampler {
             return None;
         }
         let mut st = self.state.lock();
-        if !st.roll(self.len, self.epochs, self.shuffle) {
+        if !st.roll(self.len, self.epochs) {
             return None;
         }
-        let t = SampleTicket {
-            index: st.order[st.pos],
-            epoch: st.epoch,
-            seq: st.seq,
-        };
-        st.pos += 1;
-        st.seq += 1;
-        Some(t)
+        let ticket = st.take(self.len, 1).next();
+        ticket
     }
 
     /// Claims a whole chunk under a single lock acquisition (the default
-    /// trait implementation would lock once per ticket), copying the
-    /// rest of the current epoch's order as one run and rolling into
-    /// the next epoch only between runs.
+    /// trait implementation would lock once per ticket), drawing the rest
+    /// of the current epoch as one run and rolling into the next epoch
+    /// only between runs.
     fn next_many(&self, max: usize) -> Vec<SampleTicket> {
         if self.len == 0 || self.epochs == 0 || max == 0 {
             return Vec::new();
         }
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let mut out = Vec::with_capacity(max);
-        while out.len() < max && st.roll(self.len, self.epochs, self.shuffle) {
-            let (pos, epoch, seq) = (st.pos, st.epoch, st.seq);
-            let run = (max - out.len()).min(self.len - pos);
-            out.extend(
-                st.order[pos..pos + run]
-                    .iter()
-                    .zip(seq..)
-                    .map(|(&index, seq)| SampleTicket { index, epoch, seq }),
-            );
-            st.pos += run;
-            st.seq += run as u64;
+        while out.len() < max && st.roll(self.len, self.epochs) {
+            let run = (max - out.len()).min(self.len - st.pos);
+            out.extend(st.take(self.len, run));
         }
         out
     }
@@ -456,6 +515,156 @@ mod tests {
                 .collect();
             idxs.sort_unstable();
             assert_eq!(idxs, vec![0, 1, 2], "epoch {epoch} not a permutation");
+        }
+    }
+
+    /// Collects a sampler's whole stream through `next_many(7)`.
+    fn drain(s: &EpochSampler) -> Vec<SampleTicket> {
+        let mut all = Vec::new();
+        loop {
+            let chunk = s.next_many(7);
+            if chunk.is_empty() {
+                return all;
+            }
+            all.extend(chunk);
+        }
+    }
+
+    /// Lengths around a word boundary and a larger one, over one to
+    /// three epochs, shuffled and not: every epoch visits each index
+    /// once, stamped with its epoch, with seqs `0..total` in order.
+    #[test]
+    fn every_epoch_is_a_permutation_at_edge_lengths() {
+        for len in [1, 2, 3, 63, 64, 65, 1000] {
+            for epochs in 1..=3 {
+                for shuffle in [false, true] {
+                    let all = drain(&EpochSampler::new(len, epochs, shuffle, 5));
+                    assert_eq!(all.len(), len * epochs);
+                    assert!(all.iter().enumerate().all(|(k, t)| t.seq == k as u64));
+                    for (e, epoch) in all.chunks(len).enumerate() {
+                        assert!(epoch.iter().all(|t| t.epoch == e));
+                        let mut idxs: Vec<usize> = epoch.iter().map(|t| t.index).collect();
+                        if !shuffle {
+                            assert_eq!(idxs, (0..len).collect::<Vec<_>>());
+                        }
+                        idxs.sort_unstable();
+                        assert_eq!(
+                            idxs,
+                            (0..len).collect::<Vec<_>>(),
+                            "len {len}, epoch {e}/{epochs}, shuffle {shuffle}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The stream is a function of the seed alone, and each epoch draws
+    /// an order of its own rather than replaying the last one.
+    #[test]
+    fn same_seed_same_stream_and_epochs_differ() {
+        const LEN: usize = 64;
+        let a = drain(&EpochSampler::new(LEN, 3, true, 21));
+        assert_eq!(a, drain(&EpochSampler::new(LEN, 3, true, 21)));
+        assert_ne!(a, drain(&EpochSampler::new(LEN, 3, true, 22)));
+        let orders: Vec<Vec<usize>> = a
+            .chunks(LEN)
+            .map(|e| e.iter().map(|t| t.index).collect())
+            .collect();
+        assert_ne!(orders[0], orders[1]);
+        assert_ne!(orders[1], orders[2]);
+        assert_ne!(orders[0], (0..LEN).collect::<Vec<_>>());
+    }
+
+    /// Each of the six orders of three indices is drawn with equal
+    /// probability: over seeds `0..6000` the counts of the first epoch's
+    /// and the second epoch's orders stay inside a chi-square bound of
+    /// 20.5 (five degrees of freedom, p ≈ 0.001); they read 2.4 and 0.7.
+    /// A step that picks the last remaining position twice as often as
+    /// the others reads about 1500.
+    #[test]
+    fn length_three_orders_are_uniform_over_seeds() {
+        const SEEDS: u64 = 6000;
+        let mut counts = [[0u32; 6]; 2];
+        for seed in 0..SEEDS {
+            let all = drain(&EpochSampler::new(3, 2, true, seed));
+            for (e, epoch) in all.chunks(3).enumerate() {
+                let (a, b) = (epoch[0].index, epoch[1].index);
+                // Rank of the permutation: first index, then the order
+                // of the remaining two.
+                counts[e][2 * a + usize::from(b > 3 - a - b)] += 1;
+            }
+        }
+        let expected = SEEDS as f64 / 6.0;
+        for (e, c) in counts.iter().enumerate() {
+            let chi2: f64 = c
+                .iter()
+                .map(|&n| (n as f64 - expected).powi(2) / expected)
+                .sum();
+            assert!(chi2 < 20.5, "epoch {e}: counts {c:?}, chi-square {chi2:.2}");
+        }
+    }
+
+    /// Four threads claim chunks of seven from one shuffled 3-epoch
+    /// sampler: every (epoch, index) pair and every seq is handed out
+    /// exactly once, and each claim's seqs are contiguous.
+    #[test]
+    fn concurrent_chunked_claims_hand_out_each_ticket_once() {
+        const LEN: usize = 20_000;
+        const EPOCHS: usize = 3;
+        let s = Arc::new(EpochSampler::new(LEN, EPOCHS, true, 3));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    let mut claims = Vec::new();
+                    loop {
+                        let chunk = s.next_many(7);
+                        if chunk.is_empty() {
+                            return claims;
+                        }
+                        claims.push(chunk);
+                    }
+                })
+            })
+            .collect();
+        let claims: Vec<Vec<SampleTicket>> = handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sampler thread panicked"))
+            .collect();
+        for claim in &claims {
+            assert!(
+                claim.windows(2).all(|w| w[1].seq == w[0].seq + 1),
+                "claim seqs not contiguous: {claim:?}"
+            );
+        }
+        let all: Vec<SampleTicket> = claims.into_iter().flatten().collect();
+        let total = LEN * EPOCHS;
+        assert_eq!(all.len(), total);
+        let pairs: HashSet<(usize, usize)> = all.iter().map(|t| (t.epoch, t.index)).collect();
+        assert_eq!(pairs.len(), total, "an (epoch, index) pair repeated");
+        assert!(pairs.iter().all(|&(e, i)| e < EPOCHS && i < LEN));
+        let mut seqs: Vec<u64> = all.iter().map(|t| t.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..total as u64).collect::<Vec<_>>());
+    }
+
+    /// `discard(n)` leaves the sampler exactly where `n` claims would,
+    /// across epoch boundaries, and stops at exhaustion.
+    #[test]
+    fn discard_matches_claiming_and_dropping() {
+        for shuffle in [false, true] {
+            let full = drain(&EpochSampler::new(10, 3, shuffle, 4));
+            for n in [0, 1, 9, 10, 11, 25, 30, 31] {
+                let s = EpochSampler::new(10, 3, shuffle, 4);
+                s.discard(n);
+                let rest = drain(&s);
+                assert_eq!(
+                    rest,
+                    full[(n as usize).min(30)..],
+                    "discard {n}, shuffle {shuffle}"
+                );
+            }
         }
     }
 

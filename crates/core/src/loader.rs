@@ -456,6 +456,12 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                     .into(),
             ));
         }
+        if cfg.shuffle && u32::try_from(self.dataset.len()).is_err() {
+            return Err(LoaderError::Config(format!(
+                "a shuffled loader covers at most u32::MAX samples, not {}",
+                self.dataset.len()
+            )));
+        }
         if cfg.cache_budget_bytes > 0 && cfg.cache_budget_bytes < CACHE_SHARDS as u64 {
             return Err(LoaderError::Config(format!(
                 "cache_budget_bytes must be at least {CACHE_SHARDS} (each cache shard \
@@ -1117,6 +1123,29 @@ mod tests {
             .build()
             .expect("order_preserving resets the policy");
         assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), 3);
+    }
+
+    /// A shuffled sampler keeps a 32-bit slot per index, so a longer
+    /// dataset is refused before any thread starts; an unshuffled one
+    /// stores nothing per index and builds.
+    #[test]
+    fn builder_rejects_a_shuffled_dataset_longer_than_u32_max() {
+        let len = u32::MAX as usize + 1;
+        let ds = crate::dataset::FnDataset::new(len, |i| Ok(i as u32));
+        let p: Pipeline<u32> = Pipeline::identity();
+        match MinatoLoader::builder(ds, p.clone()).shuffle(true).build() {
+            Err(LoaderError::Config(msg)) => assert!(msg.contains("u32::MAX"), "{msg}"),
+            Err(err) => panic!("wrong error: {err:?}"),
+            Ok(_) => panic!("a shuffled loader over {len} samples must not build"),
+        }
+        let ds = crate::dataset::FnDataset::new(len, |i| Ok(i as u32));
+        let loader = MinatoLoader::builder(ds, p)
+            .shuffle(false)
+            .initial_workers(1)
+            .max_workers(1)
+            .build()
+            .expect("an unshuffled loader has no per-index state");
+        assert!(!loader.next_batch(0).expect("a first batch").is_empty());
     }
 
     #[test]

@@ -238,6 +238,31 @@ fn resume_rejects_an_unknown_version() {
     }
 }
 
+/// Version 2 checkpoints were taken over the up-front shuffle, whose
+/// ticket stream the same seed no longer reproduces: replaying one would
+/// deliver some seqs twice and others never, so both the codec and the
+/// builder refuse it.
+#[test]
+fn a_version_2_checkpoint_is_refused() {
+    let first = build_loader(10, 1, 0, false, None);
+    let _ = first.next_batch(0);
+    let ckpt = first.checkpoint().expect("checkpointing enabled");
+    drop(first);
+    let v2 = LoaderCheckpoint { version: 2, ..ckpt };
+    match LoaderCheckpoint::decode(&v2.encode()) {
+        Err(err) => assert!(matches!(err, LoaderError::Checkpoint(_)), "got: {err:?}"),
+        Ok(_) => panic!("decode must refuse a version 2 checkpoint"),
+    }
+    let ds = VecDataset::new((0..10u32).collect::<Vec<_>>());
+    let built = MinatoLoader::builder(ds, Pipeline::identity())
+        .resume_from(v2)
+        .build();
+    match built {
+        Err(err) => assert!(matches!(err, LoaderError::Checkpoint(_)), "got: {err:?}"),
+        Ok(_) => panic!("resume_from must refuse a version 2 checkpoint"),
+    }
+}
+
 /// The balancer's learned timeout rides the checkpoint: a resumed run
 /// starts with the cutoff already published instead of re-entering the
 /// optimistic warm-up phase.
