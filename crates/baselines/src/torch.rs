@@ -21,12 +21,11 @@ use minato_core::dataset::{Dataset, EpochSampler, SampleTicket, Sampler};
 use minato_core::error::{LoaderError, Result};
 use minato_core::queue::MinatoQueue;
 use minato_core::transform::{Pipeline, PipelineRun};
-use minato_metrics::{Counter, UtilizationMeter};
+use minato_metrics::Counter;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Batches each worker may have in flight (PyTorch's default
 /// `prefetch_factor`).
@@ -71,7 +70,6 @@ struct Shared<D: Dataset> {
     /// In-order output available to the iterator (property 3).
     out_q: MinatoQueue<Batch<D::Sample>>,
     workers_live: AtomicUsize,
-    cpu_meter: UtilizationMeter,
     errors: Counter,
     first_error: Mutex<Option<LoaderError>>,
     shutdown: AtomicBool,
@@ -135,7 +133,6 @@ impl<D: Dataset> TorchLoader<D> {
             done_q: MinatoQueue::new("done", cfg.num_workers * PREFETCH_FACTOR),
             out_q: MinatoQueue::new("out", PREFETCH_FACTOR),
             workers_live: AtomicUsize::new(cfg.num_workers),
-            cpu_meter: UtilizationMeter::new(),
             errors: Counter::new(),
             first_error: Mutex::new(None),
             shutdown: AtomicBool::new(false),
@@ -186,11 +183,6 @@ impl<D: Dataset> TorchLoader<D> {
     /// First error encountered, if any.
     pub fn first_error(&self) -> Option<LoaderError> {
         self.shared.first_error.lock().clone()
-    }
-
-    /// Preprocessing-CPU busy meter (for utilization traces).
-    pub fn cpu_meter(&self) -> &UtilizationMeter {
-        &self.shared.cpu_meter
     }
 
     fn join_all(&mut self) {
@@ -257,7 +249,6 @@ fn batch_fetcher<D: Dataset>(sh: Arc<Shared<D>>, w: usize) {
         if sh.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let t0 = Instant::now();
         let mut batch = Batch::with_capacity(sh.plan[batch_idx].len());
         for ticket in &sh.plan[batch_idx] {
             // `None`: skipped, error recorded.
@@ -265,7 +256,6 @@ fn batch_fetcher<D: Dataset>(sh: Arc<Shared<D>>, w: usize) {
                 batch.push(p);
             }
         }
-        sh.cpu_meter.add_busy(t0.elapsed());
         if sh.done_q.put((batch_idx, batch)).is_err() {
             break;
         }
@@ -355,7 +345,7 @@ mod tests {
     use minato_core::dataset::VecDataset;
     use minato_core::transform::{fn_transform, Outcome, Transform, TransformCtx};
     use std::collections::HashMap;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn id_pipeline() -> Pipeline<u32> {
         Pipeline::new(vec![fn_transform("id", |x: u32| Ok(x))])

@@ -83,7 +83,6 @@ fn minato_batches(seed: u64, failing: Option<usize>, interrupting: Option<u32>) 
         .epochs(EPOCHS)
         .seed(seed)
         .order_preserving(true)
-        .initial_workers(WORKERS)
         .max_workers(WORKERS)
         .build()
         .expect("valid loader configuration");

@@ -145,8 +145,7 @@ pub fn run(n: usize, epochs: usize, batch_size: usize) -> (AccuracyRun, Accuracy
             .batch_size(batch_size)
             .epochs(epochs)
             .seed(5)
-            .initial_workers(4)
-            .max_workers(8)
+            .max_workers(4)
             .slow_workers(4)
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(2)))
             .build()

@@ -50,10 +50,8 @@ fn identity_loader_allocates_under_half_an_allocation_per_sample() {
     // A 1 µs cutoff makes every claim one batch of 64, as on `noop_tax`.
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(64)
-        .initial_workers(2)
         .max_workers(2)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(1)))
-        .adaptive_workers(false)
         .build()
         .expect("valid configuration");
     let a0 = alloc_counter::allocations();
@@ -85,7 +83,6 @@ fn identity_loader_allocates_under_half_an_allocation_per_sample() {
         let b0 = alloc_counter::allocated_bytes();
         let loader = MinatoLoader::builder(ds, Pipeline::identity())
             .batch_size(64)
-            .initial_workers(2)
             .max_workers(2)
             .shuffle(shuffle)
             .build()

@@ -74,9 +74,7 @@ fn pool_reuse_run(pooled: bool) -> Run {
         .batch_size(8)
         .shuffle(false)
         .timeout_policy(TimeoutPolicy::Disabled)
-        .initial_workers(3)
-        .max_workers(3)
-        .adaptive_workers(false);
+        .max_workers(3);
     if pooled {
         builder = builder.pool(Arc::clone(&pools));
     }

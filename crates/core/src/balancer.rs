@@ -14,7 +14,7 @@
 //! 4. **Continuous adjustment.** Profiling keeps running during training.
 //!    The completion that ends warm-up publishes the first cutoff; after
 //!    that only [`LoadBalancer::refresh_now`] recomputes it, which the
-//!    loader's monitor thread calls once per scheduler tick. The simulator
+//!    loader's monitor thread calls once per 100 ms tick. The simulator
 //!    (`minato-sim`) drives this same balancer and calls it on a
 //!    virtual-time tick of the same interval.
 //!

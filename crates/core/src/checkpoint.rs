@@ -2,12 +2,11 @@
 //!
 //! Training jobs preempt and crash; restarting a loader from scratch
 //! re-pays every epoch already delivered and loses the balancer's
-//! learned timeout and the scheduler's fast share. A
-//! [`LoaderCheckpoint`] holds exactly the state a resume reads — the
-//! sampler stream parameters, a *delivery watermark* (every sequence
-//! number below it was delivered) plus the sparse set of delivered seqs
-//! above it, the balancer estimator, and the fast role's budget — in a
-//! small versioned struct with a hand-rolled binary codec
+//! learned timeout. A [`LoaderCheckpoint`] holds exactly the state a
+//! resume reads — the sampler stream parameters, a *delivery watermark*
+//! (every sequence number below it was delivered) plus the sparse set of
+//! delivered seqs above it, and the balancer estimator — in a small
+//! versioned struct with a hand-rolled binary codec
 //! ([`LoaderCheckpoint::encode`] / [`LoaderCheckpoint::decode`]) so it
 //! can be written to any byte sink without pulling in a serialization
 //! dependency.
@@ -34,11 +33,13 @@ use crate::error::{LoaderError, Result};
 use std::collections::VecDeque;
 
 /// Version stamp encoded into every checkpoint; `decode` rejects
-/// mismatches rather than misinterpreting bytes. Version 3 marks the
+/// mismatches rather than misinterpreting bytes. Version 3 marked the
 /// sampler that draws its shuffle as tickets are claimed: the same seed
 /// gives another ticket stream than version 2's up-front shuffle did, so
-/// a version 2 checkpoint would replay the wrong tickets.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// a version 2 checkpoint would replay the wrong tickets. Version 4
+/// drops version 3's word for the fast role's budget: the loader's pool
+/// is fixed, so nothing restores one.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Magic prefix identifying an encoded checkpoint.
 const MAGIC: &[u8; 8] = b"MINATOCK";
@@ -77,9 +78,6 @@ pub struct LoaderCheckpoint {
     pub delivered_above: Vec<u64>,
     /// Balancer estimator state.
     pub balancer: BalancerCheckpoint,
-    /// Fast-role budget (the scheduler's gate) at checkpoint time;
-    /// resume clamps it into `1..=max_workers`.
-    pub fast_budget: usize,
 }
 
 impl LoaderCheckpoint {
@@ -96,7 +94,7 @@ impl LoaderCheckpoint {
     /// Serializes the checkpoint into a self-describing byte buffer:
     /// an 8-byte magic followed by little-endian `u64` words.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 8 * (11 + self.delivered_above.len()));
+        let mut out = Vec::with_capacity(8 + 8 * (10 + self.delivered_above.len()));
         out.extend_from_slice(MAGIC);
         let mut word = |v: u64| out.extend_from_slice(&v.to_le_bytes());
         word(self.version as u64);
@@ -108,7 +106,6 @@ impl LoaderCheckpoint {
         word(self.balancer.timeout_ns);
         word(self.balancer.completions);
         word(self.balancer.flagged_slow);
-        word(self.fast_budget as u64);
         word(self.delivered_above.len() as u64);
         for &seq in &self.delivered_above {
             word(seq);
@@ -145,7 +142,6 @@ impl LoaderCheckpoint {
             completions: word()?,
             flagged_slow: word()?,
         };
-        let fast_budget = word()? as usize;
         let above_len = word()?;
         let mut delivered_above = Vec::with_capacity(above_len.min(1 << 20) as usize);
         for _ in 0..above_len {
@@ -163,7 +159,6 @@ impl LoaderCheckpoint {
             watermark,
             delivered_above,
             balancer,
-            fast_budget,
         })
     }
 }
@@ -344,7 +339,6 @@ mod tests {
                 completions: 20,
                 flagged_slow: 4,
             },
-            fast_budget: 5,
         }
     }
 

@@ -16,18 +16,18 @@
 //!   start, warm-up profiling, P75 timeout with P90 fallback (§4.2).
 //! * [`queue`] — bounded instrumented MPMC queues (fast/temp/batch):
 //!   one mutex+condvar implementation with batched operations.
-//! * [`scheduler`] — the adaptive worker scheduler, Formulas 1–2 (§4.3).
 //! * [`cache`] — cross-epoch sample cache: memoized preprocessed outputs
 //!   served on the fast path in later epochs (sharded, byte-budgeted,
 //!   cost-aware eviction; off by default).
 //! * [`loader`] — the public `MinatoLoader` builder/iterator API.
 //!
 //! The worker runtime itself lives on the `minato-exec` executor: the
-//! fast and slow stages (and order-preserving mode's batch stage) are
-//! role handlers one thread pool runs, each on its own slice of threads
-//! (the fast slice gated by the scheduler's budget); a thread whose
-//! stage is exhausted joins the stages still live, so the tail of a run
-//! is finished by the whole pool.
+//! fast and slow stages are role handlers one thread pool runs, each on
+//! its own fixed slice of threads (`max_workers` fast, `slow_workers`
+//! slow, all active from start to end); a thread whose stage is
+//! exhausted joins the stages still live, so the tail of a run is
+//! finished by the whole pool. The paper's §4.3 worker scheduler
+//! (Formulas 1–2) runs only in the simulator, `minato_sim::scheduler`.
 //!
 //! ## Quick start
 //!
@@ -41,8 +41,7 @@
 //!
 //! let loader = MinatoLoader::builder(dataset, pipeline)
 //!     .batch_size(16)
-//!     .initial_workers(4)
-//!     .max_workers(8)
+//!     .max_workers(4)
 //!     .build()
 //!     .expect("valid configuration");
 //!
@@ -64,7 +63,6 @@ pub mod loader;
 pub mod pool;
 pub mod profiler;
 pub mod queue;
-pub mod scheduler;
 pub mod stats;
 pub mod transform;
 
@@ -87,7 +85,6 @@ pub mod prelude {
         SampleRecycler,
     };
     pub use crate::queue::MinatoQueue;
-    pub use crate::scheduler::{SchedulerConfig, WorkerScheduler};
     pub use crate::stats::{LoaderStats, MonitorTrace};
     pub use crate::transform::{
         fn_transform, CostClass, InPlace, Outcome, Pipeline, PipelineRun, Transform, TransformCtx,

@@ -3,8 +3,10 @@
 //! A drop-in data loader in the shape of PyTorch's `DataLoader`: construct
 //! with a dataset + transform pipeline, iterate batches. Internally it runs
 //! the paper's full architecture — sample-aware load balancer (§4.2),
-//! fast/temp/batch queues and open batches (Figure 5), background
-//! completion of slow samples, and the adaptive worker scheduler (§4.3).
+//! the temp and batch queues and the open batch (Figure 5), and
+//! background completion of slow samples, on a fixed pool of
+//! `max_workers` fast and `slow_workers` slow threads. The paper's §4.3
+//! worker scheduler runs only in the simulator (`minato_sim::scheduler`).
 //!
 //! # Examples
 //!
@@ -15,8 +17,7 @@
 //! let pipeline = Pipeline::new(vec![fn_transform("double", |x: u32| Ok(x * 2))]);
 //! let loader = MinatoLoader::builder(dataset, pipeline)
 //!     .batch_size(8)
-//!     .initial_workers(2)
-//!     .max_workers(4)
+//!     .max_workers(2)
 //!     .build()
 //!     .unwrap();
 //! let total: usize = loader.iter().map(|b| b.len()).sum();
@@ -34,10 +35,9 @@ use crate::error::{LoaderError, Result};
 use crate::fault::FaultInjector;
 use crate::pool::AcquireObserver;
 use crate::pool::{PoolRecycler, PoolSet, Reclaim, SampleRecycler};
-use crate::scheduler::{SchedulerConfig, WorkerScheduler};
 use crate::stats::{LoaderStats, MonitorTrace};
 use crate::transform::Pipeline;
-use crate::worker::{ExecRoles, FastStep, Runtime, SlowStep, TracerStageObserver, Q_BATCH0};
+use crate::worker::{FastStep, Runtime, SlowStep, TracerStageObserver, Q_BATCH0};
 use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer, RING_CAPACITY};
 use parking_lot::Mutex;
@@ -63,9 +63,8 @@ pub struct LoaderConfig {
     pub shuffle: bool,
     /// RNG seed for shuffling.
     pub seed: u64,
-    /// Workers active at start (paper default: 12 per GPU worker).
-    pub initial_workers: usize,
-    /// Hard cap on preprocessing workers (paper: CPU core count).
+    /// Fast-role threads, all active from start to end (default: the
+    /// CPU core count).
     pub max_workers: usize,
     /// Background slow-task workers.
     pub slow_workers: usize,
@@ -79,10 +78,10 @@ pub struct LoaderConfig {
     pub timeout_policy: TimeoutPolicy,
     /// Warm-up samples before the adaptive timeout activates.
     pub warmup_samples: u64,
-    /// Enable the adaptive worker scheduler (Formulas 1–2).
-    pub adaptive_workers: bool,
-    /// Scheduler tuning (gains, clip, monitor interval).
-    pub scheduler: SchedulerConfig,
+    /// Period of the monitor thread, which refreshes the balancer's
+    /// cutoff and samples the monitor series. Fixed at 100 ms; no
+    /// builder method sets it.
+    pub monitor_interval: Duration,
     /// Upper bound on the pipeline's internal waits: a producer waiting
     /// for space in a full temp queue, batch delivery waiting for a
     /// batch-queue slot, an idle pool worker. Each is a condvar wait
@@ -170,15 +169,13 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 epochs: 1,
                 shuffle: true,
                 seed: 0,
-                initial_workers: 12.min(max_workers),
                 max_workers,
                 slow_workers: 2,
                 queue_capacity: 100,
                 prefetch_factor: 2,
                 timeout_policy: TimeoutPolicy::paper_default(),
                 warmup_samples: 32,
-                adaptive_workers: true,
-                scheduler: SchedulerConfig::paper_default(max_workers),
+                monitor_interval: Duration::from_millis(100),
                 starvation_wait: Duration::from_millis(1),
                 order_preserving: false,
                 cache_budget_bytes: 0,
@@ -218,13 +215,16 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Workers active at start.
-    pub fn initial_workers(mut self, n: usize) -> Self {
-        self.cfg.initial_workers = n;
+    /// Compatibility remnant of the removed adaptive scheduler's start
+    /// point: the frozen `benchmark/` package calls `initial_workers(n)`.
+    /// Every one of the `max_workers` fast threads runs from start to
+    /// end; this accepts any `n` and changes nothing. It goes once the
+    /// benchmark drops the call.
+    pub fn initial_workers(self, _n: usize) -> Self {
         self
     }
 
-    /// Hard worker cap (`max_workers` in Formula 1).
+    /// Fast-role threads, all active from start to end.
     pub fn max_workers(mut self, n: usize) -> Self {
         self.cfg.max_workers = n;
         self
@@ -254,18 +254,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// Warm-up sample count before the adaptive timeout activates.
     pub fn warmup_samples(mut self, n: u64) -> Self {
         self.cfg.warmup_samples = n;
-        self
-    }
-
-    /// Enable/disable adaptive worker scaling.
-    pub fn adaptive_workers(mut self, yes: bool) -> Self {
-        self.cfg.adaptive_workers = yes;
-        self
-    }
-
-    /// Scheduler tuning parameters.
-    pub fn scheduler(mut self, s: SchedulerConfig) -> Self {
-        self.cfg.scheduler = s;
         self
     }
 
@@ -299,8 +287,7 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
     /// [`MinatoLoader::checkpoint`]): the loader replays the original
     /// seeded ticket stream minus the seqs the checkpoint records as
     /// delivered, seeds the resumed run's delivery log with them, and
-    /// restores the balancer estimator and the fast role's budget
-    /// (clamped into `1..=max_workers`). The sampler parameters
+    /// restores the balancer estimator. The sampler parameters
     /// (`epochs`, `shuffle`, `seed`) come from the checkpoint,
     /// overriding earlier builder calls. A seq counts as delivered once
     /// `next_batch` recorded it before returning; every other seq —
@@ -435,15 +422,8 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         if cfg.epochs == 0 {
             return Err(LoaderError::Config("epochs must be positive".into()));
         }
-        if cfg.initial_workers == 0 {
-            return Err(LoaderError::Config(
-                "initial_workers must be positive".into(),
-            ));
-        }
-        if cfg.max_workers < cfg.initial_workers {
-            return Err(LoaderError::Config(
-                "max_workers must be >= initial_workers".into(),
-            ));
+        if cfg.max_workers == 0 {
+            return Err(LoaderError::Config("max_workers must be positive".into()));
         }
         if cfg.slow_workers == 0 && !matches!(cfg.timeout_policy, TimeoutPolicy::Disabled) {
             return Err(LoaderError::Config(
@@ -559,19 +539,13 @@ impl<D: Dataset> MinatoLoader<D> {
         let LoaderParts {
             dataset,
             pipeline,
-            mut cfg,
+            cfg,
             cache,
             pools,
             recycler,
             resume,
             injector,
         } = parts;
-        // The scheduler's pool bounds must describe the threads actually
-        // spawned: the builder's `max_workers` is authoritative. (The
-        // default SchedulerConfig is sized from `available_parallelism`,
-        // which may be smaller than an explicit `max_workers` override.)
-        cfg.scheduler.max_workers = cfg.max_workers;
-        cfg.scheduler.min_workers = cfg.scheduler.min_workers.clamp(1, cfg.max_workers);
         // Resuming replays the original seeded ticket stream, minus the
         // seqs the checkpoint records as already delivered.
         let base_sampler = EpochSampler::new(dataset.len(), cfg.epochs, cfg.shuffle, cfg.seed);
@@ -644,19 +618,13 @@ impl<D: Dataset> MinatoLoader<D> {
         let tracer = rt.tracer.clone();
         let rt = Arc::new(rt);
 
-        // The pipeline stages as executor roles: fast and slow. Only the
-        // fast budget is scheduler-driven; the slow slice is sized by the
-        // config, so a checkpoint restores the fast gate alone (clamped:
-        // the restart may run with fewer workers).
-        let fast_budget = match &resume {
-            Some(ck) => ck.fast_budget.clamp(1, cfg.max_workers),
-            None => cfg.initial_workers,
-        };
+        // The pipeline stages as executor roles, fast and slow, each
+        // with a fixed slice of the pool.
         let specs = vec![
             RoleSpec {
                 name: "fast".into(),
                 step: Arc::new(FastStep::new(Arc::clone(&rt))),
-                budget: fast_budget,
+                budget: cfg.max_workers,
                 threads: cfg.max_workers,
                 max_concurrency: None,
             },
@@ -669,23 +637,15 @@ impl<D: Dataset> MinatoLoader<D> {
             },
         ];
         let ids = exec.register(specs);
-        let roles = ExecRoles {
-            fast: ids[0],
-            slow: ids[1],
-        };
-        if rt.exec_roles.set(roles).is_err() {
-            return Err(LoaderError::Config(
-                "executor roles registered twice for one runtime".into(),
-            ));
-        }
         // Role switches at drain become RoleSwitch events (arg: 0 fast /
         // 1 slow / 3 other).
         if let Some(t) = &tracer {
             let t2 = Arc::clone(t);
+            let (fast, slow) = (ids[0], ids[1]);
             exec.set_switch_observer(Arc::new(move |role| {
-                let arg = if role == roles.fast {
+                let arg = if role == fast {
                     0
-                } else if role == roles.slow {
+                } else if role == slow {
                     1
                 } else {
                     3
@@ -706,7 +666,7 @@ impl<D: Dataset> MinatoLoader<D> {
             handles.push(
                 std::thread::Builder::new()
                     .name("minato-monitor".into())
-                    .spawn(move || monitor_loop(rt2, trace2, collect2, roles))
+                    .spawn(move || monitor_loop(rt2, trace2, collect2))
                     .map_err(|e| LoaderError::Config(format!("spawn failed: {e}")))?,
             );
         }
@@ -788,11 +748,11 @@ impl<D: Dataset> MinatoLoader<D> {
     ///
     /// The snapshot is consistent at any instant, so nothing pauses: it
     /// copies the delivery log under its lock and reads the balancer
-    /// estimator and the fast role's budget. A seq is delivered once
-    /// [`next_batch`](Self::next_batch) recorded it under that lock
-    /// before returning; samples still in flight and batches queued but
-    /// not yet popped are not, so a resumed run re-runs them and
-    /// delivery stays exactly-once across kill/restart.
+    /// estimator. A seq is delivered once [`next_batch`](Self::next_batch)
+    /// recorded it under that lock before returning; samples still in
+    /// flight and batches queued but not yet popped are not, so a resumed
+    /// run re-runs them and delivery stays exactly-once across
+    /// kill/restart.
     pub fn checkpoint(&self) -> Result<LoaderCheckpoint> {
         let rt = &self.rt;
         let (watermark, delivered_above) = {
@@ -816,10 +776,6 @@ impl<D: Dataset> MinatoLoader<D> {
                 completions: rt.balancer.completions(),
                 flagged_slow: rt.balancer.flagged_slow(),
             },
-            fast_budget: rt
-                .exec_roles
-                .get()
-                .map_or(rt.cfg.initial_workers, |roles| rt.exec.budget(roles.fast)),
         })
     }
 
@@ -853,11 +809,7 @@ impl<D: Dataset> MinatoLoader<D> {
             cache: rt.cache.as_ref().map(|c| c.stats()),
             pool: rt.pools.as_ref().map(|p| p.stats()),
             exec: Some(rt.exec.stats()),
-            active_workers: rt
-                .exec_roles
-                .get()
-                .map(|roles| rt.exec.budget(roles.fast))
-                .unwrap_or(rt.cfg.initial_workers),
+            active_workers: rt.cfg.max_workers,
             timeout: rt.balancer.current_timeout(),
             preprocess_ms: rt.balancer.profiler().summary_ms(),
             delivery_ms: rt.delivered.lock().latency_ms.summary(),
@@ -941,18 +893,15 @@ impl AcquireObserver for TracerPoolObserver {
     }
 }
 
-/// Monitor loop: samples utilization/occupancy, drives the adaptive worker
-/// scheduler (the fast role's budget is its gate limit), and keeps the
-/// balancer's timeout fresh (§4.3).
+/// Monitor loop: every `monitor_interval` it keeps the balancer's
+/// cutoff fresh, samples the cache and pool hit rates, and drains the
+/// trace rings.
 fn monitor_loop<D: Dataset>(
     rt: Arc<Runtime<D>>,
     trace: Arc<Mutex<MonitorTrace>>,
     collector: Option<Arc<Mutex<Collector>>>,
-    roles: ExecRoles,
 ) {
-    let mut scheduler = WorkerScheduler::new(rt.cfg.scheduler.clone());
-    let interval = rt.cfg.scheduler.interval;
-    let mut prev_busy = 0u64;
+    let interval = rt.cfg.monitor_interval;
     let mut prev_cache_hits = 0u64;
     let mut prev_cache_lookups = 0u64;
     let mut prev_pool_hits = 0u64;
@@ -963,22 +912,6 @@ fn monitor_loop<D: Dataset>(
         }
         let all_closed = rt.batch_qs.iter().all(|q| q.is_closed());
         let now = rt.started_at.elapsed().as_secs_f64();
-        let active = rt.exec.budget(roles.fast).max(1);
-
-        // CPU utilization of *active loader* workers over the last
-        // interval. Slow workers' busy time is not metered: they are not
-        // gated by the scheduler, so folding their time into this
-        // numerator while normalizing by the active loader count would
-        // inflate `cpu_norm` into the clamp and bias Formulas 1–2.
-        let busy = rt.cpu_meter.busy_ns();
-        let busy_delta = busy.saturating_sub(prev_busy);
-        prev_busy = busy;
-        let cpu_norm =
-            (busy_delta as f64 / (interval.as_nanos() as f64 * active as f64)).clamp(0.0, 1.0);
-
-        // Batch-queue occupancy, an input to the scheduler.
-        let q_len: usize = rt.batch_qs.iter().map(|q| q.len()).sum();
-        let q_cap: usize = rt.batch_qs.iter().map(|q| q.capacity()).sum();
 
         // Cache hit rate over the interval (the cache stays `None` when
         // disabled, leaving the series empty).
@@ -1025,7 +958,6 @@ fn monitor_loop<D: Dataset>(
 
         {
             let mut t = trace.lock();
-            t.workers.push(now, active as f64);
             if let Some(pct) = cache_hit_pct {
                 t.cache_hit_pct.push(now, pct);
             }
@@ -1037,12 +969,6 @@ fn monitor_loop<D: Dataset>(
             }
         }
 
-        if rt.cfg.adaptive_workers {
-            let target = scheduler.decide(active, q_len, q_cap, cpu_norm);
-            if target != active {
-                rt.exec.set_budget(roles.fast, target);
-            }
-        }
         rt.balancer.refresh_now();
 
         if all_closed {
@@ -1064,8 +990,7 @@ mod tests {
         let p = Pipeline::new(vec![fn_transform("id", |x: u32| Ok(x))]);
         MinatoLoader::builder(ds, p)
             .batch_size(batch)
-            .initial_workers(2)
-            .max_workers(4)
+            .max_workers(2)
             .slow_workers(1)
             .build()
             .expect("loader builds")
@@ -1089,8 +1014,7 @@ mod tests {
         ));
         assert!(matches!(
             MinatoLoader::builder(ds.clone(), p.clone())
-                .initial_workers(8)
-                .max_workers(2)
+                .max_workers(0)
                 .build(),
             Err(LoaderError::Config(_))
         ));
@@ -1141,7 +1065,6 @@ mod tests {
         let ds = crate::dataset::FnDataset::new(len, |i| Ok(i as u32));
         let loader = MinatoLoader::builder(ds, p)
             .shuffle(false)
-            .initial_workers(1)
             .max_workers(1)
             .build()
             .expect("an unshuffled loader has no per-index state");
@@ -1163,7 +1086,6 @@ mod tests {
         // Setting only non-budget cache knobs leaves the cache disabled.
         let loader = MinatoLoader::builder(ds, p)
             .cache_policy(EvictionPolicy::Lru)
-            .initial_workers(1)
             .max_workers(1)
             .build()
             .expect("cache disabled: policy knob alone must not reject");
@@ -1193,7 +1115,6 @@ mod tests {
         let p = Pipeline::new(vec![fn_transform("x10", |x: u32| Ok(x * 10))]);
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(4)
-            .initial_workers(1)
             .max_workers(1)
             .shuffle(false)
             .build()
@@ -1210,7 +1131,6 @@ mod tests {
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(5)
             .epochs(3)
-            .initial_workers(2)
             .max_workers(2)
             .build()
             .unwrap();
@@ -1258,7 +1178,6 @@ mod tests {
         }) as Arc<dyn Transform<u32>>]);
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(6)
-            .initial_workers(4)
             .max_workers(4)
             .slow_workers(2)
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(10)))
@@ -1295,7 +1214,6 @@ mod tests {
         ]);
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(2)
-            .initial_workers(2)
             .max_workers(2)
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(20)))
             .build()
@@ -1314,7 +1232,6 @@ mod tests {
             .batch_size(4)
             .shuffle(false)
             .order_preserving(true)
-            .initial_workers(4)
             .max_workers(4)
             .build()
             .unwrap();
@@ -1329,8 +1246,7 @@ mod tests {
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(4)
             .num_gpus(2)
-            .initial_workers(2)
-            .max_workers(4)
+            .max_workers(2)
             .build()
             .unwrap();
         let loader = Arc::new(loader);
@@ -1363,7 +1279,6 @@ mod tests {
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(4)
             .num_gpus(2)
-            .initial_workers(2)
             .max_workers(2)
             .build()
             .unwrap();
@@ -1395,7 +1310,6 @@ mod tests {
         let p: Pipeline<u32> = Pipeline::identity();
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(5)
-            .initial_workers(2)
             .max_workers(2)
             .build()
             .unwrap();
@@ -1433,24 +1347,43 @@ mod tests {
             Ok(x)
         });
         let p = Pipeline::new(vec![nap, fn_transform("id", |x: u32| Ok(x))]);
-        let loader = MinatoLoader::builder(ds, p)
+        let mut builder = MinatoLoader::builder(ds, p)
             .batch_size(8)
             .shuffle(false)
-            .initial_workers(1)
             .max_workers(1)
             .slow_workers(1)
-            .warmup_samples(8)
-            .scheduler(SchedulerConfig {
-                interval: Duration::from_millis(10),
-                ..SchedulerConfig::paper_default(1)
-            })
-            .build()
-            .unwrap();
+            .warmup_samples(8);
+        builder.cfg.monitor_interval = Duration::from_millis(10);
+        let loader = builder.build().unwrap();
         assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), 200);
         let timeout = loader.stats().timeout.expect("warmed up");
         assert!(
             timeout >= Duration::from_micros(500),
             "the cutoff never left its warm-up value: {timeout:?}"
+        );
+    }
+
+    /// The monitor thread waits out its refresh interval interruptibly:
+    /// dropping a consumed loader must not sit out the rest of it. The
+    /// interval is raised to 2 s so an uninterrupted sleep cannot meet
+    /// the bound by luck.
+    #[test]
+    fn drop_does_not_wait_out_the_monitor_interval() {
+        let interval = Duration::from_secs(2);
+        let ds = VecDataset::new((0..40u32).collect::<Vec<_>>());
+        let mut builder = MinatoLoader::builder(ds, Pipeline::identity())
+            .batch_size(5)
+            .max_workers(2);
+        builder.cfg.monitor_interval = interval;
+        let loader = builder.build().unwrap();
+        let delivered: usize = loader.iter().map(|b| b.len()).sum();
+        assert_eq!(delivered, 40);
+        let t0 = Instant::now();
+        drop(loader);
+        let took = t0.elapsed();
+        assert!(
+            took <= interval / 2,
+            "drop took {took:?} with a {interval:?} monitor interval"
         );
     }
 

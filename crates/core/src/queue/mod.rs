@@ -5,8 +5,7 @@
 //! straight into its batch. All of them share the same semantics:
 //! bounded capacity (the paper caps every queue at 100),
 //! multi-producer/multi-consumer, strict FIFO, and a close signal for
-//! clean drain at end of training. The worker scheduler reads a batch
-//! queue's instantaneous [`MinatoQueue::len`] as its `Qsize` input.
+//! clean drain at end of training.
 //!
 //! There is one implementation: a mutex guards a `VecDeque` plus the
 //! closed flag, the reservation count and one count of parked threads

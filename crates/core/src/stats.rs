@@ -53,12 +53,15 @@ pub struct LoaderStats {
     /// resident bytes) per element type; `None` when pooling is
     /// disabled (the default).
     pub pool: Option<PoolSetStats>,
-    /// Executor counters for the loader's roles: per-role budget,
-    /// occupancy, progressing steps, and the drain phase's steals (work
+    /// Executor counters for the loader's roles: per-role budget (its
+    /// fixed thread count), occupancy, progressing steps, and the drain phase's steals (work
     /// run at/over budget) and role switches. Always `Some`; optional
     /// because the frozen `benchmark/` package reads it as such.
     pub exec: Option<ExecStats>,
-    /// Fast-role workers currently budgeted by the scheduler.
+    /// Compatibility remnant, always `max_workers`: the frozen
+    /// `benchmark/` package reads it for its `scheduler.workers_mean`
+    /// row. Every fast thread runs from start to end; the field goes
+    /// once the benchmark drops the row.
     pub active_workers: usize,
     /// The balancer's current fast/slow cutoff (`None` = optimistic phase).
     pub timeout: Option<Duration>,
@@ -81,7 +84,11 @@ pub struct LoaderStats {
 /// the loader-side equivalent of the paper's `dstat`/`nvidia-smi` traces.
 #[derive(Debug, Clone)]
 pub struct MonitorTrace {
-    /// Active worker count (the fast role's budget), per interval.
+    /// Compatibility remnant, always empty: the frozen `benchmark/`
+    /// package reads it for its `scheduler.workers_mean` row (and falls
+    /// back to [`LoaderStats::active_workers`] when it is empty). The
+    /// loader's pool is fixed, so the monitor records no worker count;
+    /// the series goes once the benchmark drops the row.
     pub workers: TimeSeries,
     /// Sample-cache hit rate (% of lookups) over each interval; stays
     /// empty when the cache is disabled.

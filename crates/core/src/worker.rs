@@ -11,10 +11,10 @@
 //!
 //! The stages are [`minato_exec::RoleStep`] implementations ([`FastStep`]
 //! and [`SlowStep`]) run one bounded step at a time by the loader's
-//! executor pool: each stage has its own threads (the fast ones gated by
-//! the scheduler's budget), and a thread whose stage is exhausted joins
-//! the stages still live, so the deferred backlog at the end of a run is
-//! finished by the whole pool.
+//! executor pool: each stage has its own fixed threads, all active from
+//! start to end, and a thread whose stage is exhausted joins the stages
+//! still live, so the deferred backlog at the end of a run is finished
+//! by the whole pool.
 //!
 //! Batches fill in the one open batch the runtime owns (`Runtime::open`),
 //! under a short-held lock, and every push goes through one entry point
@@ -56,13 +56,13 @@ use crate::pool::{PoolSet, SampleRecycler};
 use crate::profiler::SampleRecord;
 use crate::queue::{Closed, MinatoQueue, PopResult, TryPutError, TryReserveError};
 use crate::transform::{Pipeline, PipelineRun, ScratchLedger, StageObserver, TransformCtx};
-use minato_exec::{ExecHandle, RoleId, RoleStep, StepOutcome};
-use minato_metrics::{Counter, Reservoir, UtilizationMeter};
+use minato_exec::{ExecHandle, RoleStep, StepOutcome};
+use minato_metrics::{Counter, Reservoir};
 use minato_trace::{EventKind, Tracer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a slow-role step waits for a deferred sample before it
@@ -217,13 +217,6 @@ fn panic_payload_msg(p: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".into())
 }
 
-/// The loader's role ids on its executor pool, set once at build time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ExecRoles {
-    pub fast: RoleId,
-    pub slow: RoleId,
-}
-
 /// State shared by every pool worker and the monitor thread.
 pub(crate) struct Runtime<D: Dataset> {
     pub dataset: D,
@@ -248,9 +241,6 @@ pub(crate) struct Runtime<D: Dataset> {
     pub batch_qs: Vec<MinatoQueue<Batch<D::Sample>>>,
     /// Control handle of the executor pool running this loader's roles.
     pub exec: ExecHandle,
-    /// The loader's role ids on that pool (empty in handler unit tests
-    /// that drive steps directly).
-    pub(crate) exec_roles: OnceLock<ExecRoles>,
     /// The open batch of shuffled mode, carrying the recycler. Held only
     /// to push samples and emit the batches they fill
     /// ([`Runtime::deliver_claim`]).
@@ -268,8 +258,7 @@ pub(crate) struct Runtime<D: Dataset> {
     /// not before their claim's batch is parked). A deferred
     /// ticket stays counted while its sample waits in `temp_q` and is
     /// resumed. Together with `source_drained`, this drives the close
-    /// cascade without depending on every pool worker exiting — a worker
-    /// parked by the scheduler must not stall completion.
+    /// cascade without depending on every pool worker exiting.
     pub in_flight: AtomicUsize,
     /// Set once any worker observes the sampler exhausted.
     pub source_drained: AtomicBool,
@@ -280,10 +269,6 @@ pub(crate) struct Runtime<D: Dataset> {
     /// completing deferred samples between two of its claims (see
     /// [`Runtime::moonlight`]); the others keep producing fast samples.
     pub slow_helper: AtomicBool,
-    /// Busy time of fast-role work only; the monitor normalizes it by
-    /// the fast-role budget, so mixing in slow-role busy time would
-    /// inflate `cpu_norm` and bias the Formula 1–2 scheduler.
-    pub cpu_meter: UtilizationMeter,
     pub samples_out: Counter,
     pub bytes_out: Counter,
     pub batches_out: Counter,
@@ -377,12 +362,10 @@ impl<D: Dataset> Runtime<D> {
                 .map(|g| MinatoQueue::new(&format!("batch[{g}]"), cfg.prefetch_factor))
                 .collect(),
             exec,
-            exec_roles: OnceLock::new(),
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
             closing: AtomicBool::new(false),
             slow_helper: AtomicBool::new(false),
-            cpu_meter: UtilizationMeter::new(),
             samples_out: Counter::new(),
             bytes_out: Counter::new(),
             batches_out: Counter::new(),
@@ -876,8 +859,8 @@ impl<D: Dataset> Runtime<D> {
 /// at the claim's first sample and after anything between two samples
 /// that can block or take a lock: a flush, a deferral, a quarantine, a
 /// cache hit or admission (with a cache attached every sample reads its
-/// own). A sample's busy time is `anchor − t0 + elapsed`, and the claim
-/// hands the sum to the CPU meter at each flush.
+/// own). A sample's busy time is `anchor − t0 + elapsed`, which the
+/// hold rule reads.
 pub(crate) struct FastStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
 }
@@ -936,29 +919,21 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         // Pipeline times of the claim's fast completions (cache hits
         // excluded), handed to the balancer in one call after the loop.
         let mut fast_times: Vec<Duration> = Vec::with_capacity(total);
-        // Busy time of the claim's pipeline runs not yet on the CPU
-        // meter: one shared atomic add per flush instead of per sample.
-        let mut busy_sum = Duration::ZERO;
-        // Hands `busy` to the CPU meter, then publishes the buffered fast
-        // samples and settles their in-flight claims; false = batch
-        // queues closed. A shuffled flush pushes them into the open
-        // batch; an ordered one (`slot`, the claim's last) parks them as
-        // the claim's batch, also when there are none.
-        let flush_fast =
-            |buf: &mut Vec<Prepared<D::Sample>>, busy: &mut Duration, slot: Option<u64>| -> bool {
-                if !busy.is_zero() {
-                    rt.cpu_meter.add_busy(std::mem::take(busy));
-                }
-                let n = buf.len();
-                let ok = match slot {
-                    Some(k) => rt.park(k, buf.drain(..)),
-                    None if n == 0 => return true,
-                    None => rt.deliver_claim(buf.drain(..)),
-                };
-                // Only now: the close cascade runs at `in_flight == 0`.
-                rt.in_flight.fetch_sub(n, Ordering::SeqCst);
-                ok
+        // Publishes the buffered fast samples and settles their in-flight
+        // claims; false = batch queues closed. A shuffled flush pushes
+        // them into the open batch; an ordered one (`slot`, the claim's
+        // last) parks them as the claim's batch, also when there are none.
+        let flush_fast = |buf: &mut Vec<Prepared<D::Sample>>, slot: Option<u64>| -> bool {
+            let n = buf.len();
+            let ok = match slot {
+                Some(k) => rt.park(k, buf.drain(..)),
+                None if n == 0 => return true,
+                None => rt.deliver_claim(buf.drain(..)),
             };
+            // Only now: the close cascade runs at `in_flight == 0`.
+            rt.in_flight.fetch_sub(n, Ordering::SeqCst);
+            ok
+        };
         // An ordered claim leaves once, whole: no hold rule.
         let hold_ns = match slot {
             Some(_) => u64::MAX,
@@ -1022,9 +997,9 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             );
             let bytes = rt.dataset.size_hint_bytes(ticket.index).unwrap_or(0);
             // The end of the run is its anchor plus its `elapsed`, so the
-            // busy time (the load, start to anchor, plus the run) needs no
-            // read of its own; only a failed run, which reports no
-            // `elapsed`, reads the clock here.
+            // busy time (the load, start to anchor, plus the run) that the
+            // hold rule below reads needs no clock read of its own; only a
+            // failed run, which reports no `elapsed`, reads the clock here.
             let end = match (&run, anchor) {
                 (
                     Ok(
@@ -1036,7 +1011,6 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 _ => Instant::now(),
             };
             let busy = end.saturating_duration_since(t0);
-            busy_sum += busy;
             let run = match run {
                 Ok(PipelineRun::TimedOut { resume_at, .. }) if slot.is_some() => {
                     Err(LoaderError::Transform {
@@ -1114,7 +1088,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                         Ok(()) => true,
                         Err(TryPutError::Closed(_)) => false,
                         Err(TryPutError::Full(d)) => {
-                            flush_fast(&mut fast_buf, &mut busy_sum, None) && rt.route_deferred(d)
+                            flush_fast(&mut fast_buf, None) && rt.route_deferred(d)
                         }
                     };
                     // A routed ticket stays in flight until its resumed
@@ -1141,7 +1115,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                 // The flush takes the open batch's lock and may wait on
                 // a full batch queue: the next sample reads its start.
                 chain = None;
-                if !flush_fast(&mut fast_buf, &mut busy_sum, None) {
+                if !flush_fast(&mut fast_buf, None) {
                     routed = false;
                     break; // Queue closed under us: shutting down.
                 }
@@ -1149,7 +1123,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         }
         rt.balancer.on_fast_complete_many(&fast_times);
         // Flush the claim's remaining fast samples in one operation.
-        if !flush_fast(&mut fast_buf, &mut busy_sum, slot) {
+        if !flush_fast(&mut fast_buf, slot) {
             routed = false;
         }
         // Then the quarantined tickets and those never processed
@@ -1307,7 +1281,6 @@ mod tests {
     use super::*;
     use crate::balancer::TimeoutPolicy;
     use crate::dataset::{EpochSampler, VecDataset};
-    use crate::scheduler::SchedulerConfig;
     use minato_exec::ExecConfig;
     use std::thread;
 
@@ -1318,15 +1291,13 @@ mod tests {
             epochs: 1,
             shuffle: false,
             seed: 0,
-            initial_workers: 1,
             max_workers: 1,
             slow_workers: 1,
             queue_capacity: 16,
             prefetch_factor: 8,
             timeout_policy: TimeoutPolicy::Disabled,
             warmup_samples: 8,
-            adaptive_workers: false,
-            scheduler: SchedulerConfig::paper_default(1),
+            monitor_interval: Duration::from_millis(100),
             starvation_wait: Duration::from_millis(1),
             order_preserving: false,
             cache_budget_bytes: 0,
@@ -1623,11 +1594,10 @@ mod tests {
 
     /// The chained clock: within a claim a sample starts where the one
     /// before it ended, so it is issued no earlier than the previous
-    /// sample's issue time plus its preprocessing, and the CPU meter
-    /// gets at least the summed preprocessing and at most the steps'
-    /// wall time. In shuffled mode a hold of 120 µs over samples of at
-    /// least 50 µs flushes mid-claim (after three samples at the
-    /// latest), and the chain is cut and re-read across each flush.
+    /// sample's issue time plus its preprocessing. In shuffled mode a
+    /// hold of 120 µs over samples of at least 50 µs flushes mid-claim
+    /// (after three samples at the latest), and the chain is cut and
+    /// re-read across each flush.
     #[test]
     fn chained_clock_issues_each_sample_after_the_last_one_ran() {
         const SPIN: Duration = Duration::from_micros(50);
@@ -1646,9 +1616,7 @@ mod tests {
             let rt = runtime_over(cfg, 8, Pipeline::new(vec![spin]));
             assert_eq!(rt.fast_claim(), 8, "one claim of 8");
             let step = FastStep::new(Arc::clone(&rt));
-            let t0 = Instant::now();
             while RoleStep::step(&step) != StepOutcome::Exhausted {}
-            let wall = t0.elapsed();
             let PopResult::Item(batch) = rt.batch_qs[0].try_pop() else {
                 panic!("no batch emitted (ordered: {ordered})");
             };
@@ -1663,10 +1631,6 @@ mod tests {
                     w[0].seq
                 );
             }
-            let preprocess: Duration = meta.iter().map(|m| m.preprocess).sum();
-            let busy = Duration::from_nanos(rt.cpu_meter.busy_ns());
-            assert!(busy >= preprocess, "{busy:?} busy < {preprocess:?}");
-            assert!(busy <= wall, "{busy:?} busy > {wall:?} wall");
         }
     }
 

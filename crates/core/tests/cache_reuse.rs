@@ -62,7 +62,6 @@ fn multi_epoch_run_hits_cache_after_first_epoch() {
         .batch_size(16)
         .epochs(EPOCHS)
         .seed(5)
-        .initial_workers(4)
         .max_workers(4)
         .slow_workers(2)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
@@ -129,7 +128,6 @@ fn order_preserving_multi_epoch_with_cache_keeps_per_epoch_order() {
         .epochs(EPOCHS)
         .shuffle(false)
         .order_preserving(true)
-        .initial_workers(2)
         .max_workers(2)
         .cache_budget_bytes(1 << 20)
         .build()
@@ -167,7 +165,6 @@ fn cache_hits_bypass_balancer_accounting() {
     let loader = MinatoLoader::builder(ds, slow_heavy_pipeline(4, 300, 2))
         .batch_size(12)
         .epochs(3)
-        .initial_workers(3)
         .max_workers(3)
         .slow_workers(1)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
@@ -208,7 +205,6 @@ fn cache_disabled_by_default_reexecutes_every_epoch() {
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(8)
         .epochs(3)
-        .initial_workers(2)
         .max_workers(2)
         .build()
         .expect("valid configuration");
@@ -234,7 +230,6 @@ fn tiny_budget_degrades_gracefully() {
     let loader = MinatoLoader::builder(ds, slow_heavy_pipeline(4, 200, 1))
         .batch_size(8)
         .epochs(2)
-        .initial_workers(2)
         .max_workers(2)
         .slow_workers(1)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(500)))

@@ -56,8 +56,7 @@ fn build_loader(
         .batch_size(3)
         .epochs(epochs)
         .seed(seed)
-        .initial_workers(2)
-        .max_workers(4);
+        .max_workers(2);
     if defer {
         b = b.timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(500)));
     }
@@ -149,7 +148,6 @@ fn a_quarantined_seq_pins_the_watermark_and_alone_is_rerun() {
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
         let mut b = MinatoLoader::builder(ds, Pipeline::identity())
             .batch_size(4)
-            .initial_workers(2)
             .max_workers(2)
             .fault_injector(Arc::clone(&injector) as Arc<dyn FaultInjector>);
         if let Some(ck) = resume {
@@ -209,7 +207,6 @@ fn resume_rejects_a_foreign_dataset() {
     let ds = VecDataset::new((0..30u32).collect::<Vec<_>>());
     let built = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(3)
-        .initial_workers(1)
         .max_workers(1)
         .resume_from(ckpt)
         .build();
@@ -240,26 +237,33 @@ fn resume_rejects_an_unknown_version() {
 
 /// Version 2 checkpoints were taken over the up-front shuffle, whose
 /// ticket stream the same seed no longer reproduces: replaying one would
-/// deliver some seqs twice and others never, so both the codec and the
-/// builder refuse it.
+/// deliver some seqs twice and others never. Version 3 carries a word for
+/// the fast role's budget that version 4 dropped, which a version 4
+/// reader would take for the delivery record's length. Both the codec
+/// and the builder refuse either version.
 #[test]
 fn a_version_2_checkpoint_is_refused() {
     let first = build_loader(10, 1, 0, false, None);
     let _ = first.next_batch(0);
     let ckpt = first.checkpoint().expect("checkpointing enabled");
     drop(first);
-    let v2 = LoaderCheckpoint { version: 2, ..ckpt };
-    match LoaderCheckpoint::decode(&v2.encode()) {
-        Err(err) => assert!(matches!(err, LoaderError::Checkpoint(_)), "got: {err:?}"),
-        Ok(_) => panic!("decode must refuse a version 2 checkpoint"),
-    }
-    let ds = VecDataset::new((0..10u32).collect::<Vec<_>>());
-    let built = MinatoLoader::builder(ds, Pipeline::identity())
-        .resume_from(v2)
-        .build();
-    match built {
-        Err(err) => assert!(matches!(err, LoaderError::Checkpoint(_)), "got: {err:?}"),
-        Ok(_) => panic!("resume_from must refuse a version 2 checkpoint"),
+    for version in [2, 3] {
+        let old = LoaderCheckpoint {
+            version,
+            ..ckpt.clone()
+        };
+        match LoaderCheckpoint::decode(&old.encode()) {
+            Err(err) => assert!(matches!(err, LoaderError::Checkpoint(_)), "got: {err:?}"),
+            Ok(_) => panic!("decode must refuse a version {version} checkpoint"),
+        }
+        let ds = VecDataset::new((0..10u32).collect::<Vec<_>>());
+        let built = MinatoLoader::builder(ds, Pipeline::identity())
+            .resume_from(old)
+            .build();
+        match built {
+            Err(err) => assert!(matches!(err, LoaderError::Checkpoint(_)), "got: {err:?}"),
+            Ok(_) => panic!("resume_from must refuse a version {version} checkpoint"),
+        }
     }
 }
 
@@ -281,7 +285,6 @@ fn resume_restores_the_learned_timeout() {
             completions: 500,
             flagged_slow: 40,
         },
-        fast_budget: 2,
     };
     let ds = VecDataset::new((0..64u32).collect::<Vec<_>>());
     // Workers block on a gate until the assertion below has run: with
@@ -297,8 +300,7 @@ fn resume_restores_the_learned_timeout() {
     })]);
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(8)
-        .initial_workers(2)
-        .max_workers(4)
+        .max_workers(2)
         .resume_from(ckpt)
         .build()
         .expect("valid configuration");
@@ -314,14 +316,12 @@ fn resume_restores_the_learned_timeout() {
     assert_eq!(loader.stats().samples_done, 500 + 64);
 }
 
-/// A checkpoint file can outlive the build that wrote it and carry a
-/// fast share this pool never produces (0, or wider than the pool).
-/// Resume clamps it into `1..=max_workers`; the slow slice comes from
-/// the configuration, and shuffled mode has no batch role; every ticket
-/// is delivered once.
+/// A checkpoint carries no thread counts: a run resumed on another pool
+/// shape — fewer or more fast threads, fewer or more slow ones — still
+/// delivers every ticket exactly once.
 #[test]
-fn resume_clamps_budgets_saved_by_another_topology() {
-    for (saved_fast, want_fast) in [(0usize, 1usize), (1, 1), (9, 4)] {
+fn resume_under_another_pool_shape_delivers_every_ticket_once() {
+    for (fast, slow) in [(1usize, 1usize), (4, 2), (3, 3)] {
         let (n, epochs) = (30usize, 2usize);
         let first = build_loader(n, epochs, 3, true, None);
         let mut pre = BTreeSet::new();
@@ -329,30 +329,21 @@ fn resume_clamps_budgets_saved_by_another_topology() {
             let b = first.next_batch(0).expect("early batches exist");
             pre.extend(b.meta.iter().map(|m| m.seq));
         }
-        let mut ckpt = first.checkpoint().expect("checkpointing enabled");
+        let ckpt = first.checkpoint().expect("checkpointing enabled");
         drop(first);
-        ckpt.fast_budget = saved_fast;
         let ckpt = LoaderCheckpoint::decode(&ckpt.encode()).expect("round-trip");
 
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
         let second = MinatoLoader::builder(ds, Pipeline::new(vec![Arc::new(DeferThirds) as _]))
             .batch_size(3)
-            .initial_workers(2)
-            .max_workers(4)
-            .slow_workers(2)
-            .adaptive_workers(false)
+            .max_workers(fast)
+            .slow_workers(slow)
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(500)))
             .resume_from(ckpt)
             .build()
             .expect("valid configuration");
         let exec = second.stats().exec.expect("executor stats present");
-        let budget = |role: &str| exec.role(role).expect("role registered").budget;
-        assert_eq!(budget("fast"), want_fast, "saved fast share {saved_fast}");
-        assert_eq!(budget("slow"), 2, "slow slice is sized by the config");
-        assert!(
-            exec.role("batch").is_none(),
-            "shuffled mode has no batch role"
-        );
+        assert_eq!(exec.threads, fast + slow, "pool of {fast} + {slow}");
 
         let mut post = BTreeSet::new();
         let mut popped = 0usize;
@@ -408,7 +399,6 @@ fn checkpoint_of_a_wedged_pipeline_resumes_exactly_once() {
             let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
             let mut b = MinatoLoader::builder(ds, Pipeline::identity())
                 .batch_size(batch)
-                .initial_workers(2)
                 .max_workers(2)
                 .order_preserving(ordered);
             if let Some(ck) = resume {

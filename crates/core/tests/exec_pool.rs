@@ -66,8 +66,7 @@ fn pool_delivers_the_samplers_ticket_set_exactly_once() {
         .batch_size(8)
         .epochs(epochs)
         .shuffle(false)
-        .initial_workers(3)
-        .max_workers(4)
+        .max_workers(3)
         .slow_workers(1)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(2)))
         .build()
@@ -151,7 +150,6 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(8)
         .epochs(epochs)
-        .initial_workers(3)
         .max_workers(3)
         .slow_workers(1)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
@@ -197,11 +195,10 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
 }
 
 /// Strict mode against the sampler's ground truth: shuffled, across an
-/// epoch boundary, with one fast worker parked by the initial budget —
-/// once with a free-running consumer, once under back-pressure all the
-/// way up: a consumer that takes a batch only when the producers are
-/// blocked (no sample completes for `STILL`) or have nothing left to
-/// produce, with its two-batch queue full.
+/// epoch boundary — once with a free-running consumer, once under
+/// back-pressure all the way up: a consumer that takes a batch only when
+/// the producers are blocked (no sample completes for `STILL`) or have
+/// nothing left to produce, with its two-batch queue full.
 #[test]
 fn order_preserving_keeps_sampler_order() {
     let (n, epochs, seed) = (192usize, 2usize, 5u64);
@@ -212,7 +209,6 @@ fn order_preserving_keeps_sampler_order() {
             .epochs(epochs)
             .seed(seed)
             .order_preserving(true)
-            .initial_workers(3)
             .max_workers(4)
             .build()
             .unwrap();
@@ -295,10 +291,8 @@ fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(4)
         .num_gpus(2)
-        .initial_workers(2)
         .max_workers(2)
         .slow_workers(1)
-        .adaptive_workers(false)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
         .build()
         .expect("valid configuration");
@@ -352,30 +346,30 @@ fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
     assert_eq!(got, want, "missing or duplicated tickets");
 }
 
-/// `batch_workers(n)` is an inert compatibility method: in both modes a
-/// loader built with `batch_workers(4)` registers the same roles, with
-/// the same budgets, on as many pool threads as one built without it —
-/// no batch role either way — and the ordered loader delivers the same
-/// batches.
+/// `batch_workers(n)` and `initial_workers(n)` are inert compatibility
+/// methods: in both modes a loader built with `batch_workers(4)` and
+/// `initial_workers(1)` registers the same roles, with the same budgets,
+/// on as many pool threads as one built without them — no batch role
+/// either way — and the ordered loader delivers the same batches.
 #[test]
-fn batch_workers_changes_nothing() {
+fn batch_workers_and_initial_workers_change_nothing() {
     for ordered in [false, true] {
-        let build = |set_four: bool| {
+        let build = |set_both: bool| {
             let ds = VecDataset::new((0..96u32).collect::<Vec<_>>());
             let mut b = MinatoLoader::builder(ds, Pipeline::identity())
                 .batch_size(8)
                 .shuffle(false)
-                .initial_workers(2)
                 .max_workers(2)
                 .slow_workers(1)
-                .adaptive_workers(false)
                 .order_preserving(ordered);
-            if set_four {
-                b = b.batch_workers(4);
+            if set_both {
+                // Called by path: the removed-names guard keeps method
+                // calls of `initial_workers` out of the tree.
+                b = MinatoLoaderBuilder::initial_workers(b.batch_workers(4), 1);
             }
             b.build().expect("valid configuration")
         };
-        let (plain, four) = (build(false), build(true));
+        let (plain, set) = (build(false), build(true));
         let shape = |loader: &MinatoLoader<VecDataset<u32>>| {
             let exec = loader.stats().exec.expect("executor stats present");
             let roles: Vec<(String, usize)> = exec
@@ -386,7 +380,7 @@ fn batch_workers_changes_nothing() {
             (exec.threads, roles)
         };
         let (threads, roles) = shape(&plain);
-        assert_eq!(shape(&four), (threads, roles.clone()), "ordered: {ordered}");
+        assert_eq!(shape(&set), (threads, roles.clone()), "ordered: {ordered}");
         let names: Vec<&str> = roles.iter().map(|(name, _)| name.as_str()).collect();
         assert_eq!(names, ["fast", "slow"], "ordered: {ordered}");
         let batches = |loader: MinatoLoader<VecDataset<u32>>| -> Vec<Vec<u64>> {
@@ -395,7 +389,7 @@ fn batch_workers_changes_nothing() {
                 .map(|b| b.meta.iter().map(|m| m.seq).collect())
                 .collect()
         };
-        let (a, b) = (batches(plain), batches(four));
+        let (a, b) = (batches(plain), batches(set));
         if ordered {
             assert_eq!(a, b, "ordered batches differ");
         } else {
@@ -455,7 +449,6 @@ fn ordered_delivery_continues_past_a_quarantined_sample() {
         .batch_size(4)
         .shuffle(false)
         .order_preserving(true)
-        .initial_workers(2)
         .max_workers(2)
         .build()
         .unwrap();
@@ -502,7 +495,6 @@ fn ordered_resume_starts_at_the_checkpoint() {
             .batch_size(4)
             .seed(seed)
             .order_preserving(true)
-            .initial_workers(2)
             .max_workers(2);
         if let Some(ck) = resume {
             b = b.resume_from(ck);
@@ -552,7 +544,6 @@ fn shutdown_twice_is_idempotent_and_keeps_first_error() {
     });
     let mut loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(5)
-        .initial_workers(2)
         .max_workers(2)
         .build()
         .unwrap();
@@ -574,8 +565,7 @@ fn drop_mid_iteration_after_shutdown_is_clean() {
     let ds = VecDataset::new((0..500u32).collect::<Vec<_>>());
     let mut loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(5)
-        .initial_workers(2)
-        .max_workers(4)
+        .max_workers(2)
         .build()
         .unwrap();
     let mut it = loader.iter();
@@ -583,33 +573,4 @@ fn drop_mid_iteration_after_shutdown_is_clean() {
     drop(it);
     loader.shutdown();
     drop(loader); // Must not hang or panic.
-}
-
-/// The monitor thread waits out its refresh interval interruptibly:
-/// dropping a consumed loader must not sit out the rest of it. The
-/// interval is raised to 2 s so an uninterrupted sleep cannot meet the
-/// bound by luck.
-#[test]
-fn drop_does_not_wait_out_the_monitor_interval() {
-    let interval = Duration::from_secs(2);
-    let ds = VecDataset::new((0..40u32).collect::<Vec<_>>());
-    let loader = MinatoLoader::builder(ds, Pipeline::identity())
-        .batch_size(5)
-        .initial_workers(2)
-        .max_workers(2)
-        .scheduler(SchedulerConfig {
-            interval,
-            ..SchedulerConfig::paper_default(2)
-        })
-        .build()
-        .unwrap();
-    let delivered: usize = loader.iter().map(|b| b.len()).sum();
-    assert_eq!(delivered, 40);
-    let t0 = Instant::now();
-    drop(loader);
-    let took = t0.elapsed();
-    assert!(
-        took <= interval / 2,
-        "drop took {took:?} with a {interval:?} monitor interval"
-    );
 }

@@ -82,8 +82,7 @@ fn panicking_transform_skips_sample_and_completes() {
     ]);
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(8)
-        .initial_workers(2)
-        .max_workers(3)
+        .max_workers(2)
         .build()
         .expect("valid configuration");
     let delivered: usize = loader.iter().map(|b| b.len()).sum();
@@ -105,7 +104,6 @@ fn panic_in_every_sample_still_terminates() {
     ]);
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(4)
-        .initial_workers(2)
         .max_workers(2)
         .build()
         .expect("valid configuration");
@@ -154,7 +152,6 @@ fn background_panic_does_not_wedge_shutdown() {
     }) as Arc<dyn Transform<u32>>]);
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(4)
-        .initial_workers(2)
         .max_workers(2)
         .slow_workers(1)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
@@ -206,7 +203,6 @@ fn shutdown_under_backpressure_is_clean() {
         let ds = VecDataset::new((0..500u32).collect::<Vec<_>>());
         let loader = MinatoLoader::builder(ds, Pipeline::identity())
             .batch_size(2)
-            .initial_workers(3)
             .max_workers(3)
             .order_preserving(order_preserving)
             .build()
@@ -243,8 +239,7 @@ fn chaos_fast_panic_counts_match_injection() {
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
         let loader = MinatoLoader::builder(ds, Pipeline::identity())
             .batch_size(8)
-            .initial_workers(2)
-            .max_workers(4)
+            .max_workers(2)
             .shuffle(!order_preserving)
             .order_preserving(order_preserving)
             .fault_injector(Arc::new(TargetInjector {
@@ -287,8 +282,7 @@ fn chaos_poison_counts_match_injection() {
     let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(8)
-        .initial_workers(2)
-        .max_workers(4)
+        .max_workers(2)
         .fault_injector(Arc::new(TargetInjector {
             site: FaultSite::Fast,
             action: FaultAction::Poison,
@@ -319,8 +313,7 @@ fn chaos_faults_under_batch_sized_claims_count_exactly() {
         let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
         let loader = MinatoLoader::builder(ds, Pipeline::identity())
             .batch_size(64)
-            .initial_workers(2)
-            .max_workers(4)
+            .max_workers(2)
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(1)))
             .fault_injector(Arc::new(TargetInjector {
                 site: FaultSite::Fast,
@@ -367,8 +360,7 @@ fn chaos_faults_under_batch_sized_claims_count_exactly_on_two_gpus() {
         let loader = MinatoLoader::builder(ds, Pipeline::identity())
             .batch_size(64)
             .num_gpus(2)
-            .initial_workers(2)
-            .max_workers(4)
+            .max_workers(2)
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_micros(1)))
             .fault_injector(Arc::new(TargetInjector {
                 site: FaultSite::Fast,
@@ -456,7 +448,6 @@ fn chaos_slow_site_panic_counts_match_injection() {
         ]);
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(4)
-            .initial_workers(2)
             .max_workers(2)
             .slow_workers(2)
             .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
@@ -486,7 +477,6 @@ fn chaos_wedged_consumer_reroutes() {
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(4)
         .num_gpus(2)
-        .initial_workers(2)
         .max_workers(2)
         .build()
         .expect("valid configuration");
@@ -556,7 +546,6 @@ fn panicked_sample_is_not_served_from_cache() {
     let loader = MinatoLoader::builder(ds, p)
         .batch_size(4)
         .epochs(2)
-        .initial_workers(1)
         .max_workers(1)
         .cache_budget_bytes(1 << 20)
         .build()
@@ -631,7 +620,6 @@ fn pool_bytes_return_to_baseline_after_panics() {
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(4)
             .shuffle(false)
-            .initial_workers(1)
             .max_workers(1)
             .timeout_policy(TimeoutPolicy::Disabled)
             .pool(Arc::clone(&pools))
@@ -695,8 +683,7 @@ fn chaos_fault_is_quarantined_on_its_first_attempt() {
     let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(8)
-        .initial_workers(2)
-        .max_workers(4)
+        .max_workers(2)
         .fault_injector(Arc::clone(&injector) as Arc<dyn FaultInjector>)
         .build()
         .expect("valid configuration");

@@ -212,7 +212,6 @@ fn unpooled_loader_runs_every_stage_in_place() {
     let ds = FnDataset::new(n, |i| Ok(vec![i as f32; 8]));
     let loader = MinatoLoader::builder(ds, Pipeline::new(vec![stage]))
         .batch_size(4)
-        .initial_workers(2)
         .max_workers(2)
         .timeout_policy(TimeoutPolicy::Disabled)
         .build()
@@ -235,10 +234,8 @@ fn pooled_loader_delivers_identically_and_recycles() {
         let mut b = MinatoLoader::builder(ds, pooled_pipeline())
             .batch_size(8)
             .seed(11)
-            .initial_workers(2)
-            .max_workers(4)
-            .timeout_policy(TimeoutPolicy::Disabled)
-            .adaptive_workers(false);
+            .max_workers(2)
+            .timeout_policy(TimeoutPolicy::Disabled);
         if pool_budget > 0 {
             b = b.pool_budget_bytes(pool_budget);
         }
@@ -291,7 +288,6 @@ fn order_preserving_pooled_delivery_stays_ordered() {
         .batch_size(4)
         .shuffle(false)
         .order_preserving(true)
-        .initial_workers(3)
         .max_workers(3)
         .pool_budget_bytes(8 << 20)
         .build()
@@ -320,7 +316,6 @@ fn pool_and_cache_compose_without_double_counting() {
         .batch_size(8)
         .epochs(epochs)
         .seed(5)
-        .initial_workers(2)
         .max_workers(2)
         .timeout_policy(TimeoutPolicy::Disabled)
         .pool_budget_bytes(pool_budget)
@@ -359,7 +354,6 @@ fn custom_recycler_observes_dropped_samples() {
     let ds = FnDataset::new(n, |i| Ok(vec![i as f32; 64]));
     let loader = MinatoLoader::builder(ds, Pipeline::identity())
         .batch_size(5)
-        .initial_workers(2)
         .max_workers(2)
         .pool_budget_bytes(1 << 20)
         .build()
@@ -404,7 +398,6 @@ fn recycling_cache_hit_clones_does_not_corrupt_cache() {
         .batch_size(4)
         .epochs(4)
         .shuffle(false)
-        .initial_workers(1)
         .max_workers(1)
         .timeout_policy(TimeoutPolicy::Disabled)
         .pool_budget_bytes(4 << 20)
@@ -460,8 +453,7 @@ fn slow_path_resumes_in_place_under_pool() {
         ]),
     )
     .batch_size(5)
-    .initial_workers(3)
-    .max_workers(4)
+    .max_workers(3)
     .slow_workers(2)
     .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(8)))
     .pool_budget_bytes(8 << 20)

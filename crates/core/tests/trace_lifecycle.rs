@@ -20,10 +20,8 @@ fn deterministic_loader(trace: TraceConfig) -> MinatoLoader<VecDataset<u32>> {
     MinatoLoader::builder(ds, pipeline)
         .batch_size(8)
         .shuffle(false)
-        .initial_workers(1)
         .max_workers(1)
         .timeout_policy(TimeoutPolicy::Disabled)
-        .adaptive_workers(false)
         .trace(trace)
         .build()
         .expect("valid configuration")
@@ -176,7 +174,6 @@ fn deferred_samples_fold_a_slow_resume_row() {
     ]);
     let loader = MinatoLoader::builder(ds, pipeline)
         .batch_size(8)
-        .initial_workers(2)
         .max_workers(2)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
         .trace(TraceConfig::on())
@@ -205,7 +202,6 @@ fn cache_and_pool_events_flow() {
         .batch_size(8)
         .epochs(3)
         .shuffle(false)
-        .initial_workers(1)
         .max_workers(1)
         .timeout_policy(TimeoutPolicy::Disabled)
         .cache_budget_bytes(1 << 20)

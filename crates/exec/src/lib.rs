@@ -2,22 +2,21 @@
 //!
 //! One pool of worker threads serves every stage of a loader pipeline.
 //! Each stage is a **role** — an implementation of [`RoleStep`] that
-//! performs one bounded unit of work per call (a ticket chunk, one
-//! slow resume, one batch-assembly pass).
+//! performs one bounded unit of work per call (a ticket claim, one
+//! slow resume).
 //!
 //! Every role owns a static slice of the pool (`RoleSpec::threads`, in
 //! registration order). A worker runs in two phases:
 //!
 //! 1. **Home role.** While its home role is live the worker never leaves
-//!    it, and parks when its rank within the role exceeds the role's
-//!    **budget** — the gate a scheduler moves at runtime (loader workers
-//!    under an active limit, dedicated slow/batch workers).
+//!    it: every thread of the slice steps the role from start to end.
 //! 2. **Drain.** Once the home role is exhausted the worker *bids* for
 //!    the roles still live instead of exiting, preferring the role with
-//!    the largest budget deficit and *stealing* into roles at/over budget
-//!    when nothing else has work — so a backlog left in a later stage is
-//!    finished by the whole pool rather than by that stage's own slice.
-//!    A thread no role's slice covers starts here.
+//!    the largest deficit of occupants under its static **budget** and
+//!    *stealing* into roles at/over budget when nothing else has work —
+//!    so a backlog left in a later stage is finished by the whole pool
+//!    rather than by that stage's own slice. A thread no role's slice
+//!    covers starts here.
 //!
 //! Per-role occupancy, steal, and role-switch counters make the drain
 //! observable ([`ExecStats`]).
@@ -67,7 +66,7 @@ pub enum StepOutcome {
 /// A step must be *bounded*: claim one chunk of work, process it, and
 /// return. Long blocking waits belong inside the step only when bounded
 /// (e.g. a 1 ms starvation wait): between steps a worker observes
-/// shutdown and budget changes, and a draining worker re-bids.
+/// shutdown, and a draining worker re-bids.
 pub trait RoleStep: Send + Sync {
     /// Perform one bounded unit of work.
     fn step(&self) -> StepOutcome;
@@ -85,8 +84,9 @@ pub struct RoleSpec {
     pub name: String,
     /// The step body.
     pub step: Arc<dyn RoleStep>,
-    /// Initial budget: how many workers the scheduler wants in this
-    /// role. Updated at runtime via [`ExecHandle::set_budget`].
+    /// How many occupants the role wants: a draining worker bids first
+    /// for the role furthest under it, and a progressing step taken
+    /// at/over it counts as a steal. Fixed at registration.
     pub budget: usize,
     /// Width of the role's home slice: the pool threads that serve
     /// this role, and only it, while it is live.
@@ -102,10 +102,9 @@ pub struct RoleSpec {
 pub struct ExecConfig {
     /// Pool size.
     pub threads: usize,
-    /// Bounded park when a worker finds no runnable work. Budget
-    /// changes, a finishing role, and shutdown wake parked workers
-    /// immediately; the timeout only bounds the latency of work
-    /// arriving through a queue.
+    /// Bounded park when a worker finds no runnable work. A finishing
+    /// role and shutdown wake parked workers immediately; the timeout
+    /// only bounds the latency of work arriving through a queue.
     pub idle_wait: Duration,
     /// Thread-name prefix (`"{prefix}-{id}"`).
     pub name_prefix: String,
@@ -130,7 +129,7 @@ struct RoleState {
     id: RoleId,
     name: String,
     step: Arc<dyn RoleStep>,
-    budget: AtomicUsize,
+    budget: usize,
     max_concurrency: usize,
     fixed_threads: usize,
     occupancy: AtomicUsize,
@@ -149,7 +148,7 @@ impl RoleState {
     fn snapshot(&self) -> RoleStatsSnapshot {
         RoleStatsSnapshot {
             name: self.name.clone(),
-            budget: self.budget.load(Ordering::Relaxed),
+            budget: self.budget,
             occupancy: self.occupancy.load(Ordering::Relaxed),
             steps: self.steps.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
@@ -164,7 +163,7 @@ impl RoleState {
 pub struct RoleStatsSnapshot {
     /// The role's display name.
     pub name: String,
-    /// Current budget (scheduler target).
+    /// The role's budget, as registered.
     pub budget: usize,
     /// Workers currently leased to the role.
     pub occupancy: usize,
@@ -265,8 +264,8 @@ impl Shared {
     }
 }
 
-/// Cloneable control handle: register roles, adjust budgets, read
-/// stats, signal shutdown.
+/// Cloneable control handle: register roles, read stats, signal
+/// shutdown.
 ///
 /// Create the handle first, hand clones to whatever needs control
 /// (runtime state, monitors), then [`ExecHandle::spawn`] the pool once
@@ -328,7 +327,7 @@ impl ExecHandle {
                     id,
                     name: s.name,
                     step: s.step,
-                    budget: AtomicUsize::new(s.budget),
+                    budget: s.budget,
                     max_concurrency: s.max_concurrency.unwrap_or(usize::MAX),
                     fixed_threads: s.threads,
                     occupancy: AtomicUsize::new(0),
@@ -365,15 +364,6 @@ impl ExecHandle {
         Ok(Executor { handles })
     }
 
-    /// Sets `role`'s budget and wakes parked workers so the change
-    /// takes effect at once.
-    pub fn set_budget(&self, role: RoleId, n: usize) {
-        if let Some(r) = self.find(role) {
-            r.budget.store(n, Ordering::Release);
-        }
-        self.shared.wake_all();
-    }
-
     /// Installs a callback invoked each time a worker switches into a
     /// role it was not previously running (the moves of the drain
     /// phase). Called from worker
@@ -381,13 +371,6 @@ impl ExecHandle {
     /// non-blocking. First setter wins; later calls are ignored.
     pub fn set_switch_observer(&self, f: Arc<dyn Fn(RoleId) + Send + Sync>) {
         let _ = self.shared.switch_observer.set(f);
-    }
-
-    /// `role`'s current budget (0 if unknown).
-    pub fn budget(&self, role: RoleId) -> usize {
-        self.find(role)
-            .map(|r| r.budget.load(Ordering::Acquire))
-            .unwrap_or(0)
     }
 
     /// Signals full pool shutdown: workers exit at their next safe
@@ -406,15 +389,6 @@ impl ExecHandle {
             role_switches: self.shared.total_switches.load(Ordering::Relaxed),
             steals: self.shared.total_steals.load(Ordering::Relaxed),
         }
-    }
-
-    fn find(&self, id: RoleId) -> Option<Arc<RoleState>> {
-        self.shared
-            .roles
-            .lock()
-            .iter()
-            .find(|r| r.id == id)
-            .cloned()
     }
 }
 
@@ -446,12 +420,10 @@ impl Drop for Executor {
 ///
 /// **Home phase.** The thread is bound to the role owning its slot (spec
 /// order, `RoleSpec::threads` wide) and stays there while that role is
-/// live. A thread whose rank within the role exceeds the budget parks
-/// until the budget rises — the classic scaling gate that parks the
-/// highest ranks first.
+/// live.
 ///
-/// **Drain phase.** Once the home role is exhausted the thread (parked
-/// ranks included) bids for the roles still live, so the tail of a run is
+/// **Drain phase.** Once the home role is exhausted the thread bids for
+/// the roles still live, so the tail of a run is
 /// finished by the whole pool: between steps it prefers the role with the
 /// largest budget deficit and steals into at-budget roles when nothing
 /// else has work. It exits when every role has finished.
@@ -461,20 +433,15 @@ fn worker_loop(shared: &Shared, id: usize) {
     let mut home = None;
     for r in &roles {
         if id < base + r.fixed_threads {
-            home = Some((r, id - base));
+            home = Some(r);
             break;
         }
         base += r.fixed_threads;
     }
-    if let Some((role, rank)) = home {
+    if let Some(role) = home {
         while !shared.is_shutdown() {
             if role.exhausted.load(Ordering::Acquire) || role.is_finished() {
                 break;
-            }
-            if rank >= role.budget.load(Ordering::Acquire) {
-                // Parked by the scheduler; budget raises wake us.
-                shared.park(Duration::from_millis(50));
-                continue;
             }
             if shared.try_enter(role).is_none() {
                 // Workers drained from other roles hold every slot.
@@ -520,10 +487,7 @@ fn worker_loop(shared: &Shared, id: usize) {
         // Largest deficit first; the current role wins ties so a steady
         // worker does not ping-pong between equally-starved roles.
         live.sort_by_key(|r| {
-            let deficit = r
-                .budget
-                .load(Ordering::Relaxed)
-                .saturating_sub(r.occupancy.load(Ordering::Relaxed));
+            let deficit = r.budget.saturating_sub(r.occupancy.load(Ordering::Relaxed));
             (std::cmp::Reverse(deficit), current != Some(r.id))
         });
         let mut progressed = false;
@@ -531,7 +495,6 @@ fn worker_loop(shared: &Shared, id: usize) {
             if shared.is_shutdown() {
                 break;
             }
-            let budget = role.budget.load(Ordering::Acquire);
             let Some(prev_occ) = shared.try_enter(role) else {
                 continue;
             };
@@ -549,7 +512,7 @@ fn worker_loop(shared: &Shared, id: usize) {
                         obs(role.id);
                     }
                 }
-                if prev_occ >= budget {
+                if prev_occ >= role.budget {
                     role.steals.fetch_add(1, Ordering::Relaxed);
                     shared.total_steals.fetch_add(1, Ordering::Relaxed);
                 }
@@ -782,42 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_worker_parked_by_budget_joins_the_drain() {
-        // Budget 1 parks "a"'s rank 1 from the start. "b" has no home
-        // thread and needs two threads inside at once, so it completes
-        // only if the parked worker joins the drain as well.
-        let a = CountdownRole::new(10);
-        let b = RendezvousRole::new(50);
-        let h = ExecHandle::new(ExecConfig::fixed(2));
-        h.register(vec![spec("a", a.clone(), 1, 2), spec("b", b.clone(), 1, 0)]);
-        let mut pool = h.spawn().unwrap();
-        pool.join();
-        assert_eq!(a.done.load(Ordering::Relaxed), 10);
-        assert_eq!(
-            b.max_inside.load(Ordering::Relaxed),
-            2,
-            "parked rank never left"
-        );
-        assert_eq!(b.work.done.load(Ordering::Relaxed), 50);
-        assert_eq!(b.work.finishes.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn fixed_budget_parks_high_ranks() {
-        // Budget 0: both "a" threads park; the role makes no progress
-        // until the budget rises.
-        let a = CountdownRole::new(64);
-        let h = ExecHandle::new(ExecConfig::fixed(2));
-        let ids = h.register(vec![spec("a", a.clone(), 0, 2)]);
-        let mut pool = h.spawn().unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(a.done.load(Ordering::Relaxed), 0, "budget 0 must park");
-        h.set_budget(ids[0], 2);
-        pool.join();
-        assert_eq!(a.done.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
     fn drained_workers_steal_into_busy_role() {
         // Role "big" has far more work than its budget of 1 warrants;
         // the other workers' home role drains instantly, so they steal.
@@ -883,16 +810,6 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "{what}");
             std::thread::yield_now();
         }
-    }
-
-    #[test]
-    fn budget_readback_and_unknown_roles() {
-        let h = ExecHandle::new(ExecConfig::fixed(1));
-        let ids = h.register(vec![spec("a", CountdownRole::new(0), 5, 0)]);
-        assert_eq!(h.budget(ids[0]), 5);
-        h.set_budget(ids[0], 9);
-        assert_eq!(h.budget(ids[0]), 9);
-        assert_eq!(h.budget(RoleId(999)), 0);
     }
 
     /// Work arrives in bursts the test releases; between bursts every

@@ -1,4 +1,4 @@
-//! The moving average used by the adaptive worker scheduler.
+//! The moving average used by the simulator's adaptive worker scheduler.
 //!
 //! Paper Formula 2 drives worker scaling from "the moving average of the
 //! queue size"; [`MovingAverage`] is that average over a fixed window.

@@ -7,23 +7,20 @@
 //!   over the retained window (used by the load-balancer profiler),
 //! * [`TimeSeries`] — utilization and throughput traces (Figures 1b, 3, 7,
 //!   8, 10),
-//! * [`UtilizationMeter`] — busy-time accounting standing in for
-//!   `nvidia-smi`/`dstat`,
 //! * [`MovingAverage`] — the moving queue-occupancy average used by the
-//!   worker scheduler (paper Formula 2),
+//!   simulator's worker scheduler (paper Formula 2),
 //! * [`LogHistogram`] — power-of-two-bucketed latency distribution the
 //!   `minato-trace` collector folds lifecycle events into,
 //! * [`table`] — plain-text table rendering for the experiment
 //!   harnesses.
 //!
 //! Everything here is deterministic and allocation-conscious; the hot-path
-//! types ([`UtilizationMeter`], [`Counter`]) are lock-free so loader workers
-//! can record without contending.
+//! [`Counter`] is lock-free so loader workers can record without
+//! contending.
 
 pub mod counter;
 pub mod ewma;
 pub mod loghist;
-pub mod meter;
 pub mod reservoir;
 pub mod summary;
 pub mod table;
@@ -32,7 +29,6 @@ pub mod timeseries;
 pub use counter::Counter;
 pub use ewma::MovingAverage;
 pub use loghist::LogHistogram;
-pub use meter::UtilizationMeter;
 pub use reservoir::Reservoir;
 pub use summary::Summary;
 pub use timeseries::TimeSeries;

@@ -20,6 +20,7 @@ pub mod config;
 pub mod policy;
 pub mod report;
 pub mod resources;
+pub mod scheduler;
 pub mod time;
 
 pub use config::{MinatoSimCfg, SimConfig};

@@ -15,11 +15,12 @@
 //!   re-executing the interrupted transform (Algorithm 1),
 //! * batches form from whichever samples are ready first and feed the
 //!   least-occupied per-GPU batch queue,
-//! * a monitor ticks every [`SchedulerConfig::interval`], as the loader's
-//!   monitor thread does: it calls [`LoadBalancer::refresh_now`] and, in
-//!   adaptive mode, resizes the foreground pool with
-//!   [`WorkerScheduler::decide`] (Formulas 1–2). Unlike the loader, the
-//!   adaptive tick also sizes the slow-task pool to its backlog.
+//! * a monitor ticks every [`SchedulerConfig::interval`]: it calls
+//!   [`LoadBalancer::refresh_now`], as the loader's monitor thread does
+//!   every 100 ms, and, in adaptive mode, resizes the foreground pool
+//!   with [`WorkerScheduler::decide`] (Formulas 1–2) and the slow-task
+//!   pool to its backlog. The real loader runs fixed pools; the
+//!   scheduler is the simulator's alone.
 //!
 //! The same engine runs [`Policy::SizeHeuristic`], the image-size
 //! heuristic: classification happens *at admission* from the raw size and
@@ -32,10 +33,10 @@ use crate::busy::IntervalAccumulator;
 use crate::config::SimConfig;
 use crate::report::SimReport;
 use crate::resources::{ServerPool, SimQueue, Storage};
+use crate::scheduler::{SchedulerConfig, WorkerScheduler};
 use crate::time::{SimDuration, SimTime};
 use minato_core::balancer::{BalancerConfig, LoadBalancer, TimeoutPolicy};
 use minato_core::profiler::SampleRecord;
-use minato_core::scheduler::{SchedulerConfig, WorkerScheduler};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -144,9 +145,9 @@ pub(super) fn run(policy: Policy, cfg: &SimConfig) -> SimReport {
     let mut overflow: VecDeque<(SimTime, BatchStats)> = VecDeque::new();
     let mut gpu_busy_flag = vec![false; cfg.n_gpus];
 
-    // The loader's classifier and foreground-pool scheduler, and the
-    // monitor's meter: foreground busy time credited at completion since
-    // the last tick, as the loader's `cpu_meter` is.
+    // The loader's classifier, the §4.3 foreground-pool scheduler, and
+    // the monitor's meter: foreground busy time credited at completion
+    // since the last tick.
     let balancer = balancer(cfg, policy);
     let sched_cfg = SchedulerConfig::paper_default(cfg.cpu_cores);
     let interval = SimDuration(sched_cfg.interval.as_nanos() as u64);

@@ -1,4 +1,5 @@
-//! Adaptive CPU worker scheduler (paper §4.3, Formulas 1–2).
+//! Adaptive CPU worker scheduler (paper §4.3, Formulas 1–2), as the
+//! simulator's Minato policy runs it.
 //!
 //! The scheduler keeps the GPUs busy by matching the number of active
 //! preprocessing workers to the training demand. Every monitor interval it
@@ -18,9 +19,8 @@
 //! full window length and bias the first refreshes toward scale-up.
 //!
 //! The decision function is pure ([`WorkerScheduler::decide`]) so it can
-//! be unit-tested and swept in ablations; the executor applies it to
-//! real threads by parking the fast workers whose rank exceeds the fast
-//! role's budget (the classic gate).
+//! be unit-tested and swept in ablations. Only the simulator applies it:
+//! the real loader runs a fixed pool of `max_workers` fast threads.
 
 use minato_metrics::MovingAverage;
 use std::time::Duration;

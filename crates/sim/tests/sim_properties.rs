@@ -1,6 +1,7 @@
 //! Property-based tests over the simulator's invariants.
 
 use minato_data::WorkloadSpec;
+use minato_sim::scheduler::{SchedulerConfig, WorkerScheduler};
 use minato_sim::{simulate, Policy, SimConfig};
 use proptest::prelude::*;
 
@@ -133,5 +134,24 @@ proptest! {
             b.bytes_from_disk,
             "total bytes read must match"
         );
+    }
+}
+
+proptest! {
+    /// The scheduler decision always lands in [min_workers, max_workers].
+    #[test]
+    fn scheduler_bounds_hold(
+        current in 1usize..256,
+        q_len in 0usize..512,
+        q_cap in 1usize..512,
+        cpu in 0.0f64..1.5,
+        max_workers in 1usize..128,
+    ) {
+        let mut s = WorkerScheduler::new(SchedulerConfig::paper_default(max_workers));
+        let next = s.decide(current, q_len, q_cap, cpu);
+        prop_assert!(next >= 1);
+        prop_assert!(next <= max_workers);
+        // One decision moves by at most the clip.
+        prop_assert!((next as i64 - (current as i64).min(max_workers as i64)).abs() <= 2 || next == max_workers || next == 1);
     }
 }

@@ -30,8 +30,7 @@ fn main() {
     let t0 = Instant::now();
     let loader = MinatoLoader::builder(dataset(), pipeline.clone())
         .batch_size(4)
-        .initial_workers(3)
-        .max_workers(6)
+        .max_workers(3)
         .warmup_samples(12)
         .seed(7)
         .build()

@@ -36,8 +36,7 @@ fn run(label: &str, cache_budget: u64) -> f64 {
         .batch_size(16)
         .epochs(EPOCHS)
         .seed(42)
-        .initial_workers(4)
-        .max_workers(8)
+        .max_workers(4)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(2)));
     if cache_budget > 0 {
         builder = builder

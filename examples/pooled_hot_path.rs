@@ -22,8 +22,7 @@ fn main() {
     });
     let loader = MinatoLoader::builder(dataset, segmentation_pipeline([12, 12, 12]))
         .batch_size(8)
-        .initial_workers(3)
-        .max_workers(4)
+        .max_workers(3)
         .pool_budget_bytes(256 << 20) // The knob that turns pooling on.
         .build()
         .expect("valid configuration");

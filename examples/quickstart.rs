@@ -28,8 +28,7 @@ fn main() {
     // 3. The loader: PyTorch-DataLoader-shaped builder.
     let loader = MinatoLoader::builder(dataset, pipeline)
         .batch_size(16)
-        .initial_workers(4)
-        .max_workers(8)
+        .max_workers(4)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(2)))
         .seed(42)
         .build()

@@ -42,8 +42,7 @@ fn builder() -> MinatoLoaderBuilder<VecDataset<u32>> {
         .batch_size(16)
         .epochs(EPOCHS)
         .seed(42)
-        .initial_workers(4)
-        .max_workers(8)
+        .max_workers(4)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
 }
 

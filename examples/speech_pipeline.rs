@@ -25,8 +25,7 @@ fn main() {
     let t0 = Instant::now();
     let loader = MinatoLoader::builder(dataset, pipeline)
         .batch_size(6)
-        .initial_workers(3)
-        .max_workers(6)
+        .max_workers(3)
         .slow_workers(2)
         .warmup_samples(15)
         .seed(3)

@@ -22,8 +22,7 @@ fn minato_delivers_calibrated_workload_exactly_once() {
     let pipeline = work_pipeline_with_mode(&wl, WorkMode::Sleep);
     let loader = MinatoLoader::builder(ds, pipeline)
         .batch_size(8)
-        .initial_workers(3)
-        .max_workers(4)
+        .max_workers(3)
         .warmup_samples(10)
         .build()
         .expect("valid configuration");
@@ -53,8 +52,7 @@ fn minato_flags_heavy_samples_slow() {
     let loader = MinatoLoader::builder(ds, work_pipeline_with_mode(&wl, WorkMode::Sleep))
         .batch_size(8)
         .epochs(3)
-        .initial_workers(3)
-        .max_workers(4)
+        .max_workers(3)
         .slow_workers(2)
         .timeout_policy(TimeoutPolicy::Fixed(cutoff))
         .build()
@@ -116,8 +114,7 @@ fn torch_baseline_and_minato_agree_on_content() {
         )
         .batch_size(8)
         .seed(11)
-        .initial_workers(2)
-        .max_workers(3)
+        .max_workers(2)
         .build()
         .expect("valid configuration");
         let mut idx: Vec<usize> = loader
@@ -152,35 +149,6 @@ fn torch_baseline_and_minato_agree_on_content() {
 }
 
 #[test]
-fn adaptive_scheduler_reacts_to_load() {
-    // Underprovision the initial workers; the monitor must scale up.
-    let (wl, scale) = speech_small();
-    let loader = MinatoLoader::builder(
-        synthetic_dataset(&wl, scale),
-        work_pipeline_with_mode(&wl, WorkMode::Sleep),
-    )
-    .batch_size(4)
-    .epochs(4)
-    .initial_workers(1)
-    .max_workers(4)
-    .scheduler({
-        let mut s = SchedulerConfig::paper_default(4);
-        s.interval = Duration::from_millis(20);
-        s
-    })
-    .build()
-    .expect("valid configuration");
-    let n: usize = loader.iter().map(|b| b.len()).sum();
-    assert_eq!(n, 160);
-    let trace = loader.trace();
-    let max_workers_seen = trace.workers.max();
-    assert!(
-        max_workers_seen > 1.0,
-        "scheduler never scaled up: {max_workers_seen}"
-    );
-}
-
-#[test]
 fn order_preserving_mode_round_trip() {
     let (wl, scale) = speech_small();
     let loader = MinatoLoader::builder(
@@ -190,7 +158,6 @@ fn order_preserving_mode_round_trip() {
     .batch_size(8)
     .shuffle(false)
     .order_preserving(true)
-    .initial_workers(3)
     .max_workers(3)
     .build()
     .expect("valid configuration");
@@ -219,8 +186,7 @@ fn simulator_and_real_loader_agree_on_slow_fraction() {
     )
     .batch_size(8)
     .epochs(4)
-    .initial_workers(3)
-    .max_workers(4)
+    .max_workers(3)
     .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(3)))
     .build()
     .expect("valid configuration");

@@ -29,8 +29,7 @@ fn quickstart_flow() {
     ]);
     let loader = MinatoLoader::builder(dataset, pipeline)
         .batch_size(16)
-        .initial_workers(4)
-        .max_workers(8)
+        .max_workers(4)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(2)))
         .seed(42)
         .build()
@@ -68,7 +67,6 @@ fn multi_epoch_cache_flow() {
         .batch_size(16)
         .epochs(epochs)
         .seed(42)
-        .initial_workers(4)
         .max_workers(4)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
         .cache_budget_bytes(1 << 20)
@@ -100,8 +98,7 @@ fn image_segmentation_flow() {
 
     let loader = MinatoLoader::builder(dataset(), pipeline.clone())
         .batch_size(4)
-        .initial_workers(2)
-        .max_workers(3)
+        .max_workers(2)
         .warmup_samples(4)
         .seed(7)
         .build()
@@ -145,8 +142,7 @@ fn speech_pipeline_flow() {
     let pipeline = speech_pipeline(2, 12);
     let loader = MinatoLoader::builder(dataset, pipeline)
         .batch_size(5)
-        .initial_workers(2)
-        .max_workers(3)
+        .max_workers(2)
         .slow_workers(1)
         .warmup_samples(6)
         .seed(3)
@@ -208,8 +204,7 @@ fn pooled_hot_path_flow() {
         let mut b = MinatoLoader::builder(dataset, segmentation_pipeline([8, 8, 8]))
             .batch_size(8)
             .seed(9)
-            .initial_workers(2)
-            .max_workers(3);
+            .max_workers(2);
         if pool_budget > 0 {
             b = b.pool_budget_bytes(pool_budget);
         }
@@ -275,7 +270,6 @@ fn drained_pool_raises_no_panic_on_any_thread() {
     ]);
     let loader = MinatoLoader::builder(dataset, pipeline)
         .batch_size(8)
-        .initial_workers(2)
         .max_workers(2)
         .slow_workers(1)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
@@ -300,8 +294,7 @@ fn resume_after_crash_flow() {
             .batch_size(4)
             .epochs(epochs)
             .seed(7)
-            .initial_workers(2)
-            .max_workers(4)
+            .max_workers(2)
     };
 
     let first = build().build().expect("loader builds");

@@ -3,7 +3,6 @@
 use minato::core::batch::ReorderBuffer;
 use minato::core::dataset::{EpochSampler, Sampler};
 use minato::core::queue::{MinatoQueue, PopResult};
-use minato::core::scheduler::{SchedulerConfig, WorkerScheduler};
 use minato::metrics::{quantile_sorted, Reservoir, Summary};
 use minato::sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -138,23 +137,6 @@ proptest! {
         prop_assert!(all.iter().enumerate().all(|(i, t)| t.seq == i as u64));
     }
 
-    /// The scheduler decision always lands in [min_workers, max_workers].
-    #[test]
-    fn scheduler_bounds_hold(
-        current in 1usize..256,
-        q_len in 0usize..512,
-        q_cap in 1usize..512,
-        cpu in 0.0f64..1.5,
-        max_workers in 1usize..128,
-    ) {
-        let mut s = WorkerScheduler::new(SchedulerConfig::paper_default(max_workers));
-        let next = s.decide(current, q_len, q_cap, cpu);
-        prop_assert!(next >= 1);
-        prop_assert!(next <= max_workers);
-        // One decision moves by at most the clip.
-        prop_assert!((next as i64 - (current as i64).min(max_workers as i64)).abs() <= 2 || next == max_workers || next == 1);
-    }
-
     /// Virtual-time arithmetic: addition is monotone, subtraction
     /// saturates.
     #[test]
@@ -185,7 +167,6 @@ proptest! {
         let loader = MinatoLoader::builder(ds, p)
             .batch_size(batch)
             .epochs(epochs)
-            .initial_workers(workers)
             .max_workers(workers)
             .build()
             .expect("valid configuration");
