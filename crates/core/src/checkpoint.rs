@@ -301,7 +301,7 @@ impl Sampler for ResumeSampler {
     ///
     /// Keeps pulling from the inner stream until the chunk is full or
     /// the stream ends: a short return must mean genuine exhaustion,
-    /// because `FastStep` treats a short chunk as the drain signal that
+    /// because a claim treats a short chunk as the drain signal that
     /// starts the shutdown cascade — filtering alone must never fake
     /// one.
     fn next_many(&self, max: usize) -> Vec<SampleTicket> {
@@ -446,7 +446,7 @@ mod tests {
     }
 
     /// A full chunk request never returns short while undelivered
-    /// tickets remain — FastStep treats short chunks as drained.
+    /// tickets remain — a claim treats short chunks as drained.
     #[test]
     fn resume_sampler_short_chunk_means_exhausted() {
         let ckpt = LoaderCheckpoint {

@@ -14,9 +14,10 @@
 /// Where in the pipeline a fault decision is being made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Load and deadline-bearing run in `FastStep` (foreground workers).
+    /// Load and deadline-bearing run in a claim (`WorkerStep::claim`).
     Fast,
-    /// Background completion in `SlowStep`/helpers (`complete_one`).
+    /// Background completion of a deferred sample (`complete_one`), by
+    /// a resuming step or a claiming worker helping.
     Slow,
 }
 

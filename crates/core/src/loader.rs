@@ -5,7 +5,8 @@
 //! the paper's full architecture — sample-aware load balancer (§4.2),
 //! the temp and batch queues and the open batch (Figure 5), and
 //! background completion of slow samples, on a fixed pool of
-//! `max_workers` fast and `slow_workers` slow threads. The paper's §4.3
+//! `max_workers + slow_workers` threads running one step, at most
+//! `max_workers` of them in a fast claim at once. The paper's §4.3
 //! worker scheduler runs only in the simulator (`minato_sim::scheduler`).
 //!
 //! # Examples
@@ -37,7 +38,7 @@ use crate::pool::AcquireObserver;
 use crate::pool::{PoolRecycler, PoolSet, Reclaim, SampleRecycler};
 use crate::stats::{LoaderStats, MonitorTrace};
 use crate::transform::Pipeline;
-use crate::worker::{FastStep, Runtime, SlowStep, TracerStageObserver, Q_BATCH0};
+use crate::worker::{Runtime, TracerStageObserver, WorkerStep, Q_BATCH0};
 use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer, RING_CAPACITY};
 use parking_lot::Mutex;
@@ -63,13 +64,14 @@ pub struct LoaderConfig {
     pub shuffle: bool,
     /// RNG seed for shuffling.
     pub seed: u64,
-    /// Fast-role threads, all active from start to end (default: the
-    /// CPU core count).
+    /// The claim share: at most this many pool threads are in a fast
+    /// claim at once (default: the CPU core count).
     pub max_workers: usize,
-    /// Background slow-task workers.
+    /// The slow share: pool threads beyond `max_workers`, so that
+    /// deferred samples resume while `max_workers` threads claim.
     pub slow_workers: usize,
-    /// Capacity of the fast and temp queues. Fixed at the paper's 100
-    /// (§5.1); no builder method sets it.
+    /// Capacity of the temp queue. Fixed at the paper's 100 (§5.1); no
+    /// builder method sets it.
     pub queue_capacity: usize,
     /// Capacity of each per-GPU batch queue. Fixed at the paper's
     /// prefetch factor of 2 (§5.1); no builder method sets it.
@@ -112,9 +114,9 @@ pub struct LoaderConfig {
 }
 
 impl LoaderConfig {
-    /// Threads on the slow role: `slow_workers`, or none with the
-    /// timeout disabled (always so in order-preserving mode), when every
-    /// sample is fast and the temp queue stays empty.
+    /// Pool threads beyond the claim share: `slow_workers`, or none with
+    /// the timeout disabled (always so in order-preserving mode), when
+    /// every sample is fast and the temp queue stays empty.
     pub(crate) fn slow_threads(&self) -> usize {
         if matches!(self.timeout_policy, TimeoutPolicy::Disabled) {
             0
@@ -217,20 +219,21 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
 
     /// Compatibility remnant of the removed adaptive scheduler's start
     /// point: the frozen `benchmark/` package calls `initial_workers(n)`.
-    /// Every one of the `max_workers` fast threads runs from start to
-    /// end; this accepts any `n` and changes nothing. It goes once the
-    /// benchmark drops the call.
+    /// Every pool thread runs from start to end; this accepts any `n`
+    /// and changes nothing. It goes once the benchmark drops the call.
     pub fn initial_workers(self, _n: usize) -> Self {
         self
     }
 
-    /// Fast-role threads, all active from start to end.
+    /// The claim share: at most `n` pool threads claim fast tickets at
+    /// once.
     pub fn max_workers(mut self, n: usize) -> Self {
         self.cfg.max_workers = n;
         self
     }
 
-    /// Background slow-task workers.
+    /// The slow share: `n` pool threads beyond `max_workers`, whose
+    /// worth of steps resumes deferred samples.
     pub fn slow_workers(mut self, n: usize) -> Self {
         self.cfg.slow_workers = n;
         self
@@ -553,12 +556,10 @@ impl<D: Dataset> MinatoLoader<D> {
             Some(ck) => Arc::new(ResumeSampler::new(base_sampler, ck)),
             None => Arc::new(base_sampler),
         };
-        let slow_threads = cfg.slow_threads();
         // No batch thread: the thread that finished a sample (or, in
         // order-preserving mode, a batch) puts it into its batch.
-        let mut ecfg = ExecConfig::fixed(cfg.max_workers + slow_threads);
-        ecfg.idle_wait = cfg.starvation_wait;
-        let exec = ExecHandle::new(ecfg);
+        let threads = cfg.max_workers + cfg.slow_threads();
+        let exec = ExecHandle::new(ExecConfig::fixed(threads));
         // The open batch carries the recycler, and the delivery log
         // starts from the checkpoint's.
         let log = match &resume {
@@ -615,44 +616,17 @@ impl<D: Dataset> MinatoLoader<D> {
         } else {
             None
         };
-        let tracer = rt.tracer.clone();
         let rt = Arc::new(rt);
 
-        // The pipeline stages as executor roles, fast and slow, each
-        // with a fixed slice of the pool.
-        let specs = vec![
-            RoleSpec {
-                name: "fast".into(),
-                step: Arc::new(FastStep::new(Arc::clone(&rt))),
-                budget: cfg.max_workers,
-                threads: cfg.max_workers,
-                max_concurrency: None,
-            },
-            RoleSpec {
-                name: "slow".into(),
-                step: Arc::new(SlowStep::new(Arc::clone(&rt))),
-                budget: slow_threads,
-                threads: slow_threads,
-                max_concurrency: None,
-            },
-        ];
-        let ids = exec.register(specs);
-        // Role switches at drain become RoleSwitch events (arg: 0 fast /
-        // 1 slow / 3 other).
-        if let Some(t) = &tracer {
-            let t2 = Arc::clone(t);
-            let (fast, slow) = (ids[0], ids[1]);
-            exec.set_switch_observer(Arc::new(move |role| {
-                let arg = if role == fast {
-                    0
-                } else if role == slow {
-                    1
-                } else {
-                    3
-                };
-                t2.record(EventKind::RoleSwitch, 0, 0, arg, 0);
-            }));
-        }
+        // One role on every pool thread: each step claims or resumes
+        // under the claim share.
+        exec.register(vec![RoleSpec {
+            name: "worker".into(),
+            step: Arc::new(WorkerStep::new(Arc::clone(&rt))),
+            budget: threads,
+            threads,
+            max_concurrency: None,
+        }]);
         let executor = exec
             .spawn()
             .map_err(|e| LoaderError::Config(format!("spawn failed: {e}")))?;

@@ -53,10 +53,10 @@ pub struct LoaderStats {
     /// resident bytes) per element type; `None` when pooling is
     /// disabled (the default).
     pub pool: Option<PoolSetStats>,
-    /// Executor counters for the loader's roles: per-role budget (its
-    /// fixed thread count), occupancy, progressing steps, and the drain phase's steals (work
-    /// run at/over budget) and role switches. Always `Some`; optional
-    /// because the frozen `benchmark/` package reads it as such.
+    /// Executor counters for the loader's one role, `"worker"`: pool
+    /// threads still running and progressing steps (`role_switches` and
+    /// `steals` always read 0). Always `Some`; optional because the
+    /// frozen `benchmark/` package reads it as such.
     pub exec: Option<ExecStats>,
     /// Compatibility remnant, always `max_workers`: the frozen
     /// `benchmark/` package reads it for its `scheduler.workers_mean`

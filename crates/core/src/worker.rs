@@ -1,31 +1,35 @@
-//! Role handlers and the shared loader runtime.
+//! The worker step and the shared loader runtime.
 //!
 //! The runtime wires together the queue topology of Figure 5:
 //!
 //! ```text
-//! sampler → [fast role] ── shuffled ──────────→ open batch ──┐
-//!              │ └─ ordered: one claimed batch → window ─────┤
-//!              │ timeout                                     ↓
-//!              └→ temp_q → [slow role] → open batch     batch_q[gpu] → training
+//! sampler → [claim] ── shuffled ──────────→ open batch ──┐
+//!             │ └─ ordered: one claimed batch → window ──┤
+//!             │ timeout                                  ↓
+//!             └→ temp_q → [resume] → open batch     batch_q[gpu] → training
 //! ```
 //!
-//! The stages are [`minato_exec::RoleStep`] implementations ([`FastStep`]
-//! and [`SlowStep`]) run one bounded step at a time by the loader's
-//! executor pool: each stage has its own fixed threads, all active from
-//! start to end, and a thread whose stage is exhausted joins the stages
-//! still live, so the deferred backlog at the end of a run is finished
-//! by the whole pool.
+//! Both halves are one step, [`WorkerStep`], the only role of the
+//! loader's executor pool: `max_workers` threads plus `slow_workers`
+//! when a timeout can defer samples, all active from start to end, none
+//! bound to either half. A step claims fast tickets while fewer than
+//! `max_workers` threads are in a claim, and otherwise resumes one
+//! deferred sample from `temp_q`; so the fast side keeps `max_workers`
+//! threads' worth and the slow side the rest (its fixed share),
+//! whichever threads they are. Once the sampler is drained every thread
+//! resumes, so the deferred backlog at the end of a run is finished by
+//! the whole pool.
 //!
 //! Batches fill in the one open batch the runtime owns (`Runtime::open`),
 //! under a short-held lock, and every push goes through one entry point
 //! ([`Runtime::deliver_claim`]). In shuffled mode the thread that
-//! finished a sample pushes it there itself: a fast worker every flush
-//! of its claim, a slow worker (or a fast one helping it) every resumed
-//! sample. No queue and no batch thread sit between a finished sample
-//! and its batch, and a slow sample joins the next batch to fill (§4.1).
+//! finished a sample pushes it there itself: a claiming worker every
+//! flush of its claim, a resuming (or helping) one every resumed sample.
+//! No queue and no batch thread sit between a finished sample and its
+//! batch, and a slow sample joins the next batch to fill (§4.1).
 //!
 //! Order-preserving mode (§6) classifies and defers nothing and works at
-//! batch granularity, as PyTorch's DataLoader does. A fast step claims
+//! batch granularity, as PyTorch's DataLoader does. A claim takes
 //! one batch of tickets under the window lock, which numbers the claim
 //! k in claim order, fills that batch itself and parks it in slot k of
 //! the window ([`Runtime::park`]); whoever parks the awaited slot emits
@@ -65,11 +69,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a slow-role step waits for a deferred sample before it
-/// reports idle. A slow worker has nowhere else to go while its role is
-/// live, and a put or the close of the temp queue ends the wait at once,
-/// so the bound only sets how often an idle worker returns to the
-/// executor.
+/// How long a step outside the claim share waits for a deferred sample
+/// before it reports idle. A put or the close of the temp queue ends the
+/// wait at once, so the bound only sets how often an idle worker looks
+/// again for a free place in the claim share.
 const SLOW_CLAIM_WAIT: Duration = Duration::from_millis(25);
 
 /// Tickets a shuffled fast worker claims from the sampler per step when
@@ -239,7 +242,7 @@ pub(crate) struct Runtime<D: Dataset> {
     pub recycler: Option<Arc<dyn SampleRecycler<D::Sample>>>,
     pub temp_q: MinatoQueue<Deferred<D::Sample>>,
     pub batch_qs: Vec<MinatoQueue<Batch<D::Sample>>>,
-    /// Control handle of the executor pool running this loader's roles.
+    /// Control handle of the executor pool running this loader's steps.
     pub exec: ExecHandle,
     /// The open batch of shuffled mode, carrying the recycler. Held only
     /// to push samples and emit the batches they fill
@@ -265,10 +268,13 @@ pub(crate) struct Runtime<D: Dataset> {
     /// Set by the one thread that runs the close cascade
     /// ([`Runtime::maybe_close_sources`]).
     closing: AtomicBool,
-    /// The single moonlighting token: the fast worker that holds it is
+    /// The single moonlighting token: the claiming worker that holds it is
     /// completing deferred samples between two of its claims (see
     /// [`Runtime::moonlight`]); the others keep producing fast samples.
     pub slow_helper: AtomicBool,
+    /// Threads in a claim right now: at most `max_workers`
+    /// ([`Runtime::claim_share`]).
+    claiming: AtomicUsize,
     pub samples_out: Counter,
     pub bytes_out: Counter,
     pub batches_out: Counter,
@@ -328,7 +334,7 @@ impl<D: Dataset> Runtime<D> {
     /// `recycler`, and its delivery record starts from `log` (a resumed
     /// run's checkpoint). `MinatoLoader::start` sets what else
     /// the builder configured before it shares the runtime; unit tests
-    /// drive the role steps against it directly.
+    /// drive the worker step against it directly.
     pub(crate) fn new(
         cfg: LoaderConfig,
         dataset: D,
@@ -366,6 +372,7 @@ impl<D: Dataset> Runtime<D> {
             source_drained: AtomicBool::new(false),
             closing: AtomicBool::new(false),
             slow_helper: AtomicBool::new(false),
+            claiming: AtomicUsize::new(0),
             samples_out: Counter::new(),
             bytes_out: Counter::new(),
             batches_out: Counter::new(),
@@ -567,7 +574,7 @@ impl<D: Dataset> Runtime<D> {
     /// are already closed and the emit fails harmlessly.
     ///
     /// Called after every `in_flight` release that can be the last: the
-    /// end of a fast step and each resumed sample's delivery. The release
+    /// end of a claim and each resumed sample's delivery. The release
     /// and the drained flag are both `SeqCst`, so of two threads racing
     /// over the last release and the flag, one sees both.
     fn maybe_close_sources(&self) {
@@ -588,8 +595,8 @@ impl<D: Dataset> Runtime<D> {
     // ------------------------------------------------------------------
     // Backpressure helping.
     //
-    // A fast worker facing a full temp queue does not wait for the slow
-    // workers to drain it: it completes one deferred sample inline
+    // A claiming worker facing a full temp queue does not wait for the
+    // resuming steps to drain it: it completes one deferred sample inline
     // (`route_deferred`), which also frees the slot it needs. A finished
     // sample goes into the open batch in shuffled mode, so the chain
     // bottoms out at the per-GPU batch queues, which only the external
@@ -661,7 +668,7 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Completes one deferred sample just popped from the temp queue and
-    /// delivers it into the open batch: one unit of slow-role work,
+    /// delivers it into the open batch: one unit of slow-side work,
     /// whoever runs it. Its ticket leaves `in_flight` only after the push
     /// (or the quarantine), so the close cascade cannot flush the open
     /// batch under it. False once the batch queues closed (shutting
@@ -679,7 +686,7 @@ impl<D: Dataset> Runtime<D> {
     }
 
     /// Pops one deferred sample from the temp queue and completes it
-    /// inline (a fast-role worker moonlighting as a slow worker).
+    /// inline (a claiming worker helping the slow side).
     /// Returns whether anything was there to help with.
     fn help_slow_once(&self) -> bool {
         match self.temp_q.try_pop() {
@@ -691,17 +698,17 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
-    /// Early slow-path help, run by a fast worker between two claims:
+    /// Early slow-path help, run by a claiming worker between two claims:
     /// when the temp-queue backlog exceeds `TICKET_CHUNK` per slow
     /// worker, the one worker that wins the `slow_helper` token
     /// completes deferred samples until the backlog is back under that
-    /// mark. The other fast workers keep producing,
-    /// so the temp queue stays short without the fast path ever
-    /// stopping as a whole (which is what happens when it fills up and
-    /// every worker helps inline from [`Runtime::route_deferred`], still
-    /// the progress backstop). Each deferred sample holds its own ticket
-    /// in `in_flight` until it is delivered, so the close cascade waits
-    /// for it whoever completes it.
+    /// mark. The other claiming workers keep producing, so the temp
+    /// queue stays short without the fast path ever stopping as a whole
+    /// (which is what happens when it fills up and every worker helps
+    /// inline from [`Runtime::route_deferred`], still the progress
+    /// backstop). Each deferred sample holds its own ticket in
+    /// `in_flight` until it is delivered, so the close cascade waits for
+    /// it whoever completes it.
     // minato-verify: hot-path
     fn moonlight(&self) {
         let mark = TICKET_CHUNK * self.cfg.slow_workers.max(1);
@@ -717,7 +724,20 @@ impl<D: Dataset> Runtime<D> {
         self.slow_helper.store(false, Ordering::Release);
     }
 
-    /// Tickets the next fast step claims: one batch in order-preserving
+    /// A place in the claim share: `Some` while the sampler is not known
+    /// to be drained and fewer than `max_workers` threads are in a claim.
+    /// The place is given back when the guard drops, on every path out
+    /// of the claim; a refused step gives back what it took at once.
+    fn claim_share(&self) -> Option<ClaimShare<'_>> {
+        if self.source_drained.load(Ordering::SeqCst) {
+            return None;
+        }
+        let ahead = self.claiming.fetch_add(1, Ordering::AcqRel);
+        let share = ClaimShare(&self.claiming);
+        (ahead < self.cfg.max_workers).then_some(share)
+    }
+
+    /// Tickets the next claim takes: one batch in order-preserving
     /// mode, otherwise [`claim_size`] under the balancer's current cutoff.
     fn fast_claim(&self) -> usize {
         if self.cfg.order_preserving {
@@ -817,12 +837,33 @@ impl<D: Dataset> Runtime<D> {
     }
 }
 
-/// Fast role: claims tickets, loads, preprocesses against the balancer's
-/// timeout, and routes each sample to its batch or to the temp queue
-/// (Algorithm 1 lines 6–12). One step = one claim: in shuffled mode
-/// eight tickets by default, and under a cutoff as many as fit in one
-/// hold window, up to one batch (at most `queue_capacity`); in
-/// order-preserving mode exactly one batch, numbered in the window.
+/// Gives a place in the claim share back when dropped
+/// ([`Runtime::claim_share`]).
+struct ClaimShare<'a>(&'a AtomicUsize);
+
+impl Drop for ClaimShare<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The one worker step (Algorithm 1): every thread of the loader's pool
+/// runs it. While the sampler has tickets and fewer than `max_workers`
+/// threads are in a claim, a step claims fast tickets
+/// ([`WorkerStep::claim`]); otherwise it resumes one deferred sample
+/// ([`WorkerStep::resume`]), waiting at most [`SLOW_CLAIM_WAIT`] for one.
+/// So the slow side is a fixed share of the pool, `slow_workers`
+/// threads' worth, served by whichever threads find the claim share
+/// full. A claim that finds the sampler drained goes on to resume in
+/// the same step, and from then on every step resumes, until the close
+/// cascade closes `temp_q` and each thread sees it closed and drained.
+///
+/// **Claim** (lines 6–12): load, preprocess against the balancer's
+/// timeout, and route each sample to its batch or to the temp queue.
+/// One claim is, in shuffled mode, eight tickets by default, and under
+/// a cutoff as many as fit in one hold window, up to one batch (at most
+/// `queue_capacity`); in order-preserving mode exactly one batch,
+/// numbered in the window.
 ///
 /// Completed fast samples accumulate in a claim-local buffer so that
 /// the dominant per-sample cost (a lock acquisition) is paid once per
@@ -848,8 +889,9 @@ impl<D: Dataset> Runtime<D> {
 /// interrupts itself with no deadline set is quarantined, as PyTorch's
 /// DataLoader skips it.
 ///
-/// Between two claims, one fast worker at a time moonlights on slow
-/// overflow ([`Runtime::moonlight`]).
+/// Between two claims, one claiming worker at a time moonlights on slow
+/// overflow ([`Runtime::moonlight`]), and a claim that meets a full temp
+/// queue completes deferred samples inline ([`Runtime::route_deferred`]).
 ///
 /// An untraced, uncached sample reads the clock twice: where
 /// [`TransformCtx::with_timeout`] anchors the deadline after the load,
@@ -861,18 +903,27 @@ impl<D: Dataset> Runtime<D> {
 /// cache hit or admission (with a cache attached every sample reads its
 /// own). A sample's busy time is `anchor − t0 + elapsed`, which the
 /// hold rule reads.
-pub(crate) struct FastStep<D: Dataset> {
+///
+/// **Resume** (lines 14–18, with the batch worker's merge done by the
+/// thread that finished the sample): one deferred sample from its
+/// recorded transform index, without any timeout, delivered into the
+/// open batch on its own, so a finished sample is never withheld behind
+/// another's unbounded background work. Taking one at a time also keeps
+/// the whole backlog visible in the temp queue, to the moonlighting
+/// worker's backlog test and to every thread once the source has
+/// drained.
+pub(crate) struct WorkerStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
 }
 
-impl<D: Dataset> FastStep<D> {
-    pub(crate) fn new(rt: Arc<Runtime<D>>) -> FastStep<D> {
-        FastStep { rt }
+impl<D: Dataset> WorkerStep<D> {
+    pub(crate) fn new(rt: Arc<Runtime<D>>) -> WorkerStep<D> {
+        WorkerStep { rt }
     }
-}
 
-impl<D: Dataset> RoleStep for FastStep<D> {
-    fn step(&self) -> StepOutcome {
+    /// One claim; `Exhausted` once the sampler is found drained or the
+    /// queues closed under it (shutting down).
+    fn claim(&self) -> StepOutcome {
         let rt = &*self.rt;
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
@@ -882,8 +933,8 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         // a concurrent worker observing the drained sampler cannot close
         // the queues while these samples are between claim and routing.
         rt.in_flight.fetch_add(claim, Ordering::SeqCst);
-        // Between two claims. Once the source is drained, the fast
-        // workers join the slow role as their own runs out.
+        // Between two claims. Once the source is drained, every step
+        // resumes.
         if !rt.source_drained.load(Ordering::SeqCst) {
             rt.moonlight();
         }
@@ -1139,34 +1190,11 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             StepOutcome::Progress
         }
     }
-}
 
-/// Slow role: resumes deferred samples from their recorded transform
-/// index, without any timeout, and delivers each into the open batch
-/// (Algorithm 1 lines 14–18, with the batch worker's merge done by the
-/// thread that finished the sample). One step = one deferred sample,
-/// claimed and delivered on its own, so a finished sample is never
-/// withheld behind another's unbounded background work. The role has
-/// nothing to close: the close cascade runs from the delivery that
-/// releases the last ticket in flight.
-///
-/// Claiming one at a time also keeps the whole backlog visible in the
-/// temp queue: a burst of eight 6 ms samples claimed by one worker would
-/// be 45 ms of work serialised on that thread and hidden from the
-/// moonlighting fast worker's backlog test ([`Runtime::moonlight`]) and
-/// from the workers that share this role once the source has drained.
-pub(crate) struct SlowStep<D: Dataset> {
-    rt: Arc<Runtime<D>>,
-}
-
-impl<D: Dataset> SlowStep<D> {
-    pub(crate) fn new(rt: Arc<Runtime<D>>) -> SlowStep<D> {
-        SlowStep { rt }
-    }
-}
-
-impl<D: Dataset> RoleStep for SlowStep<D> {
-    fn step(&self) -> StepOutcome {
+    /// One deferred sample from the temp queue, resumed and delivered;
+    /// `Idle` when none came within [`SLOW_CLAIM_WAIT`], `Exhausted` once
+    /// the queue is closed and drained or the batch queues closed.
+    fn resume(&self) -> StepOutcome {
         let rt = &*self.rt;
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
@@ -1182,6 +1210,19 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
             Ok(None) => StepOutcome::Idle,
             Err(Closed) => StepOutcome::Exhausted, // Closed and drained.
         }
+    }
+}
+
+impl<D: Dataset> RoleStep for WorkerStep<D> {
+    fn step(&self) -> StepOutcome {
+        if let Some(_share) = self.rt.claim_share() {
+            let out = self.claim();
+            if out == StepOutcome::Progress || self.rt.is_shutdown() {
+                return out;
+            }
+            // The claim found the sampler drained: resume from now on.
+        }
+        self.resume()
     }
 }
 
@@ -1515,7 +1556,7 @@ mod tests {
             let rt = runtime_over(cfg, n as u32, pipeline);
             assert_eq!(rt.fast_claim(), n);
             let rt2 = Arc::clone(&rt);
-            let worker = thread::spawn(move || RoleStep::step(&FastStep::new(rt2)));
+            let worker = thread::spawn(move || RoleStep::step(&WorkerStep::new(rt2)));
             // Hold sample 0 inside its transform for `starvation_wait` by
             // this thread's clock; the worker's own measurement spans it.
             spin_until("sample 0 never started", || {
@@ -1553,7 +1594,7 @@ mod tests {
             // Out of reach of any scheduling hiccup inside a chunk.
             cfg.starvation_wait = Duration::from_secs(10);
             let rt = runtime_over(cfg, 16, Pipeline::identity());
-            let step = FastStep::new(Arc::clone(&rt));
+            let step = WorkerStep::new(Arc::clone(&rt));
             let mut steps = 0;
             while RoleStep::step(&step) != StepOutcome::Exhausted {
                 steps += 1;
@@ -1580,7 +1621,7 @@ mod tests {
         cfg.starvation_wait = Duration::from_secs(10);
         let rt = runtime_over(cfg, 128, Pipeline::identity());
         assert_eq!(rt.fast_claim(), 64);
-        let step = FastStep::new(Arc::clone(&rt));
+        let step = WorkerStep::new(Arc::clone(&rt));
         while RoleStep::step(&step) != StepOutcome::Exhausted {}
         assert_eq!(rt.batches_out.get(), 2, "one publish per claim of 64");
         assert_eq!(rt.samples_out.get(), 128);
@@ -1615,7 +1656,7 @@ mod tests {
             });
             let rt = runtime_over(cfg, 8, Pipeline::new(vec![spin]));
             assert_eq!(rt.fast_claim(), 8, "one claim of 8");
-            let step = FastStep::new(Arc::clone(&rt));
+            let step = WorkerStep::new(Arc::clone(&rt));
             while RoleStep::step(&step) != StepOutcome::Exhausted {}
             let PopResult::Item(batch) = rt.batch_qs[0].try_pop() else {
                 panic!("no batch emitted (ordered: {ordered})");
@@ -1650,7 +1691,7 @@ mod tests {
                 open.push(prepared(1000 + i));
             }
         }
-        let step = FastStep::new(Arc::clone(&rt));
+        let step = WorkerStep::new(Arc::clone(&rt));
         assert_eq!(RoleStep::step(&step), StepOutcome::Progress);
         assert_eq!(rt.batches_out.get(), 1);
         let batch = rt.batch_qs[0].try_pop();
@@ -1707,7 +1748,7 @@ mod tests {
             let rt = runtime_over(cfg, claim as u32, deferring);
             assert_eq!(rt.fast_claim(), claim);
             assert_eq!(
-                RoleStep::step(&FastStep::new(Arc::clone(&rt))),
+                RoleStep::step(&WorkerStep::new(Arc::clone(&rt))),
                 StepOutcome::Progress
             );
             assert_eq!(rt.batches_out.get(), batches, "claim of {claim}");
@@ -1732,7 +1773,7 @@ mod tests {
         let rt = runtime_over(cfg, 64, pipeline);
         assert_eq!(rt.fast_claim(), 64);
         assert_eq!(
-            RoleStep::step(&FastStep::new(Arc::clone(&rt))),
+            RoleStep::step(&WorkerStep::new(Arc::clone(&rt))),
             StepOutcome::Progress
         );
         assert_eq!(rt.batches_out.get(), 1, "held");
@@ -1757,7 +1798,7 @@ mod tests {
         })]);
         let rt = runtime_over(cfg, 24, pipeline);
         assert_eq!(rt.fast_claim(), TICKET_CHUNK);
-        let step = FastStep::new(Arc::clone(&rt));
+        let step = WorkerStep::new(Arc::clone(&rt));
         while RoleStep::step(&step) != StepOutcome::Exhausted {}
         let batches: Vec<Vec<u32>> = rt.batch_qs[0]
             .pop_many(usize::MAX)
@@ -1777,16 +1818,17 @@ mod tests {
     #[test]
     fn a_resumed_sample_lands_in_the_open_batch_before_its_ticket_leaves() {
         let rt = mini_runtime(mini_cfg());
-        let slow = SlowStep::new(Arc::clone(&rt));
-        // Two deferred tickets, in flight as the fast worker left them.
+        let slow = WorkerStep::new(Arc::clone(&rt));
+        // Two deferred tickets, in flight as the claiming worker left
+        // them, and the source drained: every step resumes.
         rt.in_flight.fetch_add(2, Ordering::SeqCst);
         rt.temp_q.put(deferred(7)).unwrap();
         rt.temp_q.put(deferred(8)).unwrap();
+        rt.source_drained.store(true, Ordering::SeqCst);
         assert_eq!(RoleStep::step(&slow), StepOutcome::Progress);
         assert_eq!(rt.open.lock().samples, [7]);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 1);
         assert!(!rt.batch_qs[0].is_closed());
-        rt.source_drained.store(true, Ordering::SeqCst);
         assert_eq!(RoleStep::step(&slow), StepOutcome::Progress);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         assert!(rt.temp_q.is_closed(), "the last delivery ran the cascade");
@@ -1801,9 +1843,9 @@ mod tests {
         assert_eq!(RoleStep::step(&slow), StepOutcome::Exhausted);
     }
 
-    /// Ordered fast steps on three threads, the consumer stopped and
-    /// the awaited claim's first sample held in its transform: the
-    /// others claim, fill and park the next R − 1 batches and then wait,
+    /// Ordered steps on three threads (two claim at a time:
+    /// `max_workers`), the consumer stopped and the awaited claim's first
+    /// sample held in its transform: the others claim, fill and park the next R − 1 batches and then wait,
     /// so claims stay within R = `prefetch_factor × max_workers` of the
     /// awaited one and no later ticket is touched. Released, the awaited
     /// claim emits what the two-batch queue takes, its worker blocks on
@@ -1831,7 +1873,7 @@ mod tests {
             .map(|_| {
                 let rt = Arc::clone(&rt);
                 thread::spawn(move || {
-                    let step = FastStep::new(rt);
+                    let step = WorkerStep::new(rt);
                     while RoleStep::step(&step) != StepOutcome::Exhausted {}
                 })
             })
@@ -1903,12 +1945,13 @@ mod tests {
         })]);
         let rt = runtime_over(cfg, 6, pipeline);
         let rt2 = Arc::clone(&rt);
-        let first = thread::spawn(move || RoleStep::step(&FastStep::new(rt2)));
+        let first = thread::spawn(move || RoleStep::step(&WorkerStep::new(rt2)));
         spin_until("claim 0 never started", || rt.window.lock().claimed == 1);
-        // Claims 1 and 2 park behind claim 0; the third step drains the
-        // source and finds claim 0's tickets still in flight.
-        let step = FastStep::new(Arc::clone(&rt));
-        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        // Claims 1 and 2 park behind claim 0; the third claim drains the
+        // source and finds claim 0's tickets still in flight. (Claimed
+        // directly: claim 0 holds the one place in the claim share.)
+        let step = WorkerStep::new(Arc::clone(&rt));
+        while step.claim() != StepOutcome::Exhausted {}
         assert!(rt.source_drained.load(Ordering::SeqCst));
         assert!(
             !rt.batch_qs[0].is_closed(),
@@ -1924,7 +1967,7 @@ mod tests {
     }
 
     /// Moonlighting: with a temp-queue backlog over the mark, exactly
-    /// one of three fast workers completes deferred samples while the
+    /// one of three claiming workers completes deferred samples while the
     /// other two drain the sampler. The deferred tickets, in flight until
     /// their samples are delivered, keep the close cascade off until the
     /// helper is done, so nothing is lost; its delivery runs the cascade.
@@ -1951,7 +1994,7 @@ mod tests {
         // Mark = `TICKET_CHUNK` × 1 slow worker; the backlog is twice it.
         const BACKLOG: u32 = 2 * TICKET_CHUNK as u32;
         let rt = runtime_over(mini_cfg(), 12, pipeline);
-        // In flight, as the fast workers that deferred them left them.
+        // In flight, as the claiming workers that deferred them left them.
         rt.in_flight.fetch_add(BACKLOG as usize, Ordering::SeqCst);
         for k in 0..BACKLOG {
             rt.temp_q.put(deferred(DEFERRED + k)).unwrap();
@@ -1960,9 +2003,11 @@ mod tests {
         let workers: Vec<_> = (0..3)
             .map(|_| {
                 let (rt, returned) = (Arc::clone(&rt), Arc::clone(&returned));
+                // Claims only, outside the claim share: the three claim
+                // side by side, and none resumes once the source drains.
                 thread::spawn(move || {
-                    let step = FastStep::new(rt);
-                    while RoleStep::step(&step) != StepOutcome::Exhausted {}
+                    let step = WorkerStep::new(rt);
+                    while step.claim() != StepOutcome::Exhausted {}
                     returned.fetch_add(1, Ordering::SeqCst);
                 })
             })
@@ -1971,17 +2016,18 @@ mod tests {
         // gated sample; the other two saw the same backlog at every one
         // of their steps, were refused, and drained the sampler.
         spin_until(
-            "the other two fast workers never drained the source",
+            "the other two claiming workers never drained the source",
             || returned.load(Ordering::SeqCst) == 2 && inside.load(Ordering::SeqCst) == 1,
         );
         assert_eq!(most.load(Ordering::SeqCst), 1, "two helpers at once");
         assert!(rt.source_drained.load(Ordering::SeqCst));
-        // The slow role meanwhile works the queue down and then finds it
-        // empty but *open*: had the helper's sample left `in_flight`
-        // before its delivery, the drain would have closed it and
-        // flushed the open batch and closed the batch queues under the
-        // sample the helper still holds.
-        let slow = SlowStep::new(Arc::clone(&rt));
+        // A step, which resumes once the source is drained, meanwhile
+        // works the queue down and then finds it empty but *open*: had
+        // the helper's sample left `in_flight` before its delivery, the
+        // drain would have closed it and flushed the open batch and
+        // closed the batch queues under the sample the helper still
+        // holds.
+        let slow = WorkerStep::new(Arc::clone(&rt));
         let mut outcome = RoleStep::step(&slow);
         while outcome == StepOutcome::Progress {
             outcome = RoleStep::step(&slow);
@@ -2061,23 +2107,62 @@ mod tests {
         assert_eq!(rt.batch_qs[0].len(), 1, "stalled queue untouched");
     }
 
-    /// A slow step with an empty-but-open temp queue reports idle (so a
-    /// draining worker bids elsewhere) and exhausted once it closes. In
-    /// either mode the slow role closes nothing itself: the batch queues
-    /// stay open for the close cascade.
+    /// A step that resumes (here: the source is drained) reports idle on
+    /// an empty-but-open temp queue, and exhausted once it closes. In
+    /// either mode resuming closes nothing itself: the batch queues stay
+    /// open for the close cascade.
     #[test]
     fn slow_step_reports_idle_then_exhausted() {
         for ordered in [false, true] {
             let mut cfg = mini_cfg();
             cfg.order_preserving = ordered;
             let rt = mini_runtime(cfg);
-            let step = SlowStep::new(Arc::clone(&rt));
+            rt.source_drained.store(true, Ordering::SeqCst);
+            let step = WorkerStep::new(Arc::clone(&rt));
             assert_eq!(RoleStep::step(&step), StepOutcome::Idle);
             rt.temp_q.close();
             assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
             step.finish();
             assert!(!rt.batch_qs[0].is_closed(), "ordered: {ordered}");
         }
+    }
+
+    /// A step claims only while fewer than `max_workers` threads are in a
+    /// claim, and gives its place back on every path out: a claim that
+    /// finds the sampler drained although the flag was unset when the
+    /// step checked it, a claim refused at shutdown, and a step refused a
+    /// place, which resumes a deferred sample instead.
+    #[test]
+    fn the_claim_share_is_given_back_on_every_path() {
+        let claiming = |rt: &Runtime<Ds>| rt.claiming.load(Ordering::SeqCst);
+        // Drained under the check: no tickets, the flag not yet set.
+        let rt = runtime_over(mini_cfg(), 0, Pipeline::identity());
+        let step = WorkerStep::new(Arc::clone(&rt));
+        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
+        assert!(rt.source_drained.load(Ordering::SeqCst));
+        assert_eq!(claiming(&rt), 0, "drained claim");
+        // Shut down with tickets left.
+        let rt = runtime_over(mini_cfg(), 8, Pipeline::identity());
+        let step = WorkerStep::new(Arc::clone(&rt));
+        rt.initiate_shutdown();
+        assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
+        assert_eq!(claiming(&rt), 0, "shutdown");
+        // The one place (`max_workers` 1) held elsewhere: the step
+        // resumes the deferred sample and leaves the sampler alone.
+        let rt = runtime_over(mini_cfg(), 8, Pipeline::identity());
+        let step = WorkerStep::new(Arc::clone(&rt));
+        let held = rt.claim_share().expect("a free place");
+        assert!(rt.claim_share().is_none(), "two places in a share of one");
+        rt.in_flight.fetch_add(1, Ordering::SeqCst);
+        rt.temp_q.put(deferred(100)).unwrap();
+        assert_eq!(RoleStep::step(&step), StepOutcome::Progress);
+        assert_eq!(rt.open.lock().samples, [100]);
+        assert_eq!((rt.batches_out.get(), claiming(&rt)), (0, 1));
+        drop(held);
+        assert_eq!(claiming(&rt), 0);
+        assert_eq!(RoleStep::step(&step), StepOutcome::Progress);
+        assert_eq!(rt.batches_out.get(), 2, "a claim of eight, batches of four");
+        assert_eq!(claiming(&rt), 0, "claim");
     }
 
     #[test]

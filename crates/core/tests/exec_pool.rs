@@ -1,10 +1,11 @@
 //! Integration tests for the loader on its executor pool: exactly-once
-//! delivery across a fast/slow phase shift, the work-conserving drain,
-//! strict ordering, and shutdown/drop idempotency.
+//! delivery across a fast/slow phase shift, the claim share of the one
+//! worker step, the whole pool resuming the deferred backlog once the
+//! sampler drains, strict ordering, and shutdown/drop idempotency.
 
 use minato_core::prelude::*;
 use minato_core::transform::{Outcome, Transform, TransformCtx};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
@@ -72,39 +73,49 @@ fn pool_delivers_the_samplers_ticket_set_exactly_once() {
         .build()
         .expect("valid configuration");
     let mut got = Vec::new();
+    let mut resumed = 0usize;
     for b in loader.iter() {
         for (s, m) in b.samples.iter().zip(&b.meta) {
             assert_eq!(*s as usize, m.index, "sample detached from its ticket");
             got.push((m.epoch, m.index, m.seq));
+            resumed += usize::from(m.slow);
         }
     }
     got.sort_unstable();
     let mut want = sampler_tickets(n as usize, epochs, false, 0);
     want.sort_unstable();
     assert_eq!(got, want, "missing or duplicated tickets");
-    // Shuffled mode runs the fast and slow roles only: finished samples
+    assert!(resumed > 0, "no sample went down the slow path");
+    // One role, the worker step, on every pool thread: finished samples
     // go into their batches from the thread that finished them.
     let exec = loader.stats().exec.expect("executor stats present");
-    assert_eq!(exec.roles.len(), 2);
-    assert!(exec.role("fast").unwrap().steps > 0);
-    assert!(exec.role("slow").unwrap().steps > 0);
-    assert!(exec.role("batch").is_none(), "{exec:?}");
+    assert_eq!(role_names(&exec), ["worker"]);
+    assert!(exec.role("worker").unwrap().steps > 0);
+    assert_eq!(exec.threads, 3 + 1, "max_workers + slow_workers");
+}
+
+/// The names of the executor's roles, in registration order.
+fn role_names(exec: &ExecStats) -> Vec<&str> {
+    exec.roles.iter().map(|r| r.name.as_str()).collect()
 }
 
 /// Defers every fourth sample on its deadline-bearing first run. The
 /// background resume holds its sample until two threads are resuming at
-/// once. A second resumer has three possible sources: a fast worker
-/// helping inline because the temp queue is full, a fast worker
-/// *moonlighting* between two chunks because the backlog passed
-/// `TICKET_CHUNK × slow_workers` (8 with one slow worker), or a fast
-/// worker that joined the slow role after the source drained. The test
-/// below sizes its run to rule out the first two (a temp queue too deep
-/// to fill, eight deferred samples in all), so the third is the only one
-/// left. Bounded, so a pool that never sends one fails the assertions
-/// instead of hanging.
+/// once, and records which threads resumed. While the sampler has
+/// tickets, a resumer beside the first has three possible sources: a
+/// claiming worker helping inline because the temp queue is full, one
+/// *moonlighting* between two claims because the backlog passed
+/// `TICKET_CHUNK × slow_workers` (8 with one slow worker), or a step
+/// refused a place in the claim share. The test below rules out all
+/// three: a temp queue too deep to fill, eight deferred samples in all,
+/// and a pool one thread wider than the share, that thread being the
+/// first resumer, held here. So the second resumer comes after the
+/// sampler drained, when every step resumes. Bounded, so a pool that
+/// never sends one fails the assertions instead of hanging.
 struct DeferUntilHelped {
     resuming: AtomicUsize,
     max_resuming: AtomicUsize,
+    resumers: Mutex<HashSet<std::thread::ThreadId>>,
 }
 
 impl Transform<u32> for DeferUntilHelped {
@@ -124,6 +135,10 @@ impl Transform<u32> for DeferUntilHelped {
         }
         let now = self.resuming.fetch_add(1, Ordering::AcqRel) + 1;
         self.max_resuming.fetch_max(now, Ordering::AcqRel);
+        self.resumers
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
         let deadline = Instant::now() + Duration::from_secs(10);
         while self.max_resuming.load(Ordering::Acquire) < 2 && Instant::now() < deadline {
             std::thread::yield_now();
@@ -133,17 +148,18 @@ impl Transform<u32> for DeferUntilHelped {
     }
 }
 
-/// The loader-level effect of the work-conserving drain, by counters
-/// only: the deferred backlog the pool holds at source drain is adopted
-/// by its fast workers, and delivery stays exactly-once.
+/// Once the sampler drains, every step resumes: the deferred backlog
+/// left at the drain is finished by more than `slow_workers` distinct
+/// threads, and delivery stays exactly-once.
 #[test]
 fn fixed_pool_adopts_the_slow_backlog_at_drain() {
     // 32 samples, every fourth deferred: a backlog of at most 8, which
     // is the moonlight mark, not over it.
-    let (n, epochs) = (16u32, 2usize);
+    let (n, epochs, slow_workers) = (16u32, 2usize, 1usize);
     let gate = Arc::new(DeferUntilHelped {
         resuming: AtomicUsize::new(0),
         max_resuming: AtomicUsize::new(0),
+        resumers: Mutex::new(HashSet::new()),
     });
     let ds = VecDataset::new((0..n).collect::<Vec<_>>());
     let p = Pipeline::new(vec![Arc::clone(&gate) as Arc<dyn Transform<u32>>]);
@@ -151,47 +167,114 @@ fn fixed_pool_adopts_the_slow_backlog_at_drain() {
         .batch_size(8)
         .epochs(epochs)
         .max_workers(3)
-        .slow_workers(1)
+        .slow_workers(slow_workers)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
         .build()
         .expect("valid configuration");
     let mut counts: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut switches_before_drain = 0u64;
     for b in loader.iter() {
         for m in &b.meta {
             *counts.entry((m.epoch, m.index)).or_default() += 1;
-        }
-        // Switch total first, fast-role liveness second: a total read
-        // before the role was seen live was reached before the drain.
-        let exec_stats = || loader.stats().exec.expect("executor stats present");
-        let switches = exec_stats().role_switches;
-        if !exec_stats().role("fast").unwrap().exhausted {
-            switches_before_drain = switches_before_drain.max(switches);
         }
     }
     assert_eq!(counts.len(), n as usize * epochs, "missing samples");
     assert!(counts.values().all(|&c| c == 1), "duplicated samples");
     assert!(
         gate.max_resuming.load(Ordering::Relaxed) >= 2,
-        "the slow worker finished the backlog alone"
+        "the slow share finished the backlog alone"
     );
-    let exec = loader.stats().exec.expect("executor stats present");
+    let resumers = gate.resumers.lock().unwrap().len();
     assert!(
-        exec.role("slow").unwrap().switches_in >= 1,
-        "no fast worker switched into the slow role at drain: {exec:?}"
+        resumers > slow_workers,
+        "{resumers} threads resumed deferred samples"
     );
-    assert_eq!(exec.role("fast").unwrap().switches_in, 0);
+}
+
+/// Counts the threads inside a sample's first, deadline-bearing run (a
+/// claim's work), defers every eighth sample there at once and, on the
+/// sample after it, waits (bounded) until that deferred sample has been
+/// resumed.
+struct ShareProbe {
+    in_first_run: AtomicUsize,
+    max_in_first_run: AtomicUsize,
+    resumes: AtomicUsize,
+    waited_out: AtomicBool,
+}
+
+impl Transform<u32> for ShareProbe {
+    fn name(&self) -> &str {
+        "share-probe"
+    }
+
+    fn apply(&self, x: u32, ctx: &TransformCtx) -> minato_core::error::Result<Outcome<u32>> {
+        if ctx.deadline().is_none() {
+            self.resumes.fetch_add(1, Ordering::AcqRel);
+            return Ok(Outcome::Done(x));
+        }
+        let now = self.in_first_run.fetch_add(1, Ordering::AcqRel) + 1;
+        self.max_in_first_run.fetch_max(now, Ordering::AcqRel);
+        let out = if x.is_multiple_of(8) {
+            Outcome::Interrupted(x)
+        } else {
+            // Sample 8k + 1 waits for the resume of 8k, deferred just
+            // before it in the same claim (a claim is eight tickets).
+            let t0 = Instant::now();
+            let deferred_before = (x / 8 + 1) as usize;
+            while x % 8 == 1 && self.resumes.load(Ordering::Acquire) < deferred_before {
+                if t0.elapsed() >= FAIL_SAFE {
+                    self.waited_out.store(true, Ordering::SeqCst);
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            std::thread::sleep(Duration::from_micros(100));
+            Outcome::Done(x)
+        };
+        self.in_first_run.fetch_sub(1, Ordering::AcqRel);
+        Ok(out)
+    }
+}
+
+/// The claim share: with `max_workers(1).slow_workers(1)` the pool has
+/// two threads and one place in a claim, so no two claims ever overlap,
+/// and the other thread resumes a deferred sample while the claim that
+/// deferred it is still open, held until the resume has run.
+#[test]
+fn one_claim_at_a_time_and_a_deferral_resumes_beside_it() {
+    let n = 64u32;
+    let probe = Arc::new(ShareProbe {
+        in_first_run: AtomicUsize::new(0),
+        max_in_first_run: AtomicUsize::new(0),
+        resumes: AtomicUsize::new(0),
+        waited_out: AtomicBool::new(false),
+    });
+    let ds = VecDataset::new((0..n).collect::<Vec<_>>());
+    let p = Pipeline::new(vec![Arc::clone(&probe) as Arc<dyn Transform<u32>>]);
+    let loader = MinatoLoader::builder(ds, p)
+        .batch_size(8)
+        .shuffle(false)
+        .max_workers(1)
+        .slow_workers(1)
+        .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))
+        .build()
+        .expect("valid configuration");
+    let mut got: Vec<u64> = loader
+        .iter()
+        .flat_map(|b| b.meta.iter().map(|m| m.seq).collect::<Vec<_>>())
+        .collect();
+    got.sort_unstable();
+    assert_eq!(got, (0..n as u64).collect::<Vec<_>>());
+    assert_eq!(probe.resumes.load(Ordering::SeqCst), n as usize / 8);
+    assert!(
+        !probe.waited_out.load(Ordering::SeqCst),
+        "a deferred sample was resumed only after its claim ended"
+    );
     assert_eq!(
-        switches_before_drain, 0,
-        "a worker left a live home role: {exec:?}"
+        probe.max_in_first_run.load(Ordering::SeqCst),
+        1,
+        "two claims overlapped"
     );
-    // Only the three fast threads have a live role left to join once
-    // their own is exhausted (the slow role; shuffled mode has no batch
-    // role), and each joins it once.
-    assert!(
-        exec.role_switches <= 3,
-        "workers kept migrating after the drain: {exec:?}"
-    );
+    assert_eq!(loader.stats().exec.unwrap().threads, 2);
 }
 
 /// Strict mode against the sampler's ground truth: shuffled, across an
@@ -233,23 +316,24 @@ fn order_preserving_keeps_sampler_order() {
             got.extend(b.meta.iter().map(|m| (m.epoch, m.index, m.seq)));
         }
         assert_eq!(got, sampler_tickets(n, epochs, true, seed));
-        // Order-preserving mode runs the fast and slow roles only, and
-        // has no slow thread: nothing is deferred, and the fast workers
-        // batch and reorder what they claim.
+        // Order-preserving mode runs the one worker step on
+        // `max_workers` threads, all in the claim share: nothing is
+        // deferred, and the claiming workers batch and reorder what
+        // they claim.
         let exec = loader.stats().exec.expect("executor stats present");
-        assert_eq!(exec.roles.len(), 2);
-        assert!(exec.role("batch").is_none(), "{exec:?}");
-        assert!(exec.role("fast").unwrap().steps > 0);
-        assert_eq!(exec.role("slow").unwrap().steps, 0);
+        assert_eq!(role_names(&exec), ["worker"]);
+        assert!(exec.role("worker").unwrap().steps > 0);
         assert_eq!(exec.threads, 4, "max_workers only");
+        assert_eq!(loader.stats().slow_flagged, 0, "a sample was deferred");
     }
 }
 
-/// Defers every fourth sample on its first, deadline-bearing run; its
-/// background resume waits until the test opens the gate (or for the
-/// fail-safe).
+/// Defers every fourth sample on its first, deadline-bearing run, and
+/// counts those runs; its background resume waits until the test opens
+/// the gate (or for the fail-safe).
 struct DeferBehindGate {
     open: AtomicBool,
+    first_runs: AtomicUsize,
 }
 
 impl Transform<u32> for DeferBehindGate {
@@ -259,13 +343,16 @@ impl Transform<u32> for DeferBehindGate {
 
     fn apply(&self, x: u32, ctx: &TransformCtx) -> minato_core::error::Result<Outcome<u32>> {
         if ctx.deadline().is_some() {
-            if !x.is_multiple_of(4) {
-                return Ok(Outcome::Done(x));
-            }
-            while !ctx.expired() {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            return Ok(Outcome::Interrupted(x));
+            let out = if x.is_multiple_of(4) {
+                while !ctx.expired() {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Outcome::Interrupted(x)
+            } else {
+                Outcome::Done(x)
+            };
+            self.first_runs.fetch_add(1, Ordering::AcqRel);
+            return Ok(out);
         }
         let t0 = Instant::now();
         while !self.open.load(Ordering::Acquire) && t0.elapsed() < FAIL_SAFE {
@@ -278,13 +365,14 @@ impl Transform<u32> for DeferBehindGate {
 /// Two GPUs fed from the one open batch, with a deferred backlog still
 /// waiting in the temp queue when the source drains: both batch queues
 /// stay open until that backlog is delivered, and every ticket arrives
-/// exactly once. The loader runs the fast and slow roles only, on
+/// exactly once. The loader runs one role, the worker step, on
 /// `max_workers + slow_workers` threads.
 #[test]
 fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
     let n = 64u32;
     let gate = Arc::new(DeferBehindGate {
         open: AtomicBool::new(false),
+        first_runs: AtomicUsize::new(0),
     });
     let ds = VecDataset::new((0..n).collect::<Vec<_>>());
     let p = Pipeline::new(vec![Arc::clone(&gate) as Arc<dyn Transform<u32>>]);
@@ -298,7 +386,7 @@ fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
         .expect("valid configuration");
     let exec = loader.stats().exec.expect("executor stats present");
     assert_eq!(exec.threads, 2 + 1, "max_workers + slow_workers");
-    assert_eq!(exec.roles.len(), 2);
+    assert_eq!(role_names(&exec), ["worker"]);
     let ended = AtomicUsize::new(0);
     let mut got: Vec<(usize, usize, u64)> = std::thread::scope(|s| {
         let consumers: Vec<_> = (0..2)
@@ -314,17 +402,15 @@ fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
                 })
             })
             .collect();
-        // The fast role ends once the source is drained. Every deferred
-        // sample is behind the gate then, most still in the temp queue.
+        // Every ticket has had its first run once the source is
+        // drained. Every deferred sample is behind the gate then, most
+        // still in the temp queue.
         let t0 = Instant::now();
-        let stats = loop {
-            let s = loader.stats();
-            if s.exec.as_ref().unwrap().role("fast").unwrap().exhausted {
-                break s;
-            }
-            assert!(t0.elapsed() < FAIL_SAFE, "the source never drained: {s:?}");
+        while gate.first_runs.load(Ordering::Acquire) < n as usize {
+            assert!(t0.elapsed() < FAIL_SAFE, "the source never drained");
             std::thread::yield_now();
-        };
+        }
+        let stats = loader.stats();
         assert!(
             stats.temp_queue_len > 0,
             "no backlog at the drain: {stats:?}"
@@ -348,9 +434,9 @@ fn batch_queues_stay_open_for_the_deferred_backlog_on_two_gpus() {
 
 /// `batch_workers(n)` and `initial_workers(n)` are inert compatibility
 /// methods: in both modes a loader built with `batch_workers(4)` and
-/// `initial_workers(1)` registers the same roles, with the same budgets,
-/// on as many pool threads as one built without them — no batch role
-/// either way — and the ordered loader delivers the same batches.
+/// `initial_workers(1)` registers the one worker role on as many pool
+/// threads as one built without them, and the ordered loader delivers
+/// the same batches.
 #[test]
 fn batch_workers_and_initial_workers_change_nothing() {
     for ordered in [false, true] {
@@ -372,17 +458,18 @@ fn batch_workers_and_initial_workers_change_nothing() {
         let (plain, set) = (build(false), build(true));
         let shape = |loader: &MinatoLoader<VecDataset<u32>>| {
             let exec = loader.stats().exec.expect("executor stats present");
-            let roles: Vec<(String, usize)> = exec
-                .roles
-                .iter()
-                .map(|r| (r.name.clone(), r.budget))
-                .collect();
-            (exec.threads, roles)
+            let names: Vec<String> = role_names(&exec).into_iter().map(String::from).collect();
+            (exec.threads, names)
         };
-        let (threads, roles) = shape(&plain);
-        assert_eq!(shape(&set), (threads, roles.clone()), "ordered: {ordered}");
-        let names: Vec<&str> = roles.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(names, ["fast", "slow"], "ordered: {ordered}");
+        let (threads, names) = shape(&plain);
+        assert_eq!(shape(&set), (threads, names.clone()), "ordered: {ordered}");
+        assert_eq!(names, ["worker"], "ordered: {ordered}");
+        // `slow_workers(1)` adds a thread only where a timeout can defer.
+        assert_eq!(
+            threads,
+            if ordered { 2 } else { 2 + 1 },
+            "ordered: {ordered}"
+        );
         let batches = |loader: MinatoLoader<VecDataset<u32>>| -> Vec<Vec<u64>> {
             loader
                 .iter()
@@ -528,6 +615,39 @@ fn ordered_resume_starts_at_the_checkpoint() {
         "the resumed run delivered nothing before it drained"
     );
     assert_eq!(post, [2].into_iter().chain(20..64).collect::<Vec<u64>>());
+}
+
+/// Counts its drops.
+struct DropCounter(Arc<AtomicUsize>);
+
+impl Drop for DropCounter {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A dropped loader frees its runtime, dataset included, in both modes:
+/// the executor's handle, which the runtime holds, does not hold the
+/// worker step, which holds the runtime.
+#[test]
+fn a_dropped_loader_frees_its_dataset() {
+    for ordered in [false, true] {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let counter = DropCounter(Arc::clone(&dropped));
+        let ds = minato_core::dataset::FnDataset::new(64, move |i| {
+            let _held = &counter;
+            Ok(i as u32)
+        });
+        let loader = MinatoLoader::builder(ds, Pipeline::identity())
+            .batch_size(8)
+            .order_preserving(ordered)
+            .max_workers(2)
+            .build()
+            .unwrap();
+        assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), 64);
+        drop(loader);
+        assert_eq!(dropped.load(Ordering::SeqCst), 1, "ordered: {ordered}");
+    }
 }
 
 #[test]

@@ -12,12 +12,11 @@
 //! | 3    | duration in nanoseconds (0 for instant events)        |
 //!
 //! `arg` is the kind-specific payload: the pipeline step index for
-//! `StageStart`/`StageEnd`, the queue id for `QueuePut`/`QueuePop`, the
-//! GPU index for `BatchEmit`/`Delivered`, and the role id for
-//! `RoleSwitch`.
+//! `StageStart`/`StageEnd`, the queue id for `QueuePut`/`QueuePop`, and
+//! the GPU index for `BatchEmit`/`Delivered`.
 
 /// Number of distinct [`EventKind`] discriminants.
-pub const KIND_COUNT: usize = 15;
+pub const KIND_COUNT: usize = 14;
 
 /// What happened to a sample (or worker) at one instant of its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,15 +48,12 @@ pub enum EventKind {
     /// The consumer popped the sample inside a batch
     /// (`dur_ns` = ticket-issue → delivery latency, `arg` = GPU index).
     Delivered = 10,
-    /// A pool worker whose home role was exhausted moved onto a
-    /// different role (`arg` = role id).
-    RoleSwitch = 11,
     /// An injected or organic fault fired while processing the sample.
-    FaultHit = 12,
+    FaultHit = 11,
     /// A buffer-pool acquire was served from pooled memory.
-    PoolHit = 13,
+    PoolHit = 12,
     /// A buffer-pool acquire fell through to a fresh allocation.
-    PoolMiss = 14,
+    PoolMiss = 13,
 }
 
 impl EventKind {
@@ -74,7 +70,6 @@ impl EventKind {
         EventKind::SlowResume,
         EventKind::BatchEmit,
         EventKind::Delivered,
-        EventKind::RoleSwitch,
         EventKind::FaultHit,
         EventKind::PoolHit,
         EventKind::PoolMiss,
@@ -100,7 +95,6 @@ impl EventKind {
             EventKind::SlowResume => "slow_resume",
             EventKind::BatchEmit => "batch_emit",
             EventKind::Delivered => "delivered",
-            EventKind::RoleSwitch => "role_switch",
             EventKind::FaultHit => "fault_hit",
             EventKind::PoolHit => "pool_hit",
             EventKind::PoolMiss => "pool_miss",
@@ -119,7 +113,7 @@ pub struct Event {
     pub worker: u8,
     /// Epoch of the sample (0 for sample-less events).
     pub epoch: u16,
-    /// Kind-specific payload (step index, queue id, GPU, role id).
+    /// Kind-specific payload (step index, queue id, GPU).
     pub arg: u32,
     /// Global sample sequence number (0 for sample-less events).
     pub seq: u64,

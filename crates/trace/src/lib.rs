@@ -6,7 +6,7 @@
 //! *where a sample's time went*. Every instrumented thread records
 //! typed [`Event`]s — ticket claim, per-pipeline-step start/end, cache
 //! and pool hit/miss, queue put/pop, slow-path defer/resume, batch
-//! emit, delivery, executor role switches, fault hits — into its own
+//! emit, delivery, fault hits — into its own
 //! bounded lock-free SPSC [`EventRing`]. Recording is allocation-free
 //! and never blocks: a full ring drops the event and counts the drop
 //! (surfaced via [`TraceStats`], so loss is never silent).

@@ -234,9 +234,9 @@ fn pooled_hot_path_flow() {
 /// loader's threads. A loader contains worker panics (and joins swallow
 /// a pool thread that died), so delivery counts alone would pass a
 /// broken run. The workload
-/// leaves the one slow worker a backlog when the source drains, so the
-/// fast workers finish it from the executor's drain phase, and the
-/// loader is dropped before the count is read.
+/// leaves the slow share a backlog when the source drains, so every
+/// pool thread resumes deferred samples at the end, and the loader is
+/// dropped before the count is read.
 #[test]
 fn drained_pool_raises_no_panic_on_any_thread() {
     use std::sync::atomic::{AtomicUsize, Ordering};
