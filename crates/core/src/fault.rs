@@ -56,9 +56,6 @@ pub struct FaultStats {
     /// Samples removed from the delivery stream entirely — the sum of
     /// quarantine decisions across both failure kinds.
     pub quarantined: u64,
-    /// Batches that skipped at least one full/wedged consumer queue and
-    /// were delivered to another GPU instead.
-    pub rerouted: u64,
 }
 
 #[cfg(test)]
@@ -73,6 +70,6 @@ mod tests {
     #[test]
     fn stats_default_is_zero() {
         let s = FaultStats::default();
-        assert_eq!(s.panics + s.poisoned + s.quarantined + s.rerouted, 0);
+        assert_eq!(s.panics + s.poisoned + s.quarantined, 0);
     }
 }

@@ -38,7 +38,7 @@ use crate::pool::AcquireObserver;
 use crate::pool::{PoolRecycler, PoolSet, Reclaim, SampleRecycler};
 use crate::stats::{LoaderStats, MonitorTrace};
 use crate::transform::Pipeline;
-use crate::worker::{Runtime, TracerStageObserver, WorkerStep, Q_BATCH0};
+use crate::worker::{Runtime, TracerStageObserver, WorkerStep, Q_BATCH};
 use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer, RING_CAPACITY};
 use parking_lot::Mutex;
@@ -56,7 +56,7 @@ const CACHE_SHARDS: usize = 8;
 pub struct LoaderConfig {
     /// Samples per emitted batch.
     pub batch_size: usize,
-    /// Number of consumer endpoints (one batch queue per GPU).
+    /// Number of consumer endpoints, all popping the one batch queue.
     pub num_gpus: usize,
     /// Epochs to iterate.
     pub epochs: usize,
@@ -73,8 +73,9 @@ pub struct LoaderConfig {
     /// Capacity of the temp queue. Fixed at the paper's 100 (§5.1); no
     /// builder method sets it.
     pub queue_capacity: usize,
-    /// Capacity of each per-GPU batch queue. Fixed at the paper's
-    /// prefetch factor of 2 (§5.1); no builder method sets it.
+    /// Batches prefetched per GPU: the batch queue holds
+    /// `prefetch_factor × num_gpus`. Fixed at the paper's prefetch factor
+    /// of 2 (§5.1); no builder method sets it.
     pub prefetch_factor: usize,
     /// Balancer timeout policy.
     pub timeout_policy: TimeoutPolicy,
@@ -193,7 +194,7 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
         self
     }
 
-    /// Number of GPUs to feed (one batch queue each).
+    /// Number of GPUs to feed; each pops the next batch ready.
     pub fn num_gpus(mut self, n: usize) -> Self {
         self.cfg.num_gpus = n;
         self
@@ -516,7 +517,9 @@ struct LoaderParts<D: Dataset> {
 /// The MinatoLoader runtime handle.
 ///
 /// Iterate with [`MinatoLoader::iter`] (single GPU) or
-/// [`MinatoLoader::gpu_iter`] (per-GPU streams). Dropping the loader shuts
+/// [`MinatoLoader::gpu_iter`] (one consumer per GPU, all popping the one
+/// batch queue: a batch goes to whichever GPU asks first, and no GPU is
+/// promised an equal share). Dropping the loader shuts
 /// the pipeline down and joins every worker thread.
 pub struct MinatoLoader<D: Dataset> {
     rt: Arc<Runtime<D>>,
@@ -606,8 +609,7 @@ impl<D: Dataset> MinatoLoader<D> {
                 .iter()
                 .map(|s| s.name().to_string())
                 .collect();
-            let mut queue_names: Vec<String> = vec!["temp_q".into()];
-            queue_names.extend((0..cfg.num_gpus).map(|g| format!("batch_q[{g}]")));
+            let queue_names: Vec<String> = vec!["temp_q".into(), "batch_q".into()];
             Some(Arc::new(Mutex::new(Collector::new(
                 stage_names,
                 queue_names,
@@ -654,25 +656,29 @@ impl<D: Dataset> MinatoLoader<D> {
         })
     }
 
-    /// Iterator over batches destined for GPU 0.
+    /// Iterator over the batches GPU 0 pops.
     pub fn iter(&self) -> BatchIter<'_, D> {
         self.gpu_iter(0)
     }
 
-    /// Iterator over batches destined for GPU `gpu`.
+    /// Iterator over the batches GPU `gpu` pops.
     ///
     /// # Panics
     ///
     /// Panics if `gpu >= num_gpus`.
     pub fn gpu_iter(&self, gpu: usize) -> BatchIter<'_, D> {
-        assert!(gpu < self.rt.batch_qs.len(), "gpu index out of range");
+        assert!(gpu < self.rt.cfg.num_gpus, "gpu index out of range");
         BatchIter { loader: self, gpu }
     }
 
-    /// Pops the next batch for `gpu`, blocking; `None` once training data
-    /// is exhausted.
+    /// Pops the next batch ready for any GPU on behalf of `gpu`, blocking;
+    /// `None` once training data is exhausted, and at once for
+    /// `gpu >= num_gpus`.
     pub fn next_batch(&self, gpu: usize) -> Option<Batch<D::Sample>> {
-        let batch = self.rt.batch_qs.get(gpu)?.pop()?;
+        if gpu >= self.rt.cfg.num_gpus {
+            return None;
+        }
+        let batch = self.rt.batch_q.pop()?;
         // Seqs and their end-to-end latency are recorded at the pop, not
         // the enqueue, under one lock acquisition per batch: a batch
         // sitting in a queue when the process dies was never delivered,
@@ -681,13 +687,8 @@ impl<D: Dataset> MinatoLoader<D> {
         self.rt.delivered.lock().record(&batch.meta, now_ns);
         if self.rt.tracer.is_some() {
             if let Some(m) = batch.meta.first() {
-                self.rt.trace(
-                    EventKind::QueuePop,
-                    m.epoch,
-                    m.seq,
-                    Q_BATCH0 + gpu as u32,
-                    0,
-                );
+                self.rt
+                    .trace(EventKind::QueuePop, m.epoch, m.seq, Q_BATCH, 0);
             }
             for m in &batch.meta {
                 self.rt.trace(
@@ -773,12 +774,8 @@ impl<D: Dataset> MinatoLoader<D> {
             errors: rt.faults.quarantined.get(),
             faults: rt.faults.snapshot(),
             temp_queue_len: rt.temp_q.len(),
-            batch_queue_len: rt.batch_qs.iter().map(|q| q.len()).sum(),
-            queue_lock_acquisitions: rt.temp_q.lock_acquisitions()
-                + rt.batch_qs
-                    .iter()
-                    .map(|q| q.lock_acquisitions())
-                    .sum::<u64>(),
+            batch_queue_len: rt.batch_q.len(),
+            queue_lock_acquisitions: rt.temp_q.lock_acquisitions() + rt.batch_q.lock_acquisitions(),
             queue_cas_retries: 0,
             cache: rt.cache.as_ref().map(|c| c.stats()),
             pool: rt.pools.as_ref().map(|p| p.stats()),
@@ -884,7 +881,7 @@ fn monitor_loop<D: Dataset>(
         if !rt.monitor_wait(interval) {
             break;
         }
-        let all_closed = rt.batch_qs.iter().all(|q| q.is_closed());
+        let all_closed = rt.batch_q.is_closed();
         let now = rt.started_at.elapsed().as_secs_f64();
 
         // Cache hit rate over the interval (the cache stays `None` when
@@ -1242,10 +1239,8 @@ mod tests {
     }
 
     /// Regression test for GPU-feed starvation: GPU 0's consumer never
-    /// pops, so its batch queue fills and stays full. Delivery must fall
-    /// through to GPU 1 and the run must terminate — with the old
-    /// choose-then-block emit, a momentary occupancy tie wedged every
-    /// GPU behind the stalled one.
+    /// pops. Every batch must reach GPU 1 and the run must terminate: the
+    /// batch queue is shared, so no batch waits for the stalled GPU.
     #[test]
     fn stalled_gpu_does_not_starve_the_others() {
         let ds = VecDataset::new((0..64u32).collect::<Vec<_>>());
@@ -1260,12 +1255,7 @@ mod tests {
         while let Some(b) = loader.next_batch(1) {
             gpu1_samples += b.len();
         }
-        // GPU 0 can absorb at most its two-batch queue; everything
-        // else must have been delivered to the live consumer.
-        assert!(
-            gpu1_samples >= 64 - 2 * 4,
-            "live GPU starved: got {gpu1_samples} of 64 samples"
-        );
+        assert_eq!(gpu1_samples, 64, "a batch was stranded");
         assert_eq!(loader.stats().batches_done, 16, "emission stalled");
     }
 

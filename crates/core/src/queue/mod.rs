@@ -300,13 +300,13 @@ impl<T> MinatoQueue<T> {
     /// puts.
     ///
     /// A reservation counts against capacity immediately but holds no
-    /// item; the caller does its pre-publication work (e.g. a device
-    /// prefetch that must target the queue that will actually deliver
-    /// the item) *outside* the queue's synchronization, then calls
-    /// [`PutReservation::publish`]. Dropping the reservation without
-    /// publishing releases the slot. A plain `try_put` cannot express
-    /// this: the caller only learns which queue accepted the item after
-    /// it is already poppable.
+    /// item; the caller keeps the item until it calls
+    /// [`PutReservation::publish`], and dropping the reservation without
+    /// publishing releases the slot. With [`MinatoQueue::reserve_timeout`]
+    /// this gives a bounded wait for space that never takes the item:
+    /// on timeout the caller still holds it and can do other work first
+    /// (the loader's deferral path helps drain the queue between waits),
+    /// which a blocking `put` cannot offer.
     pub fn try_reserve(&self) -> Result<PutReservation<'_, T>, TryReserveError> {
         let mut g = self.lock_op();
         if g.closed {

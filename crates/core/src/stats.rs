@@ -17,7 +17,7 @@ pub struct LoaderStats {
     pub slow_flagged: u64,
     /// `slow_flagged / samples_done` (0 when nothing done).
     pub slow_fraction: f64,
-    /// Batches delivered to batch queues.
+    /// Batches delivered to the batch queue.
     pub batches_done: u64,
     /// Raw bytes represented by delivered samples.
     pub bytes_done: u64,
@@ -26,12 +26,12 @@ pub struct LoaderStats {
     /// equal to `faults.quarantined`.
     pub errors: u64,
     /// Fault-containment counters: panics caught, samples poisoned,
-    /// samples quarantined, batches rerouted around wedged consumers.
+    /// samples quarantined.
     pub faults: FaultStats,
     /// Current temp-queue occupancy (samples being completed in
     /// background).
     pub temp_queue_len: usize,
-    /// Summed occupancy of all per-GPU batch queues.
+    /// Current batch-queue occupancy (batches no GPU has popped yet).
     pub batch_queue_len: usize,
     /// State-mutex acquisitions by put/pop operations across all
     /// runtime queues (temp, batch): one per call plus one

@@ -6,7 +6,7 @@
 //! sampler → [claim] ── shuffled ──────────→ open batch ──┐
 //!             │ └─ ordered: one claimed batch → window ──┤
 //!             │ timeout                                  ↓
-//!             └→ temp_q → [resume] → open batch     batch_q[gpu] → training
+//!             └→ temp_q → [resume] → open batch     batch_q → training (any GPU)
 //! ```
 //!
 //! Both halves are one step, [`WorkerStep`], the only role of the
@@ -43,7 +43,7 @@
 //! ordered, until its claim's batch is parked (a quarantined one too); a
 //! deferred one across its whole stay in `temp_q`. Once the sampler is
 //! drained and nothing is in flight, `maybe_close_sources` closes
-//! `temp_q`, emits the open batch and closes the batch queues, in both
+//! `temp_q`, emits the open batch and closes the batch queue, in both
 //! modes: every parked batch was emitted by then, because a park comes
 //! before its release and emits whatever it makes ready. Queues drain
 //! after close, so no prepared sample is lost.
@@ -115,11 +115,11 @@ fn claim_size(
 pub(crate) const RECENT_ERRORS_CAP: usize = 16;
 
 // Queue ids stamped into trace `QueuePut`/`QueuePop` events. The
-// collector's `queue_names` follow the same order; GPU `g`'s batch
-// queue is `Q_BATCH0 + g`, traced at batch granularity (one event per
-// batch, keyed by its first sample).
+// collector's `queue_names` follow the same order; the batch queue is
+// traced at batch granularity (one event per batch, keyed by its first
+// sample).
 pub(crate) const Q_TEMP: u32 = 0;
-pub(crate) const Q_BATCH0: u32 = 1;
+pub(crate) const Q_BATCH: u32 = 1;
 
 /// Bridges per-step [`StageObserver`] callbacks into trace events.
 #[derive(Debug)]
@@ -161,7 +161,6 @@ pub(crate) struct FaultCounters {
     pub panics: Counter,
     pub poisoned: Counter,
     pub quarantined: Counter,
-    pub rerouted: Counter,
 }
 
 impl FaultCounters {
@@ -170,7 +169,6 @@ impl FaultCounters {
             panics: Counter::new(),
             poisoned: Counter::new(),
             quarantined: Counter::new(),
-            rerouted: Counter::new(),
         }
     }
 
@@ -179,7 +177,6 @@ impl FaultCounters {
             panics: self.panics.get(),
             poisoned: self.poisoned.get(),
             quarantined: self.quarantined.get(),
-            rerouted: self.rerouted.get(),
         }
     }
 }
@@ -241,7 +238,10 @@ pub(crate) struct Runtime<D: Dataset> {
     /// the pool. `None` when pooling is disabled.
     pub recycler: Option<Arc<dyn SampleRecycler<D::Sample>>>,
     pub temp_q: MinatoQueue<Deferred<D::Sample>>,
-    pub batch_qs: Vec<MinatoQueue<Batch<D::Sample>>>,
+    /// Finished batches, `prefetch_factor × num_gpus` deep: every GPU's
+    /// consumer pops from it, so the next batch goes to whichever
+    /// consumer asks first.
+    pub batch_q: MinatoQueue<Batch<D::Sample>>,
     /// Control handle of the executor pool running this loader's steps.
     pub exec: ExecHandle,
     /// The open batch of shuffled mode, carrying the recycler. Held only
@@ -364,9 +364,7 @@ impl<D: Dataset> Runtime<D> {
             }),
             window_cv: Condvar::new(),
             temp_q: MinatoQueue::new("temp", cfg.queue_capacity),
-            batch_qs: (0..cfg.num_gpus)
-                .map(|g| MinatoQueue::new(&format!("batch[{g}]"), cfg.prefetch_factor))
-                .collect(),
+            batch_q: MinatoQueue::new("batch", cfg.prefetch_factor * cfg.num_gpus),
             exec,
             in_flight: AtomicUsize::new(0),
             source_drained: AtomicBool::new(false),
@@ -454,11 +452,9 @@ impl<D: Dataset> Runtime<D> {
         drop(self.monitor_lock.lock());
         self.monitor_cv.notify_all();
         self.temp_q.close();
-        for q in &self.batch_qs {
-            q.close();
-        }
-        // After the batch queues: an emitter holding the window lock
-        // returns once they are closed. The lock orders the wake after a
+        self.batch_q.close();
+        // After the batch queue: an emitter holding the window lock
+        // returns once it is closed. The lock orders the wake after a
         // claimer that has checked `shutdown` but not yet started waiting.
         drop(self.window.lock());
         self.window_cv.notify_all();
@@ -569,7 +565,7 @@ impl<D: Dataset> Runtime<D> {
     /// The close cascade, run once, by whichever thread first sees the
     /// sampler drained with nothing in flight: every sample is then in
     /// the open batch, or in an emitted batch, or quarantined. Closes
-    /// `temp_q`, emits the open batch and closes the batch queues: the
+    /// `temp_q`, emits the open batch and closes the batch queue: the
     /// end of the run for the consumers. On the shutdown path the queues
     /// are already closed and the emit fails harmlessly.
     ///
@@ -587,9 +583,7 @@ impl<D: Dataset> Runtime<D> {
         self.temp_q.close();
         let last = std::mem::replace(&mut *self.open.lock(), self.new_batch());
         let _ = emit_batch(self, last);
-        for q in &self.batch_qs {
-            q.close();
-        }
+        self.batch_q.close();
     }
 
     // ------------------------------------------------------------------
@@ -599,11 +593,11 @@ impl<D: Dataset> Runtime<D> {
     // resuming steps to drain it: it completes one deferred sample inline
     // (`route_deferred`), which also frees the slot it needs. A finished
     // sample goes into the open batch in shuffled mode, so the chain
-    // bottoms out at the per-GPU batch queues, which only the external
-    // consumer drains — the one place where waiting is correct
-    // backpressure. In order-preserving mode the window is the
-    // back-pressure: a claimer waits for room in it (`claim_batch`), and
-    // the emitter of the awaited batch waits on the batch queues.
+    // bottoms out at the batch queue, which only the external consumers
+    // drain — the one place where waiting is correct backpressure. In
+    // order-preserving mode the window is the back-pressure: a claimer
+    // waits for room in it (`claim_batch`), and the emitter of the
+    // awaited batch waits on the batch queue.
     // ------------------------------------------------------------------
 
     /// Completes one deferred sample on the (timeout-free) slow path:
@@ -671,7 +665,7 @@ impl<D: Dataset> Runtime<D> {
     /// delivers it into the open batch: one unit of slow-side work,
     /// whoever runs it. Its ticket leaves `in_flight` only after the push
     /// (or the quarantine), so the close cascade cannot flush the open
-    /// batch under it. False once the batch queues closed (shutting
+    /// batch under it. False once the batch queue closed (shutting
     /// down).
     fn resume_and_deliver(&self, d: Deferred<D::Sample>) -> bool {
         debug_assert!(!self.cfg.order_preserving, "ordered mode defers nothing");
@@ -754,7 +748,7 @@ impl<D: Dataset> Runtime<D> {
     /// The one entry point into the open batch: locks it, pushes
     /// `claim` oldest first, and emits each batch that fills: a fast
     /// worker's flush or one resumed slow sample, in shuffled mode.
-    /// False once the batch queues closed (shutting down).
+    /// False once the batch queue closed (shutting down).
     fn deliver_claim(&self, claim: impl IntoIterator<Item = Prepared<D::Sample>>) -> bool {
         let mut open = self.open.lock();
         for p in claim {
@@ -794,7 +788,7 @@ impl<D: Dataset> Runtime<D> {
     /// when `k` is the awaited claim, emits the ready run in claim order
     /// and wakes the claimers waiting for room. A batch is emitted under
     /// the window lock, so emits never overtake one another. False once
-    /// the batch queues closed (shutting down).
+    /// the batch queue closed (shutting down).
     fn park(&self, k: u64, samples: impl IntoIterator<Item = Prepared<D::Sample>>) -> bool {
         let mut batch = self.new_batch();
         samples.into_iter().for_each(|p| batch.push(p));
@@ -971,7 +965,7 @@ impl<D: Dataset> WorkerStep<D> {
         // excluded), handed to the balancer in one call after the loop.
         let mut fast_times: Vec<Duration> = Vec::with_capacity(total);
         // Publishes the buffered fast samples and settles their in-flight
-        // claims; false = batch queues closed. A shuffled flush pushes
+        // claims; false = batch queue closed. A shuffled flush pushes
         // them into the open batch; an ordered one (`slot`, the claim's
         // last) parks them as the claim's batch, also when there are none.
         let flush_fast = |buf: &mut Vec<Prepared<D::Sample>>, slot: Option<u64>| -> bool {
@@ -1193,7 +1187,7 @@ impl<D: Dataset> WorkerStep<D> {
 
     /// One deferred sample from the temp queue, resumed and delivered;
     /// `Idle` when none came within [`SLOW_CLAIM_WAIT`], `Exhausted` once
-    /// the queue is closed and drained or the batch queues closed.
+    /// the queue is closed and drained or the batch queue closed.
     fn resume(&self) -> StepOutcome {
         let rt = &*self.rt;
         if rt.is_shutdown() {
@@ -1204,7 +1198,7 @@ impl<D: Dataset> WorkerStep<D> {
                 if rt.resume_and_deliver(d) {
                     StepOutcome::Progress
                 } else {
-                    StepOutcome::Exhausted // Batch queues closed: shutting down.
+                    StepOutcome::Exhausted // Batch queue closed: shutting down.
                 }
             }
             Ok(None) => StepOutcome::Idle,
@@ -1226,22 +1220,15 @@ impl<D: Dataset> RoleStep for WorkerStep<D> {
     }
 }
 
-/// Delivers a batch to the hungriest GPU that can take it; an empty
-/// batch is dropped.
-///
-/// The least-occupied queue is tried first with a slot reservation,
-/// then the others in index order, falling through each one that is
-/// full — a stalled consumer must not wedge delivery to every other GPU
-/// while their queues have space. (All batch queues have the same
-/// capacity, so when the least-occupied one is full the order of the
-/// rest hardly matters.) Only when *all* queues are full does the
-/// worker block, and then only for a bounded wait before re-scanning,
-/// so a queue freed in the meantime is picked up. Nothing allocates.
+/// Puts a batch into the batch queue, blocking while it is full; an
+/// empty batch is dropped. Returns false once the queue is closed
+/// (shutting down). Every GPU's consumer pops from the one queue, so a
+/// consumer that stops popping holds back no batch from the others.
 ///
 /// Callers emit under the lock of the batch's source (lock order: open
 /// batch or window → batch queue), so the worker whose push fills the
-/// open batch, or whose park releases a run of the window, blocks on
-/// full batch queues as a batch worker would.
+/// open batch, or whose park releases a run of the window, blocks on a
+/// full batch queue as a batch worker would.
 // minato-verify: hot-path
 fn emit_batch<D: Dataset>(rt: &Runtime<D>, full: Batch<D::Sample>) -> bool {
     if full.is_empty() {
@@ -1249,51 +1236,15 @@ fn emit_batch<D: Dataset>(rt: &Runtime<D>, full: Batch<D::Sample>) -> bool {
     }
     let samples = full.len() as u64;
     let bytes = full.bytes();
-    // Batch queues are traced at batch granularity, keyed by the first
-    // sample (captured here: `publish` consumes the batch).
+    // The batch queue is traced at batch granularity, keyed by the first
+    // sample (captured here: `put` consumes the batch).
     let first = full.meta.first().map(|m| (m.epoch, m.seq));
-    let qs = &rt.batch_qs;
-    let (gpu, slot) = 'deliver: loop {
-        // One queue needs no scan (`len` takes the queue's lock).
-        let hungriest = match qs.len() {
-            1 => 0,
-            n => (0..n).min_by_key(|&g| qs[g].len()).unwrap_or(0),
-        };
-        let rest = (0..qs.len()).filter(|&g| g != hungriest);
-        for gpu in std::iter::once(hungriest).chain(rest) {
-            match qs[gpu].try_reserve() {
-                Ok(slot) => break 'deliver (gpu, slot),
-                Err(TryReserveError::Full) => continue,
-                Err(TryReserveError::Closed) => return false, // Shutting down.
-            }
-        }
-        // Every queue is full: all GPUs are ahead of preprocessing. Block
-        // on the hungriest, but re-scan on timeout in case another
-        // consumer freed space first.
-        match qs[hungriest].reserve_timeout(rt.cfg.starvation_wait) {
-            Ok(slot) => break 'deliver (hungriest, slot),
-            Err(TryReserveError::Full) => continue,
-            Err(TryReserveError::Closed) => return false,
-        }
-    };
-    // Delivered while another GPU's queue sat full: this batch was
-    // routed *around* a saturated (possibly wedged) consumer — the
-    // fault stats surface how often delivery had to dodge a stall.
-    // With one GPU there is nothing to route around.
-    if qs.len() > 1
-        && qs
-            .iter()
-            .enumerate()
-            .any(|(g, q)| g != gpu && q.len() >= q.capacity())
-    {
-        rt.faults.rerouted.incr();
-    }
-    if slot.publish(full).is_err() {
-        return false; // Closed since the reservation: shutting down.
+    if rt.batch_q.put(full).is_err() {
+        return false;
     }
     if let Some((epoch, seq)) = first {
-        rt.trace(EventKind::BatchEmit, epoch, seq, gpu as u32, 0);
-        rt.trace(EventKind::QueuePut, epoch, seq, Q_BATCH0 + gpu as u32, 0);
+        rt.trace(EventKind::BatchEmit, epoch, seq, 0, 0);
+        rt.trace(EventKind::QueuePut, epoch, seq, Q_BATCH, 0);
     }
     rt.samples_out.add(samples);
     rt.bytes_out.add(bytes);
@@ -1465,7 +1416,8 @@ mod tests {
     /// The samples of every emitted batch, in emission order, then those
     /// still in the open batch.
     fn emitted_and_open(rt: &Runtime<Ds>) -> Vec<u32> {
-        let mut got: Vec<u32> = rt.batch_qs[0]
+        let mut got: Vec<u32> = rt
+            .batch_q
             .try_pop_many(usize::MAX)
             .unwrap_or_default()
             .into_iter()
@@ -1606,7 +1558,7 @@ mod tests {
             let claims = if ordered { 4 } else { 0 };
             assert_eq!((w.claimed, w.parked.next_seq()), (claims, claims));
             drop(w);
-            assert!(rt.batch_qs[0].is_closed(), "drained source ended the run");
+            assert!(rt.batch_q.is_closed(), "drained source ended the run");
         }
     }
 
@@ -1625,12 +1577,12 @@ mod tests {
         while RoleStep::step(&step) != StepOutcome::Exhausted {}
         assert_eq!(rt.batches_out.get(), 2, "one publish per claim of 64");
         assert_eq!(rt.samples_out.get(), 128);
-        let batches = rt.batch_qs[0].pop_many(usize::MAX);
+        let batches = rt.batch_q.pop_many(usize::MAX);
         let got: Vec<u32> = batches.into_iter().flat_map(Batch::into_samples).collect();
         assert_eq!(got, (0..128).collect::<Vec<_>>(), "each claim in order");
         assert!(rt.open.lock().is_empty());
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
-        assert!(rt.batch_qs[0].is_closed(), "drained source ended the run");
+        assert!(rt.batch_q.is_closed(), "drained source ended the run");
     }
 
     /// The chained clock: within a claim a sample starts where the one
@@ -1658,7 +1610,7 @@ mod tests {
             assert_eq!(rt.fast_claim(), 8, "one claim of 8");
             let step = WorkerStep::new(Arc::clone(&rt));
             while RoleStep::step(&step) != StepOutcome::Exhausted {}
-            let PopResult::Item(batch) = rt.batch_qs[0].try_pop() else {
+            let PopResult::Item(batch) = rt.batch_q.try_pop() else {
                 panic!("no batch emitted (ordered: {ordered})");
             };
             assert_eq!(batch.samples, (0..8).collect::<Vec<_>>());
@@ -1694,7 +1646,7 @@ mod tests {
         let step = WorkerStep::new(Arc::clone(&rt));
         assert_eq!(RoleStep::step(&step), StepOutcome::Progress);
         assert_eq!(rt.batches_out.get(), 1);
-        let batch = rt.batch_qs[0].try_pop();
+        let batch = rt.batch_q.try_pop();
         let PopResult::Item(batch) = batch else {
             panic!("no batch emitted");
         };
@@ -1705,7 +1657,7 @@ mod tests {
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
         assert_eq!(emitted_and_open(&rt), rest, "flushed at the drain");
-        assert!(rt.batch_qs[0].is_closed());
+        assert!(rt.batch_q.is_closed());
     }
 
     /// Transform that defers every sample from `first` on whenever it
@@ -1800,7 +1752,8 @@ mod tests {
         assert_eq!(rt.fast_claim(), TICKET_CHUNK);
         let step = WorkerStep::new(Arc::clone(&rt));
         while RoleStep::step(&step) != StepOutcome::Exhausted {}
-        let batches: Vec<Vec<u32>> = rt.batch_qs[0]
+        let batches: Vec<Vec<u32>> = rt
+            .batch_q
             .pop_many(usize::MAX)
             .into_iter()
             .map(Batch::into_samples)
@@ -1828,14 +1781,11 @@ mod tests {
         assert_eq!(RoleStep::step(&slow), StepOutcome::Progress);
         assert_eq!(rt.open.lock().samples, [7]);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 1);
-        assert!(!rt.batch_qs[0].is_closed());
+        assert!(!rt.batch_q.is_closed());
         assert_eq!(RoleStep::step(&slow), StepOutcome::Progress);
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 0);
         assert!(rt.temp_q.is_closed(), "the last delivery ran the cascade");
-        assert!(
-            rt.batch_qs[0].is_closed(),
-            "the last delivery ran the cascade"
-        );
+        assert!(rt.batch_q.is_closed(), "the last delivery ran the cascade");
         // Released before its push, sample 8 would have missed the flush
         // and been left in the open batch.
         assert_eq!(rt.batches_out.get(), 1);
@@ -1910,7 +1860,8 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
-        let got: Vec<u32> = rt.batch_qs[0]
+        let got: Vec<u32> = rt
+            .batch_q
             .try_pop_many(usize::MAX)
             .unwrap_or_default()
             .into_iter()
@@ -1953,14 +1904,11 @@ mod tests {
         let step = WorkerStep::new(Arc::clone(&rt));
         while step.claim() != StepOutcome::Exhausted {}
         assert!(rt.source_drained.load(Ordering::SeqCst));
-        assert!(
-            !rt.batch_qs[0].is_closed(),
-            "closed under the parked batches"
-        );
+        assert!(!rt.batch_q.is_closed(), "closed under the parked batches");
         assert_eq!(rt.in_flight.load(Ordering::SeqCst), 2);
         gates.open_below(1);
         assert_eq!(first.join().unwrap(), StepOutcome::Progress);
-        assert!(rt.batch_qs[0].is_closed(), "the park ran the cascade");
+        assert!(rt.batch_q.is_closed(), "the park ran the cascade");
         assert_eq!(emitted_and_open(&rt), [2, 3, 4, 5]);
         assert_eq!(rt.batches_out.get(), 2, "the empty batch is not emitted");
         assert_eq!(rt.faults.quarantined.get(), 2);
@@ -2025,7 +1973,7 @@ mod tests {
         // works the queue down and then finds it empty but *open*: had
         // the helper's sample left `in_flight` before its delivery, the
         // drain would have closed it and flushed the open batch and
-        // closed the batch queues under the sample the helper still
+        // closed the batch queue under the sample the helper still
         // holds.
         let slow = WorkerStep::new(Arc::clone(&rt));
         let mut outcome = RoleStep::step(&slow);
@@ -2042,7 +1990,7 @@ mod tests {
             w.join().unwrap();
         }
         assert!(rt.temp_q.is_closed(), "the helper's last step closes");
-        assert!(rt.batch_qs[0].is_closed(), "and ends the run");
+        assert!(rt.batch_q.is_closed(), "and ends the run");
         assert_eq!(RoleStep::step(&slow), StepOutcome::Exhausted);
         // Fast and resumed samples alike went into the open batch and
         // out as batches of four.
@@ -2078,38 +2026,39 @@ mod tests {
         assert_eq!(rt.temp_q.len(), 1);
     }
 
-    /// Regression test for GPU-feed starvation: a consumer that never
-    /// drains its queue must not wedge delivery to the other GPUs once
-    /// its queue fills.
+    /// A consumer that stops popping holds back no batch: every GPU pops
+    /// the one batch queue, so a batch left unpopped goes to the consumer
+    /// that still pops, and an emission facing the full queue returns as
+    /// soon as that consumer pops.
     #[test]
-    fn emit_batch_falls_through_stalled_queue() {
+    fn an_unpopped_batch_does_not_block_the_next_emission() {
         let mut cfg = mini_cfg();
         cfg.num_gpus = 2;
         cfg.prefetch_factor = 1;
-        cfg.batch_size = 2;
         let rt = mini_runtime(cfg);
-        // Wedge GPU 0: park a batch its (absent) consumer never drains,
-        // filling the capacity-1 queue.
-        let mut parked = Batch::with_capacity(2);
-        parked.push(prepared(0));
-        parked.push(prepared(1));
-        rt.batch_qs[0].put(parked).unwrap();
-        assert_eq!(rt.batch_qs[0].len(), 1);
-        // Next emissions must fall through to GPU 1 without blocking.
-        for i in 0..3u32 {
-            let mut b = Batch::with_capacity(2);
-            b.push(prepared(10 + i));
-            assert!(emit_batch(&*rt, b), "emission {i} wedged");
-            // GPU 1 is drained by the test between emissions.
-            let got = rt.batch_qs[1].pop().expect("delivered to the live GPU");
-            assert_eq!(got.len(), 1);
-        }
-        assert_eq!(rt.batch_qs[0].len(), 1, "stalled queue untouched");
+        assert_eq!(rt.batch_q.capacity(), 2, "prefetch_factor × num_gpus");
+        let emit = |rt: &Runtime<Ds>, i: u32| {
+            let mut b = Batch::with_capacity(1);
+            b.push(prepared(i));
+            assert!(emit_batch(rt, b), "emission {i}");
+        };
+        // GPU 0's consumer has stopped popping: two batches fill the queue.
+        emit(&rt, 0);
+        emit(&rt, 1);
+        let base = rt.batch_q.lock_acquisitions();
+        let rt2 = Arc::clone(&rt);
+        let emitter = thread::spawn(move || emit(&rt2, 2));
+        wait_until_blocked_on(&rt.batch_q, base);
+        // GPU 1's consumer pops the batch GPU 0 left, freeing the slot.
+        assert_eq!(rt.batch_q.pop().unwrap().samples, [0]);
+        emitter.join().unwrap();
+        assert_eq!(emitted_and_open(&rt), [1, 2]);
+        assert_eq!(rt.batches_out.get(), 3);
     }
 
     /// A step that resumes (here: the source is drained) reports idle on
     /// an empty-but-open temp queue, and exhausted once it closes. In
-    /// either mode resuming closes nothing itself: the batch queues stay
+    /// either mode resuming closes nothing itself: the batch queue stays
     /// open for the close cascade.
     #[test]
     fn slow_step_reports_idle_then_exhausted() {
@@ -2123,7 +2072,7 @@ mod tests {
             rt.temp_q.close();
             assert_eq!(RoleStep::step(&step), StepOutcome::Exhausted);
             step.finish();
-            assert!(!rt.batch_qs[0].is_closed(), "ordered: {ordered}");
+            assert!(!rt.batch_q.is_closed(), "ordered: {ordered}");
         }
     }
 
@@ -2184,27 +2133,6 @@ mod tests {
         };
         assert_eq!(d.resume_at, 2);
         assert!(d.meta.slow);
-    }
-
-    /// A rerouted batch (full queue skipped, delivered elsewhere) must
-    /// bump the `rerouted` fault counter; plain deliveries must not.
-    #[test]
-    fn emit_batch_counts_reroutes() {
-        let mut cfg = mini_cfg();
-        cfg.num_gpus = 2;
-        cfg.prefetch_factor = 1;
-        cfg.batch_size = 2;
-        let rt = mini_runtime(cfg);
-        let mut b = Batch::with_capacity(2);
-        b.push(prepared(0));
-        assert!(emit_batch(&*rt, b), "plain delivery");
-        assert_eq!(rt.faults.rerouted.get(), 0, "no saturated queue yet");
-        // The first batch's consumer never drains its capacity-1 queue,
-        // so the next delivery dodges a wedged consumer.
-        let mut b = Batch::with_capacity(2);
-        b.push(prepared(1));
-        assert!(emit_batch(&*rt, b));
-        assert_eq!(rt.faults.rerouted.get(), 1, "routed around the stall");
     }
 
     /// `recent_errors` is a bounded ring: the cap holds, old entries

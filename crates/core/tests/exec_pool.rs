@@ -363,8 +363,8 @@ impl Transform<u32> for DeferBehindGate {
 }
 
 /// Two GPUs fed from the one open batch, with a deferred backlog still
-/// waiting in the temp queue when the source drains: both batch queues
-/// stay open until that backlog is delivered, and every ticket arrives
+/// waiting in the temp queue when the source drains: the batch queue both
+/// GPUs pop stays open until that backlog is delivered, and every ticket arrives
 /// exactly once. The loader runs one role, the worker step, on
 /// `max_workers + slow_workers` threads.
 #[test]

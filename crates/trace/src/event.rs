@@ -12,8 +12,8 @@
 //! | 3    | duration in nanoseconds (0 for instant events)        |
 //!
 //! `arg` is the kind-specific payload: the pipeline step index for
-//! `StageStart`/`StageEnd`, the queue id for `QueuePut`/`QueuePop`, and
-//! the GPU index for `BatchEmit`/`Delivered`.
+//! `StageStart`/`StageEnd`, the queue id for `QueuePut`/`QueuePop`, the
+//! popping GPU's index for `Delivered`, and 0 for `BatchEmit`.
 
 /// Number of distinct [`EventKind`] discriminants.
 pub const KIND_COUNT: usize = 14;
@@ -43,7 +43,8 @@ pub enum EventKind {
     /// A deferred sample finished its background completion
     /// (`dur_ns` = resume runtime).
     SlowResume = 8,
-    /// A batch was sealed and published (`arg` = GPU index).
+    /// A batch was sealed and published to the batch queue every GPU
+    /// pops (`arg` = 0: which GPU will pop it is not known yet).
     BatchEmit = 9,
     /// The consumer popped the sample inside a batch
     /// (`dur_ns` = ticket-issue → delivery latency, `arg` = GPU index).
