@@ -93,15 +93,6 @@ impl Default for BalancerConfig {
     }
 }
 
-/// Classification decision for a finished (or timed-out) preprocessing run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Class {
-    /// Completed within the timeout → fast queue.
-    Fast,
-    /// Exceeded the timeout → temp queue, background completion.
-    Slow,
-}
-
 /// Thread-safe load balancer shared by all loader workers.
 ///
 /// # Examples

@@ -23,12 +23,16 @@ pub struct SampleMeta {
     /// Whether the sample exceeded the balancer timeout (slow path).
     pub slow: bool,
     /// Total preprocessing wall time (fast path + background completion).
+    /// In order-preserving mode without a cache, the claim's wall time
+    /// divided by the samples it completed, the same for each of them.
     pub preprocess: Duration,
     /// Raw sample size in bytes when known, else 0.
     pub bytes: u64,
     /// Nanoseconds since loader start when the ticket was claimed
     /// (0 when unknown). Feeds the always-on end-to-end delivery
-    /// latency: `next_batch` records `now - issued_ns` per sample.
+    /// latency: `next_batch` records `now - issued_ns` per sample. In
+    /// order-preserving mode without a cache every sample of a claim
+    /// carries the claim's start.
     pub issued_ns: u64,
 }
 

@@ -65,11 +65,15 @@ pub struct LoaderStats {
     pub active_workers: usize,
     /// The balancer's current fast/slow cutoff (`None` = optimistic phase).
     pub timeout: Option<Duration>,
-    /// Distribution of observed preprocessing times (ms).
+    /// Distribution of observed preprocessing times (ms). In
+    /// order-preserving mode without a cache each sample counts as its
+    /// claim's mean ([`SampleMeta::preprocess`](crate::batch::SampleMeta)),
+    /// so the spread is between claims, not within one.
     pub preprocess_ms: Summary,
     /// End-to-end delivery latency (ticket issue → consumer batch pop)
     /// in milliseconds. Always on — recorded per sample at `next_batch`
-    /// whether or not tracing is enabled.
+    /// whether or not tracing is enabled. In order-preserving mode
+    /// without a cache it runs from the start of the sample's claim.
     pub delivery_ms: Summary,
     /// Tracing health (events recorded/dropped per worker ring); `None`
     /// when tracing is disabled.

@@ -161,6 +161,11 @@ pub struct TransformCtx {
     /// measured from it, and so is the `elapsed` [`Pipeline::run_ctx`]
     /// reports. `None` until a timeout is set.
     anchor: Option<Instant>,
+    /// Whether [`Pipeline::run_ctx`] times the run. A caller that times
+    /// a whole claim of samples itself clears it
+    /// ([`TransformCtx::untimed`]): the run then reads no clock of its
+    /// own and reports a zero `elapsed`.
+    timed: bool,
     /// Speed multiplier applied by accelerator-offloaded execution
     /// (the synthetic work transforms divide their cost by it; CPU
     /// execution uses 1.0).
@@ -214,6 +219,7 @@ impl TransformCtx {
         TransformCtx {
             deadline,
             anchor: None,
+            timed: true,
             speedup: 1.0,
             pools: None,
             polls: Cell::new(0),
@@ -260,6 +266,17 @@ impl TransformCtx {
         let now = Instant::now();
         self.anchor = Some(now);
         self.deadline = timeout.map(|t| now + t);
+        self
+    }
+
+    /// Returns a copy that [`Pipeline::run_ctx`] does not time: no clock
+    /// read at its start or end, and a zero `elapsed` in its
+    /// [`PipelineRun`]. For a context with no deadline, whose caller
+    /// times a run of samples as a whole; an attached observer still
+    /// times each step.
+    pub(crate) fn untimed(mut self) -> TransformCtx {
+        debug_assert!(self.deadline.is_none(), "a deadline needs a timed run");
+        self.timed = false;
         self
     }
 
@@ -570,7 +587,7 @@ pub enum PipelineRun<T> {
         value: T,
         /// Wall time of the run, from the context's anchor (see
         /// [`TransformCtx::with_timeout`]) or, without one, from the
-        /// start of the call.
+        /// start of the call; zero when the context is untimed.
         elapsed: Duration,
     },
     /// The deadline fired at transform `resume_at`; `partial` holds the
@@ -676,9 +693,13 @@ impl<T: Send + 'static> Pipeline<T> {
     /// deadline counts from — and from the start of this call
     /// otherwise. Past that start, an unobserved run reads the clock at
     /// the end, plus once between steps when a deadline is set (an
-    /// observer adds a read per step).
+    /// observer adds a read per step). An untimed context, which the
+    /// loader uses where it times a whole claim of samples itself,
+    /// reads neither the start nor the end and reports a zero
+    /// `elapsed`.
     pub fn run_ctx(&self, start_at: usize, input: T, ctx: TransformCtx) -> Result<PipelineRun<T>> {
-        let start = ctx.anchor.unwrap_or_else(Instant::now);
+        let start = ctx.timed.then(|| ctx.anchor.unwrap_or_else(Instant::now));
+        let elapsed = || start.map_or(Duration::ZERO, |s| s.elapsed());
         // The sample is owned directly: the by-value fallback moves it
         // into `apply` and reassigns from the outcome, so every exit path
         // has the value in hand without an `Option` dance.
@@ -713,7 +734,7 @@ impl<T: Send + 'static> Pipeline<T> {
                 return Ok(PipelineRun::TimedOut {
                     partial: value,
                     resume_at: i,
-                    elapsed: start.elapsed(),
+                    elapsed: elapsed(),
                 });
             }
             if let (Some(obs), Some(t0)) = (&ctx.observer, step_t0) {
@@ -728,13 +749,13 @@ impl<T: Send + 'static> Pipeline<T> {
                 return Ok(PipelineRun::TimedOut {
                     partial: value,
                     resume_at: i,
-                    elapsed: start.elapsed(),
+                    elapsed: elapsed(),
                 });
             }
         }
         Ok(PipelineRun::Completed {
             value,
-            elapsed: start.elapsed(),
+            elapsed: elapsed(),
         })
     }
 }
@@ -892,6 +913,49 @@ mod tests {
             .anchor()
             .is_some());
         assert!(TransformCtx::unbounded().anchor().is_none());
+    }
+
+    /// Records each observer callback as `(step, is_end)`.
+    #[derive(Debug, Default)]
+    struct StepLog(Mutex<Vec<(usize, bool)>>);
+
+    impl StageObserver for StepLog {
+        fn stage_start(&self, step: usize, _epoch: u16, _seq: u64) {
+            self.0.lock().push((step, false));
+        }
+        fn stage_end(&self, step: usize, _epoch: u16, _seq: u64, _dur: Duration) {
+            self.0.lock().push((step, true));
+        }
+    }
+
+    #[test]
+    fn an_untimed_run_reports_zero_elapsed_and_still_observes_each_step() {
+        let log = Arc::new(StepLog::default());
+        let ctx = TransformCtx::unbounded()
+            .with_observer(Arc::clone(&log) as Arc<dyn StageObserver>, 0, 7)
+            .untimed();
+        assert!(ctx.anchor().is_none() && ctx.deadline().is_none());
+        let p = Pipeline::new(vec![
+            burn("a", 1, false),
+            burn("b", 1, false),
+            burn("c", 1, false),
+        ]);
+        match p.run_ctx(0, 0, ctx).unwrap() {
+            PipelineRun::Completed { value, elapsed } => {
+                assert_eq!(value, 3);
+                assert_eq!(elapsed, Duration::ZERO, "an untimed run reads no clock");
+            }
+            PipelineRun::TimedOut { .. } => panic!("no deadline was set"),
+        }
+        let each_step: Vec<(usize, bool)> = (0..3).flat_map(|i| [(i, false), (i, true)]).collect();
+        assert_eq!(*log.0.lock(), each_step, "start and end of every step");
+        // The same run, timed, reports its ≥ 3 ms.
+        match p.run_ctx(0, 0, TransformCtx::unbounded()).unwrap() {
+            PipelineRun::Completed { elapsed, .. } => {
+                assert!(elapsed >= Duration::from_millis(3), "{elapsed:?}")
+            }
+            PipelineRun::TimedOut { .. } => panic!("no deadline was set"),
+        }
     }
 
     #[test]

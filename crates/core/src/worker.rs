@@ -887,16 +887,27 @@ impl Drop for ClaimShare<'_> {
 /// overflow ([`Runtime::moonlight`]), and a claim that meets a full temp
 /// queue completes deferred samples inline ([`Runtime::route_deferred`]).
 ///
-/// An untraced, uncached sample reads the clock twice: where
-/// [`TransformCtx::with_timeout`] anchors the deadline after the load,
-/// and at the end of [`Pipeline::run_ctx`]. Its start (`t0`, which also
-/// gives `issued_ns`) is where the previous sample's run ended, its
-/// `anchor + elapsed`, already known. The clock is read for `t0` only
-/// at the claim's first sample and after anything between two samples
-/// that can block or take a lock: a flush, a deferral, a quarantine, a
-/// cache hit or admission (with a cache attached every sample reads its
-/// own). A sample's busy time is `anchor − t0 + elapsed`, which the
-/// hold rule reads.
+/// In shuffled mode an untraced, uncached sample reads the clock twice:
+/// where [`TransformCtx::with_timeout`] anchors the deadline after the
+/// load, and at the end of [`Pipeline::run_ctx`]. Its start (`t0`,
+/// which also gives `issued_ns`) is where the previous sample's run
+/// ended, its `anchor + elapsed`, already known. The clock is read for
+/// `t0` only at the claim's first sample and after anything between
+/// two samples that can block or take a lock: a flush, a deferral, a
+/// quarantine, a cache hit or admission (with a cache attached every
+/// sample reads its own). A sample's busy time is
+/// `anchor − t0 + elapsed`, which the hold rule reads.
+///
+/// An uncached order-preserving claim has no deadline, no hold rule
+/// and no admission to feed, so it reads the clock twice in all, not
+/// per sample: at its start, which is every sample's `t0` and
+/// `issued_ns`, and after its last sample. Its samples run untimed
+/// ([`TransformCtx::untimed`]); each completed one reports the claim's
+/// wall time divided by the number completed as its `preprocess`, and
+/// the balancer receives the same share per sample. With a cache
+/// attached an ordered claim times each sample as shuffled mode does,
+/// since cost-aware admission weighs a sample's own cost. A stage
+/// observer (tracing) still times each step in both modes.
 ///
 /// **Resume** (lines 14–18, with the batch worker's merge done by the
 /// thread that finished the sample): one deferred sample from its
@@ -985,6 +996,9 @@ impl<D: Dataset> WorkerStep<D> {
             None => rt.cfg.starvation_wait.as_nanos() as u64,
         };
         let mut routed = true;
+        // An uncached ordered claim is timed as a whole (see above):
+        // its start, read here, is every sample's start.
+        let claim_t0 = (slot.is_some() && rt.cache.is_none()).then(Instant::now);
         // Where the previous sample's run ended, and so where the next
         // one starts; `None` where the next sample reads its start itself.
         let mut chain: Option<Instant> = None;
@@ -993,9 +1007,12 @@ impl<D: Dataset> WorkerStep<D> {
                 break;
             }
             processed += 1;
-            // The sample's start, which also stamps its issue time: a
-            // clock read only when the chain was cut.
-            let t0 = chain.take().unwrap_or_else(Instant::now);
+            // The sample's start, which also stamps its issue time: the
+            // claim's start in an untimed claim, else a clock read only
+            // when the chain was cut.
+            let t0 = claim_t0
+                .or_else(|| chain.take())
+                .unwrap_or_else(Instant::now);
             let issued_ns = t0.saturating_duration_since(rt.started_at).as_nanos() as u64;
             rt.trace(EventKind::TicketClaimed, ticket.epoch, ticket.seq, 0, 0);
             // Cross-epoch cache: a hit skips load + preprocessing and
@@ -1031,12 +1048,18 @@ impl<D: Dataset> WorkerStep<D> {
                 (ticket.index, ticket.epoch, ticket.seq),
                 |ctx| {
                     let raw = rt.dataset.load(ticket.index)?;
-                    // The deadline starts with the pipeline: a slow load
-                    // is already paid and cannot be deferred. Clock read
-                    // 1 of 2: the anchor the deadline and `elapsed` share.
-                    let ctx = ctx.with_timeout(timeout);
-                    anchor = ctx.anchor();
-                    // Clock read 2 of 2: the end of the run, in `run_ctx`.
+                    let ctx = if claim_t0.is_some() {
+                        ctx.untimed()
+                    } else {
+                        // The deadline starts with the pipeline: a slow
+                        // load is already paid and cannot be deferred.
+                        // Clock read 1 of 2: the anchor the deadline and
+                        // `elapsed` share.
+                        let ctx = ctx.with_timeout(timeout);
+                        anchor = ctx.anchor();
+                        ctx
+                    };
+                    // Clock read 2 of 2, if timed: the end, in `run_ctx`.
                     rt.pipeline.run_ctx(0, raw, ctx)
                 },
             );
@@ -1045,6 +1068,7 @@ impl<D: Dataset> WorkerStep<D> {
             // busy time (the load, start to anchor, plus the run) that the
             // hold rule below reads needs no clock read of its own; only a
             // failed run, which reports no `elapsed`, reads the clock here.
+            // An untimed run has no hold rule to feed.
             let end = match (&run, anchor) {
                 (
                     Ok(
@@ -1053,6 +1077,7 @@ impl<D: Dataset> WorkerStep<D> {
                     ),
                     Some(a),
                 ) => a + *elapsed,
+                _ if claim_t0.is_some() => t0,
                 _ => Instant::now(),
             };
             let busy = end.saturating_duration_since(t0);
@@ -1165,6 +1190,15 @@ impl<D: Dataset> WorkerStep<D> {
                     break; // Queue closed under us: shutting down.
                 }
             }
+        }
+        // An untimed claim's second clock read: its wall time, shared
+        // evenly by the samples it completed.
+        if let (Some(t0), n @ 1..) = (claim_t0, fast_buf.len()) {
+            let each = t0.elapsed() / n as u32;
+            for p in &mut fast_buf {
+                p.meta.preprocess = each;
+            }
+            fast_times.fill(each);
         }
         rt.balancer.on_fast_complete_many(&fast_times);
         // Flush the claim's remaining fast samples in one operation.
@@ -1585,46 +1619,144 @@ mod tests {
         assert!(rt.batch_q.is_closed(), "drained source ended the run");
     }
 
+    /// A transform that spins for at least `SPIN`, the floor the
+    /// clock tests check preprocessing times against.
+    const SPIN: Duration = Duration::from_micros(50);
+
+    fn spin_pipeline() -> Pipeline<u32> {
+        Pipeline::new(vec![crate::transform::fn_transform("spin", |x| {
+            let t0 = Instant::now();
+            while t0.elapsed() < SPIN {
+                std::hint::spin_loop();
+            }
+            Ok(x)
+        })])
+    }
+
     /// The chained clock: within a claim a sample starts where the one
     /// before it ended, so it is issued no earlier than the previous
-    /// sample's issue time plus its preprocessing. In shuffled mode a
-    /// hold of 120 µs over samples of at least 50 µs flushes mid-claim
-    /// (after three samples at the latest), and the chain is cut and
-    /// re-read across each flush.
+    /// sample's issue time plus its preprocessing. A hold of 120 µs over
+    /// samples of at least 50 µs flushes mid-claim (after three samples
+    /// at the latest), and the chain is cut and re-read across each
+    /// flush.
     #[test]
     fn chained_clock_issues_each_sample_after_the_last_one_ran() {
-        const SPIN: Duration = Duration::from_micros(50);
-        for ordered in [false, true] {
-            let mut cfg = mini_cfg();
-            cfg.order_preserving = ordered;
-            cfg.batch_size = 8;
-            cfg.starvation_wait = Duration::from_micros(120);
-            let spin = crate::transform::fn_transform("spin", |x| {
-                let t0 = Instant::now();
-                while t0.elapsed() < SPIN {
-                    std::hint::spin_loop();
-                }
-                Ok(x)
-            });
-            let rt = runtime_over(cfg, 8, Pipeline::new(vec![spin]));
-            assert_eq!(rt.fast_claim(), 8, "one claim of 8");
-            let step = WorkerStep::new(Arc::clone(&rt));
-            while RoleStep::step(&step) != StepOutcome::Exhausted {}
-            let PopResult::Item(batch) = rt.batch_q.try_pop() else {
-                panic!("no batch emitted (ordered: {ordered})");
-            };
-            assert_eq!(batch.samples, (0..8).collect::<Vec<_>>());
-            let meta = &batch.meta;
-            assert!(meta.iter().all(|m| m.preprocess >= SPIN));
-            for w in meta.windows(2) {
-                assert!(
-                    w[1].issued_ns >= w[0].issued_ns + w[0].preprocess.as_nanos() as u64,
-                    "seq {} issued before seq {} ran (ordered: {ordered})",
-                    w[1].seq,
-                    w[0].seq
-                );
-            }
+        let mut cfg = mini_cfg();
+        cfg.batch_size = 8;
+        cfg.starvation_wait = Duration::from_micros(120);
+        let rt = runtime_over(cfg, 8, spin_pipeline());
+        assert_eq!(rt.fast_claim(), 8, "one claim of 8");
+        let step = WorkerStep::new(Arc::clone(&rt));
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        let PopResult::Item(batch) = rt.batch_q.try_pop() else {
+            panic!("no batch emitted");
+        };
+        assert_eq!(batch.samples, (0..8).collect::<Vec<_>>());
+        let meta = &batch.meta;
+        assert!(meta.iter().all(|m| m.preprocess >= SPIN));
+        for w in meta.windows(2) {
+            assert!(
+                w[1].issued_ns >= w[0].issued_ns + w[0].preprocess.as_nanos() as u64,
+                "seq {} issued before seq {} ran",
+                w[1].seq,
+                w[0].seq
+            );
         }
+    }
+
+    /// An uncached ordered claim is timed as a whole: every sample is
+    /// issued at the claim's start, and the claim's wall time is shared
+    /// evenly, so each sample reports at least the transform's floor
+    /// and together they report no more than the claim took.
+    #[test]
+    fn an_uncached_ordered_claim_is_timed_as_a_whole() {
+        let mut cfg = mini_cfg();
+        cfg.order_preserving = true;
+        cfg.batch_size = 8;
+        let rt = runtime_over(cfg, 8, spin_pipeline());
+        let step = WorkerStep::new(Arc::clone(&rt));
+        let since_start = |t: Instant| t.duration_since(rt.started_at).as_nanos() as u64;
+        let before = Instant::now();
+        assert_eq!(RoleStep::step(&step), StepOutcome::Progress, "one claim");
+        let wall = before.elapsed();
+        let after_ns = since_start(before + wall);
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        let PopResult::Item(batch) = rt.batch_q.try_pop() else {
+            panic!("no batch emitted");
+        };
+        assert_eq!(batch.samples, (0..8).collect::<Vec<_>>());
+        let meta = &batch.meta;
+        let issued = meta[0].issued_ns;
+        assert!((since_start(before)..=after_ns).contains(&issued));
+        assert!(
+            meta.iter().all(|m| m.issued_ns == issued),
+            "the claim's start"
+        );
+        assert!(meta.iter().all(|m| m.preprocess >= SPIN));
+        assert!(meta.iter().all(|m| m.preprocess == meta[0].preprocess));
+        let total: Duration = meta.iter().map(|m| m.preprocess).sum();
+        assert!(total <= wall, "{total:?} preprocessing in a {wall:?} claim");
+    }
+
+    /// A cache that never hits and logs each admission's cost.
+    #[derive(Default)]
+    struct AdmitLog(Mutex<Vec<(usize, Duration)>>);
+
+    impl SampleCache<u32> for AdmitLog {
+        fn lookup(&self, _index: usize) -> Option<crate::cache::CachedSample<u32>> {
+            None
+        }
+        fn admit(&self, index: usize, _sample: &u32, _raw_bytes: u64, cost: Duration) {
+            self.0.lock().push((index, cost));
+        }
+        fn stats(&self) -> crate::cache::CacheStats {
+            crate::cache::CacheStats::default()
+        }
+    }
+
+    /// With a cache attached an ordered claim times each sample on its
+    /// own, since cost-aware admission weighs each sample's own cost:
+    /// the index that sleeps reports, and is admitted at, more than
+    /// every other.
+    #[test]
+    fn an_ordered_claim_with_a_cache_times_each_sample() {
+        const NAP: Duration = Duration::from_millis(20);
+        let mut cfg = mini_cfg();
+        cfg.order_preserving = true;
+        cfg.batch_size = 8;
+        let nap = crate::transform::fn_transform("nap", |x: u32| {
+            if x == 5 {
+                thread::sleep(NAP);
+            }
+            Ok(x)
+        });
+        let mut rt = runtime_over(cfg, 8, Pipeline::new(vec![nap]));
+        let log = Arc::new(AdmitLog::default());
+        Arc::get_mut(&mut rt).expect("sole owner").cache =
+            Some(Arc::clone(&log) as Arc<dyn SampleCache<u32>>);
+        let step = WorkerStep::new(Arc::clone(&rt));
+        while RoleStep::step(&step) != StepOutcome::Exhausted {}
+        let PopResult::Item(batch) = rt.batch_q.try_pop() else {
+            panic!("no batch emitted");
+        };
+        assert_eq!(batch.samples, (0..8).collect::<Vec<_>>());
+        let napped = batch.meta[5].preprocess;
+        assert!(napped >= NAP, "{napped:?}");
+        for m in batch.meta.iter().filter(|m| m.index != 5) {
+            assert!(
+                m.preprocess < napped,
+                "index {}: {:?}",
+                m.index,
+                m.preprocess
+            );
+        }
+        let admitted = log.0.lock().clone();
+        let reported: Vec<(usize, Duration)> =
+            batch.meta.iter().map(|m| (m.index, m.preprocess)).collect();
+        assert_eq!(
+            admitted, reported,
+            "admission weighs what the sample reports"
+        );
     }
 
     /// A whole claim meeting an open batch left holding `k` samples

@@ -47,7 +47,9 @@ pub enum EventKind {
     /// pops (`arg` = 0: which GPU will pop it is not known yet).
     BatchEmit = 9,
     /// The consumer popped the sample inside a batch
-    /// (`dur_ns` = ticket-issue → delivery latency, `arg` = GPU index).
+    /// (`dur_ns` = ticket-issue → delivery latency, `arg` = GPU index;
+    /// in the loader's order-preserving mode without a cache, issue is
+    /// the start of the sample's claim).
     Delivered = 10,
     /// An injected or organic fault fired while processing the sample.
     FaultHit = 11,
