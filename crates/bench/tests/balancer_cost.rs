@@ -65,7 +65,7 @@ fn steady_state_allocates_nothing() {
     // Past this many completions per thread the window is full.
     let fill = cfg.profile_window as u64;
     let lb = LoadBalancer::new(cfg);
-    // Two recorders and a refresher standing in for the monitor tick.
+    // Two recorders and a refresher standing in for the claims' tick.
     let rendezvous = Barrier::new(4);
     let recording = AtomicUsize::new(2);
     let (before, after, refreshes) = std::thread::scope(|s| {
@@ -150,7 +150,7 @@ fn published_timeouts_match_the_reference(policy: TimeoutPolicy) {
         lb.on_fast_complete(&SampleRecord::total_only(d));
         // The completion that ends warm-up publishes; after it, an
         // explicit refresh every 64 completions stands in for the
-        // monitor's tick.
+        // claims' tick.
         let tick = n > warmup && n % 64 == 0;
         if tick {
             lb.refresh_now();

@@ -13,29 +13,54 @@
 //!    90th percentile.
 //! 4. **Continuous adjustment.** Profiling keeps running during training.
 //!    The completion that ends warm-up publishes the first cutoff; after
-//!    that only [`LoadBalancer::refresh_now`] recomputes it, which the
-//!    loader's monitor thread calls once per 100 ms tick. The simulator
-//!    (`minato-sim`) drives this same balancer and calls it on a
-//!    virtual-time tick of the same interval.
+//!    that only [`LoadBalancer::refresh_now`] recomputes it, at most once
+//!    per [`REFRESH_INTERVAL`]: [`LoadBalancer::tick`], which the loader
+//!    calls once at the end of every shuffled claim, runs it for the
+//!    first caller past the due time. The simulator (`minato-sim`) drives
+//!    this same balancer and calls `refresh_now` on a virtual-time tick
+//!    of the same interval.
 //!
 //! # Cost model
 //!
 //! A completion costs one profiler-lock acquisition (one per ticket
 //! chunk through [`LoadBalancer::on_fast_complete_many`]), two counter
-//! increments and one relaxed load of the warm-up flag. The one worker
-//! whose completion ends warm-up pays the first refresh. Every refresh —
-//! that one, then one per monitor tick — copies the profile window into
-//! a buffer the balancer keeps, then runs the primary percentile, the
-//! would-flag fraction and, under skew, the fallback percentile, each
-//! one O(window) pass over that copy — selection, not a sort — with the
-//! per-sample profiler lock already released. No allocation once the
-//! window has filled.
+//! increments and one relaxed load of the warm-up flag. A tick costs
+//! that load before warm-up, and one more load of the due time after
+//! it; only a tick past the due time pays a compare-exchange, and only
+//! its winner refreshes. The one worker whose completion ends warm-up
+//! pays the first refresh. Every refresh — that one, then at most one
+//! per interval — copies the profile window into a buffer the balancer
+//! keeps, then runs the primary percentile, the would-flag fraction
+//! and, under skew, the fallback percentile, each one O(window) pass
+//! over that copy — selection, not a sort — with the per-sample
+//! profiler lock already released. No allocation once the window has
+//! filled.
 
 use crate::profiler::{Profiler, SampleRecord, Window};
 use minato_metrics::Counter;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
+
+/// Least time between two refreshes of the adaptive cutoff after
+/// warm-up ([`LoadBalancer::tick`]).
+pub const REFRESH_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Takes a periodic job due at `*due_ns` for a caller at `now_ns`: true
+/// for the one caller at or past the due time that wins the
+/// compare-exchange moving it to one [`REFRESH_INTERVAL`] after `now_ns`,
+/// false for every other. Costs one relaxed load while the job is not
+/// due. Relaxed: the due time publishes no data; the job takes the locks
+/// that guard what it reads.
+#[inline]
+pub(crate) fn take_due(due_ns: &AtomicU64, now_ns: u64) -> bool {
+    let due = due_ns.load(Ordering::Relaxed);
+    let next = now_ns.saturating_add(REFRESH_INTERVAL.as_nanos() as u64);
+    now_ns >= due
+        && due_ns
+            .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+}
 
 /// Timeout selection policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,16 +141,20 @@ pub struct LoadBalancer {
     timeout_ns: AtomicU64,
     completions: Counter,
     flagged_slow: Counter,
-    /// Set once the warm-up cutoff has been published (or restored).
-    /// Claimed by swap, so exactly one of the workers racing past
-    /// `warmup_samples` publishes it, even when the completion counter
-    /// skips the exact boundary between one worker's add and its read.
-    /// Relaxed: it publishes no data (the refresh reads the profile
-    /// under the profiler's own lock).
+    /// Set once the warm-up cutoff has been published (or restored);
+    /// only ever set under the adaptive policy. Claimed by swap, so
+    /// exactly one of the workers racing past `warmup_samples` publishes
+    /// it, even when the completion counter skips the exact boundary
+    /// between one worker's add and its read. Relaxed: it publishes no
+    /// data (the refresh reads the profile under the profiler's own
+    /// lock).
     warmed: AtomicBool,
+    /// When the next [`LoadBalancer::tick`] refreshes, in the callers'
+    /// nanoseconds ([`take_due`]).
+    refresh_due_ns: AtomicU64,
     /// The refresh's private copy of the profile window, reused so a
     /// refresh allocates nothing. All but uncontended: the warm-up
-    /// publish runs once, then only the monitor refreshes.
+    /// publish runs once, then one tick per interval refreshes.
     scratch: Mutex<Window>,
 }
 
@@ -144,6 +173,7 @@ impl LoadBalancer {
             completions: Counter::new(),
             flagged_slow: Counter::new(),
             warmed: AtomicBool::new(false),
+            refresh_due_ns: AtomicU64::new(REFRESH_INTERVAL.as_nanos() as u64),
             scratch: Mutex::new(Window::default()),
         }
     }
@@ -236,7 +266,8 @@ impl LoadBalancer {
     /// warm-up as done, so the resumed run's first completion does not
     /// replace it with the percentile of a one-sample window
     /// (`refresh_now` with no records is a no-op, so the restored value
-    /// holds until the monitor refreshes over real samples).
+    /// holds until the first tick past the interval refreshes it over
+    /// real samples).
     /// Fixed/Disabled policies define their own timeout and only take
     /// the counters.
     pub fn restore(&self, timeout_ns: u64, completions: u64, flagged_slow: u64) {
@@ -249,7 +280,7 @@ impl LoadBalancer {
     }
 
     /// Publishes the first adaptive cutoff on the completion that ends
-    /// warm-up; later refreshes are the monitor's.
+    /// warm-up; later refreshes are [`LoadBalancer::tick`]'s.
     fn publish_warmup(&self) {
         if self.warmed.load(Ordering::Relaxed)
             || !matches!(self.cfg.policy, TimeoutPolicy::Adaptive { .. })
@@ -262,8 +293,23 @@ impl LoadBalancer {
         }
     }
 
-    /// Recomputes the adaptive timeout from the current profile window:
-    /// the periodic refresh, called by the monitor thread once per tick.
+    /// The periodic refresh of the adaptive cutoff: `now_ns` is the
+    /// caller's time, in nanoseconds on the one clock every caller
+    /// shares (the loader's: since it started). Once warm-up is over,
+    /// the first tick at or past the due time (one [`REFRESH_INTERVAL`]
+    /// from the clock's zero at first) moves it one interval past
+    /// `now_ns` and refreshes; any other tick changes nothing. A late
+    /// `now_ns` only delays a refresh.
+    // minato-verify: hot-path
+    pub fn tick(&self, now_ns: u64) {
+        // `warmed` is only ever set under the adaptive policy.
+        if self.warmed.load(Ordering::Relaxed) && take_due(&self.refresh_due_ns, now_ns) {
+            self.refresh_now();
+        }
+    }
+
+    /// Recomputes the adaptive timeout from the current profile window
+    /// now; [`LoadBalancer::tick`] calls it at most once per interval.
     pub fn refresh_now(&self) {
         let TimeoutPolicy::Adaptive {
             percentile,
@@ -403,7 +449,7 @@ mod tests {
         lb.refresh_now();
         assert_eq!(lb.current_timeout(), Some(Duration::from_nanos(5_000_000)));
         // The restored cutoff counts as the warm-up publish: completions
-        // past `warmup_samples` leave it for the monitor to refresh.
+        // past `warmup_samples` leave it for a tick to refresh.
         for _ in 0..32 {
             lb.on_fast_complete(&rec(1));
         }
@@ -427,7 +473,7 @@ mod tests {
     /// samples concurrently, the completion counter can skip past the
     /// `n == warmup_samples` boundary between one worker's `incr` and its
     /// `get`. The swap-claimed flag must publish the timeout regardless
-    /// of interleaving — without the monitor thread's `refresh_now`.
+    /// of interleaving — without a tick's `refresh_now`.
     #[test]
     fn concurrent_warmup_publishes_timeout_without_backstop() {
         use std::sync::Arc;
@@ -457,6 +503,95 @@ mod tests {
         }
     }
 
+    const INTERVAL_NS: u64 = REFRESH_INTERVAL.as_nanos() as u64;
+
+    #[test]
+    fn no_tick_refreshes_before_warmup() {
+        let lb = LoadBalancer::new(BalancerConfig {
+            warmup_samples: 50,
+            ..Default::default()
+        });
+        for _ in 0..49 {
+            lb.on_fast_complete(&rec(10));
+        }
+        lb.tick(10 * INTERVAL_NS);
+        assert_eq!(lb.current_timeout(), None, "a tick ended warm-up");
+        // Nor does a fixed or disabled policy's tick publish anything.
+        for policy in [
+            TimeoutPolicy::Fixed(Duration::from_millis(9)),
+            TimeoutPolicy::Disabled,
+        ] {
+            let lb = LoadBalancer::new(BalancerConfig {
+                policy,
+                warmup_samples: 1,
+                ..Default::default()
+            });
+            let before = lb.current_timeout();
+            lb.on_fast_complete(&rec(500));
+            lb.tick(10 * INTERVAL_NS);
+            assert_eq!(lb.current_timeout(), before, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn ticks_refresh_at_most_once_per_interval() {
+        let lb = LoadBalancer::new(BalancerConfig {
+            warmup_samples: 50,
+            profile_window: 100,
+            ..Default::default()
+        });
+        for _ in 0..100 {
+            lb.on_fast_complete(&rec(10));
+        }
+        let at_warmup = lb.current_timeout().expect("warmed up");
+        // The window drifts tenfold.
+        for _ in 0..100 {
+            lb.on_fast_complete(&rec(100));
+        }
+        // Not yet due: the first refresh is one interval from zero.
+        lb.tick(INTERVAL_NS - 1);
+        assert_eq!(lb.current_timeout(), Some(at_warmup));
+        lb.tick(INTERVAL_NS);
+        let first = lb.current_timeout().unwrap();
+        assert!(
+            first > at_warmup * 5,
+            "the due tick must refresh: {first:?}"
+        );
+        // The window drifts back, but a second tick inside the interval
+        // leaves it unpublished.
+        for _ in 0..100 {
+            lb.on_fast_complete(&rec(10));
+        }
+        lb.tick(INTERVAL_NS + INTERVAL_NS / 2);
+        lb.tick(2 * INTERVAL_NS - 1);
+        assert_eq!(
+            lb.current_timeout(),
+            Some(first),
+            "refreshed inside the interval"
+        );
+        // The first tick a whole interval after the last refresh does.
+        lb.tick(2 * INTERVAL_NS);
+        assert_eq!(lb.current_timeout(), Some(at_warmup));
+    }
+
+    #[test]
+    fn a_restored_cutoff_is_refreshed_by_the_first_tick_past_the_interval() {
+        let lb = LoadBalancer::paper_default();
+        let restored = Duration::from_millis(5);
+        lb.restore(restored.as_nanos() as u64, 40, 10);
+        for _ in 0..100 {
+            lb.on_fast_complete(&rec(100));
+        }
+        lb.tick(INTERVAL_NS / 2);
+        assert_eq!(lb.current_timeout(), Some(restored), "refreshed early");
+        lb.tick(INTERVAL_NS);
+        let refreshed = lb.current_timeout().unwrap();
+        assert!(
+            refreshed > restored * 10,
+            "the restored cutoff must follow the run's samples: {refreshed:?}"
+        );
+    }
+
     #[test]
     fn timeout_tracks_drift() {
         let cfg = BalancerConfig {
@@ -469,8 +604,8 @@ mod tests {
             lb.on_fast_complete(&rec(10));
         }
         let before = lb.current_timeout().unwrap();
-        // Workload drifts 10x slower; window slides fully over, then the
-        // monitor's tick refreshes.
+        // Workload drifts 10x slower; window slides fully over, then a
+        // refresh follows it.
         for _ in 0..200 {
             lb.on_fast_complete(&rec(100));
         }

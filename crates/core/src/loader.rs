@@ -25,7 +25,7 @@
 //! assert_eq!(total, 64);
 //! ```
 
-use crate::balancer::TimeoutPolicy;
+use crate::balancer::{take_due, TimeoutPolicy, REFRESH_INTERVAL};
 use crate::batch::Batch;
 use crate::cache::{CacheConfig, ClonedSampleCache, EvictionPolicy, SampleCache, SampleWeigher};
 use crate::checkpoint::{
@@ -42,9 +42,8 @@ use crate::worker::{Runtime, TracerStageObserver, WorkerStep, Q_BATCH};
 use minato_exec::{ExecConfig, ExecHandle, Executor, RoleSpec};
 use minato_trace::{Collector, EventKind, TraceConfig, Tracer, RING_CAPACITY};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Lock-striped shards of the sample cache; each enforces
@@ -81,10 +80,6 @@ pub struct LoaderConfig {
     pub timeout_policy: TimeoutPolicy,
     /// Warm-up samples before the adaptive timeout activates.
     pub warmup_samples: u64,
-    /// Period of the monitor thread, which refreshes the balancer's
-    /// cutoff and samples the monitor series. Fixed at 100 ms; no
-    /// builder method sets it.
-    pub monitor_interval: Duration,
     /// Upper bound on the pipeline's internal waits: a producer waiting
     /// for space in a full temp queue, batch delivery waiting for a
     /// batch-queue slot, an idle pool worker. Each is a condvar wait
@@ -178,7 +173,6 @@ impl<D: Dataset> MinatoLoaderBuilder<D> {
                 prefetch_factor: 2,
                 timeout_policy: TimeoutPolicy::paper_default(),
                 warmup_samples: 32,
-                monitor_interval: Duration::from_millis(100),
                 starvation_wait: Duration::from_millis(1),
                 order_preserving: false,
                 cache_budget_bytes: 0,
@@ -524,14 +518,14 @@ struct LoaderParts<D: Dataset> {
 pub struct MinatoLoader<D: Dataset> {
     rt: Arc<Runtime<D>>,
     executor: Executor,
-    handles: Vec<JoinHandle<()>>,
-    trace: Arc<Mutex<MonitorTrace>>,
     /// Event collector of the lifecycle tracer; `Some` iff tracing is
-    /// enabled. Shared with the monitor thread, which drains the rings
-    /// each tick so they cannot silently overflow between `stats()`
-    /// calls.
-    trace_collect: Option<Arc<Mutex<Collector>>>,
-    joined: AtomicBool,
+    /// enabled. Besides `stats()` and `export_trace()`, `next_batch`
+    /// drains the rings into it once per [`REFRESH_INTERVAL`], so they
+    /// cannot silently overflow between `stats()` calls.
+    trace_collect: Option<Mutex<Collector>>,
+    /// When `next_batch` next drains the trace rings, in ns since the
+    /// runtime started ([`take_due`]).
+    drain_due_ns: AtomicU64,
 }
 
 impl<D: Dataset> MinatoLoader<D> {
@@ -591,9 +585,9 @@ impl<D: Dataset> MinatoLoader<D> {
         }
         rt.pools = pools;
         let trace_collect = if cfg.trace.enabled {
-            // Every pool worker plus per-GPU consumers, the monitor, and
-            // slack for helper threads stepping in.
-            let workers = exec.config().threads + cfg.num_gpus + 4;
+            // Every pool worker plus per-GPU consumers, and slack for
+            // other threads that record (a caller's own).
+            let workers = exec.config().threads + cfg.num_gpus + 3;
             let t = Arc::new(Tracer::new(rt.started_at, workers, RING_CAPACITY));
             // Pool acquisitions report hit/miss through the first
             // observer installed on the set (first-setter-wins on shared
@@ -610,11 +604,11 @@ impl<D: Dataset> MinatoLoader<D> {
                 .map(|s| s.name().to_string())
                 .collect();
             let queue_names: Vec<String> = vec!["temp_q".into(), "batch_q".into()];
-            Some(Arc::new(Mutex::new(Collector::new(
+            Some(Mutex::new(Collector::new(
                 stage_names,
                 queue_names,
                 cfg.trace.export_events,
-            ))))
+            )))
         } else {
             None
         };
@@ -632,27 +626,11 @@ impl<D: Dataset> MinatoLoader<D> {
         let executor = exec
             .spawn()
             .map_err(|e| LoaderError::Config(format!("spawn failed: {e}")))?;
-
-        let trace = Arc::new(Mutex::new(MonitorTrace::new()));
-        let mut handles = Vec::new();
-        {
-            let rt2 = Arc::clone(&rt);
-            let trace2 = Arc::clone(&trace);
-            let collect2 = trace_collect.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name("minato-monitor".into())
-                    .spawn(move || monitor_loop(rt2, trace2, collect2))
-                    .map_err(|e| LoaderError::Config(format!("spawn failed: {e}")))?,
-            );
-        }
         Ok(MinatoLoader {
             rt,
             executor,
-            handles,
-            trace,
             trace_collect,
-            joined: AtomicBool::new(false),
+            drain_due_ns: AtomicU64::new(REFRESH_INTERVAL.as_nanos() as u64),
         })
     }
 
@@ -685,7 +663,7 @@ impl<D: Dataset> MinatoLoader<D> {
         // so resume must re-run it.
         let now_ns = self.rt.now_ns();
         self.rt.delivered.lock().record(&batch.meta, now_ns);
-        if self.rt.tracer.is_some() {
+        if let (Some(tracer), Some(collect)) = (&self.rt.tracer, &self.trace_collect) {
             if let Some(m) = batch.meta.first() {
                 self.rt
                     .trace(EventKind::QueuePop, m.epoch, m.seq, Q_BATCH, 0);
@@ -698,6 +676,10 @@ impl<D: Dataset> MinatoLoader<D> {
                     gpu as u32,
                     now_ns.saturating_sub(m.issued_ns),
                 );
+            }
+            // Under the collector's lock, so each ring keeps one reader.
+            if take_due(&self.drain_due_ns, now_ns) {
+                collect.lock().drain(tracer);
             }
         }
         Some(batch)
@@ -795,9 +777,9 @@ impl<D: Dataset> MinatoLoader<D> {
         }
     }
 
-    /// The monitor thread's recorded trace so far.
+    /// The loader's series: only the inert [`MonitorTrace::workers`].
     pub fn trace(&self) -> MonitorTrace {
-        self.trace.lock().clone()
+        MonitorTrace::new()
     }
 
     /// First error encountered (the failing sample was skipped and
@@ -810,26 +792,13 @@ impl<D: Dataset> MinatoLoader<D> {
     /// called by `Drop`.
     pub fn shutdown(&mut self) {
         self.rt.initiate_shutdown();
-        self.join_all();
-    }
-
-    fn join_all(&mut self) {
-        if self.joined.swap(true, Ordering::AcqRel) {
-            return;
-        }
         self.executor.join();
-        for h in self.handles.drain(..) {
-            // A panicked worker already recorded its damage; joining must
-            // not propagate the panic into the caller's drop path.
-            let _ = h.join();
-        }
     }
 }
 
 impl<D: Dataset> Drop for MinatoLoader<D> {
     fn drop(&mut self) {
-        self.rt.initiate_shutdown();
-        self.join_all();
+        self.shutdown();
     }
 }
 
@@ -861,90 +830,6 @@ impl AcquireObserver for TracerPoolObserver {
             EventKind::PoolMiss
         };
         self.0.record(kind, 0, 0, 0, 0);
-    }
-}
-
-/// Monitor loop: every `monitor_interval` it keeps the balancer's
-/// cutoff fresh, samples the cache and pool hit rates, and drains the
-/// trace rings.
-fn monitor_loop<D: Dataset>(
-    rt: Arc<Runtime<D>>,
-    trace: Arc<Mutex<MonitorTrace>>,
-    collector: Option<Arc<Mutex<Collector>>>,
-) {
-    let interval = rt.cfg.monitor_interval;
-    let mut prev_cache_hits = 0u64;
-    let mut prev_cache_lookups = 0u64;
-    let mut prev_pool_hits = 0u64;
-    let mut prev_pool_lookups = 0u64;
-    loop {
-        if !rt.monitor_wait(interval) {
-            break;
-        }
-        let all_closed = rt.batch_q.is_closed();
-        let now = rt.started_at.elapsed().as_secs_f64();
-
-        // Cache hit rate over the interval (the cache stays `None` when
-        // disabled, leaving the series empty).
-        let cache_hit_pct = rt.cache.as_ref().map(|c| {
-            let s = c.stats();
-            let lookups = s.lookups();
-            let d_lookups = lookups.saturating_sub(prev_cache_lookups);
-            let d_hits = s.hits.saturating_sub(prev_cache_hits);
-            prev_cache_lookups = lookups;
-            prev_cache_hits = s.hits;
-            if d_lookups == 0 {
-                0.0
-            } else {
-                d_hits as f64 / d_lookups as f64 * 100.0
-            }
-        });
-
-        // Pool hit rate over the interval (the series stays empty when
-        // pooling is disabled).
-        let pool_hit_pct = rt.pools.as_ref().map(|p| {
-            let s = p.stats().combined();
-            let lookups = s.lookups();
-            let d_lookups = lookups.saturating_sub(prev_pool_lookups);
-            let d_hits = s.hits.saturating_sub(prev_pool_hits);
-            prev_pool_lookups = lookups;
-            prev_pool_hits = s.hits;
-            if d_lookups == 0 {
-                0.0
-            } else {
-                d_hits as f64 / d_lookups as f64 * 100.0
-            }
-        });
-
-        // Drain the event rings every tick (so they cannot silently
-        // overflow between stats() calls) and snapshot the running
-        // dropped-event total — loss is never invisible. Done before the
-        // MonitorTrace lock so no two locks are ever held together.
-        let trace_drop_total = if let (Some(tracer), Some(collect)) = (&rt.tracer, &collector) {
-            collect.lock().drain(tracer);
-            Some(tracer.stats().total_dropped() as f64)
-        } else {
-            None
-        };
-
-        {
-            let mut t = trace.lock();
-            if let Some(pct) = cache_hit_pct {
-                t.cache_hit_pct.push(now, pct);
-            }
-            if let Some(pct) = pool_hit_pct {
-                t.pool_hit_pct.push(now, pct);
-            }
-            if let Some(dropped) = trace_drop_total {
-                t.trace_dropped.push(now, dropped);
-            }
-        }
-
-        rt.balancer.refresh_now();
-
-        if all_closed {
-            break;
-        }
     }
 }
 
@@ -1295,14 +1180,14 @@ mod tests {
     }
 
     /// After warm-up no completion recomputes the adaptive cutoff: the
-    /// monitor's tick is its only refresh. Samples 0–7 end warm-up at
-    /// ~0, so the cutoff it publishes defers every later sample after
-    /// its 1 ms first step; only a tick can lift it to their true time.
-    /// The one fast worker naps at least 192 ms, nineteen 10 ms ticks,
-    /// and any tick after the first few naps lifts it; a slower machine
-    /// only lengthens the run.
+    /// claims' tick is its only refresh. Samples 0–7 end warm-up at ~0,
+    /// so the cutoff it publishes defers every later sample after its
+    /// 1 ms first step; only a tick can lift it to their true time. The
+    /// one fast worker naps at least 192 ms, and any claim that ends past
+    /// the first [`REFRESH_INTERVAL`] lifts it; a slower machine only
+    /// lengthens the run.
     #[test]
-    fn monitor_tick_keeps_the_cutoff_live() {
+    fn claims_keep_the_cutoff_live() {
         let ds = VecDataset::new((0..200u32).collect::<Vec<_>>());
         let nap = fn_transform("nap", |x: u32| {
             if x >= 8 {
@@ -1311,14 +1196,14 @@ mod tests {
             Ok(x)
         });
         let p = Pipeline::new(vec![nap, fn_transform("id", |x: u32| Ok(x))]);
-        let mut builder = MinatoLoader::builder(ds, p)
+        let loader = MinatoLoader::builder(ds, p)
             .batch_size(8)
             .shuffle(false)
             .max_workers(1)
             .slow_workers(1)
-            .warmup_samples(8);
-        builder.cfg.monitor_interval = Duration::from_millis(10);
-        let loader = builder.build().unwrap();
+            .warmup_samples(8)
+            .build()
+            .unwrap();
         assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), 200);
         let timeout = loader.stats().timeout.expect("warmed up");
         assert!(
@@ -1327,28 +1212,29 @@ mod tests {
         );
     }
 
-    /// The monitor thread waits out its refresh interval interruptibly:
-    /// dropping a consumed loader must not sit out the rest of it. The
-    /// interval is raised to 2 s so an uninterrupted sleep cannot meet
-    /// the bound by luck.
+    /// Dropping a loader joins its pool at once, whatever its threads
+    /// wait on: a consumed loader's have run out of work, and a barely
+    /// started one's wait for room in the full batch queue.
     #[test]
-    fn drop_does_not_wait_out_the_monitor_interval() {
-        let interval = Duration::from_secs(2);
-        let ds = VecDataset::new((0..40u32).collect::<Vec<_>>());
-        let mut builder = MinatoLoader::builder(ds, Pipeline::identity())
-            .batch_size(5)
-            .max_workers(2);
-        builder.cfg.monitor_interval = interval;
-        let loader = builder.build().unwrap();
-        let delivered: usize = loader.iter().map(|b| b.len()).sum();
-        assert_eq!(delivered, 40);
-        let t0 = Instant::now();
-        drop(loader);
-        let took = t0.elapsed();
-        assert!(
-            took <= interval / 2,
-            "drop took {took:?} with a {interval:?} monitor interval"
-        );
+    fn drop_joins_the_pool_promptly() {
+        let bound = Duration::from_secs(1);
+        for consume in [true, false] {
+            let ds = VecDataset::new((0..400u32).collect::<Vec<_>>());
+            let loader = MinatoLoader::builder(ds, Pipeline::identity())
+                .batch_size(5)
+                .max_workers(2)
+                .build()
+                .unwrap();
+            if consume {
+                assert_eq!(loader.iter().map(|b| b.len()).sum::<usize>(), 400);
+            } else {
+                assert!(loader.next_batch(0).is_some());
+            }
+            let t0 = Instant::now();
+            drop(loader);
+            let took = t0.elapsed();
+            assert!(took <= bound, "drop took {took:?} (consumed: {consume})");
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub struct MinatoQueue<T> {
     puts: Counter,
     pops: Counter,
     // State-mutex acquisitions made by put/pop operations, including
-    // the re-acquisition every condvar wait ends with. Monitoring-only
+    // the re-acquisition every condvar wait ends with. Read-only
     // accessors (`len`, `is_closed`, ...) are not counted: the counter
     // measures the synchronization cost of moving items, the quantity
     // `benchmark`'s `queue.locks_per_sample` divides by delivered samples.

@@ -1,4 +1,4 @@
-//! Loader statistics snapshots and monitor traces.
+//! Loader statistics snapshots.
 
 use crate::cache::CacheStats;
 use crate::fault::FaultStats;
@@ -84,28 +84,17 @@ pub struct LoaderStats {
     pub latency: Option<LatencyBreakdown>,
 }
 
-/// Time series recorded by the monitor thread while the loader runs —
-/// the loader-side equivalent of the paper's `dstat`/`nvidia-smi` traces.
+/// Compatibility remnant, always empty: the frozen `benchmark/` package
+/// reads [`MonitorTrace::workers`] from
+/// [`MinatoLoader::trace`](crate::loader::MinatoLoader::trace). The
+/// loader's cache, pool and trace totals are in [`LoaderStats`]; the
+/// type goes once the benchmark drops its `scheduler.workers_mean` row.
 #[derive(Debug, Clone)]
 pub struct MonitorTrace {
-    /// Compatibility remnant, always empty: the frozen `benchmark/`
-    /// package reads it for its `scheduler.workers_mean` row (and falls
-    /// back to [`LoaderStats::active_workers`] when it is empty). The
-    /// loader's pool is fixed, so the monitor records no worker count;
-    /// the series goes once the benchmark drops the row.
+    /// Always empty: the benchmark falls back to
+    /// [`LoaderStats::active_workers`] when it is. The loader's pool is
+    /// fixed, so there is no worker count to record.
     pub workers: TimeSeries,
-    /// Sample-cache hit rate (% of lookups) over each interval; stays
-    /// empty when the cache is disabled.
-    pub cache_hit_pct: TimeSeries,
-    /// Buffer-pool hit rate (% of acquires served from recycled
-    /// memory) over each interval; stays empty when pooling is
-    /// disabled.
-    pub pool_hit_pct: TimeSeries,
-    /// Cumulative trace events dropped (ring overflow + unassigned
-    /// threads) over time; empty when tracing is disabled, flat at zero
-    /// when every event fit its ring — a step timestamps when overload
-    /// began.
-    pub trace_dropped: TimeSeries,
 }
 
 impl MonitorTrace {
@@ -113,9 +102,6 @@ impl MonitorTrace {
     pub fn new() -> MonitorTrace {
         MonitorTrace {
             workers: TimeSeries::new("workers"),
-            cache_hit_pct: TimeSeries::new("cache_hit_pct"),
-            pool_hit_pct: TimeSeries::new("pool_hit_pct"),
-            trace_dropped: TimeSeries::new("trace_dropped"),
         }
     }
 }
@@ -134,8 +120,5 @@ mod tests {
     fn trace_starts_empty() {
         let t = MonitorTrace::new();
         assert!(t.workers.is_empty());
-        assert!(t.cache_hit_pct.is_empty());
-        assert!(t.pool_hit_pct.is_empty());
-        assert!(t.trace_dropped.is_empty());
     }
 }

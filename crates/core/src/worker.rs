@@ -217,7 +217,7 @@ fn panic_payload_msg(p: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".into())
 }
 
-/// State shared by every pool worker and the monitor thread.
+/// State shared by every pool worker and the consumers.
 pub(crate) struct Runtime<D: Dataset> {
     pub dataset: D,
     pub pipeline: Pipeline<D::Sample>,
@@ -293,10 +293,6 @@ pub(crate) struct Runtime<D: Dataset> {
     /// production default) costs one branch per sample.
     pub injector: Option<Arc<dyn FaultInjector>>,
     pub shutdown: AtomicBool,
-    /// The monitor thread waits out its refresh interval on this pair,
-    /// so `initiate_shutdown` can end the wait at once.
-    pub(crate) monitor_lock: Mutex<()>,
-    pub(crate) monitor_cv: Condvar,
     pub started_at: Instant,
     /// Lifecycle tracer; `None` when tracing is disabled (the default),
     /// in which case every record site costs one branch and nothing
@@ -383,8 +379,6 @@ impl<D: Dataset> Runtime<D> {
             }),
             injector: None,
             shutdown: AtomicBool::new(false),
-            monitor_lock: Mutex::new(()),
-            monitor_cv: Condvar::new(),
             // One monotonic clock for the whole run: `issued_ns` stamps,
             // the delivery-latency reservoir, and (when enabled) every
             // trace event measure against this instant.
@@ -447,10 +441,6 @@ impl<D: Dataset> Runtime<D> {
     /// Requests a full stop: queues close, pool workers wake and exit.
     pub(crate) fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        // Taking the lock orders this wake after a monitor that has
-        // checked `shutdown` but not yet started waiting.
-        drop(self.monitor_lock.lock());
-        self.monitor_cv.notify_all();
         self.temp_q.close();
         self.batch_q.close();
         // After the batch queue: an emitter holding the window lock
@@ -463,16 +453,6 @@ impl<D: Dataset> Runtime<D> {
 
     pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Waits out one monitor refresh interval (a full one: the monitor
-    /// computes its rates over it). Returns false as soon as shutdown is
-    /// requested.
-    pub(crate) fn monitor_wait(&self, interval: Duration) -> bool {
-        let deadline = Instant::now() + interval;
-        let mut g = self.monitor_lock.lock();
-        while !self.is_shutdown() && !self.monitor_cv.wait_until(&mut g, deadline).timed_out() {}
-        !self.is_shutdown()
     }
 
     /// The one contained run of a sample, on every path: fast or
@@ -895,8 +875,10 @@ impl Drop for ClaimShare<'_> {
 /// `t0` only at the claim's first sample and after anything between
 /// two samples that can block or take a lock: a flush, a deferral, a
 /// quarantine, a cache hit or admission (with a cache attached every
-/// sample reads its own). A sample's busy time is
-/// `anchor − t0 + elapsed`, which the hold rule reads.
+/// sample reads its own). A sample's end is `issued_ns` plus its busy
+/// time, `anchor − t0 + elapsed`: the hold rule reads it, and the last
+/// one is the claim's end, at which the claim ticks the balancer
+/// ([`LoadBalancer::tick`]).
 ///
 /// An uncached order-preserving claim has no deadline, no hold rule
 /// and no admission to feed, so it reads the clock twice in all, not
@@ -1002,6 +984,8 @@ impl<D: Dataset> WorkerStep<D> {
         // Where the previous sample's run ended, and so where the next
         // one starts; `None` where the next sample reads its start itself.
         let mut chain: Option<Instant> = None;
+        // Where the last run ended, in ns since `started_at`.
+        let mut end_ns = 0u64;
         for ticket in tickets {
             if rt.is_shutdown() {
                 break;
@@ -1065,10 +1049,10 @@ impl<D: Dataset> WorkerStep<D> {
             );
             let bytes = rt.dataset.size_hint_bytes(ticket.index).unwrap_or(0);
             // The end of the run is its anchor plus its `elapsed`, so the
-            // busy time (the load, start to anchor, plus the run) that the
-            // hold rule below reads needs no clock read of its own; only a
-            // failed run, which reports no `elapsed`, reads the clock here.
-            // An untimed run has no hold rule to feed.
+            // end that the hold rule and the claim's tick below read needs
+            // no clock read of its own; only a failed run, which reports
+            // no `elapsed`, reads the clock here. An untimed run has no
+            // hold rule to feed.
             let end = match (&run, anchor) {
                 (
                     Ok(
@@ -1080,7 +1064,7 @@ impl<D: Dataset> WorkerStep<D> {
                 _ if claim_t0.is_some() => t0,
                 _ => Instant::now(),
             };
-            let busy = end.saturating_duration_since(t0);
+            end_ns = issued_ns + end.saturating_duration_since(t0).as_nanos() as u64;
             let run = match run {
                 Ok(PipelineRun::TimedOut { resume_at, .. }) if slot.is_some() => {
                     Err(LoaderError::Transform {
@@ -1178,9 +1162,9 @@ impl<D: Dataset> WorkerStep<D> {
             // goes out now instead of at the end of the claim. "Now" is
             // this sample's issue time plus the time just measured, so
             // the check costs no clock read.
-            let held_ns = fast_buf.first().map_or(0, |oldest| {
-                (issued_ns + busy.as_nanos() as u64).saturating_sub(oldest.meta.issued_ns)
-            });
+            let held_ns = fast_buf
+                .first()
+                .map_or(0, |oldest| end_ns.saturating_sub(oldest.meta.issued_ns));
             if held_ns >= hold_ns {
                 // The flush takes the open batch's lock and may wait on
                 // a full batch queue: the next sample reads its start.
@@ -1204,6 +1188,12 @@ impl<D: Dataset> WorkerStep<D> {
         // Flush the claim's remaining fast samples in one operation.
         if !flush_fast(&mut fast_buf, slot) {
             routed = false;
+        }
+        // The cutoff's periodic refresh, when due, at the claim's end (its
+        // last run's; a stale end only delays it), after the flush so no
+        // finished sample waits for it. An ordered claim has no cutoff.
+        if slot.is_none() {
+            rt.balancer.tick(end_ns);
         }
         // Then the quarantined tickets and those never processed
         // (shutdown or routing failure mid-claim).
@@ -1323,7 +1313,6 @@ mod tests {
             prefetch_factor: 8,
             timeout_policy: TimeoutPolicy::Disabled,
             warmup_samples: 8,
-            monitor_interval: Duration::from_millis(100),
             starvation_wait: Duration::from_millis(1),
             order_preserving: false,
             cache_budget_bytes: 0,

@@ -217,7 +217,6 @@ fn cache_disabled_by_default_reexecutes_every_epoch() {
         (N * 3) as u64,
         "every delivery is a pipeline execution when the cache is off"
     );
-    assert!(loader.trace().cache_hit_pct.is_empty());
 }
 
 /// A budget far below the working set must stay within bounds and keep

@@ -115,7 +115,7 @@ fn cutoff_moves_only_on_refresh_after_warmup() {
     }
     let at_warmup = lb.current_timeout().expect("warmed up");
     // The distribution shifts a hundredfold, but after warm-up no
-    // completion recomputes the cutoff: only a refresh (the monitor's
+    // completion recomputes the cutoff: only a refresh (a claim's due
     // tick) moves it.
     for _ in 0..10_000 {
         lb.on_fast_complete(&rec(1000));
@@ -179,7 +179,7 @@ fn fallback_engages_under_skew_and_releases_when_distribution_normalizes() {
 
     // Phase 1: 100 distinct values spread over 0..1000 ms. P50 ≈ 500 ms
     // would flag ~50% > 35%, so the published timeout must be ≈ P90.
-    // Each phase ends where the monitor's tick would refresh.
+    // Each phase ends where a due tick would refresh.
     for i in 0..100u64 {
         lb.on_fast_complete(&rec(i * 10));
     }

@@ -2,8 +2,8 @@
 //!
 //! Figures 1b, 3, 7, 8 and 10 of the paper are time-series plots (CPU%,
 //! GPU%, MB/s, GB/s over seconds). [`TimeSeries`] is the in-memory
-//! representation produced by monitor threads and the simulator, and
-//! rendered by the bench harnesses as CSV or sparkline-style rows.
+//! representation the simulator produces, rendered by the bench
+//! harnesses as CSV or sparkline-style rows.
 
 /// A `(time_seconds, value)` series with append-only semantics.
 ///
@@ -146,8 +146,7 @@ mod tests {
 
     #[test]
     fn monotonic_invariant_under_monitor_style_appends() {
-        // The loader's monitor thread appends with a strictly advancing
-        // clock; downsampling and equal timestamps must both preserve
+        // A sampler appends with a strictly advancing clock; downsampling and equal timestamps must both preserve
         // the monotonic invariant the trace series rely on.
         let mut ts = TimeSeries::new("x");
         for i in 0..50 {

@@ -16,10 +16,11 @@
 //! * batches form from whichever samples are ready first and feed the
 //!   least-occupied per-GPU batch queue,
 //! * a monitor ticks every [`SchedulerConfig::interval`]: it calls
-//!   [`LoadBalancer::refresh_now`], as the loader's monitor thread does
-//!   every 100 ms, and, in adaptive mode, resizes the foreground pool
-//!   with [`WorkerScheduler::decide`] (Formulas 1–2) and the slow-task
-//!   pool to its backlog. The real loader runs fixed pools; the
+//!   [`LoadBalancer::refresh_now`], as the loader's shuffled claims do
+//!   through [`LoadBalancer::tick`] at most once per 100 ms, and, in
+//!   adaptive mode, resizes the foreground pool with
+//!   [`WorkerScheduler::decide`] (Formulas 1–2) and the slow-task pool to
+//!   its backlog. The real loader runs fixed pools; the
 //!   scheduler is the simulator's alone.
 //!
 //! The same engine runs [`Policy::SizeHeuristic`], the image-size
@@ -344,8 +345,8 @@ pub(super) fn run(policy: Policy, cfg: &SimConfig) -> SimReport {
                     bg_pool.resize(now, bg_capacity);
                     max_fg = cfg.cpu_cores.saturating_sub(bg_capacity).max(1);
                     if cfg.minato.adaptive_fg {
-                        // Foreground pool per Formulas 1–2, metered like
-                        // the loader's monitor.
+                        // Foreground pool per Formulas 1–2, metered over
+                        // the tick.
                         let window = interval.as_secs_f64() * fg_capacity as f64;
                         let cpu_usage = (tick_busy.as_secs_f64() / window).clamp(0.0, 1.0);
                         let q_len: usize = queues.iter().map(|q| q.len()).sum();

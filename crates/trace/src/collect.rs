@@ -1,8 +1,8 @@
 //! Folding raw events into per-stage latency histograms.
 //!
 //! The collector is the single consumer of every worker ring. It runs
-//! off the hot path (the loader's monitor thread, or `stats()` /
-//! `export` calls) and is free to allocate. It folds events into
+//! off the hot path (the loader's consumer, once per refresh interval,
+//! or `stats()` / `export` calls) and is free to allocate. It folds events into
 //! [`LogHistogram`]s:
 //!
 //! * pipeline step runtimes, from `StageEnd` durations, one histogram

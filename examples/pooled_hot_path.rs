@@ -50,10 +50,6 @@ fn main() {
         pool.dropped,
         pool.bytes as f64 / (1 << 20) as f64,
     );
-    println!(
-        "trace: pool hit% {}",
-        loader.trace().pool_hit_pct.sparkline(40)
-    );
     assert!(
         pool.recycled > 0,
         "the recycle loop must turn: crop inputs + dropped batches return buffers"

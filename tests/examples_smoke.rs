@@ -241,7 +241,7 @@ fn pooled_hot_path_flow() {
 fn drained_pool_raises_no_panic_on_any_thread() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     // The hook is process-wide: count only the loaders' own threads
-    // (`minato-exec-*`, `minato-monitor`), not a failing assertion in a
+    // (`minato-exec-*`), not a failing assertion in a
     // test running beside this one.
     static PANICS: AtomicUsize = AtomicUsize::new(0);
     let report_panic = std::panic::take_hook();
